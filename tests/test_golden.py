@@ -1,0 +1,111 @@
+"""Golden trace: two small Monte-Carlo runs reproduce committed CSVs byte for byte.
+
+The fixture under `tests/golden/` holds `mospa.csv` and `estimates_r*.csv` of
+one scenario filtered with BP marginals and with exact marginals. The scenario
+is chosen so that every association path runs: transfers inside clusters,
+transfers of residual measurements, exact enumeration, and the exact mode's
+fallback to BP on clusters beyond its enumeration limits. The test checks that
+these paths ran, so a fixture that stops exercising them fails loudly. The
+bytes were produced with numpy 2.4 on x86-64; another numpy or platform may
+round differently.
+
+A deliberate numerical change regenerates the fixture in the same change
+(`PYTHONPATH=src python tests/test_golden.py`) and says why in CHANGES.md.
+"""
+
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+import lmbp.update
+from lmbp.cli import run_experiment
+from lmbp.config import build_run_config
+
+GOLDEN = Path(__file__).parent / "golden"
+
+SCENARIO = {
+    "scenario.object_count": "3",
+    "scenario.appear_min": "1",
+    "scenario.appear_max": "8",
+    "scenario.disappear_after": "25",
+    "scenario.total_steps": "25",
+    "sensor.sigma_range": "5",
+    "sensor.sigma_bearing_deg": "5",
+    "clutter.mean_count": "12",
+    "birth.particles": "256",
+    "filter.track_particles": "128",
+    "filter.phd_particles": "256",
+    "run.mc_runs": "3",
+    "run.seed": "2",
+}
+
+
+def run_case(marginals: str, out_dir: Path) -> list[str]:
+    config = build_run_config({**SCENARIO, "filter.marginals": marginals,
+                               "run.out_dir": str(out_dir)})
+    run_experiment(config, quiet=True)
+    return ["mospa.csv"] + [f"estimates_r{r:03d}.csv" for r in range(config.mc_runs)]
+
+
+def count_paths(monkeypatch) -> Counter:
+    """Count the association paths `lmbp_step` takes, from its module names."""
+    counts: Counter = Counter()
+    residual: set[int] = set()
+    partition = lmbp.update.partition
+    select_transfers = lmbp.update.select_transfers
+    exact_marginals = lmbp.update.exact_marginals
+    bp_marginals = lmbp.update.bp_marginals
+
+    def partition_spy(*args, **kwargs):
+        result = partition(*args, **kwargs)
+        residual.clear()
+        residual.update(result[1])
+        return result
+
+    def select_transfers_spy(*args, **kwargs):
+        result = select_transfers(*args, **kwargs)
+        for label in result[0]:
+            counts["residual transfers" if label.index in residual
+                   else "cluster transfers"] += 1
+        return result
+
+    def exact_spy(*args, **kwargs):
+        counts["exact"] += 1
+        return exact_marginals(*args, **kwargs)
+
+    def bp_spy(*args, **kwargs):
+        counts["bp"] += 1
+        return bp_marginals(*args, **kwargs)
+
+    monkeypatch.setattr(lmbp.update, "partition", partition_spy)
+    monkeypatch.setattr(lmbp.update, "select_transfers", select_transfers_spy)
+    monkeypatch.setattr(lmbp.update, "exact_marginals", exact_spy)
+    monkeypatch.setattr(lmbp.update, "bp_marginals", bp_spy)
+    return counts
+
+
+@pytest.mark.parametrize("marginals", ["bp", "exact"])
+def test_golden_trace(marginals, tmp_path, monkeypatch):
+    counts = count_paths(monkeypatch)
+    names = run_case(marginals, tmp_path)
+    assert counts["cluster transfers"] > 0 and counts["residual transfers"] > 0
+    assert counts["bp"] > 0
+    if marginals == "exact":
+        assert counts["exact"] > 0   # enumeration below the limits, BP above
+    else:
+        assert counts["exact"] == 0
+    for name in names:
+        expected = (GOLDEN / marginals / name).read_bytes()
+        assert (tmp_path / name).read_bytes() == expected, f"{marginals}/{name} differs"
+
+
+if __name__ == "__main__":
+    for case in ("bp", "exact"):
+        out = GOLDEN / case
+        written = run_case(case, out)
+        for path in out.iterdir():
+            if path.name not in written:
+                path.unlink()
+        print(f"wrote {len(written)} files to {out}", file=sys.stderr)
