@@ -2,16 +2,14 @@
 
 from .association import (
     Cluster,
-    DetectionHypothesis,
+    Hypothesis,
     MarginalAssociation,
-    MissHypothesis,
-    NewComponent,
     bp_marginals,
-    detection_hypothesis,
+    detection_hypotheses,
     enumerate_admissible,
     exact_marginals,
     miss_hypothesis,
-    new_component,
+    new_components,
     partition,
 )
 from .config import ConfigError, RunConfig, build_run_config, load_run_config, parse_config_text

@@ -20,26 +20,14 @@ _TINY = 1e-300  # denominator floor; keeps degenerate messages finite
 
 
 @dataclass(frozen=True)
-class DetectionHypothesis:
-    """Track l generated measurement m: weight, forced existence, updated pdf."""
+class Hypothesis:
+    """One association hypothesis: its weight, the existence probability it
+    implies, and the spatial pdf given it.
 
-    beta: float
-    existence: float
-    pdf: ParticleSet
-
-
-@dataclass(frozen=True)
-class MissHypothesis:
-    """Track l generated no measurement (absent, or present and undetected)."""
-
-    beta: float
-    existence: float
-    pdf: ParticleSet
-
-
-@dataclass(frozen=True)
-class NewComponent:
-    """Measurement m came from an unlabeled object or from clutter."""
+    The same type serves a track's miss, a track's detection of one
+    measurement, and a measurement's new component (an unlabeled object or
+    clutter).
+    """
 
     beta: float
     existence: float
@@ -47,8 +35,7 @@ class NewComponent:
 
 
 def detection_hypotheses(track: BernoulliTrack, frame: Sequence[Measurement],
-                         sensor: SensorModel,
-                         likelihoods: np.ndarray | None = None) -> list[DetectionHypothesis]:
+                         sensor: SensorModel) -> list[Hypothesis]:
     """Detection hypotheses of one predicted track against every measurement.
 
     Per measurement: b = sum_i w_i pD(x_i) f(z|x_i), beta = r * b, and the
@@ -56,26 +43,19 @@ def detection_hypotheses(track: BernoulliTrack, frame: Sequence[Measurement],
     with b = 0 yields beta = 0 with an empty pdf (pruned later by gating).
     """
     pd = sensor.detection_prob(track.pdf.states)
-    if likelihoods is None:
-        likelihoods = sensor.likelihood_table(frame, track.pdf.states)
     out = []
-    for lik in likelihoods:
+    for lik in sensor.likelihood_table(frame, track.pdf.states):
         weights = track.pdf.weights * pd * lik
         b = float(weights.sum())
         if b <= 0.0:
-            out.append(DetectionHypothesis(0.0, 0.0, ParticleSet.empty()))
+            out.append(Hypothesis(0.0, 0.0, ParticleSet.empty()))
         else:
             pdf = ParticleSet(track.pdf.states, weights / b)
-            out.append(DetectionHypothesis(track.existence * b, 1.0, pdf))
+            out.append(Hypothesis(track.existence * b, 1.0, pdf))
     return out
 
 
-def detection_hypothesis(track: BernoulliTrack, z: Measurement,
-                         sensor: SensorModel) -> DetectionHypothesis:
-    return detection_hypotheses(track, [z], sensor)[0]
-
-
-def miss_hypothesis(track: BernoulliTrack, sensor: SensorModel) -> MissHypothesis:
+def miss_hypothesis(track: BernoulliTrack, sensor: SensorModel) -> Hypothesis:
     """Miss hypothesis of one predicted track.
 
     c = sum_i w_i (1 - pD(x_i)); beta = 1 - r + r c; existence = r c / beta.
@@ -87,16 +67,16 @@ def miss_hypothesis(track: BernoulliTrack, sensor: SensorModel) -> MissHypothesi
     c = float(weights.sum())
     beta = 1.0 - track.existence + track.existence * c
     if beta <= 0.0:
-        return MissHypothesis(0.0, 0.0, ParticleSet.empty())
+        return Hypothesis(0.0, 0.0, ParticleSet.empty())
     if c <= 0.0:
         # object, if present, was surely detected; pdf carries no mass
-        return MissHypothesis(beta, 0.0, ParticleSet.empty())
+        return Hypothesis(beta, 0.0, ParticleSet.empty())
     pdf = ParticleSet(track.pdf.states, weights / c)
-    return MissHypothesis(beta, track.existence * c / beta, pdf)
+    return Hypothesis(beta, track.existence * c / beta, pdf)
 
 
 def new_components(phd: PoissonPhd, frame: Sequence[Measurement], sensor: SensorModel,
-                   clutter: ClutterModel) -> list[NewComponent]:
+                   clutter: ClutterModel) -> list[Hypothesis]:
     """Unlabeled-or-clutter component per measurement.
 
     d = sum_i w_i pD(x_i) f(z|x_i) over intensity particles; beta adds the
@@ -116,13 +96,8 @@ def new_components(phd: PoissonPhd, frame: Sequence[Measurement], sensor: Sensor
             pdf = ParticleSet(states, weights / d)
         else:
             pdf = ParticleSet.empty()
-        out.append(NewComponent(beta, d / beta, pdf))
+        out.append(Hypothesis(beta, d / beta, pdf))
     return out
-
-
-def new_component(phd: PoissonPhd, z: Measurement, sensor: SensorModel,
-                  clutter: ClutterModel) -> NewComponent:
-    return new_components(phd, [z], sensor, clutter)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,7 @@ def build_run_config(values: dict[str, str]) -> RunConfig:
         rendezvous_step=parsed["scenario.rendezvous_step"],
         max_speed=parsed["scenario.max_speed"],
         velocity_sigma=parsed["scenario.velocity_sigma"],
-        motion=motion, sensor=sensor, clutter=clutter, seed=parsed["run.seed"]))
+        motion=motion, sensor=sensor, clutter=clutter))
     thresholds = section("thresholds", Thresholds, dict(
         gamma_c=parsed["thresholds.gamma_c"], gamma_tr=parsed["thresholds.gamma_tr"],
         gamma_leg=parsed["thresholds.gamma_leg"], gamma_d=parsed["thresholds.gamma_d"]))

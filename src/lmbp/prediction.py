@@ -8,6 +8,10 @@ from .models import MotionModel
 from .rfs import BernoulliTrack, ParticleSet, PoissonPhd
 
 
+class TrackAnnihilated(ValueError):
+    """The track's survival mass is zero: it cannot exist at the next step."""
+
+
 def predict_track(track: BernoulliTrack, motion: MotionModel,
                   rng: np.random.Generator) -> BernoulliTrack:
     """Predict one labeled Bernoulli component.
@@ -15,13 +19,14 @@ def predict_track(track: BernoulliTrack, motion: MotionModel,
     The existence probability is multiplied by the expected survival
     probability under the track pdf; the pdf particles are reweighted by
     survival, renormalized, and advanced through the transition kernel.
-    The label never changes.
+    The label never changes. Raises `TrackAnnihilated` when no particle
+    survives.
     """
     ps = motion.survival_prob(track.pdf.states)
     weights = track.pdf.weights * ps
     total = float(weights.sum())
     if total <= 0.0:
-        raise ValueError("track annihilated")
+        raise TrackAnnihilated("track annihilated")
     new_states = motion.transition_sample(track.pdf.states, rng)
     return BernoulliTrack(track.label, track.existence * total,
                           ParticleSet(new_states, weights / total))

@@ -85,7 +85,11 @@ class ParticleSet:
 
     @staticmethod
     def empty() -> "ParticleSet":
-        return ParticleSet(np.empty((0, STATE_DIM)), np.empty(0))
+        """The empty set: one shared instance, which its read-only arrays make safe."""
+        return _EMPTY
+
+
+_EMPTY = ParticleSet(np.empty((0, STATE_DIM)), np.empty(0))
 
 
 def resample(pset: ParticleSet, target_count: int, rng: np.random.Generator) -> ParticleSet:

@@ -35,7 +35,6 @@ class ScenarioConfig:
     motion: MotionModel = field(default_factory=MotionModel)
     sensor: SensorModel = field(default_factory=SensorModel)
     clutter: ClutterModel = field(default_factory=ClutterModel)
-    seed: int = 0
 
     def __post_init__(self):
         if self.style not in ("ts1", "ts2"):

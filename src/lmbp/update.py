@@ -11,9 +11,7 @@ import numpy as np
 
 from .association import (
     Cluster,
-    DetectionHypothesis,
-    MissHypothesis,
-    NewComponent,
+    Hypothesis,
     bp_marginals,
     detection_hypotheses,
     enumeration_size,
@@ -32,7 +30,11 @@ from .rfs import (
     PoissonPhd,
     resample,
 )
-from .prediction import predict_phd, predict_track
+from .prediction import TrackAnnihilated, predict_phd, predict_track
+
+# exact enumeration is honored only below these bounds; bigger clusters use BP
+EXACT_DEGREE_LIMIT = 20
+EXACT_SIZE_LIMIT = 1e5
 
 
 @dataclass(frozen=True)
@@ -61,10 +63,6 @@ class FilterSettings:
     bp_iterations: int = 20
     marginals: str = "bp"          # "bp" or "exact" (exact falls back on big clusters)
 
-    # exact enumeration is honored only below these bounds
-    exact_degree_limit: int = 20
-    exact_size_limit: float = 1e5
-
     def __post_init__(self):
         if self.marginals not in ("bp", "exact"):
             raise ValueError("marginals must be 'bp' or 'exact'")
@@ -72,8 +70,8 @@ class FilterSettings:
             raise ValueError("bp_iterations must be >= 1")
 
 
-def select_transfers(components: Mapping[int, NewComponent], gamma_tr: float,
-                     time: int) -> tuple[dict[Label, NewComponent], tuple[int, ...]]:
+def select_transfers(components: Mapping[int, Hypothesis], gamma_tr: float,
+                     time: int) -> tuple[dict[Label, Hypothesis], tuple[int, ...]]:
     """Split measurement components into transferred labels and the rest.
 
     Every index m whose component has existence >= gamma_tr (inclusive)
@@ -96,8 +94,8 @@ def _mix_particles(parts: list[tuple[float, ParticleSet]]) -> ParticleSet:
     return ParticleSet(states, weights)
 
 
-def update_legacy_track(label: Label, marginal: Mapping[int, float], miss: MissHypothesis,
-                        detections: Mapping[int, DetectionHypothesis], particle_budget: int,
+def update_legacy_track(label: Label, marginal: Mapping[int, float], miss: Hypothesis,
+                        detections: Mapping[int, Hypothesis], particle_budget: int,
                         rng: np.random.Generator) -> BernoulliTrack:
     """Marginalized update of a legacy track.
 
@@ -121,7 +119,7 @@ def update_legacy_track(label: Label, marginal: Mapping[int, float], miss: MissH
     return BernoulliTrack(label, min(r, 1.0), resample(mixture, particle_budget, rng))
 
 
-def update_transferred_track(label: Label, p_claim: float, component: NewComponent,
+def update_transferred_track(label: Label, p_claim: float, component: Hypothesis,
                              particle_budget: int,
                              rng: np.random.Generator) -> BernoulliTrack:
     """Update of a freshly transferred track: r = p(claim) * existence, pdf kept."""
@@ -147,7 +145,7 @@ def split_by_retention(tracks: Sequence[BernoulliTrack], gamma_leg: float,
     return kept, recycled
 
 
-def update_phd(recycled: Sequence[BernoulliTrack], untransferred: Sequence[NewComponent],
+def update_phd(recycled: Sequence[BernoulliTrack], untransferred: Sequence[Hypothesis],
                predicted_phd: PoissonPhd, sensor, particle_budget: int,
                rng: np.random.Generator) -> PoissonPhd:
     """Posterior intensity: recycled tracks + unclaimed residual components +
@@ -175,25 +173,10 @@ def update_phd(recycled: Sequence[BernoulliTrack], untransferred: Sequence[NewCo
     return PoissonPhd(resample(union, particle_budget, rng))
 
 
-def _cluster_problem(cluster_labels: tuple[Label, ...], meas_indices: tuple[int, ...],
-                     misses: Mapping[Label, MissHypothesis],
-                     detections: Mapping[Label, dict[int, DetectionHypothesis]],
-                     components: Mapping[int, NewComponent],
-                     transfers: Mapping[Label, NewComponent]) -> Cluster:
-    miss_beta = np.array([misses[lab].beta for lab in cluster_labels])
-    det_beta = np.array([[detections[lab][m].beta for m in meas_indices]
-                         for lab in cluster_labels]).reshape(len(cluster_labels),
-                                                             len(meas_indices))
-    new_beta = np.array([components[m].beta for m in meas_indices])
-    return Cluster(cluster_labels, tuple(sorted(transfers)), meas_indices,
-                   miss_beta, det_beta, new_beta)
-
-
 def _marginalize(cluster: Cluster, settings: FilterSettings):
     if settings.marginals == "exact":
         degrees = len(cluster.legacy_labels) * len(cluster.meas_indices)
-        if (degrees <= settings.exact_degree_limit
-                and enumeration_size(cluster) <= settings.exact_size_limit):
+        if degrees <= EXACT_DEGREE_LIMIT and enumeration_size(cluster) <= EXACT_SIZE_LIMIT:
             return exact_marginals(cluster)
     return bp_marginals(cluster, settings.bp_iterations)
 
@@ -214,53 +197,55 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
     for track in state.tracks:
         try:
             predicted.append(predict_track(track, models.motion, rng))
-        except ValueError:
+        except TrackAnnihilated:
             continue
     birth = models.birth.sample_phd(prev_frame, models.motion, models.sensor, rng)
     predicted_phd = predict_phd(state.phd, birth, models.motion, rng)
 
-    # association weights for every track/measurement pairing
-    misses = {}
-    detections: dict[Label, dict[int, DetectionHypothesis]] = {}
-    for track in predicted:
-        misses[track.label] = miss_hypothesis(track, models.sensor)
-        hyps = detection_hypotheses(track, frame, models.sensor)
-        detections[track.label] = {m + 1: hyp for m, hyp in enumerate(hyps)}
-    components = {m + 1: comp for m, comp in
-                  enumerate(new_components(predicted_phd, frame, models.sensor,
-                                           models.clutter))}
+    # association weights for every track/measurement pairing; row i of the
+    # tables is predicted[i], column m - 1 is measurement m
+    misses = [miss_hypothesis(track, models.sensor) for track in predicted]
+    detections = [detection_hypotheses(track, frame, models.sensor) for track in predicted]
+    components = new_components(predicted_phd, frame, models.sensor, models.clutter)
+    miss_beta = np.array([hyp.beta for hyp in misses])
+    betas = np.array([[hyp.beta for hyp in hyps] for hyps in detections]
+                     ).reshape(len(predicted), len(frame))
+    new_beta = np.array([comp.beta for comp in components])
 
     labels = [t.label for t in predicted]
-    betas = np.array([[detections[lab][m].beta for m in range(1, len(frame) + 1)]
-                      for lab in labels]).reshape(len(labels), len(frame))
+    row_of = {lab: i for i, lab in enumerate(labels)}
     clusters, residual = partition(labels, betas, len(frame), thresholds.gamma_c)
+    transfers, untransferred = select_transfers(dict(enumerate(components, start=1)),
+                                                thresholds.gamma_tr, k)
 
     updated: list[BernoulliTrack] = []
-
     for cluster_labels, meas_indices in clusters:
-        cluster_comps = {m: components[m] for m in meas_indices}
-        transfers, _ = select_transfers(cluster_comps, thresholds.gamma_tr, k)
-        problem = _cluster_problem(cluster_labels, meas_indices, misses, detections,
-                                   components, transfers)
+        rows = [row_of[lab] for lab in cluster_labels]
+        cols = [m - 1 for m in meas_indices]
+        problem = Cluster(cluster_labels,
+                          tuple(lab for lab in transfers if lab.index in meas_indices),
+                          meas_indices, miss_beta[rows], betas[np.ix_(rows, cols)],
+                          new_beta[cols])
         marginal = _marginalize(problem, settings)
-        for lab in cluster_labels:
+        for lab, i in zip(cluster_labels, rows):
             updated.append(update_legacy_track(
-                lab, marginal.legacy[lab], misses[lab],
-                {m: detections[lab][m] for m in meas_indices},
+                lab, marginal.legacy[lab], misses[i],
+                {m: detections[i][m - 1] for m in meas_indices},
                 settings.track_particles, rng))
         for lab in problem.transfer_labels:
             updated.append(update_transferred_track(
                 lab, marginal.transfer[lab][1], transfers[lab],
                 settings.track_particles, rng))
 
-    residual_comps = {m: components[m] for m in residual}
-    residual_transfers, unclaimed = select_transfers(residual_comps, thresholds.gamma_tr, k)
-    for lab, comp in residual_transfers.items():
-        updated.append(BernoulliTrack(lab, comp.existence,
-                                      resample(comp.pdf, settings.track_particles, rng)))
+    # a residual measurement competes with no track, so its transfer claims it surely
+    for lab, comp in transfers.items():
+        if lab.index in residual:
+            updated.append(update_transferred_track(lab, 1.0, comp,
+                                                    settings.track_particles, rng))
 
     kept, recycled = split_by_retention(updated, thresholds.gamma_leg, k)
-    phd = update_phd(recycled, [components[m] for m in unclaimed], predicted_phd,
-                     models.sensor, settings.phd_particles, rng)
+    unclaimed = [components[m - 1] for m in untransferred if m in residual]
+    phd = update_phd(recycled, unclaimed, predicted_phd, models.sensor,
+                     settings.phd_particles, rng)
     kept.sort(key=lambda t: t.label)
     return FilterState(tuple(kept), phd, k)

@@ -15,11 +15,12 @@ import numpy as np
 
 from lmbp.association import (
     Cluster,
+    Hypothesis,
     bp_marginals,
-    detection_hypothesis,
+    detection_hypotheses,
     exact_marginals,
     miss_hypothesis,
-    new_component,
+    new_components,
     partition,
 )
 from lmbp.cli import execute_run, initial_state, run_experiment
@@ -173,8 +174,7 @@ def test_criterion_2_conservation():
         for _ in range(int(rng.integers(0, 4))):
             m = int(rng.integers(1, 30))
             pdf = ParticleSet(rng.normal(size=(m, 4)), np.full(m, 1.0 / m))
-            from lmbp.association import NewComponent
-            comps.append(NewComponent(1.0, float(rng.random()), pdf))
+            comps.append(Hypothesis(1.0, float(rng.random()), pdf))
         phd = random_intensity(rng, max_n=60)
         pd = rng.random(len(phd.particles))
         out = update_phd(recycled, comps, phd, StubSensor(pd), 256, rng)
@@ -191,7 +191,7 @@ def test_criterion_2_conservation():
         track = BernoulliTrack(Label(1, 1), float(rng.uniform(0.1, 1.0)),
                                ParticleSet(rng.normal(size=(n, 4)), np.full(n, 1.0 / n)))
         sensor = StubSensor(rng.random(n), rng.random((1, n)) * 0.1)
-        det = detection_hypothesis(track, Measurement(1.0, 0.0), sensor)
+        det = detection_hypotheses(track, [Measurement(1.0, 0.0)], sensor)[0]
         miss = miss_hypothesis(track, sensor)
         for pdf in (det.pdf, miss.pdf):
             if len(pdf):
@@ -256,9 +256,9 @@ def test_criterion_4_micro_updates():
     checks.append(abs(out.existence - 0.792))
 
     stub = StubSensor([0.7], [[0.05]])
-    det = detection_hypothesis(BernoulliTrack(Label(1, 1), 0.5,
+    det = detection_hypotheses(BernoulliTrack(Label(1, 1), 0.5,
                                               ParticleSet(np.zeros((1, 4)), np.ones(1))),
-                               Measurement(1.0, 0.0), stub)
+                               [Measurement(1.0, 0.0)], stub)[0]
     checks.append(abs(det.beta - 0.0175))
 
     miss = miss_hypothesis(BernoulliTrack(Label(1, 1), 0.5,
@@ -269,11 +269,9 @@ def test_criterion_4_micro_updates():
 
     phd = PoissonPhd(ParticleSet(np.zeros((2, 4)), np.full(2, 0.0265)))
     clutter = ClutterModel(mean_count=0.053 * 300 * 2 * np.pi, max_range=300.0)
-    comp = new_component(phd, Measurement(1.0, 0.0), StubSensor([1.0, 1.0], [[1.0, 1.0]]),
-                         clutter)
+    comp = new_components(phd, [Measurement(1.0, 0.0)],
+                          StubSensor([1.0, 1.0], [[1.0, 1.0]]), clutter)[0]
     checks.append(abs(comp.existence - 0.5))
-
-    from lmbp.association import DetectionHypothesis, MissHypothesis
 
     def pdf_at(x, n=1):
         states = np.zeros((n, 4))
@@ -281,13 +279,12 @@ def test_criterion_4_micro_updates():
         return ParticleSet(states, np.full(n, 1.0 / n))
 
     upd = update_legacy_track(Label(1, 1), {0: 0.5, 1: 0.5},
-                              MissHypothesis(0.6, 0.2, pdf_at(1.0)),
-                              {1: DetectionHypothesis(0.3, 1.0, pdf_at(9.0))},
+                              Hypothesis(0.6, 0.2, pdf_at(1.0)),
+                              {1: Hypothesis(0.3, 1.0, pdf_at(9.0))},
                               64, np.random.default_rng(0))
     checks.append(abs(upd.existence - 0.6))
 
-    from lmbp.association import NewComponent
-    tr = update_transferred_track(Label(7, 1), 0.5, NewComponent(1.0, 0.8, pdf_at(2.0)),
+    tr = update_transferred_track(Label(7, 1), 0.5, Hypothesis(1.0, 0.8, pdf_at(2.0)),
                                   64, np.random.default_rng(0))
     checks.append(abs(tr.existence - 0.4))
 
@@ -434,15 +431,13 @@ def test_criterion_7_ospa_suite():
 
 
 def test_criterion_8_threshold_semantics():
-    from lmbp.association import NewComponent
-
     def pdf_at(x, n=4):
         states = np.zeros((n, 4))
         states[:, 0] = x
         return ParticleSet(states, np.full(n, 1.0 / n))
 
     gamma = 1e-2
-    comp = NewComponent(1.0, gamma, pdf_at(0.0))
+    comp = Hypothesis(1.0, gamma, pdf_at(0.0))
     transfers, remaining = select_transfers({1: comp}, gamma, time=3)
     tr_inclusive = Label(3, 1) in transfers and remaining == ()
 

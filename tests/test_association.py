@@ -4,12 +4,11 @@ import pytest
 from lmbp.association import (
     Cluster,
     bp_marginals,
-    detection_hypothesis,
     detection_hypotheses,
     enumerate_admissible,
     exact_marginals,
     miss_hypothesis,
-    new_component,
+    new_components,
     partition,
 )
 from lmbp.models import ClutterModel
@@ -30,12 +29,12 @@ def track_of(weights, r, label=Label(1, 1)):
 class TestDetectionHypothesis:
     def test_nonexistent_track_detects_nothing(self):
         track = track_of([1.0], r=0.0)
-        hyp = detection_hypothesis(track, Z, StubSensor([0.7], [[0.05]]))
+        hyp = detection_hypotheses(track, [Z], StubSensor([0.7], [[0.05]]))[0]
         assert hyp.beta == 0.0
 
     def test_single_particle(self):
         track = track_of([1.0], r=0.5)
-        hyp = detection_hypothesis(track, Z, StubSensor([0.7], [[0.05]]))
+        hyp = detection_hypotheses(track, [Z], StubSensor([0.7], [[0.05]]))[0]
         assert hyp.beta == pytest.approx(0.0175, abs=1e-15)
         assert hyp.existence == 1.0
         np.testing.assert_allclose(hyp.pdf.weights, [1.0])
@@ -43,13 +42,13 @@ class TestDetectionHypothesis:
     def test_two_particle_hand_values(self):
         # w = (.5, .5), pD = 1, f = (.2, .1): b = 0.15, pdf = (2/3, 1/3)
         track = track_of([0.5, 0.5], r=1.0)
-        hyp = detection_hypothesis(track, Z, StubSensor([1.0, 1.0], [[0.2, 0.1]]))
+        hyp = detection_hypotheses(track, [Z], StubSensor([1.0, 1.0], [[0.2, 0.1]]))[0]
         assert hyp.beta == pytest.approx(0.15, abs=1e-15)
         np.testing.assert_allclose(hyp.pdf.weights, [2 / 3, 1 / 3], atol=1e-15)
 
     def test_zero_likelihood_yields_empty_hypothesis(self):
         track = track_of([1.0], r=0.5)
-        hyp = detection_hypothesis(track, Z, StubSensor([1.0], [[0.0]]))
+        hyp = detection_hypotheses(track, [Z], StubSensor([1.0], [[0.0]]))[0]
         assert hyp.beta == 0.0 and len(hyp.pdf) == 0
 
     def test_whole_frame_matches_single_calls(self):
@@ -59,7 +58,7 @@ class TestDetectionHypothesis:
         frame = [Z, Z, Z]
         hyps = detection_hypotheses(track, frame, sensor)
         for m, hyp in enumerate(hyps):
-            single = detection_hypothesis(track, Z, StubSensor([0.6, 0.8], [lik[m]]))
+            single = detection_hypotheses(track, [Z], StubSensor([0.6, 0.8], [lik[m]]))[0]
             assert hyp.beta == pytest.approx(single.beta)
 
 
@@ -93,27 +92,27 @@ class TestNewComponent:
         return PoissonPhd(ParticleSet(states, np.full(n, mass / n)))
 
     def test_pure_clutter(self):
-        comp = new_component(PoissonPhd.empty(), Z, StubSensor([], [[]]),
-                             self.clutter(0.053))
+        comp = new_components(PoissonPhd.empty(), [Z], StubSensor([], [[]]),
+                              self.clutter(0.053))[0]
         assert comp.beta == pytest.approx(0.053)
         assert comp.existence == 0.0
 
     def test_clutter_free(self):
         phd = self.phd_of_mass(0.02)
         sensor = StubSensor([1.0] * 4, [[1.0] * 4])
-        comp = new_component(phd, Measurement(1000.0, 0.0), sensor, self.clutter(0.5))
+        comp = new_components(phd, [Measurement(1000.0, 0.0)], sensor, self.clutter(0.5))[0]
         assert comp.existence == pytest.approx(1.0)  # measurement outside clutter ROI
 
     def test_equal_evidence(self):
         phd = self.phd_of_mass(0.053)
         sensor = StubSensor([1.0] * 4, [[1.0] * 4])
-        comp = new_component(phd, Z, sensor, self.clutter(0.053))
+        comp = new_components(phd, [Z], sensor, self.clutter(0.053))[0]
         assert comp.existence == pytest.approx(0.5)
 
     def test_no_support_errors(self):
         with pytest.raises(ValueError, match="outside model support"):
-            new_component(PoissonPhd.empty(), Measurement(1000.0, 0.0),
-                          StubSensor([], [[]]), self.clutter(0.5))
+            new_components(PoissonPhd.empty(), [Measurement(1000.0, 0.0)],
+                           StubSensor([], [[]]), self.clutter(0.5))
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,11 @@ class TestParticleSet:
         with pytest.raises(ValueError):
             pset.weights[0] = 2.0
 
+    def test_empty_is_one_shared_read_only_set(self):
+        empty = ParticleSet.empty()
+        assert empty is ParticleSet.empty() and len(empty) == 0
+        assert not empty.states.flags.writeable and not empty.weights.flags.writeable
+
 
 class TestResample:
     def test_single_support_pdf(self):

@@ -3,7 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from lmbp.association import DetectionHypothesis, MissHypothesis, NewComponent
+from lmbp.association import Hypothesis
 from lmbp.models import BirthModel, ClutterModel, Models, MotionModel, SensorModel
 from lmbp.rfs import (
     BernoulliTrack,
@@ -35,7 +35,7 @@ def pdf_at(x1, n=1, weight=None):
 
 
 def component(existence, beta=1.0, x1=0.0):
-    return NewComponent(beta, existence, pdf_at(x1))
+    return Hypothesis(beta, existence, pdf_at(x1))
 
 
 @dataclass(frozen=True)
@@ -84,15 +84,15 @@ class TestUpdateLegacyTrack:
     label = Label(2, 3)
 
     def test_pure_miss(self):
-        miss = MissHypothesis(0.6, 0.25, pdf_at(1.0))
+        miss = Hypothesis(0.6, 0.25, pdf_at(1.0))
         out = update_legacy_track(self.label, {0: 1.0}, miss, {}, 50,
                                   np.random.default_rng(0))
         assert out.existence == pytest.approx(0.25, abs=1e-15)
         assert np.all(out.pdf.states[:, 0] == 1.0)
 
     def test_pure_detection(self):
-        miss = MissHypothesis(0.6, 0.25, pdf_at(1.0))
-        det = {1: DetectionHypothesis(0.3, 1.0, pdf_at(9.0))}
+        miss = Hypothesis(0.6, 0.25, pdf_at(1.0))
+        det = {1: Hypothesis(0.3, 1.0, pdf_at(9.0))}
         out = update_legacy_track(self.label, {0: 0.0, 1: 1.0}, miss, det, 50,
                                   np.random.default_rng(0))
         assert out.existence == pytest.approx(1.0)
@@ -100,8 +100,8 @@ class TestUpdateLegacyTrack:
 
     def test_even_mixture_hand_values(self):
         # p(0) = p(m1) = 0.5, miss existence 0.2: r = 0.6, mixture (1/6, 5/6)
-        miss = MissHypothesis(0.6, 0.2, pdf_at(1.0))
-        det = {1: DetectionHypothesis(0.3, 1.0, pdf_at(9.0))}
+        miss = Hypothesis(0.6, 0.2, pdf_at(1.0))
+        det = {1: Hypothesis(0.3, 1.0, pdf_at(9.0))}
         out = update_legacy_track(self.label, {0: 0.5, 1: 0.5}, miss, det, 600,
                                   np.random.default_rng(0))
         assert out.existence == pytest.approx(0.6, abs=1e-15)
@@ -111,7 +111,7 @@ class TestUpdateLegacyTrack:
         assert len(out.pdf) == 600
 
     def test_zero_mass_returns_dead_track(self):
-        miss = MissHypothesis(0.6, 0.0, ParticleSet.empty())
+        miss = Hypothesis(0.6, 0.0, ParticleSet.empty())
         out = update_legacy_track(self.label, {0: 1.0}, miss, {}, 50,
                                   np.random.default_rng(0))
         assert out.existence == 0.0 and len(out.pdf) == 0
@@ -214,6 +214,23 @@ class TestLmbpStep:
         assert len(out.tracks) == 1
         assert out.tracks[0].label == Label(1, 1)
         assert out.tracks[0].existence == pytest.approx(2 / 3, abs=1e-12)
+
+    def test_prediction_drops_dead_tracks_and_raises_on_faults(self):
+        @dataclass(frozen=True)
+        class NanSurvival(MotionModel):
+            def survival_prob(self, states):
+                return np.full(np.asarray(states).shape[:-1], np.nan)
+
+        track = BernoulliTrack(Label(1, 1), 0.8, pdf_at(10.0, n=8))
+        state = FilterState((track,), PoissonPhd.empty(), 1)
+        dead = micro_models(p_survival=0.0)
+        out = lmbp_step(state, [], dead, Thresholds(), np.random.default_rng(0),
+                        settings=small_settings())
+        assert out.tracks == ()
+        faulty = Models(NanSurvival(sigma_u=0.0), dead.sensor, dead.clutter, dead.birth)
+        with pytest.raises(ValueError):
+            lmbp_step(state, [], faulty, Thresholds(), np.random.default_rng(0),
+                      settings=small_settings())
 
     def test_unsupported_measurement_absorbed_with_zero_weight(self):
         # intensity far from the measurement: d = 0, no transfer, and the
