@@ -25,8 +25,8 @@ class Hypothesis:
     implies, and the spatial pdf given it.
 
     The same type serves a track's miss, a track's detection of one
-    measurement, and a measurement's new component (an unlabeled object or
-    clutter).
+    measurement, and the new component of a measurement transferred to the
+    labeled part (see `lmbp.update.select_transfers`).
     """
 
     beta: float
@@ -39,19 +39,20 @@ def detection_hypotheses(track: BernoulliTrack, frame: Sequence[Measurement],
     """Detection hypotheses of one predicted track against every measurement.
 
     Per measurement: b = sum_i w_i pD(x_i) f(z|x_i), beta = r * b, and the
-    pdf reweights the predicted particles by pD * likelihood. A measurement
-    with b = 0 yields beta = 0 with an empty pdf (pruned later by gating).
+    pdf reweights the predicted particles by pD * likelihood, so every pdf
+    lives on the track's own particles. A measurement with b = 0 yields
+    beta = 0 with an empty pdf (pruned later by gating).
     """
-    pd = sensor.detection_prob(track.pdf.states)
+    states = track.pdf.states
+    table = (track.pdf.weights * sensor.detection_prob(states)) * \
+        sensor.likelihood_table(frame, states)
     out = []
-    for lik in sensor.likelihood_table(frame, track.pdf.states):
-        weights = track.pdf.weights * pd * lik
-        b = float(weights.sum())
+    for weights, b in zip(table, table.sum(axis=1)):
         if b <= 0.0:
             out.append(Hypothesis(0.0, 0.0, ParticleSet.empty()))
         else:
-            pdf = ParticleSet(track.pdf.states, weights / b)
-            out.append(Hypothesis(track.existence * b, 1.0, pdf))
+            out.append(Hypothesis(track.existence * float(b), 1.0,
+                                  ParticleSet(states, weights / b)))
     return out
 
 
@@ -76,28 +77,22 @@ def miss_hypothesis(track: BernoulliTrack, sensor: SensorModel) -> Hypothesis:
 
 
 def new_components(phd: PoissonPhd, frame: Sequence[Measurement], sensor: SensorModel,
-                   clutter: ClutterModel) -> list[Hypothesis]:
-    """Unlabeled-or-clutter component per measurement.
+                   clutter: ClutterModel) -> tuple[np.ndarray, np.ndarray]:
+    """Unlabeled-or-clutter evidence of every measurement, as weights over the
+    intensity particles.
 
-    d = sum_i w_i pD(x_i) f(z|x_i) over intensity particles; beta adds the
-    clutter intensity; existence = d / beta.
+    Returns `beta` (M,) and `table` (M, N) with table[m-1, i] =
+    w_i pD(x_i) f(z_m|x_i). Measurement m's component has d = table[m-1].sum(),
+    beta = clutter intensity + d, existence d / beta, and pdf table[m-1] / d
+    over the intensity particles; no particle set is built here.
     """
     states = phd.particles.states
-    pd = sensor.detection_prob(states) if len(states) else np.empty(0)
-    liks = sensor.likelihood_table(frame, states)
-    out = []
-    for z, lik in zip(frame, liks):
-        weights = phd.particles.weights * pd * lik
-        d = float(weights.sum())
-        beta = clutter.intensity(z) + d
-        if beta <= 0.0:
-            raise ValueError("measurement outside model support")
-        if d > 0.0:
-            pdf = ParticleSet(states, weights / d)
-        else:
-            pdf = ParticleSet.empty()
-        out.append(Hypothesis(beta, d / beta, pdf))
-    return out
+    table = (phd.particles.weights * sensor.detection_prob(states)) * \
+        sensor.likelihood_table(frame, states)
+    beta = np.array([clutter.intensity(z) for z in frame]) + table.sum(axis=1)
+    if np.any(beta <= 0.0):
+        raise ValueError("measurement outside model support")
+    return beta, table
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_run_config
+from .config import ConfigError, RunConfig, build_run_config, parse_config_text
 from .estimation import detect_and_estimate, write_estimates_csv
 from .metrics import mospa_curve, ospa
 from .models import uniform_disk_positions
@@ -158,23 +158,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = load_run_config(args.config)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-            overrides["raw"] = {**config.raw, "run.seed": str(args.seed)}
-        if args.runs is not None:
-            overrides["mc_runs"] = args.runs
-            overrides.setdefault("raw", dict(config.raw))["run.mc_runs"] = str(args.runs)
-        if args.out is not None:
-            overrides["out_dir"] = args.out
-            overrides.setdefault("raw", dict(config.raw))["run.out_dir"] = args.out
-        if args.marginals is not None:
-            overrides["settings"] = dataclasses.replace(config.settings,
-                                                        marginals=args.marginals)
-            overrides.setdefault("raw", dict(config.raw))["filter.marginals"] = args.marginals
-        if overrides:
-            config = dataclasses.replace(config, **overrides)
+        values = parse_config_text(Path(args.config).read_text())
+        flags = {"run.seed": args.seed, "run.mc_runs": args.runs, "run.out_dir": args.out,
+                 "filter.marginals": args.marginals}
+        values.update({key: str(value) for key, value in flags.items() if value is not None})
+        config = build_run_config(values)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

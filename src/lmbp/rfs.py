@@ -70,19 +70,6 @@ class ParticleSet:
     def is_normalized(self, tol: float = PDF_TOL) -> bool:
         return abs(self.total_weight - 1.0) <= tol
 
-    def normalized(self) -> "ParticleSet":
-        total = self.total_weight
-        if total <= 0.0:
-            raise ValueError("degenerate particle set")
-        return ParticleSet(self.states, self.weights / total)
-
-    def scaled_to(self, total: float) -> "ParticleSet":
-        """Rescale weights so they sum to `total` (current sum must be positive)."""
-        cur = self.total_weight
-        if cur <= 0.0:
-            raise ValueError("degenerate particle set")
-        return ParticleSet(self.states, self.weights * (total / cur))
-
     @staticmethod
     def empty() -> "ParticleSet":
         """The empty set: one shared instance, which its read-only arrays make safe."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -141,7 +140,6 @@ def generate_frames(truth: GroundTruth, sensor: SensorModel, clutter: ClutterMod
 
 
 TRUTH_HEADER = "object_id,k,x1,x2,v1,v2"
-FRAME_HEADER = "k,range,bearing"
 
 
 def write_truth_csv(out: io.TextIOBase, truth: GroundTruth) -> None:
@@ -150,10 +148,3 @@ def write_truth_csv(out: io.TextIOBase, truth: GroundTruth) -> None:
         for k in range(obj.birth_step, obj.death_step + 1):
             vals = ",".join(f"{v:.17g}" for v in obj.state_at(k))
             out.write(f"{obj.object_id},{k},{vals}\n")
-
-
-def write_frames_csv(out: io.TextIOBase, frames: Sequence[Sequence[Measurement]]) -> None:
-    out.write(FRAME_HEADER + "\n")
-    for k, frame in enumerate(frames, start=1):
-        for z in frame:
-            out.write(f"{k},{z.range:.17g},{z.bearing:.17g}\n")

@@ -70,28 +70,26 @@ class FilterSettings:
             raise ValueError("bp_iterations must be >= 1")
 
 
-def select_transfers(components: Mapping[int, Hypothesis], gamma_tr: float,
+def select_transfers(beta: np.ndarray, table: np.ndarray, states: np.ndarray, gamma_tr: float,
                      time: int) -> tuple[dict[Label, Hypothesis], tuple[int, ...]]:
-    """Split measurement components into transferred labels and the rest.
+    """Split the measurements' new components into transferred labels and the rest.
 
-    Every index m whose component has existence >= gamma_tr (inclusive)
-    becomes a labeled Bernoulli with label (time, m); the remaining indices
-    are returned for the caller to absorb or prune.
+    `beta` and `table` come from `new_components` over the intensity
+    particles `states`. Every measurement m whose component has existence
+    table[m-1].sum() / beta[m-1] >= gamma_tr (inclusive) becomes a labeled
+    Bernoulli with label (time, m); only these get a particle set. The
+    remaining indices are returned for the caller to absorb or prune.
     """
+    mass = table.sum(axis=1)
     transfers = {}
     remaining = []
-    for m in sorted(components):
-        if components[m].existence >= gamma_tr:
-            transfers[Label(time, m)] = components[m]
+    for m, (b, d) in enumerate(zip(beta, mass), start=1):
+        if d / b >= gamma_tr:
+            pdf = ParticleSet(states, table[m - 1] / d)
+            transfers[Label(time, m)] = Hypothesis(float(b), float(d / b), pdf)
         else:
             remaining.append(m)
     return transfers, tuple(remaining)
-
-
-def _mix_particles(parts: list[tuple[float, ParticleSet]]) -> ParticleSet:
-    states = np.concatenate([p.states for _, p in parts])
-    weights = np.concatenate([p.weights * (w / p.total_weight) for w, p in parts])
-    return ParticleSet(states, weights)
 
 
 def update_legacy_track(label: Label, marginal: Mapping[int, float], miss: Hypothesis,
@@ -100,23 +98,28 @@ def update_legacy_track(label: Label, marginal: Mapping[int, float], miss: Hypot
     """Marginalized update of a legacy track.
 
     r = sum_a p(a) r(l,a); the pdf is the r(l,a)-weighted mixture of the
-    per-hypothesis pdfs, realized by merging particle sets and resampling to
-    the track budget. A track whose mixture mass vanishes comes back with
+    per-hypothesis pdfs. Precondition: every hypothesis pdf reweights the
+    same particles, those of the predicted track (as `miss_hypothesis` and
+    `detection_hypotheses` build them), so the mixture is one weight vector
+    over them, resampled to the track budget; a pdf on other particles
+    raises ValueError. A track whose mixture mass vanishes comes back with
     r = 0 (the caller recycles it).
     """
-    r = marginal.get(0, 0.0) * miss.existence
-    parts = []
-    if r > 0.0:
-        parts.append((r, miss.pdf))
-    for m, hyp in detections.items():
-        p = marginal.get(m, 0.0) * hyp.existence
-        if p > 0.0 and len(hyp.pdf):
-            parts.append((p, hyp.pdf))
-            r += p
-    if r <= 0.0 or not parts:
+    parts = [(marginal.get(0, 0.0) * miss.existence, miss.pdf)]
+    parts += [(marginal.get(m, 0.0) * hyp.existence, hyp.pdf)
+              for m, hyp in detections.items()]
+    parts = [(p, pdf) for p, pdf in parts if p > 0.0 and len(pdf)]
+    r = sum(p for p, _ in parts)
+    if r <= 0.0:
         return BernoulliTrack(label, 0.0, ParticleSet.empty())
-    mixture = _mix_particles([(w / r, pdf) for w, pdf in parts])
-    return BernoulliTrack(label, min(r, 1.0), resample(mixture, particle_budget, rng))
+    support = parts[0][1].states
+    weights = np.zeros(len(support))
+    for p, pdf in parts:
+        if not np.array_equal(pdf.states, support):
+            raise ValueError("hypothesis pdfs do not share the predicted track's particles")
+        weights += (p / r) * pdf.weights
+    return BernoulliTrack(label, min(r, 1.0),
+                          resample(ParticleSet(support, weights), particle_budget, rng))
 
 
 def update_transferred_track(label: Label, p_claim: float, component: Hypothesis,
@@ -145,31 +148,30 @@ def split_by_retention(tracks: Sequence[BernoulliTrack], gamma_leg: float,
     return kept, recycled
 
 
-def update_phd(recycled: Sequence[BernoulliTrack], untransferred: Sequence[Hypothesis],
+def update_phd(recycled: Sequence[BernoulliTrack], beta: np.ndarray, table: np.ndarray,
                predicted_phd: PoissonPhd, sensor, particle_budget: int,
                rng: np.random.Generator) -> PoissonPhd:
-    """Posterior intensity: recycled tracks + unclaimed residual components +
-    undetected predicted intensity, reduced to the intensity budget.
+    """Posterior intensity: undetected predicted intensity + unclaimed
+    components + recycled tracks, reduced to the intensity budget.
 
-    Total mass is r-sum + existence-sum + sum((1 - pD) w), preserved through
-    the reduction.
+    `beta` (K,) and `table` (K, N) are the `new_components` rows of the K
+    unclaimed measurements. The predicted particles are reweighted by
+    (1 - pD) w + sum_k table[k] / beta[k] (the SMC-PHD update), the recycled
+    tracks' particles are appended with weights r * pdf, and the union is
+    resampled once. Total mass is sum((1 - pD) w) + sum_k d_k / beta_k +
+    r-sum, preserved through the reduction.
     """
-    parts: list[tuple[float, ParticleSet]] = []
-    for track in recycled:
-        if track.existence > 0.0 and len(track.pdf):
-            parts.append((track.existence, track.pdf))
-    for comp in untransferred:
-        if comp.existence > 0.0 and len(comp.pdf):
-            parts.append((comp.existence, comp.pdf))
     survivors = predicted_phd.particles
-    if len(survivors):
-        weights = survivors.weights * (1.0 - sensor.detection_prob(survivors.states))
-        undetected = float(weights.sum())
-        if undetected > 0.0:
-            parts.append((undetected, ParticleSet(survivors.states, weights / undetected)))
-    if not parts:
+    # einsum rather than a BLAS product: the sum must not depend on BLAS threading
+    weights = [survivors.weights * (1.0 - sensor.detection_prob(survivors.states))
+               + np.einsum("k,kn->n", 1.0 / beta, table)]
+    states = [survivors.states]
+    for track in recycled:
+        weights.append(track.existence * track.pdf.weights)
+        states.append(track.pdf.states)
+    union = ParticleSet(np.concatenate(states), np.concatenate(weights))
+    if union.total_weight <= 0.0:
         return PoissonPhd.empty()
-    union = _mix_particles(parts)
     return PoissonPhd(resample(union, particle_budget, rng))
 
 
@@ -206,16 +208,17 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
     # tables is predicted[i], column m - 1 is measurement m
     misses = [miss_hypothesis(track, models.sensor) for track in predicted]
     detections = [detection_hypotheses(track, frame, models.sensor) for track in predicted]
-    components = new_components(predicted_phd, frame, models.sensor, models.clutter)
+    new_beta, new_table = new_components(predicted_phd, frame, models.sensor,
+                                         models.clutter)
     miss_beta = np.array([hyp.beta for hyp in misses])
     betas = np.array([[hyp.beta for hyp in hyps] for hyps in detections]
                      ).reshape(len(predicted), len(frame))
-    new_beta = np.array([comp.beta for comp in components])
 
     labels = [t.label for t in predicted]
     row_of = {lab: i for i, lab in enumerate(labels)}
     clusters, residual = partition(labels, betas, len(frame), thresholds.gamma_c)
-    transfers, untransferred = select_transfers(dict(enumerate(components, start=1)),
+    transfers, untransferred = select_transfers(new_beta, new_table,
+                                                predicted_phd.particles.states,
                                                 thresholds.gamma_tr, k)
 
     updated: list[BernoulliTrack] = []
@@ -244,8 +247,8 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
                                                     settings.track_particles, rng))
 
     kept, recycled = split_by_retention(updated, thresholds.gamma_leg, k)
-    unclaimed = [components[m - 1] for m in untransferred if m in residual]
-    phd = update_phd(recycled, unclaimed, predicted_phd, models.sensor,
-                     settings.phd_particles, rng)
+    unclaimed = [m - 1 for m in untransferred if m in residual]
+    phd = update_phd(recycled, new_beta[unclaimed], new_table[unclaimed], predicted_phd,
+                     models.sensor, settings.phd_particles, rng)
     kept.sort(key=lambda t: t.label)
     return FilterState(tuple(kept), phd, k)

@@ -170,15 +170,14 @@ def test_criterion_2_conservation():
             m = int(rng.integers(1, 30))
             pdf = ParticleSet(rng.normal(size=(m, 4)), np.full(m, 1.0 / m))
             recycled.append(BernoulliTrack(Label(1, i + 1), float(rng.random()), pdf))
-        comps = []
-        for _ in range(int(rng.integers(0, 4))):
-            m = int(rng.integers(1, 30))
-            pdf = ParticleSet(rng.normal(size=(m, 4)), np.full(m, 1.0 / m))
-            comps.append(Hypothesis(1.0, float(rng.random()), pdf))
         phd = random_intensity(rng, max_n=60)
         pd = rng.random(len(phd.particles))
-        out = update_phd(recycled, comps, phd, StubSensor(pd), 256, rng)
-        expected = (sum(t.existence for t in recycled) + sum(c.existence for c in comps)
+        # unclaimed components: rows w pD f over the intensity particles, beta >= d
+        k = int(rng.integers(0, 4))
+        table = phd.particles.weights * pd * rng.random((k, len(phd.particles)))
+        beta = table.sum(axis=1) + rng.random(k)
+        out = update_phd(recycled, beta, table, phd, StubSensor(pd), 256, rng)
+        expected = (sum(t.existence for t in recycled) + float(np.sum(table.sum(axis=1) / beta))
                     + float(np.sum(phd.particles.weights * (1.0 - pd))))
         worst_upd = max(worst_upd, abs(out.mean - expected))
 
@@ -269,18 +268,21 @@ def test_criterion_4_micro_updates():
 
     phd = PoissonPhd(ParticleSet(np.zeros((2, 4)), np.full(2, 0.0265)))
     clutter = ClutterModel(mean_count=0.053 * 300 * 2 * np.pi, max_range=300.0)
-    comp = new_components(phd, [Measurement(1.0, 0.0)],
-                          StubSensor([1.0, 1.0], [[1.0, 1.0]]), clutter)[0]
-    checks.append(abs(comp.existence - 0.5))
+    beta, table = new_components(phd, [Measurement(1.0, 0.0)],
+                                 StubSensor([1.0, 1.0], [[1.0, 1.0]]), clutter)
+    checks.append(abs(table[0].sum() / beta[0] - 0.5))
 
     def pdf_at(x, n=1):
         states = np.zeros((n, 4))
         states[:, 0] = x
         return ParticleSet(states, np.full(n, 1.0 / n))
 
+    # miss and detection pdfs on one shared support (x1 = 1 and 9)
+    support = np.zeros((2, 4))
+    support[:, 0] = [1.0, 9.0]
     upd = update_legacy_track(Label(1, 1), {0: 0.5, 1: 0.5},
-                              Hypothesis(0.6, 0.2, pdf_at(1.0)),
-                              {1: Hypothesis(0.3, 1.0, pdf_at(9.0))},
+                              Hypothesis(0.6, 0.2, ParticleSet(support, [1.0, 0.0])),
+                              {1: Hypothesis(0.3, 1.0, ParticleSet(support, [0.0, 1.0]))},
                               64, np.random.default_rng(0))
     checks.append(abs(upd.existence - 0.6))
 
@@ -437,8 +439,9 @@ def test_criterion_8_threshold_semantics():
         return ParticleSet(states, np.full(n, 1.0 / n))
 
     gamma = 1e-2
-    comp = Hypothesis(1.0, gamma, pdf_at(0.0))
-    transfers, remaining = select_transfers({1: comp}, gamma, time=3)
+    # one new component of existence gamma: beta 1, mass gamma over 4 particles
+    transfers, remaining = select_transfers(np.ones(1), np.full((1, 4), gamma / 4),
+                                            np.zeros((4, 4)), gamma, time=3)
     tr_inclusive = Label(3, 1) in transfers and remaining == ()
 
     kept, recycled = split_by_retention(
@@ -466,8 +469,8 @@ def test_criterion_8_threshold_semantics():
             tracks.append(BernoulliTrack(
                 Label(1, i + 1), float(rng_master.uniform(0.01, 1.0)),
                 pdf_at(float(rng_master.uniform(0, 200)), n=8)))
-        state = FilterState(tuple(tracks),
-                            PoissonPhd(pdf_at(100.0, n=16).scaled_to(0.2)), 1)
+        state = FilterState(tuple(tracks), PoissonPhd(ParticleSet(
+            pdf_at(100.0, n=16).states, np.full(16, 0.2 / 16))), 1)
         frame = [Measurement(float(rng_master.uniform(0, 300)),
                              float(rng_master.uniform(-np.pi, np.pi)))
                  for _ in range(int(rng_master.integers(0, 4)))]

@@ -92,22 +92,47 @@ class TestNewComponent:
         return PoissonPhd(ParticleSet(states, np.full(n, mass / n)))
 
     def test_pure_clutter(self):
-        comp = new_components(PoissonPhd.empty(), [Z], StubSensor([], [[]]),
-                              self.clutter(0.053))[0]
-        assert comp.beta == pytest.approx(0.053)
-        assert comp.existence == 0.0
+        beta, table = new_components(PoissonPhd.empty(), [Z], StubSensor([], [[]]),
+                                     self.clutter(0.053))
+        assert beta[0] == pytest.approx(0.053)
+        assert table.shape == (1, 0)  # existence 0: no intensity mass
 
     def test_clutter_free(self):
         phd = self.phd_of_mass(0.02)
         sensor = StubSensor([1.0] * 4, [[1.0] * 4])
-        comp = new_components(phd, [Measurement(1000.0, 0.0)], sensor, self.clutter(0.5))[0]
-        assert comp.existence == pytest.approx(1.0)  # measurement outside clutter ROI
+        beta, table = new_components(phd, [Measurement(1000.0, 0.0)], sensor,
+                                     self.clutter(0.5))
+        # measurement outside clutter ROI
+        assert table[0].sum() / beta[0] == pytest.approx(1.0)
 
     def test_equal_evidence(self):
         phd = self.phd_of_mass(0.053)
         sensor = StubSensor([1.0] * 4, [[1.0] * 4])
-        comp = new_components(phd, [Z], sensor, self.clutter(0.053))[0]
-        assert comp.existence == pytest.approx(0.5)
+        beta, table = new_components(phd, [Z], sensor, self.clutter(0.053))
+        assert table[0].sum() / beta[0] == pytest.approx(0.5)
+
+    def test_table_holds_weighted_likelihoods(self):
+        # table[m-1, i] = w_i pD(x_i) f(z_m|x_i); beta(m) adds the clutter intensity
+        phd = PoissonPhd(ParticleSet(np.zeros((3, 4)), [0.1, 0.2, 0.3]))
+        sensor = StubSensor([0.5, 1.0, 0.0], [[0.2, 0.4, 0.6], [0.0, 0.1, 0.0]])
+        beta, table = new_components(phd, [Z, Z], sensor, self.clutter(0.053))
+        np.testing.assert_allclose(table, [[0.01, 0.08, 0.0], [0.0, 0.02, 0.0]],
+                                   atol=1e-15)
+        np.testing.assert_allclose(beta, [0.053 + 0.09, 0.053 + 0.02], atol=1e-15)
+
+    def test_builds_no_particle_set(self, monkeypatch):
+        phd = self.phd_of_mass(0.053)
+        built = []
+        init = ParticleSet.__post_init__
+
+        def counted(pset):
+            built.append(pset)
+            init(pset)
+
+        monkeypatch.setattr(ParticleSet, "__post_init__", counted)
+        new_components(phd, [Z, Z], StubSensor([1.0] * 4, [[1.0] * 4] * 2),
+                       self.clutter(0.053))
+        assert built == []
 
     def test_no_support_errors(self):
         with pytest.raises(ValueError, match="outside model support"):

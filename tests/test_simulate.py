@@ -10,7 +10,6 @@ from lmbp.simulate import (
     generate_frame,
     generate_frames,
     generate_truth,
-    write_frames_csv,
     write_truth_csv,
 )
 
@@ -134,10 +133,3 @@ def test_csv_exports():
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "object_id,k,x1,x2,v1,v2"
     assert len(lines) == 1 + sum(o.death_step - o.birth_step + 1 for o in truth.objects)
-
-    frames = [[Measurement(10.0, 0.5)], [], [Measurement(20.0, -0.25)]]
-    buf = io.StringIO()
-    write_frames_csv(buf, frames)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "k,range,bearing"
-    assert lines[1].startswith("1,10") and lines[2].startswith("3,20")

@@ -38,6 +38,36 @@ def component(existence, beta=1.0, x1=0.0):
     return Hypothesis(beta, existence, pdf_at(x1))
 
 
+def new_component_rows(*existences, n=2):
+    """`new_components` output over n intensity particles at x1 = 0..n-1:
+    beta 1 and a uniform weight row of mass `existence` per measurement."""
+    states = np.zeros((n, 4))
+    states[:, 0] = np.arange(n)
+    table = np.outer(existences, np.full(n, 1.0 / n)).reshape(len(existences), n)
+    return np.ones(len(existences)), table, states
+
+
+# One shared support for the legacy-track update: the miss pdf sits on the
+# first two particles, the detection pdf on the last two.
+SUPPORT = np.zeros((4, 4))
+SUPPORT[:, 0] = [1.0, 2.0, 8.0, 9.0]
+MISS_PDF = ParticleSet(SUPPORT, [0.5, 0.5, 0.0, 0.0])
+DET_PDF = ParticleSet(SUPPORT, [0.0, 0.0, 0.25, 0.75])
+
+
+def support_counts(pset, support):
+    """How many particles of `pset` sit on each row of `support`."""
+    return np.array([int(np.sum(np.all(pset.states == row, axis=1))) for row in support])
+
+
+def assert_systematic_counts(pset, support, weights, budget):
+    # systematic resampling gives each particle floor or ceil of budget * w_i / W
+    counts = support_counts(pset, support)
+    assert counts.sum() == budget
+    expected = budget * np.asarray(weights) / np.sum(weights)
+    assert np.all(np.abs(counts - expected) <= 1.0), (counts, expected)
+
+
 @dataclass(frozen=True)
 class ConstantPdSensor(SensorModel):
     """Range-bearing sensor with a spatially constant detection probability."""
@@ -64,19 +94,23 @@ class TestThresholds:
 
 class TestSelectTransfers:
     def test_threshold_split(self):
-        comps = {1: component(0.5), 2: component(0.001)}
-        transfers, remaining = select_transfers(comps, gamma_tr=0.01, time=7)
+        beta, table, states = new_component_rows(0.5, 0.001)
+        transfers, remaining = select_transfers(beta, table, states, gamma_tr=0.01, time=7)
         assert set(transfers) == {Label(7, 1)}
         assert remaining == (2,)
+        comp = transfers[Label(7, 1)]
+        assert comp.beta == 1.0 and comp.existence == pytest.approx(0.5, abs=1e-15)
+        np.testing.assert_array_equal(comp.pdf.states, states)
+        np.testing.assert_allclose(comp.pdf.weights, [0.5, 0.5], atol=1e-15)
 
     def test_nothing_above_threshold(self):
-        comps = {1: component(0.005), 2: component(0.001)}
-        transfers, remaining = select_transfers(comps, gamma_tr=0.01, time=7)
+        transfers, remaining = select_transfers(*new_component_rows(0.005, 0.001),
+                                                gamma_tr=0.01, time=7)
         assert transfers == {} and remaining == (1, 2)
 
     def test_boundary_is_inclusive(self):
-        comps = {1: component(1e-2)}
-        transfers, remaining = select_transfers(comps, gamma_tr=1e-2, time=7)
+        transfers, remaining = select_transfers(*new_component_rows(1e-2),
+                                                gamma_tr=1e-2, time=7)
         assert Label(7, 1) in transfers and remaining == ()
 
 
@@ -84,31 +118,49 @@ class TestUpdateLegacyTrack:
     label = Label(2, 3)
 
     def test_pure_miss(self):
-        miss = Hypothesis(0.6, 0.25, pdf_at(1.0))
+        miss = Hypothesis(0.6, 0.25, MISS_PDF)
         out = update_legacy_track(self.label, {0: 1.0}, miss, {}, 50,
                                   np.random.default_rng(0))
         assert out.existence == pytest.approx(0.25, abs=1e-15)
-        assert np.all(out.pdf.states[:, 0] == 1.0)
+        assert np.all(np.isin(out.pdf.states[:, 0], [1.0, 2.0]))
 
     def test_pure_detection(self):
-        miss = Hypothesis(0.6, 0.25, pdf_at(1.0))
-        det = {1: Hypothesis(0.3, 1.0, pdf_at(9.0))}
+        miss = Hypothesis(0.6, 0.25, MISS_PDF)
+        det = {1: Hypothesis(0.3, 1.0, DET_PDF)}
         out = update_legacy_track(self.label, {0: 0.0, 1: 1.0}, miss, det, 50,
                                   np.random.default_rng(0))
         assert out.existence == pytest.approx(1.0)
-        assert np.all(out.pdf.states[:, 0] == 9.0)
+        assert np.all(np.isin(out.pdf.states[:, 0], [8.0, 9.0]))
 
     def test_even_mixture_hand_values(self):
         # p(0) = p(m1) = 0.5, miss existence 0.2: r = 0.6, mixture (1/6, 5/6)
-        miss = Hypothesis(0.6, 0.2, pdf_at(1.0))
-        det = {1: Hypothesis(0.3, 1.0, pdf_at(9.0))}
+        miss = Hypothesis(0.6, 0.2, MISS_PDF)
+        det = {1: Hypothesis(0.3, 1.0, DET_PDF)}
         out = update_legacy_track(self.label, {0: 0.5, 1: 0.5}, miss, det, 600,
                                   np.random.default_rng(0))
         assert out.existence == pytest.approx(0.6, abs=1e-15)
-        frac_miss = float(np.mean(out.pdf.states[:, 0] == 1.0))
+        frac_miss = float(np.mean(out.pdf.states[:, 0] < 5.0))
         assert frac_miss == pytest.approx(1 / 6, abs=0.01)
         assert out.pdf.is_normalized()
         assert len(out.pdf) == 600
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_resampled_counts_match_closed_form_weights(self, seed):
+        # posterior weights (0.5 * 0.2 * miss + 0.5 * 1.0 * det) / 0.6
+        miss = Hypothesis(0.6, 0.2, MISS_PDF)
+        det = {1: Hypothesis(0.3, 1.0, DET_PDF)}
+        out = update_legacy_track(self.label, {0: 0.5, 1: 0.5}, miss, det, 600,
+                                  np.random.default_rng(seed))
+        weights = (0.1 * MISS_PDF.weights + 0.5 * DET_PDF.weights) / 0.6
+        np.testing.assert_allclose(weights, [1 / 12, 1 / 12, 5 / 24, 5 / 8])
+        assert_systematic_counts(out.pdf, SUPPORT, weights, 600)
+
+    def test_mismatched_supports_raise(self):
+        miss = Hypothesis(0.6, 0.2, MISS_PDF)
+        det = {1: Hypothesis(0.3, 1.0, ParticleSet(SUPPORT + 1.0, DET_PDF.weights))}
+        with pytest.raises(ValueError, match="share"):
+            update_legacy_track(self.label, {0: 0.5, 1: 0.5}, miss, det, 600,
+                                np.random.default_rng(0))
 
     def test_zero_mass_returns_dead_track(self):
         miss = Hypothesis(0.6, 0.0, ParticleSet.empty())
@@ -161,32 +213,59 @@ class TestSplitByRetention:
         assert not ({t.label for t in kept} & {t.label for t in recycled})
 
 
+def no_rows(n):
+    """`new_components` rows of no unclaimed measurement over n particles."""
+    return np.empty(0), np.empty((0, n))
+
+
 class TestUpdatePhd:
     def test_blind_sensor_preserves_mass(self):
         phd = PoissonPhd(pdf_at(0.0, n=40, weight=0.7))
-        out = update_phd([], [], phd, StubSensor(np.zeros(40)), 100,
+        out = update_phd([], *no_rows(40), phd, StubSensor(np.zeros(40)), 100,
                          np.random.default_rng(0))
         assert out.mean == pytest.approx(0.7, abs=1e-12)
 
     def test_perfect_sensor_empties_intensity(self):
         phd = PoissonPhd(pdf_at(0.0, n=40, weight=0.7))
-        out = update_phd([], [], phd, StubSensor(np.ones(40)), 100,
+        out = update_phd([], *no_rows(40), phd, StubSensor(np.ones(40)), 100,
                          np.random.default_rng(0))
         assert out.mean == 0.0 and len(out.particles) == 0
 
     def test_three_term_additivity(self):
+        # recycled r 0.3 + unclaimed d / beta = 0.4 / 2 + undetected 0.2 * (1 - 0.5)
         recycled = [BernoulliTrack(Label(1, 1), 0.3, pdf_at(1.0))]
-        comps = [component(0.2, x1=2.0)]
         phd = PoissonPhd(pdf_at(3.0, n=10, weight=0.2))
-        out = update_phd(recycled, comps, phd, StubSensor(np.full(10, 0.5)), 500,
-                         np.random.default_rng(0))
+        out = update_phd(recycled, np.array([2.0]), np.full((1, 10), 0.04), phd,
+                         StubSensor(np.full(10, 0.5)), 500, np.random.default_rng(0))
         assert out.mean == pytest.approx(0.3 + 0.2 + 0.1, abs=1e-9)
         assert len(out.particles) == 500
 
     def test_zero_mass_gives_empty(self):
-        out = update_phd([], [], PoissonPhd.empty(), StubSensor(np.empty(0)), 100,
+        out = update_phd([], *no_rows(0), PoissonPhd.empty(), StubSensor(np.empty(0)), 100,
                          np.random.default_rng(0))
         assert out.mean == 0.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_resampled_counts_match_closed_form_weights(self, seed):
+        # one weight vector over the predicted particles, (1 - pD) w + sum_k table[k] / beta[k],
+        # followed by the recycled track's particles weighted r * pdf
+        phd_states = np.zeros((4, 4))
+        phd_states[:, 0] = [10.0, 20.0, 30.0, 40.0]
+        w = np.array([0.1, 0.2, 0.3, 0.4])
+        pd = np.array([0.2, 0.4, 0.6, 0.8])
+        beta = np.array([0.5, 2.0])
+        table = np.array([[0.0, 0.05, 0.1, 0.0], [0.2, 0.0, 0.0, 0.1]])
+        track_states = np.zeros((2, 4))
+        track_states[:, 0] = [50.0, 60.0]
+        recycled = [BernoulliTrack(Label(1, 1), 0.25, ParticleSet(track_states, [0.4, 0.6]))]
+        out = update_phd(recycled, beta, table, PoissonPhd(ParticleSet(phd_states, w)),
+                         StubSensor(pd), 1000, np.random.default_rng(seed))
+        weights = np.concatenate([w * (1 - pd) + table[0] / 0.5 + table[1] / 2.0,
+                                  [0.1, 0.15]])
+        np.testing.assert_allclose(weights, [0.18, 0.22, 0.32, 0.13, 0.1, 0.15])
+        assert out.mean == pytest.approx(weights.sum(), abs=1e-12)
+        assert_systematic_counts(out.particles, np.concatenate([phd_states, track_states]),
+                                 weights, 1000)
 
 
 def micro_models(pd_const=0.5, p_survival=1.0, mean_births=0.0, mean_clutter=2.0,
@@ -231,6 +310,34 @@ class TestLmbpStep:
         with pytest.raises(ValueError):
             lmbp_step(state, [], faulty, Thresholds(), np.random.default_rng(0),
                       settings=small_settings())
+
+    def test_resampling_stays_on_predicted_particles(self, monkeypatch):
+        # each legacy update resamples from its own predicted particles, and the
+        # intensity is resampled once, from its predicted particles plus those
+        # of the recycled tracks (which come back at the track budget)
+        import lmbp.update
+
+        calls = []
+        real = lmbp.update.resample
+
+        def spy(pset, target_count, rng):
+            calls.append((len(pset), target_count))
+            return real(pset, target_count, rng)
+
+        monkeypatch.setattr(lmbp.update, "resample", spy)
+        tracks = (BernoulliTrack(Label(1, 1), 0.8, pdf_at(50.0, n=8)),
+                  BernoulliTrack(Label(1, 2), 0.02, pdf_at(200.0, n=8)))
+        state = FilterState(tracks, PoissonPhd(pdf_at(100.0, n=32, weight=0.3)), 1)
+        models = micro_models(pd_const=0.6)
+        rho, theta = models.sensor.range_bearing(np.array([50.0, 0.0, 0.0, 0.0]))
+        out = lmbp_step(state, [Measurement(float(rho), float(theta))], models,
+                        Thresholds(), np.random.default_rng(0), settings=small_settings())
+        recycled = {Label(1, 1), Label(1, 2)} - set(out.labels())
+        assert recycled == {Label(1, 2)}
+        assert calls.count((8, 64)) == 2
+        phd_calls = [n for n, target in calls if target == 128]
+        predicted_count = 32 + models.birth.particle_budget
+        assert phd_calls == [predicted_count + 64 * len(recycled)]
 
     def test_unsupported_measurement_absorbed_with_zero_weight(self):
         # intensity far from the measurement: d = 0, no transfer, and the
