@@ -34,6 +34,10 @@ class Hypothesis:
     pdf: ParticleSet
 
 
+# shared by every detection hypothesis with zero weight
+_NO_DETECTION = Hypothesis(0.0, 0.0, ParticleSet.empty())
+
+
 def detection_hypotheses(track: BernoulliTrack, frame: Sequence[Measurement],
                          sensor: SensorModel) -> list[Hypothesis]:
     """Detection hypotheses of one predicted track against every measurement.
@@ -41,18 +45,18 @@ def detection_hypotheses(track: BernoulliTrack, frame: Sequence[Measurement],
     Per measurement: b = sum_i w_i pD(x_i) f(z|x_i), beta = r * b, and the
     pdf reweights the predicted particles by pD * likelihood, so every pdf
     lives on the track's own particles. A measurement with b = 0 yields
-    beta = 0 with an empty pdf (pruned later by gating).
+    beta = 0 with an empty pdf (pruned later by gating); the weights are
+    multiplied and summed only over likelihood rows with a nonzero entry.
     """
     states = track.pdf.states
-    table = (track.pdf.weights * sensor.detection_prob(states)) * \
-        sensor.likelihood_table(frame, states)
-    out = []
-    for weights, b in zip(table, table.sum(axis=1)):
+    likelihood = sensor.likelihood_table(frame, states)
+    rows = np.flatnonzero(likelihood.any(axis=1))
+    table = (track.pdf.weights * sensor.detection_prob(states)) * likelihood[rows]
+    out = [_NO_DETECTION] * len(frame)
+    for m, weights, b in zip(rows, table, table.sum(axis=1)):
         if b <= 0.0:
-            out.append(Hypothesis(0.0, 0.0, ParticleSet.empty()))
-        else:
-            out.append(Hypothesis(track.existence * float(b), 1.0,
-                                  ParticleSet(states, weights / b)))
+            continue
+        out[m] = Hypothesis(track.existence * float(b), 1.0, ParticleSet(states, weights / b))
     return out
 
 

@@ -16,9 +16,26 @@ import numpy as np
 from .rfs import Measurement, ParticleSet, PoissonPhd, STATE_DIM
 
 
+# float64 exp(x) is exactly 0.0 below about -745.13; a likelihood entry whose
+# exponent is bounded below this floor is left at 0.0 without evaluating it
+EXP_FLOOR = -760.0
+# absolute slack (rad) on bearing bounds; covers rounding in the offsets
+_BEARING_SLACK = 1e-12
+
+
 def wrap_angle(theta):
     """Wrap angles to [-pi, pi)."""
     return np.mod(np.asarray(theta) + np.pi, 2.0 * np.pi) - np.pi
+
+
+def _wrap_residual(delta: np.ndarray) -> np.ndarray:
+    """Wrap a fresh array of bearing differences in [-2pi, 2pi] to [-pi, pi),
+    in place: two conditional shifts, applied by index because few entries
+    need them."""
+    flat = delta.reshape(-1)
+    flat[np.flatnonzero(flat >= np.pi)] -= 2.0 * np.pi
+    flat[np.flatnonzero(flat < -np.pi)] += 2.0 * np.pi
+    return delta
 
 
 def _ncv_transition() -> np.ndarray:
@@ -104,7 +121,8 @@ class SensorModel:
         return np.hypot(dx, dy), np.arctan2(dy, dx)
 
     def detection_prob(self, states: np.ndarray) -> np.ndarray:
-        rho, _ = self.range_bearing(states)
+        states = np.asarray(states, dtype=float)
+        rho = np.hypot(states[..., 0] - self.position[0], states[..., 1] - self.position[1])
         return self.pd_max * np.exp(-(rho ** 2) / self.pd_scale ** 2)
 
     def likelihood(self, z: Measurement, states: np.ndarray) -> np.ndarray:
@@ -116,25 +134,123 @@ class SensorModel:
         return norm * np.exp(-0.5 * (dr ** 2 + db ** 2))
 
     def likelihood_table(self, frame: Sequence[Measurement], states: np.ndarray) -> np.ndarray:
-        """(M, N) table of f(z_m | x_n) for a whole frame; one pass over states."""
+        """(M, N) table of f(z_m | x_n) for a whole frame of N states.
+
+        Bit-identical to evaluating every entry, but only entries that can be
+        nonzero are evaluated: float64 exp underflows to exactly 0.0 below
+        about -745.13, so an entry whose exponent is bounded below
+        `EXP_FLOOR` is left at 0.0. A measurement that no state can reach
+        keeps an all-zero row (row gate, from O(N) range and bearing bounds).
+        When the frame is large enough to pay for sorting the states by
+        bearing, each remaining measurement is evaluated only over its
+        bearing window, and only cells whose exponent clears the floor are
+        exponentiated. Every evaluated entry goes through `_exponent`.
+        """
         states = np.asarray(states, dtype=float)
         rho, theta = self.range_bearing(states)
         if len(frame) == 0:
             return np.empty((0,) + rho.shape)
-        zr = np.array([z.range for z in frame])[:, None]
-        zb = wrap_angle(np.array([z.bearing for z in frame]))[:, None]
-        dr = (zr - rho[None, :]) / self.sigma_range
-        db = zb - theta[None, :]
-        # residual lies in (-2pi, 2pi); branchless wrap to [-pi, pi)
-        db = np.where(db >= np.pi, db - 2.0 * np.pi, db)
-        db = np.where(db < -np.pi, db + 2.0 * np.pi, db)
-        db /= self.sigma_bearing
-        quad = dr * dr
-        quad += db * db
-        quad *= -0.5
+        zr = np.array([z.range for z in frame])
+        zb = wrap_angle(np.array([z.bearing for z in frame]))
+        norm = 1.0 / (2.0 * np.pi * self.sigma_range * self.sigma_bearing)
+        n = rho.size
+        # bearing half-width beyond which every exponent is below the floor
+        half = np.sqrt(-2.0 * EXP_FLOOR) * self.sigma_bearing + _BEARING_SLACK
+        rows = self._reachable_rows(zr, zb, rho, theta)
+        if rows is None or not np.isfinite(norm):
+            rows, windowed = np.arange(len(frame)), False
+        else:
+            # sort only when the cells the windows skip outnumber the sort's comparisons
+            windowed = len(rows) * (np.pi - half) > np.pi * np.log2(max(n, 2))
+        if not windowed:
+            quad = self._exponent(zr[rows, None], zb[rows, None], rho, theta)
+            np.exp(quad, out=quad)
+            quad *= norm
+            if len(rows) == len(frame):
+                return quad
+            table = np.zeros((len(frame), n))
+            table[rows] = quad
+            return table
+        row, col, quad = self._windowed_exponents(zr[rows], zb[rows], rows, rho, theta, half)
         np.exp(quad, out=quad)
-        quad *= 1.0 / (2.0 * np.pi * self.sigma_range * self.sigma_bearing)
-        return quad
+        quad *= norm
+        table = np.zeros((len(frame), n))
+        table[row, col] = quad
+        return table
+
+    def _exponent(self, zr, zb, rho, theta) -> np.ndarray:
+        """-0.5 (dr^2 + db^2), elementwise over broadcast measurement and
+        state arrays: the one place the likelihood exponent is computed."""
+        dr = zr - rho
+        dr /= self.sigma_range
+        db = _wrap_residual(zb - theta)
+        db /= self.sigma_bearing
+        dr *= dr
+        db *= db
+        dr += db
+        dr *= -0.5
+        return dr
+
+    def _reachable_rows(self, zr, zb, rho, theta) -> np.ndarray | None:
+        """Indices of the measurements whose exponent bound over all states
+        clears `EXP_FLOOR`, or None when a state or a measurement is not
+        finite (then every entry is evaluated).
+
+        The states' bearings are bounded as offsets from the first state's
+        bearing, so an arc across the +-pi seam stays one interval.
+        """
+        if rho.size == 0:
+            return np.arange(0)
+        ref = theta[0]
+        offset = _wrap_residual(theta - ref)
+        lo, hi = offset.min(), offset.max()
+        rho_lo, rho_hi = rho.min(), rho.max()
+        if not (np.isfinite(lo + hi + rho_lo + rho_hi) and np.isfinite(zr + zb).all()):
+            return None
+        # circular distance from each measurement to the arc ref + [lo, hi]
+        centred = _wrap_residual(_wrap_residual(zb - ref) - 0.5 * (lo + hi))
+        gap = np.abs(centred) - 0.5 * (hi - lo) - _BEARING_SLACK
+        db = np.maximum(gap, 0.0) / self.sigma_bearing
+        dr = np.maximum(np.maximum(rho_lo - zr, zr - rho_hi), 0.0) / self.sigma_range
+        return np.flatnonzero(-0.5 * (dr * dr + db * db) >= EXP_FLOOR)
+
+    def _windowed_exponents(self, zr, zb, rows, rho, theta, half):
+        """Exponents of the cells that can clear `EXP_FLOOR`: those inside
+        their measurement's bearing window [zb - half, zb + half] (half < pi)
+        whose range term alone clears it.
+
+        The states are sorted by bearing once; a window is then one run of
+        the sorted order taken modulo N, and the runs of all measurements are
+        gathered flat, without padding. Returns the cells' table rows,
+        columns and exponents.
+        """
+        n = rho.size
+        order = np.argsort(theta)
+        sorted_theta = theta[order]
+        # a window across the +-pi seam continues at the other end of the order
+        low = zb - half < -np.pi
+        high = zb + half >= np.pi
+        lo = np.searchsorted(sorted_theta, np.where(low, zb - half + 2.0 * np.pi, zb - half),
+                             "left")
+        hi = np.searchsorted(sorted_theta, np.where(high, zb + half - 2.0 * np.pi, zb + half),
+                             "right")
+        count = hi - lo + n * (low | high)
+        # two laps of the sorted order make every window one run of positions
+        order = np.concatenate([order, order])
+        pos = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
+        zr_cells = np.repeat(zr, count)
+        rho_cells = rho[order][pos]
+        # range prefilter: the same dr as `_exponent`, so the bound is exact
+        dr = zr_cells - rho_cells
+        dr /= self.sigma_range
+        dr *= dr
+        dr *= -0.5
+        near = np.flatnonzero(dr >= EXP_FLOOR)
+        pos = pos[near]
+        quad = self._exponent(zr_cells[near], np.repeat(zb, count)[near], rho_cells[near],
+                              np.concatenate([sorted_theta, sorted_theta])[pos])
+        keep = np.flatnonzero(quad >= EXP_FLOOR)
+        return np.repeat(rows, count)[near[keep]], order[pos[keep]], quad[keep]
 
     def sample_measurement(self, state: np.ndarray, rng: np.random.Generator) -> Measurement:
         """Noisy measurement of one state; range clamped to [0, max_range]."""

@@ -1,9 +1,18 @@
+import dataclasses
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from lmbp.cli import initial_state
+from lmbp.config import build_run_config
 from lmbp.models import BirthModel, ClutterModel, MotionModel, SensorModel, wrap_angle
-from lmbp.rfs import Measurement
+from lmbp.rfs import Measurement, write_snapshot
+from lmbp.simulate import generate_frames, generate_truth
+from lmbp.update import lmbp_step
 
 
 def make_sensor(**kw):
@@ -120,6 +129,253 @@ class TestLikelihood:
                          for b in b_grid])
         integral = np.trapezoid(np.trapezoid(vals, r_grid, axis=1), b_grid)
         assert integral == pytest.approx(1.0, rel=0.01)
+
+
+def dense_likelihood_table(sensor, frame, states):
+    """Reference for `SensorModel.likelihood_table`: every entry evaluated."""
+    states = np.asarray(states, dtype=float)
+    rho, theta = sensor.range_bearing(states)
+    if len(frame) == 0:
+        return np.empty((0,) + rho.shape)
+    zr = np.array([z.range for z in frame])[:, None]
+    zb = wrap_angle(np.array([z.bearing for z in frame]))[:, None]
+    dr = (zr - rho[None, :]) / sensor.sigma_range
+    db = zb - theta[None, :]
+    # residual lies in (-2pi, 2pi); branchless wrap to [-pi, pi)
+    db = np.where(db >= np.pi, db - 2.0 * np.pi, db)
+    db = np.where(db < -np.pi, db + 2.0 * np.pi, db)
+    db /= sensor.sigma_bearing
+    quad = dr * dr
+    quad += db * db
+    quad *= -0.5
+    np.exp(quad, out=quad)
+    quad *= 1.0 / (2.0 * np.pi * sensor.sigma_range * sensor.sigma_bearing)
+    return quad
+
+
+def states_at(positions):
+    positions = np.asarray(positions, dtype=float).reshape(-1, 2)
+    return np.hstack([positions, np.zeros_like(positions)])
+
+
+def random_frame(rng, count, max_range=320.0):
+    return [Measurement(float(rng.uniform(0.0, max_range)), float(rng.uniform(-np.pi, np.pi)))
+            for _ in range(count)]
+
+
+def random_case(rng):
+    """A sensor, a frame and a particle set: a compact track-like cloud, a
+    cloud spread over the disk, or a mixture, with a random bearing width."""
+    sensor = make_sensor(sigma_range=float(rng.choice([0.5, 2.0, 10.0])),
+                         sigma_bearing=float(rng.choice([np.deg2rad(1.0), 0.05, 0.5, 2.0])))
+    n = int(rng.integers(0, 3000))
+    shape = rng.integers(3)
+    spread = sensor.position + rng.uniform(-300.0, 300.0, (n, 2))
+    compact = rng.uniform(-250.0, 250.0, 2) + rng.normal(0.0, rng.uniform(0.1, 20.0), (n, 2))
+    positions = spread if shape == 0 else compact if shape == 1 else \
+        np.where(rng.random((n, 1)) < 0.5, spread, compact)
+    return sensor, random_frame(rng, int(rng.integers(0, 120))), states_at(positions)
+
+
+def assert_table_exact(sensor, frame, states):
+    table = sensor.likelihood_table(frame, states)
+    assert np.array_equal(table, dense_likelihood_table(sensor, frame, states), equal_nan=True)
+
+
+@dataclasses.dataclass(frozen=True)
+class DenseSensor(SensorModel):
+    """Range-bearing sensor whose likelihood table evaluates every entry."""
+
+    def likelihood_table(self, frame, states):
+        return dense_likelihood_table(self, frame, states)
+
+
+@pytest.fixture
+def window_calls(monkeypatch):
+    """Frame sizes of the calls that took the bearing-window path."""
+    calls = []
+    windowed = SensorModel._windowed_exponents
+
+    def spy(self, zr, *args):
+        calls.append(len(zr))
+        return windowed(self, zr, *args)
+
+    monkeypatch.setattr(SensorModel, "_windowed_exponents", spy)
+    return calls
+
+
+class TestGatedLikelihoodTable:
+    """`likelihood_table` is bit-identical to the dense reference; edge cases
+    run with a frame below and one above the size that sorts by bearing."""
+
+    SMALL, LARGE = 3, 40
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_cases(self, seed):
+        assert_table_exact(*random_case(np.random.default_rng(seed)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_property(self, seed):
+        assert_table_exact(*random_case(np.random.default_rng(seed)))
+
+    def test_empty_frame_and_empty_particle_set(self):
+        sensor = make_sensor()
+        rng = np.random.default_rng(1)
+        states = states_at(rng.uniform(-200.0, 200.0, (50, 2)))
+        assert sensor.likelihood_table([], states).shape == (0, 50)
+        assert_table_exact(sensor, [], states)
+        for count in (self.SMALL, self.LARGE):
+            frame = random_frame(rng, count)
+            assert sensor.likelihood_table(frame, states_at([])).shape == (count, 0)
+            assert_table_exact(sensor, frame, states_at([]))
+
+    @pytest.mark.parametrize("count", [SMALL, LARGE])
+    def test_single_particle_and_one_point(self, count, window_calls):
+        sensor = make_sensor()
+        rng = np.random.default_rng(2)
+        target = sensor.position + np.array([80.0, 60.0])
+        rho, theta = sensor.range_bearing(states_at(target))
+        frame = [Measurement(float(r), float(b)) for r, b in zip(
+            rho[0] + rng.normal(0.0, 3.0, count), theta[0] + rng.normal(0.0, 0.03, count))]
+        frame[-1] = Measurement(float(rho[0]), float(theta[0]))
+        assert_table_exact(sensor, frame, states_at(target))
+        assert sensor.likelihood_table(frame, states_at(target))[-1, 0] > 0.0
+        window_calls.clear()
+        assert_table_exact(sensor, frame, states_at(np.tile(target, (500, 1))))
+        assert bool(window_calls) == (count == self.LARGE)
+
+    @pytest.mark.parametrize("count", [SMALL, LARGE])
+    def test_bearing_seam(self, count, window_calls):
+        # particles at bearing exactly pi (x2 on the sensor's y, x1 behind it)
+        # and around the seam, measurements at -pi and just below pi
+        sensor = make_sensor(sigma_bearing=0.05)
+        rng = np.random.default_rng(3)
+        x1 = sensor.position[0] - rng.uniform(1.0, 300.0, 400)
+        on_seam = np.column_stack([x1, np.full(400, sensor.position[1])])
+        near = on_seam + np.column_stack([np.zeros(400), rng.normal(0.0, 5.0, 400)])
+        states = states_at(np.vstack([on_seam, near]))
+        assert np.any(sensor.range_bearing(states)[1] == np.pi)
+        seam = [Measurement(150.0, -np.pi), Measurement(150.0, np.nextafter(np.pi, 0.0)),
+                Measurement(80.0, np.pi), Measurement(80.0, -np.nextafter(np.pi, 0.0))]
+        near_seam = [Measurement(float(r), float(wrap_angle(np.pi + b))) for r, b in zip(
+            rng.uniform(1.0, 300.0, count), rng.normal(0.0, 0.1, count))]
+        frame = near_seam[:count - len(seam)] + seam if count > len(seam) else seam
+        assert_table_exact(sensor, frame, states)
+        assert np.all(sensor.likelihood_table(frame, states)[-4:].any(axis=1))
+        assert bool(window_calls) == (count == self.LARGE)
+
+    @pytest.mark.parametrize("count", [SMALL, LARGE])
+    def test_wide_arc_from_the_first_particle(self, count, window_calls):
+        # the first particle sits at one end of a bearing arc that reaches
+        # almost to pi, so a measurement just past -pi is near the other end
+        sensor = make_sensor(sigma_bearing=0.05)
+        rng = np.random.default_rng(8)
+        bearings = np.concatenate([[0.0], rng.uniform(0.0, 3.05, 999)])
+        ranges = rng.uniform(90.0, 110.0, 1000)
+        states = states_at(sensor.position + np.column_stack(
+            [ranges * np.cos(bearings), ranges * np.sin(bearings)]))
+        frame = [Measurement(100.0, float(b)) for b in rng.uniform(0.0, 3.05, count - 1)]
+        frame.append(Measurement(100.0, -3.1))
+        assert_table_exact(sensor, frame, states)
+        assert sensor.likelihood_table(frame, states)[-1].any()
+        assert bool(window_calls) == (count == self.LARGE)
+
+    @pytest.mark.parametrize("count", [SMALL, LARGE])
+    def test_ranges_zero_and_beyond_max_range(self, count, window_calls):
+        sensor = make_sensor()
+        rng = np.random.default_rng(4)
+        positions = sensor.position + rng.normal(0.0, 3.0, (300, 2))
+        positions = np.vstack([positions, sensor.position,
+                               sensor.position + rng.uniform(-400.0, 400.0, (300, 2))])
+        edges = [Measurement(0.0, 0.0), Measurement(0.0, -np.pi), Measurement(400.0, 1.0),
+                 Measurement(1e6, -2.0)]
+        frame = edges + random_frame(rng, max(count - len(edges), 0), max_range=500.0)
+        assert_table_exact(sensor, frame, states_at(positions))
+        assert bool(window_calls) == (count == self.LARGE)
+
+    @pytest.mark.parametrize("count", [SMALL, LARGE])
+    def test_window_spans_whole_circle(self, count):
+        sensor = make_sensor(sigma_bearing=0.2)  # window half-width ~7.8 rad > pi
+        rng = np.random.default_rng(5)
+        states = states_at(sensor.position + rng.uniform(-300.0, 300.0, (2000, 2)))
+        assert_table_exact(sensor, random_frame(rng, count), states)
+
+    def test_non_finite_particles_propagate(self):
+        sensor = make_sensor()
+        rng = np.random.default_rng(6)
+        positions = sensor.position + rng.uniform(-300.0, 300.0, (1000, 2))
+        positions[7] = np.nan
+        positions[8, 0] = np.inf
+        assert_table_exact(sensor, random_frame(rng, self.LARGE), states_at(positions))
+
+    def test_overflowing_normalizer(self):
+        # 1 / (2 pi sigma_r sigma_b) is inf, so an underflowed entry is nan
+        sensor = make_sensor(sigma_range=1e-160, sigma_bearing=1e-160)
+        rng = np.random.default_rng(9)
+        states = states_at(sensor.position + rng.uniform(-300.0, 300.0, (1000, 2)))
+        frame = random_frame(rng, self.LARGE)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(sensor.likelihood_table(frame, states)).all()
+            assert_table_exact(sensor, frame, states)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_real_budgets(self, seed, window_calls):
+        # a 1000-particle track and a ~10k-particle intensity against a
+        # 100-measurement frame with the default sensor
+        sensor = make_sensor()
+        rng = np.random.default_rng(10 + seed)
+        frame = random_frame(rng, 100, max_range=300.0)
+        rho, theta = sensor.range_bearing(states_at(sensor.position + [50.0, 120.0]))
+        frame[0] = Measurement(float(rho[0]), float(theta[0]))
+        track = states_at(sensor.position + [50.0, 120.0] + rng.normal(0.0, 2.0, (1000, 2)))
+        picks = rng.integers(0, len(frame), 10_000)
+        ranges = np.array([frame[i].range for i in picks]) + rng.normal(0.0, 2.0, 10_000)
+        bearings = np.array([frame[i].bearing for i in picks]) + rng.normal(0.0, 0.02, 10_000)
+        intensity = states_at(sensor.position + np.column_stack(
+            [ranges * np.cos(bearings), ranges * np.sin(bearings)]))
+        for states in (track, intensity):
+            assert_table_exact(sensor, frame, states)
+        table = sensor.likelihood_table(frame, track)
+        assert table[0].any() and not table.all()
+        assert window_calls  # the intensity sorts by bearing
+
+    def test_frame_size_decides_the_bearing_sort(self, window_calls):
+        sensor = make_sensor()
+        rng = np.random.default_rng(7)
+        states = states_at(sensor.position + rng.uniform(-300.0, 300.0, (5000, 2)))
+        assert_table_exact(sensor, random_frame(rng, self.SMALL), states)
+        assert window_calls == []
+        assert_table_exact(sensor, random_frame(rng, self.LARGE), states)
+        assert window_calls == [self.LARGE]
+
+
+def test_filter_matches_dense_likelihood_reference():
+    """Ten steps of a dense scenario give the same snapshots with the gated
+    table as with the dense reference table."""
+    config = build_run_config({"scenario.object_count": "10", "scenario.appear_min": "1",
+                               "scenario.appear_max": "3", "scenario.total_steps": "10",
+                               "clutter.mean_count": "100", "run.seed": "5"})
+    truth_rng = np.random.default_rng(11)
+    truth = generate_truth(config.scenario, truth_rng)
+    frames = generate_frames(truth, config.scenario.sensor, config.scenario.clutter, truth_rng)
+    stock = config.models
+    dense_sensor = DenseSensor(**{f.name: getattr(stock.sensor, f.name)
+                                  for f in dataclasses.fields(SensorModel)})
+    texts = []
+    for models in (stock, dataclasses.replace(stock, sensor=dense_sensor)):
+        rng = np.random.default_rng(12)
+        state = initial_state(config, rng)
+        out = io.StringIO()
+        prev = ()
+        for frame in frames:
+            state = lmbp_step(state, frame, models, config.thresholds, rng, prev_frame=prev,
+                              settings=config.settings)
+            write_snapshot(state, out)
+            prev = frame
+        assert len(state.tracks) > 0
+        texts.append(out.getvalue())
+    assert texts[0] == texts[1]
 
 
 class TestClutter:
