@@ -4,6 +4,7 @@ from .association import (
     Cluster,
     Hypothesis,
     MarginalAssociation,
+    TrackEvidence,
     bp_marginals,
     detection_hypotheses,
     enumerate_admissible,
@@ -11,6 +12,7 @@ from .association import (
     miss_hypothesis,
     new_components,
     partition,
+    track_evidence,
 )
 from .config import ConfigError, RunConfig, build_run_config, load_run_config, parse_config_text
 from .estimation import TrackEstimate, detect_and_estimate

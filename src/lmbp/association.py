@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .models import ClutterModel, SensorModel
-from .rfs import BernoulliTrack, Label, Measurement, ParticleSet, PoissonPhd
+from .rfs import STATE_DIM, BernoulliTrack, Label, Measurement, ParticleSet, PoissonPhd
 
 _TINY = 1e-300  # denominator floor; keeps degenerate messages finite
 
@@ -38,65 +38,123 @@ class Hypothesis:
 _NO_DETECTION = Hypothesis(0.0, 0.0, ParticleSet.empty())
 
 
+@dataclass(frozen=True)
+class TrackEvidence:
+    """Miss and detection evidence of L predicted tracks against one frame.
+
+    Per track: c = sum_n w_n (1 - pD(x_n)) and miss_beta = 1 - r + r c; per
+    measurement m: b = sum_n w_n pD(x_n) f(z_m|x_n) and betas[i, m-1] = r b.
+    `miss_weights[i]` holds w (1 - pD) over tracks[i]'s particles, and
+    `rows[(i, m)]` holds (w pD f(z_m|.), b) for every pair the likelihood
+    gate kept; a pair left out has b = 0. No pdf is built until `miss` or
+    `detection` asks for one.
+    """
+
+    tracks: tuple[BernoulliTrack, ...]
+    miss_beta: np.ndarray                          # (L,)
+    betas: np.ndarray                              # (L, M)
+    miss_mass: np.ndarray                          # (L,) c
+    miss_weights: tuple[np.ndarray, ...]
+    rows: dict[tuple[int, int], tuple[np.ndarray, float]]
+
+    def miss(self, i: int) -> Hypothesis:
+        """Miss hypothesis of tracks[i]: existence r c / beta, pdf w (1 - pD) / c.
+
+        beta can only vanish in the forced-detection corner (r = 1, pD = 1),
+        which returns beta = 0 with existence 0.
+        """
+        beta, c = float(self.miss_beta[i]), float(self.miss_mass[i])
+        if beta <= 0.0:
+            return Hypothesis(0.0, 0.0, ParticleSet.empty())
+        if c <= 0.0:
+            # object, if present, was surely detected; pdf carries no mass
+            return Hypothesis(beta, 0.0, ParticleSet.empty())
+        track = self.tracks[i]
+        return Hypothesis(beta, track.existence * c / beta,
+                          ParticleSet(track.pdf.states, self.miss_weights[i] / c))
+
+    def detection(self, i: int, m: int) -> Hypothesis:
+        """Detection hypothesis of tracks[i] with measurement m: beta = r b,
+        existence 1, pdf w pD f(z_m|.) / b over the track's own particles.
+        b = 0 yields beta = 0 with an empty pdf (pruned later by gating)."""
+        row = self.rows.get((i, m))
+        if row is None or row[1] <= 0.0:
+            return _NO_DETECTION
+        weights, b = row
+        return Hypothesis(float(self.betas[i, m - 1]), 1.0,
+                          ParticleSet(self.tracks[i].pdf.states, weights / b))
+
+
+def track_evidence(tracks: Sequence[BernoulliTrack], frame: Sequence[Measurement],
+                   sensor: SensorModel) -> TrackEvidence:
+    """Evidence of every predicted track against every measurement, in one pass.
+
+    Tracks with the same particle count are stacked into one (L, N, 4)
+    block: pD is evaluated once over it, and the sensor evaluates only the
+    (track, measurement) likelihood rows its gate keeps, as one (K, N)
+    block that is scaled by w pD in place and summed row by row.
+    """
+    count = len(tracks)
+    r = np.array([t.existence for t in tracks], dtype=float)
+    miss_mass = np.zeros(count)
+    betas = np.zeros((count, len(frame)))
+    miss_weights: list[np.ndarray] = [np.empty(0)] * count
+    rows: dict[tuple[int, int], tuple[np.ndarray, float]] = {}
+    by_size: dict[int, list[int]] = {}
+    for i, track in enumerate(tracks):
+        by_size.setdefault(len(track.pdf), []).append(i)
+    for n, members in by_size.items():
+        idx = np.array(members)
+        states = np.stack([tracks[i].pdf.states for i in members])
+        weights = np.stack([tracks[i].pdf.weights for i in members])
+        pd = sensor.detection_prob(states.reshape(-1, STATE_DIM)).reshape(len(members), n)
+        miss = weights * (1.0 - pd)
+        miss_mass[idx] = miss.sum(axis=1)
+        for i, row in zip(members, miss):
+            miss_weights[i] = row
+        sets, meas, block = sensor.likelihood_rows(frame, states)
+        block *= (weights * pd)[sets]
+        b = block.sum(axis=1)
+        owners = idx[sets]
+        betas[owners, meas] = r[owners] * b
+        for i, m, row, row_b in zip(owners.tolist(), (meas + 1).tolist(), block, b):
+            rows[(i, m)] = (row, row_b)
+    return TrackEvidence(tuple(tracks), 1.0 - r + r * miss_mass, betas, miss_mass,
+                         tuple(miss_weights), rows)
+
+
 def detection_hypotheses(track: BernoulliTrack, frame: Sequence[Measurement],
                          sensor: SensorModel) -> list[Hypothesis]:
-    """Detection hypotheses of one predicted track against every measurement.
-
-    Per measurement: b = sum_i w_i pD(x_i) f(z|x_i), beta = r * b, and the
-    pdf reweights the predicted particles by pD * likelihood, so every pdf
-    lives on the track's own particles. A measurement with b = 0 yields
-    beta = 0 with an empty pdf (pruned later by gating); the weights are
-    multiplied and summed only over likelihood rows with a nonzero entry.
-    """
-    states = track.pdf.states
-    likelihood = sensor.likelihood_table(frame, states)
-    rows = np.flatnonzero(likelihood.any(axis=1))
-    table = (track.pdf.weights * sensor.detection_prob(states)) * likelihood[rows]
-    out = [_NO_DETECTION] * len(frame)
-    for m, weights, b in zip(rows, table, table.sum(axis=1)):
-        if b <= 0.0:
-            continue
-        out[m] = Hypothesis(track.existence * float(b), 1.0, ParticleSet(states, weights / b))
-    return out
+    """Detection hypotheses of one predicted track against every measurement:
+    `track_evidence` over [track], with every pdf built."""
+    evidence = track_evidence([track], frame, sensor)
+    return [evidence.detection(0, m) for m in range(1, len(frame) + 1)]
 
 
 def miss_hypothesis(track: BernoulliTrack, sensor: SensorModel) -> Hypothesis:
-    """Miss hypothesis of one predicted track.
-
-    c = sum_i w_i (1 - pD(x_i)); beta = 1 - r + r c; existence = r c / beta.
-    beta can only vanish in the forced-detection corner (r = 1, pD = 1),
-    which returns beta = 0 with existence 0.
-    """
-    pd = sensor.detection_prob(track.pdf.states)
-    weights = track.pdf.weights * (1.0 - pd)
-    c = float(weights.sum())
-    beta = 1.0 - track.existence + track.existence * c
-    if beta <= 0.0:
-        return Hypothesis(0.0, 0.0, ParticleSet.empty())
-    if c <= 0.0:
-        # object, if present, was surely detected; pdf carries no mass
-        return Hypothesis(beta, 0.0, ParticleSet.empty())
-    pdf = ParticleSet(track.pdf.states, weights / c)
-    return Hypothesis(beta, track.existence * c / beta, pdf)
+    """Miss hypothesis of one predicted track: `track_evidence` over [track]."""
+    return track_evidence([track], (), sensor).miss(0)
 
 
-def new_components(phd: PoissonPhd, frame: Sequence[Measurement], sensor: SensorModel,
-                   clutter: ClutterModel) -> tuple[np.ndarray, np.ndarray]:
+def new_components(phd: PoissonPhd, pd: np.ndarray, frame: Sequence[Measurement],
+                   sensor: SensorModel,
+                   clutter: ClutterModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unlabeled-or-clutter evidence of every measurement, as weights over the
     intensity particles.
 
-    Returns `beta` (M,) and `table` (M, N) with table[m-1, i] =
-    w_i pD(x_i) f(z_m|x_i). Measurement m's component has d = table[m-1].sum(),
-    beta = clutter intensity + d, existence d / beta, and pdf table[m-1] / d
-    over the intensity particles; no particle set is built here.
+    `pd` is the detection probability of each intensity particle. Returns
+    `beta` (M,), `mass` (M,) and `table` (M, N) with table[m-1, i] =
+    w_i pD(x_i) f(z_m|x_i). Measurement m's component has intensity mass
+    d = mass[m-1] = table[m-1].sum(), beta = clutter intensity + d,
+    existence d / beta, and pdf table[m-1] / d over the intensity particles;
+    no particle set is built here.
     """
-    states = phd.particles.states
-    table = (phd.particles.weights * sensor.detection_prob(states)) * \
-        sensor.likelihood_table(frame, states)
-    beta = np.array([clutter.intensity(z) for z in frame]) + table.sum(axis=1)
+    table = (phd.particles.weights * pd) * sensor.likelihood_table(frame, phd.particles.states)
+    mass = table.sum(axis=1)
+    beta = np.array([clutter.intensity(z) for z in frame]) + mass
     if np.any(beta <= 0.0):
         raise ValueError("measurement outside model support")
-    return beta, table
+    return beta, mass, table
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +343,9 @@ def bp_marginals(cluster: Cluster, iterations: int = 20) -> MarginalAssociation:
         x(l->m) = w(l,m) / (beta(l,0) + sum_{m' != m} w(l,m') nu(m'->l))
         nu(m->l) = 1 / (1 + [transfer on m] + sum_{l' != l} x(l'->m))
 
-    run for a fixed iteration count from nu = 1 (no convergence test); a
+    run from nu = 1 for at most `iterations` rounds. A round that returns nu
+    bit for bit unchanged is a fixed point, which every later round would
+    repeat, so the loop stops there with the same result. A
     transfer label's outgoing message is the constant 1 because its claim
     weight equals beta(m). Beliefs: p(l->m) proportional to w(l,m) nu(m->l),
     p(l->0) to beta(l,0); for a transfer label p(1)/p(0) = nu(m->l). Exact
@@ -305,7 +365,9 @@ def bp_marginals(cluster: Cluster, iterations: int = 20) -> MarginalAssociation:
         denom = cluster.miss_beta[:, None] + weighted.sum(axis=1, keepdims=True) - weighted
         x = w / np.maximum(denom, _TINY)
         sum_x = x.sum(axis=0)
-        nu = 1.0 / np.maximum(1.0 + tmask[:, None] + sum_x[:, None] - x.T, _TINY)
+        prev, nu = nu, 1.0 / np.maximum(1.0 + tmask[:, None] + sum_x[:, None] - x.T, _TINY)
+        if np.array_equal(nu, prev):
+            break
 
     legacy = {}
     for i, lab in enumerate(cluster.legacy_labels):

@@ -150,16 +150,15 @@ class SensorModel:
         rho, theta = self.range_bearing(states)
         if len(frame) == 0:
             return np.empty((0,) + rho.shape)
-        zr = np.array([z.range for z in frame])
-        zb = wrap_angle(np.array([z.bearing for z in frame]))
-        norm = 1.0 / (2.0 * np.pi * self.sigma_range * self.sigma_bearing)
+        zr, zb, norm = self._frame_terms(frame)
         n = rho.size
         # bearing half-width beyond which every exponent is below the floor
         half = np.sqrt(-2.0 * EXP_FLOOR) * self.sigma_bearing + _BEARING_SLACK
-        rows = self._reachable_rows(zr, zb, rho, theta)
-        if rows is None or not np.isfinite(norm):
+        keep, finite = self._reachable_rows(zr, zb, rho.reshape(1, n), theta.reshape(1, n))
+        if not (finite[0] and np.isfinite(norm)):
             rows, windowed = np.arange(len(frame)), False
         else:
+            rows = np.flatnonzero(keep[0])
             # sort only when the cells the windows skip outnumber the sort's comparisons
             windowed = len(rows) * (np.pi - half) > np.pi * np.log2(max(n, 2))
         if not windowed:
@@ -178,6 +177,35 @@ class SensorModel:
         table[row, col] = quad
         return table
 
+    def likelihood_rows(self, frame: Sequence[Measurement],
+                        states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Likelihood rows of L state sets of N states each, `states` (L, N, 4),
+        against a frame, evaluated only where the row gate keeps them.
+
+        Returns the set indices and the measurement indices (0-based) of the
+        K kept (set, measurement) pairs, and their (K, N) rows of f(z_m | x);
+        every pair left out has an all-zero row. Each entry is bit-identical
+        to the same entry of `likelihood_table(frame, states[l])`: it goes
+        through `_exponent` and `exp` with the same operations. The rows are a
+        fresh array, which the caller may scale in place.
+        """
+        states = np.asarray(states, dtype=float)
+        rho, theta = self.range_bearing(states)
+        zr, zb, norm = self._frame_terms(frame)
+        keep, _ = self._reachable_rows(zr, zb, rho, theta)
+        # with a non-finite normalizer an underflowed entry is nan, not 0.0
+        sets, meas = np.nonzero(keep | (not np.isfinite(norm)))
+        rows = self._exponent(zr[meas, None], zb[meas, None], rho[sets], theta[sets])
+        np.exp(rows, out=rows)
+        rows *= norm
+        return sets, meas, rows
+
+    def _frame_terms(self, frame: Sequence[Measurement]) -> tuple[np.ndarray, np.ndarray, float]:
+        """Ranges and wrapped bearings of a frame, and the likelihood's normalizer."""
+        zr = np.array([z.range for z in frame], dtype=float)
+        zb = wrap_angle(np.array([z.bearing for z in frame], dtype=float))
+        return zr, zb, 1.0 / (2.0 * np.pi * self.sigma_range * self.sigma_bearing)
+
     def _exponent(self, zr, zb, rho, theta) -> np.ndarray:
         """-0.5 (dr^2 + db^2), elementwise over broadcast measurement and
         state arrays: the one place the likelihood exponent is computed."""
@@ -191,28 +219,33 @@ class SensorModel:
         dr *= -0.5
         return dr
 
-    def _reachable_rows(self, zr, zb, rho, theta) -> np.ndarray | None:
-        """Indices of the measurements whose exponent bound over all states
-        clears `EXP_FLOOR`, or None when a state or a measurement is not
-        finite (then every entry is evaluated).
+    def _reachable_rows(self, zr, zb, rho, theta) -> tuple[np.ndarray, np.ndarray]:
+        """Row gate of L state sets, `rho` and `theta` (L, N), against M
+        measurements.
 
-        The states' bearings are bounded as offsets from the first state's
-        bearing, so an arc across the +-pi seam stays one interval.
+        Returns an (L, M) mask of the pairs whose exponent bound over the
+        set's states clears `EXP_FLOOR`, and an (L,) mask of the sets whose
+        bounds are finite. A set with a non-finite state, and every set when
+        a measurement is not finite, keeps every pair (then every entry is
+        evaluated). Each set's bearings are bounded as offsets from its first
+        state's bearing, so an arc across the +-pi seam stays one interval.
         """
-        if rho.size == 0:
-            return np.arange(0)
-        ref = theta[0]
+        count, n = rho.shape
+        if n == 0:
+            return np.zeros((count, zr.size), dtype=bool), np.ones(count, dtype=bool)
+        if not np.isfinite(zr + zb).all():
+            return np.ones((count, zr.size), dtype=bool), np.zeros(count, dtype=bool)
+        ref = theta[:, :1]
         offset = _wrap_residual(theta - ref)
-        lo, hi = offset.min(), offset.max()
-        rho_lo, rho_hi = rho.min(), rho.max()
-        if not (np.isfinite(lo + hi + rho_lo + rho_hi) and np.isfinite(zr + zb).all()):
-            return None
+        lo, hi = offset.min(axis=1, keepdims=True), offset.max(axis=1, keepdims=True)
+        rho_lo, rho_hi = rho.min(axis=1, keepdims=True), rho.max(axis=1, keepdims=True)
+        finite = np.isfinite(lo + hi + rho_lo + rho_hi)[:, 0]
         # circular distance from each measurement to the arc ref + [lo, hi]
         centred = _wrap_residual(_wrap_residual(zb - ref) - 0.5 * (lo + hi))
         gap = np.abs(centred) - 0.5 * (hi - lo) - _BEARING_SLACK
         db = np.maximum(gap, 0.0) / self.sigma_bearing
         dr = np.maximum(np.maximum(rho_lo - zr, zr - rho_hi), 0.0) / self.sigma_range
-        return np.flatnonzero(-0.5 * (dr * dr + db * db) >= EXP_FLOOR)
+        return (-0.5 * (dr * dr + db * db) >= EXP_FLOOR) | ~finite[:, None], finite
 
     def _windowed_exponents(self, zr, zb, rows, rho, theta, half):
         """Exponents of the cells that can clear `EXP_FLOOR`: those inside

@@ -13,13 +13,14 @@ from .association import (
     Cluster,
     Hypothesis,
     bp_marginals,
-    detection_hypotheses,
     enumeration_size,
     exact_marginals,
-    miss_hypothesis,
     new_components,
     partition,
+    track_evidence,
 )
+# perfbench's tracer wraps these two names here; they stay until ROADMAP item 1
+from .association import detection_hypotheses, miss_hypothesis  # noqa: F401
 from .models import Models
 from .rfs import (
     BernoulliTrack,
@@ -70,17 +71,17 @@ class FilterSettings:
             raise ValueError("bp_iterations must be >= 1")
 
 
-def select_transfers(beta: np.ndarray, table: np.ndarray, states: np.ndarray, gamma_tr: float,
+def select_transfers(beta: np.ndarray, mass: np.ndarray, table: np.ndarray,
+                     states: np.ndarray, gamma_tr: float,
                      time: int) -> tuple[dict[Label, Hypothesis], tuple[int, ...]]:
     """Split the measurements' new components into transferred labels and the rest.
 
-    `beta` and `table` come from `new_components` over the intensity
+    `beta`, `mass` and `table` come from `new_components` over the intensity
     particles `states`. Every measurement m whose component has existence
-    table[m-1].sum() / beta[m-1] >= gamma_tr (inclusive) becomes a labeled
+    mass[m-1] / beta[m-1] >= gamma_tr (inclusive) becomes a labeled
     Bernoulli with label (time, m); only these get a particle set. The
     remaining indices are returned for the caller to absorb or prune.
     """
-    mass = table.sum(axis=1)
     transfers = {}
     remaining = []
     for m, (b, d) in enumerate(zip(beta, mass), start=1):
@@ -99,10 +100,10 @@ def update_legacy_track(label: Label, marginal: Mapping[int, float], miss: Hypot
 
     r = sum_a p(a) r(l,a); the pdf is the r(l,a)-weighted mixture of the
     per-hypothesis pdfs. Precondition: every hypothesis pdf reweights the
-    same particles, those of the predicted track (as `miss_hypothesis` and
-    `detection_hypotheses` build them), so the mixture is one weight vector
-    over them, resampled to the track budget; a pdf on other particles
-    raises ValueError. A track whose mixture mass vanishes comes back with
+    same particles, those of the predicted track (as `TrackEvidence.miss`
+    and `TrackEvidence.detection` build them), so the mixture is one weight
+    vector over them, resampled to the track budget; a pdf on other
+    particles raises ValueError. A track whose mixture mass vanishes comes back with
     r = 0 (the caller recycles it).
     """
     parts = [(marginal.get(0, 0.0) * miss.existence, miss.pdf)]
@@ -149,13 +150,14 @@ def split_by_retention(tracks: Sequence[BernoulliTrack], gamma_leg: float,
 
 
 def update_phd(recycled: Sequence[BernoulliTrack], beta: np.ndarray, table: np.ndarray,
-               predicted_phd: PoissonPhd, sensor, particle_budget: int,
+               predicted_phd: PoissonPhd, pd: np.ndarray, particle_budget: int,
                rng: np.random.Generator) -> PoissonPhd:
     """Posterior intensity: undetected predicted intensity + unclaimed
     components + recycled tracks, reduced to the intensity budget.
 
     `beta` (K,) and `table` (K, N) are the `new_components` rows of the K
-    unclaimed measurements. The predicted particles are reweighted by
+    unclaimed measurements, and `pd` is the detection probability of each
+    predicted intensity particle. The predicted particles are reweighted by
     (1 - pD) w + sum_k table[k] / beta[k] (the SMC-PHD update), the recycled
     tracks' particles are appended with weights r * pdf, and the union is
     resampled once. Total mass is sum((1 - pD) w) + sum_k d_k / beta_k +
@@ -163,7 +165,7 @@ def update_phd(recycled: Sequence[BernoulliTrack], beta: np.ndarray, table: np.n
     """
     survivors = predicted_phd.particles
     # einsum rather than a BLAS product: the sum must not depend on BLAS threading
-    weights = [survivors.weights * (1.0 - sensor.detection_prob(survivors.states))
+    weights = [survivors.weights * (1.0 - pd)
                + np.einsum("k,kn->n", 1.0 / beta, table)]
     states = [survivors.states]
     for track in recycled:
@@ -206,18 +208,15 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
 
     # association weights for every track/measurement pairing; row i of the
     # tables is predicted[i], column m - 1 is measurement m
-    misses = [miss_hypothesis(track, models.sensor) for track in predicted]
-    detections = [detection_hypotheses(track, frame, models.sensor) for track in predicted]
-    new_beta, new_table = new_components(predicted_phd, frame, models.sensor,
-                                         models.clutter)
-    miss_beta = np.array([hyp.beta for hyp in misses])
-    betas = np.array([[hyp.beta for hyp in hyps] for hyps in detections]
-                     ).reshape(len(predicted), len(frame))
+    evidence = track_evidence(predicted, frame, models.sensor)
+    phd_pd = models.sensor.detection_prob(predicted_phd.particles.states)
+    new_beta, new_mass, new_table = new_components(predicted_phd, phd_pd, frame,
+                                                   models.sensor, models.clutter)
 
     labels = [t.label for t in predicted]
     row_of = {lab: i for i, lab in enumerate(labels)}
-    clusters, residual = partition(labels, betas, len(frame), thresholds.gamma_c)
-    transfers, untransferred = select_transfers(new_beta, new_table,
+    clusters, residual = partition(labels, evidence.betas, len(frame), thresholds.gamma_c)
+    transfers, untransferred = select_transfers(new_beta, new_mass, new_table,
                                                 predicted_phd.particles.states,
                                                 thresholds.gamma_tr, k)
 
@@ -227,13 +226,15 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
         cols = [m - 1 for m in meas_indices]
         problem = Cluster(cluster_labels,
                           tuple(lab for lab in transfers if lab.index in meas_indices),
-                          meas_indices, miss_beta[rows], betas[np.ix_(rows, cols)],
-                          new_beta[cols])
+                          meas_indices, evidence.miss_beta[rows],
+                          evidence.betas[np.ix_(rows, cols)], new_beta[cols])
         marginal = _marginalize(problem, settings)
         for lab, i in zip(cluster_labels, rows):
+            pmf = marginal.legacy[lab]
+            # a detection pdf is built only where the marginal puts mass
             updated.append(update_legacy_track(
-                lab, marginal.legacy[lab], misses[i],
-                {m: detections[i][m - 1] for m in meas_indices},
+                lab, pmf, evidence.miss(i),
+                {m: evidence.detection(i, m) for m in meas_indices if pmf[m] > 0.0},
                 settings.track_particles, rng))
         for lab in problem.transfer_labels:
             updated.append(update_transferred_track(
@@ -249,6 +250,6 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
     kept, recycled = split_by_retention(updated, thresholds.gamma_leg, k)
     unclaimed = [m - 1 for m in untransferred if m in residual]
     phd = update_phd(recycled, new_beta[unclaimed], new_table[unclaimed], predicted_phd,
-                     models.sensor, settings.phd_particles, rng)
+                     phd_pd, settings.phd_particles, rng)
     kept.sort(key=lambda t: t.label)
     return FilterState(tuple(kept), phd, k)

@@ -1,8 +1,10 @@
-"""Shared test utilities: controlled sensor doubles and random cluster generation."""
+"""Shared test utilities: controlled sensor doubles, random cluster generation and
+the dense likelihood reference."""
 
 import numpy as np
 
 from lmbp.association import Cluster
+from lmbp.models import wrap_angle
 from lmbp.rfs import Label
 
 
@@ -27,6 +29,16 @@ class StubSensor:
         if self.lik is None:
             raise AssertionError("stub has no likelihood table")
         return self.lik[: len(frame)]
+
+    def likelihood_rows(self, frame, states):
+        """Every (set, measurement) pair of the L sets in `states`, each set
+        given the stub's likelihood table (none is needed for an empty frame)."""
+        states = np.asarray(states, dtype=float)
+        table = self.likelihood_table(frame, states) if len(frame) else \
+            np.empty((0, states.shape[1]))
+        count, meas = len(states), len(frame)
+        return (np.repeat(np.arange(count), meas), np.tile(np.arange(meas), count),
+                np.tile(table, (count, 1)))
 
 
 def random_cluster(rng, max_legacy=4, max_transfer=2, max_meas=4,
@@ -60,3 +72,25 @@ def max_label_tv(exact, approx):
     for lab, pmf in exact.transfer.items():
         worst = max(worst, tv_distance(pmf, approx.transfer[lab]))
     return worst
+
+
+def dense_likelihood_table(sensor, frame, states):
+    """Reference for `SensorModel.likelihood_table`: every entry evaluated."""
+    states = np.asarray(states, dtype=float)
+    rho, theta = sensor.range_bearing(states)
+    if len(frame) == 0:
+        return np.empty((0,) + rho.shape)
+    zr = np.array([z.range for z in frame])[:, None]
+    zb = wrap_angle(np.array([z.bearing for z in frame]))[:, None]
+    dr = (zr - rho[None, :]) / sensor.sigma_range
+    db = zb - theta[None, :]
+    # residual lies in (-2pi, 2pi); branchless wrap to [-pi, pi)
+    db = np.where(db >= np.pi, db - 2.0 * np.pi, db)
+    db = np.where(db < -np.pi, db + 2.0 * np.pi, db)
+    db /= sensor.sigma_bearing
+    quad = dr * dr
+    quad += db * db
+    quad *= -0.5
+    np.exp(quad, out=quad)
+    quad *= 1.0 / (2.0 * np.pi * sensor.sigma_range * sensor.sigma_bearing)
+    return quad

@@ -176,7 +176,7 @@ def test_criterion_2_conservation():
         k = int(rng.integers(0, 4))
         table = phd.particles.weights * pd * rng.random((k, len(phd.particles)))
         beta = table.sum(axis=1) + rng.random(k)
-        out = update_phd(recycled, beta, table, phd, StubSensor(pd), 256, rng)
+        out = update_phd(recycled, beta, table, phd, pd, 256, rng)
         expected = (sum(t.existence for t in recycled) + float(np.sum(table.sum(axis=1) / beta))
                     + float(np.sum(phd.particles.weights * (1.0 - pd))))
         worst_upd = max(worst_upd, abs(out.mean - expected))
@@ -268,9 +268,9 @@ def test_criterion_4_micro_updates():
 
     phd = PoissonPhd(ParticleSet(np.zeros((2, 4)), np.full(2, 0.0265)))
     clutter = ClutterModel(mean_count=0.053 * 300 * 2 * np.pi, max_range=300.0)
-    beta, table = new_components(phd, [Measurement(1.0, 0.0)],
-                                 StubSensor([1.0, 1.0], [[1.0, 1.0]]), clutter)
-    checks.append(abs(table[0].sum() / beta[0] - 0.5))
+    beta, mass, _ = new_components(phd, np.ones(2), [Measurement(1.0, 0.0)],
+                                   StubSensor([1.0, 1.0], [[1.0, 1.0]]), clutter)
+    checks.append(abs(mass[0] / beta[0] - 0.5))
 
     def pdf_at(x, n=1):
         states = np.zeros((n, 4))
@@ -440,7 +440,8 @@ def test_criterion_8_threshold_semantics():
 
     gamma = 1e-2
     # one new component of existence gamma: beta 1, mass gamma over 4 particles
-    transfers, remaining = select_transfers(np.ones(1), np.full((1, 4), gamma / 4),
+    table = np.full((1, 4), gamma / 4)
+    transfers, remaining = select_transfers(np.ones(1), table.sum(axis=1), table,
                                             np.zeros((4, 4)), gamma, time=3)
     tr_inclusive = Label(3, 1) in transfers and remaining == ()
 

@@ -8,13 +8,15 @@ from lmbp.association import (
     enumerate_admissible,
     exact_marginals,
     miss_hypothesis,
+    MarginalAssociation,
     new_components,
     partition,
+    track_evidence,
 )
-from lmbp.models import ClutterModel
+from lmbp.models import ClutterModel, SensorModel
 from lmbp.rfs import BernoulliTrack, Label, Measurement, ParticleSet, PoissonPhd
 
-from helpers import StubSensor, max_label_tv, random_cluster
+from helpers import StubSensor, dense_likelihood_table, max_label_tv, random_cluster
 
 Z = Measurement(100.0, 0.0)
 
@@ -82,6 +84,167 @@ class TestMissHypothesis:
         assert hyp.beta == 0.0 and hyp.existence == 0.0
 
 
+def parent_evidence(track, frame, sensor):
+    """The per-track formulas that `track_evidence` replaced, as the reference:
+    miss weight and miss pdf weights, detection weights, and the detection
+    pdf weights of every measurement with b > 0 (1-based keys), from a dense
+    likelihood table. A pdf is None where the formula builds none."""
+    states, w, r = track.pdf.states, track.pdf.weights, track.existence
+    pd = sensor.detection_prob(states)
+    miss = w * (1.0 - pd)
+    c = float(miss.sum())
+    miss_beta = 1.0 - r + r * c
+    miss_pdf = None if miss_beta <= 0.0 or c <= 0.0 else miss / c
+    table = (w * pd) * dense_likelihood_table(sensor, frame, states)
+    betas = np.zeros(len(frame))
+    pdfs = {}
+    for m, (row, b) in enumerate(zip(table, table.sum(axis=1)), start=1):
+        if b <= 0.0:
+            continue
+        betas[m - 1] = r * float(b)
+        pdfs[m] = row / b
+    return miss_beta, miss_pdf, betas, pdfs
+
+
+def assert_pdf(hyp, expected, states):
+    if expected is None:
+        assert len(hyp.pdf) == 0
+    elif np.isfinite(expected).all():
+        assert np.array_equal(hyp.pdf.weights, expected)
+        assert np.array_equal(hyp.pdf.states, states)
+    else:
+        raise AssertionError("a non-finite pdf should not have been built")
+
+
+def assert_evidence_exact(tracks, frame, sensor):
+    """`track_evidence` equals the per-track formulas bit for bit: miss_beta,
+    betas, and every pdf it builds on request."""
+    evidence = track_evidence(tracks, frame, sensor)
+    assert evidence.miss_beta.shape == (len(tracks),)
+    assert evidence.betas.shape == (len(tracks), len(frame))
+    for i, track in enumerate(tracks):
+        miss_beta, miss_pdf, betas, pdfs = parent_evidence(track, frame, sensor)
+        assert np.array_equal(evidence.miss_beta[i], miss_beta, equal_nan=True)
+        assert np.array_equal(evidence.betas[i], betas, equal_nan=True)
+        if np.isnan(miss_beta):
+            with pytest.raises(ValueError):
+                evidence.miss(i)
+        else:
+            assert_pdf(evidence.miss(i), miss_pdf, track.pdf.states)
+        for m in range(1, len(frame) + 1):
+            if m in pdfs and not np.isfinite(pdfs[m]).all():
+                with pytest.raises(ValueError):
+                    evidence.detection(i, m)
+                continue
+            hyp = evidence.detection(i, m)
+            assert hyp.beta == betas[m - 1]
+            assert hyp.existence == (1.0 if m in pdfs else 0.0)
+            assert_pdf(hyp, pdfs.get(m), track.pdf.states)
+    return evidence
+
+
+def cloud_track(rng, centre, n, r, spread=3.0, index=1):
+    states = np.zeros((n, 4))
+    states[:, :2] = centre + rng.normal(0.0, spread, (n, 2))
+    states[:, 2:] = rng.normal(0.0, 1.0, (n, 2))
+    weights = rng.random(n) + 0.01
+    return BernoulliTrack(Label(1, index), r, ParticleSet(states, weights / weights.sum()))
+
+
+def frame_near(rng, sensor, tracks, clutter_count):
+    """One measurement near a random particle of each track, plus clutter."""
+    frame = []
+    for track in tracks:
+        rho, theta = sensor.range_bearing(track.pdf.states[rng.integers(len(track.pdf))])
+        frame.append(Measurement(float(rho + rng.normal(0.0, sensor.sigma_range)),
+                                 float(theta + rng.normal(0.0, sensor.sigma_bearing))))
+    frame += [Measurement(float(rng.uniform(0.0, 320.0)), float(rng.uniform(-np.pi, np.pi)))
+              for _ in range(clutter_count)]
+    order = rng.permutation(len(frame))
+    return [frame[j] for j in order]
+
+
+class TestTrackEvidence:
+    """The one pass over all tracks against the parent's per-track formulas."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_cases(self, seed):
+        rng = np.random.default_rng(seed)
+        sensor = SensorModel(sigma_range=float(rng.choice([0.5, 2.0, 10.0])),
+                             sigma_bearing=float(rng.choice([np.deg2rad(1.0), 0.05, 0.5])),
+                             pd_max=float(rng.uniform(0.3, 1.0)))
+        tracks = [cloud_track(rng, sensor.position + rng.uniform(-250.0, 250.0, 2),
+                              int(rng.choice([1, 3, 50, 400])),
+                              float(rng.choice([0.0, 1.0, rng.random()])),
+                              spread=float(rng.uniform(0.1, 20.0)), index=i + 1)
+                  for i in range(int(rng.integers(1, 8)))]
+        assert_evidence_exact(tracks, frame_near(rng, sensor, tracks, 30), sensor)
+
+    def test_mixed_particle_counts_keep_track_order(self):
+        rng = np.random.default_rng(30)
+        sensor = SensorModel()
+        sizes = [1000, 5, 1000, 1, 5]
+        tracks = [cloud_track(rng, sensor.position + [40.0 * i - 80.0, 150.0], n, 0.7,
+                              index=i + 1) for i, n in enumerate(sizes)]
+        evidence = assert_evidence_exact(tracks, frame_near(rng, sensor, tracks, 20), sensor)
+        assert [len(w) for w in evidence.miss_weights] == sizes
+        assert np.all(evidence.betas.max(axis=1) > 0.0)
+        assert len(evidence.rows) < evidence.betas.size  # the gate left pairs out
+
+    def test_nonexistent_track_and_forced_detection(self):
+        # pD is exactly 1 at the sensor: with r = 1 the miss weight vanishes
+        rng = np.random.default_rng(31)
+        sensor = SensorModel(pd_max=1.0)
+        at_sensor = np.zeros((4, 4))
+        at_sensor[:, :2] = sensor.position
+        forced = BernoulliTrack(Label(1, 1), 1.0, ParticleSet(at_sensor, np.full(4, 0.25)))
+        absent = cloud_track(rng, sensor.position + [0.0, 100.0], 20, 0.0, index=2)
+        frame = [Measurement(0.5, 0.0)] + frame_near(rng, sensor, [absent], 5)
+        evidence = assert_evidence_exact([forced, absent], frame, sensor)
+        assert evidence.miss_beta[0] == 0.0
+        miss = evidence.miss(0)
+        assert miss.beta == 0.0 and miss.existence == 0.0 and len(miss.pdf) == 0
+        assert evidence.miss_beta[1] == 1.0 and evidence.miss(1).existence == 0.0
+        assert not evidence.betas[1].any() and evidence.betas[0, 0] > 0.0
+
+    def test_empty_frame_and_no_tracks(self):
+        rng = np.random.default_rng(32)
+        sensor = SensorModel()
+        tracks = [cloud_track(rng, sensor.position + [0.0, 100.0], n, 0.5, index=i + 1)
+                  for i, n in enumerate((10, 3))]
+        evidence = assert_evidence_exact(tracks, [], sensor)
+        assert evidence.betas.shape == (2, 0) and not evidence.rows
+        none = assert_evidence_exact([], frame_near(rng, sensor, tracks, 4), sensor)
+        assert none.betas.shape == (0, 6) and none.miss_beta.shape == (0,)
+
+    def test_non_finite_particles(self):
+        rng = np.random.default_rng(33)
+        sensor = SensorModel()
+        tracks = [cloud_track(rng, sensor.position + [20.0 * i, 120.0], 50, 0.8, index=i + 1)
+                  for i in range(3)]
+        frame = frame_near(rng, sensor, tracks, 10)
+        states = np.array(tracks[0].pdf.states)
+        states[7] = np.nan
+        tracks[0] = BernoulliTrack(Label(1, 1), 0.8, ParticleSet(states, tracks[0].pdf.weights))
+        states = np.array(tracks[1].pdf.states)
+        states[3, 0] = np.inf
+        tracks[1] = BernoulliTrack(Label(1, 2), 0.8, ParticleSet(states, tracks[1].pdf.weights))
+        evidence = assert_evidence_exact(tracks, frame, sensor)
+        assert np.isnan(evidence.miss_beta[0]) and np.isnan(evidence.betas[0]).all()
+        assert np.isfinite(evidence.betas[1:]).all()
+
+    def test_bearing_arc_across_the_seam(self):
+        # particles behind the sensor on both sides of bearing +-pi
+        rng = np.random.default_rng(34)
+        sensor = SensorModel(sigma_bearing=0.05)
+        seam = cloud_track(rng, sensor.position + [-150.0, 0.0], 400, 0.9, spread=4.0)
+        assert np.ptp(sensor.range_bearing(seam.pdf.states)[1]) > np.pi
+        frame = [Measurement(150.0, -np.pi), Measurement(150.0, np.nextafter(np.pi, 0.0))]
+        frame += frame_near(rng, sensor, [seam], 10)
+        evidence = assert_evidence_exact([seam], frame, sensor)
+        assert evidence.betas[0, 0] > 0.0 and evidence.betas[0, 1] > 0.0
+
+
 class TestNewComponent:
     def clutter(self, intensity, max_range=300.0):
         return ClutterModel(mean_count=intensity * max_range * 2 * np.pi,
@@ -92,32 +255,35 @@ class TestNewComponent:
         return PoissonPhd(ParticleSet(states, np.full(n, mass / n)))
 
     def test_pure_clutter(self):
-        beta, table = new_components(PoissonPhd.empty(), [Z], StubSensor([], [[]]),
-                                     self.clutter(0.053))
+        beta, mass, table = new_components(PoissonPhd.empty(), np.empty(0), [Z],
+                                           StubSensor([], [[]]), self.clutter(0.053))
         assert beta[0] == pytest.approx(0.053)
-        assert table.shape == (1, 0)  # existence 0: no intensity mass
+        assert mass[0] == 0.0 and table.shape == (1, 0)  # existence 0: no intensity mass
 
     def test_clutter_free(self):
         phd = self.phd_of_mass(0.02)
         sensor = StubSensor([1.0] * 4, [[1.0] * 4])
-        beta, table = new_components(phd, [Measurement(1000.0, 0.0)], sensor,
-                                     self.clutter(0.5))
+        beta, mass, _ = new_components(phd, np.ones(4), [Measurement(1000.0, 0.0)], sensor,
+                                       self.clutter(0.5))
         # measurement outside clutter ROI
-        assert table[0].sum() / beta[0] == pytest.approx(1.0)
+        assert mass[0] / beta[0] == pytest.approx(1.0)
 
     def test_equal_evidence(self):
         phd = self.phd_of_mass(0.053)
         sensor = StubSensor([1.0] * 4, [[1.0] * 4])
-        beta, table = new_components(phd, [Z], sensor, self.clutter(0.053))
-        assert table[0].sum() / beta[0] == pytest.approx(0.5)
+        beta, mass, _ = new_components(phd, np.ones(4), [Z], sensor, self.clutter(0.053))
+        assert mass[0] / beta[0] == pytest.approx(0.5)
 
     def test_table_holds_weighted_likelihoods(self):
-        # table[m-1, i] = w_i pD(x_i) f(z_m|x_i); beta(m) adds the clutter intensity
+        # table[m-1, i] = w_i pD(x_i) f(z_m|x_i); mass(m) is its row sum, and
+        # beta(m) adds the clutter intensity to it
         phd = PoissonPhd(ParticleSet(np.zeros((3, 4)), [0.1, 0.2, 0.3]))
-        sensor = StubSensor([0.5, 1.0, 0.0], [[0.2, 0.4, 0.6], [0.0, 0.1, 0.0]])
-        beta, table = new_components(phd, [Z, Z], sensor, self.clutter(0.053))
+        pd = np.array([0.5, 1.0, 0.0])
+        sensor = StubSensor(pd, [[0.2, 0.4, 0.6], [0.0, 0.1, 0.0]])
+        beta, mass, table = new_components(phd, pd, [Z, Z], sensor, self.clutter(0.053))
         np.testing.assert_allclose(table, [[0.01, 0.08, 0.0], [0.0, 0.02, 0.0]],
                                    atol=1e-15)
+        assert np.array_equal(mass, table.sum(axis=1))
         np.testing.assert_allclose(beta, [0.053 + 0.09, 0.053 + 0.02], atol=1e-15)
 
     def test_builds_no_particle_set(self, monkeypatch):
@@ -130,13 +296,13 @@ class TestNewComponent:
             init(pset)
 
         monkeypatch.setattr(ParticleSet, "__post_init__", counted)
-        new_components(phd, [Z, Z], StubSensor([1.0] * 4, [[1.0] * 4] * 2),
+        new_components(phd, np.ones(4), [Z, Z], StubSensor([1.0] * 4, [[1.0] * 4] * 2),
                        self.clutter(0.053))
         assert built == []
 
     def test_no_support_errors(self):
         with pytest.raises(ValueError, match="outside model support"):
-            new_components(PoissonPhd.empty(), [Measurement(1000.0, 0.0)],
+            new_components(PoissonPhd.empty(), np.empty(0), [Measurement(1000.0, 0.0)],
                            StubSensor([], [[]]), self.clutter(0.5))
 
 
@@ -307,7 +473,51 @@ class TestExactMarginals:
                 assert all(0.0 <= p <= 1.0 for p in pmf.values())
 
 
+def fixed_iteration_bp(cluster, iterations):
+    """Reference for `bp_marginals`: every one of `iterations` rounds run,
+    with no exit at a fixed point."""
+    L, M = len(cluster.legacy_labels), len(cluster.meas_indices)
+    w = cluster.det_beta / np.maximum(cluster.new_beta, 1e-300)[None, :]
+    tmask = np.zeros(M)
+    for t in cluster.transfer_labels:
+        tmask[cluster.meas_pos(t.index)] += 1.0
+    nu = np.ones((M, L))
+    x = np.zeros((L, M))
+    for _ in range(iterations):
+        weighted = w * nu.T
+        denom = cluster.miss_beta[:, None] + weighted.sum(axis=1, keepdims=True) - weighted
+        x = w / np.maximum(denom, 1e-300)
+        sum_x = x.sum(axis=0)
+        nu = 1.0 / np.maximum(1.0 + tmask[:, None] + sum_x[:, None] - x.T, 1e-300)
+    legacy = {}
+    for i, lab in enumerate(cluster.legacy_labels):
+        raw = np.concatenate([[cluster.miss_beta[i]], w[i] * nu[:, i]])
+        raw /= raw.sum()
+        legacy[lab] = dict(zip((0,) + cluster.meas_indices, map(float, raw)))
+    transfer = {}
+    for lab in cluster.transfer_labels:
+        j = cluster.meas_pos(lab.index)
+        claim = 1.0 / (1.0 + tmask[j] - 1.0 + x[:, j].sum())
+        transfer[lab] = {0: 1.0 / (1.0 + claim), 1: claim / (1.0 + claim)}
+    return MarginalAssociation(legacy, transfer)
+
+
+def pmf_arrays(marginals):
+    return [np.array(list(pmf.items())) for pmf in
+            list(marginals.legacy.values()) + list(marginals.transfer.values())]
+
+
 class TestBpMarginals:
+    def test_fixed_point_exit_equals_fixed_iterations(self):
+        # criterion 1's random clusters, 20 rounds
+        rng = np.random.default_rng(2024)
+        for _ in range(1000):
+            cluster = random_cluster(rng)
+            got, want = pmf_arrays(bp_marginals(cluster, 20)), pmf_arrays(
+                fixed_iteration_bp(cluster, 20))
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
     def test_single_label_cluster_is_exact(self):
         rng = np.random.default_rng(6)
         for _ in range(100):

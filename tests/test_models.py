@@ -14,6 +14,8 @@ from lmbp.rfs import Measurement, write_snapshot
 from lmbp.simulate import generate_frames, generate_truth
 from lmbp.update import lmbp_step
 
+from helpers import dense_likelihood_table
+
 
 def make_sensor(**kw):
     defaults = dict(position=np.array([0.0, -50.0]), max_range=300.0, sigma_range=2.0,
@@ -131,28 +133,6 @@ class TestLikelihood:
         assert integral == pytest.approx(1.0, rel=0.01)
 
 
-def dense_likelihood_table(sensor, frame, states):
-    """Reference for `SensorModel.likelihood_table`: every entry evaluated."""
-    states = np.asarray(states, dtype=float)
-    rho, theta = sensor.range_bearing(states)
-    if len(frame) == 0:
-        return np.empty((0,) + rho.shape)
-    zr = np.array([z.range for z in frame])[:, None]
-    zb = wrap_angle(np.array([z.bearing for z in frame]))[:, None]
-    dr = (zr - rho[None, :]) / sensor.sigma_range
-    db = zb - theta[None, :]
-    # residual lies in (-2pi, 2pi); branchless wrap to [-pi, pi)
-    db = np.where(db >= np.pi, db - 2.0 * np.pi, db)
-    db = np.where(db < -np.pi, db + 2.0 * np.pi, db)
-    db /= sensor.sigma_bearing
-    quad = dr * dr
-    quad += db * db
-    quad *= -0.5
-    np.exp(quad, out=quad)
-    quad *= 1.0 / (2.0 * np.pi * sensor.sigma_range * sensor.sigma_bearing)
-    return quad
-
-
 def states_at(positions):
     positions = np.asarray(positions, dtype=float).reshape(-1, 2)
     return np.hstack([positions, np.zeros_like(positions)])
@@ -184,10 +164,17 @@ def assert_table_exact(sensor, frame, states):
 
 @dataclasses.dataclass(frozen=True)
 class DenseSensor(SensorModel):
-    """Range-bearing sensor whose likelihood table evaluates every entry."""
+    """Range-bearing sensor whose likelihood table and rows evaluate every entry."""
 
     def likelihood_table(self, frame, states):
         return dense_likelihood_table(self, frame, states)
+
+    def likelihood_rows(self, frame, states):
+        """Every (set, measurement) pair, each row from the dense reference."""
+        count, n = np.shape(states)[:2]
+        rows = np.array([dense_likelihood_table(self, frame, s) for s in states])
+        return (np.repeat(np.arange(count), len(frame)), np.tile(np.arange(len(frame)), count),
+                rows.reshape(count * len(frame), n))
 
 
 @pytest.fixture
@@ -348,6 +335,77 @@ class TestGatedLikelihoodTable:
         assert window_calls == []
         assert_table_exact(sensor, random_frame(rng, self.LARGE), states)
         assert window_calls == [self.LARGE]
+
+
+def assert_rows_exact(sensor, frame, states):
+    """`likelihood_rows` keeps each pair once, in (set, measurement) order,
+    its rows equal the dense reference, and every pair it leaves out has an
+    all-zero dense row."""
+    sets, meas, rows = sensor.likelihood_rows(frame, states)
+    dense = np.array([dense_likelihood_table(sensor, frame, s) for s in states])
+    dense = dense.reshape(len(states), len(frame), np.shape(states)[1])
+    assert np.array_equal(rows, dense[sets, meas], equal_nan=True)
+    left_out = np.ones(dense.shape[:2], dtype=bool)
+    left_out[sets, meas] = False
+    assert not dense[left_out].any()
+    flat = sets * len(frame) + meas
+    assert np.array_equal(flat, np.unique(flat))
+
+
+class TestLikelihoodRows:
+    """`likelihood_rows` over L stacked sets against the dense reference."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_cases(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        sensor, frame, states = random_case(rng)
+        count = int(rng.integers(1, 6))
+        per_set = len(states) // count
+        assert_rows_exact(sensor, frame, states[:count * per_set].reshape(count, per_set, 4))
+
+    def test_each_set_keeps_only_measurements_near_it(self):
+        # compact clouds at bearings 0, +-pi (across the seam) and pi/2: each
+        # set is bounded from its own first bearing, so the seam cloud, which
+        # straddles the antipode of the first cloud, is still a narrow arc
+        sensor = make_sensor()
+        rng = np.random.default_rng(11)
+        centres = sensor.position + np.array([[100.0, 0.0], [-150.0, 0.0], [0.0, 250.0]])
+        states = states_at(centres[:, None, :] + rng.normal(0.0, 2.0, (3, 400, 2)))
+        states = states.reshape(3, 400, 4)
+        rho, theta = sensor.range_bearing(centres)
+        frame = [Measurement(float(r), float(b)) for r, b in zip(rho, theta)]
+        frame += [Measurement(150.0, 0.0), Measurement(150.0, np.pi / 2)]
+        frame += random_frame(rng, 30)
+        assert_rows_exact(sensor, frame, states)
+        sets, meas, _ = sensor.likelihood_rows(frame, states)
+        assert {(0, 0), (1, 1), (2, 2)} <= set(zip(sets.tolist(), meas.tolist()))
+        bearings = np.array([z.bearing for z in frame])
+        assert np.all(np.abs(wrap_angle(bearings[meas] - theta[sets])) < 1.0)
+
+    def test_empty_frame_no_sets_and_empty_sets(self):
+        sensor = make_sensor()
+        rng = np.random.default_rng(12)
+        frame = random_frame(rng, 5)
+        states = states_at(rng.uniform(-99.0, 99.0, (14, 2))).reshape(2, 7, 4)
+        assert_rows_exact(sensor, [], states)
+        assert_rows_exact(sensor, frame, np.empty((0, 7, 4)))
+        assert_rows_exact(sensor, frame, np.empty((2, 0, 4)))
+
+    def test_non_finite_states_measurements_and_normalizer(self):
+        rng = np.random.default_rng(13)
+        sensor = make_sensor()
+        states = states_at(sensor.position + rng.uniform(-300.0, 300.0, (3 * 300, 2)))
+        states = states.reshape(3, 300, 4)
+        states[1, 7, 0] = np.nan
+        states[2, 8, 1] = np.inf
+        frame = random_frame(rng, 20)
+        assert_rows_exact(sensor, frame, states)
+        with np.errstate(invalid="ignore"):  # inf - inf against the inf state
+            assert_rows_exact(sensor, frame[:-1] + [Measurement(np.inf, 0.0)], states)
+        tiny = make_sensor(sigma_range=1e-160, sigma_bearing=1e-160)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_rows_exact(tiny, frame, states)
+            assert len(tiny.likelihood_rows(frame, states)[0]) == 3 * len(frame)
 
 
 def test_filter_matches_dense_likelihood_reference():

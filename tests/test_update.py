@@ -3,7 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from lmbp.association import Hypothesis
+from lmbp.association import Hypothesis, TrackEvidence
 from lmbp.models import BirthModel, ClutterModel, Models, MotionModel, SensorModel
 from lmbp.rfs import (
     BernoulliTrack,
@@ -24,8 +24,6 @@ from lmbp.update import (
     update_transferred_track,
 )
 
-from helpers import StubSensor
-
 
 def pdf_at(x1, n=1, weight=None):
     states = np.zeros((n, 4))
@@ -44,7 +42,7 @@ def new_component_rows(*existences, n=2):
     states = np.zeros((n, 4))
     states[:, 0] = np.arange(n)
     table = np.outer(existences, np.full(n, 1.0 / n)).reshape(len(existences), n)
-    return np.ones(len(existences)), table, states
+    return np.ones(len(existences)), table.sum(axis=1), table, states
 
 
 # One shared support for the legacy-track update: the miss pdf sits on the
@@ -94,8 +92,9 @@ class TestThresholds:
 
 class TestSelectTransfers:
     def test_threshold_split(self):
-        beta, table, states = new_component_rows(0.5, 0.001)
-        transfers, remaining = select_transfers(beta, table, states, gamma_tr=0.01, time=7)
+        beta, mass, table, states = new_component_rows(0.5, 0.001)
+        transfers, remaining = select_transfers(beta, mass, table, states, gamma_tr=0.01,
+                                                time=7)
         assert set(transfers) == {Label(7, 1)}
         assert remaining == (2,)
         comp = transfers[Label(7, 1)]
@@ -221,13 +220,13 @@ def no_rows(n):
 class TestUpdatePhd:
     def test_blind_sensor_preserves_mass(self):
         phd = PoissonPhd(pdf_at(0.0, n=40, weight=0.7))
-        out = update_phd([], *no_rows(40), phd, StubSensor(np.zeros(40)), 100,
+        out = update_phd([], *no_rows(40), phd, np.zeros(40), 100,
                          np.random.default_rng(0))
         assert out.mean == pytest.approx(0.7, abs=1e-12)
 
     def test_perfect_sensor_empties_intensity(self):
         phd = PoissonPhd(pdf_at(0.0, n=40, weight=0.7))
-        out = update_phd([], *no_rows(40), phd, StubSensor(np.ones(40)), 100,
+        out = update_phd([], *no_rows(40), phd, np.ones(40), 100,
                          np.random.default_rng(0))
         assert out.mean == 0.0 and len(out.particles) == 0
 
@@ -236,12 +235,12 @@ class TestUpdatePhd:
         recycled = [BernoulliTrack(Label(1, 1), 0.3, pdf_at(1.0))]
         phd = PoissonPhd(pdf_at(3.0, n=10, weight=0.2))
         out = update_phd(recycled, np.array([2.0]), np.full((1, 10), 0.04), phd,
-                         StubSensor(np.full(10, 0.5)), 500, np.random.default_rng(0))
+                         np.full(10, 0.5), 500, np.random.default_rng(0))
         assert out.mean == pytest.approx(0.3 + 0.2 + 0.1, abs=1e-9)
         assert len(out.particles) == 500
 
     def test_zero_mass_gives_empty(self):
-        out = update_phd([], *no_rows(0), PoissonPhd.empty(), StubSensor(np.empty(0)), 100,
+        out = update_phd([], *no_rows(0), PoissonPhd.empty(), np.empty(0), 100,
                          np.random.default_rng(0))
         assert out.mean == 0.0
 
@@ -259,7 +258,7 @@ class TestUpdatePhd:
         track_states[:, 0] = [50.0, 60.0]
         recycled = [BernoulliTrack(Label(1, 1), 0.25, ParticleSet(track_states, [0.4, 0.6]))]
         out = update_phd(recycled, beta, table, PoissonPhd(ParticleSet(phd_states, w)),
-                         StubSensor(pd), 1000, np.random.default_rng(seed))
+                         pd, 1000, np.random.default_rng(seed))
         weights = np.concatenate([w * (1 - pd) + table[0] / 0.5 + table[1] / 2.0,
                                   [0.1, 0.15]])
         np.testing.assert_allclose(weights, [0.18, 0.22, 0.32, 0.13, 0.1, 0.15])
@@ -338,6 +337,45 @@ class TestLmbpStep:
         phd_calls = [n for n, target in calls if target == 128]
         predicted_count = 32 + models.birth.particle_budget
         assert phd_calls == [predicted_count + 64 * len(recycled)]
+
+    def test_detection_pdfs_only_where_the_marginal_is_nonzero(self, monkeypatch):
+        # gamma_c = 0 puts every pair in one cluster; a pair with b = 0 gets a
+        # zero marginal, and only the other pairs may have a pdf built
+        import lmbp.update
+
+        built, updates = [], []
+        detection = TrackEvidence.detection
+        update = lmbp.update.update_legacy_track
+
+        def detection_spy(evidence, i, m):
+            built.append((evidence.tracks[i].label, m))
+            return detection(evidence, i, m)
+
+        def update_spy(label, marginal, miss, detections, *args):
+            updates.append((label, dict(marginal), dict(detections)))
+            return update(label, marginal, miss, detections, *args)
+
+        monkeypatch.setattr(TrackEvidence, "detection", detection_spy)
+        monkeypatch.setattr(lmbp.update, "update_legacy_track", update_spy)
+        models = micro_models(pd_const=0.7)
+        tracks = tuple(BernoulliTrack(Label(1, i + 1), 0.6, pdf_at(x1, n=8))
+                       for i, x1 in enumerate((50.0, 150.0, 250.0)))
+        frame = [Measurement(float(rho), float(theta)) for rho, theta in zip(
+            *models.sensor.range_bearing(np.array([[50.0, 0.0, 0.0, 0.0],
+                                                   [152.0, 0.0, 0.0, 0.0],
+                                                   [0.0, 200.0, 0.0, 0.0]])))]
+        lmbp_step(FilterState(tracks, PoissonPhd.empty(), 1), frame, models,
+                  Thresholds(gamma_c=0.0), np.random.default_rng(0), settings=small_settings())
+        assert [label for label, _, _ in updates] == [t.label for t in tracks]
+        nonzero = [(label, m) for label, marginal, _ in updates
+                   for m, p in marginal.items() if m and p > 0.0]
+        zero = [(label, m) for label, marginal, _ in updates
+                for m, p in marginal.items() if m and p == 0.0]
+        assert nonzero and zero
+        assert built == nonzero
+        for _, _, detections in updates:
+            assert all(hyp.existence == 1.0 and len(hyp.pdf) == 8
+                       for hyp in detections.values())
 
     def test_unsupported_measurement_absorbed_with_zero_weight(self):
         # intensity far from the measurement: d = 0, no transfer, and the
