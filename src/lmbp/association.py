@@ -1,9 +1,13 @@
 """Data association: hypothesis weights, plausibility partitioning, and
 marginal association probabilities (exact enumeration and loopy BP).
 
-Measurement indices are 1-based throughout this module: index 0 is reserved
-for the miss hypothesis, and transferred tracks get labels (k, m) with m >= 1.
-A frame's m-th measurement lives at `frame[m - 1]`.
+A step's tables are arrays indexed from 0: row i is the i-th predicted track
+and column j is `frame[j]`, and a cluster indexes its own rows and columns
+the same way. Labels and hypothesis keys count measurements from 1, with 0
+reserved for the miss: a track transferred from `frame[j]` at step k gets
+label (k, j + 1), and `TrackEvidence.detection(i, j + 1)` pairs row i with
+`frame[j]`. A cluster's marginal row likewise holds the miss at entry 0 and
+the cluster's measurement j at entry 1 + j.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .models import ClutterModel, SensorModel
-from .rfs import STATE_DIM, BernoulliTrack, Label, Measurement, ParticleSet, PoissonPhd
+from .rfs import STATE_DIM, BernoulliTrack, Measurement, ParticleSet, PoissonPhd
 
 _TINY = 1e-300  # denominator floor; keeps degenerate messages finite
 
@@ -147,61 +151,56 @@ def new_components(phd: PoissonPhd, pd: np.ndarray, frame: Sequence[Measurement]
     w_i pD(x_i) f(z_m|x_i). Measurement m's component has intensity mass
     d = mass[m-1] = table[m-1].sum(), beta = clutter intensity + d,
     existence d / beta, and pdf table[m-1] / d over the intensity particles;
-    no particle set is built here.
+    no particle set is built here. beta is 0 for a measurement that neither
+    clutter nor the intensity can explain, such as one beyond the sensor disk.
     """
     table = (phd.particles.weights * pd) * sensor.likelihood_table(frame, phd.particles.states)
     mass = table.sum(axis=1)
     beta = np.array([clutter.intensity(z) for z in frame]) + mass
-    if np.any(beta <= 0.0):
-        raise ValueError("measurement outside model support")
     return beta, mass, table
 
 
 # ---------------------------------------------------------------------------
-# Partitioning of labels and measurement indices
+# Partitioning of labels and measurements
 # ---------------------------------------------------------------------------
 
 
-def partition(labels: Sequence[Label], betas: np.ndarray, meas_count: int,
-              gamma_c: float) -> tuple[list[tuple[tuple[Label, ...], tuple[int, ...]]],
-                                       tuple[int, ...]]:
-    """Group labels with the measurements they plausibly associate with.
+def partition(betas: np.ndarray,
+              gamma_c: float) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """Group the rows of `betas` (labels) with the columns (measurements) they
+    plausibly associate with.
 
-    `betas[i, m-1]` is the detection weight of labels[i] with measurement m.
     A pair is plausible when its weight is >= gamma_c; clusters are grown by
-    iteratively merging label groups whose plausible measurement sets overlap
+    iteratively merging row groups whose plausible column sets overlap
     (ties resolved toward the smallest group index for determinism). Returns
-    `(clusters, residual)` where each cluster is `(labels, meas_indices)` with
-    1-based measurement indices, clusters are ordered by their smallest label,
-    and `residual` holds the measurement indices in no cluster.
+    `(clusters, residual)`: each cluster is a `(rows, cols)` pair of ascending
+    index arrays, clusters are ordered by their smallest row, and `residual`
+    holds the columns in no cluster.
     """
-    labels = list(labels)
-    betas = np.asarray(betas, dtype=float).reshape(len(labels), meas_count)
-    plausible = [frozenset(int(m) + 1 for m in np.nonzero(betas[i] >= gamma_c)[0])
-                 for i in range(len(labels))]
-
     clusters: list[tuple[list[int], set[int]]] = []
-    for j, lab_meas in enumerate(plausible):
-        overlapping = [c for c, (_, ms) in enumerate(clusters) if ms & lab_meas]
+    for i, row in enumerate(betas):
+        cols = set(np.flatnonzero(row >= gamma_c).tolist())
+        overlapping = [c for c, (_, ms) in enumerate(clusters) if ms & cols]
         if not overlapping:
-            clusters.append(([j], set(lab_meas)))
+            clusters.append(([i], cols))
         else:
             # merge all overlapping groups into the lowest-indexed one
             target = overlapping[0]
             for c in overlapping[1:]:
                 clusters[target][0].extend(clusters[c][0])
                 clusters[target][1].update(clusters[c][1])
-            clusters[target][0].append(j)
-            clusters[target][1].update(lab_meas)
+            clusters[target][0].append(i)
+            clusters[target][1].update(cols)
             clusters = [cl for c, cl in enumerate(clusters) if c not in overlapping[1:]]
 
-    out = []
-    for idxs, meas in clusters:
-        out.append((tuple(sorted(labels[i] for i in idxs)), tuple(sorted(meas))))
-    out.sort(key=lambda cl: cl[0][0])
-    used = set().union(*(set(ms) for _, ms in out)) if out else set()
-    residual = tuple(m for m in range(1, meas_count + 1) if m not in used)
-    return out, residual
+    # a group is created by its smallest row and merges only into older groups,
+    # so the list is already ordered by smallest row
+    out = [(np.array(sorted(rows), dtype=np.intp), np.array(sorted(cols), dtype=np.intp))
+           for rows, cols in clusters]
+    claimed = np.zeros(betas.shape[1], dtype=bool)
+    for _, cols in out:
+        claimed[cols] = True
+    return out, np.flatnonzero(~claimed)
 
 
 # ---------------------------------------------------------------------------
@@ -211,127 +210,119 @@ def partition(labels: Sequence[Label], betas: np.ndarray, meas_count: int,
 
 @dataclass(frozen=True)
 class Cluster:
-    """One independent association problem: a label subset, a measurement
-    subset, and the association-weight tables restricted to them.
+    """One independent association problem: the association-weight tables of
+    L legacy labels and M measurements.
 
-    `det_beta[i, j]` pairs legacy_labels[i] with meas_indices[j]; transfer
-    labels are (k, m) with m in meas_indices and carry implicit weights
-    beta(m) for claim and 1 for no-claim.
+    `det_beta[i, j]` pairs legacy label i with measurement j. A measurement
+    with `transferred[j]` set also has a transfer label, which carries the
+    implicit weights new_beta[j] for claim and 1 for no-claim.
     """
 
-    legacy_labels: tuple[Label, ...]
-    transfer_labels: tuple[Label, ...]
-    meas_indices: tuple[int, ...]      # 1-based, sorted
     miss_beta: np.ndarray              # (L,)
     det_beta: np.ndarray               # (L, M)
     new_beta: np.ndarray               # (M,)
+    transferred: np.ndarray            # (M,) bool
 
     def __post_init__(self):
-        L, M = len(self.legacy_labels), len(self.meas_indices)
-        object.__setattr__(self, "miss_beta", np.asarray(self.miss_beta, float).reshape(L))
-        object.__setattr__(self, "det_beta", np.asarray(self.det_beta, float).reshape(L, M))
-        object.__setattr__(self, "new_beta", np.asarray(self.new_beta, float).reshape(M))
-        for lab in self.transfer_labels:
-            if lab.index not in self.meas_indices:
-                raise ValueError(f"transfer label {lab} outside cluster measurements")
-        if len(set(self.transfer_labels)) != len(self.transfer_labels):
-            raise ValueError("duplicate transfer labels")
-
-    def meas_pos(self, m: int) -> int:
-        return self.meas_indices.index(m)
+        L, M = self.det_beta.shape
+        shapes = (self.miss_beta.shape, self.new_beta.shape, self.transferred.shape)
+        if shapes != ((L,), (M,), (M,)):
+            raise ValueError("cluster tables disagree in shape")
 
 
 @dataclass(frozen=True)
 class MarginalAssociation:
-    """Per-label marginal pmfs: legacy over {0} + meas_indices, transfer over {0, 1}."""
+    """Marginal association probabilities of one cluster.
 
-    legacy: dict[Label, dict[int, float]]
-    transfer: dict[Label, dict[int, float]]
+    `legacy[i, 0]` is legacy label i's miss and `legacy[i, 1 + j]` its
+    detection of measurement j; `claim[j]` is the probability that the
+    transfer on measurement j claims it, 0 where there is no transfer.
+    """
+
+    legacy: np.ndarray                 # (L, 1 + M)
+    claim: np.ndarray                  # (M,)
 
     def __post_init__(self):
-        for pmf in list(self.legacy.values()) + list(self.transfer.values()):
-            total = sum(pmf.values())
-            if abs(total - 1.0) > 1e-9 or any(p < 0 for p in pmf.values()):
+        # checked on Python floats: a cluster's few entries cost less than numpy calls
+        for row in self.legacy.tolist():
+            if abs(sum(row) - 1.0) > 1e-9 or min(row) < 0:
                 raise ValueError("marginal pmf is not normalized")
+        if any(p < 0 or p > 1 for p in self.claim.tolist()):
+            raise ValueError("transfer claim is not a probability")
 
 
-def enumerate_admissible(cluster: Cluster) -> list[tuple[dict[Label, int], float]]:
+def enumerate_admissible(cluster: Cluster) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All admissible association vectors of a cluster with normalized weights.
 
-    Legacy entries live in {0} + meas_indices, transfer entries in {0, 1};
-    no measurement is claimed twice (a transfer label (k, m) with entry 1
-    claims m). Every unclaimed measurement contributes its beta(m) factor.
-    Weights are products of beta factors, computed in log domain and
-    normalized to sum to one.
+    Returns `(legacy, claims, weights)` over the H vectors: `legacy` (H, L)
+    holds each legacy label's entry, 0 for a miss and 1 + j for measurement
+    j; `claims` (H, M) marks the measurements a transfer claims. No
+    measurement is claimed twice, and every unclaimed measurement contributes
+    its beta(m) factor. Weights are products of beta factors, computed in log
+    domain and normalized to sum to one.
     """
-    L = len(cluster.legacy_labels)
-    M = len(cluster.meas_indices)
+    L, M = cluster.det_beta.shape
     with np.errstate(divide="ignore"):
         log_miss = np.log(cluster.miss_beta)
         log_det = np.log(cluster.det_beta)
         log_new = np.log(cluster.new_beta)
-    tr_pos = [cluster.meas_pos(t.index) for t in cluster.transfer_labels]
+    tr_pos = np.flatnonzero(cluster.transferred).tolist()
 
-    assignments: list[tuple[tuple[int, ...], tuple[int, ...], float]] = []
+    # (legacy entries, bit mask of the transfers' claims, log weight)
+    vectors: list[tuple[tuple[int, ...], int, float]] = []
 
     def recurse_legacy(i: int, used: int, acc: float, entries: list[int]):
         if i == L:
-            recurse_transfer(0, used, acc, entries, [])
+            recurse_transfer(0, used, acc, entries, 0)
             return
         recurse_legacy(i + 1, used, acc + log_miss[i], entries + [0])
         for j in range(M):
             if not used & (1 << j):
-                recurse_legacy(i + 1, used | (1 << j), acc + log_det[i, j],
-                               entries + [cluster.meas_indices[j]])
+                recurse_legacy(i + 1, used | (1 << j), acc + log_det[i, j], entries + [j + 1])
 
-    def recurse_transfer(t: int, used: int, acc: float, leg: list[int], tr: list[int]):
+    def recurse_transfer(t: int, used: int, acc: float, leg: list[int], claimed: int):
         if t == len(tr_pos):
             unclaimed = acc
             for j in range(M):
                 if not used & (1 << j):
                     unclaimed += log_new[j]
-            assignments.append((tuple(leg), tuple(tr), unclaimed))
+            vectors.append((tuple(leg), claimed, unclaimed))
             return
-        recurse_transfer(t + 1, used, acc, leg, tr + [0])  # no-claim weight is 1
+        recurse_transfer(t + 1, used, acc, leg, claimed)  # no-claim weight is 1
         j = tr_pos[t]
         if not used & (1 << j):
-            recurse_transfer(t + 1, used | (1 << j), acc + log_new[j], leg, tr + [1])
+            recurse_transfer(t + 1, used | (1 << j), acc + log_new[j], leg, claimed | (1 << j))
 
     recurse_legacy(0, 0, 0.0, [])
 
-    log_w = np.array([a[2] for a in assignments])
+    log_w = np.array([v[2] for v in vectors])
     peak = log_w.max()
     if not np.isfinite(peak):
         raise ValueError("all association hypotheses have zero weight")
     w = np.exp(log_w - peak)
     w /= w.sum()
-
-    out = []
-    for (leg, tr, _), weight in zip(assignments, w):
-        vector = dict(zip(cluster.legacy_labels, leg))
-        vector.update(zip(cluster.transfer_labels, tr))
-        out.append((vector, float(weight)))
-    return out
+    legacy = np.array([v[0] for v in vectors], dtype=np.intp).reshape(len(vectors), L)
+    claims = ((np.array([v[1] for v in vectors])[:, None] >> np.arange(M)) & 1).astype(bool)
+    return legacy, claims, w
 
 
 def exact_marginals(cluster: Cluster) -> MarginalAssociation:
-    """Marginal association pmfs by direct summation over admissible vectors."""
-    hypotheses = enumerate_admissible(cluster)
-    legacy = {lab: {0: 0.0, **{m: 0.0 for m in cluster.meas_indices}}
-              for lab in cluster.legacy_labels}
-    transfer = {lab: {0: 0.0, 1: 0.0} for lab in cluster.transfer_labels}
-    for vector, weight in hypotheses:
-        for lab in cluster.legacy_labels:
-            legacy[lab][vector[lab]] += weight
-        for lab in cluster.transfer_labels:
-            transfer[lab][vector[lab]] += weight
-    return MarginalAssociation(legacy, transfer)
+    """Marginal association probabilities by direct summation over admissible
+    vectors, each accumulated in enumeration order."""
+    entries, claims, weights = enumerate_admissible(cluster)
+    L, M = cluster.det_beta.shape
+    legacy = np.zeros((L, 1 + M))
+    np.add.at(legacy, (np.arange(L), entries), weights[:, None])
+    claim = np.zeros(M)
+    vector, meas = np.nonzero(claims)
+    np.add.at(claim, meas, weights[vector])
+    return MarginalAssociation(legacy, claim)
 
 
 def enumeration_size(cluster: Cluster) -> float:
     """Upper bound on the admissible-vector count (guards exact mode)."""
-    M = len(cluster.meas_indices)
-    return float((M + 1) ** len(cluster.legacy_labels) * 2 ** len(cluster.transfer_labels))
+    L, M = cluster.det_beta.shape
+    return float((M + 1) ** L * 2 ** int(np.count_nonzero(cluster.transferred)))
 
 
 def bp_marginals(cluster: Cluster, iterations: int = 20) -> MarginalAssociation:
@@ -351,12 +342,9 @@ def bp_marginals(cluster: Cluster, iterations: int = 20) -> MarginalAssociation:
     p(l->0) to beta(l,0); for a transfer label p(1)/p(0) = nu(m->l). Exact
     whenever the cluster's plausibility graph is acyclic.
     """
-    L = len(cluster.legacy_labels)
-    M = len(cluster.meas_indices)
+    L, M = cluster.det_beta.shape
     w = cluster.det_beta / np.maximum(cluster.new_beta, _TINY)[None, :]
-    tmask = np.zeros(M)
-    for t in cluster.transfer_labels:
-        tmask[cluster.meas_pos(t.index)] += 1.0
+    tmask = cluster.transferred.astype(float)
 
     nu = np.ones((M, L))
     x = np.zeros((L, M))
@@ -369,16 +357,8 @@ def bp_marginals(cluster: Cluster, iterations: int = 20) -> MarginalAssociation:
         if np.array_equal(nu, prev):
             break
 
-    legacy = {}
-    for i, lab in enumerate(cluster.legacy_labels):
-        raw = np.concatenate([[cluster.miss_beta[i]], w[i] * nu[:, i]])
-        raw /= raw.sum()
-        legacy[lab] = {0: float(raw[0])}
-        legacy[lab].update({m: float(p) for m, p in zip(cluster.meas_indices, raw[1:])})
-    transfer = {}
-    for lab in cluster.transfer_labels:
-        j = cluster.meas_pos(lab.index)
-        claim = 1.0 / (1.0 + tmask[j] - 1.0 + x[:, j].sum())
-        total = 1.0 + claim
-        transfer[lab] = {0: 1.0 / total, 1: claim / total}
-    return MarginalAssociation(legacy, transfer)
+    legacy = np.concatenate([cluster.miss_beta[:, None], w * nu.T], axis=1)
+    legacy /= legacy.sum(axis=1, keepdims=True)
+    # each column summed as one contiguous row: x.sum(axis=0) rounds differently
+    odds = 1.0 / (1.0 + np.ascontiguousarray(x.T).sum(axis=1))
+    return MarginalAssociation(legacy, np.where(cluster.transferred, odds / (1.0 + odds), 0.0))

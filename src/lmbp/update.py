@@ -179,8 +179,8 @@ def update_phd(recycled: Sequence[BernoulliTrack], beta: np.ndarray, table: np.n
 
 def _marginalize(cluster: Cluster, settings: FilterSettings):
     if settings.marginals == "exact":
-        degrees = len(cluster.legacy_labels) * len(cluster.meas_indices)
-        if degrees <= EXACT_DEGREE_LIMIT and enumeration_size(cluster) <= EXACT_SIZE_LIMIT:
+        if (cluster.det_beta.size <= EXACT_DEGREE_LIMIT
+                and enumeration_size(cluster) <= EXACT_SIZE_LIMIT):
             return exact_marginals(cluster)
     return bp_marginals(cluster, settings.bp_iterations)
 
@@ -192,7 +192,10 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
     """One full recursion step: predict, associate, update, transfer, recycle.
 
     `prev_frame` feeds the measurement-driven birth proposal (empty on the
-    first step). Estimation is separate; see `lmbp.estimation`.
+    first step). A measurement that neither clutter nor the intensity can
+    explain (beta = 0, e.g. beyond the sensor disk) is dropped before
+    association, and label indices count positions in the kept frame.
+    Estimation is separate; see `lmbp.estimation`.
     """
     k = state.time + 1
 
@@ -207,48 +210,50 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
     predicted_phd = predict_phd(state.phd, birth, models.motion, rng)
 
     # association weights for every track/measurement pairing; row i of the
-    # tables is predicted[i], column m - 1 is measurement m
-    evidence = track_evidence(predicted, frame, models.sensor)
+    # tables is predicted[i], column j is frame[j]
     phd_pd = models.sensor.detection_prob(predicted_phd.particles.states)
     new_beta, new_mass, new_table = new_components(predicted_phd, phd_pd, frame,
                                                    models.sensor, models.clutter)
+    supported = new_beta > 0.0
+    if not supported.all():
+        frame = [z for z, keep in zip(frame, supported) if keep]
+        new_beta, new_mass, new_table = (new_beta[supported], new_mass[supported],
+                                         new_table[supported])
+    evidence = track_evidence(predicted, frame, models.sensor)
 
-    labels = [t.label for t in predicted]
-    row_of = {lab: i for i, lab in enumerate(labels)}
-    clusters, residual = partition(labels, evidence.betas, len(frame), thresholds.gamma_c)
+    clusters, residual = partition(evidence.betas, thresholds.gamma_c)
     transfers, untransferred = select_transfers(new_beta, new_mass, new_table,
                                                 predicted_phd.particles.states,
                                                 thresholds.gamma_tr, k)
+    transferred = np.ones(len(frame), dtype=bool)
+    transferred[[m - 1 for m in untransferred]] = False
 
     updated: list[BernoulliTrack] = []
-    for cluster_labels, meas_indices in clusters:
-        rows = [row_of[lab] for lab in cluster_labels]
-        cols = [m - 1 for m in meas_indices]
-        problem = Cluster(cluster_labels,
-                          tuple(lab for lab in transfers if lab.index in meas_indices),
-                          meas_indices, evidence.miss_beta[rows],
-                          evidence.betas[np.ix_(rows, cols)], new_beta[cols])
+    for rows, cols in clusters:
+        problem = Cluster(evidence.miss_beta[rows], evidence.betas[np.ix_(rows, cols)],
+                          new_beta[cols], transferred[cols])
         marginal = _marginalize(problem, settings)
-        for lab, i in zip(cluster_labels, rows):
-            pmf = marginal.legacy[lab]
+        keys = [0] + (cols + 1).tolist()
+        for i, pmf in zip(rows.tolist(), marginal.legacy.tolist()):
             # a detection pdf is built only where the marginal puts mass
             updated.append(update_legacy_track(
-                lab, pmf, evidence.miss(i),
-                {m: evidence.detection(i, m) for m in meas_indices if pmf[m] > 0.0},
+                predicted[i].label, dict(zip(keys, pmf)), evidence.miss(i),
+                {m: evidence.detection(i, m) for m, p in zip(keys[1:], pmf[1:]) if p > 0.0},
                 settings.track_particles, rng))
-        for lab in problem.transfer_labels:
-            updated.append(update_transferred_track(
-                lab, marginal.transfer[lab][1], transfers[lab],
-                settings.track_particles, rng))
-
-    # a residual measurement competes with no track, so its transfer claims it surely
-    for lab, comp in transfers.items():
-        if lab.index in residual:
-            updated.append(update_transferred_track(lab, 1.0, comp,
+        claim = marginal.claim.tolist()
+        for j in np.flatnonzero(problem.transferred).tolist():
+            label = Label(k, keys[1 + j])
+            updated.append(update_transferred_track(label, claim[j], transfers[label],
                                                     settings.track_particles, rng))
 
+    # a residual measurement competes with no track, so its transfer claims it surely
+    for j in residual[transferred[residual]].tolist():
+        label = Label(k, j + 1)
+        updated.append(update_transferred_track(label, 1.0, transfers[label],
+                                                settings.track_particles, rng))
+
     kept, recycled = split_by_retention(updated, thresholds.gamma_leg, k)
-    unclaimed = [m - 1 for m in untransferred if m in residual]
+    unclaimed = residual[~transferred[residual]]
     phd = update_phd(recycled, new_beta[unclaimed], new_table[unclaimed], predicted_phd,
                      phd_pd, settings.phd_particles, rng)
     kept.sort(key=lambda t: t.label)

@@ -5,7 +5,6 @@ import numpy as np
 
 from lmbp.association import Cluster
 from lmbp.models import wrap_angle
-from lmbp.rfs import Label
 
 
 class StubSensor:
@@ -42,7 +41,7 @@ class StubSensor:
 
 
 def random_cluster(rng, max_legacy=4, max_transfer=2, max_meas=4,
-                   log10_lo=-6.0, log10_hi=2.0, time=5):
+                   log10_lo=-6.0, log10_hi=2.0):
     """Random association problem with log-uniform weight entries."""
     n_legacy = int(rng.integers(1, max_legacy + 1))
     n_meas = int(rng.integers(0, max_meas + 1))
@@ -51,27 +50,18 @@ def random_cluster(rng, max_legacy=4, max_transfer=2, max_meas=4,
     def draw(shape):
         return 10.0 ** rng.uniform(log10_lo, log10_hi, shape)
 
-    meas = tuple(range(1, n_meas + 1))
-    legacy = tuple(Label(1, i + 1) for i in range(n_legacy))
-    claimed = rng.choice(n_meas, size=n_transfer, replace=False) if n_transfer else []
-    transfer = tuple(sorted(Label(time, int(meas[j])) for j in claimed))
-    return Cluster(legacy, transfer, meas, draw(n_legacy),
-                   draw((n_legacy, n_meas)), draw(n_meas))
-
-
-def tv_distance(pmf_a, pmf_b):
-    keys = set(pmf_a) | set(pmf_b)
-    return 0.5 * sum(abs(pmf_a.get(k, 0.0) - pmf_b.get(k, 0.0)) for k in keys)
+    transferred = np.zeros(n_meas, dtype=bool)
+    if n_transfer:
+        transferred[rng.choice(n_meas, size=n_transfer, replace=False)] = True
+    return Cluster(draw(n_legacy), draw((n_legacy, n_meas)), draw(n_meas), transferred)
 
 
 def max_label_tv(exact, approx):
-    """Largest per-label total-variation distance between two marginal sets."""
-    worst = 0.0
-    for lab, pmf in exact.legacy.items():
-        worst = max(worst, tv_distance(pmf, approx.legacy[lab]))
-    for lab, pmf in exact.transfer.items():
-        worst = max(worst, tv_distance(pmf, approx.transfer[lab]))
-    return worst
+    """Largest per-label total-variation distance between two marginal sets;
+    a transfer's pmf over {no claim, claim} is Bernoulli(claim)."""
+    legacy = 0.5 * np.abs(exact.legacy - approx.legacy).sum(axis=1)
+    claim = np.abs(exact.claim - approx.claim)
+    return max(legacy.max(initial=0.0), claim.max(initial=0.0))
 
 
 def dense_likelihood_table(sensor, frame, states):

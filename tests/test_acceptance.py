@@ -106,10 +106,10 @@ def random_acyclic_cluster(rng):
             det[rng.integers(0, n_legacy), j] = 10.0 ** rng.uniform(-6, 2)
     new = 10.0 ** rng.uniform(-6, 2, n_meas)
     n_tr = int(rng.integers(0, min(2, n_meas) + 1)) if n_meas else 0
-    claimed = rng.choice(n_meas, size=n_tr, replace=False) if n_tr else []
-    transfer = tuple(sorted(Label(9, int(j) + 1) for j in claimed))
-    legacy = tuple(Label(1, i + 1) for i in range(n_legacy))
-    return Cluster(legacy, transfer, tuple(range(1, n_meas + 1)), miss, det, new)
+    transferred = np.zeros(n_meas, dtype=bool)
+    if n_tr:
+        transferred[rng.choice(n_meas, size=n_tr, replace=False)] = True
+    return Cluster(miss, det, new, transferred)
 
 
 def test_criterion_1_acyclic_exactness():
@@ -184,8 +184,8 @@ def test_criterion_2_conservation():
     for _ in range(500):
         cluster = random_cluster(rng)
         for marg in (exact_marginals(cluster), bp_marginals(cluster, 20)):
-            for pmf in list(marg.legacy.values()) + list(marg.transfer.values()):
-                worst_pmf = max(worst_pmf, abs(sum(pmf.values()) - 1.0))
+            worst_pmf = max(worst_pmf, np.abs(marg.legacy.sum(axis=1) - 1.0).max(initial=0.0),
+                            -marg.claim.min(initial=0.0), marg.claim.max(initial=1.0) - 1.0)
         n = int(rng.integers(1, 40))
         track = BernoulliTrack(Label(1, 1), float(rng.uniform(0.1, 1.0)),
                                ParticleSet(rng.normal(size=(n, 4)), np.full(n, 1.0 / n)))
@@ -223,17 +223,15 @@ def test_criterion_3_partitioning():
         M = int(rng.integers(0, 9))
         betas = rng.random((L, M))
         gamma = float(rng.uniform(0.2, 0.95))
-        labels = [Label(1, i + 1) for i in range(L)]
-        clusters, residual = partition(labels, betas, M, gamma)
-        got = {(frozenset(labels.index(l) for l in ls), frozenset(ms))
-               for ls, ms in clusters}
+        clusters, residual = partition(betas, gamma)
+        got = {(frozenset(rows.tolist()), frozenset(cols.tolist())) for rows, cols in clusters}
         if got != cc_oracle(betas, gamma):
             mismatches += 1
         # disjointness + completeness on every instance
-        all_meas = [m for _, ms in clusters for m in ms] + list(residual)
-        assert sorted(all_meas) == list(range(1, M + 1))
-        all_labels = [l for ls, _ in clusters for l in ls]
-        assert sorted(all_labels) == sorted(labels)
+        all_meas = [j for _, cols in clusters for j in cols] + list(residual)
+        assert sorted(all_meas) == list(range(M))
+        all_rows = [i for rows, _ in clusters for i in rows]
+        assert sorted(all_rows) == list(range(L))
     ok = mismatches == 0
     verdict("3 (partitioning vs components oracle)", ok,
             f"{1000 - mismatches}/1000 equal")

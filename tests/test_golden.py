@@ -61,7 +61,7 @@ def count_paths(monkeypatch) -> Counter:
     def partition_spy(*args, **kwargs):
         result = partition(*args, **kwargs)
         residual.clear()
-        residual.update(result[1])
+        residual.update((result[1] + 1).tolist())  # label indices count from 1
         return result
 
     def select_transfers_spy(*args, **kwargs):

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import lmbp.update
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,6 +31,12 @@ def test_tracer_pins_resolve(monkeypatch):
     finally:
         tracer.uninstall()
     assert tracing.leftover_wrappers() == []
+    # the cluster counter reads `partition`'s result: clusters of 2 and 1 rows
+    betas = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    result = lmbp.update.partition(betas, 0.5)
+    tracer._count_clusters((betas, 0.5), {}, result, "association.partition")
+    assert tracer.counts["association.clusters"] == 2
+    assert tracer.counts["association.cluster_labels_max"] == 2
 
 
 def test_perfbench_selftest_passes():

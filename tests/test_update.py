@@ -1,3 +1,4 @@
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +13,7 @@ from lmbp.rfs import (
     Measurement,
     ParticleSet,
     PoissonPhd,
+    write_snapshot,
 )
 from lmbp.update import (
     FilterSettings,
@@ -388,6 +390,21 @@ class TestLmbpStep:
                         settings=small_settings())
         assert out.tracks == ()
         assert out.phd.mean == pytest.approx(0.2, abs=1e-9)
+
+    def test_out_of_disk_measurement_is_dropped(self):
+        # no clutter and no intensity beyond the sensor disk (beta = 0): the
+        # step runs as if the measurement were not in the frame
+        models = Models(MotionModel(), SensorModel(), ClutterModel(), BirthModel())
+        state = FilterState((), PoissonPhd.empty(), 0)
+
+        def snapshot(frame):
+            out = io.StringIO()
+            write_snapshot(lmbp_step(state, frame, models, Thresholds(),
+                                     np.random.default_rng(7)), out)
+            return out.getvalue()
+
+        assert (snapshot([Measurement(100.0, 0.0), Measurement(400.0, 0.0)])
+                == snapshot([Measurement(100.0, 0.0)]))
 
     def test_first_step_creates_tracks_only_via_transfers(self):
         rng = np.random.default_rng(3)
