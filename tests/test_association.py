@@ -382,17 +382,17 @@ class TestPartition:
             betas = rng.random((L, M))
             gamma = float(rng.uniform(0.3, 0.9))
             clusters, residual = partition(betas, gamma)
-            got = {(frozenset(rows), frozenset(cols)) for rows, cols in as_lists(clusters)}
+            clusters = as_lists(clusters)
+            got = {(frozenset(rows), frozenset(cols)) for rows, cols in clusters}
             assert got == cc_oracle(betas, gamma)
             # ascending rows and columns, clusters in order of their first row
-            assert all(rows == sorted(rows) and cols == sorted(cols)
-                       for rows, cols in as_lists(clusters))
-            firsts = [rows[0] for rows, _ in as_lists(clusters)]
+            assert all(rows == sorted(rows) and cols == sorted(cols) for rows, cols in clusters)
+            firsts = [rows[0] for rows, _ in clusters]
             assert firsts == sorted(firsts)
             # disjointness and completeness
-            all_meas = [j for _, cols in as_lists(clusters) for j in cols] + residual.tolist()
+            all_meas = [j for _, cols in clusters for j in cols] + residual.tolist()
             assert sorted(all_meas) == list(range(M))
-            all_rows = [i for rows, _ in as_lists(clusters) for i in rows]
+            all_rows = [i for rows, _ in clusters for i in rows]
             assert sorted(all_rows) == list(range(L))
 
 
