@@ -22,6 +22,10 @@ from .rfs import STATE_DIM, BernoulliTrack, Measurement, ParticleSet, PoissonPhd
 
 _TINY = 1e-300  # denominator floor; keeps degenerate messages finite
 
+# the cells of an (M, N) table that can be nonzero: (row, col, value) arrays in
+# ascending row order; every cell left out is 0.0
+Cells = tuple[np.ndarray, np.ndarray, np.ndarray]
+
 
 @dataclass(frozen=True)
 class Hypothesis:
@@ -142,22 +146,34 @@ def miss_hypothesis(track: BernoulliTrack, sensor: SensorModel) -> Hypothesis:
 
 def new_components(phd: PoissonPhd, pd: np.ndarray, frame: Sequence[Measurement],
                    sensor: SensorModel,
-                   clutter: ClutterModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                   clutter: ClutterModel) -> tuple[np.ndarray, np.ndarray, Cells]:
     """Unlabeled-or-clutter evidence of every measurement, as weights over the
     intensity particles.
 
     `pd` is the detection probability of each intensity particle. Returns
-    `beta` (M,), `mass` (M,) and `table` (M, N) with table[m-1, i] =
-    w_i pD(x_i) f(z_m|x_i). Measurement m's component has intensity mass
-    d = mass[m-1] = table[m-1].sum(), beta = clutter intensity + d,
-    existence d / beta, and pdf table[m-1] / d over the intensity particles;
-    no particle set is built here. beta is 0 for a measurement that neither
+    `beta` (M,), `mass` (M,) and `cells`, the sensor's likelihood cells
+    scaled to w_i pD(x_i) f(z_m|x_i): row m-1, column i. Measurement m's
+    component has intensity mass d = mass[m-1], the sum of its row (bit for
+    bit the row sum of the dense (M, N) table), beta = clutter intensity + d,
+    existence d / beta, and pdf row / d over the intensity particles; no
+    particle set is built here. beta is 0 for a measurement that neither
     clutter nor the intensity can explain, such as one beyond the sensor disk.
     """
-    table = (phd.particles.weights * pd) * sensor.likelihood_table(frame, phd.particles.states)
-    mass = table.sum(axis=1)
+    row, col, value = sensor.likelihood_cells(frame, phd.particles.states)
+    value *= (phd.particles.weights * pd)[col]
+    mass = np.zeros(len(frame))
+    # numpy sums a dense row pairwise, which no sum over the cells alone
+    # matches bit for bit: each row is scattered into one zeroed (N,) buffer,
+    # summed there and zeroed again
+    dense = np.zeros(len(phd.particles))
+    bounds = np.searchsorted(row, np.arange(len(frame) + 1)).tolist()
+    for m, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if lo < hi:
+            dense[col[lo:hi]] = value[lo:hi]
+            mass[m] = dense.sum()
+            dense[col[lo:hi]] = 0.0
     beta = np.array([clutter.intensity(z) for z in frame]) + mass
-    return beta, mass, table
+    return beta, mass, (row, col, value)
 
 
 # ---------------------------------------------------------------------------

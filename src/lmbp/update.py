@@ -10,6 +10,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .association import (
+    Cells,
     Cluster,
     Hypothesis,
     bp_marginals,
@@ -71,22 +72,28 @@ class FilterSettings:
             raise ValueError("bp_iterations must be >= 1")
 
 
-def select_transfers(beta: np.ndarray, mass: np.ndarray, table: np.ndarray,
+def select_transfers(beta: np.ndarray, mass: np.ndarray, cells: Cells,
                      states: np.ndarray, gamma_tr: float,
                      time: int) -> tuple[dict[Label, Hypothesis], tuple[int, ...]]:
     """Split the measurements' new components into transferred labels and the rest.
 
-    `beta`, `mass` and `table` come from `new_components` over the intensity
+    `beta`, `mass` and `cells` come from `new_components` over the intensity
     particles `states`. Every measurement m whose component has existence
     mass[m-1] / beta[m-1] >= gamma_tr (inclusive) becomes a labeled
-    Bernoulli with label (time, m); only these get a particle set. The
-    remaining indices are returned for the caller to absorb or prune.
+    Bernoulli with label (time, m); only these get a particle set, with
+    weights row / d from the cells of row m-1. The remaining indices are
+    returned for the caller to absorb or prune.
     """
+    row, col, value = cells
+    bounds = np.searchsorted(row, np.arange(len(beta) + 1)).tolist()
     transfers = {}
     remaining = []
     for m, (b, d) in enumerate(zip(beta, mass), start=1):
         if d / b >= gamma_tr:
-            pdf = ParticleSet(states, table[m - 1] / d)
+            run = slice(bounds[m - 1], bounds[m])
+            weights = np.zeros(len(states))
+            weights[col[run]] = value[run] / d
+            pdf = ParticleSet(states, weights)
             transfers[Label(time, m)] = Hypothesis(float(b), float(d / b), pdf)
         else:
             remaining.append(m)
@@ -149,24 +156,26 @@ def split_by_retention(tracks: Sequence[BernoulliTrack], gamma_leg: float,
     return kept, recycled
 
 
-def update_phd(recycled: Sequence[BernoulliTrack], beta: np.ndarray, table: np.ndarray,
+def update_phd(recycled: Sequence[BernoulliTrack], beta: np.ndarray, cells: Cells,
                predicted_phd: PoissonPhd, pd: np.ndarray, particle_budget: int,
                rng: np.random.Generator) -> PoissonPhd:
     """Posterior intensity: undetected predicted intensity + unclaimed
     components + recycled tracks, reduced to the intensity budget.
 
-    `beta` (K,) and `table` (K, N) are the `new_components` rows of the K
-    unclaimed measurements, and `pd` is the detection probability of each
-    predicted intensity particle. The predicted particles are reweighted by
-    (1 - pD) w + sum_k table[k] / beta[k] (the SMC-PHD update), the recycled
+    `beta` (K,) and `cells` (rows 0..K-1) are the `new_components` output of
+    the K unclaimed measurements, and `pd` is the detection probability of
+    each predicted intensity particle. The predicted particles are reweighted
+    by (1 - pD) w + sum_k row_k / beta[k] (the SMC-PHD update), the recycled
     tracks' particles are appended with weights r * pdf, and the union is
     resampled once. Total mass is sum((1 - pD) w) + sum_k d_k / beta_k +
     r-sum, preserved through the reduction.
     """
     survivors = predicted_phd.particles
-    # einsum rather than a BLAS product: the sum must not depend on BLAS threading
+    row, col, value = cells
+    # bincount adds each particle's terms in cell order, ascending k, as the
+    # dense sum over k does
     weights = [survivors.weights * (1.0 - pd)
-               + np.einsum("k,kn->n", 1.0 / beta, table)]
+               + np.bincount(col, (1.0 / beta)[row] * value, minlength=len(survivors))]
     states = [survivors.states]
     for track in recycled:
         weights.append(track.existence * track.pdf.weights)
@@ -175,6 +184,14 @@ def update_phd(recycled: Sequence[BernoulliTrack], beta: np.ndarray, table: np.n
     if union.total_weight <= 0.0:
         return PoissonPhd.empty()
     return PoissonPhd(resample(union, particle_budget, rng))
+
+
+def _rows_of(cells: Cells, keep: np.ndarray) -> Cells:
+    """The cells in the rows where `keep` (M,) is True, the rows renumbered
+    to count the kept rows only; row order is preserved."""
+    row, col, value = cells
+    inside = keep[row]
+    return (np.cumsum(keep) - 1)[row[inside]], col[inside], value[inside]
 
 
 def _marginalize(cluster: Cluster, settings: FilterSettings):
@@ -212,17 +229,17 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
     # association weights for every track/measurement pairing; row i of the
     # tables is predicted[i], column j is frame[j]
     phd_pd = models.sensor.detection_prob(predicted_phd.particles.states)
-    new_beta, new_mass, new_table = new_components(predicted_phd, phd_pd, frame,
+    new_beta, new_mass, new_cells = new_components(predicted_phd, phd_pd, frame,
                                                    models.sensor, models.clutter)
     supported = new_beta > 0.0
     if not supported.all():
         frame = [z for z, keep in zip(frame, supported) if keep]
-        new_beta, new_mass, new_table = (new_beta[supported], new_mass[supported],
-                                         new_table[supported])
+        new_beta, new_mass = new_beta[supported], new_mass[supported]
+        new_cells = _rows_of(new_cells, supported)
     evidence = track_evidence(predicted, frame, models.sensor)
 
     clusters, residual = partition(evidence.betas, thresholds.gamma_c)
-    transfers, untransferred = select_transfers(new_beta, new_mass, new_table,
+    transfers, untransferred = select_transfers(new_beta, new_mass, new_cells,
                                                 predicted_phd.particles.states,
                                                 thresholds.gamma_tr, k)
     transferred = np.ones(len(frame), dtype=bool)
@@ -253,8 +270,9 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
                                                 settings.track_particles, rng))
 
     kept, recycled = split_by_retention(updated, thresholds.gamma_leg, k)
-    unclaimed = residual[~transferred[residual]]
-    phd = update_phd(recycled, new_beta[unclaimed], new_table[unclaimed], predicted_phd,
-                     phd_pd, settings.phd_particles, rng)
+    unclaimed = np.zeros(len(frame), dtype=bool)
+    unclaimed[residual[~transferred[residual]]] = True
+    phd = update_phd(recycled, new_beta[unclaimed], _rows_of(new_cells, unclaimed),
+                     predicted_phd, phd_pd, settings.phd_particles, rng)
     kept.sort(key=lambda t: t.label)
     return FilterState(tuple(kept), phd, k)

@@ -1,5 +1,5 @@
-"""Shared test utilities: controlled sensor doubles, random cluster generation and
-the dense likelihood reference."""
+"""Shared test utilities: controlled sensor doubles, random cluster generation,
+the dense likelihood reference and the dense intensity-update references."""
 
 import numpy as np
 
@@ -28,6 +28,10 @@ class StubSensor:
         if self.lik is None:
             raise AssertionError("stub has no likelihood table")
         return self.lik[: len(frame)]
+
+    def likelihood_cells(self, frame, states):
+        """The nonzero entries of the stub's likelihood table, as cells."""
+        return cells_of(self.likelihood_table(frame, states))
 
     def likelihood_rows(self, frame, states):
         """Every (set, measurement) pair of the L sets in `states`, each set
@@ -84,3 +88,35 @@ def dense_likelihood_table(sensor, frame, states):
     np.exp(quad, out=quad)
     quad *= 1.0 / (2.0 * np.pi * sensor.sigma_range * sensor.sigma_bearing)
     return quad
+
+
+def cells_of(table, every=False):
+    """An (M, N) table as fresh (row, col, value) cells in row-major order:
+    its nonzero entries, or `every` entry."""
+    table = np.asarray(table, dtype=float)
+    row, col = np.nonzero(np.ones(table.shape, dtype=bool) if every else table)
+    return row, col, table[row, col]
+
+
+def table_of(cells, shape):
+    """The dense (M, N) table of `cells`; every cell left out is 0.0."""
+    row, col, value = cells
+    table = np.zeros(shape)
+    table[row, col] = value
+    return table
+
+
+def dense_new_components(phd, pd, lik, intensity):
+    """Reference for `new_components` from a dense (M, N) likelihood table
+    `lik` and each measurement's clutter intensity: beta, mass and the dense
+    table of w pD f. A transferred component's pdf weights are table[m] / d."""
+    table = (phd.particles.weights * pd) * lik
+    mass = table.sum(axis=1)
+    return intensity + mass, mass, table
+
+
+def dense_phd_weights(phd, pd, beta, table):
+    """Reference for the weights `update_phd` gives the predicted intensity
+    particles before resampling, from the dense rows of the K unclaimed
+    measurements: (1 - pD) w + sum_k table[k] / beta[k]."""
+    return phd.particles.weights * (1.0 - pd) + np.einsum("k,kn->n", 1.0 / beta, table)

@@ -50,7 +50,7 @@ from lmbp.update import (
     update_transferred_track,
 )
 
-from helpers import StubSensor, max_label_tv, random_cluster
+from helpers import StubSensor, cells_of, max_label_tv, random_cluster
 from test_association import cc_oracle
 from test_update import ConstantPdSensor
 
@@ -176,7 +176,7 @@ def test_criterion_2_conservation():
         k = int(rng.integers(0, 4))
         table = phd.particles.weights * pd * rng.random((k, len(phd.particles)))
         beta = table.sum(axis=1) + rng.random(k)
-        out = update_phd(recycled, beta, table, phd, pd, 256, rng)
+        out = update_phd(recycled, beta, cells_of(table), phd, pd, 256, rng)
         expected = (sum(t.existence for t in recycled) + float(np.sum(table.sum(axis=1) / beta))
                     + float(np.sum(phd.particles.weights * (1.0 - pd))))
         worst_upd = max(worst_upd, abs(out.mean - expected))
@@ -439,7 +439,7 @@ def test_criterion_8_threshold_semantics():
     gamma = 1e-2
     # one new component of existence gamma: beta 1, mass gamma over 4 particles
     table = np.full((1, 4), gamma / 4)
-    transfers, remaining = select_transfers(np.ones(1), table.sum(axis=1), table,
+    transfers, remaining = select_transfers(np.ones(1), table.sum(axis=1), cells_of(table),
                                             np.zeros((4, 4)), gamma, time=3)
     tr_inclusive = Label(3, 1) in transfers and remaining == ()
 

@@ -18,7 +18,7 @@ from lmbp.association import (
 from lmbp.models import ClutterModel, SensorModel
 from lmbp.rfs import BernoulliTrack, Label, Measurement, ParticleSet, PoissonPhd
 
-from helpers import StubSensor, dense_likelihood_table, max_label_tv, random_cluster
+from helpers import StubSensor, dense_likelihood_table, max_label_tv, random_cluster, table_of
 
 Z = Measurement(100.0, 0.0)
 
@@ -257,10 +257,10 @@ class TestNewComponent:
         return PoissonPhd(ParticleSet(states, np.full(n, mass / n)))
 
     def test_pure_clutter(self):
-        beta, mass, table = new_components(PoissonPhd.empty(), np.empty(0), [Z],
+        beta, mass, cells = new_components(PoissonPhd.empty(), np.empty(0), [Z],
                                            StubSensor([], [[]]), self.clutter(0.053))
         assert beta[0] == pytest.approx(0.053)
-        assert mass[0] == 0.0 and table.shape == (1, 0)  # existence 0: no intensity mass
+        assert mass[0] == 0.0 and all(len(a) == 0 for a in cells)  # no intensity mass
 
     def test_clutter_free(self):
         phd = self.phd_of_mass(0.02)
@@ -277,12 +277,14 @@ class TestNewComponent:
         assert mass[0] / beta[0] == pytest.approx(0.5)
 
     def test_table_holds_weighted_likelihoods(self):
-        # table[m-1, i] = w_i pD(x_i) f(z_m|x_i); mass(m) is its row sum, and
-        # beta(m) adds the clutter intensity to it
+        # cell (m-1, i) holds w_i pD(x_i) f(z_m|x_i); mass(m) is its row sum,
+        # and beta(m) adds the clutter intensity to it
         phd = PoissonPhd(ParticleSet(np.zeros((3, 4)), [0.1, 0.2, 0.3]))
         pd = np.array([0.5, 1.0, 0.0])
         sensor = StubSensor(pd, [[0.2, 0.4, 0.6], [0.0, 0.1, 0.0]])
-        beta, mass, table = new_components(phd, pd, [Z, Z], sensor, self.clutter(0.053))
+        beta, mass, cells = new_components(phd, pd, [Z, Z], sensor, self.clutter(0.053))
+        assert cells[0].tolist() == [0, 0, 0, 1] and cells[1].tolist() == [0, 1, 2, 1]
+        table = table_of(cells, (2, 3))
         np.testing.assert_allclose(table, [[0.01, 0.08, 0.0], [0.0, 0.02, 0.0]],
                                    atol=1e-15)
         assert np.array_equal(mass, table.sum(axis=1))

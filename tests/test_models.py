@@ -14,7 +14,7 @@ from lmbp.rfs import Measurement, write_snapshot
 from lmbp.simulate import generate_frames, generate_truth
 from lmbp.update import lmbp_step
 
-from helpers import dense_likelihood_table
+from helpers import cells_of, dense_likelihood_table, table_of
 
 
 def make_sensor(**kw):
@@ -158,16 +158,25 @@ def random_case(rng):
 
 
 def assert_table_exact(sensor, frame, states):
-    table = sensor.likelihood_table(frame, states)
-    assert np.array_equal(table, dense_likelihood_table(sensor, frame, states), equal_nan=True)
+    """The likelihood cells and their `likelihood_table` view are both
+    bit-identical to the dense reference; the cells are in ascending row
+    order, inside the table and each (row, col) once."""
+    dense = dense_likelihood_table(sensor, frame, states)
+    row, col, value = sensor.likelihood_cells(frame, states)
+    assert np.all(np.diff(row) >= 0)
+    assert np.all((row >= 0) & (row < dense.shape[0]) & (col >= 0) & (col < dense.shape[1]))
+    flat = row * dense.shape[1] + col
+    assert np.unique(flat).size == flat.size
+    for table in (table_of((row, col, value), dense.shape), sensor.likelihood_table(frame, states)):
+        assert np.array_equal(table, dense, equal_nan=True)
 
 
 @dataclasses.dataclass(frozen=True)
 class DenseSensor(SensorModel):
-    """Range-bearing sensor whose likelihood table and rows evaluate every entry."""
+    """Range-bearing sensor whose likelihood cells and rows evaluate every entry."""
 
-    def likelihood_table(self, frame, states):
-        return dense_likelihood_table(self, frame, states)
+    def likelihood_cells(self, frame, states):
+        return cells_of(dense_likelihood_table(self, frame, states), every=True)
 
     def likelihood_rows(self, frame, states):
         """Every (set, measurement) pair, each row from the dense reference."""
@@ -192,8 +201,9 @@ def window_calls(monkeypatch):
 
 
 class TestGatedLikelihoodTable:
-    """`likelihood_table` is bit-identical to the dense reference; edge cases
-    run with a frame below and one above the size that sorts by bearing."""
+    """`likelihood_cells` and its `likelihood_table` view are bit-identical
+    to the dense reference; edge cases run with a frame below and one above
+    the size that sorts by bearing."""
 
     SMALL, LARGE = 3, 40
 
@@ -334,7 +344,7 @@ class TestGatedLikelihoodTable:
         assert_table_exact(sensor, random_frame(rng, self.SMALL), states)
         assert window_calls == []
         assert_table_exact(sensor, random_frame(rng, self.LARGE), states)
-        assert window_calls == [self.LARGE]
+        assert window_calls == [self.LARGE] * 2  # the cells, then the table view
 
 
 def assert_rows_exact(sensor, frame, states):

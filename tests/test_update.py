@@ -4,7 +4,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from lmbp.association import Hypothesis, TrackEvidence
+import lmbp.update
+from lmbp.association import Hypothesis, TrackEvidence, new_components
+from lmbp.cli import initial_state
+from lmbp.config import build_run_config
 from lmbp.models import BirthModel, ClutterModel, Models, MotionModel, SensorModel
 from lmbp.rfs import (
     BernoulliTrack,
@@ -15,9 +18,11 @@ from lmbp.rfs import (
     PoissonPhd,
     write_snapshot,
 )
+from lmbp.simulate import generate_frames, generate_truth
 from lmbp.update import (
     FilterSettings,
     Thresholds,
+    _rows_of,
     lmbp_step,
     select_transfers,
     split_by_retention,
@@ -25,6 +30,8 @@ from lmbp.update import (
     update_phd,
     update_transferred_track,
 )
+
+from helpers import StubSensor, cells_of, dense_new_components, dense_phd_weights
 
 
 def pdf_at(x1, n=1, weight=None):
@@ -44,7 +51,7 @@ def new_component_rows(*existences, n=2):
     states = np.zeros((n, 4))
     states[:, 0] = np.arange(n)
     table = np.outer(existences, np.full(n, 1.0 / n)).reshape(len(existences), n)
-    return np.ones(len(existences)), table.sum(axis=1), table, states
+    return np.ones(len(existences)), table.sum(axis=1), cells_of(table), states
 
 
 # One shared support for the legacy-track update: the miss pdf sits on the
@@ -215,8 +222,8 @@ class TestSplitByRetention:
 
 
 def no_rows(n):
-    """`new_components` rows of no unclaimed measurement over n particles."""
-    return np.empty(0), np.empty((0, n))
+    """`new_components` output of no unclaimed measurement over n particles."""
+    return np.empty(0), cells_of(np.empty((0, n)))
 
 
 class TestUpdatePhd:
@@ -236,7 +243,7 @@ class TestUpdatePhd:
         # recycled r 0.3 + unclaimed d / beta = 0.4 / 2 + undetected 0.2 * (1 - 0.5)
         recycled = [BernoulliTrack(Label(1, 1), 0.3, pdf_at(1.0))]
         phd = PoissonPhd(pdf_at(3.0, n=10, weight=0.2))
-        out = update_phd(recycled, np.array([2.0]), np.full((1, 10), 0.04), phd,
+        out = update_phd(recycled, np.array([2.0]), cells_of(np.full((1, 10), 0.04)), phd,
                          np.full(10, 0.5), 500, np.random.default_rng(0))
         assert out.mean == pytest.approx(0.3 + 0.2 + 0.1, abs=1e-9)
         assert len(out.particles) == 500
@@ -259,14 +266,75 @@ class TestUpdatePhd:
         track_states = np.zeros((2, 4))
         track_states[:, 0] = [50.0, 60.0]
         recycled = [BernoulliTrack(Label(1, 1), 0.25, ParticleSet(track_states, [0.4, 0.6]))]
-        out = update_phd(recycled, beta, table, PoissonPhd(ParticleSet(phd_states, w)),
-                         pd, 1000, np.random.default_rng(seed))
+        out = update_phd(recycled, beta, cells_of(table),
+                         PoissonPhd(ParticleSet(phd_states, w)), pd, 1000,
+                         np.random.default_rng(seed))
         weights = np.concatenate([w * (1 - pd) + table[0] / 0.5 + table[1] / 2.0,
                                   [0.1, 0.15]])
         np.testing.assert_allclose(weights, [0.18, 0.22, 0.32, 0.13, 0.1, 0.15])
         assert out.mean == pytest.approx(weights.sum(), abs=1e-12)
         assert_systematic_counts(out.particles, np.concatenate([phd_states, track_states]),
                                  weights, 1000)
+
+
+class ShuffledStub(StubSensor):
+    """Stub whose cells come in a random order within each row, as the
+    sensor's bearing windows give them."""
+
+    def __init__(self, pd, lik, rng):
+        super().__init__(pd, lik)
+        self.rng = rng
+
+    def likelihood_cells(self, frame, states):
+        row, col, value = super().likelihood_cells(frame, states)
+        order = np.lexsort((self.rng.random(len(row)), row))
+        return row[order], col[order], value[order]
+
+
+class TestSparseIntensityArithmetic:
+    """`new_components`, `select_transfers` and `update_phd` over cells are
+    bit-identical to the dense (M, N) formulas in `helpers`, on random sparse
+    likelihoods with rows that have no cells and with no particles at all."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_dense_formulas(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        n = int(rng.choice([0, 1, 7, 300, 3000]))
+        m = int(rng.integers(0, 40))
+        # entries of like magnitude: the order of every sum shows in the last bit
+        lik = rng.random((m, n)) * (rng.random((m, n)) < rng.random())
+        lik[rng.random(m) < 0.3] = 0.0
+        states = rng.normal(0.0, 50.0, (n, 4))
+        # intensity masses around the clutter intensity: some rows transfer, some stay
+        phd = PoissonPhd(ParticleSet(states, rng.random(n) * 10.0 ** rng.uniform(-3, 0) / n))
+        pd = rng.random(n)
+        frame = [Measurement(float(rng.uniform(0.0, 300.0)), 0.0) for _ in range(m)]
+        clutter = ClutterModel(mean_count=20.0)
+        beta, mass, cells = new_components(phd, pd, frame, ShuffledStub(pd, lik, rng),
+                                           clutter)
+        ref_beta, ref_mass, table = dense_new_components(
+            phd, pd, lik, np.array([clutter.intensity(z) for z in frame]))
+        assert np.array_equal(beta, ref_beta) and np.array_equal(mass, ref_mass)
+
+        transfers, remaining = select_transfers(beta, mass, cells, states, 0.1, time=3)
+        for label, component in transfers.items():
+            row = label.index - 1
+            assert np.array_equal(component.pdf.weights, table[row] / mass[row])
+
+        weights = []
+        real = lmbp.update.resample
+
+        def spy(pset, count, gen):
+            weights.append(pset.weights[:n])  # the predicted particles come first
+            return real(pset, count, gen)
+
+        monkeypatch.setattr(lmbp.update, "resample", spy)
+        unclaimed = np.zeros(m, dtype=bool)
+        unclaimed[[j - 1 for j in remaining]] = rng.random(len(remaining)) < 0.8
+        recycled = [BernoulliTrack(Label(1, 1), 0.5, pdf_at(0.0))]
+        update_phd(recycled, beta[unclaimed], _rows_of(cells, unclaimed), phd, pd, 64, rng)
+        assert np.array_equal(
+            weights[0], dense_phd_weights(phd, pd, beta[unclaimed], table[unclaimed]))
 
 
 def micro_models(pd_const=0.5, p_survival=1.0, mean_births=0.0, mean_clutter=2.0,
@@ -393,18 +461,53 @@ class TestLmbpStep:
 
     def test_out_of_disk_measurement_is_dropped(self):
         # no clutter and no intensity beyond the sensor disk (beta = 0): the
-        # step runs as if the measurement were not in the frame
+        # step runs as if the measurement were not in the frame, with an
+        # empty intensity and with one populated near the later measurements,
+        # whose cells move up a row: one is transferred and one unclaimed
         models = Models(MotionModel(), SensorModel(), ClutterModel(), BirthModel())
-        state = FilterState((), PoissonPhd.empty(), 0)
+        frame = [Measurement(100.0, 0.0), Measurement(150.0, 0.5), Measurement(200.0, -1.0)]
+        rng = np.random.default_rng(1)
+        states, weights = [], []
+        for z, mass in zip(frame[1:], (0.5, 1e-5)):
+            centre = models.sensor.position + z.range * np.array([np.cos(z.bearing),
+                                                                  np.sin(z.bearing)])
+            states.append(np.hstack([centre + rng.normal(0.0, 1.0, (200, 2)),
+                                     np.zeros((200, 2))]))
+            weights.append(np.full(200, mass / 200))
+        populated = PoissonPhd(ParticleSet(np.concatenate(states), np.concatenate(weights)))
 
-        def snapshot(frame):
+        def snapshot(phd, frame):
             out = io.StringIO()
-            write_snapshot(lmbp_step(state, frame, models, Thresholds(),
+            write_snapshot(lmbp_step(FilterState((), phd, 0), frame, models, Thresholds(),
                                      np.random.default_rng(7)), out)
             return out.getvalue()
 
-        assert (snapshot([Measurement(100.0, 0.0), Measurement(400.0, 0.0)])
-                == snapshot([Measurement(100.0, 0.0)]))
+        for phd in (PoissonPhd.empty(), populated):
+            expected = snapshot(phd, frame)
+            assert snapshot(phd, frame[:1] + [Measurement(400.0, 0.0)] + frame[1:]) == expected
+        assert "track,1,2," in expected and "track,1,3," not in expected
+
+    def test_step_builds_no_dense_likelihood_table(self, monkeypatch):
+        # the intensity evidence stays in cells: a few steps of a small
+        # simulated scenario never ask for the dense (M, N) table
+        def dense(*args):
+            raise AssertionError("lmbp_step built a dense likelihood table")
+
+        monkeypatch.setattr(SensorModel, "likelihood_table", dense)
+        config = build_run_config({"scenario.object_count": "2", "scenario.appear_min": "1",
+                                   "scenario.appear_max": "2", "scenario.total_steps": "4",
+                                   "clutter.mean_count": "5", "birth.particles": "256",
+                                   "filter.track_particles": "128",
+                                   "filter.phd_particles": "256", "run.seed": "99"})
+        rng = np.random.default_rng(99)
+        truth = generate_truth(config.scenario, rng)
+        frames = generate_frames(truth, config.scenario.sensor, config.scenario.clutter, rng)
+        state, prev = initial_state(config, rng), ()
+        for frame in frames:
+            state = lmbp_step(state, frame, config.models, config.thresholds, rng,
+                              prev_frame=prev, settings=config.settings)
+            prev = frame
+        assert state.time == 4 and state.tracks
 
     def test_first_step_creates_tracks_only_via_transfers(self):
         rng = np.random.default_rng(3)
