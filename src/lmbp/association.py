@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .models import ClutterModel, SensorModel
-from .rfs import STATE_DIM, BernoulliTrack, Measurement, ParticleSet, PoissonPhd
+from .models import EXP_FLOOR, ClutterModel, SensorModel
+from .rfs import BernoulliTrack, Measurement, ParticleSet, PoissonPhd
 
 _TINY = 1e-300  # denominator floor; keeps degenerate messages finite
 
@@ -53,9 +53,11 @@ class TrackEvidence:
     Per track: c = sum_n w_n (1 - pD(x_n)) and miss_beta = 1 - r + r c; per
     measurement m: b = sum_n w_n pD(x_n) f(z_m|x_n) and betas[i, m-1] = r b.
     `miss_weights[i]` holds w (1 - pD) over tracks[i]'s particles, and
-    `rows[(i, m)]` holds (w pD f(z_m|.), b) for every pair the likelihood
-    gate kept; a pair left out has b = 0. No pdf is built until `miss` or
-    `detection` asks for one.
+    `rows[(i, m)]` holds (w pD f(z_m|.), b) for every evaluated pair; a pair
+    the likelihood gate left out has b = 0. A `deferred` pair cannot reach
+    the plausibility threshold: it keeps betas = 0 until `complete`
+    evaluates it from `sources[i]`, tracks[i]'s particle ranges, bearings
+    and w pD. No pdf is built until `miss` or `detection` asks for one.
     """
 
     tracks: tuple[BernoulliTrack, ...]
@@ -64,6 +66,10 @@ class TrackEvidence:
     miss_mass: np.ndarray                          # (L,) c
     miss_weights: tuple[np.ndarray, ...]
     rows: dict[tuple[int, int], tuple[np.ndarray, float]]
+    deferred: np.ndarray                           # (L, M) bool
+    sources: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    frame: Sequence[Measurement]
+    sensor: SensorModel
 
     def miss(self, i: int) -> Hypothesis:
         """Miss hypothesis of tracks[i]: existence r c / beta, pdf w (1 - pD) / c.
@@ -84,7 +90,10 @@ class TrackEvidence:
     def detection(self, i: int, m: int) -> Hypothesis:
         """Detection hypothesis of tracks[i] with measurement m: beta = r b,
         existence 1, pdf w pD f(z_m|.) / b over the track's own particles.
-        b = 0 yields beta = 0 with an empty pdf (pruned later by gating)."""
+        b = 0 yields beta = 0 with an empty pdf (pruned later by gating); a
+        deferred pair that `complete` never evaluated raises ValueError."""
+        if self.deferred[i, m - 1]:
+            raise ValueError(f"detection ({i}, {m}) was deferred and never evaluated")
         row = self.rows.get((i, m))
         if row is None or row[1] <= 0.0:
             return _NO_DETECTION
@@ -92,61 +101,94 @@ class TrackEvidence:
         return Hypothesis(float(self.betas[i, m - 1]), 1.0,
                           ParticleSet(self.tracks[i].pdf.states, weights / b))
 
+    def complete(self, rows: np.ndarray, cols: np.ndarray) -> None:
+        """Evaluate, in place, every deferred pair among the tracks `rows` and
+        measurements `cols` (0-based; a cluster of `partition`), with the
+        same bits `track_evidence` gives the pairs it evaluates at once."""
+        at, j = np.nonzero(self.deferred[np.ix_(rows, cols)])
+        for i, m in zip(rows[at].tolist(), cols[j].tolist()):
+            self._evaluate([i], np.array([m]))
+
+    def _evaluate(self, owners: list[int], meas: np.ndarray) -> None:
+        """Evaluate the pairs (owners[k], meas[k]) of tracks with one particle
+        count as one (K, N) block, scaled by w pD in place, summed by row."""
+        rho, theta, detect = (np.stack(part) for part in zip(*(self.sources[i] for i in owners)))
+        block = self.sensor.likelihood_rows(self.frame, meas, rho, theta)
+        block *= detect
+        b = block.sum(axis=1)
+        self.betas[owners, meas] = np.array([self.tracks[i].existence for i in owners]) * b
+        self.deferred[owners, meas] = False
+        for i, m, row, row_b in zip(owners, (meas + 1).tolist(), block, b):
+            self.rows[(i, m)] = (row, row_b)
+
 
 def track_evidence(tracks: Sequence[BernoulliTrack], frame: Sequence[Measurement],
-                   sensor: SensorModel) -> TrackEvidence:
+                   sensor: SensorModel, gamma_c: float) -> TrackEvidence:
     """Evidence of every predicted track against every measurement, in one pass.
 
     Tracks with the same particle count are stacked into one (L, N, 4)
-    block: pD is evaluated once over it, and the sensor evaluates only the
-    (track, measurement) likelihood rows its gate keeps, as one (K, N)
-    block that is scaled by w pD in place and summed row by row.
+    block, whose ranges, bearings and pD are computed once. Of the pairs the
+    sensor's row gate keeps, one whose weight bound r sum(w pD) norm
+    exp(bound) lies below gamma_c / 2 has a weight below gamma_c, so it is
+    deferred to `TrackEvidence.complete` and `partition` still sees the same
+    plausible pairs; the rest are evaluated now. gamma_c = 0 defers nothing.
     """
     count = len(tracks)
     r = np.array([t.existence for t in tracks], dtype=float)
     miss_mass = np.zeros(count)
-    betas = np.zeros((count, len(frame)))
+    deferred = np.zeros((count, len(frame)), dtype=bool)
     miss_weights: list[np.ndarray] = [np.empty(0)] * count
-    rows: dict[tuple[int, int], tuple[np.ndarray, float]] = {}
+    sources: list = [None] * count
+    now: list[tuple[list[int], np.ndarray]] = []
     by_size: dict[int, list[int]] = {}
     for i, track in enumerate(tracks):
         by_size.setdefault(len(track.pdf), []).append(i)
-    for n, members in by_size.items():
+    for members in by_size.values():
         idx = np.array(members)
         states = np.stack([tracks[i].pdf.states for i in members])
         weights = np.stack([tracks[i].pdf.weights for i in members])
-        pd = sensor.detection_prob(states.reshape(-1, STATE_DIM)).reshape(len(members), n)
+        rho, theta = sensor.range_bearing(states)
+        pd = sensor.detection_prob_at(rho)
         miss = weights * (1.0 - pd)
+        detect = weights * pd
         miss_mass[idx] = miss.sum(axis=1)
-        for i, row in zip(members, miss):
-            miss_weights[i] = row
-        sets, meas, block = sensor.likelihood_rows(frame, states)
-        block *= (weights * pd)[sets]
-        b = block.sum(axis=1)
-        owners = idx[sets]
-        betas[owners, meas] = r[owners] * b
-        for i, m, row, row_b in zip(owners.tolist(), (meas + 1).tolist(), block, b):
-            rows[(i, m)] = (row, row_b)
-    return TrackEvidence(tuple(tracks), 1.0 - r + r * miss_mass, betas, miss_mass,
-                         tuple(miss_weights), rows)
+        for k, i in enumerate(members):
+            miss_weights[i], sources[i] = miss[k], (rho[k], theta[k], detect[k])
+        bound, norm = sensor.row_bounds(frame, rho, theta)
+        # exp, the products and the N-term sum can exceed this weight bound
+        # by a few ulps only; halving gamma_c is the fixed margin for that.
+        # A non-finite bound compares False and is evaluated now.
+        ceiling = (r[idx] * detect.sum(axis=1))[:, None] * norm * np.exp(bound)
+        kept = bound >= EXP_FLOOR
+        deferred[idx] = kept & (ceiling < 0.5 * gamma_c)
+        sets, meas = np.nonzero(kept & ~deferred[idx])
+        now.append((idx[sets].tolist(), meas))
+    evidence = TrackEvidence(tuple(tracks), 1.0 - r + r * miss_mass,
+                             np.zeros((count, len(frame))), miss_mass, tuple(miss_weights),
+                             {}, deferred, tuple(sources), frame, sensor)
+    for owners, meas in now:
+        if owners:
+            evidence._evaluate(owners, meas)
+    return evidence
 
 
 def detection_hypotheses(track: BernoulliTrack, frame: Sequence[Measurement],
                          sensor: SensorModel) -> list[Hypothesis]:
     """Detection hypotheses of one predicted track against every measurement:
-    `track_evidence` over [track], with every pdf built."""
-    evidence = track_evidence([track], frame, sensor)
+    `track_evidence` over [track] with gamma_c = 0, so every pdf is built."""
+    evidence = track_evidence([track], frame, sensor, 0.0)
     return [evidence.detection(0, m) for m in range(1, len(frame) + 1)]
 
 
 def miss_hypothesis(track: BernoulliTrack, sensor: SensorModel) -> Hypothesis:
     """Miss hypothesis of one predicted track: `track_evidence` over [track]."""
-    return track_evidence([track], (), sensor).miss(0)
+    return track_evidence([track], (), sensor, 0.0).miss(0)
 
 
 def new_components(phd: PoissonPhd, pd: np.ndarray, frame: Sequence[Measurement],
-                   sensor: SensorModel,
-                   clutter: ClutterModel) -> tuple[np.ndarray, np.ndarray, Cells]:
+                   sensor: SensorModel, clutter: ClutterModel,
+                   polar: tuple[np.ndarray, np.ndarray] | None = None
+                   ) -> tuple[np.ndarray, np.ndarray, Cells]:
     """Unlabeled-or-clutter evidence of every measurement, as weights over the
     intensity particles.
 
@@ -158,8 +200,11 @@ def new_components(phd: PoissonPhd, pd: np.ndarray, frame: Sequence[Measurement]
     existence d / beta, and pdf row / d over the intensity particles; no
     particle set is built here. beta is 0 for a measurement that neither
     clutter nor the intensity can explain, such as one beyond the sensor disk.
+    `polar` is `sensor.range_bearing` of the intensity particles, if the
+    caller has it already.
     """
-    row, col, value = sensor.likelihood_cells(frame, phd.particles.states)
+    rho, theta = sensor.range_bearing(phd.particles.states) if polar is None else polar
+    row, col, value = sensor.likelihood_cells(frame, rho, theta)
     value *= (phd.particles.weights * pd)[col]
     mass = np.zeros(len(frame))
     # numpy sums a dense row pairwise, which no sum over the cells alone

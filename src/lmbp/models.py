@@ -121,8 +121,10 @@ class SensorModel:
         return np.hypot(dx, dy), np.arctan2(dy, dx)
 
     def detection_prob(self, states: np.ndarray) -> np.ndarray:
-        states = np.asarray(states, dtype=float)
-        rho = np.hypot(states[..., 0] - self.position[0], states[..., 1] - self.position[1])
+        return self.detection_prob_at(self.range_bearing(states)[0])
+
+    def detection_prob_at(self, rho: np.ndarray) -> np.ndarray:
+        """Detection probability at the ranges `rho` of `range_bearing`."""
         return self.pd_max * np.exp(-(rho ** 2) / self.pd_scale ** 2)
 
     def likelihood(self, z: Measurement, states: np.ndarray) -> np.ndarray:
@@ -133,12 +135,13 @@ class SensorModel:
         norm = 1.0 / (2.0 * np.pi * self.sigma_range * self.sigma_bearing)
         return norm * np.exp(-0.5 * (dr ** 2 + db ** 2))
 
-    def likelihood_cells(self, frame: Sequence[Measurement],
-                         states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """f(z_m | x_n) of a whole frame against N states, as the cells of the
-        (M, N) table that can be nonzero: `(row, col, value)` arrays, in
-        ascending row order with each (row, col) once. Every cell left out is
-        exactly 0.0; the arrays are fresh, and the caller may scale `value`.
+    def likelihood_cells(self, frame: Sequence[Measurement], rho: np.ndarray,
+                         theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """f(z_m | x_n) of a whole frame against N states, given as their
+        `range_bearing` (N,) `rho` and `theta`, as the cells of the (M, N)
+        table that can be nonzero: `(row, col, value)` arrays, in ascending
+        row order with each (row, col) once. Every cell left out is exactly
+        0.0; the arrays are fresh, and the caller may scale `value`.
 
         Bit-identical to evaluating every entry, but only entries that can be
         nonzero are evaluated: float64 exp underflows to exactly 0.0 below
@@ -151,14 +154,13 @@ class SensorModel:
         goes through `_exponent`; with a non-finite state, measurement or
         normalizer every cell is evaluated and kept, so nan and inf propagate.
         """
-        rho, theta = self.range_bearing(np.asarray(states, dtype=float).reshape(-1, STATE_DIM))
         zr, zb, norm = self._frame_terms(frame)
         n = rho.size
         # bearing half-width beyond which every exponent is below the floor
         half = np.sqrt(-2.0 * EXP_FLOOR) * self.sigma_bearing + _BEARING_SLACK
-        keep, finite = self._reachable_rows(zr, zb, rho.reshape(1, n), theta.reshape(1, n))
-        gated = bool(finite[0] and np.isfinite(norm))
-        rows = np.flatnonzero(keep[0]) if gated else np.arange(len(frame))
+        bound = self._exponent_bounds(zr, zb, rho.reshape(1, n), theta.reshape(1, n))[0]
+        gated = bool(np.isfinite(norm) and (bound < np.inf).all())
+        rows = np.flatnonzero(bound >= EXP_FLOOR) if gated else np.arange(len(frame))
         # sort only when the cells the windows skip outnumber the sort's comparisons
         if gated and len(rows) * (np.pi - half) > np.pi * np.log2(max(n, 2)):
             row, col, quad = self._windowed_exponents(zr[rows], zb[rows], rows, rho, theta, half)
@@ -174,33 +176,39 @@ class SensorModel:
     # perfbench's tracer wraps this name and counts its table
     def likelihood_table(self, frame: Sequence[Measurement], states: np.ndarray) -> np.ndarray:
         """(M, N) table of f(z_m | x_n): `likelihood_cells` scattered into zeros."""
-        row, col, value = self.likelihood_cells(frame, states)
-        table = np.zeros((len(frame), np.size(states) // STATE_DIM))
+        states = np.asarray(states, dtype=float).reshape(-1, STATE_DIM)
+        row, col, value = self.likelihood_cells(frame, *self.range_bearing(states))
+        table = np.zeros((len(frame), len(states)))
         table[row, col] = value
         return table
 
-    def likelihood_rows(self, frame: Sequence[Measurement],
-                        states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Likelihood rows of L state sets of N states each, `states` (L, N, 4),
-        against a frame, evaluated only where the row gate keeps them.
-
-        Returns the set indices and the measurement indices (0-based) of the
-        K kept (set, measurement) pairs, and their (K, N) rows of f(z_m | x);
-        every pair left out has an all-zero row. Each entry is bit-identical
-        to the same entry of `likelihood_table(frame, states[l])`: it goes
-        through `_exponent` and `exp` with the same operations. The rows are a
-        fresh array, which the caller may scale in place.
-        """
-        states = np.asarray(states, dtype=float)
-        rho, theta = self.range_bearing(states)
+    def row_bounds(self, frame: Sequence[Measurement], rho: np.ndarray,
+                   theta: np.ndarray) -> tuple[np.ndarray, float]:
+        """Row gate of L state sets, given as their `range_bearing` (L, N)
+        `rho` and `theta`, against a frame: an (L, M) upper bound on each
+        pair's exponent, and the normalizer, so f(z_m | x) <= norm exp(bound)
+        over the set. A pair bounded below `EXP_FLOOR` has an all-zero row.
+        The bound is +inf for a set with a non-finite state, and everywhere
+        when a measurement or the normalizer is not finite."""
         zr, zb, norm = self._frame_terms(frame)
-        keep, _ = self._reachable_rows(zr, zb, rho, theta)
+        bound = self._exponent_bounds(zr, zb, rho, theta)
         # with a non-finite normalizer an underflowed entry is nan, not 0.0
-        sets, meas = np.nonzero(keep | (not np.isfinite(norm)))
-        rows = self._exponent(zr[meas, None], zb[meas, None], rho[sets], theta[sets])
+        return (bound if np.isfinite(norm) else np.full_like(bound, np.inf)), norm
+
+    def likelihood_rows(self, frame: Sequence[Measurement], meas: np.ndarray,
+                        rho: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """(K, N) likelihood rows of K pairs: f(z | x) of `frame[meas[k]]`
+        against the N states whose `range_bearing` is `rho[k]`, `theta[k]`.
+
+        Each entry is bit-identical to the same entry of `likelihood_table`:
+        it goes through `_exponent` and `exp` with the same operations. The
+        rows are a fresh array, which the caller may scale in place.
+        """
+        zr, zb, norm = self._frame_terms([frame[m] for m in meas])
+        rows = self._exponent(zr[:, None], zb[:, None], rho, theta)
         np.exp(rows, out=rows)
         rows *= norm
-        return sets, meas, rows
+        return rows
 
     def _frame_terms(self, frame: Sequence[Measurement]) -> tuple[np.ndarray, np.ndarray, float]:
         """Ranges and wrapped bearings of a frame, and the likelihood's normalizer."""
@@ -221,22 +229,17 @@ class SensorModel:
         dr *= -0.5
         return dr
 
-    def _reachable_rows(self, zr, zb, rho, theta) -> tuple[np.ndarray, np.ndarray]:
-        """Row gate of L state sets, `rho` and `theta` (L, N), against M
-        measurements.
-
-        Returns an (L, M) mask of the pairs whose exponent bound over the
-        set's states clears `EXP_FLOOR`, and an (L,) mask of the sets whose
-        bounds are finite. A set with a non-finite state, and every set when
-        a measurement is not finite, keeps every pair (then every entry is
-        evaluated). Each set's bearings are bounded as offsets from its first
-        state's bearing, so an arc across the +-pi seam stays one interval.
-        """
+    def _exponent_bounds(self, zr, zb, rho, theta) -> np.ndarray:
+        """(L, M) exponent upper bounds of L state sets, `rho` and `theta`
+        (L, N), against M measurements: -inf for an empty set, +inf where a
+        state or measurement is not finite. Each set's bearings are bounded
+        as offsets from its first state's bearing, so an arc across the +-pi
+        seam stays one interval."""
         count, n = rho.shape
         if n == 0:
-            return np.zeros((count, zr.size), dtype=bool), np.ones(count, dtype=bool)
+            return np.full((count, zr.size), -np.inf)
         if not np.isfinite(zr + zb).all():
-            return np.ones((count, zr.size), dtype=bool), np.zeros(count, dtype=bool)
+            return np.full((count, zr.size), np.inf)
         ref = theta[:, :1]
         offset = _wrap_residual(theta - ref)
         lo, hi = offset.min(axis=1, keepdims=True), offset.max(axis=1, keepdims=True)
@@ -247,7 +250,7 @@ class SensorModel:
         gap = np.abs(centred) - 0.5 * (hi - lo) - _BEARING_SLACK
         db = np.maximum(gap, 0.0) / self.sigma_bearing
         dr = np.maximum(np.maximum(rho_lo - zr, zr - rho_hi), 0.0) / self.sigma_range
-        return (-0.5 * (dr * dr + db * db) >= EXP_FLOOR) | ~finite[:, None], finite
+        return np.where(finite[:, None], -0.5 * (dr * dr + db * db), np.inf)
 
     def _windowed_exponents(self, zr, zb, rows, rho, theta, half):
         """Exponents of the cells that can clear `EXP_FLOOR`: those inside

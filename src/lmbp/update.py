@@ -163,9 +163,11 @@ def update_phd(recycled: Sequence[BernoulliTrack], beta: np.ndarray, cells: Cell
     components + recycled tracks, reduced to the intensity budget.
 
     `beta` (K,) and `cells` (rows 0..K-1) are the `new_components` output of
-    the K unclaimed measurements, and `pd` is the detection probability of
-    each predicted intensity particle. The predicted particles are reweighted
-    by (1 - pD) w + sum_k row_k / beta[k] (the SMC-PHD update), the recycled
+    K measurements, where beta = inf marks a measurement whose component
+    does not return to the intensity, and `pd` is the detection
+    probability of each predicted intensity particle. The predicted
+    particles are reweighted by (1 - pD) w + sum_k row_k / beta[k] (the
+    SMC-PHD update; a row with beta = inf adds exactly 0.0), the recycled
     tracks' particles are appended with weights r * pdf, and the union is
     resampled once. Total mass is sum((1 - pD) w) + sum_k d_k / beta_k +
     r-sum, preserved through the reduction.
@@ -228,15 +230,16 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
 
     # association weights for every track/measurement pairing; row i of the
     # tables is predicted[i], column j is frame[j]
-    phd_pd = models.sensor.detection_prob(predicted_phd.particles.states)
+    polar = models.sensor.range_bearing(predicted_phd.particles.states)
+    phd_pd = models.sensor.detection_prob_at(polar[0])
     new_beta, new_mass, new_cells = new_components(predicted_phd, phd_pd, frame,
-                                                   models.sensor, models.clutter)
+                                                   models.sensor, models.clutter, polar)
     supported = new_beta > 0.0
     if not supported.all():
         frame = [z for z, keep in zip(frame, supported) if keep]
         new_beta, new_mass = new_beta[supported], new_mass[supported]
         new_cells = _rows_of(new_cells, supported)
-    evidence = track_evidence(predicted, frame, models.sensor)
+    evidence = track_evidence(predicted, frame, models.sensor, thresholds.gamma_c)
 
     clusters, residual = partition(evidence.betas, thresholds.gamma_c)
     transfers, untransferred = select_transfers(new_beta, new_mass, new_cells,
@@ -247,6 +250,7 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
 
     updated: list[BernoulliTrack] = []
     for rows, cols in clusters:
+        evidence.complete(rows, cols)
         problem = Cluster(evidence.miss_beta[rows], evidence.betas[np.ix_(rows, cols)],
                           new_beta[cols], transferred[cols])
         marginal = _marginalize(problem, settings)
@@ -270,9 +274,10 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
                                                 settings.track_particles, rng))
 
     kept, recycled = split_by_retention(updated, thresholds.gamma_leg, k)
+    # only unclaimed components return to the intensity; beta = inf adds 0.0
     unclaimed = np.zeros(len(frame), dtype=bool)
     unclaimed[residual[~transferred[residual]]] = True
-    phd = update_phd(recycled, new_beta[unclaimed], _rows_of(new_cells, unclaimed),
+    phd = update_phd(recycled, np.where(unclaimed, new_beta, np.inf), new_cells,
                      predicted_phd, phd_pd, settings.phd_particles, rng)
     kept.sort(key=lambda t: t.label)
     return FilterState(tuple(kept), phd, k)

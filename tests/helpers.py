@@ -11,12 +11,17 @@ class StubSensor:
     """Sensor double returning prescribed detection probabilities and likelihoods.
 
     `pd` is aligned with the particle order of whatever set it is applied to;
-    `lik` has one row per frame measurement.
+    `lik` has one row per frame measurement, which every state set gets.
+    Every state sits at range and bearing 0.
     """
 
     def __init__(self, pd, lik=None):
         self.pd = np.asarray(pd, dtype=float)
         self.lik = None if lik is None else np.asarray(lik, dtype=float)
+
+    def range_bearing(self, states):
+        shape = np.shape(states)[:-1]
+        return np.zeros(shape), np.zeros(shape)
 
     def detection_prob(self, states):
         states = np.asarray(states, dtype=float)
@@ -24,24 +29,27 @@ class StubSensor:
             return self.pd[0]
         return self.pd[: states.shape[0]]
 
+    def detection_prob_at(self, rho):
+        return np.broadcast_to(self.pd[: np.shape(rho)[-1]], np.shape(rho))
+
     def likelihood_table(self, frame, states):
         if self.lik is None:
             raise AssertionError("stub has no likelihood table")
         return self.lik[: len(frame)]
 
-    def likelihood_cells(self, frame, states):
+    def likelihood_cells(self, frame, rho, theta):
         """The nonzero entries of the stub's likelihood table, as cells."""
-        return cells_of(self.likelihood_table(frame, states))
+        return cells_of(self.likelihood_table(frame, rho))
 
-    def likelihood_rows(self, frame, states):
-        """Every (set, measurement) pair of the L sets in `states`, each set
-        given the stub's likelihood table (none is needed for an empty frame)."""
-        states = np.asarray(states, dtype=float)
-        table = self.likelihood_table(frame, states) if len(frame) else \
-            np.empty((0, states.shape[1]))
-        count, meas = len(states), len(frame)
-        return (np.repeat(np.arange(count), meas), np.tile(np.arange(meas), count),
-                np.tile(table, (count, 1)))
+    def row_bounds(self, frame, rho, theta):
+        """Exponent bound 0 under the table's largest entry as the
+        normalizer: a true bound, and no pair bounded below the floor."""
+        top = self.likelihood_table(frame, rho).max(initial=0.0) if len(frame) else 0.0
+        return np.zeros((len(rho), len(frame))), float(top)
+
+    def likelihood_rows(self, frame, meas, rho, theta):
+        """Row `meas[k]` of the stub's table for each pair k."""
+        return self.likelihood_table(frame, rho)[meas]
 
 
 def random_cluster(rng, max_legacy=4, max_transfer=2, max_meas=4,
@@ -70,8 +78,11 @@ def max_label_tv(exact, approx):
 
 def dense_likelihood_table(sensor, frame, states):
     """Reference for `SensorModel.likelihood_table`: every entry evaluated."""
-    states = np.asarray(states, dtype=float)
-    rho, theta = sensor.range_bearing(states)
+    return dense_polar_table(sensor, frame, *sensor.range_bearing(np.asarray(states, float)))
+
+
+def dense_polar_table(sensor, frame, rho, theta):
+    """`dense_likelihood_table` of the states with `range_bearing` rho, theta."""
     if len(frame) == 0:
         return np.empty((0,) + rho.shape)
     zr = np.array([z.range for z in frame])[:, None]

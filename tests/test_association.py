@@ -121,7 +121,7 @@ def assert_pdf(hyp, expected, states):
 def assert_evidence_exact(tracks, frame, sensor):
     """`track_evidence` equals the per-track formulas bit for bit: miss_beta,
     betas, and every pdf it builds on request."""
-    evidence = track_evidence(tracks, frame, sensor)
+    evidence = track_evidence(tracks, frame, sensor, 0.0)
     assert evidence.miss_beta.shape == (len(tracks),)
     assert evidence.betas.shape == (len(tracks), len(frame))
     for i, track in enumerate(tracks):
@@ -245,6 +245,146 @@ class TestTrackEvidence:
         frame += frame_near(rng, sensor, [seam], 10)
         evidence = assert_evidence_exact([seam], frame, sensor)
         assert evidence.betas[0, 0] > 0.0 and evidence.betas[0, 1] > 0.0
+
+
+def assert_gate_exact(tracks, frame, sensor, gamma_c):
+    """`track_evidence` with gamma_c against full evaluation (gamma_c = 0):
+    `partition` gives the same clusters and residual; after `complete`,
+    every in-cluster betas entry and every pdf is bit-identical; a pair left
+    deferred raises in `detection`. Returns the counts of deferred pairs and
+    of those completed inside a cluster."""
+    full = track_evidence(tracks, frame, sensor, 0.0)
+    gated = track_evidence(tracks, frame, sensor, gamma_c)
+    assert not full.deferred.any()
+    deferred = int(gated.deferred.sum())
+    assert not gated.betas[gated.deferred].any()
+    assert np.array_equal(gated.betas[~gated.deferred], full.betas[~gated.deferred],
+                          equal_nan=True)
+    clusters, residual = partition(gated.betas, gamma_c)
+    expected, expected_residual = partition(full.betas, gamma_c)
+    assert np.array_equal(residual, expected_residual)
+    assert len(clusters) == len(expected)
+    completed = 0
+    for (rows, cols), (rows_ref, cols_ref) in zip(clusters, expected):
+        assert np.array_equal(rows, rows_ref) and np.array_equal(cols, cols_ref)
+        completed += int(gated.deferred[np.ix_(rows, cols)].sum())
+        gated.complete(rows, cols)
+        block = np.ix_(rows, cols)
+        assert not gated.deferred[block].any()
+        assert np.array_equal(gated.betas[block], full.betas[block], equal_nan=True)
+        for i in rows.tolist():
+            for m in (cols + 1).tolist():
+                ref = full.detection(i, m)
+                hyp = gated.detection(i, m)
+                assert hyp.beta == ref.beta and hyp.existence == ref.existence
+                assert np.array_equal(hyp.pdf.weights, ref.pdf.weights)
+                assert np.array_equal(hyp.pdf.states, ref.pdf.states)
+    for i, j in zip(*np.nonzero(gated.deferred)):
+        with pytest.raises(ValueError, match="deferred"):
+            gated.detection(int(i), int(j) + 1)
+    return deferred, completed
+
+
+def track_at(sensor, rho, theta, n, r, index, rng, spread=0.0):
+    """A track of n particles around the point at range rho, bearing theta."""
+    centre = sensor.position + rho * np.array([np.cos(theta), np.sin(theta)])
+    return cloud_track(rng, centre, n, r, spread=spread, index=index)
+
+
+class TestPlausibilityGate:
+    """Pairs whose weight bound lies below gamma_c / 2 are deferred, and the
+    step reads the same clusters and the same bits as with every pair
+    evaluated."""
+
+    @pytest.mark.parametrize("gamma_c", [0.0, 1e-10, 1e-3])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_cases_match_full_evaluation(self, seed, gamma_c):
+        rng = np.random.default_rng(200 + seed)
+        sensor = SensorModel(sigma_range=float(rng.choice([0.5, 2.0, 10.0])),
+                             sigma_bearing=float(rng.choice([np.deg2rad(1.0), 0.05])),
+                             pd_max=float(rng.uniform(0.3, 1.0)))
+        # tracks near each other, so clusters hold several rows and columns
+        centre = sensor.position + rng.uniform(-150.0, 150.0, 2)
+        tracks = [cloud_track(rng, centre + rng.normal(0.0, 8.0, 2),
+                              int(rng.choice([1, 50, 400])),
+                              float(rng.choice([1e-6, 0.05, 1.0, rng.random()])),
+                              spread=float(rng.uniform(0.5, 6.0)), index=i + 1)
+                  for i in range(int(rng.integers(2, 7)))]
+        frame = frame_near(rng, sensor, tracks, 20)
+        deferred, _ = assert_gate_exact(tracks, frame, sensor, gamma_c)
+        assert (deferred > 0) == (gamma_c > 0.0)
+
+    def test_deferred_pair_joins_a_cluster(self):
+        # A and B on one bearing at ranges 100 and 110; z1 at 105 is plausible
+        # for both, z2 at 92 only for A: B's weight on z2 is ~1e-18, which the
+        # gate defers, yet (B, z2) is inside the cluster {A, B} x {z1, z2}
+        rng = np.random.default_rng(40)
+        sensor = SensorModel()
+        tracks = [track_at(sensor, 100.0, 0.3, 200, 0.8, 1, rng, spread=0.05),
+                  track_at(sensor, 110.0, 0.3, 200, 0.8, 2, rng, spread=0.05)]
+        frame = [Measurement(105.0, 0.3), Measurement(92.0, 0.3), Measurement(200.0, -2.0)]
+        gated = track_evidence(tracks, frame, sensor, 1e-10)
+        full = track_evidence(tracks, frame, sensor, 0.0)
+        assert gated.deferred.tolist() == [[False, False, False], [False, True, False]]
+        assert 0.0 < full.betas[1, 1] < 1e-10
+        clusters, residual = partition(gated.betas, 1e-10)
+        assert [(r.tolist(), c.tolist()) for r, c in clusters] == [([0, 1], [0, 1])]
+        assert residual.tolist() == [2]
+        with pytest.raises(ValueError, match="deferred"):
+            gated.detection(1, 2)
+        assert assert_gate_exact(tracks, frame, sensor, 1e-10) == (1, 1)
+
+    def test_tight_bounds_need_the_margin(self):
+        # every particle of a track at one point and a measurement exactly
+        # there: the weight bound equals the weight up to the rounding of its
+        # sum and products. gamma_c is set to the weight itself, so the pair
+        # is plausible whichever way that rounding goes
+        rng = np.random.default_rng(41)
+        sensor = SensorModel()
+        for _ in range(30):
+            rho, theta = float(rng.uniform(20.0, 280.0)), float(rng.uniform(-3.0, 3.0))
+            track = track_at(sensor, rho, theta, int(rng.integers(2, 300)),
+                             float(rng.random()), 1, rng)
+            frame = [Measurement(*map(float, sensor.range_bearing(track.pdf.states[0])))]
+            gamma_c = float(track_evidence([track], frame, sensor, 0.0).betas[0, 0])
+            assert gamma_c > 0.0
+            assert assert_gate_exact([track], frame, sensor, gamma_c) == (0, 0)
+
+    def test_non_finite_bounds_are_evaluated_at_once(self):
+        rng = np.random.default_rng(42)
+        sensor = SensorModel()
+        tracks = [cloud_track(rng, sensor.position + [10.0 * i, 120.0], 50, 1e-9,
+                              index=i + 1) for i in range(4)]
+        frame = frame_near(rng, sensor, tracks, 10)
+        states = np.array(tracks[0].pdf.states)
+        states[5] = np.nan
+        tracks[0] = BernoulliTrack(Label(1, 1), 1e-9, ParticleSet(states, tracks[0].pdf.weights))
+        states = np.array(tracks[1].pdf.states)
+        states[2, 0] = np.inf
+        tracks[1] = BernoulliTrack(Label(1, 2), 1e-9, ParticleSet(states, tracks[1].pdf.weights))
+        with np.errstate(over="ignore", invalid="ignore"):
+            gated = track_evidence(tracks, frame, sensor, 1e-3)
+            assert not gated.deferred[:2].any() and gated.deferred[2:].any()
+            assert np.isnan(gated.betas[0]).all()
+            assert_gate_exact(tracks, frame, sensor, 1e-3)
+            # a non-finite measurement or normalizer: every pair at once
+            bad = frame[:-1] + [Measurement(np.inf, 0.0)]
+            assert not track_evidence(tracks[2:], bad, sensor, 1e-3).deferred.any()
+            tiny = SensorModel(sigma_range=1e-160, sigma_bearing=1e-160)
+            assert not np.isfinite(1.0 / (2.0 * np.pi * tiny.sigma_range * tiny.sigma_bearing))
+            assert not track_evidence(tracks[2:], frame, tiny, 1e-3).deferred.any()
+
+    def test_single_track_views_defer_nothing(self):
+        rng = np.random.default_rng(43)
+        sensor = SensorModel()
+        track = cloud_track(rng, sensor.position + [0.0, 150.0], 100, 1e-12)
+        frame = frame_near(rng, sensor, [track], 15)
+        assert track_evidence([track], frame, sensor, 1e-10).deferred.any()
+        hyps = detection_hypotheses(track, frame, sensor)
+        full = track_evidence([track], frame, sensor, 0.0)
+        for m, hyp in enumerate(hyps, start=1):
+            assert hyp.beta == full.betas[0, m - 1]
+            assert np.array_equal(hyp.pdf.weights, full.detection(0, m).pdf.weights)
 
 
 class TestNewComponent:

@@ -3,27 +3,44 @@
 The fixture under `tests/golden/` holds `mospa.csv` and `estimates_r*.csv` of
 one scenario filtered with BP marginals and with exact marginals. The scenario
 is chosen so that every association path runs: transfers inside clusters,
-transfers of residual measurements, exact enumeration, and the exact mode's
-fallback to BP on clusters beyond its enumeration limits. The test checks that
+transfers of residual measurements, deferred track evidence evaluated inside
+a cluster, exact enumeration, and the exact mode's fallback to BP on
+clusters beyond its enumeration limits. The test checks that
 these paths ran, so a fixture that stops exercising them fails loudly. The
 bytes were produced with numpy 2.4 on x86-64; another numpy or platform may
 round differently.
 
+The golden scenario's 5 degree bearing sigma never takes the sensor's
+bearing-window path, so `test_benchmark_workload_digests` also pins the
+output digests of the two benchmark workloads (`perfbench/workloads`, one
+instance at `run.seed = 1000`, as `perfbench/run.py --seed 1` runs them).
+
 A deliberate numerical change regenerates the fixture in the same change
-(`PYTHONPATH=src python tests/test_golden.py`) and says why in CHANGES.md.
+(`PYTHONPATH=src python tests/test_golden.py`), updates the workload digest
+prefixes from `perfbench/run.py --seed 1 --trace 1`, and says why in
+CHANGES.md.
 """
 
 import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import lmbp.association
 import lmbp.update
 from lmbp.cli import run_experiment
-from lmbp.config import build_run_config
+from lmbp.config import build_run_config, parse_config_text
 
 GOLDEN = Path(__file__).parent / "golden"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# leading hex digits of the estimates and mospa digests, per workload
+WORKLOAD_DIGESTS = {
+    "desk": ("352812c81383bedc", "76da95c047bd7e85"),
+    "dense": ("99bfdf598591ef2e", "6e77715c934c2dad"),
+}
 
 SCENARIO = {
     "scenario.object_count": "3",
@@ -57,6 +74,7 @@ def count_paths(monkeypatch) -> Counter:
     select_transfers = lmbp.update.select_transfers
     exact_marginals = lmbp.update.exact_marginals
     bp_marginals = lmbp.update.bp_marginals
+    complete = lmbp.association.TrackEvidence.complete
 
     def partition_spy(*args, **kwargs):
         result = partition(*args, **kwargs)
@@ -79,10 +97,15 @@ def count_paths(monkeypatch) -> Counter:
         counts["bp"] += 1
         return bp_marginals(*args, **kwargs)
 
+    def complete_spy(evidence, rows, cols):
+        counts["deferred evaluated"] += int(np.count_nonzero(evidence.deferred[np.ix_(rows, cols)]))
+        return complete(evidence, rows, cols)
+
     monkeypatch.setattr(lmbp.update, "partition", partition_spy)
     monkeypatch.setattr(lmbp.update, "select_transfers", select_transfers_spy)
     monkeypatch.setattr(lmbp.update, "exact_marginals", exact_spy)
     monkeypatch.setattr(lmbp.update, "bp_marginals", bp_spy)
+    monkeypatch.setattr(lmbp.association.TrackEvidence, "complete", complete_spy)
     return counts
 
 
@@ -92,6 +115,7 @@ def test_golden_trace(marginals, tmp_path, monkeypatch):
     names = run_case(marginals, tmp_path)
     assert counts["cluster transfers"] > 0 and counts["residual transfers"] > 0
     assert counts["bp"] > 0
+    assert counts["deferred evaluated"] > 0   # gated pairs that joined a cluster
     if marginals == "exact":
         assert counts["exact"] > 0   # enumeration below the limits, BP above
     else:
@@ -99,6 +123,18 @@ def test_golden_trace(marginals, tmp_path, monkeypatch):
     for name in names:
         expected = (GOLDEN / marginals / name).read_bytes()
         assert (tmp_path / name).read_bytes() == expected, f"{marginals}/{name} differs"
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_DIGESTS))
+def test_benchmark_workload_digests(workload, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from checks import output_digests
+
+    values = parse_config_text((PERFBENCH / "workloads" / f"{workload}.cfg").read_text())
+    config = build_run_config({**values, "run.seed": "1000", "run.out_dir": str(tmp_path)})
+    run_experiment(config, quiet=True)
+    digests = output_digests(tmp_path)
+    assert (digests["estimates"][:16], digests["mospa"][:16]) == WORKLOAD_DIGESTS[workload]
 
 
 if __name__ == "__main__":

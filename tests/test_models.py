@@ -9,12 +9,19 @@ from scipy.stats import chi2
 
 from lmbp.cli import initial_state
 from lmbp.config import build_run_config
-from lmbp.models import BirthModel, ClutterModel, MotionModel, SensorModel, wrap_angle
+from lmbp.models import (
+    EXP_FLOOR,
+    BirthModel,
+    ClutterModel,
+    MotionModel,
+    SensorModel,
+    wrap_angle,
+)
 from lmbp.rfs import Measurement, write_snapshot
 from lmbp.simulate import generate_frames, generate_truth
 from lmbp.update import lmbp_step
 
-from helpers import cells_of, dense_likelihood_table, table_of
+from helpers import cells_of, dense_likelihood_table, dense_polar_table, table_of
 
 
 def make_sensor(**kw):
@@ -162,7 +169,7 @@ def assert_table_exact(sensor, frame, states):
     bit-identical to the dense reference; the cells are in ascending row
     order, inside the table and each (row, col) once."""
     dense = dense_likelihood_table(sensor, frame, states)
-    row, col, value = sensor.likelihood_cells(frame, states)
+    row, col, value = sensor.likelihood_cells(frame, *sensor.range_bearing(states))
     assert np.all(np.diff(row) >= 0)
     assert np.all((row >= 0) & (row < dense.shape[0]) & (col >= 0) & (col < dense.shape[1]))
     flat = row * dense.shape[1] + col
@@ -173,17 +180,19 @@ def assert_table_exact(sensor, frame, states):
 
 @dataclasses.dataclass(frozen=True)
 class DenseSensor(SensorModel):
-    """Range-bearing sensor whose likelihood cells and rows evaluate every entry."""
+    """Range-bearing sensor whose likelihood cells and rows evaluate every
+    entry from the dense reference. Its row bounds are all +inf, so the
+    filter evaluates every track row at once and defers none."""
 
-    def likelihood_cells(self, frame, states):
-        return cells_of(dense_likelihood_table(self, frame, states), every=True)
+    def likelihood_cells(self, frame, rho, theta):
+        return cells_of(dense_polar_table(self, frame, rho, theta), every=True)
 
-    def likelihood_rows(self, frame, states):
-        """Every (set, measurement) pair, each row from the dense reference."""
-        count, n = np.shape(states)[:2]
-        rows = np.array([dense_likelihood_table(self, frame, s) for s in states])
-        return (np.repeat(np.arange(count), len(frame)), np.tile(np.arange(len(frame)), count),
-                rows.reshape(count * len(frame), n))
+    def row_bounds(self, frame, rho, theta):
+        return np.full((len(rho), len(frame)), np.inf), super().row_bounds(frame, rho, theta)[1]
+
+    def likelihood_rows(self, frame, meas, rho, theta):
+        rows = [dense_polar_table(self, [frame[m]], r, t) for m, r, t in zip(meas, rho, theta)]
+        return np.array(rows).reshape(np.shape(rho))
 
 
 @pytest.fixture
@@ -347,23 +356,33 @@ class TestGatedLikelihoodTable:
         assert window_calls == [self.LARGE] * 2  # the cells, then the table view
 
 
+def kept_pairs(sensor, frame, states):
+    """The (set, measurement) pairs whose `row_bounds` clear `EXP_FLOOR`."""
+    rho, theta = sensor.range_bearing(states)
+    return np.nonzero(sensor.row_bounds(frame, rho, theta)[0] >= EXP_FLOOR)
+
+
 def assert_rows_exact(sensor, frame, states):
-    """`likelihood_rows` keeps each pair once, in (set, measurement) order,
-    its rows equal the dense reference, and every pair it leaves out has an
-    all-zero dense row."""
-    sets, meas, rows = sensor.likelihood_rows(frame, states)
+    """`likelihood_rows` of the pairs the row bounds keep equal the dense
+    reference, every pair left out has an all-zero dense row, and every
+    finite dense entry lies under norm exp(bound), up to rounding."""
+    rho, theta = sensor.range_bearing(states)
+    bound, norm = sensor.row_bounds(frame, rho, theta)
+    assert bound.shape == (len(states), len(frame))
+    sets, meas = np.nonzero(bound >= EXP_FLOOR)
+    rows = sensor.likelihood_rows(frame, meas, rho[sets], theta[sets])
     dense = np.array([dense_likelihood_table(sensor, frame, s) for s in states])
     dense = dense.reshape(len(states), len(frame), np.shape(states)[1])
     assert np.array_equal(rows, dense[sets, meas], equal_nan=True)
-    left_out = np.ones(dense.shape[:2], dtype=bool)
-    left_out[sets, meas] = False
-    assert not dense[left_out].any()
-    flat = sets * len(frame) + meas
-    assert np.array_equal(flat, np.unique(flat))
+    assert not dense[bound < EXP_FLOOR].any()
+    with np.errstate(over="ignore", invalid="ignore"):
+        ceiling = norm * np.exp(bound)[:, :, None] * (1.0 + 1e-12)
+        assert np.all((dense <= ceiling) | ~np.isfinite(dense))
 
 
 class TestLikelihoodRows:
-    """`likelihood_rows` over L stacked sets against the dense reference."""
+    """`row_bounds` and `likelihood_rows` over L stacked sets against the
+    dense reference."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_cases(self, seed):
@@ -387,7 +406,7 @@ class TestLikelihoodRows:
         frame += [Measurement(150.0, 0.0), Measurement(150.0, np.pi / 2)]
         frame += random_frame(rng, 30)
         assert_rows_exact(sensor, frame, states)
-        sets, meas, _ = sensor.likelihood_rows(frame, states)
+        sets, meas = kept_pairs(sensor, frame, states)
         assert {(0, 0), (1, 1), (2, 2)} <= set(zip(sets.tolist(), meas.tolist()))
         bearings = np.array([z.bearing for z in frame])
         assert np.all(np.abs(wrap_angle(bearings[meas] - theta[sets])) < 1.0)
@@ -415,7 +434,7 @@ class TestLikelihoodRows:
         tiny = make_sensor(sigma_range=1e-160, sigma_bearing=1e-160)
         with np.errstate(over="ignore", invalid="ignore"):
             assert_rows_exact(tiny, frame, states)
-            assert len(tiny.likelihood_rows(frame, states)[0]) == 3 * len(frame)
+            assert len(kept_pairs(tiny, frame, states)[0]) == 3 * len(frame)
 
 
 def test_filter_matches_dense_likelihood_reference():

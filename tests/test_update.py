@@ -81,9 +81,8 @@ class ConstantPdSensor(SensorModel):
 
     pd_const: float = 0.5
 
-    def detection_prob(self, states):
-        states = np.asarray(states, dtype=float)
-        return np.full(states.shape[:-1], self.pd_const)
+    def detection_prob_at(self, rho):
+        return np.full(np.shape(rho), self.pd_const)
 
 
 class TestThresholds:
@@ -285,8 +284,8 @@ class ShuffledStub(StubSensor):
         super().__init__(pd, lik)
         self.rng = rng
 
-    def likelihood_cells(self, frame, states):
-        row, col, value = super().likelihood_cells(frame, states)
+    def likelihood_cells(self, frame, rho, theta):
+        row, col, value = super().likelihood_cells(frame, rho, theta)
         order = np.lexsort((self.rng.random(len(row)), row))
         return row[order], col[order], value[order]
 
@@ -335,6 +334,9 @@ class TestSparseIntensityArithmetic:
         update_phd(recycled, beta[unclaimed], _rows_of(cells, unclaimed), phd, pd, 64, rng)
         assert np.array_equal(
             weights[0], dense_phd_weights(phd, pd, beta[unclaimed], table[unclaimed]))
+        # every row, with beta = inf on the rows that do not return, as lmbp_step passes them
+        update_phd(recycled, np.where(unclaimed, beta, np.inf), cells, phd, pd, 64, rng)
+        assert np.array_equal(weights[1], weights[0])
 
 
 def micro_models(pd_const=0.5, p_survival=1.0, mean_births=0.0, mean_clutter=2.0,
