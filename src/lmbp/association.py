@@ -187,8 +187,7 @@ def miss_hypothesis(track: BernoulliTrack, sensor: SensorModel) -> Hypothesis:
 
 def new_components(phd: PoissonPhd, pd: np.ndarray, frame: Sequence[Measurement],
                    sensor: SensorModel, clutter: ClutterModel,
-                   polar: tuple[np.ndarray, np.ndarray] | None = None
-                   ) -> tuple[np.ndarray, np.ndarray, Cells]:
+                   polar: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray, Cells]:
     """Unlabeled-or-clutter evidence of every measurement, as weights over the
     intensity particles.
 
@@ -200,11 +199,9 @@ def new_components(phd: PoissonPhd, pd: np.ndarray, frame: Sequence[Measurement]
     existence d / beta, and pdf row / d over the intensity particles; no
     particle set is built here. beta is 0 for a measurement that neither
     clutter nor the intensity can explain, such as one beyond the sensor disk.
-    `polar` is `sensor.range_bearing` of the intensity particles, if the
-    caller has it already.
+    `polar` is `sensor.range_bearing` of the intensity particles.
     """
-    rho, theta = sensor.range_bearing(phd.particles.states) if polar is None else polar
-    row, col, value = sensor.likelihood_cells(frame, rho, theta)
+    row, col, value = sensor.likelihood_cells(frame, *polar)
     value *= (phd.particles.weights * pd)[col]
     mass = np.zeros(len(frame))
     # numpy sums a dense row pairwise, which no sum over the cells alone

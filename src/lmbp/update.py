@@ -167,7 +167,8 @@ def update_phd(recycled: Sequence[BernoulliTrack], beta: np.ndarray, cells: Cell
     does not return to the intensity, and `pd` is the detection
     probability of each predicted intensity particle. The predicted
     particles are reweighted by (1 - pD) w + sum_k row_k / beta[k] (the
-    SMC-PHD update; a row with beta = inf adds exactly 0.0), the recycled
+    SMC-PHD update; a row with beta = inf and finite cells adds exactly
+    0.0), the recycled
     tracks' particles are appended with weights r * pdf, and the union is
     resampled once. Total mass is sum((1 - pD) w) + sum_k d_k / beta_k +
     r-sum, preserved through the reduction.
@@ -194,6 +195,17 @@ def _rows_of(cells: Cells, keep: np.ndarray) -> Cells:
     row, col, value = cells
     inside = keep[row]
     return (np.cumsum(keep) - 1)[row[inside]], col[inside], value[inside]
+
+
+def _intensity_rows(beta: np.ndarray, mass: np.ndarray, cells: Cells,
+                    unclaimed: np.ndarray) -> tuple[np.ndarray, Cells]:
+    """`beta` and `cells` for `update_phd`, where only `unclaimed` rows return:
+    the others get beta = inf, so a finite cell of theirs adds exactly 0.0.
+    Cells are nonnegative, so a claimed row with a non-finite cell has a
+    non-finite mass; it is dropped, as (1/inf) * inf is nan."""
+    passed = unclaimed | np.isfinite(mass)
+    beta = np.where(unclaimed, beta, np.inf)
+    return (beta, cells) if passed.all() else (beta[passed], _rows_of(cells, passed))
 
 
 def _marginalize(cluster: Cluster, settings: FilterSettings):
@@ -274,10 +286,9 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
                                                 settings.track_particles, rng))
 
     kept, recycled = split_by_retention(updated, thresholds.gamma_leg, k)
-    # only unclaimed components return to the intensity; beta = inf adds 0.0
     unclaimed = np.zeros(len(frame), dtype=bool)
     unclaimed[residual[~transferred[residual]]] = True
-    phd = update_phd(recycled, np.where(unclaimed, new_beta, np.inf), new_cells,
+    phd = update_phd(recycled, *_intensity_rows(new_beta, new_mass, new_cells, unclaimed),
                      predicted_phd, phd_pd, settings.phd_particles, rng)
     kept.sort(key=lambda t: t.label)
     return FilterState(tuple(kept), phd, k)

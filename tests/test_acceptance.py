@@ -266,8 +266,9 @@ def test_criterion_4_micro_updates():
 
     phd = PoissonPhd(ParticleSet(np.zeros((2, 4)), np.full(2, 0.0265)))
     clutter = ClutterModel(mean_count=0.053 * 300 * 2 * np.pi, max_range=300.0)
-    beta, mass, _ = new_components(phd, np.ones(2), [Measurement(1.0, 0.0)],
-                                   StubSensor([1.0, 1.0], [[1.0, 1.0]]), clutter)
+    sensor = StubSensor([1.0, 1.0], [[1.0, 1.0]])
+    beta, mass, _ = new_components(phd, np.ones(2), [Measurement(1.0, 0.0)], sensor, clutter,
+                                   sensor.range_bearing(phd.particles.states))
     checks.append(abs(mass[0] / beta[0] - 0.5))
 
     def pdf_at(x, n=1):

@@ -396,24 +396,28 @@ class TestNewComponent:
         states = np.zeros((n, 4))
         return PoissonPhd(ParticleSet(states, np.full(n, mass / n)))
 
+    def components(self, phd, pd, frame, sensor, clutter):
+        return new_components(phd, pd, frame, sensor, clutter,
+                              sensor.range_bearing(phd.particles.states))
+
     def test_pure_clutter(self):
-        beta, mass, cells = new_components(PoissonPhd.empty(), np.empty(0), [Z],
-                                           StubSensor([], [[]]), self.clutter(0.053))
+        beta, mass, cells = self.components(PoissonPhd.empty(), np.empty(0), [Z],
+                                            StubSensor([], [[]]), self.clutter(0.053))
         assert beta[0] == pytest.approx(0.053)
         assert mass[0] == 0.0 and all(len(a) == 0 for a in cells)  # no intensity mass
 
     def test_clutter_free(self):
         phd = self.phd_of_mass(0.02)
         sensor = StubSensor([1.0] * 4, [[1.0] * 4])
-        beta, mass, _ = new_components(phd, np.ones(4), [Measurement(1000.0, 0.0)], sensor,
-                                       self.clutter(0.5))
+        beta, mass, _ = self.components(phd, np.ones(4), [Measurement(1000.0, 0.0)], sensor,
+                                        self.clutter(0.5))
         # measurement outside clutter ROI
         assert mass[0] / beta[0] == pytest.approx(1.0)
 
     def test_equal_evidence(self):
         phd = self.phd_of_mass(0.053)
         sensor = StubSensor([1.0] * 4, [[1.0] * 4])
-        beta, mass, _ = new_components(phd, np.ones(4), [Z], sensor, self.clutter(0.053))
+        beta, mass, _ = self.components(phd, np.ones(4), [Z], sensor, self.clutter(0.053))
         assert mass[0] / beta[0] == pytest.approx(0.5)
 
     def test_table_holds_weighted_likelihoods(self):
@@ -422,7 +426,7 @@ class TestNewComponent:
         phd = PoissonPhd(ParticleSet(np.zeros((3, 4)), [0.1, 0.2, 0.3]))
         pd = np.array([0.5, 1.0, 0.0])
         sensor = StubSensor(pd, [[0.2, 0.4, 0.6], [0.0, 0.1, 0.0]])
-        beta, mass, cells = new_components(phd, pd, [Z, Z], sensor, self.clutter(0.053))
+        beta, mass, cells = self.components(phd, pd, [Z, Z], sensor, self.clutter(0.053))
         assert cells[0].tolist() == [0, 0, 0, 1] and cells[1].tolist() == [0, 1, 2, 1]
         table = table_of(cells, (2, 3))
         np.testing.assert_allclose(table, [[0.01, 0.08, 0.0], [0.0, 0.02, 0.0]],
@@ -440,15 +444,15 @@ class TestNewComponent:
             init(pset)
 
         monkeypatch.setattr(ParticleSet, "__post_init__", counted)
-        new_components(phd, np.ones(4), [Z, Z], StubSensor([1.0] * 4, [[1.0] * 4] * 2),
-                       self.clutter(0.053))
+        self.components(phd, np.ones(4), [Z, Z], StubSensor([1.0] * 4, [[1.0] * 4] * 2),
+                        self.clutter(0.053))
         assert built == []
 
     def test_no_support_gives_zero_beta(self):
         # neither clutter nor intensity mass beyond the disk; lmbp_step drops it
-        beta, mass, _ = new_components(PoissonPhd.empty(), np.empty(0),
-                                       [Measurement(1000.0, 0.0)], StubSensor([], [[]]),
-                                       self.clutter(0.5))
+        beta, mass, _ = self.components(PoissonPhd.empty(), np.empty(0),
+                                        [Measurement(1000.0, 0.0)], StubSensor([], [[]]),
+                                        self.clutter(0.5))
         assert beta[0] == 0.0 and mass[0] == 0.0
 
 

@@ -22,6 +22,7 @@ from lmbp.simulate import generate_frames, generate_truth
 from lmbp.update import (
     FilterSettings,
     Thresholds,
+    _intensity_rows,
     _rows_of,
     lmbp_step,
     select_transfers,
@@ -309,8 +310,9 @@ class TestSparseIntensityArithmetic:
         pd = rng.random(n)
         frame = [Measurement(float(rng.uniform(0.0, 300.0)), 0.0) for _ in range(m)]
         clutter = ClutterModel(mean_count=20.0)
-        beta, mass, cells = new_components(phd, pd, frame, ShuffledStub(pd, lik, rng),
-                                           clutter)
+        sensor = ShuffledStub(pd, lik, rng)
+        beta, mass, cells = new_components(phd, pd, frame, sensor, clutter,
+                                           sensor.range_bearing(states))
         ref_beta, ref_mass, table = dense_new_components(
             phd, pd, lik, np.array([clutter.intensity(z) for z in frame]))
         assert np.array_equal(beta, ref_beta) and np.array_equal(mass, ref_mass)
@@ -335,8 +337,56 @@ class TestSparseIntensityArithmetic:
         assert np.array_equal(
             weights[0], dense_phd_weights(phd, pd, beta[unclaimed], table[unclaimed]))
         # every row, with beta = inf on the rows that do not return, as lmbp_step passes them
-        update_phd(recycled, np.where(unclaimed, beta, np.inf), cells, phd, pd, 64, rng)
+        update_phd(recycled, *_intensity_rows(beta, mass, cells, unclaimed), phd, pd, 64, rng)
         assert np.array_equal(weights[1], weights[0])
+
+    def test_claimed_rows_with_infinite_cells_are_dropped(self, monkeypatch):
+        # an infinite normalizer makes every cell inf, and the track claims both
+        # measurements: with beta = inf, (1/inf) * inf would put nan into the
+        # intensity, so the step must match gathering the unclaimed rows
+        @dataclass(frozen=True)
+        class InfiniteNorm(SensorModel):
+            def _frame_terms(self, frame):
+                zr, zb, _ = super()._frame_terms(frame)
+                return zr, zb, np.inf
+
+        @dataclass(frozen=True)
+        class NoBirths(BirthModel):
+            def sample_phd(self, prev_measurements, motion, sensor, rng):
+                return PoissonPhd.empty()
+
+        sensor = InfiniteNorm()
+        models = Models(MotionModel(sigma_u=0.0, p_survival=1.0), sensor,
+                        ClutterModel(mean_count=2.0, max_range=300.0), NoBirths())
+        states = np.tile([10.0, 20.0, 0.0, 0.0], (8, 1))
+        rho, theta = sensor.range_bearing(states[0])
+        frame = [Measurement(float(rho), float(theta)),
+                 Measurement(float(rho) + 1.0, float(theta))]
+        track = BernoulliTrack(Label(1, 1), 0.8, ParticleSet(states, np.full(8, 1 / 8)))
+        state = FilterState((track,), PoissonPhd(ParticleSet(states, np.full(8, 0.01))), 1)
+
+        seen = []
+        real = lmbp.update._intensity_rows
+
+        def spy(beta, mass, cells, unclaimed):
+            seen.append((mass.copy(), unclaimed.copy()))
+            return real(beta, mass, cells, unclaimed)
+
+        def step():
+            with np.errstate(invalid="ignore", over="ignore"):
+                return lmbp_step(state, frame, models, Thresholds(), np.random.default_rng(0),
+                                 settings=small_settings())
+
+        monkeypatch.setattr(lmbp.update, "_intensity_rows", spy)
+        out = step()
+        mass, unclaimed = seen[0]
+        assert np.isinf(mass).all() and not unclaimed.any()
+        monkeypatch.setattr(lmbp.update, "_intensity_rows", lambda beta, mass, cells, unclaimed:
+                            (beta[unclaimed], _rows_of(cells, unclaimed)))
+        ref = step()
+        assert np.array_equal(out.phd.particles.weights, ref.phd.particles.weights)
+        assert np.array_equal(out.phd.particles.states, ref.phd.particles.states)
+        assert out.tracks == ref.tracks == ()
 
 
 def micro_models(pd_const=0.5, p_survival=1.0, mean_births=0.0, mean_clutter=2.0,
