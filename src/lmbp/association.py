@@ -21,9 +21,11 @@ from .models import EXP_FLOOR, ClutterModel, SensorModel
 from .rfs import BernoulliTrack, Measurement, ParticleSet, PoissonPhd
 
 _TINY = 1e-300  # denominator floor; keeps degenerate messages finite
+# an intensity cell below this share of its row's clutter intensity is left out
+_CLUTTER_SHARE = 2.0 ** -106
 
-# the cells of an (M, N) table that can be nonzero: (row, col, value) arrays in
-# ascending row order; every cell left out is 0.0
+# the cells of an (M, N) table that the step reads: (row, col, value) arrays in
+# ascending row order; a cell left out counts as 0.0
 Cells = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -195,13 +197,26 @@ def new_components(phd: PoissonPhd, pd: np.ndarray, frame: Sequence[Measurement]
     `beta` (M,), `mass` (M,) and `cells`, the sensor's likelihood cells
     scaled to w_i pD(x_i) f(z_m|x_i): row m-1, column i. Measurement m's
     component has intensity mass d = mass[m-1], the sum of its row (bit for
-    bit the row sum of the dense (M, N) table), beta = clutter intensity + d,
-    existence d / beta, and pdf row / d over the intensity particles; no
-    particle set is built here. beta is 0 for a measurement that neither
-    clutter nor the intensity can explain, such as one beyond the sensor disk.
+    bit the row sum of the cells as a dense (M, N) table), beta = clutter
+    intensity + d, existence d / beta, and pdf row / d over the intensity
+    particles; no particle set is built here. beta is 0 for a measurement
+    that neither clutter nor the intensity can explain, such as one beyond
+    the sensor disk.
     `polar` is `sensor.range_bearing` of the intensity particles.
+
+    A cell is left out when f(z_m|x_i) lies below 2^-106 c_m, with c_m the
+    clutter intensity. The cells left out of a row add under 2^-106 c_m
+    sum(w pD) to beta = c_m + d, and a cell adds under 2^-106 pD / (1 - pD)
+    of its particle's undetected weight (1 - pD) w in `update_phd`: tens of
+    binades below the 2^-53 that can move a bit. Only a d that is tiny next
+    to c_m can lose low bits, and such a d lies far below any transfer
+    threshold, the one place the step reads its value. Where c_m = 0 the
+    floor is `EXP_FLOOR`, which leaves out exact zeros only.
     """
-    row, col, value = sensor.likelihood_cells(frame, *polar)
+    clutter_c = clutter.intensity_at(np.array([z.range for z in frame], dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        floor = np.fmax(EXP_FLOOR, np.log(_CLUTTER_SHARE * clutter_c / sensor.normalizer))
+    row, col, value = sensor.likelihood_cells(frame, *polar, floor)
     value *= (phd.particles.weights * pd)[col]
     mass = np.zeros(len(frame))
     # numpy sums a dense row pairwise, which no sum over the cells alone
@@ -214,7 +229,7 @@ def new_components(phd: PoissonPhd, pd: np.ndarray, frame: Sequence[Measurement]
             dense[col[lo:hi]] = value[lo:hi]
             mass[m] = dense.sum()
             dense[col[lo:hi]] = 0.0
-    beta = np.array([clutter.intensity(z) for z in frame]) + mass
+    beta = clutter_c + mass
     return beta, mass, (row, col, value)
 
 

@@ -113,6 +113,11 @@ class SensorModel:
         if not 0.0 < self.pd_max <= 1.0:
             raise ValueError("pd_max must be in (0, 1]")
 
+    @property
+    def normalizer(self) -> float:
+        """1 / (2 pi sigma_range sigma_bearing), the likelihood's normalizer."""
+        return 1.0 / (2.0 * np.pi * self.sigma_range * self.sigma_bearing)
+
     def range_bearing(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """True (range, bearing) of states as seen from the sensor."""
         states = np.asarray(states, dtype=float)
@@ -132,41 +137,46 @@ class SensorModel:
         rho, theta = self.range_bearing(states)
         dr = (z.range - rho) / self.sigma_range
         db = wrap_angle(z.bearing - theta) / self.sigma_bearing
-        norm = 1.0 / (2.0 * np.pi * self.sigma_range * self.sigma_bearing)
-        return norm * np.exp(-0.5 * (dr ** 2 + db ** 2))
+        return self.normalizer * np.exp(-0.5 * (dr ** 2 + db ** 2))
 
     def likelihood_cells(self, frame: Sequence[Measurement], rho: np.ndarray,
-                         theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                         theta: np.ndarray, floor: float | np.ndarray = EXP_FLOOR
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """f(z_m | x_n) of a whole frame against N states, given as their
         `range_bearing` (N,) `rho` and `theta`, as the cells of the (M, N)
-        table that can be nonzero: `(row, col, value)` arrays, in ascending
-        row order with each (row, col) once. Every cell left out is exactly
-        0.0; the arrays are fresh, and the caller may scale `value`.
+        table whose exponent clears `floor`, a scalar or one value per
+        measurement: `(row, col, value)` arrays, in ascending row order with
+        each (row, col) once. The arrays are fresh, and the caller may scale
+        `value`.
 
-        Bit-identical to evaluating every entry, but only entries that can be
-        nonzero are evaluated: float64 exp underflows to exactly 0.0 below
-        about -745.13, so an entry whose exponent is bounded below
-        `EXP_FLOOR` is left out. A measurement that no state can reach has no
-        cells (row gate, from O(N) range and bearing bounds). When the frame
-        is large enough to pay for sorting the states by bearing, each
-        remaining measurement is evaluated only over its bearing window. Only
-        cells whose exponent clears the floor are kept. Every evaluated entry
-        goes through `_exponent`; with a non-finite state, measurement or
+        Every cell is bit-identical to evaluating its entry, but only cells
+        that can clear the floor are evaluated. At the default `EXP_FLOOR`
+        every cell left out is exactly 0.0, since float64 exp underflows to
+        0.0 below about -745.13; a higher floor leaves out small values too.
+        A measurement that no state can reach has no cells (row gate, from
+        O(N) range and bearing bounds). When the frame is large enough to pay
+        for sorting the states by bearing, each remaining measurement is
+        evaluated only over its bearing window. Every evaluated entry goes
+        through `_exponent`; with a non-finite state, measurement or
         normalizer every cell is evaluated and kept, so nan and inf propagate.
         """
         zr, zb, norm = self._frame_terms(frame)
         n = rho.size
+        floor = np.broadcast_to(np.asarray(floor, dtype=float), zr.shape)
         # bearing half-width beyond which every exponent is below the floor
-        half = np.sqrt(-2.0 * EXP_FLOOR) * self.sigma_bearing + _BEARING_SLACK
+        half = np.sqrt(np.maximum(-2.0 * floor, 0.0)) * self.sigma_bearing + _BEARING_SLACK
         bound = self._exponent_bounds(zr, zb, rho.reshape(1, n), theta.reshape(1, n))[0]
         gated = bool(np.isfinite(norm) and (bound < np.inf).all())
-        rows = np.flatnonzero(bound >= EXP_FLOOR) if gated else np.arange(len(frame))
+        rows = np.flatnonzero(bound >= floor) if gated else np.arange(len(frame))
+        floor, half = floor[rows], half[rows]
         # sort only when the cells the windows skip outnumber the sort's comparisons
-        if gated and len(rows) * (np.pi - half) > np.pi * np.log2(max(n, 2)):
-            row, col, quad = self._windowed_exponents(zr[rows], zb[rows], rows, rho, theta, half)
+        if (gated and (half < np.pi).all()
+                and (np.pi - half).sum() > np.pi * np.log2(max(n, 2))):
+            row, col, quad = self._windowed_exponents(zr[rows], zb[rows], rows, floor,
+                                                      rho, theta, half)
         else:
             quad = self._exponent(zr[rows, None], zb[rows, None], rho, theta)
-            row, col = np.nonzero((quad >= EXP_FLOOR) | (not gated))
+            row, col = np.nonzero((quad >= floor[:, None]) | (not gated))
             row, quad = rows[row], quad[row, col]
         np.exp(quad, out=quad)
         quad *= norm
@@ -214,7 +224,7 @@ class SensorModel:
         """Ranges and wrapped bearings of a frame, and the likelihood's normalizer."""
         zr = np.array([z.range for z in frame], dtype=float)
         zb = wrap_angle(np.array([z.bearing for z in frame], dtype=float))
-        return zr, zb, 1.0 / (2.0 * np.pi * self.sigma_range * self.sigma_bearing)
+        return zr, zb, self.normalizer
 
     def _exponent(self, zr, zb, rho, theta) -> np.ndarray:
         """-0.5 (dr^2 + db^2), elementwise over broadcast measurement and
@@ -252,10 +262,10 @@ class SensorModel:
         dr = np.maximum(np.maximum(rho_lo - zr, zr - rho_hi), 0.0) / self.sigma_range
         return np.where(finite[:, None], -0.5 * (dr * dr + db * db), np.inf)
 
-    def _windowed_exponents(self, zr, zb, rows, rho, theta, half):
-        """Exponents of the cells that can clear `EXP_FLOOR`: those inside
-        their measurement's bearing window [zb - half, zb + half] (half < pi)
-        whose range term alone clears it.
+    def _windowed_exponents(self, zr, zb, rows, floor, rho, theta, half):
+        """Exponents of the cells that can clear their measurement's `floor`:
+        those inside its bearing window [zb - half, zb + half] (each half <
+        pi) whose range term alone clears the floor.
 
         The states are sorted by bearing once; a window is then one run of
         the sorted order taken modulo N, and the runs of all measurements are
@@ -277,17 +287,18 @@ class SensorModel:
         order = np.concatenate([order, order])
         pos = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
         zr_cells = np.repeat(zr, count)
+        floor_cells = np.repeat(floor, count)
         rho_cells = rho[order][pos]
         # range prefilter: the same dr as `_exponent`, so the bound is exact
         dr = zr_cells - rho_cells
         dr /= self.sigma_range
         dr *= dr
         dr *= -0.5
-        near = np.flatnonzero(dr >= EXP_FLOOR)
+        near = np.flatnonzero(dr >= floor_cells)
         pos = pos[near]
         quad = self._exponent(zr_cells[near], np.repeat(zb, count)[near], rho_cells[near],
                               np.concatenate([sorted_theta, sorted_theta])[pos])
-        keep = np.flatnonzero(quad >= EXP_FLOOR)
+        keep = np.flatnonzero(quad >= floor_cells[near])
         return np.repeat(rows, count)[near[keep]], order[pos[keep]], quad[keep]
 
     def sample_measurement(self, state: np.ndarray, rng: np.random.Generator) -> Measurement:
@@ -317,9 +328,12 @@ class ClutterModel:
 
     def intensity(self, z: Measurement) -> float:
         """Clutter intensity at a measurement; zero outside the sensor disk."""
-        if 0.0 <= z.range <= self.max_range:
-            return self.mean_count * self.density
-        return 0.0
+        return float(self.intensity_at(np.array(z.range)))
+
+    def intensity_at(self, ranges: np.ndarray) -> np.ndarray:
+        """Clutter intensity at measurement ranges; zero outside the sensor disk."""
+        inside = (ranges >= 0.0) & (ranges <= self.max_range)
+        return np.where(inside, self.mean_count * self.density, 0.0)
 
     def sample(self, rng: np.random.Generator) -> list[Measurement]:
         count = rng.poisson(self.mean_count)

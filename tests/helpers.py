@@ -12,8 +12,11 @@ class StubSensor:
 
     `pd` is aligned with the particle order of whatever set it is applied to;
     `lik` has one row per frame measurement, which every state set gets.
-    Every state sits at range and bearing 0.
+    Every state sits at range and bearing 0. A likelihood floor is accepted
+    and ignored, so `normalizer` only has to exist.
     """
+
+    normalizer = 1.0
 
     def __init__(self, pd, lik=None):
         self.pd = np.asarray(pd, dtype=float)
@@ -37,7 +40,7 @@ class StubSensor:
             raise AssertionError("stub has no likelihood table")
         return self.lik[: len(frame)]
 
-    def likelihood_cells(self, frame, rho, theta):
+    def likelihood_cells(self, frame, rho, theta, floor=None):
         """The nonzero entries of the stub's likelihood table, as cells."""
         return cells_of(self.likelihood_table(frame, rho))
 
@@ -83,6 +86,14 @@ def dense_likelihood_table(sensor, frame, states):
 
 def dense_polar_table(sensor, frame, rho, theta):
     """`dense_likelihood_table` of the states with `range_bearing` rho, theta."""
+    quad = dense_polar_exponents(sensor, frame, rho, theta)
+    np.exp(quad, out=quad)
+    quad *= 1.0 / (2.0 * np.pi * sensor.sigma_range * sensor.sigma_bearing)
+    return quad
+
+
+def dense_polar_exponents(sensor, frame, rho, theta):
+    """The (M, N) exponents -0.5 (dr^2 + db^2) of `dense_polar_table`."""
     if len(frame) == 0:
         return np.empty((0,) + rho.shape)
     zr = np.array([z.range for z in frame])[:, None]
@@ -96,8 +107,6 @@ def dense_polar_table(sensor, frame, rho, theta):
     quad = dr * dr
     quad += db * db
     quad *= -0.5
-    np.exp(quad, out=quad)
-    quad *= 1.0 / (2.0 * np.pi * sensor.sigma_range * sensor.sigma_bearing)
     return quad
 
 

@@ -21,7 +21,13 @@ from lmbp.rfs import Measurement, write_snapshot
 from lmbp.simulate import generate_frames, generate_truth
 from lmbp.update import lmbp_step
 
-from helpers import cells_of, dense_likelihood_table, dense_polar_table, table_of
+from helpers import (
+    cells_of,
+    dense_likelihood_table,
+    dense_polar_exponents,
+    dense_polar_table,
+    table_of,
+)
 
 
 def make_sensor(**kw):
@@ -164,18 +170,61 @@ def random_case(rng):
     return sensor, random_frame(rng, int(rng.integers(0, 120))), states_at(positions)
 
 
-def assert_table_exact(sensor, frame, states):
+# per-row likelihood floors, cycled over a frame's rows: raised floors mixed
+# with `EXP_FLOOR` rows, 0.0, which only an exact hit clears, and 1.0, which
+# nothing but the non-finite fallback keeps
+ROW_FLOORS = (-78.0, EXP_FLOOR, 0.0, -200.0, -3.0, 1.0)
+
+
+def row_floors(count):
+    return np.resize(ROW_FLOORS, count)
+
+
+def assert_cell_layout(cells, shape):
+    """Cells in ascending row order, inside the table and each (row, col) once."""
+    row, col, _ = cells
+    assert np.all(np.diff(row) >= 0)
+    assert np.all((row >= 0) & (row < shape[0]) & (col >= 0) & (col < shape[1]))
+    flat = row * shape[1] + col
+    assert np.unique(flat).size == flat.size
+
+
+def row_major(cells):
+    row, col, value = cells
+    order = np.lexsort((col, row))
+    return row[order], col[order], value[order]
+
+
+def assert_table_exact(sensor, frame, states, floor=None):
     """The likelihood cells and their `likelihood_table` view are both
     bit-identical to the dense reference; the cells are in ascending row
-    order, inside the table and each (row, col) once."""
+    order, inside the table and each (row, col) once. The cells under the
+    per-row `floor` (by default `row_floors`) are exactly those of these
+    cells whose exponent clears their row's floor, or every cell when a
+    state, measurement or the normalizer is not finite."""
     dense = dense_likelihood_table(sensor, frame, states)
-    row, col, value = sensor.likelihood_cells(frame, *sensor.range_bearing(states))
-    assert np.all(np.diff(row) >= 0)
-    assert np.all((row >= 0) & (row < dense.shape[0]) & (col >= 0) & (col < dense.shape[1]))
-    flat = row * dense.shape[1] + col
-    assert np.unique(flat).size == flat.size
-    for table in (table_of((row, col, value), dense.shape), sensor.likelihood_table(frame, states)):
+    rho, theta = sensor.range_bearing(states)
+    cells = sensor.likelihood_cells(frame, rho, theta)
+    assert_cell_layout(cells, dense.shape)
+    for table in (table_of(cells, dense.shape), sensor.likelihood_table(frame, states)):
         assert np.array_equal(table, dense, equal_nan=True)
+
+    floor = row_floors(len(frame)) if floor is None else floor
+    floored = sensor.likelihood_cells(frame, rho, theta, floor)
+    assert_cell_layout(floored, dense.shape)
+    zr, zb = np.array([[z.range, z.bearing] for z in frame]).reshape(-1, 2).T
+    every = not (np.isfinite(sensor.normalizer) and np.isfinite(zr + zb).all()
+                 and np.isfinite(rho).all() and np.isfinite(theta).all())
+    row, col, value = cells
+    if every:
+        assert row.size == dense.size
+        keep = np.ones(row.size, dtype=bool)
+    else:
+        exponent = dense_polar_exponents(sensor, frame, rho, theta)
+        keep = exponent[row, col] >= np.broadcast_to(floor, (len(frame),))[row]
+    expected = (row[keep], col[keep], value[keep])
+    for got, want in zip(row_major(floored), row_major(expected)):
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -184,7 +233,7 @@ class DenseSensor(SensorModel):
     entry from the dense reference. Its row bounds are all +inf, so the
     filter evaluates every track row at once and defers none."""
 
-    def likelihood_cells(self, frame, rho, theta):
+    def likelihood_cells(self, frame, rho, theta, floor=None):
         return cells_of(dense_polar_table(self, frame, rho, theta), every=True)
 
     def row_bounds(self, frame, rho, theta):
@@ -353,7 +402,65 @@ class TestGatedLikelihoodTable:
         assert_table_exact(sensor, random_frame(rng, self.SMALL), states)
         assert window_calls == []
         assert_table_exact(sensor, random_frame(rng, self.LARGE), states)
-        assert window_calls == [self.LARGE] * 2  # the cells, then the table view
+        # the cells, the table view, then the floored cells
+        assert window_calls[:2] == [self.LARGE] * 2 and len(window_calls) == 3
+
+    @pytest.mark.parametrize("count", [SMALL, LARGE])
+    @pytest.mark.parametrize("pick", ["largest", "random"])
+    @pytest.mark.parametrize("spread", ["cloud", "point"])
+    def test_floor_on_a_cell_exponent(self, count, pick, spread, window_calls):
+        # each row's floor is exactly the exponent of one of its cells, the
+        # row's largest or a random one: that cell lies on the boundary of
+        # the range prefilter and the keep, and with every state on one
+        # point, of the row gate too
+        sensor = make_sensor()
+        rng = np.random.default_rng(15)
+        if spread == "cloud":
+            frame = random_frame(rng, count, max_range=300.0)
+            picks = rng.integers(0, count, 3000)
+            ranges = np.array([frame[i].range for i in picks]) + rng.normal(0.0, 4.0, 3000)
+            bearings = np.array([frame[i].bearing for i in picks]) + rng.normal(0.0, 0.03, 3000)
+            states = states_at(sensor.position + np.column_stack(
+                [ranges * np.cos(bearings), ranges * np.sin(bearings)]))
+        else:
+            target = sensor.position + np.array([-60.0, 140.0])
+            rho, theta = sensor.range_bearing(states_at(target))
+            frame = [Measurement(float(r), float(b)) for r, b in zip(
+                rho[0] + rng.normal(0.0, 6.0, count), theta[0] + rng.normal(0.0, 0.05, count))]
+            states = states_at(np.tile(target, (500, 1)))
+        exponent = dense_polar_exponents(sensor, frame, *sensor.range_bearing(states))
+        if pick == "largest":
+            floor = exponent.max(axis=1)
+        else:
+            above = rng.random(exponent.shape) * (exponent >= EXP_FLOOR)
+            floor = exponent[np.arange(count), above.argmax(axis=1)]
+        assert np.all(floor >= EXP_FLOOR)
+        assert_table_exact(sensor, frame, states, floor)
+        rows = sensor.likelihood_cells(frame, *sensor.range_bearing(states), floor)[0]
+        assert np.array_equal(np.unique(rows), np.arange(count))
+        assert bool(window_calls) == (count == self.LARGE)
+
+    def test_floor_decides_the_bearing_sort(self, window_calls):
+        # a raised floor narrows every window: 14 rows against 5000 states
+        # sort only under it, and rows whose EXP_FLOOR window spans the whole
+        # circle keep the floored call unsorted
+        sensor = make_sensor()
+        rng = np.random.default_rng(14)
+        states = states_at(sensor.position + rng.uniform(-300.0, 300.0, (5000, 2)))
+        frame = random_frame(rng, 14)
+        assert_table_exact(sensor, frame, states, np.full(14, EXP_FLOOR))
+        assert window_calls == []
+        assert_table_exact(sensor, frame, states, np.full(14, -78.0))
+        assert window_calls == [14]
+        assert_table_exact(sensor, frame, states, -78.0)
+        assert window_calls == [14, 14]
+        wide = make_sensor(sigma_bearing=0.2)
+        window_calls.clear()
+        floor = np.where(np.arange(self.LARGE) < 3, EXP_FLOOR, -3.0)
+        assert_table_exact(wide, random_frame(rng, self.LARGE), states, floor)
+        assert window_calls == []
+        assert_table_exact(wide, random_frame(rng, self.LARGE), states, np.full(self.LARGE, -3.0))
+        assert window_calls == [self.LARGE]
 
 
 def kept_pairs(sensor, frame, states):
@@ -437,12 +544,18 @@ class TestLikelihoodRows:
             assert len(kept_pairs(tiny, frame, states)[0]) == 3 * len(frame)
 
 
-def test_filter_matches_dense_likelihood_reference():
+@pytest.mark.parametrize("setting", [
+    {},
+    {"sensor.sigma_range": "5", "sensor.sigma_bearing_deg": "5", "clutter.mean_count": "12"},
+    {"clutter.mean_count": "0"},
+], ids=["dense", "golden_like", "no_clutter"])
+def test_filter_matches_dense_likelihood_reference(setting):
     """Ten steps of a dense scenario give the same snapshots with the gated
-    table as with the dense reference table."""
+    likelihood, whose intensity cells stop at the clutter-relative floor, as
+    with the dense reference, which evaluates and keeps every cell."""
     config = build_run_config({"scenario.object_count": "10", "scenario.appear_min": "1",
                                "scenario.appear_max": "3", "scenario.total_steps": "10",
-                               "clutter.mean_count": "100", "run.seed": "5"})
+                               "clutter.mean_count": "100", "run.seed": "5", **setting})
     truth_rng = np.random.default_rng(11)
     truth = generate_truth(config.scenario, truth_rng)
     frames = generate_frames(truth, config.scenario.sensor, config.scenario.clutter, truth_rng)
@@ -462,7 +575,9 @@ def test_filter_matches_dense_likelihood_reference():
             prev = frame
         assert len(state.tracks) > 0
         texts.append(out.getvalue())
-    assert texts[0] == texts[1]
+    # a plain flag, since pytest's diff of two long snapshot texts takes minutes
+    same = texts[0] == texts[1]
+    assert same
 
 
 class TestClutter:
@@ -479,6 +594,17 @@ class TestClutter:
     def test_zero_rate(self):
         clutter = ClutterModel(mean_count=0.0, max_range=300.0)
         assert clutter.intensity(Measurement(10.0, 0.0)) == 0.0
+
+    def test_intensity_at_ranges(self):
+        # the array form is the constant inside the closed disk and 0.0
+        # elsewhere, bit for bit the value of the scalar form
+        clutter = ClutterModel(mean_count=100.0, max_range=300.0)
+        ranges = np.array([0.0, 100.0, 300.0, np.nextafter(300.0, 400.0), -1e-9, np.nan])
+        out = clutter.intensity_at(ranges)
+        assert out.shape == ranges.shape
+        assert out.tolist() == [clutter.mean_count * clutter.density] * 3 + [0.0] * 3
+        assert out.tolist() == [clutter.intensity(Measurement(r, 0.0)) for r in ranges]
+        assert clutter.intensity_at(np.empty(0)).shape == (0,)
 
     def test_density_integrates_to_one_over_roi(self):
         clutter = ClutterModel(mean_count=1.0, max_range=300.0)

@@ -285,8 +285,8 @@ class ShuffledStub(StubSensor):
         super().__init__(pd, lik)
         self.rng = rng
 
-    def likelihood_cells(self, frame, rho, theta):
-        row, col, value = super().likelihood_cells(frame, rho, theta)
+    def likelihood_cells(self, frame, rho, theta, floor=None):
+        row, col, value = super().likelihood_cells(frame, rho, theta, floor)
         order = np.lexsort((self.rng.random(len(row)), row))
         return row[order], col[order], value[order]
 
