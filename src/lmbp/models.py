@@ -125,19 +125,9 @@ class SensorModel:
         dy = states[..., 1] - self.position[1]
         return np.hypot(dx, dy), np.arctan2(dy, dx)
 
-    def detection_prob(self, states: np.ndarray) -> np.ndarray:
-        return self.detection_prob_at(self.range_bearing(states)[0])
-
     def detection_prob_at(self, rho: np.ndarray) -> np.ndarray:
         """Detection probability at the ranges `rho` of `range_bearing`."""
         return self.pd_max * np.exp(-(rho ** 2) / self.pd_scale ** 2)
-
-    def likelihood(self, z: Measurement, states: np.ndarray) -> np.ndarray:
-        """Measurement density f(z | x) evaluated per state."""
-        rho, theta = self.range_bearing(states)
-        dr = (z.range - rho) / self.sigma_range
-        db = wrap_angle(z.bearing - theta) / self.sigma_bearing
-        return self.normalizer * np.exp(-0.5 * (dr ** 2 + db ** 2))
 
     def likelihood_cells(self, frame: Sequence[Measurement], rho: np.ndarray,
                          theta: np.ndarray, floor: float | np.ndarray = EXP_FLOOR
@@ -325,10 +315,6 @@ class ClutterModel:
     @property
     def density(self) -> float:
         return 1.0 / (self.max_range * 2.0 * np.pi)
-
-    def intensity(self, z: Measurement) -> float:
-        """Clutter intensity at a measurement; zero outside the sensor disk."""
-        return float(self.intensity_at(np.array(z.range)))
 
     def intensity_at(self, ranges: np.ndarray) -> np.ndarray:
         """Clutter intensity at measurement ranges; zero outside the sensor disk."""

@@ -125,7 +125,7 @@ def generate_frame(truth_states: np.ndarray, sensor: SensorModel, clutter: Clutt
         rho, _ = sensor.range_bearing(state)
         if rho > sensor.max_range:
             continue
-        if rng.random() < sensor.detection_prob(state):
+        if rng.random() < sensor.detection_prob_at(rho):
             frame.append(sensor.sample_measurement(state, rng))
     frame.extend(clutter.sample(rng))
     order = rng.permutation(len(frame))

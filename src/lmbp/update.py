@@ -74,30 +74,29 @@ class FilterSettings:
 
 def select_transfers(beta: np.ndarray, mass: np.ndarray, cells: Cells,
                      states: np.ndarray, gamma_tr: float,
-                     time: int) -> tuple[dict[Label, Hypothesis], tuple[int, ...]]:
+                     time: int) -> tuple[dict[Label, Hypothesis], np.ndarray]:
     """Split the measurements' new components into transferred labels and the rest.
 
     `beta`, `mass` and `cells` come from `new_components` over the intensity
-    particles `states`. Every measurement m whose component has existence
-    mass[m-1] / beta[m-1] >= gamma_tr (inclusive) becomes a labeled
-    Bernoulli with label (time, m); only these get a particle set, with
-    weights row / d from the cells of row m-1. The remaining indices are
-    returned for the caller to absorb or prune.
+    particles `states`. Returns `(transfers, transferred)`: the (M,) mask
+    `transferred` marks every measurement whose component has existence
+    mass / beta >= gamma_tr (inclusive), and each such row j becomes a
+    labeled Bernoulli with label (time, j + 1); only these get a particle
+    set, with weights row / d from the cells of row j. The caller absorbs
+    or prunes the rest.
     """
     row, col, value = cells
-    bounds = np.searchsorted(row, np.arange(len(beta) + 1)).tolist()
+    existence = mass / beta
+    transferred = existence >= gamma_tr
+    bounds = np.searchsorted(row, np.arange(len(beta) + 1))
     transfers = {}
-    remaining = []
-    for m, (b, d) in enumerate(zip(beta, mass), start=1):
-        if d / b >= gamma_tr:
-            run = slice(bounds[m - 1], bounds[m])
-            weights = np.zeros(len(states))
-            weights[col[run]] = value[run] / d
-            pdf = ParticleSet(states, weights)
-            transfers[Label(time, m)] = Hypothesis(float(b), float(d / b), pdf)
-        else:
-            remaining.append(m)
-    return transfers, tuple(remaining)
+    for j in np.flatnonzero(transferred).tolist():
+        run = slice(bounds[j], bounds[j + 1])
+        weights = np.zeros(len(states))
+        weights[col[run]] = value[run] / mass[j]
+        pdf = ParticleSet(states, weights)
+        transfers[Label(time, j + 1)] = Hypothesis(float(beta[j]), float(existence[j]), pdf)
+    return transfers, transferred
 
 
 def update_legacy_track(label: Label, marginal: Mapping[int, float], miss: Hypothesis,
@@ -163,15 +162,13 @@ def update_phd(recycled: Sequence[BernoulliTrack], beta: np.ndarray, cells: Cell
     components + recycled tracks, reduced to the intensity budget.
 
     `beta` (K,) and `cells` (rows 0..K-1) are the `new_components` output of
-    K measurements, where beta = inf marks a measurement whose component
-    does not return to the intensity, and `pd` is the detection
-    probability of each predicted intensity particle. The predicted
-    particles are reweighted by (1 - pD) w + sum_k row_k / beta[k] (the
-    SMC-PHD update; a row with beta = inf and finite cells adds exactly
-    0.0), the recycled
-    tracks' particles are appended with weights r * pdf, and the union is
-    resampled once. Total mass is sum((1 - pD) w) + sum_k d_k / beta_k +
-    r-sum, preserved through the reduction.
+    the K measurements whose components return to the intensity, and `pd` is
+    the detection probability of each predicted intensity particle. The
+    predicted particles are reweighted by (1 - pD) w + sum_k row_k / beta[k]
+    (the SMC-PHD update), the recycled tracks' particles are appended with
+    weights r * pdf, and the union is resampled once. Total mass is
+    sum((1 - pD) w) + sum_k d_k / beta_k + r-sum, preserved through the
+    reduction.
     """
     survivors = predicted_phd.particles
     row, col, value = cells
@@ -197,17 +194,6 @@ def _rows_of(cells: Cells, keep: np.ndarray) -> Cells:
     return (np.cumsum(keep) - 1)[row[inside]], col[inside], value[inside]
 
 
-def _intensity_rows(beta: np.ndarray, mass: np.ndarray, cells: Cells,
-                    unclaimed: np.ndarray) -> tuple[np.ndarray, Cells]:
-    """`beta` and `cells` for `update_phd`, where only `unclaimed` rows return:
-    the others get beta = inf, so a finite cell of theirs adds exactly 0.0.
-    Cells are nonnegative, so a claimed row with a non-finite cell has a
-    non-finite mass; it is dropped, as (1/inf) * inf is nan."""
-    passed = unclaimed | np.isfinite(mass)
-    beta = np.where(unclaimed, beta, np.inf)
-    return (beta, cells) if passed.all() else (beta[passed], _rows_of(cells, passed))
-
-
 def _marginalize(cluster: Cluster, settings: FilterSettings):
     if settings.marginals == "exact":
         if (cluster.det_beta.size <= EXACT_DEGREE_LIMIT
@@ -225,7 +211,9 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
     `prev_frame` feeds the measurement-driven birth proposal (empty on the
     first step). A measurement that neither clutter nor the intensity can
     explain (beta = 0, e.g. beyond the sensor disk) is dropped before
-    association, and label indices count positions in the kept frame.
+    association, and label indices count positions in the kept frame. Only
+    the rows of residual measurements that are not transferred return to the
+    intensity, and `update_phd` gets those rows alone.
     Estimation is separate; see `lmbp.estimation`.
     """
     k = state.time + 1
@@ -254,11 +242,9 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
     evidence = track_evidence(predicted, frame, models.sensor, thresholds.gamma_c)
 
     clusters, residual = partition(evidence.betas, thresholds.gamma_c)
-    transfers, untransferred = select_transfers(new_beta, new_mass, new_cells,
-                                                predicted_phd.particles.states,
-                                                thresholds.gamma_tr, k)
-    transferred = np.ones(len(frame), dtype=bool)
-    transferred[[m - 1 for m in untransferred]] = False
+    transfers, transferred = select_transfers(new_beta, new_mass, new_cells,
+                                              predicted_phd.particles.states,
+                                              thresholds.gamma_tr, k)
 
     updated: list[BernoulliTrack] = []
     for rows, cols in clusters:
@@ -288,7 +274,7 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
     kept, recycled = split_by_retention(updated, thresholds.gamma_leg, k)
     unclaimed = np.zeros(len(frame), dtype=bool)
     unclaimed[residual[~transferred[residual]]] = True
-    phd = update_phd(recycled, *_intensity_rows(new_beta, new_mass, new_cells, unclaimed),
+    phd = update_phd(recycled, new_beta[unclaimed], _rows_of(new_cells, unclaimed),
                      predicted_phd, phd_pd, settings.phd_particles, rng)
     kept.sort(key=lambda t: t.label)
     return FilterState(tuple(kept), phd, k)

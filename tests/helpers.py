@@ -1,5 +1,6 @@
 """Shared test utilities: controlled sensor doubles, random cluster generation,
-the dense likelihood reference and the dense intensity-update references."""
+the closed-form and dense likelihood references and the dense intensity-update
+references."""
 
 import numpy as np
 
@@ -25,12 +26,6 @@ class StubSensor:
     def range_bearing(self, states):
         shape = np.shape(states)[:-1]
         return np.zeros(shape), np.zeros(shape)
-
-    def detection_prob(self, states):
-        states = np.asarray(states, dtype=float)
-        if states.ndim == 1:
-            return self.pd[0]
-        return self.pd[: states.shape[0]]
 
     def detection_prob_at(self, rho):
         return np.broadcast_to(self.pd[: np.shape(rho)[-1]], np.shape(rho))
@@ -77,6 +72,15 @@ def max_label_tv(exact, approx):
     legacy = 0.5 * np.abs(exact.legacy - approx.legacy).sum(axis=1)
     claim = np.abs(exact.claim - approx.claim)
     return max(legacy.max(initial=0.0), claim.max(initial=0.0))
+
+
+def likelihood(sensor, z, states):
+    """Closed-form reference for the sensor's measurement density f(z | x),
+    evaluated per state."""
+    rho, theta = sensor.range_bearing(states)
+    dr = (z.range - rho) / sensor.sigma_range
+    db = wrap_angle(z.bearing - theta) / sensor.sigma_bearing
+    return sensor.normalizer * np.exp(-0.5 * (dr ** 2 + db ** 2))
 
 
 def dense_likelihood_table(sensor, frame, states):

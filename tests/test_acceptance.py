@@ -440,9 +440,9 @@ def test_criterion_8_threshold_semantics():
     gamma = 1e-2
     # one new component of existence gamma: beta 1, mass gamma over 4 particles
     table = np.full((1, 4), gamma / 4)
-    transfers, remaining = select_transfers(np.ones(1), table.sum(axis=1), cells_of(table),
-                                            np.zeros((4, 4)), gamma, time=3)
-    tr_inclusive = Label(3, 1) in transfers and remaining == ()
+    transfers, transferred = select_transfers(np.ones(1), table.sum(axis=1), cells_of(table),
+                                              np.zeros((4, 4)), gamma, time=3)
+    tr_inclusive = list(transfers) == [Label(3, 1)] and transferred.tolist() == [True]
 
     kept, recycled = split_by_retention(
         [BernoulliTrack(Label(1, 1), gamma, pdf_at(0.0))], gamma, time=3)

@@ -92,7 +92,7 @@ def parent_evidence(track, frame, sensor):
     pdf weights of every measurement with b > 0 (1-based keys), from a dense
     likelihood table. A pdf is None where the formula builds none."""
     states, w, r = track.pdf.states, track.pdf.weights, track.existence
-    pd = sensor.detection_prob(states)
+    pd = sensor.detection_prob_at(sensor.range_bearing(states)[0])
     miss = w * (1.0 - pd)
     c = float(miss.sum())
     miss_beta = 1.0 - r + r * c

@@ -26,6 +26,7 @@ from helpers import (
     dense_likelihood_table,
     dense_polar_exponents,
     dense_polar_table,
+    likelihood,
     table_of,
 )
 
@@ -69,20 +70,25 @@ class TestMotionModel:
             MotionModel(p_survival=1.2)
 
 
+def pd_of(sensor, states):
+    """Detection probability of states, from their ranges."""
+    return sensor.detection_prob_at(sensor.range_bearing(np.asarray(states, dtype=float))[0])
+
+
 class TestDetectionProb:
     def test_peak_at_sensor(self):
         sensor = make_sensor(pd_max=0.7)
-        assert sensor.detection_prob(np.array([0.0, -50.0, 0, 0])) == pytest.approx(0.7)
+        assert pd_of(sensor, [0.0, -50.0, 0, 0]) == pytest.approx(0.7)
 
     def test_border_value_ts1(self):
         # 0.7 * exp(-300^2/450^2) = 0.449 at the sensor-disk border
         sensor = make_sensor(pd_max=0.7)
-        val = sensor.detection_prob(np.array([300.0, -50.0, 0, 0]))
+        val = pd_of(sensor, [300.0, -50.0, 0, 0])
         assert val == pytest.approx(0.449, abs=5e-4)
 
     def test_border_value_ts2(self):
         sensor = make_sensor(pd_max=0.5)
-        val = sensor.detection_prob(np.array([0.0, 250.0, 0, 0]))
+        val = pd_of(sensor, [0.0, 250.0, 0, 0])
         assert val == pytest.approx(0.320, abs=1e-3)
 
     def test_monotone_in_distance(self):
@@ -91,7 +97,7 @@ class TestDetectionProb:
         states = np.zeros((100, 4))
         states[:, 0] = dists
         states[:, 1] = -50.0
-        vals = sensor.detection_prob(states)
+        vals = pd_of(sensor, states)
         assert np.all(np.diff(vals) <= 0)
         assert np.all(vals > 0) and np.all(vals <= sensor.pd_max)
 
@@ -103,14 +109,14 @@ class TestLikelihood:
         rho, theta = sensor.range_bearing(state)
         z = Measurement(float(rho), float(theta))
         expected = 1.0 / (2 * np.pi * sensor.sigma_range * sensor.sigma_bearing)
-        assert sensor.likelihood(z, state) == pytest.approx(expected, rel=1e-12)
+        assert likelihood(sensor, z, state) == pytest.approx(expected, rel=1e-12)
 
     def test_bearing_wrap_symmetry(self):
         sensor = make_sensor(sigma_bearing=0.5)
         state = np.array([-100.0, -50.0, 0, 0])  # true bearing = pi
         rho, theta = sensor.range_bearing(state)
-        near_pi = sensor.likelihood(Measurement(float(rho), np.pi - 1e-3), state)
-        near_minus_pi = sensor.likelihood(Measurement(float(rho), -np.pi + 1e-3), state)
+        near_pi = likelihood(sensor, Measurement(float(rho), np.pi - 1e-3), state)
+        near_minus_pi = likelihood(sensor, Measurement(float(rho), -np.pi + 1e-3), state)
         assert near_pi == pytest.approx(near_minus_pi, rel=1e-6)
 
     def test_one_sigma_offset(self):
@@ -119,7 +125,7 @@ class TestLikelihood:
         rho, theta = sensor.range_bearing(state)
         z = Measurement(float(rho) + 2.0, float(theta))
         peak = 1.0 / (2 * np.pi * sensor.sigma_range * sensor.sigma_bearing)
-        assert sensor.likelihood(z, state) == pytest.approx(peak * np.exp(-0.5), rel=1e-12)
+        assert likelihood(sensor, z, state) == pytest.approx(peak * np.exp(-0.5), rel=1e-12)
 
     def test_table_matches_single_evaluations(self):
         sensor = make_sensor()
@@ -129,7 +135,7 @@ class TestLikelihood:
                              float(rng.uniform(-np.pi, np.pi))) for _ in range(7)]
         table = sensor.likelihood_table(frame, states)
         for m, z in enumerate(frame):
-            np.testing.assert_allclose(table[m], sensor.likelihood(z, states),
+            np.testing.assert_allclose(table[m], likelihood(sensor, z, states),
                                        rtol=1e-12)
 
     def test_integrates_to_one(self):
@@ -140,7 +146,7 @@ class TestLikelihood:
         r_grid = np.linspace(rho0 - 10 * sensor.sigma_range,
                              rho0 + 10 * sensor.sigma_range, 400)
         b_grid = np.linspace(-np.pi, np.pi, 2000, endpoint=False)
-        vals = np.array([[sensor.likelihood(Measurement(r, b), state) for r in r_grid]
+        vals = np.array([[likelihood(sensor, Measurement(r, b), state) for r in r_grid]
                          for b in b_grid])
         integral = np.trapezoid(np.trapezoid(vals, r_grid, axis=1), b_grid)
         assert integral == pytest.approx(1.0, rel=0.01)
@@ -584,26 +590,26 @@ class TestClutter:
     def test_intensity_value(self):
         clutter = ClutterModel(mean_count=100.0, max_range=300.0)
         z = Measurement(100.0, 0.3)
-        assert clutter.intensity(z) == pytest.approx(100.0 / (300.0 * 2 * np.pi))
-        assert clutter.intensity(z) == pytest.approx(0.05305, abs=2e-5)
+        assert clutter.intensity_at(z.range) == pytest.approx(100.0 / (300.0 * 2 * np.pi))
+        assert clutter.intensity_at(z.range) == pytest.approx(0.05305, abs=2e-5)
 
     def test_outside_support(self):
         clutter = ClutterModel(mean_count=100.0, max_range=300.0)
-        assert clutter.intensity(Measurement(301.0, 0.0)) == 0.0
+        assert clutter.intensity_at(301.0) == 0.0
 
     def test_zero_rate(self):
         clutter = ClutterModel(mean_count=0.0, max_range=300.0)
-        assert clutter.intensity(Measurement(10.0, 0.0)) == 0.0
+        assert clutter.intensity_at(10.0) == 0.0
 
     def test_intensity_at_ranges(self):
         # the array form is the constant inside the closed disk and 0.0
-        # elsewhere, bit for bit the value of the scalar form
+        # elsewhere, bit for bit the value of one range at a time
         clutter = ClutterModel(mean_count=100.0, max_range=300.0)
         ranges = np.array([0.0, 100.0, 300.0, np.nextafter(300.0, 400.0), -1e-9, np.nan])
         out = clutter.intensity_at(ranges)
         assert out.shape == ranges.shape
         assert out.tolist() == [clutter.mean_count * clutter.density] * 3 + [0.0] * 3
-        assert out.tolist() == [clutter.intensity(Measurement(r, 0.0)) for r in ranges]
+        assert out.tolist() == [float(clutter.intensity_at(np.array(r))) for r in ranges]
         assert clutter.intensity_at(np.empty(0)).shape == (0,)
 
     def test_density_integrates_to_one_over_roi(self):

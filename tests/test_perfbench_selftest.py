@@ -13,6 +13,8 @@ import numpy as np
 
 import lmbp.update
 
+from helpers import cells_of
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -37,6 +39,12 @@ def test_tracer_pins_resolve(monkeypatch):
     tracer._count_clusters((betas, 0.5), {}, result, "association.partition")
     assert tracer.counts["association.clusters"] == 2
     assert tracer.counts["association.cluster_labels_max"] == 2
+    # the transfer counter reads `select_transfers`' result: 2 of 3 rows transfer
+    table = np.array([[0.5, 0.0], [0.0, 1e-3], [0.2, 0.3]])
+    counted = tracer._count_wrapper(lmbp.update.select_transfers, "select_transfers")
+    transfers, transferred = counted(np.ones(3), table.sum(axis=1), cells_of(table),
+                                     np.zeros((2, 4)), 1e-2, 5)
+    assert tracer.counts["update.transfers"] == transferred.sum() == len(transfers) == 2
 
 
 def test_perfbench_selftest_passes():

@@ -22,7 +22,6 @@ from lmbp.simulate import generate_frames, generate_truth
 from lmbp.update import (
     FilterSettings,
     Thresholds,
-    _intensity_rows,
     _rows_of,
     lmbp_step,
     select_transfers,
@@ -32,7 +31,13 @@ from lmbp.update import (
     update_transferred_track,
 )
 
-from helpers import StubSensor, cells_of, dense_new_components, dense_phd_weights
+from helpers import (
+    StubSensor,
+    cells_of,
+    dense_new_components,
+    dense_phd_weights,
+    likelihood,
+)
 
 
 def pdf_at(x1, n=1, weight=None):
@@ -101,25 +106,25 @@ class TestThresholds:
 
 class TestSelectTransfers:
     def test_threshold_split(self):
-        beta, mass, table, states = new_component_rows(0.5, 0.001)
-        transfers, remaining = select_transfers(beta, mass, table, states, gamma_tr=0.01,
-                                                time=7)
-        assert set(transfers) == {Label(7, 1)}
-        assert remaining == (2,)
+        beta, mass, table, states = new_component_rows(0.5, 0.001, 0.9)
+        transfers, transferred = select_transfers(beta, mass, table, states, gamma_tr=0.01,
+                                                  time=7)
+        assert transferred.tolist() == [True, False, True]
+        assert list(transfers) == [Label(7, j + 1) for j in np.flatnonzero(transferred)]
         comp = transfers[Label(7, 1)]
         assert comp.beta == 1.0 and comp.existence == pytest.approx(0.5, abs=1e-15)
         np.testing.assert_array_equal(comp.pdf.states, states)
         np.testing.assert_allclose(comp.pdf.weights, [0.5, 0.5], atol=1e-15)
 
     def test_nothing_above_threshold(self):
-        transfers, remaining = select_transfers(*new_component_rows(0.005, 0.001),
-                                                gamma_tr=0.01, time=7)
-        assert transfers == {} and remaining == (1, 2)
+        transfers, transferred = select_transfers(*new_component_rows(0.005, 0.001),
+                                                  gamma_tr=0.01, time=7)
+        assert transfers == {} and transferred.tolist() == [False, False]
 
     def test_boundary_is_inclusive(self):
-        transfers, remaining = select_transfers(*new_component_rows(1e-2),
-                                                gamma_tr=1e-2, time=7)
-        assert Label(7, 1) in transfers and remaining == ()
+        transfers, transferred = select_transfers(
+            *new_component_rows(1e-2, np.nextafter(1e-2, 0.0)), gamma_tr=1e-2, time=7)
+        assert list(transfers) == [Label(7, 1)] and transferred.tolist() == [True, False]
 
 
 class TestUpdateLegacyTrack:
@@ -314,10 +319,11 @@ class TestSparseIntensityArithmetic:
         beta, mass, cells = new_components(phd, pd, frame, sensor, clutter,
                                            sensor.range_bearing(states))
         ref_beta, ref_mass, table = dense_new_components(
-            phd, pd, lik, np.array([clutter.intensity(z) for z in frame]))
+            phd, pd, lik, clutter.intensity_at(np.array([z.range for z in frame])))
         assert np.array_equal(beta, ref_beta) and np.array_equal(mass, ref_mass)
 
-        transfers, remaining = select_transfers(beta, mass, cells, states, 0.1, time=3)
+        transfers, transferred = select_transfers(beta, mass, cells, states, 0.1, time=3)
+        assert list(transfers) == [Label(3, j + 1) for j in np.flatnonzero(transferred)]
         for label, component in transfers.items():
             row = label.index - 1
             assert np.array_equal(component.pdf.weights, table[row] / mass[row])
@@ -331,19 +337,16 @@ class TestSparseIntensityArithmetic:
 
         monkeypatch.setattr(lmbp.update, "resample", spy)
         unclaimed = np.zeros(m, dtype=bool)
-        unclaimed[[j - 1 for j in remaining]] = rng.random(len(remaining)) < 0.8
+        unclaimed[~transferred] = rng.random(m - transferred.sum()) < 0.8
         recycled = [BernoulliTrack(Label(1, 1), 0.5, pdf_at(0.0))]
         update_phd(recycled, beta[unclaimed], _rows_of(cells, unclaimed), phd, pd, 64, rng)
         assert np.array_equal(
             weights[0], dense_phd_weights(phd, pd, beta[unclaimed], table[unclaimed]))
-        # every row, with beta = inf on the rows that do not return, as lmbp_step passes them
-        update_phd(recycled, *_intensity_rows(beta, mass, cells, unclaimed), phd, pd, 64, rng)
-        assert np.array_equal(weights[1], weights[0])
 
     def test_claimed_rows_with_infinite_cells_are_dropped(self, monkeypatch):
         # an infinite normalizer makes every cell inf, and the track claims both
-        # measurements: with beta = inf, (1/inf) * inf would put nan into the
-        # intensity, so the step must match gathering the unclaimed rows
+        # measurements: their rows must not reach the intensity, where an
+        # infinite cell would make the weights non-finite
         @dataclass(frozen=True)
         class InfiniteNorm(SensorModel):
             def _frame_terms(self, frame):
@@ -365,28 +368,31 @@ class TestSparseIntensityArithmetic:
         track = BernoulliTrack(Label(1, 1), 0.8, ParticleSet(states, np.full(8, 1 / 8)))
         state = FilterState((track,), PoissonPhd(ParticleSet(states, np.full(8, 0.01))), 1)
 
+        masses = []
+        components = lmbp.update.new_components
+
+        def components_spy(*args):
+            result = components(*args)
+            masses.append(result[1])
+            return result
+
+        monkeypatch.setattr(lmbp.update, "new_components", components_spy)
         seen = []
-        real = lmbp.update._intensity_rows
+        real = lmbp.update.update_phd
 
-        def spy(beta, mass, cells, unclaimed):
-            seen.append((mass.copy(), unclaimed.copy()))
-            return real(beta, mass, cells, unclaimed)
+        def spy(recycled, beta, cells, *args):
+            seen.append((beta.copy(), cells[0].copy()))
+            return real(recycled, beta, cells, *args)
 
-        def step():
-            with np.errstate(invalid="ignore", over="ignore"):
-                return lmbp_step(state, frame, models, Thresholds(), np.random.default_rng(0),
-                                 settings=small_settings())
-
-        monkeypatch.setattr(lmbp.update, "_intensity_rows", spy)
-        out = step()
-        mass, unclaimed = seen[0]
-        assert np.isinf(mass).all() and not unclaimed.any()
-        monkeypatch.setattr(lmbp.update, "_intensity_rows", lambda beta, mass, cells, unclaimed:
-                            (beta[unclaimed], _rows_of(cells, unclaimed)))
-        ref = step()
-        assert np.array_equal(out.phd.particles.weights, ref.phd.particles.weights)
-        assert np.array_equal(out.phd.particles.states, ref.phd.particles.states)
-        assert out.tracks == ref.tracks == ()
+        monkeypatch.setattr(lmbp.update, "update_phd", spy)
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = lmbp_step(state, frame, models, Thresholds(), np.random.default_rng(0),
+                            settings=small_settings())
+        [(beta, row)] = seen
+        assert np.isinf(masses[0]).all()
+        assert beta.size == 0 and row.size == 0
+        assert np.isfinite(out.phd.particles.weights).all()
+        assert out.tracks == ()
 
 
 def micro_models(pd_const=0.5, p_survival=1.0, mean_births=0.0, mean_clutter=2.0,
@@ -653,8 +659,8 @@ class TestLmbpStep:
             r_pred = r0 * ps
             ratio = 0.0
             for z in frame:
-                b = pd * float(np.mean(models.sensor.likelihood(z, states)))
-                ratio += b / models.clutter.intensity(z)
+                b = pd * float(np.mean(likelihood(models.sensor, z, states)))
+                ratio += b / float(models.clutter.intensity_at(z.range))
             expected = (r_pred * (1 - pd + ratio)
                         / (1 - r_pred + r_pred * (1 - pd) + r_pred * ratio))
             assert len(out.tracks) == 1
