@@ -18,7 +18,7 @@ from .config import ConfigError, RunConfig, build_run_config, load_run_config, p
 from .estimation import TrackEstimate, detect_and_estimate
 from .metrics import OspaParams, mospa_curve, ospa
 from .models import BirthModel, ClutterModel, Models, MotionModel, SensorModel
-from .prediction import predict_phd, predict_track
+from .prediction import predict_phd, predict_track, predict_tracks
 from .rfs import (
     BernoulliTrack,
     FilterState,
@@ -26,8 +26,10 @@ from .rfs import (
     Measurement,
     ParticleSet,
     PoissonPhd,
+    TrackBlock,
     read_snapshot,
     resample,
+    resample_rows,
     weighted_mean,
     write_snapshot,
 )
@@ -35,6 +37,7 @@ from .simulate import GroundTruth, ScenarioConfig, generate_frame, generate_trut
 from .update import (
     FilterSettings,
     Thresholds,
+    Transfer,
     lmbp_step,
     select_transfers,
     split_by_retention,

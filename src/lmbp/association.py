@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .models import EXP_FLOOR, ClutterModel, SensorModel
-from .rfs import BernoulliTrack, Measurement, ParticleSet, PoissonPhd
+from .rfs import BernoulliTrack, Measurement, ParticleSet, PoissonPhd, TrackBlock
 
 _TINY = 1e-300  # denominator floor; keeps degenerate messages finite
 # an intensity cell below this share of its row's clutter intensity is left out
@@ -34,9 +34,9 @@ class Hypothesis:
     """One association hypothesis: its weight, the existence probability it
     implies, and the spatial pdf given it.
 
-    The same type serves a track's miss, a track's detection of one
-    measurement, and the new component of a measurement transferred to the
-    labeled part (see `lmbp.update.select_transfers`).
+    The same type serves a track's miss and its detection of one
+    measurement, as `TrackEvidence.miss` and `.detection` build them for the
+    per-track API; the step itself reads their weight rows (`terms`).
     """
 
     beta: float
@@ -44,25 +44,28 @@ class Hypothesis:
     pdf: ParticleSet
 
 
-# shared by every detection hypothesis with zero weight
-_NO_DETECTION = Hypothesis(0.0, 0.0, ParticleSet.empty())
+# the pdf weights of a hypothesis that builds no pdf
+_NO_PDF = np.empty(0)
 
 
 @dataclass(frozen=True)
 class TrackEvidence:
-    """Miss and detection evidence of L predicted tracks against one frame.
+    """Miss and detection evidence of the L predicted tracks of a `TrackBlock`
+    against one frame; row i is the block's row i.
 
     Per track: c = sum_n w_n (1 - pD(x_n)) and miss_beta = 1 - r + r c; per
     measurement m: b = sum_n w_n pD(x_n) f(z_m|x_n) and betas[i, m-1] = r b.
-    `miss_weights[i]` holds w (1 - pD) over tracks[i]'s particles, and
-    `rows[(i, m)]` holds (w pD f(z_m|.), b) for every evaluated pair; a pair
-    the likelihood gate left out has b = 0. A `deferred` pair cannot reach
-    the plausibility threshold: it keeps betas = 0 until `complete`
-    evaluates it from `sources[i]`, tracks[i]'s particle ranges, bearings
-    and w pD. No pdf is built until `miss` or `detection` asks for one.
+    `states[i]` and `miss_weights[i]` hold row i's particles and w (1 - pD)
+    over them, and `rows[(i, m)]` holds (w pD f(z_m|.), b) for every
+    evaluated pair; a pair the likelihood gate left out has b = 0. A
+    `deferred` pair cannot reach the plausibility threshold: it keeps betas
+    = 0 until `complete` evaluates it from `sources[i]`, row i's particle
+    ranges, bearings and w pD. No pdf is built until `miss`, `detection` or
+    `terms` asks for one.
     """
 
-    tracks: tuple[BernoulliTrack, ...]
+    existence: np.ndarray                          # (L,) r
+    states: tuple[np.ndarray, ...]
     miss_beta: np.ndarray                          # (L,)
     betas: np.ndarray                              # (L, M)
     miss_mass: np.ndarray                          # (L,) c
@@ -73,35 +76,56 @@ class TrackEvidence:
     frame: Sequence[Measurement]
     sensor: SensorModel
 
-    def miss(self, i: int) -> Hypothesis:
-        """Miss hypothesis of tracks[i]: existence r c / beta, pdf w (1 - pD) / c.
-
-        beta can only vanish in the forced-detection corner (r = 1, pD = 1),
-        which returns beta = 0 with existence 0.
-        """
+    def _miss(self, i: int) -> tuple[float, float, np.ndarray]:
+        """Track i's miss: beta, existence r c / beta and pdf weights
+        w (1 - pD) / c. beta can only vanish in the forced-detection corner
+        (r = 1, pD = 1), which returns beta = 0 with existence 0."""
         beta, c = float(self.miss_beta[i]), float(self.miss_mass[i])
         if beta <= 0.0:
-            return Hypothesis(0.0, 0.0, ParticleSet.empty())
+            return 0.0, 0.0, _NO_PDF
         if c <= 0.0:
             # object, if present, was surely detected; pdf carries no mass
-            return Hypothesis(beta, 0.0, ParticleSet.empty())
-        track = self.tracks[i]
-        return Hypothesis(beta, track.existence * c / beta,
-                          ParticleSet(track.pdf.states, self.miss_weights[i] / c))
+            return beta, 0.0, _NO_PDF
+        return beta, float(self.existence[i]) * c / beta, self.miss_weights[i] / c
 
-    def detection(self, i: int, m: int) -> Hypothesis:
-        """Detection hypothesis of tracks[i] with measurement m: beta = r b,
-        existence 1, pdf w pD f(z_m|.) / b over the track's own particles.
-        b = 0 yields beta = 0 with an empty pdf (pruned later by gating); a
+    def _detection(self, i: int, m: int) -> tuple[float, float, np.ndarray]:
+        """Track i's detection of measurement m: beta = r b, existence 1 and
+        pdf weights w pD f(z_m|.) / b; b = 0 yields beta = 0 and no pdf. A
         deferred pair that `complete` never evaluated raises ValueError."""
         if self.deferred[i, m - 1]:
             raise ValueError(f"detection ({i}, {m}) was deferred and never evaluated")
         row = self.rows.get((i, m))
         if row is None or row[1] <= 0.0:
-            return _NO_DETECTION
+            return 0.0, 0.0, _NO_PDF
         weights, b = row
-        return Hypothesis(float(self.betas[i, m - 1]), 1.0,
-                          ParticleSet(self.tracks[i].pdf.states, weights / b))
+        return float(self.betas[i, m - 1]), 1.0, weights / b
+
+    def _hypothesis(self, i: int, beta: float, existence: float,
+                    weights: np.ndarray) -> Hypothesis:
+        pdf = ParticleSet(self.states[i], weights) if len(weights) else ParticleSet.empty()
+        return Hypothesis(beta, existence, pdf)
+
+    def miss(self, i: int) -> Hypothesis:
+        """Miss hypothesis of row i, over its own particles."""
+        return self._hypothesis(i, *self._miss(i))
+
+    def detection(self, i: int, m: int) -> Hypothesis:
+        """Detection hypothesis of row i with measurement m (counted from 1)."""
+        return self._hypothesis(i, *self._detection(i, m))
+
+    def terms(self, i: int, pmf: Sequence[float],
+              cols: Sequence[int]) -> list[tuple[float, np.ndarray]]:
+        """The (p(a) r(i,a), pdf weights) terms of row i's marginalized update,
+        for the marginal row `pmf` over the miss and the 0-based measurements
+        `cols`: the miss first, then the detections in column order. A
+        detection pdf is built only where its marginal is positive."""
+        _, existence, weights = self._miss(i)
+        terms = [(pmf[0] * existence, weights)]
+        for m, p in zip(cols, pmf[1:]):
+            if p > 0.0:
+                _, existence, weights = self._detection(i, m + 1)
+                terms.append((p * existence, weights))
+        return terms
 
     def complete(self, rows: np.ndarray, cols: np.ndarray) -> None:
         """Evaluate, in place, every deferred pair among the tracks `rows` and
@@ -118,43 +142,37 @@ class TrackEvidence:
         block = self.sensor.likelihood_rows(self.frame, meas, rho, theta)
         block *= detect
         b = block.sum(axis=1)
-        self.betas[owners, meas] = np.array([self.tracks[i].existence for i in owners]) * b
+        self.betas[owners, meas] = self.existence[owners] * b
         self.deferred[owners, meas] = False
         for i, m, row, row_b in zip(owners, (meas + 1).tolist(), block, b):
             self.rows[(i, m)] = (row, row_b)
 
 
-def track_evidence(tracks: Sequence[BernoulliTrack], frame: Sequence[Measurement],
+def track_evidence(block: TrackBlock, frame: Sequence[Measurement],
                    sensor: SensorModel, gamma_c: float) -> TrackEvidence:
     """Evidence of every predicted track against every measurement, in one pass.
 
-    Tracks with the same particle count are stacked into one (L, N, 4)
-    block, whose ranges, bearings and pD are computed once. Of the pairs the
-    sensor's row gate keeps, one whose weight bound r sum(w pD) norm
-    exp(bound) lies below gamma_c / 2 has a weight below gamma_c, so it is
-    deferred to `TrackEvidence.complete` and `partition` still sees the same
-    plausible pairs; the rest are evaluated now. gamma_c = 0 defers nothing.
+    Each group of the block, the tracks of one particle count, has its
+    ranges, bearings and pD computed once. Of the pairs the sensor's row
+    gate keeps, one whose weight bound r sum(w pD) norm exp(bound) lies
+    below gamma_c / 2 has a weight below gamma_c, so it is deferred to
+    `TrackEvidence.complete` and `partition` still sees the same plausible
+    pairs; the rest are evaluated now. gamma_c = 0 defers nothing.
     """
-    count = len(tracks)
-    r = np.array([t.existence for t in tracks], dtype=float)
+    count = len(block.labels)
+    r = block.existence
     miss_mass = np.zeros(count)
     deferred = np.zeros((count, len(frame)), dtype=bool)
-    miss_weights: list[np.ndarray] = [np.empty(0)] * count
+    miss_weights: list = [None] * count
     sources: list = [None] * count
     now: list[tuple[list[int], np.ndarray]] = []
-    by_size: dict[int, list[int]] = {}
-    for i, track in enumerate(tracks):
-        by_size.setdefault(len(track.pdf), []).append(i)
-    for members in by_size.values():
-        idx = np.array(members)
-        states = np.stack([tracks[i].pdf.states for i in members])
-        weights = np.stack([tracks[i].pdf.weights for i in members])
-        rho, theta = sensor.range_bearing(states)
+    for idx, group_states, weights in block.groups:
+        rho, theta = sensor.range_bearing(group_states)
         pd = sensor.detection_prob_at(rho)
         miss = weights * (1.0 - pd)
         detect = weights * pd
         miss_mass[idx] = miss.sum(axis=1)
-        for k, i in enumerate(members):
+        for k, i in enumerate(idx.tolist()):
             miss_weights[i], sources[i] = miss[k], (rho[k], theta[k], detect[k])
         bound, norm = sensor.row_bounds(frame, rho, theta)
         # exp, the products and the N-term sum can exceed this weight bound
@@ -165,7 +183,8 @@ def track_evidence(tracks: Sequence[BernoulliTrack], frame: Sequence[Measurement
         deferred[idx] = kept & (ceiling < 0.5 * gamma_c)
         sets, meas = np.nonzero(kept & ~deferred[idx])
         now.append((idx[sets].tolist(), meas))
-    evidence = TrackEvidence(tuple(tracks), 1.0 - r + r * miss_mass,
+    evidence = TrackEvidence(r, tuple(states for states, _ in block.rows()),
+                             1.0 - r + r * miss_mass,
                              np.zeros((count, len(frame))), miss_mass, tuple(miss_weights),
                              {}, deferred, tuple(sources), frame, sensor)
     for owners, meas in now:
@@ -178,13 +197,24 @@ def detection_hypotheses(track: BernoulliTrack, frame: Sequence[Measurement],
                          sensor: SensorModel) -> list[Hypothesis]:
     """Detection hypotheses of one predicted track against every measurement:
     `track_evidence` over [track] with gamma_c = 0, so every pdf is built."""
-    evidence = track_evidence([track], frame, sensor, 0.0)
+    evidence = track_evidence(TrackBlock.of([track]), frame, sensor, 0.0)
     return [evidence.detection(0, m) for m in range(1, len(frame) + 1)]
 
 
 def miss_hypothesis(track: BernoulliTrack, sensor: SensorModel) -> Hypothesis:
     """Miss hypothesis of one predicted track: `track_evidence` over [track]."""
-    return track_evidence([track], (), sensor, 0.0).miss(0)
+    return track_evidence(TrackBlock.of([track]), (), sensor, 0.0).miss(0)
+
+
+def dense_row_sum(dense: np.ndarray, col: np.ndarray, value: np.ndarray) -> float:
+    """The sum of the row with `value` at `col` and 0.0 elsewhere, bit for bit
+    as numpy sums it dense. numpy sums a dense row pairwise, which no sum over
+    the cells alone matches, so the cells are scattered into the zeroed (N,)
+    buffer `dense`, summed there and zeroed again."""
+    dense[col] = value
+    total = dense.sum()
+    dense[col] = 0.0
+    return total
 
 
 def new_components(phd: PoissonPhd, pd: np.ndarray, frame: Sequence[Measurement],
@@ -219,16 +249,11 @@ def new_components(phd: PoissonPhd, pd: np.ndarray, frame: Sequence[Measurement]
     row, col, value = sensor.likelihood_cells(frame, *polar, floor)
     value *= (phd.particles.weights * pd)[col]
     mass = np.zeros(len(frame))
-    # numpy sums a dense row pairwise, which no sum over the cells alone
-    # matches bit for bit: each row is scattered into one zeroed (N,) buffer,
-    # summed there and zeroed again
     dense = np.zeros(len(phd.particles))
     bounds = np.searchsorted(row, np.arange(len(frame) + 1)).tolist()
     for m, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         if lo < hi:
-            dense[col[lo:hi]] = value[lo:hi]
-            mass[m] = dense.sum()
-            dense[col[lo:hi]] = 0.0
+            mass[m] = dense_row_sum(dense, col[lo:hi], value[lo:hi])
     beta = clutter_c + mass
     return beta, mass, (row, col, value)
 

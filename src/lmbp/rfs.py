@@ -1,15 +1,16 @@
 """Core value types: labels, particle sets, Bernoulli tracks, intensity, filter state.
 
-All types are immutable after construction (arrays are marked read-only), so
-they can be shared freely across threads. Mutation happens only by building
-new values.
+All value types are immutable after construction (arrays are marked
+read-only), so they can be shared freely across threads. Mutation happens
+only by building new values. The exception is `TrackBlock`, the working
+layout of one step's tracks, whose arrays its builder fills in place.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,7 +56,8 @@ class ParticleSet:
         weights = np.asarray(self.weights, dtype=float).reshape(-1)
         if states.shape[0] != weights.shape[0]:
             raise ValueError("states and weights length mismatch")
-        if weights.size and (not np.all(np.isfinite(weights)) or np.any(weights < 0)):
+        # min is nan where any weight is; two reductions test finite and nonnegative
+        if weights.size and not (weights.min() >= 0.0 and weights.max() < np.inf):
             raise ValueError("particle weights must be finite and nonnegative")
         object.__setattr__(self, "states", _freeze(states))
         object.__setattr__(self, "weights", _freeze(weights))
@@ -83,19 +85,43 @@ def resample(pset: ParticleSet, target_count: int, rng: np.random.Generator) -> 
     """Systematic (low-variance) resampling to `target_count` equal-weight particles.
 
     The total weight is preserved; one uniform draw is consumed from `rng`.
+    A one-row call of `resample_rows`.
     """
     if target_count <= 0:
         raise ValueError("target_count must be positive")
     total = pset.total_weight
     if total <= 0.0:
         raise ValueError("degenerate particle set")
-    cum = np.cumsum(pset.weights)
-    cum[-1] = total  # guard against cumsum rounding
-    positions = (rng.random() + np.arange(target_count)) * (total / target_count)
-    idx = np.searchsorted(cum, positions, side="right")
-    idx = np.minimum(idx, len(pset) - 1)
-    weights = np.full(target_count, total / target_count)
-    return ParticleSet(pset.states[idx], weights)
+    return resample_rows([(pset.weights, total, pset.states)], target_count, rng)[0]
+
+
+def resample_rows(rows: Sequence[tuple[np.ndarray, float, np.ndarray]], count: int,
+                  rng: np.random.Generator) -> list[ParticleSet]:
+    """Systematic resampling of K weighted particle sets in one pass, each to
+    `count` particles of weight total / count.
+
+    Row k is `(weights, total, states)`: particle n is states[n] with weight
+    weights[n] >= 0, and total > 0 is the row's total weight as its pdf
+    defines it. One `rng.random(K)` gives the rows their uniforms in order,
+    the same draws as K single ones. A row's running sum is set to the total
+    at its last positive weight, and every index is capped there, so no draw
+    lands on a trailing particle of zero weight. Rows are taken one at a
+    time: row-sized temporaries stay in cache, where (K, N) ones would not.
+    """
+    if not rows:
+        return []
+    steps = np.arange(count)
+    out = []
+    for (weights, total, states), u in zip(rows, rng.random(len(rows)).tolist()):
+        last = len(weights) - 1
+        if weights[last] <= 0.0:
+            last = int(np.flatnonzero(weights > 0.0)[-1])
+        cum = np.cumsum(weights[:last + 1])
+        cum[-1] = total
+        idx = np.searchsorted(cum, (u + steps) * (total / count), side="right")
+        np.minimum(idx, last, out=idx)
+        out.append(ParticleSet(states.take(idx, axis=0), np.full(count, total / count)))
+    return out
 
 
 def weighted_mean(pset: ParticleSet) -> np.ndarray:
@@ -121,6 +147,44 @@ class BernoulliTrack:
             raise ValueError("track pdf is not normalized")
         if len(self.pdf) == 0 and self.existence > 0.0:
             raise ValueError("track with positive existence needs a nonempty pdf")
+
+
+class TrackBlock(NamedTuple):
+    """Labeled Bernoulli tracks as arrays: row i is the track `labels[i]` with
+    existence `existence[i]`. Each group holds the tracks of one particle
+    count N as `(rows, states, weights)`: their ascending rows (L_g,), states
+    (L_g, N, 4) and pdf weights (L_g, N). A step's tables index tracks by row."""
+
+    labels: tuple[Label, ...]
+    existence: np.ndarray                                        # (L,)
+    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+    @staticmethod
+    def empty(labels: Sequence[Label], existence: Sequence[float],
+              sizes: Sequence[int]) -> "TrackBlock":
+        """A block whose row i has sizes[i] particles, states and weights unset."""
+        by_size: dict[int, list[int]] = {}
+        for i, n in enumerate(sizes):
+            by_size.setdefault(n, []).append(i)
+        groups = tuple((np.array(rows, dtype=np.intp), np.empty((len(rows), n, STATE_DIM)),
+                        np.empty((len(rows), n))) for n, rows in by_size.items())
+        return TrackBlock(tuple(labels), np.array(existence, dtype=float), groups)
+
+    @staticmethod
+    def of(tracks: Sequence[BernoulliTrack]) -> "TrackBlock":
+        block = TrackBlock.empty([t.label for t in tracks], [t.existence for t in tracks],
+                                 [len(t.pdf) for t in tracks])
+        for (states, weights), track in zip(block.rows(), tracks):
+            states[:], weights[:] = track.pdf.states, track.pdf.weights
+        return block
+
+    def rows(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The (states, weights) views of every row, in row order."""
+        out: list = [None] * len(self.labels)
+        for rows, states, weights in self.groups:
+            for i, s, w in zip(rows.tolist(), states, weights):
+                out[i] = (s, w)
+        return out
 
 
 @dataclass(frozen=True)

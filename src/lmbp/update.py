@@ -5,7 +5,7 @@ recycling, intensity update, and the full per-step recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -14,6 +14,7 @@ from .association import (
     Cluster,
     Hypothesis,
     bp_marginals,
+    dense_row_sum,
     enumeration_size,
     exact_marginals,
     new_components,
@@ -31,8 +32,10 @@ from .rfs import (
     ParticleSet,
     PoissonPhd,
     resample,
+    resample_rows,
 )
-from .prediction import TrackAnnihilated, predict_phd, predict_track
+# perfbench's tracer wraps `predict_track` here; it stays until ROADMAP item 1
+from .prediction import predict_phd, predict_track, predict_tracks  # noqa: F401
 
 # exact enumeration is honored only below these bounds; bigger clusters use BP
 EXACT_DEGREE_LIMIT = 20
@@ -72,71 +75,112 @@ class FilterSettings:
             raise ValueError("bp_iterations must be >= 1")
 
 
+class Transfer(NamedTuple):
+    """The new component of a measurement transferred to the labeled part: its
+    existence and its pdf over the intensity particles that have a cell in the
+    measurement's row, `states` and `weights` in particle order. `total` is
+    the weights' sum as numpy sums the dense row over every intensity
+    particle, the total a resample of that row takes."""
+
+    existence: float
+    states: np.ndarray   # (n, 4)
+    weights: np.ndarray  # (n,)
+    total: float
+
+
 def select_transfers(beta: np.ndarray, mass: np.ndarray, cells: Cells,
                      states: np.ndarray, gamma_tr: float,
-                     time: int) -> tuple[dict[Label, Hypothesis], np.ndarray]:
+                     time: int) -> tuple[dict[Label, Transfer], np.ndarray]:
     """Split the measurements' new components into transferred labels and the rest.
 
     `beta`, `mass` and `cells` come from `new_components` over the intensity
     particles `states`. Returns `(transfers, transferred)`: the (M,) mask
     `transferred` marks every measurement whose component has existence
     mass / beta >= gamma_tr (inclusive), and each such row j becomes a
-    labeled Bernoulli with label (time, j + 1); only these get a particle
-    set, with weights row / d from the cells of row j. The caller absorbs
-    or prunes the rest.
+    labeled Bernoulli with label (time, j + 1), whose pdf weights are the
+    cells of row j over d. The caller absorbs or prunes the rest.
     """
     row, col, value = cells
     existence = mass / beta
     transferred = existence >= gamma_tr
     bounds = np.searchsorted(row, np.arange(len(beta) + 1))
+    dense = np.zeros(len(states))
     transfers = {}
     for j in np.flatnonzero(transferred).tolist():
         run = slice(bounds[j], bounds[j + 1])
-        weights = np.zeros(len(states))
-        weights[col[run]] = value[run] / mass[j]
-        pdf = ParticleSet(states, weights)
-        transfers[Label(time, j + 1)] = Hypothesis(float(beta[j]), float(existence[j]), pdf)
+        order = np.argsort(col[run], kind="stable")
+        support, weights = col[run][order], value[run][order] / mass[j]
+        transfers[Label(time, j + 1)] = Transfer(
+            float(existence[j]), states.take(support, axis=0), weights,
+            float(dense_row_sum(dense, support, weights)))
     return transfers, transferred
+
+
+# an updated track before resampling: label, existence, and its resample row
+# (weights, total, states), or None for a track with no pdf
+Pending = tuple[Label, float, tuple[np.ndarray, float, np.ndarray] | None]
+
+
+def _legacy(label: Label, terms: Sequence[tuple[float, np.ndarray]],
+            states: np.ndarray) -> Pending:
+    """Marginalized update of a legacy track from its (p(a) r(l,a), pdf
+    weights) terms over the predicted particles `states`: r = sum p, and the
+    pdf is the mixture sum (p / r) w of the terms with p > 0 and a pdf, added
+    in order from zero. A track whose mixture mass vanishes gets r = 0."""
+    terms = [(p, w) for p, w in terms if p > 0.0 and len(w)]
+    r = sum(p for p, _ in terms)
+    if r <= 0.0:
+        return label, 0.0, None
+    weights = np.zeros(len(states))
+    for p, w in terms:
+        weights += (p / r) * w
+    return label, min(r, 1.0), (weights, weights.sum(), states)
+
+
+def _resampled(pending: Sequence[Pending], particle_budget: int,
+               rng: np.random.Generator) -> list[BernoulliTrack]:
+    """The tracks, each row resampled to the budget in one `resample_rows`
+    pass, in order."""
+    pdfs = iter(resample_rows([row for _, _, row in pending if row is not None],
+                              particle_budget, rng))
+    return [BernoulliTrack(label, r, ParticleSet.empty() if row is None else next(pdfs))
+            for label, r, row in pending]
 
 
 def update_legacy_track(label: Label, marginal: Mapping[int, float], miss: Hypothesis,
                         detections: Mapping[int, Hypothesis], particle_budget: int,
                         rng: np.random.Generator) -> BernoulliTrack:
-    """Marginalized update of a legacy track.
+    """Marginalized update of a legacy track, as `lmbp_step` makes it for one row.
 
     r = sum_a p(a) r(l,a); the pdf is the r(l,a)-weighted mixture of the
     per-hypothesis pdfs. Precondition: every hypothesis pdf reweights the
     same particles, those of the predicted track (as `TrackEvidence.miss`
     and `TrackEvidence.detection` build them), so the mixture is one weight
     vector over them, resampled to the track budget; a pdf on other
-    particles raises ValueError. A track whose mixture mass vanishes comes back with
-    r = 0 (the caller recycles it).
+    particles raises ValueError. A track whose mixture mass vanishes comes
+    back with r = 0 (the caller recycles it).
     """
     parts = [(marginal.get(0, 0.0) * miss.existence, miss.pdf)]
-    parts += [(marginal.get(m, 0.0) * hyp.existence, hyp.pdf)
-              for m, hyp in detections.items()]
-    parts = [(p, pdf) for p, pdf in parts if p > 0.0 and len(pdf)]
-    r = sum(p for p, _ in parts)
-    if r <= 0.0:
-        return BernoulliTrack(label, 0.0, ParticleSet.empty())
-    support = parts[0][1].states
-    weights = np.zeros(len(support))
-    for p, pdf in parts:
-        if not np.array_equal(pdf.states, support):
-            raise ValueError("hypothesis pdfs do not share the predicted track's particles")
-        weights += (p / r) * pdf.weights
-    return BernoulliTrack(label, min(r, 1.0),
-                          resample(ParticleSet(support, weights), particle_budget, rng))
+    parts += [(marginal.get(m, 0.0) * hyp.existence, hyp.pdf) for m, hyp in detections.items()]
+    supports = [pdf.states for p, pdf in parts if p > 0.0 and len(pdf)]
+    if any(not np.array_equal(states, supports[0]) for states in supports[1:]):
+        raise ValueError("hypothesis pdfs do not share the predicted track's particles")
+    terms = [(p, pdf.weights) for p, pdf in parts]
+    pending = _legacy(label, terms, supports[0] if supports else None)
+    return _resampled([pending], particle_budget, rng)[0]
 
 
-def update_transferred_track(label: Label, p_claim: float, component: Hypothesis,
+def _transferred(label: Label, p_claim: float, component: Transfer) -> Pending:
+    return (label, p_claim * component.existence,
+            (component.weights, component.total, component.states))
+
+
+def update_transferred_track(label: Label, p_claim: float, component: Transfer,
                              particle_budget: int,
                              rng: np.random.Generator) -> BernoulliTrack:
-    """Update of a freshly transferred track: r = p(claim) * existence, pdf kept."""
-    r = p_claim * component.existence
-    if len(component.pdf) == 0:
-        return BernoulliTrack(label, 0.0, ParticleSet.empty())
-    return BernoulliTrack(label, r, resample(component.pdf, particle_budget, rng))
+    """Update of a freshly transferred track, as `lmbp_step` makes it for one
+    row: r = p(claim) * existence, and the component's pdf resampled."""
+    return _resampled([_transferred(label, p_claim, component)], particle_budget, rng)[0]
 
 
 def split_by_retention(tracks: Sequence[BernoulliTrack], gamma_leg: float,
@@ -213,23 +257,21 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
     explain (beta = 0, e.g. beyond the sensor disk) is dropped before
     association, and label indices count positions in the kept frame. Only
     the rows of residual measurements that are not transferred return to the
-    intensity, and `update_phd` gets those rows alone.
+    intensity, and `update_phd` gets those rows alone. The predicted tracks
+    are one `TrackBlock`, and every track that is resampled, legacy then
+    transferred per cluster and then the residual transfers, goes through
+    one `resample_rows` pass; `BernoulliTrack`s are built for the output only.
     Estimation is separate; see `lmbp.estimation`.
     """
     k = state.time + 1
 
     # prediction; tracks whose survival mass vanishes are dropped
-    predicted = []
-    for track in state.tracks:
-        try:
-            predicted.append(predict_track(track, models.motion, rng))
-        except TrackAnnihilated:
-            continue
+    block = predict_tracks(state.tracks, models.motion, rng)
     birth = models.birth.sample_phd(prev_frame, models.motion, models.sensor, rng)
     predicted_phd = predict_phd(state.phd, birth, models.motion, rng)
 
     # association weights for every track/measurement pairing; row i of the
-    # tables is predicted[i], column j is frame[j]
+    # tables is the block's row i, column j is frame[j]
     polar = models.sensor.range_bearing(predicted_phd.particles.states)
     phd_pd = models.sensor.detection_prob_at(polar[0])
     new_beta, new_mass, new_cells = new_components(predicted_phd, phd_pd, frame,
@@ -239,39 +281,37 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
         frame = [z for z, keep in zip(frame, supported) if keep]
         new_beta, new_mass = new_beta[supported], new_mass[supported]
         new_cells = _rows_of(new_cells, supported)
-    evidence = track_evidence(predicted, frame, models.sensor, thresholds.gamma_c)
+    evidence = track_evidence(block, frame, models.sensor, thresholds.gamma_c)
 
     clusters, residual = partition(evidence.betas, thresholds.gamma_c)
     transfers, transferred = select_transfers(new_beta, new_mass, new_cells,
                                               predicted_phd.particles.states,
                                               thresholds.gamma_tr, k)
 
-    updated: list[BernoulliTrack] = []
+    # the updated tracks in the order their uniforms are drawn
+    pending: list[Pending] = []
     for rows, cols in clusters:
         evidence.complete(rows, cols)
         problem = Cluster(evidence.miss_beta[rows], evidence.betas[np.ix_(rows, cols)],
                           new_beta[cols], transferred[cols])
         marginal = _marginalize(problem, settings)
-        keys = [0] + (cols + 1).tolist()
+        col_list = cols.tolist()
         for i, pmf in zip(rows.tolist(), marginal.legacy.tolist()):
             # a detection pdf is built only where the marginal puts mass
-            updated.append(update_legacy_track(
-                predicted[i].label, dict(zip(keys, pmf)), evidence.miss(i),
-                {m: evidence.detection(i, m) for m, p in zip(keys[1:], pmf[1:]) if p > 0.0},
-                settings.track_particles, rng))
+            pending.append(_legacy(block.labels[i], evidence.terms(i, pmf, col_list),
+                                   evidence.states[i]))
         claim = marginal.claim.tolist()
         for j in np.flatnonzero(problem.transferred).tolist():
-            label = Label(k, keys[1 + j])
-            updated.append(update_transferred_track(label, claim[j], transfers[label],
-                                                    settings.track_particles, rng))
+            label = Label(k, col_list[j] + 1)
+            pending.append(_transferred(label, claim[j], transfers[label]))
 
     # a residual measurement competes with no track, so its transfer claims it surely
     for j in residual[transferred[residual]].tolist():
         label = Label(k, j + 1)
-        updated.append(update_transferred_track(label, 1.0, transfers[label],
-                                                settings.track_particles, rng))
+        pending.append(_transferred(label, 1.0, transfers[label]))
 
-    kept, recycled = split_by_retention(updated, thresholds.gamma_leg, k)
+    tracks = _resampled(pending, settings.track_particles, rng)
+    kept, recycled = split_by_retention(tracks, thresholds.gamma_leg, k)
     unclaimed = np.zeros(len(frame), dtype=bool)
     unclaimed[residual[~transferred[residual]]] = True
     phd = update_phd(recycled, new_beta[unclaimed], _rows_of(new_cells, unclaimed),

@@ -42,6 +42,7 @@ from lmbp.simulate import generate_frames, generate_truth
 from lmbp.update import (
     FilterSettings,
     Thresholds,
+    Transfer,
     lmbp_step,
     select_transfers,
     split_by_retention,
@@ -285,7 +286,9 @@ def test_criterion_4_micro_updates():
                               64, np.random.default_rng(0))
     checks.append(abs(upd.existence - 0.6))
 
-    tr = update_transferred_track(Label(7, 1), 0.5, Hypothesis(1.0, 0.8, pdf_at(2.0)),
+    pdf = pdf_at(2.0)
+    tr = update_transferred_track(Label(7, 1), 0.5,
+                                  Transfer(0.8, pdf.states, pdf.weights, pdf.total_weight),
                                   64, np.random.default_rng(0))
     checks.append(abs(tr.existence - 0.4))
 

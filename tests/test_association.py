@@ -16,11 +16,16 @@ from lmbp.association import (
     track_evidence,
 )
 from lmbp.models import ClutterModel, SensorModel
-from lmbp.rfs import BernoulliTrack, Label, Measurement, ParticleSet, PoissonPhd
+from lmbp.rfs import BernoulliTrack, Label, Measurement, ParticleSet, PoissonPhd, TrackBlock
 
 from helpers import StubSensor, dense_likelihood_table, max_label_tv, random_cluster, table_of
 
 Z = Measurement(100.0, 0.0)
+
+
+def evidence_of(tracks, frame, sensor, gamma_c):
+    """`track_evidence` over the block of `tracks`, row i being tracks[i]."""
+    return track_evidence(TrackBlock.of(tracks), frame, sensor, gamma_c)
 
 
 def track_of(weights, r, label=Label(1, 1)):
@@ -121,7 +126,7 @@ def assert_pdf(hyp, expected, states):
 def assert_evidence_exact(tracks, frame, sensor):
     """`track_evidence` equals the per-track formulas bit for bit: miss_beta,
     betas, and every pdf it builds on request."""
-    evidence = track_evidence(tracks, frame, sensor, 0.0)
+    evidence = evidence_of(tracks, frame, sensor, 0.0)
     assert evidence.miss_beta.shape == (len(tracks),)
     assert evidence.betas.shape == (len(tracks), len(frame))
     for i, track in enumerate(tracks):
@@ -253,8 +258,8 @@ def assert_gate_exact(tracks, frame, sensor, gamma_c):
     every in-cluster betas entry and every pdf is bit-identical; a pair left
     deferred raises in `detection`. Returns the counts of deferred pairs and
     of those completed inside a cluster."""
-    full = track_evidence(tracks, frame, sensor, 0.0)
-    gated = track_evidence(tracks, frame, sensor, gamma_c)
+    full = evidence_of(tracks, frame, sensor, 0.0)
+    gated = evidence_of(tracks, frame, sensor, gamma_c)
     assert not full.deferred.any()
     deferred = int(gated.deferred.sum())
     assert not gated.betas[gated.deferred].any()
@@ -323,8 +328,8 @@ class TestPlausibilityGate:
         tracks = [track_at(sensor, 100.0, 0.3, 200, 0.8, 1, rng, spread=0.05),
                   track_at(sensor, 110.0, 0.3, 200, 0.8, 2, rng, spread=0.05)]
         frame = [Measurement(105.0, 0.3), Measurement(92.0, 0.3), Measurement(200.0, -2.0)]
-        gated = track_evidence(tracks, frame, sensor, 1e-10)
-        full = track_evidence(tracks, frame, sensor, 0.0)
+        gated = evidence_of(tracks, frame, sensor, 1e-10)
+        full = evidence_of(tracks, frame, sensor, 0.0)
         assert gated.deferred.tolist() == [[False, False, False], [False, True, False]]
         assert 0.0 < full.betas[1, 1] < 1e-10
         clusters, residual = partition(gated.betas, 1e-10)
@@ -346,7 +351,7 @@ class TestPlausibilityGate:
             track = track_at(sensor, rho, theta, int(rng.integers(2, 300)),
                              float(rng.random()), 1, rng)
             frame = [Measurement(*map(float, sensor.range_bearing(track.pdf.states[0])))]
-            gamma_c = float(track_evidence([track], frame, sensor, 0.0).betas[0, 0])
+            gamma_c = float(evidence_of([track], frame, sensor, 0.0).betas[0, 0])
             assert gamma_c > 0.0
             assert assert_gate_exact([track], frame, sensor, gamma_c) == (0, 0)
 
@@ -363,25 +368,25 @@ class TestPlausibilityGate:
         states[2, 0] = np.inf
         tracks[1] = BernoulliTrack(Label(1, 2), 1e-9, ParticleSet(states, tracks[1].pdf.weights))
         with np.errstate(over="ignore", invalid="ignore"):
-            gated = track_evidence(tracks, frame, sensor, 1e-3)
+            gated = evidence_of(tracks, frame, sensor, 1e-3)
             assert not gated.deferred[:2].any() and gated.deferred[2:].any()
             assert np.isnan(gated.betas[0]).all()
             assert_gate_exact(tracks, frame, sensor, 1e-3)
             # a non-finite measurement or normalizer: every pair at once
             bad = frame[:-1] + [Measurement(np.inf, 0.0)]
-            assert not track_evidence(tracks[2:], bad, sensor, 1e-3).deferred.any()
+            assert not evidence_of(tracks[2:], bad, sensor, 1e-3).deferred.any()
             tiny = SensorModel(sigma_range=1e-160, sigma_bearing=1e-160)
             assert not np.isfinite(1.0 / (2.0 * np.pi * tiny.sigma_range * tiny.sigma_bearing))
-            assert not track_evidence(tracks[2:], frame, tiny, 1e-3).deferred.any()
+            assert not evidence_of(tracks[2:], frame, tiny, 1e-3).deferred.any()
 
     def test_single_track_views_defer_nothing(self):
         rng = np.random.default_rng(43)
         sensor = SensorModel()
         track = cloud_track(rng, sensor.position + [0.0, 150.0], 100, 1e-12)
         frame = frame_near(rng, sensor, [track], 15)
-        assert track_evidence([track], frame, sensor, 1e-10).deferred.any()
+        assert evidence_of([track], frame, sensor, 1e-10).deferred.any()
         hyps = detection_hypotheses(track, frame, sensor)
-        full = track_evidence([track], frame, sensor, 0.0)
+        full = evidence_of([track], frame, sensor, 0.0)
         for m, hyp in enumerate(hyps, start=1):
             assert hyp.beta == full.betas[0, m - 1]
             assert np.array_equal(hyp.pdf.weights, full.detection(0, m).pdf.weights)

@@ -3,7 +3,7 @@ import pytest
 from dataclasses import dataclass
 
 from lmbp.models import MotionModel
-from lmbp.prediction import predict_phd, predict_track
+from lmbp.prediction import predict_phd, predict_track, predict_tracks
 from lmbp.rfs import BernoulliTrack, Label, ParticleSet, PoissonPhd
 
 
@@ -70,6 +70,65 @@ class TestPredictTrack:
                              r=float(rng.random()))
             out = predict_track(track, model, rng)
             assert out.existence <= track.existence + 1e-15
+
+
+def per_track_prediction(tracks, motion, rng):
+    """The per-track prediction that `predict_tracks` batches, as the
+    reference: (label, existence, states, weights) of every surviving track."""
+    out = []
+    for track in tracks:
+        weights = track.pdf.weights * motion.survival_prob(track.pdf.states)
+        total = float(weights.sum())
+        if total > 0.0:
+            out.append((track.label, min(track.existence * total, 1.0),
+                        motion.transition_sample(track.pdf.states, rng), weights / total))
+    return out
+
+
+@dataclass(frozen=True)
+class FarOutDies(MotionModel):
+    """Survival 0 beyond x1 = 1e4, 0.9 beyond x1 = 0 and 1 elsewhere."""
+
+    def survival_prob(self, states):
+        x1 = np.asarray(states, dtype=float)[..., 0]
+        return np.where(x1 > 1e4, 0.0, np.where(x1 > 0.0, 0.9, 1.0))
+
+
+class TestPredictTracks:
+    def test_block_matches_per_track_prediction(self):
+        # interleaved particle counts and one annihilated track: the block has
+        # the survivors' bits, and the generator ends where per-track calls leave it
+        rng = np.random.default_rng(21)
+        tracks = []
+        for i, n in enumerate((1000, 3, 1000, 50, 3, 1000, 50)):
+            states = rng.normal(0.0, 50.0, (n, 4))
+            if i == 3:
+                states[:, 0] += 2e4
+            weights = rng.random(n)
+            tracks.append(track_of(states, weights / weights.sum(), r=float(rng.random()),
+                                   label=Label(1, i + 1)))
+        model = FarOutDies(sigma_u=0.3)
+        a, b = np.random.default_rng(8), np.random.default_rng(8)
+        block = predict_tracks(tracks, model, a)
+        expected = per_track_prediction(tracks, model, b)
+        assert a.random() == b.random()
+        assert block.labels == tuple(label for label, _, _, _ in expected)
+        assert Label(1, 4) not in block.labels
+        assert block.existence.tolist() == [r for _, r, _, _ in expected]
+        for (states, weights), (_, _, ref_states, ref_weights) in zip(block.rows(), expected):
+            assert np.array_equal(states, ref_states) and np.array_equal(weights, ref_weights)
+        sizes = {w.shape[1]: rows.tolist() for rows, _, w in block.groups}
+        assert sizes == {1000: [0, 2, 4], 3: [1, 3], 50: [5]}
+
+    def test_survival_outside_unit_interval_raises(self):
+        @dataclass(frozen=True)
+        class NanSurvival(MotionModel):
+            def survival_prob(self, states):
+                return np.full(np.asarray(states).shape[:-1], np.nan)
+
+        with pytest.raises(ValueError, match="survival"):
+            predict_tracks([track_of([[0, 0, 0, 0]], [1.0])], NanSurvival(),
+                           np.random.default_rng(0))
 
 
 def phd_of(states, weights):

@@ -13,6 +13,7 @@ from lmbp.rfs import (
     PoissonPhd,
     read_snapshot,
     resample,
+    resample_rows,
     weighted_mean,
     write_snapshot,
 )
@@ -90,6 +91,66 @@ class TestResample:
         pset = make_pset(rng.normal(size=(n, 4)), weights)
         out = resample(pset, target, rng)
         assert abs(out.total_weight - pset.total_weight) <= 1e-12 * max(1.0, total)
+
+
+class NearOne:
+    """Generator stand-in whose every uniform is the largest float below 1."""
+
+    def random(self, size=None):
+        u = np.nextafter(1.0, 0.0)
+        return u if size is None else np.full(size, u)
+
+
+def classic_resample(weights, total, states, count, u):
+    """Systematic resampling of one set, the reference for `resample_rows`:
+    running sum set to `total` at the last positive weight, positions
+    (u + i) total / count, indices capped at that weight."""
+    last = int(np.flatnonzero(weights > 0.0)[-1])
+    cum = np.cumsum(weights)[:last + 1]
+    cum[-1] = total
+    idx = np.minimum(np.searchsorted(cum, (u + np.arange(count)) * (total / count),
+                                     side="right"), last)
+    return states[idx]
+
+
+class TestResampleRows:
+    def test_trailing_zero_weight_is_never_drawn(self):
+        # the running sum of the positive weights can fall below their pairwise
+        # total; a uniform next to 1 then lands in the gap, which used to map
+        # to the trailing zero-weight particle
+        gaps = 0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            weights = np.append(rng.random(20), 0.0)
+            gaps += bool(np.cumsum(weights)[-1] < weights.sum())
+            states = np.arange(21.0)[:, None] * np.ones(4)
+            for count in (1, 7, 1000):
+                out = resample(make_pset(states, weights), count, NearOne())
+                assert out.states[:, 0].max() < 20.0
+        assert gaps > 0
+
+    def test_matches_one_set_at_a_time(self):
+        # rows of mixed lengths, with zero weights inside and at the end, and
+        # totals that are not their rows' sums (as a sparse pdf's dense total)
+        rng = np.random.default_rng(11)
+        rows = []
+        for n in (1, 5, 1000, 1000, 37, 1000):
+            weights = rng.random(n) * (rng.random(n) < 0.7)
+            weights[rng.integers(n)] = rng.random() + 0.1
+            if n > 1 and rng.random() < 0.5:
+                weights[-rng.integers(1, n):] = 0.0
+            if not weights.any():
+                weights[0] = 1.0
+            total = weights.sum() * (1.0 + 1e-15 * rng.normal())
+            rows.append((weights, total, rng.normal(size=(n, 4))))
+        batched, single = np.random.default_rng(5), np.random.default_rng(5)
+        out = resample_rows(rows, 300, batched)
+        for (weights, total, states), pset in zip(rows, out):
+            ref = classic_resample(weights, total, states, 300, single.random())
+            assert np.array_equal(pset.states, ref)
+            assert np.array_equal(pset.weights, np.full(300, total / 300))
+        # one draw per row, as one `random` call per set makes them
+        assert batched.random() == single.random()
 
 
 class TestWeightedMean:

@@ -22,7 +22,11 @@ from lmbp.simulate import generate_frames, generate_truth
 from lmbp.update import (
     FilterSettings,
     Thresholds,
+    Transfer,
+    _legacy,
+    _resampled,
     _rows_of,
+    _transferred,
     lmbp_step,
     select_transfers,
     split_by_retention,
@@ -47,8 +51,9 @@ def pdf_at(x1, n=1, weight=None):
     return ParticleSet(states, weights)
 
 
-def component(existence, beta=1.0, x1=0.0):
-    return Hypothesis(beta, existence, pdf_at(x1))
+def component(existence, x1=0.0):
+    pdf = pdf_at(x1)
+    return Transfer(existence, pdf.states, pdf.weights, pdf.total_weight)
 
 
 def new_component_rows(*existences, n=2):
@@ -112,9 +117,10 @@ class TestSelectTransfers:
         assert transferred.tolist() == [True, False, True]
         assert list(transfers) == [Label(7, j + 1) for j in np.flatnonzero(transferred)]
         comp = transfers[Label(7, 1)]
-        assert comp.beta == 1.0 and comp.existence == pytest.approx(0.5, abs=1e-15)
-        np.testing.assert_array_equal(comp.pdf.states, states)
-        np.testing.assert_allclose(comp.pdf.weights, [0.5, 0.5], atol=1e-15)
+        assert comp.existence == pytest.approx(0.5, abs=1e-15)
+        np.testing.assert_array_equal(comp.states, states)
+        np.testing.assert_allclose(comp.weights, [0.5, 0.5], atol=1e-15)
+        assert comp.total == comp.weights.sum()
 
     def test_nothing_above_threshold(self):
         transfers, transferred = select_transfers(*new_component_rows(0.005, 0.001),
@@ -198,6 +204,37 @@ class TestUpdateTransferredTrack:
                                        np.random.default_rng(0))
         assert out.existence == pytest.approx(0.4, abs=1e-15)
         assert len(out.pdf) == 50
+
+
+class TestOnePassUpdate:
+    def test_matches_per_track_updates(self):
+        # legacy tracks, one of which has no mixture mass and draws no uniform,
+        # and transferred tracks: the step's one resampling pass gives the
+        # per-track calls' tracks and leaves the generator where they do
+        rng = np.random.default_rng(4)
+        support = rng.normal(size=(40, 4))
+        miss_w, det_w = rng.random(40), rng.random(40) * (rng.random(40) < 0.5)
+        miss = Hypothesis(0.5, 0.3, ParticleSet(support, miss_w / miss_w.sum()))
+        det = {2: Hypothesis(0.2, 1.0, ParticleSet(support, det_w / det_w.sum()))}
+        marginals = [{0: 0.4, 2: 0.6}, {0: 0.0, 2: 0.0}, {0: 1.0, 2: 0.0}]
+        weights = rng.random(9)
+        comp = Transfer(0.7, support[:9], weights / weights.sum(), (weights / weights.sum()).sum())
+        a, b = np.random.default_rng(6), np.random.default_rng(6)
+        one_by_one = [update_legacy_track(Label(1, i + 1), marginal, miss, det, 64, a)
+                      for i, marginal in enumerate(marginals)]
+        one_by_one += [update_transferred_track(Label(2, 1), 0.5, comp, 64, a)]
+        pending = [_legacy(Label(1, i + 1),
+                           [(m[0] * miss.existence, miss.pdf.weights),
+                            (m[2] * 1.0, det[2].pdf.weights)], support)
+                   for i, m in enumerate(marginals)]
+        pending.append(_transferred(Label(2, 1), 0.5, comp))
+        one_pass = _resampled(pending, 64, b)
+        assert a.random() == b.random()
+        assert one_by_one[1].existence == 0.0 and len(one_by_one[1].pdf) == 0
+        for x, y in zip(one_by_one, one_pass):
+            assert (x.label, x.existence) == (y.label, y.existence)
+            assert np.array_equal(x.pdf.states, y.pdf.states)
+            assert np.array_equal(x.pdf.weights, y.pdf.weights)
 
 
 class TestSplitByRetention:
@@ -325,8 +362,12 @@ class TestSparseIntensityArithmetic:
         transfers, transferred = select_transfers(beta, mass, cells, states, 0.1, time=3)
         assert list(transfers) == [Label(3, j + 1) for j in np.flatnonzero(transferred)]
         for label, component in transfers.items():
+            # the cells of the row in particle order, totalled as the dense row
             row = label.index - 1
-            assert np.array_equal(component.pdf.weights, table[row] / mass[row])
+            dense = table[row] / mass[row]
+            assert np.array_equal(component.states, states[dense > 0.0])
+            assert np.array_equal(component.weights, dense[dense > 0.0])
+            assert component.total == dense.sum()
 
         weights = []
         real = lmbp.update.resample
@@ -439,18 +480,24 @@ class TestLmbpStep:
                       settings=small_settings())
 
     def test_resampling_stays_on_predicted_particles(self, monkeypatch):
-        # each legacy update resamples from its own predicted particles, and the
-        # intensity is resampled once, from its predicted particles plus those
-        # of the recycled tracks (which come back at the track budget)
+        # the legacy updates resample their own predicted particles, in one
+        # batched call, and the intensity is resampled once, from its predicted
+        # particles plus those of the recycled tracks (which come back at the
+        # track budget)
         import lmbp.update
 
-        calls = []
-        real = lmbp.update.resample
+        batches, calls = [], []
+        real_rows, real = lmbp.update.resample_rows, lmbp.update.resample
+
+        def rows_spy(rows, count, rng):
+            batches.append([(len(weights), count) for weights, _, _ in rows])
+            return real_rows(rows, count, rng)
 
         def spy(pset, target_count, rng):
             calls.append((len(pset), target_count))
             return real(pset, target_count, rng)
 
+        monkeypatch.setattr(lmbp.update, "resample_rows", rows_spy)
         monkeypatch.setattr(lmbp.update, "resample", spy)
         tracks = (BernoulliTrack(Label(1, 1), 0.8, pdf_at(50.0, n=8)),
                   BernoulliTrack(Label(1, 2), 0.02, pdf_at(200.0, n=8)))
@@ -461,30 +508,28 @@ class TestLmbpStep:
                         Thresholds(), np.random.default_rng(0), settings=small_settings())
         recycled = {Label(1, 1), Label(1, 2)} - set(out.labels())
         assert recycled == {Label(1, 2)}
-        assert calls.count((8, 64)) == 2
-        phd_calls = [n for n, target in calls if target == 128]
+        assert batches == [[(8, 64), (8, 64)]]
         predicted_count = 32 + models.birth.particle_budget
-        assert phd_calls == [predicted_count + 64 * len(recycled)]
+        assert calls == [(predicted_count + 64 * len(recycled), 128)]
 
     def test_detection_pdfs_only_where_the_marginal_is_nonzero(self, monkeypatch):
         # gamma_c = 0 puts every pair in one cluster; a pair with b = 0 gets a
         # zero marginal, and only the other pairs may have a pdf built
-        import lmbp.update
-
         built, updates = [], []
-        detection = TrackEvidence.detection
-        update = lmbp.update.update_legacy_track
+        detection = TrackEvidence._detection
+        terms = TrackEvidence.terms
 
         def detection_spy(evidence, i, m):
-            built.append((evidence.tracks[i].label, m))
+            built.append((i, m))
             return detection(evidence, i, m)
 
-        def update_spy(label, marginal, miss, detections, *args):
-            updates.append((label, dict(marginal), dict(detections)))
-            return update(label, marginal, miss, detections, *args)
+        def terms_spy(evidence, i, pmf, cols):
+            result = terms(evidence, i, pmf, cols)
+            updates.append((i, dict(zip([0] + [m + 1 for m in cols], pmf)), result))
+            return result
 
-        monkeypatch.setattr(TrackEvidence, "detection", detection_spy)
-        monkeypatch.setattr(lmbp.update, "update_legacy_track", update_spy)
+        monkeypatch.setattr(TrackEvidence, "_detection", detection_spy)
+        monkeypatch.setattr(TrackEvidence, "terms", terms_spy)
         models = micro_models(pd_const=0.7)
         tracks = tuple(BernoulliTrack(Label(1, i + 1), 0.6, pdf_at(x1, n=8))
                        for i, x1 in enumerate((50.0, 150.0, 250.0)))
@@ -494,16 +539,17 @@ class TestLmbpStep:
                                                    [0.0, 200.0, 0.0, 0.0]])))]
         lmbp_step(FilterState(tracks, PoissonPhd.empty(), 1), frame, models,
                   Thresholds(gamma_c=0.0), np.random.default_rng(0), settings=small_settings())
-        assert [label for label, _, _ in updates] == [t.label for t in tracks]
-        nonzero = [(label, m) for label, marginal, _ in updates
+        assert [i for i, _, _ in updates] == [0, 1, 2]
+        nonzero = [(i, m) for i, marginal, _ in updates
                    for m, p in marginal.items() if m and p > 0.0]
-        zero = [(label, m) for label, marginal, _ in updates
+        zero = [(i, m) for i, marginal, _ in updates
                 for m, p in marginal.items() if m and p == 0.0]
         assert nonzero and zero
         assert built == nonzero
-        for _, _, detections in updates:
-            assert all(hyp.existence == 1.0 and len(hyp.pdf) == 8
-                       for hyp in detections.values())
+        for i, marginal, result in updates:
+            # detection terms have existence 1: p(a) r(i,a) is the marginal itself
+            assert [p for p, _ in result[1:]] == [marginal[m] for j, m in nonzero if j == i]
+            assert all(len(weights) == 8 for _, weights in result[1:])
 
     def test_unsupported_measurement_absorbed_with_zero_weight(self):
         # intensity far from the measurement: d = 0, no transfer, and the
