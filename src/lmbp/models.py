@@ -25,7 +25,9 @@ _BEARING_SLACK = 1e-12
 
 def wrap_angle(theta):
     """Wrap angles to [-pi, pi)."""
-    return np.mod(np.asarray(theta) + np.pi, 2.0 * np.pi) - np.pi
+    wrapped = np.mod(np.asarray(theta) + np.pi, 2.0 * np.pi) - np.pi
+    # theta + pi just below a multiple of 2 pi rounds to 2 pi, which gives pi
+    return np.where(wrapped >= np.pi, -np.pi, wrapped)[()]
 
 
 def _wrap_residual(delta: np.ndarray) -> np.ndarray:

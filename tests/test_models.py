@@ -663,3 +663,12 @@ def test_wrap_angle_half_open_interval():
     assert wrap_angle(-np.pi) == pytest.approx(-np.pi)
     assert wrap_angle(3 * np.pi / 2) == pytest.approx(-np.pi / 2)
     np.testing.assert_allclose(wrap_angle(np.array([0.1, 2 * np.pi + 0.1])), 0.1)
+
+
+def test_wrap_angle_folds_the_seam_to_minus_pi():
+    # nextafter(-pi, -4) + pi is a tiny negative number; its mod rounds to 2 pi
+    theta = np.array([np.nextafter(-np.pi, -4.0), -np.pi, np.pi, 3 * np.pi, -3 * np.pi])
+    wrapped = wrap_angle(theta)
+    assert np.all((wrapped >= -np.pi) & (wrapped < np.pi))
+    np.testing.assert_array_equal(wrapped, -np.pi)
+    assert wrap_angle(theta[0]) == -np.pi
