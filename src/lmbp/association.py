@@ -25,7 +25,7 @@ _TINY = 1e-300  # denominator floor; keeps degenerate messages finite
 _CLUTTER_SHARE = 2.0 ** -106
 
 # the cells of an (M, N) table that the step reads: (row, col, value) arrays in
-# ascending row order; a cell left out counts as 0.0
+# strictly ascending (row, col) order; a cell left out counts as 0.0
 Cells = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -206,17 +206,6 @@ def miss_hypothesis(track: BernoulliTrack, sensor: SensorModel) -> Hypothesis:
     return track_evidence(TrackBlock.of([track]), (), sensor, 0.0).miss(0)
 
 
-def dense_row_sum(dense: np.ndarray, col: np.ndarray, value: np.ndarray) -> float:
-    """The sum of the row with `value` at `col` and 0.0 elsewhere, bit for bit
-    as numpy sums it dense. numpy sums a dense row pairwise, which no sum over
-    the cells alone matches, so the cells are scattered into the zeroed (N,)
-    buffer `dense`, summed there and zeroed again."""
-    dense[col] = value
-    total = dense.sum()
-    dense[col] = 0.0
-    return total
-
-
 def new_components(phd: PoissonPhd, pd: np.ndarray, frame: Sequence[Measurement],
                    sensor: SensorModel, clutter: ClutterModel,
                    polar: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray, Cells]:
@@ -226,8 +215,8 @@ def new_components(phd: PoissonPhd, pd: np.ndarray, frame: Sequence[Measurement]
     `pd` is the detection probability of each intensity particle. Returns
     `beta` (M,), `mass` (M,) and `cells`, the sensor's likelihood cells
     scaled to w_i pD(x_i) f(z_m|x_i): row m-1, column i. Measurement m's
-    component has intensity mass d = mass[m-1], the sum of its row (bit for
-    bit the row sum of the cells as a dense (M, N) table), beta = clutter
+    component has intensity mass d = mass[m-1], the sum of its row's cells
+    added in column order, beta = clutter
     intensity + d, existence d / beta, and pdf row / d over the intensity
     particles; no particle set is built here. beta is 0 for a measurement
     that neither clutter nor the intensity can explain, such as one beyond
@@ -248,12 +237,7 @@ def new_components(phd: PoissonPhd, pd: np.ndarray, frame: Sequence[Measurement]
         floor = np.fmax(EXP_FLOOR, np.log(_CLUTTER_SHARE * clutter_c / sensor.normalizer))
     row, col, value = sensor.likelihood_cells(frame, *polar, floor)
     value *= (phd.particles.weights * pd)[col]
-    mass = np.zeros(len(frame))
-    dense = np.zeros(len(phd.particles))
-    bounds = np.searchsorted(row, np.arange(len(frame) + 1)).tolist()
-    for m, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        if lo < hi:
-            mass[m] = dense_row_sum(dense, col[lo:hi], value[lo:hi])
+    mass = np.bincount(row, value, minlength=len(frame))
     beta = clutter_c + mass
     return beta, mass, (row, col, value)
 
@@ -445,7 +429,7 @@ def bp_marginals(cluster: Cluster, iterations: int = 20) -> MarginalAssociation:
     tmask = cluster.transferred.astype(float)
 
     nu = np.ones((M, L))
-    x = np.zeros((L, M))
+    sum_x = np.zeros(M)
     for _ in range(iterations):
         weighted = w * nu.T                                   # (L, M)
         denom = cluster.miss_beta[:, None] + weighted.sum(axis=1, keepdims=True) - weighted
@@ -457,6 +441,5 @@ def bp_marginals(cluster: Cluster, iterations: int = 20) -> MarginalAssociation:
 
     legacy = np.concatenate([cluster.miss_beta[:, None], w * nu.T], axis=1)
     legacy /= legacy.sum(axis=1, keepdims=True)
-    # each column summed as one contiguous row: x.sum(axis=0) rounds differently
-    odds = 1.0 / (1.0 + np.ascontiguousarray(x.T).sum(axis=1))
+    odds = 1.0 / (1.0 + sum_x)
     return MarginalAssociation(legacy, np.where(cluster.transferred, odds / (1.0 + odds), 0.0))

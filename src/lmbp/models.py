@@ -26,7 +26,8 @@ _BEARING_SLACK = 1e-12
 def wrap_angle(theta):
     """Wrap angles to [-pi, pi)."""
     wrapped = np.mod(np.asarray(theta) + np.pi, 2.0 * np.pi) - np.pi
-    # theta + pi just below a multiple of 2 pi rounds to 2 pi, which gives pi
+    # theta + pi just below a multiple of 2 pi has its mod round up to 2 pi,
+    # which gives pi; [()] returns a scalar for a scalar theta
     return np.where(wrapped >= np.pi, -np.pi, wrapped)[()]
 
 
@@ -125,7 +126,7 @@ class SensorModel:
         states = np.asarray(states, dtype=float)
         dx = states[..., 0] - self.position[0]
         dy = states[..., 1] - self.position[1]
-        return np.hypot(dx, dy), np.arctan2(dy, dx)
+        return np.sqrt(dx * dx + dy * dy), np.arctan2(dy, dx)
 
     def detection_prob_at(self, rho: np.ndarray) -> np.ndarray:
         """Detection probability at the ranges `rho` of `range_bearing`."""
@@ -137,8 +138,9 @@ class SensorModel:
         """f(z_m | x_n) of a whole frame against N states, given as their
         `range_bearing` (N,) `rho` and `theta`, as the cells of the (M, N)
         table whose exponent clears `floor`, a scalar or one value per
-        measurement: `(row, col, value)` arrays, in ascending row order with
-        each (row, col) once. The arrays are fresh, and the caller may scale
+        measurement: `(row, col, value)` arrays in strictly ascending
+        (row, col) order, so a sum over a row's cells in cell order adds
+        them by column. The arrays are fresh, and the caller may scale
         `value`.
 
         Every cell is bit-identical to evaluating its entry, but only cells
@@ -262,7 +264,7 @@ class SensorModel:
         The states are sorted by bearing once; a window is then one run of
         the sorted order taken modulo N, and the runs of all measurements are
         gathered flat, without padding. Returns the cells' table rows,
-        columns and exponents.
+        columns and exponents, sorted back to (row, col) order.
         """
         n = rho.size
         order = np.argsort(theta)
@@ -291,7 +293,9 @@ class SensorModel:
         quad = self._exponent(zr_cells[near], np.repeat(zb, count)[near], rho_cells[near],
                               np.concatenate([sorted_theta, sorted_theta])[pos])
         keep = np.flatnonzero(quad >= floor_cells[near])
-        return np.repeat(rows, count)[near[keep]], order[pos[keep]], quad[keep]
+        row, col = np.repeat(rows, count)[near[keep]], order[pos[keep]]
+        cell = np.argsort(row * n + col)
+        return row[cell], col[cell], quad[keep[cell]]
 
     def sample_measurement(self, state: np.ndarray, rng: np.random.Generator) -> Measurement:
         """Noisy measurement of one state; range clamped to [0, max_range]."""

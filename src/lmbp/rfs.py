@@ -89,35 +89,36 @@ def resample(pset: ParticleSet, target_count: int, rng: np.random.Generator) -> 
     """
     if target_count <= 0:
         raise ValueError("target_count must be positive")
-    total = pset.total_weight
-    if total <= 0.0:
+    if pset.total_weight <= 0.0:
         raise ValueError("degenerate particle set")
-    return resample_rows([(pset.weights, total, pset.states)], target_count, rng)[0]
+    return resample_rows([(pset.weights, pset.states)], target_count, rng)[0]
 
 
-def resample_rows(rows: Sequence[tuple[np.ndarray, float, np.ndarray]], count: int,
+def resample_rows(rows: Sequence[tuple[np.ndarray, np.ndarray]], count: int,
                   rng: np.random.Generator) -> list[ParticleSet]:
     """Systematic resampling of K weighted particle sets in one pass, each to
     `count` particles of weight total / count.
 
-    Row k is `(weights, total, states)`: particle n is states[n] with weight
-    weights[n] >= 0, and total > 0 is the row's total weight as its pdf
-    defines it. One `rng.random(K)` gives the rows their uniforms in order,
-    the same draws as K single ones. A row's running sum is set to the total
-    at its last positive weight, and every index is capped there, so no draw
-    lands on a trailing particle of zero weight. Rows are taken one at a
-    time: row-sized temporaries stay in cache, where (K, N) ones would not.
+    Row k is `(weights, states)`: particle n is states[n] with weight
+    weights[n] >= 0, at least one positive. The row's total is the last
+    entry of its running sum, up to its last positive weight, so a
+    zero-weight particle anywhere leaves the total and the draws unchanged.
+    One `rng.random(K)` gives the rows their uniforms in order, the same
+    draws as K single ones. Every index is capped at the last positive
+    weight, so no draw lands on a trailing particle of zero weight. Rows
+    are taken one at a time: row-sized temporaries stay in cache, where
+    (K, N) ones would not.
     """
     if not rows:
         return []
     steps = np.arange(count)
     out = []
-    for (weights, total, states), u in zip(rows, rng.random(len(rows)).tolist()):
+    for (weights, states), u in zip(rows, rng.random(len(rows)).tolist()):
         last = len(weights) - 1
         if weights[last] <= 0.0:
             last = int(np.flatnonzero(weights > 0.0)[-1])
         cum = np.cumsum(weights[:last + 1])
-        cum[-1] = total
+        total = cum[-1]
         idx = np.searchsorted(cum, (u + steps) * (total / count), side="right")
         np.minimum(idx, last, out=idx)
         out.append(ParticleSet(states.take(idx, axis=0), np.full(count, total / count)))

@@ -14,7 +14,6 @@ from .association import (
     Cluster,
     Hypothesis,
     bp_marginals,
-    dense_row_sum,
     enumeration_size,
     exact_marginals,
     new_components,
@@ -78,14 +77,11 @@ class FilterSettings:
 class Transfer(NamedTuple):
     """The new component of a measurement transferred to the labeled part: its
     existence and its pdf over the intensity particles that have a cell in the
-    measurement's row, `states` and `weights` in particle order. `total` is
-    the weights' sum as numpy sums the dense row over every intensity
-    particle, the total a resample of that row takes."""
+    measurement's row, `states` and `weights` in particle order."""
 
     existence: float
     states: np.ndarray   # (n, 4)
     weights: np.ndarray  # (n,)
-    total: float
 
 
 def select_transfers(beta: np.ndarray, mass: np.ndarray, cells: Cells,
@@ -98,27 +94,24 @@ def select_transfers(beta: np.ndarray, mass: np.ndarray, cells: Cells,
     `transferred` marks every measurement whose component has existence
     mass / beta >= gamma_tr (inclusive), and each such row j becomes a
     labeled Bernoulli with label (time, j + 1), whose pdf weights are the
-    cells of row j over d. The caller absorbs or prunes the rest.
+    cells of row j over d, in their (column) order. The caller absorbs or
+    prunes the rest.
     """
     row, col, value = cells
     existence = mass / beta
     transferred = existence >= gamma_tr
     bounds = np.searchsorted(row, np.arange(len(beta) + 1))
-    dense = np.zeros(len(states))
     transfers = {}
     for j in np.flatnonzero(transferred).tolist():
         run = slice(bounds[j], bounds[j + 1])
-        order = np.argsort(col[run], kind="stable")
-        support, weights = col[run][order], value[run][order] / mass[j]
         transfers[Label(time, j + 1)] = Transfer(
-            float(existence[j]), states.take(support, axis=0), weights,
-            float(dense_row_sum(dense, support, weights)))
+            float(existence[j]), states.take(col[run], axis=0), value[run] / mass[j])
     return transfers, transferred
 
 
 # an updated track before resampling: label, existence, and its resample row
-# (weights, total, states), or None for a track with no pdf
-Pending = tuple[Label, float, tuple[np.ndarray, float, np.ndarray] | None]
+# (weights, states), or None for a track with no pdf
+Pending = tuple[Label, float, tuple[np.ndarray, np.ndarray] | None]
 
 
 def _legacy(label: Label, terms: Sequence[tuple[float, np.ndarray]],
@@ -126,15 +119,14 @@ def _legacy(label: Label, terms: Sequence[tuple[float, np.ndarray]],
     """Marginalized update of a legacy track from its (p(a) r(l,a), pdf
     weights) terms over the predicted particles `states`: r = sum p, and the
     pdf is the mixture sum (p / r) w of the terms with p > 0 and a pdf, added
-    in order from zero. A track whose mixture mass vanishes gets r = 0."""
+    in order. A track whose mixture mass vanishes gets r = 0."""
     terms = [(p, w) for p, w in terms if p > 0.0 and len(w)]
-    r = sum(p for p, _ in terms)
+    r = 0.0
+    for p, _ in terms:  # in order: from Python 3.12 on, sum() compensates floats
+        r += p
     if r <= 0.0:
         return label, 0.0, None
-    weights = np.zeros(len(states))
-    for p, w in terms:
-        weights += (p / r) * w
-    return label, min(r, 1.0), (weights, weights.sum(), states)
+    return label, min(r, 1.0), (sum((p / r) * w for p, w in terms), states)
 
 
 def _resampled(pending: Sequence[Pending], particle_budget: int,
@@ -171,8 +163,7 @@ def update_legacy_track(label: Label, marginal: Mapping[int, float], miss: Hypot
 
 
 def _transferred(label: Label, p_claim: float, component: Transfer) -> Pending:
-    return (label, p_claim * component.existence,
-            (component.weights, component.total, component.states))
+    return label, p_claim * component.existence, (component.weights, component.states)
 
 
 def update_transferred_track(label: Label, p_claim: float, component: Transfer,

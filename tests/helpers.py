@@ -130,12 +130,20 @@ def table_of(cells, shape):
     return table
 
 
+def row_sums(table):
+    """Each row of an (M, N) table added left to right from 0.0: the order in
+    which a sum over (row, col)-ordered cells adds a row, since the entries
+    left out are 0.0 and adding 0.0 is exact."""
+    table = np.asarray(table, dtype=float)
+    return np.cumsum(np.hstack([np.zeros((len(table), 1)), table]), axis=1)[:, -1]
+
+
 def dense_new_components(phd, pd, lik, intensity):
     """Reference for `new_components` from a dense (M, N) likelihood table
     `lik` and each measurement's clutter intensity: beta, mass and the dense
     table of w pD f. A transferred component's pdf weights are table[m] / d."""
     table = (phd.particles.weights * pd) * lik
-    mass = table.sum(axis=1)
+    mass = row_sums(table)
     return intensity + mass, mass, table
 
 

@@ -288,7 +288,7 @@ def test_criterion_4_micro_updates():
 
     pdf = pdf_at(2.0)
     tr = update_transferred_track(Label(7, 1), 0.5,
-                                  Transfer(0.8, pdf.states, pdf.weights, pdf.total_weight),
+                                  Transfer(0.8, pdf.states, pdf.weights),
                                   64, np.random.default_rng(0))
     checks.append(abs(tr.existence - 0.4))
 

@@ -15,13 +15,15 @@ bearing-window path, so `test_benchmark_workload_digests` also pins the
 output digests of the two benchmark workloads (`perfbench/workloads`, one
 instance at `run.seed = 1000`, as `perfbench/run.py --seed 1` runs them).
 
-A deliberate numerical change regenerates the fixture in the same change
-(`PYTHONPATH=src python tests/test_golden.py`), updates the workload digest
-prefixes from `perfbench/run.py --seed 1 --trace 1`, and says why in
-CHANGES.md.
+A deliberate numerical change regenerates both pins in the same change with
+one command, `PYTHONPATH=src python tests/test_golden.py`: it rewrites the
+fixture and prints `WORKLOAD_DIGESTS` as it should now read, to paste below.
+`perfbench/run.py --seed 1 --trace 1` reports the same digests. The change
+says why in CHANGES.md.
 """
 
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -38,8 +40,8 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # leading hex digits of the estimates and mospa digests, per workload
 WORKLOAD_DIGESTS = {
-    "desk": ("352812c81383bedc", "76da95c047bd7e85"),
-    "dense": ("99bfdf598591ef2e", "6e77715c934c2dad"),
+    "desk": ("1f4a091f21b0a0b5", "3c0253064a33d1ea"),
+    "dense": ("6d0b8897415471ab", "b37fd2b41e693936"),
 }
 
 SCENARIO = {
@@ -125,16 +127,22 @@ def test_golden_trace(marginals, tmp_path, monkeypatch):
         assert (tmp_path / name).read_bytes() == expected, f"{marginals}/{name} differs"
 
 
-@pytest.mark.parametrize("workload", sorted(WORKLOAD_DIGESTS))
-def test_benchmark_workload_digests(workload, tmp_path, monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
+def workload_digests(workload: str, out_dir: Path) -> tuple[str, str]:
+    """Leading hex digits of the estimates and mospa digests of one benchmark
+    workload instance at `run.seed = 1000`; `perfbench` must be importable."""
     from checks import output_digests
 
     values = parse_config_text((PERFBENCH / "workloads" / f"{workload}.cfg").read_text())
-    config = build_run_config({**values, "run.seed": "1000", "run.out_dir": str(tmp_path)})
+    config = build_run_config({**values, "run.seed": "1000", "run.out_dir": str(out_dir)})
     run_experiment(config, quiet=True)
-    digests = output_digests(tmp_path)
-    assert (digests["estimates"][:16], digests["mospa"][:16]) == WORKLOAD_DIGESTS[workload]
+    digests = output_digests(out_dir)
+    return digests["estimates"][:16], digests["mospa"][:16]
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_DIGESTS))
+def test_benchmark_workload_digests(workload, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    assert workload_digests(workload, tmp_path) == WORKLOAD_DIGESTS[workload]
 
 
 if __name__ == "__main__":
@@ -145,3 +153,10 @@ if __name__ == "__main__":
             if path.name not in written:
                 path.unlink()
         print(f"wrote {len(written)} files to {out}", file=sys.stderr)
+    sys.path.insert(0, str(PERFBENCH))
+    print("WORKLOAD_DIGESTS = {")
+    for workload in WORKLOAD_DIGESTS:
+        with tempfile.TemporaryDirectory() as out_dir:
+            estimates, mospa = workload_digests(workload, Path(out_dir))
+        print(f'    "{workload}": ("{estimates}", "{mospa}"),')
+    print("}")

@@ -187,27 +187,19 @@ def row_floors(count):
 
 
 def assert_cell_layout(cells, shape):
-    """Cells in ascending row order, inside the table and each (row, col) once."""
+    """Cells inside the table, in strictly ascending (row, col) order."""
     row, col, _ = cells
-    assert np.all(np.diff(row) >= 0)
     assert np.all((row >= 0) & (row < shape[0]) & (col >= 0) & (col < shape[1]))
-    flat = row * shape[1] + col
-    assert np.unique(flat).size == flat.size
-
-
-def row_major(cells):
-    row, col, value = cells
-    order = np.lexsort((col, row))
-    return row[order], col[order], value[order]
+    assert np.all(np.diff(row * shape[1] + col) > 0)
 
 
 def assert_table_exact(sensor, frame, states, floor=None):
     """The likelihood cells and their `likelihood_table` view are both
-    bit-identical to the dense reference; the cells are in ascending row
-    order, inside the table and each (row, col) once. The cells under the
-    per-row `floor` (by default `row_floors`) are exactly those of these
-    cells whose exponent clears their row's floor, or every cell when a
-    state, measurement or the normalizer is not finite."""
+    bit-identical to the dense reference; the cells are inside the table, in
+    strictly ascending (row, col) order. The cells under the per-row `floor`
+    (by default `row_floors`) are exactly those of these cells whose
+    exponent clears their row's floor, in the same order, or every cell when
+    a state, measurement or the normalizer is not finite."""
     dense = dense_likelihood_table(sensor, frame, states)
     rho, theta = sensor.range_bearing(states)
     cells = sensor.likelihood_cells(frame, rho, theta)
@@ -229,7 +221,7 @@ def assert_table_exact(sensor, frame, states, floor=None):
         exponent = dense_polar_exponents(sensor, frame, rho, theta)
         keep = exponent[row, col] >= np.broadcast_to(floor, (len(frame),))[row]
     expected = (row[keep], col[keep], value[keep])
-    for got, want in zip(row_major(floored), row_major(expected)):
+    for got, want in zip(floored, expected):
         assert np.array_equal(got, want, equal_nan=True)
 
 

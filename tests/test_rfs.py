@@ -101,13 +101,13 @@ class NearOne:
         return u if size is None else np.full(size, u)
 
 
-def classic_resample(weights, total, states, count, u):
+def classic_resample(weights, states, count, u):
     """Systematic resampling of one set, the reference for `resample_rows`:
-    running sum set to `total` at the last positive weight, positions
-    (u + i) total / count, indices capped at that weight."""
+    the running sum's last entry as the total, positions (u + i) total /
+    count, indices capped at the last positive weight."""
     last = int(np.flatnonzero(weights > 0.0)[-1])
-    cum = np.cumsum(weights)[:last + 1]
-    cum[-1] = total
+    cum = np.cumsum(weights)
+    total = cum[-1]
     idx = np.minimum(np.searchsorted(cum, (u + np.arange(count)) * (total / count),
                                      side="right"), last)
     return states[idx]
@@ -116,8 +116,8 @@ def classic_resample(weights, total, states, count, u):
 class TestResampleRows:
     def test_trailing_zero_weight_is_never_drawn(self):
         # the running sum of the positive weights can fall below their pairwise
-        # total; a uniform next to 1 then lands in the gap, which used to map
-        # to the trailing zero-weight particle
+        # total; a resample that took that total let a uniform next to 1 land
+        # in the gap, on the trailing zero-weight particle
         gaps = 0
         for seed in range(200):
             rng = np.random.default_rng(seed)
@@ -130,8 +130,7 @@ class TestResampleRows:
         assert gaps > 0
 
     def test_matches_one_set_at_a_time(self):
-        # rows of mixed lengths, with zero weights inside and at the end, and
-        # totals that are not their rows' sums (as a sparse pdf's dense total)
+        # rows of mixed lengths, with zero weights inside and at the end
         rng = np.random.default_rng(11)
         rows = []
         for n in (1, 5, 1000, 1000, 37, 1000):
@@ -141,16 +140,39 @@ class TestResampleRows:
                 weights[-rng.integers(1, n):] = 0.0
             if not weights.any():
                 weights[0] = 1.0
-            total = weights.sum() * (1.0 + 1e-15 * rng.normal())
-            rows.append((weights, total, rng.normal(size=(n, 4))))
+            rows.append((weights, rng.normal(size=(n, 4))))
         batched, single = np.random.default_rng(5), np.random.default_rng(5)
         out = resample_rows(rows, 300, batched)
-        for (weights, total, states), pset in zip(rows, out):
-            ref = classic_resample(weights, total, states, 300, single.random())
+        for (weights, states), pset in zip(rows, out):
+            ref = classic_resample(weights, states, 300, single.random())
             assert np.array_equal(pset.states, ref)
-            assert np.array_equal(pset.weights, np.full(300, total / 300))
+            assert np.array_equal(pset.weights, np.full(300, np.cumsum(weights)[-1] / 300))
         # one draw per row, as one `random` call per set makes them
         assert batched.random() == single.random()
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=50),
+           lead=st.integers(min_value=0, max_value=3),
+           inner=st.integers(min_value=0, max_value=10),
+           trail=st.integers(min_value=0, max_value=3),
+           count=st.integers(min_value=1, max_value=300),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_zero_weights_anywhere_change_nothing(self, n, lead, inner, trail, count, seed):
+        # zero-weight particles before, between and after the positive ones
+        # leave the total, and so every draw, bit for bit as they were
+        rng = np.random.default_rng(seed)
+        weights = (1.0 - rng.random(n)) * 10.0 ** rng.uniform(-6.0, 0.0, n)
+        states = rng.normal(size=(n, 4))
+        at = np.sort(np.concatenate([np.zeros(lead, dtype=int),
+                                     rng.integers(1, n, inner) if n > 1 else [],
+                                     np.full(trail, n)]).astype(int))
+        padded = np.insert(weights, at, 0.0)
+        padded_states = np.insert(states, at, np.inf, axis=0)
+        plain = resample_rows([(weights, states)], count, np.random.default_rng(seed))[0]
+        out = resample_rows([(padded, padded_states)], count, np.random.default_rng(seed))[0]
+        assert np.array_equal(out.states, plain.states)
+        assert np.array_equal(out.weights, plain.weights)
+        assert np.array_equal(out.weights, np.full(count, np.cumsum(padded)[-1] / count))
 
 
 class TestWeightedMean:

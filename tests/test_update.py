@@ -41,6 +41,7 @@ from helpers import (
     dense_new_components,
     dense_phd_weights,
     likelihood,
+    row_sums,
 )
 
 
@@ -53,7 +54,7 @@ def pdf_at(x1, n=1, weight=None):
 
 def component(existence, x1=0.0):
     pdf = pdf_at(x1)
-    return Transfer(existence, pdf.states, pdf.weights, pdf.total_weight)
+    return Transfer(existence, pdf.states, pdf.weights)
 
 
 def new_component_rows(*existences, n=2):
@@ -120,7 +121,9 @@ class TestSelectTransfers:
         assert comp.existence == pytest.approx(0.5, abs=1e-15)
         np.testing.assert_array_equal(comp.states, states)
         np.testing.assert_allclose(comp.weights, [0.5, 0.5], atol=1e-15)
-        assert comp.total == comp.weights.sum()
+        # its resample takes the weights' running sum as the total
+        track = update_transferred_track(Label(7, 1), 1.0, comp, 4, np.random.default_rng(0))
+        assert np.array_equal(track.pdf.weights, np.full(4, np.cumsum(comp.weights)[-1] / 4))
 
     def test_nothing_above_threshold(self):
         transfers, transferred = select_transfers(*new_component_rows(0.005, 0.001),
@@ -218,7 +221,7 @@ class TestOnePassUpdate:
         det = {2: Hypothesis(0.2, 1.0, ParticleSet(support, det_w / det_w.sum()))}
         marginals = [{0: 0.4, 2: 0.6}, {0: 0.0, 2: 0.0}, {0: 1.0, 2: 0.0}]
         weights = rng.random(9)
-        comp = Transfer(0.7, support[:9], weights / weights.sum(), (weights / weights.sum()).sum())
+        comp = Transfer(0.7, support[:9], weights / weights.sum())
         a, b = np.random.default_rng(6), np.random.default_rng(6)
         one_by_one = [update_legacy_track(Label(1, i + 1), marginal, miss, det, 64, a)
                       for i, marginal in enumerate(marginals)]
@@ -319,20 +322,6 @@ class TestUpdatePhd:
                                  weights, 1000)
 
 
-class ShuffledStub(StubSensor):
-    """Stub whose cells come in a random order within each row, as the
-    sensor's bearing windows give them."""
-
-    def __init__(self, pd, lik, rng):
-        super().__init__(pd, lik)
-        self.rng = rng
-
-    def likelihood_cells(self, frame, rho, theta, floor=None):
-        row, col, value = super().likelihood_cells(frame, rho, theta, floor)
-        order = np.lexsort((self.rng.random(len(row)), row))
-        return row[order], col[order], value[order]
-
-
 class TestSparseIntensityArithmetic:
     """`new_components`, `select_transfers` and `update_phd` over cells are
     bit-identical to the dense (M, N) formulas in `helpers`, on random sparse
@@ -352,7 +341,7 @@ class TestSparseIntensityArithmetic:
         pd = rng.random(n)
         frame = [Measurement(float(rng.uniform(0.0, 300.0)), 0.0) for _ in range(m)]
         clutter = ClutterModel(mean_count=20.0)
-        sensor = ShuffledStub(pd, lik, rng)
+        sensor = StubSensor(pd, lik)
         beta, mass, cells = new_components(phd, pd, frame, sensor, clutter,
                                            sensor.range_bearing(states))
         ref_beta, ref_mass, table = dense_new_components(
@@ -362,12 +351,14 @@ class TestSparseIntensityArithmetic:
         transfers, transferred = select_transfers(beta, mass, cells, states, 0.1, time=3)
         assert list(transfers) == [Label(3, j + 1) for j in np.flatnonzero(transferred)]
         for label, component in transfers.items():
-            # the cells of the row in particle order, totalled as the dense row
+            # the cells of the row in particle order; its resample's total is
+            # the dense row added left to right
             row = label.index - 1
             dense = table[row] / mass[row]
             assert np.array_equal(component.states, states[dense > 0.0])
             assert np.array_equal(component.weights, dense[dense > 0.0])
-            assert component.total == dense.sum()
+            track = update_transferred_track(label, 1.0, component, 64, np.random.default_rng(0))
+            assert np.array_equal(track.pdf.weights, np.full(64, row_sums([dense])[0] / 64))
 
         weights = []
         real = lmbp.update.resample
@@ -490,7 +481,7 @@ class TestLmbpStep:
         real_rows, real = lmbp.update.resample_rows, lmbp.update.resample
 
         def rows_spy(rows, count, rng):
-            batches.append([(len(weights), count) for weights, _, _ in rows])
+            batches.append([(len(weights), count) for weights, _ in rows])
             return real_rows(rows, count, rng)
 
         def spy(pset, target_count, rng):
