@@ -58,10 +58,9 @@ class TrackEvidence:
     `states[i]` and `miss_weights[i]` hold row i's particles and w (1 - pD)
     over them, and `rows[(i, m)]` holds (w pD f(z_m|.), b) for every
     evaluated pair; a pair the likelihood gate left out has b = 0. A
-    `deferred` pair cannot reach the plausibility threshold: it keeps betas
-    = 0 until `complete` evaluates it from `sources[i]`, row i's particle
-    ranges, bearings and w pD. No pdf is built until `miss`, `detection` or
-    `terms` asks for one.
+    `deferred` pair weighs less than gamma_c, lies in no cluster and was
+    never evaluated: betas holds 0 for it. No pdf is built until `miss`,
+    `detection` or `terms` asks for one.
     """
 
     existence: np.ndarray                          # (L,) r
@@ -72,9 +71,6 @@ class TrackEvidence:
     miss_weights: tuple[np.ndarray, ...]
     rows: dict[tuple[int, int], tuple[np.ndarray, float]]
     deferred: np.ndarray                           # (L, M) bool
-    sources: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    frame: Sequence[Measurement]
-    sensor: SensorModel
 
     def _miss(self, i: int) -> tuple[float, float, np.ndarray]:
         """Track i's miss: beta, existence r c / beta and pdf weights
@@ -91,7 +87,7 @@ class TrackEvidence:
     def _detection(self, i: int, m: int) -> tuple[float, float, np.ndarray]:
         """Track i's detection of measurement m: beta = r b, existence 1 and
         pdf weights w pD f(z_m|.) / b; b = 0 yields beta = 0 and no pdf. A
-        deferred pair that `complete` never evaluated raises ValueError."""
+        deferred pair raises ValueError."""
         if self.deferred[i, m - 1]:
             raise ValueError(f"detection ({i}, {m}) was deferred and never evaluated")
         row = self.rows.get((i, m))
@@ -127,26 +123,6 @@ class TrackEvidence:
                 terms.append((p * existence, weights))
         return terms
 
-    def complete(self, rows: np.ndarray, cols: np.ndarray) -> None:
-        """Evaluate, in place, every deferred pair among the tracks `rows` and
-        measurements `cols` (0-based; a cluster of `partition`), with the
-        same bits `track_evidence` gives the pairs it evaluates at once."""
-        at, j = np.nonzero(self.deferred[np.ix_(rows, cols)])
-        for i, m in zip(rows[at].tolist(), cols[j].tolist()):
-            self._evaluate([i], np.array([m]))
-
-    def _evaluate(self, owners: list[int], meas: np.ndarray) -> None:
-        """Evaluate the pairs (owners[k], meas[k]) of tracks with one particle
-        count as one (K, N) block, scaled by w pD in place, summed by row."""
-        rho, theta, detect = (np.stack(part) for part in zip(*(self.sources[i] for i in owners)))
-        block = self.sensor.likelihood_rows(self.frame, meas, rho, theta)
-        block *= detect
-        b = block.sum(axis=1)
-        self.betas[owners, meas] = self.existence[owners] * b
-        self.deferred[owners, meas] = False
-        for i, m, row, row_b in zip(owners, (meas + 1).tolist(), block, b):
-            self.rows[(i, m)] = (row, row_b)
-
 
 def track_evidence(block: TrackBlock, frame: Sequence[Measurement],
                    sensor: SensorModel, gamma_c: float) -> TrackEvidence:
@@ -155,17 +131,32 @@ def track_evidence(block: TrackBlock, frame: Sequence[Measurement],
     Each group of the block, the tracks of one particle count, has its
     ranges, bearings and pD computed once. Of the pairs the sensor's row
     gate keeps, one whose weight bound r sum(w pD) norm exp(bound) lies
-    below gamma_c / 2 has a weight below gamma_c, so it is deferred to
-    `TrackEvidence.complete` and `partition` still sees the same plausible
-    pairs; the rest are evaluated now. gamma_c = 0 defers nothing.
+    below gamma_c / 2 has a weight below gamma_c, so it is deferred and
+    `partition` sees the same clusters. The rest are evaluated at once, then
+    the deferred pairs inside a cluster, with the same bits. gamma_c = 0
+    defers nothing.
     """
     count = len(block.labels)
     r = block.existence
     miss_mass = np.zeros(count)
+    betas = np.zeros((count, len(frame)))
     deferred = np.zeros((count, len(frame)), dtype=bool)
     miss_weights: list = [None] * count
-    sources: list = [None] * count
-    now: list[tuple[list[int], np.ndarray]] = []
+    rows: dict[tuple[int, int], tuple[np.ndarray, float]] = {}
+    groups = []
+
+    def evaluate(idx, rho, theta, detect, at, meas):
+        """Pairs (idx[at], meas) of one group as one (K, N) block, scaled by w pD, summed by row."""
+        if not len(at):
+            return
+        owners = idx[at]
+        lik = sensor.likelihood_rows(frame, meas, rho[at], theta[at])
+        lik *= detect[at]
+        b = lik.sum(axis=1)
+        betas[owners, meas] = r[owners] * b
+        for i, m, row, row_b in zip(owners.tolist(), (meas + 1).tolist(), lik, b):
+            rows[(i, m)] = (row, row_b)
+
     for idx, group_states, weights in block.groups:
         rho, theta = sensor.range_bearing(group_states)
         pd = sensor.detection_prob_at(rho)
@@ -173,7 +164,7 @@ def track_evidence(block: TrackBlock, frame: Sequence[Measurement],
         detect = weights * pd
         miss_mass[idx] = miss.sum(axis=1)
         for k, i in enumerate(idx.tolist()):
-            miss_weights[i], sources[i] = miss[k], (rho[k], theta[k], detect[k])
+            miss_weights[i] = miss[k]
         bound, norm = sensor.row_bounds(frame, rho, theta)
         # exp, the products and the N-term sum can exceed this weight bound
         # by a few ulps only; halving gamma_c is the fixed margin for that.
@@ -181,16 +172,16 @@ def track_evidence(block: TrackBlock, frame: Sequence[Measurement],
         ceiling = (r[idx] * detect.sum(axis=1))[:, None] * norm * np.exp(bound)
         kept = bound >= EXP_FLOOR
         deferred[idx] = kept & (ceiling < 0.5 * gamma_c)
-        sets, meas = np.nonzero(kept & ~deferred[idx])
-        now.append((idx[sets].tolist(), meas))
-    evidence = TrackEvidence(r, tuple(states for states, _ in block.rows()),
-                             1.0 - r + r * miss_mass,
-                             np.zeros((count, len(frame))), miss_mass, tuple(miss_weights),
-                             {}, deferred, tuple(sources), frame, sensor)
-    for owners, meas in now:
-        if owners:
-            evidence._evaluate(owners, meas)
-    return evidence
+        evaluate(idx, rho, theta, detect, *np.nonzero(kept & ~deferred[idx]))
+        groups.append((idx, rho, theta, detect))
+    if deferred.any():
+        row_of, col_of = _components(betas >= gamma_c)
+        for idx, rho, theta, detect in groups:
+            joined = deferred[idx] & (row_of[idx, None] == col_of)
+            evaluate(idx, rho, theta, detect, *np.nonzero(joined))
+            deferred[idx] &= ~joined
+    return TrackEvidence(r, tuple(states for states, _ in block.rows()), 1.0 - r + r * miss_mass,
+                         betas, miss_mass, tuple(miss_weights), rows, deferred)
 
 
 def detection_hypotheses(track: BernoulliTrack, frame: Sequence[Measurement],
@@ -247,42 +238,37 @@ def new_components(phd: PoissonPhd, pd: np.ndarray, frame: Sequence[Measurement]
 # ---------------------------------------------------------------------------
 
 
+def _components(plausible: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's and each column's connected component of the true pairs of
+    `plausible` (L, M), named by its smallest row; -1 for a column in no pair.
+    Rounds pass the smallest name from rows to columns and back until none changes."""
+    count, cols = plausible.shape
+    edge_row, edge_col = np.nonzero(plausible)
+    row_of, named = None, np.arange(count)
+    while not np.array_equal(named, row_of):
+        row_of, col_of = named, np.full(cols, count)
+        np.minimum.at(col_of, edge_col, row_of[edge_row])
+        named = row_of.copy()
+        np.minimum.at(named, edge_row, col_of[edge_col])
+    col_of[col_of == count] = -1
+    return row_of, col_of
+
+
 def partition(betas: np.ndarray,
               gamma_c: float) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
     """Group the rows of `betas` (labels) with the columns (measurements) they
     plausibly associate with.
 
-    A pair is plausible when its weight is >= gamma_c; clusters are grown by
-    iteratively merging row groups whose plausible column sets overlap
-    (ties resolved toward the smallest group index for determinism). Returns
-    `(clusters, residual)`: each cluster is a `(rows, cols)` pair of ascending
-    index arrays, clusters are ordered by their smallest row, and `residual`
+    A pair is plausible when its weight is >= gamma_c, and a cluster is a
+    connected component of the plausible pairs. Returns `(clusters,
+    residual)`: each cluster is a `(rows, cols)` pair of ascending index
+    arrays, clusters are ordered by their smallest row, and `residual`
     holds the columns in no cluster.
     """
-    clusters: list[tuple[list[int], set[int]]] = []
-    for i, row in enumerate(betas):
-        cols = set(np.flatnonzero(row >= gamma_c).tolist())
-        overlapping = [c for c, (_, ms) in enumerate(clusters) if ms & cols]
-        if not overlapping:
-            clusters.append(([i], cols))
-        else:
-            # merge all overlapping groups into the lowest-indexed one
-            target = overlapping[0]
-            for c in overlapping[1:]:
-                clusters[target][0].extend(clusters[c][0])
-                clusters[target][1].update(clusters[c][1])
-            clusters[target][0].append(i)
-            clusters[target][1].update(cols)
-            clusters = [cl for c, cl in enumerate(clusters) if c not in overlapping[1:]]
-
-    # a group is created by its smallest row and merges only into older groups,
-    # so the list is already ordered by smallest row
-    out = [(np.array(sorted(rows), dtype=np.intp), np.array(sorted(cols), dtype=np.intp))
-           for rows, cols in clusters]
-    claimed = np.zeros(betas.shape[1], dtype=bool)
-    for _, cols in out:
-        claimed[cols] = True
-    return out, np.flatnonzero(~claimed)
+    row_of, col_of = _components(betas >= gamma_c)
+    roots = np.flatnonzero(row_of == np.arange(len(row_of)))
+    clusters = [(np.flatnonzero(row_of == c), np.flatnonzero(col_of == c)) for c in roots.tolist()]
+    return clusters, np.flatnonzero(col_of < 0)
 
 
 # ---------------------------------------------------------------------------

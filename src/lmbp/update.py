@@ -282,7 +282,6 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
     # the updated tracks in the order their uniforms are drawn
     pending: list[Pending] = []
     for rows, cols in clusters:
-        evidence.complete(rows, cols)
         problem = Cluster(evidence.miss_beta[rows], evidence.betas[np.ix_(rows, cols)],
                           new_beta[cols], transferred[cols])
         marginal = _marginalize(problem, settings)

@@ -2,10 +2,14 @@
 the closed-form and dense likelihood references and the dense intensity-update
 references."""
 
+from collections import Counter
+
 import numpy as np
 
+import lmbp.association
+import lmbp.update
 from lmbp.association import Cluster
-from lmbp.models import wrap_angle
+from lmbp.models import SensorModel, wrap_angle
 
 
 class StubSensor:
@@ -152,3 +156,32 @@ def dense_phd_weights(phd, pd, beta, table):
     particles before resampling, from the dense rows of the K unclaimed
     measurements: (1 - pD) w + sum_k table[k] / beta[k]."""
     return phd.particles.weights * (1.0 - pd) + np.einsum("k,kn->n", 1.0 / beta, table)
+
+
+def count_joined_rows(monkeypatch, counts: Counter) -> None:
+    """Add to counts["deferred evaluated"] every track row that
+    `track_evidence` evaluates after it labels the clusters: the pairs its
+    gate deferred that joined a cluster. The count restarts its window at
+    each call through `lmbp.update`, so `partition`'s labelling after a step
+    counts nothing; a direct call counts alone in a fresh `monkeypatch`."""
+    labelled = [False]
+    track_evidence = lmbp.update.track_evidence
+    components = lmbp.association._components
+    likelihood_rows = SensorModel.likelihood_rows
+
+    def evidence_spy(*args, **kwargs):
+        labelled[0] = False
+        return track_evidence(*args, **kwargs)
+
+    def components_spy(plausible):
+        labelled[0] = True
+        return components(plausible)
+
+    def rows_spy(sensor, frame, meas, rho, theta):
+        if labelled[0]:
+            counts["deferred evaluated"] += len(meas)
+        return likelihood_rows(sensor, frame, meas, rho, theta)
+
+    monkeypatch.setattr(lmbp.update, "track_evidence", evidence_spy)
+    monkeypatch.setattr(lmbp.association, "_components", components_spy)
+    monkeypatch.setattr(SensorModel, "likelihood_rows", rows_spy)

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from lmbp.rfs import BernoulliTrack, Label, Measurement, ParticleSet, PoissonPhd
 
 from helpers import (
     StubSensor,
+    count_joined_rows,
     dense_likelihood_table,
     max_label_tv,
     random_cluster,
@@ -261,12 +263,16 @@ class TestTrackEvidence:
 
 def assert_gate_exact(tracks, frame, sensor, gamma_c):
     """`track_evidence` with gamma_c against full evaluation (gamma_c = 0):
-    `partition` gives the same clusters and residual; after `complete`,
-    every in-cluster betas entry and every pdf is bit-identical; a pair left
-    deferred raises in `detection`. Returns the counts of deferred pairs and
-    of those completed inside a cluster."""
+    `partition` gives the same clusters and residual; every evaluated betas
+    entry, and every in-cluster one and pdf, is bit-identical; a pair left
+    deferred holds 0, lies in no cluster and raises in `detection`. Returns
+    the counts of pairs the gate deferred and of those evaluated inside a
+    cluster."""
     full = evidence_of(tracks, frame, sensor, 0.0)
-    gated = evidence_of(tracks, frame, sensor, gamma_c)
+    joined: Counter = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        count_joined_rows(mp, joined)
+        gated = evidence_of(tracks, frame, sensor, gamma_c)
     assert not full.deferred.any()
     deferred = int(gated.deferred.sum())
     assert not gated.betas[gated.deferred].any()
@@ -276,11 +282,8 @@ def assert_gate_exact(tracks, frame, sensor, gamma_c):
     expected, expected_residual = partition(full.betas, gamma_c)
     assert np.array_equal(residual, expected_residual)
     assert len(clusters) == len(expected)
-    completed = 0
     for (rows, cols), (rows_ref, cols_ref) in zip(clusters, expected):
         assert np.array_equal(rows, rows_ref) and np.array_equal(cols, cols_ref)
-        completed += int(gated.deferred[np.ix_(rows, cols)].sum())
-        gated.complete(rows, cols)
         block = np.ix_(rows, cols)
         assert not gated.deferred[block].any()
         assert np.array_equal(gated.betas[block], full.betas[block], equal_nan=True)
@@ -294,7 +297,8 @@ def assert_gate_exact(tracks, frame, sensor, gamma_c):
     for i, j in zip(*np.nonzero(gated.deferred)):
         with pytest.raises(ValueError, match="deferred"):
             gated.detection(int(i), int(j) + 1)
-    return deferred, completed
+    completed = joined["deferred evaluated"]
+    return deferred + completed, completed
 
 
 def track_at(sensor, rho, theta, n, r, index, rng, spread=0.0):
@@ -337,13 +341,13 @@ class TestPlausibilityGate:
         frame = [Measurement(105.0, 0.3), Measurement(92.0, 0.3), Measurement(200.0, -2.0)]
         gated = evidence_of(tracks, frame, sensor, 1e-10)
         full = evidence_of(tracks, frame, sensor, 0.0)
-        assert gated.deferred.tolist() == [[False, False, False], [False, True, False]]
-        assert 0.0 < full.betas[1, 1] < 1e-10
+        assert not gated.deferred.any()
+        assert gated.betas[1, 1] == full.betas[1, 1]
+        assert 0.0 < gated.betas[1, 1] < 1e-10
+        assert np.array_equal(gated.detection(1, 2).pdf.weights, full.detection(1, 2).pdf.weights)
         clusters, residual = partition(gated.betas, 1e-10)
         assert [(r.tolist(), c.tolist()) for r, c in clusters] == [([0, 1], [0, 1])]
         assert residual.tolist() == [2]
-        with pytest.raises(ValueError, match="deferred"):
-            gated.detection(1, 2)
         assert assert_gate_exact(tracks, frame, sensor, 1e-10) == (1, 1)
 
     def test_tight_bounds_need_the_margin(self):
@@ -531,6 +535,25 @@ class TestPartition:
         betas = np.array([[0.5]])
         clusters, _ = partition(betas, gamma_c=0.5)
         assert as_lists(clusters) == [([0], [0])]
+
+    @pytest.mark.parametrize("step", [1, -1])
+    def test_staircase_chains_every_row(self, step):
+        # the k-th row of the chain pairs with columns k and k + 1, so the
+        # first row's name has to travel the whole chain
+        count = 40
+        betas = np.zeros((count, count + 2))
+        chain = np.arange(count)[::step]
+        betas[chain, np.arange(count)] = 1.0
+        betas[chain, np.arange(1, count + 1)] = 1.0
+        clusters, residual = partition(betas, gamma_c=0.5)
+        assert as_lists(clusters) == [(list(range(count)), list(range(count + 1)))]
+        assert residual.tolist() == [count + 1]
+
+    def test_nan_weights_are_not_plausible(self):
+        betas = np.array([[np.nan, 1.0, 0.0], [np.nan, np.nan, 0.0], [0.0, np.nan, 1.0]])
+        clusters, residual = partition(betas, gamma_c=0.5)
+        assert as_lists(clusters) == [([0], [1]), ([1], []), ([2], [2])]
+        assert residual.tolist() == [0]
 
     def test_matches_connected_component_oracle(self):
         rng = np.random.default_rng(9)

@@ -27,13 +27,13 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-import lmbp.association
 import lmbp.update
 from lmbp.cli import run_experiment
 from lmbp.config import build_run_config, parse_config_text
+
+from helpers import count_joined_rows
 
 GOLDEN = Path(__file__).parent / "golden"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -76,7 +76,6 @@ def count_paths(monkeypatch) -> Counter:
     select_transfers = lmbp.update.select_transfers
     exact_marginals = lmbp.update.exact_marginals
     bp_marginals = lmbp.update.bp_marginals
-    complete = lmbp.association.TrackEvidence.complete
 
     def partition_spy(*args, **kwargs):
         result = partition(*args, **kwargs)
@@ -99,15 +98,11 @@ def count_paths(monkeypatch) -> Counter:
         counts["bp"] += 1
         return bp_marginals(*args, **kwargs)
 
-    def complete_spy(evidence, rows, cols):
-        counts["deferred evaluated"] += int(np.count_nonzero(evidence.deferred[np.ix_(rows, cols)]))
-        return complete(evidence, rows, cols)
-
     monkeypatch.setattr(lmbp.update, "partition", partition_spy)
     monkeypatch.setattr(lmbp.update, "select_transfers", select_transfers_spy)
     monkeypatch.setattr(lmbp.update, "exact_marginals", exact_spy)
     monkeypatch.setattr(lmbp.update, "bp_marginals", bp_spy)
-    monkeypatch.setattr(lmbp.association.TrackEvidence, "complete", complete_spy)
+    count_joined_rows(monkeypatch, counts)
     return counts
 
 
