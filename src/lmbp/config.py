@@ -43,7 +43,7 @@ def parse_config_text(text: str) -> dict[str, str]:
         key, value = line.split("=", 1)
         key, value = key.strip(), value.strip()
         if not key or not value:
-            raise ConfigError(f"line {lineno}: empty key or value")
+            raise ConfigError(f"line {lineno}: empty key or value in {raw.strip()!r}")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         out[key] = value
@@ -59,9 +59,11 @@ def _to_int(key, value):
 
 def _to_float(key, value):
     try:
-        return float(value)
+        if np.isfinite(number := float(value)):
+            return number
     except ValueError:
-        raise ConfigError(f"field '{key}': expected number, got {value!r}") from None
+        pass
+    raise ConfigError(f"field '{key}': expected a finite number, got {value!r}")
 
 
 def _to_str(key, value):
@@ -124,6 +126,8 @@ class RunConfig:
     def __post_init__(self):
         if self.mc_runs < 1:
             raise ConfigError("field 'run.mc_runs': must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("field 'run.seed': must be nonnegative")
         if self.initial_phd_mass < 0:
             raise ConfigError("field 'filter.initial_phd_mass': must be nonnegative")
 

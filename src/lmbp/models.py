@@ -346,11 +346,11 @@ def uniform_disk_positions(center: np.ndarray, radius: float, count: int,
 class BirthModel:
     """Measurement-driven birth intensity for newborn unlabeled objects.
 
-    Each birth particle picks one of the previous frame's measurements,
-    inverts the range-bearing map at a noise-perturbed copy of it, draws a
-    zero-mean Gaussian velocity, and advances one step through the motion
-    kernel. With no previous measurements the positions fall back to uniform
-    over the sensor disk. Total weight is always `mean_births`.
+    Each birth particle picks one of the previous frame's finite
+    measurements, inverts the range-bearing map at a noise-perturbed copy of
+    it, draws a zero-mean Gaussian velocity, and advances one step through
+    the motion kernel. With no finite previous measurement the positions fall
+    back to uniform over the sensor disk. Total weight is always `mean_births`.
     """
 
     mean_births: float = 0.1
@@ -367,10 +367,11 @@ class BirthModel:
                    sensor: SensorModel, rng: np.random.Generator) -> PoissonPhd:
         n = self.particle_budget
         states = np.empty((n, STATE_DIM))
-        if len(prev_measurements) > 0:
-            pick = rng.integers(0, len(prev_measurements), n)
-            zr = np.array([z.range for z in prev_measurements])[pick]
-            zb = np.array([z.bearing for z in prev_measurements])[pick]
+        seeds = np.array(prev_measurements, dtype=float).reshape(-1, 2)
+        seeds = seeds[np.isfinite(seeds).all(axis=1)]
+        if len(seeds) > 0:
+            pick = rng.integers(0, len(seeds), n)
+            zr, zb = seeds[pick].T
             r = zr + rng.normal(0.0, sensor.sigma_range, n)
             b = zb + rng.normal(0.0, sensor.sigma_bearing, n)
             states[:, 0] = sensor.position[0] + r * np.cos(b)

@@ -38,6 +38,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.style not in ("ts1", "ts2"):
             raise ValueError("style must be 'ts1' or 'ts2'")
+        if self.object_count < 0:
+            raise ValueError("object_count must be nonnegative")
         lo, hi = self.appear_window
         if not 1 <= lo <= hi <= self.total_steps:
             raise ValueError("appear window must lie within [1, total_steps]")

@@ -72,6 +72,9 @@ class FilterSettings:
             raise ValueError("marginals must be 'bp' or 'exact'")
         if self.bp_iterations < 1:
             raise ValueError("bp_iterations must be >= 1")
+        for name in ("track_particles", "phd_particles"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 class Transfer(NamedTuple):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,8 @@ run.seed = 3
 
 
 _cfg_counter = iter(range(10_000))
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, text, **overrides):
@@ -56,6 +60,17 @@ class TestConfigParsing:
     def test_bad_model_value_names_section(self):
         with pytest.raises(ConfigError, match="sensor"):
             build_run_config({"sensor.pd_max": "1.5"})
+
+    def test_shipped_configs_load(self):
+        # every value a shipped config sets is the one its run echoes
+        paths = sorted(CONFIGS.glob("*.cfg"))
+        assert [p.name for p in paths] == ["desk_ts1.cfg", "full_ts1.cfg", "full_ts2.cfg"]
+        for path in paths:
+            config = load_run_config(path)
+            for key, value in parse_config_text(path.read_text()).items():
+                echoed = config.raw[key]
+                assert echoed == value or float(echoed) == float(value), (path.name, key)
+            assert config.scenario.style == path.stem[-3:]
 
     def test_defaults_match_headline_experiment(self):
         config = build_run_config({})
@@ -162,6 +177,36 @@ class TestMain:
         path.write_text("nonsense.key = 1\n")
         assert main(["run", str(path), "--quiet"]) == 2
         assert "nonsense.key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, flag", [
+        ("run.seed", "-1", None),
+        ("run.seed", "-1", "--seed"),
+        ("filter.track_particles", "0", None),
+        ("filter.phd_particles", "0", None),
+        ("filter.track_particles", "-3", None),
+        ("filter.phd_particles", "-3", None),
+        ("thresholds.gamma_c", "nan", None),
+        ("clutter.mean_count", "nan", None),
+        ("sensor.max_range", "inf", None),
+        ("scenario.object_count", "-2", None),
+        ("run.seed", "", None),
+        ("clutter.mean_count", "lots", None),
+        ("run.mc_runs", "0", None),
+        ("filter.initial_phd_mass", "-1", None),
+    ])
+    def test_bad_value_exits_2_naming_the_field(self, tmp_path, capsys, key, value, flag):
+        out = tmp_path / "out"
+        values = {**parse_config_text(TINY), "run.out_dir": str(out)}
+        if flag is None:
+            values[key] = value
+        path = tmp_path / "bad.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        argv = [flag, value] if flag else []
+        assert main(["run", str(path), "--quiet", *argv]) == 2
+        section, name = key.split(".")
+        err = capsys.readouterr().err
+        assert section in err and name in err
+        assert not out.exists()
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 2

@@ -50,6 +50,18 @@ class TestGenerateTruth:
             pos = obj.state_at(120)[:2]
             assert np.linalg.norm(pos) <= 20.0
 
+    def test_ts2_spawn_beyond_the_disk_is_clamped(self):
+        # a spawn point speed * (rendezvous_step - birth) from the origin
+        # lies beyond the disk; it is pulled in to 0.98 max_range from the sensor
+        config = ScenarioConfig(style="ts2", object_count=5, appear_window=(1, 1),
+                                disappear_after=10, total_steps=10, rendezvous_step=120,
+                                max_speed=10.0)
+        truth = generate_truth(config, np.random.default_rng(2))
+        for obj in truth.objects:
+            off = obj.states[0, :2] - config.sensor.position
+            assert np.linalg.norm(off) == pytest.approx(0.98 * config.sensor.max_range,
+                                                        rel=1e-12)
+
     def test_zero_objects(self):
         truth = generate_truth(ts1_config(object_count=0), np.random.default_rng(0))
         assert truth.objects == ()

@@ -582,6 +582,21 @@ class TestLmbpStep:
             assert snapshot(phd, frame[:1] + [Measurement(400.0, 0.0)] + frame[1:]) == expected
         assert "track,1,2," in expected and "track,1,3," not in expected
 
+    @pytest.mark.parametrize("bad", [(np.nan, 0.2), (np.inf, 0.2), (120.0, np.nan)])
+    def test_non_finite_measurement_is_dropped_and_seeds_no_birth(self, bad):
+        # the step drops the measurement (its beta is nan), and the next
+        # step's birth proposal draws from the finite measurements only
+        models = Models(MotionModel(), SensorModel(), ClutterModel(), BirthModel())
+        frames = [[Measurement(100.0, 0.5), Measurement(*bad)], [Measurement(100.5, 0.5)]]
+        state, prev, rng = FilterState((), PoissonPhd.empty(), 0), (), np.random.default_rng(3)
+        for frame in frames:
+            state = lmbp_step(state, frame, models, Thresholds(), rng, prev_frame=prev,
+                              settings=small_settings())
+            prev = frame
+            sets = [track.pdf for track in state.tracks] + [state.phd.particles]
+            assert all(np.isfinite(pdf.states).all() for pdf in sets)
+        assert state.tracks
+
     def test_step_builds_no_dense_likelihood_table(self, monkeypatch):
         # the intensity evidence stays in cells: a few steps of a small
         # simulated scenario never ask for the dense (M, N) table
