@@ -8,6 +8,7 @@ State arrays are `(..., 4)` with layout [x1, x2, v1, v2] and unit time step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -367,11 +368,11 @@ class BirthModel:
                    sensor: SensorModel, rng: np.random.Generator) -> PoissonPhd:
         n = self.particle_budget
         states = np.empty((n, STATE_DIM))
-        seeds = np.array(prev_measurements, dtype=float).reshape(-1, 2)
-        seeds = seeds[np.isfinite(seeds).all(axis=1)]
-        if len(seeds) > 0:
+        seeds = [z for z in prev_measurements if math.isfinite(z.range) and math.isfinite(z.bearing)]
+        if seeds:
             pick = rng.integers(0, len(seeds), n)
-            zr, zb = seeds[pick].T
+            zr = np.array([z.range for z in seeds])[pick]
+            zb = np.array([z.bearing for z in seeds])[pick]
             r = zr + rng.normal(0.0, sensor.sigma_range, n)
             b = zb + rng.normal(0.0, sensor.sigma_bearing, n)
             states[:, 0] = sensor.position[0] + r * np.cos(b)
