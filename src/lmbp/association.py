@@ -175,7 +175,7 @@ def track_evidence(block: TrackBlock, frame: Sequence[Measurement],
         evaluate(idx, rho, theta, detect, *np.nonzero(kept & ~deferred[idx]))
         groups.append((idx, rho, theta, detect))
     if deferred.any():
-        row_of, col_of = _components(betas >= gamma_c)
+        row_of, col_of = _components((betas >= gamma_c) & (betas > 0.0))
         for idx, rho, theta, detect in groups:
             joined = deferred[idx] & (row_of[idx, None] == col_of)
             evaluate(idx, rho, theta, detect, *np.nonzero(joined))
@@ -259,13 +259,13 @@ def partition(betas: np.ndarray,
     """Group the rows of `betas` (labels) with the columns (measurements) they
     plausibly associate with.
 
-    A pair is plausible when its weight is >= gamma_c, and a cluster is a
-    connected component of the plausible pairs. Returns `(clusters,
-    residual)`: each cluster is a `(rows, cols)` pair of ascending index
-    arrays, clusters are ordered by their smallest row, and `residual`
-    holds the columns in no cluster.
+    A pair is plausible when its weight is >= gamma_c and > 0, so a zero
+    weight never is, and a cluster is a connected component of the
+    plausible pairs. Returns `(clusters, residual)`: each cluster is a
+    `(rows, cols)` pair of ascending index arrays, clusters are ordered by
+    their smallest row, and `residual` holds the columns in no cluster.
     """
-    row_of, col_of = _components(betas >= gamma_c)
+    row_of, col_of = _components((betas >= gamma_c) & (betas > 0.0))
     roots = np.flatnonzero(row_of == np.arange(len(row_of)))
     clusters = [(np.flatnonzero(row_of == c), np.flatnonzero(col_of == c)) for c in roots.tolist()]
     return clusters, np.flatnonzero(col_of < 0)

@@ -22,6 +22,8 @@ from .rfs import Measurement, ParticleSet, PoissonPhd, STATE_DIM
 EXP_FLOOR = -760.0
 # absolute slack (rad) on bearing bounds; covers rounding in the offsets
 _BEARING_SLACK = 1e-12
+# relative and absolute (in sigma_range) slack on range bounds; covers rounding
+_RANGE_SLACK = 1e-9
 
 
 def wrap_angle(theta):
@@ -40,6 +42,12 @@ def _wrap_residual(delta: np.ndarray) -> np.ndarray:
     flat[np.flatnonzero(flat >= np.pi)] -= 2.0 * np.pi
     flat[np.flatnonzero(flat < -np.pi)] += 2.0 * np.pi
     return delta
+
+
+def _grid_bin(x, x0, scale, count):
+    """Bin of each x on a grid of `count` bins of width 1 / scale from x0:
+    monotone in x, with values beyond either end in the end bins."""
+    return np.clip((x - x0) * scale, 0, count - 1).astype(np.intp)
 
 
 def _ncv_transition() -> np.ndarray:
@@ -150,10 +158,11 @@ class SensorModel:
         0.0 below about -745.13; a higher floor leaves out small values too.
         A measurement that no state can reach has no cells (row gate, from
         O(N) range and bearing bounds). When the frame is large enough to pay
-        for sorting the states by bearing, each remaining measurement is
-        evaluated only over its bearing window. Every evaluated entry goes
-        through `_exponent`; with a non-finite state, measurement or
-        normalizer every cell is evaluated and kept, so nan and inf propagate.
+        for sorting the states on a bearing x range grid, each remaining
+        measurement is evaluated only over the grid cells of its window.
+        Every evaluated entry goes through `_exponent`; with a non-finite
+        state, measurement or normalizer every cell is evaluated and kept, so
+        nan and inf propagate.
         """
         zr, zb, norm = self._frame_terms(frame)
         n = rho.size
@@ -262,39 +271,63 @@ class SensorModel:
         those inside its bearing window [zb - half, zb + half] (each half <
         pi) whose range term alone clears the floor.
 
-        The states are sorted by bearing once; a window is then one run of
-        the sorted order taken modulo N, and the runs of all measurements are
-        gathered flat, without padding. Returns the cells' table rows,
-        columns and exponents, sorted back to (row, col) order.
+        The states are grouped once on a bearing x range grid, by one sort
+        of small integer cell ids: bearing bin major, range bin minor. A
+        window is then one run of the sorted order per bearing bin it
+        touches, over the range bins within `reach` of its measurement, and
+        the runs of all measurements are gathered flat, without padding.
+        Returns the cells' table rows, columns and exponents, sorted back to
+        (row, col) order.
         """
         n = rho.size
-        order = np.argsort(theta)
-        sorted_theta = theta[order]
-        # a window across the +-pi seam continues at the other end of the order
+        # the range offset beyond which the range term alone is below the
+        # floor, with slack for the rounding of the prefilter below
+        reach = (np.sqrt(-2.0 * floor) * (1.0 + _RANGE_SLACK) + _RANGE_SLACK) * self.sigma_range
+        # bins a quarter of the mean half-width and reach wide; at most N in
+        # all, and few enough for int16 ids, which a stable sort orders by radix
+        cap = min(n, np.iinfo(np.int16).max)
+        nb = min(math.ceil(8.0 * np.pi / half.mean()), cap)
+        b_scale, r_scale = nb / (2.0 * np.pi), 4.0 / reach.mean()
+        # the range bins cover only what both the states and the windows reach
+        r0 = max(rho.min(), (zr - reach).min())
+        span = min(rho.max(), (zr + reach).max()) - r0
+        nr = int(np.clip(np.ceil(span * r_scale), 1, cap // nb))
+        ids = _grid_bin(theta, -np.pi, b_scale, nb) * nr + _grid_bin(rho, r0, r_scale, nr)
+        order = np.argsort(ids.astype(np.int16), kind="stable")
+        sorted_ids = ids[order]
+        # a window across the +-pi seam continues at the other end of the
+        # bearing bins, and reads each bin once
         low = zb - half < -np.pi
         high = zb + half >= np.pi
-        lo = np.searchsorted(sorted_theta, np.where(low, zb - half + 2.0 * np.pi, zb - half),
-                             "left")
-        hi = np.searchsorted(sorted_theta, np.where(high, zb + half - 2.0 * np.pi, zb + half),
-                             "right")
-        count = hi - lo + n * (low | high)
-        # two laps of the sorted order make every window one run of positions
-        order = np.concatenate([order, order])
-        pos = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
+        b_lo = _grid_bin(np.where(low, zb - half + 2.0 * np.pi, zb - half), -np.pi, b_scale, nb)
+        b_hi = _grid_bin(np.where(high, zb + half - 2.0 * np.pi, zb + half), -np.pi, b_scale, nb)
+        runs = np.minimum(b_hi - b_lo + 1 + nb * (low | high), nb)
+        # one run of the sorted order per row and bearing bin: its range bins
+        # from zr - reach to zr + reach
+        run_row = np.repeat(np.arange(zr.size), runs)
+        b = np.arange(runs.sum()) + np.repeat(b_lo - (np.cumsum(runs) - runs), runs)
+        base = np.where(b < nb, b, b - nb) * nr
+        r_lo = _grid_bin(zr - reach, r0, r_scale, nr)[run_row]
+        r_hi = _grid_bin(zr + reach, r0, r_scale, nr)[run_row]
+        first = np.searchsorted(sorted_ids, base + r_lo)
+        length = np.searchsorted(sorted_ids, base + r_hi, "right") - first
+        count = np.add.reduceat(length, np.cumsum(runs) - runs)
+        pos = np.arange(count.sum()) + np.repeat(first - (np.cumsum(length) - length), length)
         zr_cells = np.repeat(zr, count)
         floor_cells = np.repeat(floor, count)
-        rho_cells = rho[order][pos]
+        col = order[pos]
+        rho_cells = rho[col]
         # range prefilter: the same dr as `_exponent`, so the bound is exact
         dr = zr_cells - rho_cells
         dr /= self.sigma_range
         dr *= dr
         dr *= -0.5
         near = np.flatnonzero(dr >= floor_cells)
-        pos = pos[near]
+        col = col[near]
         quad = self._exponent(zr_cells[near], np.repeat(zb, count)[near], rho_cells[near],
-                              np.concatenate([sorted_theta, sorted_theta])[pos])
+                              theta[col])
         keep = np.flatnonzero(quad >= floor_cells[near])
-        row, col = np.repeat(rows, count)[near[keep]], order[pos[keep]]
+        row, col = np.repeat(rows, count)[near[keep]], col[keep]
         cell = np.argsort(row * n + col)
         return row[cell], col[cell], quad[keep[cell]]
 

@@ -549,6 +549,11 @@ class TestPartition:
         assert as_lists(clusters) == [(list(range(count)), list(range(count + 1)))]
         assert residual.tolist() == [count + 1]
 
+    def test_zero_weights_are_not_plausible_at_gamma_c_zero(self):
+        clusters, residual = partition(np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 0.7]]), 0.0)
+        assert as_lists(clusters) == [([0], [0]), ([1], [2])]
+        assert residual.tolist() == [1]
+
     def test_nan_weights_are_not_plausible(self):
         betas = np.array([[np.nan, 1.0, 0.0], [np.nan, np.nan, 0.0], [0.0, np.nan, 1.0]])
         clusters, residual = partition(betas, gamma_c=0.5)

@@ -11,7 +11,7 @@ bytes were produced with numpy 2.4 on x86-64; another numpy or platform may
 round differently.
 
 The golden scenario's 5 degree bearing sigma never takes the sensor's
-bearing-window path, so `test_benchmark_workload_digests` also pins the
+windowed (grid) path, so `test_benchmark_workload_digests` also pins the
 output digests of the two benchmark workloads (`perfbench/workloads`, one
 instance at `run.seed = 1000`, as `perfbench/run.py --seed 1` runs them).
 

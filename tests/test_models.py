@@ -157,6 +157,16 @@ def states_at(positions):
     return np.hstack([positions, np.zeros_like(positions)])
 
 
+def birth_cloud(sensor, frame, rng, n, sigma_range, sigma_bearing):
+    """n states, each drawn around a random measurement of `frame` with
+    range and bearing noise, as the birth proposal draws its particles."""
+    picks = rng.integers(0, len(frame), n)
+    ranges = np.array([frame[i].range for i in picks]) + rng.normal(0.0, sigma_range, n)
+    bearings = np.array([frame[i].bearing for i in picks]) + rng.normal(0.0, sigma_bearing, n)
+    return states_at(sensor.position + np.column_stack(
+        [ranges * np.cos(bearings), ranges * np.sin(bearings)]))
+
+
 def random_frame(rng, count, max_range=320.0):
     return [Measurement(float(rng.uniform(0.0, max_range)), float(rng.uniform(-np.pi, np.pi)))
             for _ in range(count)]
@@ -244,7 +254,7 @@ class DenseSensor(SensorModel):
 
 @pytest.fixture
 def window_calls(monkeypatch):
-    """Frame sizes of the calls that took the bearing-window path."""
+    """Frame sizes of the calls that took the windowed (grid) path."""
     calls = []
     windowed = SensorModel._windowed_exponents
 
@@ -259,7 +269,7 @@ def window_calls(monkeypatch):
 class TestGatedLikelihoodTable:
     """`likelihood_cells` and its `likelihood_table` view are bit-identical
     to the dense reference; edge cases run with a frame below and one above
-    the size that sorts by bearing."""
+    the size that sorts the states on the bearing x range grid."""
 
     SMALL, LARGE = 3, 40
 
@@ -391,7 +401,7 @@ class TestGatedLikelihoodTable:
             assert_table_exact(sensor, frame, states)
         table = sensor.likelihood_table(frame, track)
         assert table[0].any() and not table.all()
-        assert window_calls  # the intensity sorts by bearing
+        assert window_calls  # the intensity is sorted on the grid
 
     def test_frame_size_decides_the_bearing_sort(self, window_calls):
         sensor = make_sensor()
@@ -459,6 +469,81 @@ class TestGatedLikelihoodTable:
         assert window_calls == []
         assert_table_exact(wide, random_frame(rng, self.LARGE), states, np.full(self.LARGE, -3.0))
         assert window_calls == [self.LARGE]
+
+    def test_row_floors_give_each_row_its_own_window(self, window_calls):
+        # one frame whose floors range from EXP_FLOOR to -1, so the windows'
+        # bearing and range widths differ by a factor of ~28 from row to row
+        sensor = make_sensor()
+        rng = np.random.default_rng(16)
+        frame = random_frame(rng, self.LARGE, max_range=300.0)
+        states = birth_cloud(sensor, frame, rng, 5000, 6.0, 0.06)
+        floor = np.linspace(EXP_FLOOR, -1.0, self.LARGE)
+        rng.shuffle(floor)
+        assert_table_exact(sensor, frame, states, floor)
+        assert window_calls == [self.LARGE] * 3
+
+    def test_many_states_at_one_range_in_one_bearing_bin(self, window_calls):
+        # thousands of tied cell ids: every state of the tie sits at one
+        # range, inside a bearing arc far narrower than a bin
+        sensor = make_sensor()
+        rng = np.random.default_rng(17)
+        bearings = 0.4 + rng.uniform(0.0, 1e-4, 3000)
+        tied = states_at(sensor.position + 120.0 * np.column_stack(
+            [np.cos(bearings), np.sin(bearings)]))
+        assert np.unique(sensor.range_bearing(tied)[0]).size < 10
+        frame = [Measurement(float(120.0 + d), float(0.4 + b)) for d, b in zip(
+            rng.normal(0.0, 4.0, self.LARGE), rng.normal(0.0, 0.03, self.LARGE))]
+        spread = states_at(sensor.position + rng.uniform(-300.0, 300.0, (2000, 2)))
+        assert_table_exact(sensor, frame, np.vstack([tied, spread]))
+        assert window_calls
+
+    def test_states_far_beyond_the_disk(self, window_calls):
+        # states at ranges near 1e6 lie beyond every window of a frame inside
+        # the disk, and share the last range bin; a measurement out there
+        # too stretches the range bins over 1e6
+        sensor = make_sensor()
+        rng = np.random.default_rng(18)
+        frame = random_frame(rng, self.LARGE, max_range=300.0)
+        near = birth_cloud(sensor, frame, rng, 3000, 2.0, 0.02)
+        bearings = rng.uniform(-np.pi, np.pi, 50)
+        far = states_at(sensor.position + rng.uniform(0.99e6, 1.01e6, (50, 1)) * np.column_stack(
+            [np.cos(bearings), np.sin(bearings)]))
+        states = np.vstack([near, far])
+        assert_table_exact(sensor, frame, states)
+        rho, theta = sensor.range_bearing(far[0])
+        frame[0] = Measurement(float(rho), float(theta))
+        assert_table_exact(sensor, frame, states)
+        assert sensor.likelihood_table(frame, states)[0, -50] > 0.0
+        assert len(window_calls) == 7  # every call took the grid
+
+    def test_window_just_below_pi_touches_every_bearing_bin(self, window_calls):
+        # one row's half-width is just below pi, so its window covers every
+        # bearing bin; the other rows are narrow enough that the grid pays
+        sensor = make_sensor(sigma_bearing=0.1)
+        rng = np.random.default_rng(19)
+        states = states_at(sensor.position + rng.uniform(-300.0, 300.0, (4000, 2)))
+        frame = random_frame(rng, self.LARGE, max_range=300.0)
+        floor = np.full(self.LARGE, -78.0)
+        floor[[3, 20]] = -0.5 * ((np.pi - 1e-6) / sensor.sigma_bearing) ** 2
+        assert np.all(floor >= EXP_FLOOR)
+        assert_table_exact(sensor, frame, states, floor)
+        assert window_calls == [self.LARGE]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 120), st.integers(1, 12_000),
+           st.sampled_from([0.5, 2.0, 20.0]), st.sampled_from([0.005, 0.02, 0.2]),
+           st.booleans())
+    def test_birth_clouds_around_the_frame(self, seed, count, n, sigma_range, spread,
+                                           clutter_floor):
+        # intensity-like states: each drawn around one of the frame's own
+        # measurements, as the birth proposal draws them, against the
+        # clutter-relative floor of `new_components` or `EXP_FLOOR`
+        sensor = make_sensor(sigma_range=sigma_range)
+        rng = np.random.default_rng(seed)
+        frame = random_frame(rng, count, max_range=300.0)
+        states = birth_cloud(sensor, frame, rng, n, 3.0 * sigma_range, spread)
+        floor = np.log(2.0 ** -106 * 100.0 / (300.0 * 2.0 * np.pi) / sensor.normalizer)
+        assert_table_exact(sensor, frame, states, max(floor, EXP_FLOOR) if clutter_floor else None)
 
 
 def kept_pairs(sensor, frame, states):

@@ -504,8 +504,10 @@ class TestLmbpStep:
         assert calls == [(predicted_count + 64 * len(recycled), 128)]
 
     def test_detection_pdfs_only_where_the_marginal_is_nonzero(self, monkeypatch):
-        # gamma_c = 0 puts every pair in one cluster; a pair with b = 0 gets a
-        # zero marginal, and only the other pairs may have a pdf built
+        # gamma_c = 0 clusters every pair with b > 0: track 1 joins track 0's
+        # measurement 0 to measurement 1, which track 0 cannot explain, so
+        # that pair (key 2 of track 0's marginal) is in the cluster with b = 0
+        # and gets a zero marginal, and only the other pairs may have a pdf built
         built, updates = [], []
         detection = TrackEvidence._detection
         terms = TrackEvidence.terms
@@ -523,10 +525,10 @@ class TestLmbpStep:
         monkeypatch.setattr(TrackEvidence, "terms", terms_spy)
         models = micro_models(pd_const=0.7)
         tracks = tuple(BernoulliTrack(Label(1, i + 1), 0.6, pdf_at(x1, n=8))
-                       for i, x1 in enumerate((50.0, 150.0, 250.0)))
+                       for i, x1 in enumerate((100.0, 145.0, 250.0)))
         frame = [Measurement(float(rho), float(theta)) for rho, theta in zip(
-            *models.sensor.range_bearing(np.array([[50.0, 0.0, 0.0, 0.0],
-                                                   [152.0, 0.0, 0.0, 0.0],
+            *models.sensor.range_bearing(np.array([[100.0, 0.0, 0.0, 0.0],
+                                                   [190.0, 0.0, 0.0, 0.0],
                                                    [0.0, 200.0, 0.0, 0.0]])))]
         lmbp_step(FilterState(tracks, PoissonPhd.empty(), 1), frame, models,
                   Thresholds(gamma_c=0.0), np.random.default_rng(0), settings=small_settings())
@@ -535,7 +537,7 @@ class TestLmbpStep:
                    for m, p in marginal.items() if m and p > 0.0]
         zero = [(i, m) for i, marginal, _ in updates
                 for m, p in marginal.items() if m and p == 0.0]
-        assert nonzero and zero
+        assert nonzero and (0, 2) in zero
         assert built == nonzero
         for i, marginal, result in updates:
             # detection terms have existence 1: p(a) r(i,a) is the marginal itself
