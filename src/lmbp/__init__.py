@@ -36,8 +36,8 @@ from .rfs import (
 from .simulate import GroundTruth, ScenarioConfig, generate_frame, generate_truth
 from .update import (
     FilterSettings,
+    Pending,
     Thresholds,
-    Transfer,
     lmbp_step,
     select_transfers,
     split_by_retention,

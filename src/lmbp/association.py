@@ -59,8 +59,9 @@ class TrackEvidence:
     over them, and `rows[(i, m)]` holds (w pD f(z_m|.), b) for every
     evaluated pair; a pair the likelihood gate left out has b = 0. A
     `deferred` pair weighs less than gamma_c, lies in no cluster and was
-    never evaluated: betas holds 0 for it. No pdf is built until `miss`,
-    `detection` or `terms` asks for one.
+    never evaluated: betas holds 0 for it. `row_of` and `col_of` label each
+    row's and each column's cluster, as `partition` reads them. No pdf is
+    built until `miss`, `detection` or `terms` asks for one.
     """
 
     existence: np.ndarray                          # (L,) r
@@ -71,6 +72,8 @@ class TrackEvidence:
     miss_weights: tuple[np.ndarray, ...]
     rows: dict[tuple[int, int], tuple[np.ndarray, float]]
     deferred: np.ndarray                           # (L, M) bool
+    row_of: np.ndarray                             # (L,) cluster name
+    col_of: np.ndarray                             # (M,) cluster name, -1 for none
 
     def _miss(self, i: int) -> tuple[float, float, np.ndarray]:
         """Track i's miss: beta, existence r c / beta and pdf weights
@@ -132,9 +135,10 @@ def track_evidence(block: TrackBlock, frame: Sequence[Measurement],
     ranges, bearings and pD computed once. Of the pairs the sensor's row
     gate keeps, one whose weight bound r sum(w pD) norm exp(bound) lies
     below gamma_c / 2 has a weight below gamma_c, so it is deferred and
-    `partition` sees the same clusters. The rest are evaluated at once, then
-    the deferred pairs inside a cluster, with the same bits. gamma_c = 0
-    defers nothing.
+    joins no cluster it would not join evaluated. The rest are evaluated at
+    once, the plausible pairs are labelled into clusters, and then the
+    deferred pairs inside a cluster are evaluated, with the same bits.
+    gamma_c = 0 defers nothing.
     """
     count = len(block.labels)
     r = block.existence
@@ -174,14 +178,13 @@ def track_evidence(block: TrackBlock, frame: Sequence[Measurement],
         deferred[idx] = kept & (ceiling < 0.5 * gamma_c)
         evaluate(idx, rho, theta, detect, *np.nonzero(kept & ~deferred[idx]))
         groups.append((idx, rho, theta, detect))
-    if deferred.any():
-        row_of, col_of = _components((betas >= gamma_c) & (betas > 0.0))
-        for idx, rho, theta, detect in groups:
-            joined = deferred[idx] & (row_of[idx, None] == col_of)
-            evaluate(idx, rho, theta, detect, *np.nonzero(joined))
-            deferred[idx] &= ~joined
+    row_of, col_of = _components(betas, gamma_c)
+    for idx, rho, theta, detect in groups:
+        joined = deferred[idx] & (row_of[idx, None] == col_of)
+        evaluate(idx, rho, theta, detect, *np.nonzero(joined))
+        deferred[idx] &= ~joined
     return TrackEvidence(r, tuple(states for states, _ in block.rows()), 1.0 - r + r * miss_mass,
-                         betas, miss_mass, tuple(miss_weights), rows, deferred)
+                         betas, miss_mass, tuple(miss_weights), rows, deferred, row_of, col_of)
 
 
 def detection_hypotheses(track: BernoulliTrack, frame: Sequence[Measurement],
@@ -238,12 +241,15 @@ def new_components(phd: PoissonPhd, pd: np.ndarray, frame: Sequence[Measurement]
 # ---------------------------------------------------------------------------
 
 
-def _components(plausible: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's and each column's connected component of the true pairs of
-    `plausible` (L, M), named by its smallest row; -1 for a column in no pair.
-    Rounds pass the smallest name from rows to columns and back until none changes."""
-    count, cols = plausible.shape
-    edge_row, edge_col = np.nonzero(plausible)
+def _components(betas: np.ndarray, gamma_c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's and each column's connected component of the plausible pairs
+    of `betas` (L, M), named by its smallest row; -1 for a column in no pair.
+
+    A pair is plausible when its weight is >= gamma_c and > 0, so a zero
+    weight never is. Rounds pass the smallest name from rows to columns and
+    back until none changes."""
+    count, cols = betas.shape
+    edge_row, edge_col = np.nonzero((betas >= gamma_c) & (betas > 0.0))
     row_of, named = None, np.arange(count)
     while not np.array_equal(named, row_of):
         row_of, col_of = named, np.full(cols, count)
@@ -254,18 +260,15 @@ def _components(plausible: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return row_of, col_of
 
 
-def partition(betas: np.ndarray,
-              gamma_c: float) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Group the rows of `betas` (labels) with the columns (measurements) they
-    plausibly associate with.
+def partition(row_of: np.ndarray,
+              col_of: np.ndarray) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """The clusters of a labelling of labels (rows) and measurements (columns),
+    such as `TrackEvidence.row_of` and `.col_of`.
 
-    A pair is plausible when its weight is >= gamma_c and > 0, so a zero
-    weight never is, and a cluster is a connected component of the
-    plausible pairs. Returns `(clusters, residual)`: each cluster is a
-    `(rows, cols)` pair of ascending index arrays, clusters are ordered by
-    their smallest row, and `residual` holds the columns in no cluster.
+    Returns `(clusters, residual)`: each cluster is a `(rows, cols)` pair of
+    ascending index arrays, clusters are ordered by their smallest row, and
+    `residual` holds the columns in no cluster.
     """
-    row_of, col_of = _components((betas >= gamma_c) & (betas > 0.0))
     roots = np.flatnonzero(row_of == np.arange(len(row_of)))
     clusters = [(np.flatnonzero(row_of == c), np.flatnonzero(col_of == c)) for c in roots.tolist()]
     return clusters, np.flatnonzero(col_of < 0)

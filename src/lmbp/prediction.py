@@ -59,13 +59,9 @@ def predict_phd(phd: PoissonPhd, birth: PoissonPhd, motion: MotionModel,
     Particle count grows; reduction happens once per step, after the update.
     """
     survived = phd.particles
-    if len(survived):
-        ps = motion.survival_prob(survived.states)
-        states = motion.transition_sample(survived.states, rng)
-        weights = survived.weights * ps
-        states = np.concatenate([states, birth.particles.states])
-        weights = np.concatenate([weights, birth.particles.weights])
-    else:
-        states = birth.particles.states
-        weights = birth.particles.weights
+    ps = motion.survival_prob(survived.states)
+    states = motion.transition_sample(survived.states, rng)
+    weights = survived.weights * ps
+    states = np.concatenate([states, birth.particles.states])
+    weights = np.concatenate([weights, birth.particles.weights])
     return PoissonPhd(ParticleSet(states, weights))

@@ -109,8 +109,6 @@ def resample_rows(rows: Sequence[tuple[np.ndarray, np.ndarray]], count: int,
     are taken one at a time: row-sized temporaries stay in cache, where
     (K, N) ones would not.
     """
-    if not rows:
-        return []
     steps = np.arange(count)
     out = []
     for (weights, states), u in zip(rows, rng.random(len(rows)).tolist()):
@@ -260,13 +258,21 @@ def write_snapshot(state: FilterState, out: io.TextIOBase) -> None:
     _write_particles(out, state.phd.particles)
 
 
+def _fields(lines: list[str], at: int, tag: str, count: int) -> list[str]:
+    """The fields of record `at`, which must be a `tag` record of `count` fields."""
+    if at >= len(lines):
+        raise ValueError(f"snapshot line {at + 1}: missing {tag} record")
+    parts = lines[at].split(",")
+    if parts[0] != tag or len(parts) != count:
+        raise ValueError(f"snapshot line {at + 1}: expected {tag} record of {count} fields")
+    return parts
+
+
 def _read_particles(lines: list[str], at: int, count: int) -> tuple[ParticleSet, int]:
     states = np.empty((count, STATE_DIM))
     weights = np.empty(count)
     for i in range(count):
-        parts = lines[at + i].split(",")
-        if parts[0] != "p":
-            raise ValueError(f"snapshot line {at + i + 1}: expected particle record")
+        parts = _fields(lines, at + i, "p", 2 + STATE_DIM)
         weights[i] = float(parts[1])
         states[i] = [float(v) for v in parts[2:6]]
     return ParticleSet(states, weights), at + count
@@ -282,15 +288,16 @@ def read_snapshot(src: io.TextIOBase) -> FilterState:
     at = 1
     phd = PoissonPhd.empty()
     while at < len(lines):
-        parts = lines[at].split(",")
-        if parts[0] == "track":
+        tag = lines[at].split(",")[0]
+        if tag == "track":
+            parts = _fields(lines, at, tag, 5)
             label = Label(int(parts[1]), int(parts[2]))
             existence = float(parts[3])
             pdf, at = _read_particles(lines, at + 1, int(parts[4]))
             tracks.append(BernoulliTrack(label, existence, pdf))
-        elif parts[0] == "phd":
-            pset, at = _read_particles(lines, at + 1, int(parts[1]))
+        elif tag == "phd":
+            pset, at = _read_particles(lines, at + 1, int(_fields(lines, at, tag, 2)[1]))
             phd = PoissonPhd(pset)
         else:
-            raise ValueError(f"snapshot line {at + 1}: unknown record {parts[0]!r}")
+            raise ValueError(f"snapshot line {at + 1}: unknown record {tag!r}")
     return FilterState(tuple(tracks), phd, time)

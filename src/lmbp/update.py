@@ -20,7 +20,7 @@ from .association import (
     partition,
     track_evidence,
 )
-# perfbench's tracer wraps these two names here; they stay until ROADMAP item 1
+# perfbench's tracer wraps these two names here; they stay until ROADMAP item 5
 from .association import detection_hypotheses, miss_hypothesis  # noqa: F401
 from .models import Models
 from .rfs import (
@@ -33,7 +33,7 @@ from .rfs import (
     resample,
     resample_rows,
 )
-# perfbench's tracer wraps `predict_track` here; it stays until ROADMAP item 1
+# perfbench's tracer wraps `predict_track` here; it stays until ROADMAP item 5
 from .prediction import predict_phd, predict_track, predict_tracks  # noqa: F401
 
 # exact enumeration is honored only below these bounds; bigger clusters use BP
@@ -77,28 +77,27 @@ class FilterSettings:
                 raise ValueError(f"{name} must be >= 1")
 
 
-class Transfer(NamedTuple):
-    """The new component of a measurement transferred to the labeled part: its
-    existence and its pdf over the intensity particles that have a cell in the
-    measurement's row, `states` and `weights` in particle order."""
+class Pending(NamedTuple):
+    """A track before resampling: its label, its existence, and its resample
+    row (weights, states), or None for a track with no pdf."""
 
+    label: Label
     existence: float
-    states: np.ndarray   # (n, 4)
-    weights: np.ndarray  # (n,)
+    row: tuple[np.ndarray, np.ndarray] | None
 
 
 def select_transfers(beta: np.ndarray, mass: np.ndarray, cells: Cells,
                      states: np.ndarray, gamma_tr: float,
-                     time: int) -> tuple[dict[Label, Transfer], np.ndarray]:
+                     time: int) -> tuple[dict[int, Pending], np.ndarray]:
     """Split the measurements' new components into transferred labels and the rest.
 
     `beta`, `mass` and `cells` come from `new_components` over the intensity
     particles `states`. Returns `(transfers, transferred)`: the (M,) mask
     `transferred` marks every measurement whose component has existence
-    mass / beta >= gamma_tr (inclusive), and each such row j becomes a
-    labeled Bernoulli with label (time, j + 1), whose pdf weights are the
-    cells of row j over d, in their (column) order. The caller absorbs or
-    prunes the rest.
+    mass / beta >= gamma_tr (inclusive), and `transfers[j]` is the pending
+    track of each such column j: label (time, j + 1), that existence, and
+    pdf weights the cells of row j over d, over their particles in column
+    order. The caller absorbs or prunes the rest.
     """
     row, col, value = cells
     existence = mass / beta
@@ -107,14 +106,9 @@ def select_transfers(beta: np.ndarray, mass: np.ndarray, cells: Cells,
     transfers = {}
     for j in np.flatnonzero(transferred).tolist():
         run = slice(bounds[j], bounds[j + 1])
-        transfers[Label(time, j + 1)] = Transfer(
-            float(existence[j]), states.take(col[run], axis=0), value[run] / mass[j])
+        transfers[j] = Pending(Label(time, j + 1), float(existence[j]),
+                               (value[run] / mass[j], states.take(col[run], axis=0)))
     return transfers, transferred
-
-
-# an updated track before resampling: label, existence, and its resample row
-# (weights, states), or None for a track with no pdf
-Pending = tuple[Label, float, tuple[np.ndarray, np.ndarray] | None]
 
 
 def _legacy(label: Label, terms: Sequence[tuple[float, np.ndarray]],
@@ -128,8 +122,8 @@ def _legacy(label: Label, terms: Sequence[tuple[float, np.ndarray]],
     for p, _ in terms:  # in order: from Python 3.12 on, sum() compensates floats
         r += p
     if r <= 0.0:
-        return label, 0.0, None
-    return label, min(r, 1.0), (sum((p / r) * w for p, w in terms), states)
+        return Pending(label, 0.0, None)
+    return Pending(label, min(r, 1.0), (sum((p / r) * w for p, w in terms), states))
 
 
 def _resampled(pending: Sequence[Pending], particle_budget: int,
@@ -165,16 +159,12 @@ def update_legacy_track(label: Label, marginal: Mapping[int, float], miss: Hypot
     return _resampled([pending], particle_budget, rng)[0]
 
 
-def _transferred(label: Label, p_claim: float, component: Transfer) -> Pending:
-    return label, p_claim * component.existence, (component.weights, component.states)
-
-
-def update_transferred_track(label: Label, p_claim: float, component: Transfer,
-                             particle_budget: int,
+def update_transferred_track(transfer: Pending, p_claim: float, particle_budget: int,
                              rng: np.random.Generator) -> BernoulliTrack:
     """Update of a freshly transferred track, as `lmbp_step` makes it for one
     row: r = p(claim) * existence, and the component's pdf resampled."""
-    return _resampled([_transferred(label, p_claim, component)], particle_budget, rng)[0]
+    claimed = transfer._replace(existence=p_claim * transfer.existence)
+    return _resampled([claimed], particle_budget, rng)[0]
 
 
 def split_by_retention(tracks: Sequence[BernoulliTrack], gamma_leg: float,
@@ -277,7 +267,7 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
         new_cells = _rows_of(new_cells, supported)
     evidence = track_evidence(block, frame, models.sensor, thresholds.gamma_c)
 
-    clusters, residual = partition(evidence.betas, thresholds.gamma_c)
+    clusters, residual = partition(evidence.row_of, evidence.col_of)
     transfers, transferred = select_transfers(new_beta, new_mass, new_cells,
                                               predicted_phd.particles.states,
                                               thresholds.gamma_tr, k)
@@ -295,13 +285,11 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
                                    evidence.states[i]))
         claim = marginal.claim.tolist()
         for j in np.flatnonzero(problem.transferred).tolist():
-            label = Label(k, col_list[j] + 1)
-            pending.append(_transferred(label, claim[j], transfers[label]))
+            transfer = transfers[col_list[j]]
+            pending.append(transfer._replace(existence=claim[j] * transfer.existence))
 
     # a residual measurement competes with no track, so its transfer claims it surely
-    for j in residual[transferred[residual]].tolist():
-        label = Label(k, j + 1)
-        pending.append(_transferred(label, 1.0, transfers[label]))
+    pending += [transfers[j] for j in residual[transferred[residual]].tolist()]
 
     tracks = _resampled(pending, settings.track_particles, rng)
     kept, recycled = split_by_retention(tracks, thresholds.gamma_leg, k)

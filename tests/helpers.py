@@ -158,12 +158,18 @@ def dense_phd_weights(phd, pd, beta, table):
     return phd.particles.weights * (1.0 - pd) + np.einsum("k,kn->n", 1.0 / beta, table)
 
 
+def partition_of(betas, gamma_c):
+    """`partition` of the labelling that `track_evidence` gives the weights
+    `betas` (L, M) at the plausibility threshold `gamma_c`."""
+    return lmbp.association.partition(*lmbp.association._components(betas, gamma_c))
+
+
 def count_joined_rows(monkeypatch, counts: Counter) -> None:
     """Add to counts["deferred evaluated"] every track row that
     `track_evidence` evaluates after it labels the clusters: the pairs its
-    gate deferred that joined a cluster. The count restarts its window at
-    each call through `lmbp.update`, so `partition`'s labelling after a step
-    counts nothing; a direct call counts alone in a fresh `monkeypatch`."""
+    gate deferred that joined a cluster. The window closes at the next call
+    through `lmbp.update`, the step's next `track_evidence`; a direct call
+    counts alone in a fresh `monkeypatch`."""
     labelled = [False]
     track_evidence = lmbp.update.track_evidence
     components = lmbp.association._components
@@ -173,9 +179,9 @@ def count_joined_rows(monkeypatch, counts: Counter) -> None:
         labelled[0] = False
         return track_evidence(*args, **kwargs)
 
-    def components_spy(plausible):
+    def components_spy(*args):
         labelled[0] = True
-        return components(plausible)
+        return components(*args)
 
     def rows_spy(sensor, frame, meas, rho, theta):
         if labelled[0]:

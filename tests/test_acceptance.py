@@ -21,7 +21,6 @@ from lmbp.association import (
     exact_marginals,
     miss_hypothesis,
     new_components,
-    partition,
 )
 from lmbp.cli import execute_run, initial_state, run_experiment
 from lmbp.config import build_run_config
@@ -41,8 +40,8 @@ from lmbp.rfs import (
 from lmbp.simulate import generate_frames, generate_truth
 from lmbp.update import (
     FilterSettings,
+    Pending,
     Thresholds,
-    Transfer,
     lmbp_step,
     select_transfers,
     split_by_retention,
@@ -51,7 +50,7 @@ from lmbp.update import (
     update_transferred_track,
 )
 
-from helpers import StubSensor, cells_of, max_label_tv, random_cluster
+from helpers import StubSensor, cells_of, max_label_tv, partition_of, random_cluster
 from test_association import cc_oracle
 from test_update import ConstantPdSensor
 
@@ -224,7 +223,7 @@ def test_criterion_3_partitioning():
         M = int(rng.integers(0, 9))
         betas = rng.random((L, M))
         gamma = float(rng.uniform(0.2, 0.95))
-        clusters, residual = partition(betas, gamma)
+        clusters, residual = partition_of(betas, gamma)
         got = {(frozenset(rows.tolist()), frozenset(cols.tolist())) for rows, cols in clusters}
         if got != cc_oracle(betas, gamma):
             mismatches += 1
@@ -287,8 +286,7 @@ def test_criterion_4_micro_updates():
     checks.append(abs(upd.existence - 0.6))
 
     pdf = pdf_at(2.0)
-    tr = update_transferred_track(Label(7, 1), 0.5,
-                                  Transfer(0.8, pdf.states, pdf.weights),
+    tr = update_transferred_track(Pending(Label(7, 1), 0.8, (pdf.weights, pdf.states)), 0.5,
                                   64, np.random.default_rng(0))
     checks.append(abs(tr.existence - 0.4))
 
@@ -445,7 +443,8 @@ def test_criterion_8_threshold_semantics():
     table = np.full((1, 4), gamma / 4)
     transfers, transferred = select_transfers(np.ones(1), table.sum(axis=1), cells_of(table),
                                               np.zeros((4, 4)), gamma, time=3)
-    tr_inclusive = list(transfers) == [Label(3, 1)] and transferred.tolist() == [True]
+    tr_inclusive = ([t.label for t in transfers.values()] == [Label(3, 1)]
+                    and transferred.tolist() == [True])
 
     kept, recycled = split_by_retention(
         [BernoulliTrack(Label(1, 1), gamma, pdf_at(0.0))], gamma, time=3)

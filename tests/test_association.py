@@ -24,6 +24,7 @@ from helpers import (
     count_joined_rows,
     dense_likelihood_table,
     max_label_tv,
+    partition_of,
     random_cluster,
     row_sums,
     table_of,
@@ -263,8 +264,9 @@ class TestTrackEvidence:
 
 def assert_gate_exact(tracks, frame, sensor, gamma_c):
     """`track_evidence` with gamma_c against full evaluation (gamma_c = 0):
-    `partition` gives the same clusters and residual; every evaluated betas
-    entry, and every in-cluster one and pdf, is bit-identical; a pair left
+    the evidence's labelling gives the same clusters and residual as the
+    labelling of the full weights at gamma_c; every evaluated betas entry,
+    and every in-cluster one and pdf, is bit-identical; a pair left
     deferred holds 0, lies in no cluster and raises in `detection`. Returns
     the counts of pairs the gate deferred and of those evaluated inside a
     cluster."""
@@ -278,8 +280,8 @@ def assert_gate_exact(tracks, frame, sensor, gamma_c):
     assert not gated.betas[gated.deferred].any()
     assert np.array_equal(gated.betas[~gated.deferred], full.betas[~gated.deferred],
                           equal_nan=True)
-    clusters, residual = partition(gated.betas, gamma_c)
-    expected, expected_residual = partition(full.betas, gamma_c)
+    clusters, residual = partition(gated.row_of, gated.col_of)
+    expected, expected_residual = partition_of(full.betas, gamma_c)
     assert np.array_equal(residual, expected_residual)
     assert len(clusters) == len(expected)
     for (rows, cols), (rows_ref, cols_ref) in zip(clusters, expected):
@@ -345,7 +347,7 @@ class TestPlausibilityGate:
         assert gated.betas[1, 1] == full.betas[1, 1]
         assert 0.0 < gated.betas[1, 1] < 1e-10
         assert np.array_equal(gated.detection(1, 2).pdf.weights, full.detection(1, 2).pdf.weights)
-        clusters, residual = partition(gated.betas, 1e-10)
+        clusters, residual = partition(gated.row_of, gated.col_of)
         assert [(r.tolist(), c.tolist()) for r, c in clusters] == [([0, 1], [0, 1])]
         assert residual.tolist() == [2]
         assert assert_gate_exact(tracks, frame, sensor, 1e-10) == (1, 1)
@@ -511,29 +513,29 @@ def as_lists(clusters):
 class TestPartition:
     def test_disconnected_components(self):
         betas = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        clusters, residual = partition(betas, gamma_c=0.5)
+        clusters, residual = partition_of(betas, gamma_c=0.5)
         assert as_lists(clusters) == [([0], [0]), ([1], [1])]
         assert residual.tolist() == [2]
 
     def test_shared_measurement_merges(self):
         betas = np.array([[1.0], [1.0]])
-        clusters, residual = partition(betas, gamma_c=0.5)
+        clusters, residual = partition_of(betas, gamma_c=0.5)
         assert as_lists(clusters) == [([0, 1], [0])]
         assert residual.tolist() == []
 
     def test_label_with_no_plausible_measurement_is_singleton(self):
         betas = np.array([[0.0, 0.0]])
-        clusters, residual = partition(betas, gamma_c=0.5)
+        clusters, residual = partition_of(betas, gamma_c=0.5)
         assert as_lists(clusters) == [([0], [])]
         assert residual.tolist() == [0, 1]
 
     def test_no_labels(self):
-        clusters, residual = partition(np.empty((0, 3)), gamma_c=0.5)
+        clusters, residual = partition_of(np.empty((0, 3)), gamma_c=0.5)
         assert clusters == [] and residual.tolist() == [0, 1, 2]
 
     def test_threshold_is_inclusive(self):
         betas = np.array([[0.5]])
-        clusters, _ = partition(betas, gamma_c=0.5)
+        clusters, _ = partition_of(betas, gamma_c=0.5)
         assert as_lists(clusters) == [([0], [0])]
 
     @pytest.mark.parametrize("step", [1, -1])
@@ -545,18 +547,18 @@ class TestPartition:
         chain = np.arange(count)[::step]
         betas[chain, np.arange(count)] = 1.0
         betas[chain, np.arange(1, count + 1)] = 1.0
-        clusters, residual = partition(betas, gamma_c=0.5)
+        clusters, residual = partition_of(betas, gamma_c=0.5)
         assert as_lists(clusters) == [(list(range(count)), list(range(count + 1)))]
         assert residual.tolist() == [count + 1]
 
     def test_zero_weights_are_not_plausible_at_gamma_c_zero(self):
-        clusters, residual = partition(np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 0.7]]), 0.0)
+        clusters, residual = partition_of(np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 0.7]]), 0.0)
         assert as_lists(clusters) == [([0], [0]), ([1], [2])]
         assert residual.tolist() == [1]
 
     def test_nan_weights_are_not_plausible(self):
         betas = np.array([[np.nan, 1.0, 0.0], [np.nan, np.nan, 0.0], [0.0, np.nan, 1.0]])
-        clusters, residual = partition(betas, gamma_c=0.5)
+        clusters, residual = partition_of(betas, gamma_c=0.5)
         assert as_lists(clusters) == [([0], [1]), ([1], []), ([2], [2])]
         assert residual.tolist() == [0]
 
@@ -567,7 +569,7 @@ class TestPartition:
             M = int(rng.integers(0, 9))
             betas = rng.random((L, M))
             gamma = float(rng.uniform(0.3, 0.9))
-            clusters, residual = partition(betas, gamma)
+            clusters, residual = partition_of(betas, gamma)
             clusters = as_lists(clusters)
             got = {(frozenset(rows), frozenset(cols)) for rows, cols in clusters}
             assert got == cc_oracle(betas, gamma)

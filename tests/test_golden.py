@@ -85,8 +85,8 @@ def count_paths(monkeypatch) -> Counter:
 
     def select_transfers_spy(*args, **kwargs):
         result = select_transfers(*args, **kwargs)
-        for label in result[0]:
-            counts["residual transfers" if label.index in residual
+        for transfer in result[0].values():
+            counts["residual transfers" if transfer.label.index in residual
                    else "cluster transfers"] += 1
         return result
 

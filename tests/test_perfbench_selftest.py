@@ -13,7 +13,7 @@ import numpy as np
 
 import lmbp.update
 
-from helpers import cells_of
+from helpers import cells_of, partition_of
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -35,7 +35,7 @@ def test_tracer_pins_resolve(monkeypatch):
     assert tracing.leftover_wrappers() == []
     # the cluster counter reads `partition`'s result: clusters of 2 and 1 rows
     betas = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    result = lmbp.update.partition(betas, 0.5)
+    result = partition_of(betas, 0.5)
     tracer._count_clusters((betas, 0.5), {}, result, "association.partition")
     assert tracer.counts["association.clusters"] == 2
     assert tracer.counts["association.cluster_labels_max"] == 2

@@ -254,3 +254,13 @@ class TestSnapshot:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             read_snapshot(io.StringIO("not,a,snapshot\n"))
+
+    @pytest.mark.parametrize("body, line", [
+        ("track,1,1,0.5,2\np,0.5,1,2,3,4\n", 4),   # one of two particles
+        ("track,1,1,0.5\n", 2),                    # no particle count
+        ("phd,2\np,0.5,1,2,3,4\n", 4),             # one of two particles
+        ("phd,1\np,0.5,1,2\n", 3),                 # a short particle record
+    ])
+    def test_truncated_record_names_its_line(self, body, line):
+        with pytest.raises(ValueError, match=f"snapshot line {line}:"):
+            read_snapshot(io.StringIO("time,1\n" + body))

@@ -1,9 +1,11 @@
 import io
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+import lmbp.association
 import lmbp.update
 from lmbp.association import Hypothesis, TrackEvidence, new_components
 from lmbp.cli import initial_state
@@ -21,12 +23,11 @@ from lmbp.rfs import (
 from lmbp.simulate import generate_frames, generate_truth
 from lmbp.update import (
     FilterSettings,
+    Pending,
     Thresholds,
-    Transfer,
     _legacy,
     _resampled,
     _rows_of,
-    _transferred,
     lmbp_step,
     select_transfers,
     split_by_retention,
@@ -38,6 +39,7 @@ from lmbp.update import (
 from helpers import (
     StubSensor,
     cells_of,
+    count_joined_rows,
     dense_new_components,
     dense_phd_weights,
     likelihood,
@@ -54,7 +56,7 @@ def pdf_at(x1, n=1, weight=None):
 
 def component(existence, x1=0.0):
     pdf = pdf_at(x1)
-    return Transfer(existence, pdf.states, pdf.weights)
+    return Pending(Label(7, 1), existence, (pdf.weights, pdf.states))
 
 
 def new_component_rows(*existences, n=2):
@@ -116,14 +118,17 @@ class TestSelectTransfers:
         transfers, transferred = select_transfers(beta, mass, table, states, gamma_tr=0.01,
                                                   time=7)
         assert transferred.tolist() == [True, False, True]
-        assert list(transfers) == [Label(7, j + 1) for j in np.flatnonzero(transferred)]
-        comp = transfers[Label(7, 1)]
+        assert list(transfers) == [0, 2]
+        assert [t.label for t in transfers.values()] == [Label(7, 1), Label(7, 3)]
+        comp = transfers[0]
+        weights, support = comp.row
         assert comp.existence == pytest.approx(0.5, abs=1e-15)
-        np.testing.assert_array_equal(comp.states, states)
-        np.testing.assert_allclose(comp.weights, [0.5, 0.5], atol=1e-15)
+        np.testing.assert_array_equal(support, states)
+        np.testing.assert_allclose(weights, [0.5, 0.5], atol=1e-15)
         # its resample takes the weights' running sum as the total
-        track = update_transferred_track(Label(7, 1), 1.0, comp, 4, np.random.default_rng(0))
-        assert np.array_equal(track.pdf.weights, np.full(4, np.cumsum(comp.weights)[-1] / 4))
+        track = update_transferred_track(comp, 1.0, 4, np.random.default_rng(0))
+        assert track.label == Label(7, 1)
+        assert np.array_equal(track.pdf.weights, np.full(4, np.cumsum(weights)[-1] / 4))
 
     def test_nothing_above_threshold(self):
         transfers, transferred = select_transfers(*new_component_rows(0.005, 0.001),
@@ -133,7 +138,7 @@ class TestSelectTransfers:
     def test_boundary_is_inclusive(self):
         transfers, transferred = select_transfers(
             *new_component_rows(1e-2, np.nextafter(1e-2, 0.0)), gamma_tr=1e-2, time=7)
-        assert list(transfers) == [Label(7, 1)] and transferred.tolist() == [True, False]
+        assert list(transfers) == [0] and transferred.tolist() == [True, False]
 
 
 class TestUpdateLegacyTrack:
@@ -193,18 +198,15 @@ class TestUpdateLegacyTrack:
 
 class TestUpdateTransferredTrack:
     def test_full_claim(self):
-        out = update_transferred_track(Label(7, 1), 1.0, component(0.8), 50,
-                                       np.random.default_rng(0))
+        out = update_transferred_track(component(0.8), 1.0, 50, np.random.default_rng(0))
         assert out.existence == pytest.approx(0.8)
 
     def test_no_claim(self):
-        out = update_transferred_track(Label(7, 1), 0.0, component(0.8), 50,
-                                       np.random.default_rng(0))
+        out = update_transferred_track(component(0.8), 0.0, 50, np.random.default_rng(0))
         assert out.existence == 0.0
 
     def test_half_claim(self):
-        out = update_transferred_track(Label(7, 1), 0.5, component(0.8), 50,
-                                       np.random.default_rng(0))
+        out = update_transferred_track(component(0.8), 0.5, 50, np.random.default_rng(0))
         assert out.existence == pytest.approx(0.4, abs=1e-15)
         assert len(out.pdf) == 50
 
@@ -221,16 +223,16 @@ class TestOnePassUpdate:
         det = {2: Hypothesis(0.2, 1.0, ParticleSet(support, det_w / det_w.sum()))}
         marginals = [{0: 0.4, 2: 0.6}, {0: 0.0, 2: 0.0}, {0: 1.0, 2: 0.0}]
         weights = rng.random(9)
-        comp = Transfer(0.7, support[:9], weights / weights.sum())
+        comp = Pending(Label(2, 1), 0.7, (weights / weights.sum(), support[:9]))
         a, b = np.random.default_rng(6), np.random.default_rng(6)
         one_by_one = [update_legacy_track(Label(1, i + 1), marginal, miss, det, 64, a)
                       for i, marginal in enumerate(marginals)]
-        one_by_one += [update_transferred_track(Label(2, 1), 0.5, comp, 64, a)]
+        one_by_one += [update_transferred_track(comp, 0.5, 64, a)]
         pending = [_legacy(Label(1, i + 1),
                            [(m[0] * miss.existence, miss.pdf.weights),
                             (m[2] * 1.0, det[2].pdf.weights)], support)
                    for i, m in enumerate(marginals)]
-        pending.append(_transferred(Label(2, 1), 0.5, comp))
+        pending.append(comp._replace(existence=0.5 * comp.existence))
         one_pass = _resampled(pending, 64, b)
         assert a.random() == b.random()
         assert one_by_one[1].existence == 0.0 and len(one_by_one[1].pdf) == 0
@@ -349,15 +351,16 @@ class TestSparseIntensityArithmetic:
         assert np.array_equal(beta, ref_beta) and np.array_equal(mass, ref_mass)
 
         transfers, transferred = select_transfers(beta, mass, cells, states, 0.1, time=3)
-        assert list(transfers) == [Label(3, j + 1) for j in np.flatnonzero(transferred)]
-        for label, component in transfers.items():
+        assert list(transfers) == np.flatnonzero(transferred).tolist()
+        for row, component in transfers.items():
             # the cells of the row in particle order; its resample's total is
             # the dense row added left to right
-            row = label.index - 1
+            assert component.label == Label(3, row + 1)
             dense = table[row] / mass[row]
-            assert np.array_equal(component.states, states[dense > 0.0])
-            assert np.array_equal(component.weights, dense[dense > 0.0])
-            track = update_transferred_track(label, 1.0, component, 64, np.random.default_rng(0))
+            weights, support = component.row
+            assert np.array_equal(support, states[dense > 0.0])
+            assert np.array_equal(weights, dense[dense > 0.0])
+            track = update_transferred_track(component, 1.0, 64, np.random.default_rng(0))
             assert np.array_equal(track.pdf.weights, np.full(64, row_sums([dense])[0] / 64))
 
         weights = []
@@ -620,6 +623,46 @@ class TestLmbpStep:
                               prev_frame=prev, settings=config.settings)
             prev = frame
         assert state.time == 4 and state.tracks
+
+    def test_one_labelling_per_step(self, monkeypatch):
+        # `track_evidence` labels the plausible pairs once and `partition`
+        # only reads that labelling, also on steps whose gate defers pairs
+        # and evaluates some of them inside a cluster
+        joined, calls, deferred = Counter(), Counter(), []
+        count_joined_rows(monkeypatch, joined)
+
+        def spy(owner, name):
+            real = getattr(owner, name)
+
+            def counted(*args):
+                calls[name] += 1
+                result = real(*args)
+                if name == "track_evidence":
+                    deferred.append(int(result.deferred.sum()))
+                return result
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for owner, name in ((lmbp.association, "_components"), (lmbp.update, "partition"),
+                            (lmbp.update, "track_evidence")):
+            spy(owner, name)
+        config = build_run_config({"scenario.object_count": "3", "scenario.appear_min": "1",
+                                   "scenario.appear_max": "2", "scenario.total_steps": "6",
+                                   "sensor.sigma_range": "5", "sensor.sigma_bearing_deg": "5",
+                                   "clutter.mean_count": "12", "birth.particles": "256",
+                                   "filter.track_particles": "128",
+                                   "filter.phd_particles": "256", "run.seed": "1"})
+        rng = np.random.default_rng(1)
+        truth = generate_truth(config.scenario, rng)
+        frames = generate_frames(truth, config.scenario.sensor, config.scenario.clutter, rng)
+        state, prev = initial_state(config, rng), ()
+        for frame in frames:
+            calls.clear()
+            state = lmbp_step(state, frame, config.models, config.thresholds, rng,
+                              prev_frame=prev, settings=config.settings)
+            prev = frame
+            assert calls == {"_components": 1, "partition": 1, "track_evidence": 1}
+        assert sum(deferred) > 0 and joined["deferred evaluated"] > 0
 
     def test_first_step_creates_tracks_only_via_transfers(self):
         rng = np.random.default_rng(3)
