@@ -5,6 +5,7 @@ from .association import (
     Hypothesis,
     MarginalAssociation,
     TrackEvidence,
+    batch_bp_marginals,
     bp_marginals,
     detection_hypotheses,
     enumerate_admissible,

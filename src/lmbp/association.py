@@ -270,8 +270,14 @@ def partition(row_of: np.ndarray,
     `residual` holds the columns in no cluster.
     """
     roots = np.flatnonzero(row_of == np.arange(len(row_of)))
-    clusters = [(np.flatnonzero(row_of == c), np.flatnonzero(col_of == c)) for c in roots.tolist()]
-    return clusters, np.flatnonzero(col_of < 0)
+    # a stable sort lists each name's indices in ascending order; the columns
+    # in no cluster (-1) sort first
+    rows, cols = np.argsort(row_of, kind="stable"), np.argsort(col_of, kind="stable")
+    row_cuts = np.append(np.searchsorted(row_of[rows], roots), len(rows)).tolist()
+    col_cuts = np.append(np.searchsorted(col_of[cols], roots), len(cols)).tolist()
+    clusters = [(rows[a:b], cols[c:d]) for a, b, c, d in
+                zip(row_cuts, row_cuts[1:], col_cuts, col_cuts[1:])]
+    return clusters, cols[:col_cuts[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +403,31 @@ def enumeration_size(cluster: Cluster) -> float:
 
 
 def bp_marginals(cluster: Cluster, iterations: int = 20) -> MarginalAssociation:
-    """Loopy belief propagation on the bipartite label-measurement graph.
+    """Loopy BP marginals of one cluster: a one-cluster call of `batch_bp_marginals`."""
+    L, M = cluster.det_beta.shape
+    legacy, claim = batch_bp_marginals(cluster.miss_beta, cluster.det_beta, cluster.new_beta,
+                                       cluster.transferred, np.zeros(L, dtype=np.intp),
+                                       np.zeros(M, dtype=np.intp), iterations)
+    return MarginalAssociation(legacy, claim)
+
+
+# numpy adds fewer than this many terms left to right and regroups more
+# pairwise, so zeros padded onto a shorter axis leave its sums bit for bit
+_PAIRWISE = 8
+
+
+def batch_bp_marginals(miss_beta: np.ndarray, betas: np.ndarray, new_beta: np.ndarray,
+                       transferred: np.ndarray, row_of: np.ndarray, col_of: np.ndarray,
+                       iterations: int = 20) -> tuple[np.ndarray, np.ndarray]:
+    """Loopy belief propagation on the bipartite label-measurement graph of
+    every cluster of a labelling at once.
+
+    Row i of `miss_beta` (L,) and `betas` (L, M) lies in cluster `row_of[i]`,
+    and column j of `betas`, `new_beta` (M,) and `transferred` (M,) in
+    `col_of[j]`; names are nonnegative ints, -1 for none, and a cluster
+    may have no rows or no columns. A cluster takes its rows and
+    columns in ascending order, as `partition` lists them, and reads no
+    entry of `betas` outside itself.
 
     Detection weights are normalized per measurement (w = beta(l,m)/beta(m)),
     which makes the scheme invariant to measurement-unit scaling. Messages
@@ -407,28 +437,92 @@ def bp_marginals(cluster: Cluster, iterations: int = 20) -> MarginalAssociation:
 
     run from nu = 1 for at most `iterations` rounds. A round that returns nu
     bit for bit unchanged is a fixed point, which every later round would
-    repeat, so the loop stops there with the same result. A
-    transfer label's outgoing message is the constant 1 because its claim
-    weight equals beta(m). Beliefs: p(l->m) proportional to w(l,m) nu(m->l),
-    p(l->0) to beta(l,0); for a transfer label p(1)/p(0) = nu(m->l). Exact
-    whenever the cluster's plausibility graph is acyclic.
-    """
-    L, M = cluster.det_beta.shape
-    w = cluster.det_beta / np.maximum(cluster.new_beta, _TINY)[None, :]
-    tmask = cluster.transferred.astype(float)
+    repeat, so the loop stops when the whole batch repeats, with the result
+    each cluster alone would give. A transfer label's outgoing message is the
+    constant 1 because its claim weight equals beta(m). Beliefs: p(l->m)
+    proportional to w(l,m) nu(m->l), p(l->0) to beta(l,0); for a transfer
+    label p(1)/p(0) = nu(m->l). Exact whenever the cluster's plausibility
+    graph is acyclic.
 
-    nu = np.ones((M, L))
-    sum_x = np.zeros(M)
+    The clusters run as one batch of (C, L_max, M_max) arrays, padded with
+    miss weight 1, detection weight 0 and no transfer; a padded row or column
+    adds exact zeros to every sum. A cluster with `_PAIRWISE` or more rows,
+    or measurements plus miss, would change its sums' grouping if padded,
+    so it runs as a batch of its own.
+
+    Returns `(legacy, claim)`: `legacy` (L, 1 + W), W the widest cluster's
+    measurement count, holds row i's marginal over its miss and its
+    cluster's measurements in order, then padding (0, or NaN in a row that
+    is 0 / 0); `claim` (M,) holds column j's transfer claim, 0 where it has
+    no transfer. A row or column in no cluster gets zeros. The marginals are
+    checked as `MarginalAssociation` checks them.
+    """
+    L, M = betas.shape
+    # each cluster's rows and columns in ascending order; a row's or column's
+    # place in its list is its slot in the padded arrays
+    members: dict[int, tuple[list[int], list[int]]] = {}
+    for side, names in enumerate((row_of.tolist(), col_of.tolist())):
+        for index, name in enumerate(names):
+            if name >= 0:
+                members.setdefault(name, ([], []))[side].append(index)
+    batches: list[list[tuple[list[int], list[int]]]] = [[]]
+    for rows, cols in members.values():
+        if len(rows) >= _PAIRWISE or 1 + len(cols) >= _PAIRWISE:
+            batches.append([(rows, cols)])
+        else:
+            batches[0].append((rows, cols))
+
+    # the tables with a zero row and column to pad with
+    w_all = np.zeros((L + 1, M + 1))
+    np.divide(betas, np.maximum(new_beta, _TINY), out=w_all[:L, :M])
+    miss_all = np.append(miss_beta, 1.0)
+    transferred_all = np.append(transferred, False)
+    legacy = np.zeros((L, 1 + max((len(cols) for _, cols in members.values()), default=0)))
+    claim = np.zeros(M)
+    for batch in filter(None, batches):
+        labels = max(len(rows) for rows, _ in batch)
+        meas = max(len(cols) for _, cols in batch)
+        row_at = np.array([rows + [L] * (labels - len(rows)) for rows, _ in batch],
+                          dtype=np.intp).reshape(len(batch), labels)
+        col_at = np.array([cols + [M] * (meas - len(cols)) for _, cols in batch],
+                          dtype=np.intp).reshape(len(batch), meas)
+        pmf, odds = _bp_rounds(miss_all[row_at], w_all[row_at[:, :, None], col_at[:, None, :]],
+                               transferred_all[col_at], iterations)
+        real_rows, real_cols = row_at < L, col_at < M
+        legacy[row_at[real_rows], :1 + meas] = pmf[real_rows]
+        claim[col_at[real_cols]] = odds[real_cols]
+
+    # NaN passes, as in `MarginalAssociation`: a forced-detection row (miss
+    # weight 0) with no weight on any measurement is 0 / 0
+    if (np.abs(legacy[row_of >= 0].sum(axis=1) - 1.0) > 1e-9).any() or (legacy < 0).any():
+        raise ValueError("marginal pmf is not normalized")
+    if ((claim < 0) | (claim > 1)).any():
+        raise ValueError("transfer claim is not a probability")
+    return legacy, claim
+
+
+def _bp_rounds(miss: np.ndarray, w: np.ndarray, transferred: np.ndarray,
+               iterations: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rounds and beliefs of `batch_bp_marginals` over C padded clusters:
+    miss (C, L), w (C, L, M) and transferred (C, M); returns the marginals
+    (C, L, 1 + M) and the claims (C, M). nu is kept (C, M, L), as one
+    cluster's (M, L), so a batch of one sums in the same order."""
+    count, labels, meas = w.shape
+    miss = miss[:, :, None]
+    base = 1.0 + transferred                                 # 1 + [transfer on m]
+    nu = np.ones((count, meas, labels))
+    sum_x = np.zeros((count, meas))
     for _ in range(iterations):
-        weighted = w * nu.T                                   # (L, M)
-        denom = cluster.miss_beta[:, None] + weighted.sum(axis=1, keepdims=True) - weighted
+        weighted = w * nu.swapaxes(1, 2)                     # (C, L, M)
+        denom = miss + weighted.sum(axis=2, keepdims=True) - weighted
         x = w / np.maximum(denom, _TINY)
-        sum_x = x.sum(axis=0)
-        prev, nu = nu, 1.0 / np.maximum(1.0 + tmask[:, None] + sum_x[:, None] - x.T, _TINY)
-        if np.array_equal(nu, prev):
+        sum_x = x.sum(axis=1)
+        prev = nu
+        nu = 1.0 / np.maximum((base + sum_x)[:, :, None] - x.swapaxes(1, 2), _TINY)
+        if (nu == prev).all():
             break
 
-    legacy = np.concatenate([cluster.miss_beta[:, None], w * nu.T], axis=1)
-    legacy /= legacy.sum(axis=1, keepdims=True)
+    legacy = np.concatenate([miss, w * nu.swapaxes(1, 2)], axis=2)
+    legacy /= legacy.sum(axis=2, keepdims=True)
     odds = 1.0 / (1.0 + sum_x)
-    return MarginalAssociation(legacy, np.where(cluster.transferred, odds / (1.0 + odds), 0.0))
+    return legacy, np.where(transferred, odds / (1.0 + odds), 0.0)

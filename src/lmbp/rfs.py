@@ -268,36 +268,60 @@ def _fields(lines: list[str], at: int, tag: str, count: int) -> list[str]:
     return parts
 
 
-def _read_particles(lines: list[str], at: int, count: int) -> tuple[ParticleSet, int]:
+def _value(at: int, kind: type, text: str):
+    """Field `text` of record `at` read as `kind`; a bad value names its line."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"snapshot line {at + 1}: bad {kind.__name__} {text!r}") from None
+
+
+def _read_particles(lines: list[str], at: int, text: str) -> tuple[ParticleSet, int]:
+    """The particle records after record `at`, whose count field is `text`,
+    and the index of the record after them."""
+    count = _value(at, int, text)
+    if count < 0:
+        raise ValueError(f"snapshot line {at + 1}: negative particle count {count}")
     states = np.empty((count, STATE_DIM))
     weights = np.empty(count)
+    at += 1
     for i in range(count):
         parts = _fields(lines, at + i, "p", 2 + STATE_DIM)
-        weights[i] = float(parts[1])
-        states[i] = [float(v) for v in parts[2:6]]
+        weights[i] = _value(at + i, float, parts[1])
+        states[i] = [_value(at + i, float, v) for v in parts[2:6]]
+        if not 0.0 <= weights[i] < np.inf:
+            raise ValueError(f"snapshot line {at + i + 1}: particle weight {parts[1]} "
+                             "is not finite and nonnegative")
     return ParticleSet(states, weights), at + count
 
 
 def read_snapshot(src: io.TextIOBase) -> FilterState:
-    """Parse a snapshot produced by `write_snapshot`."""
+    """Parse a snapshot produced by `write_snapshot`. A malformed record or
+    bad value raises ValueError naming its line."""
     lines = [ln.strip() for ln in src if ln.strip()]
     if not lines or not lines[0].startswith("time,"):
         raise ValueError("snapshot must start with a time record")
-    time = int(lines[0].split(",")[1])
+    time = _value(0, int, _fields(lines, 0, "time", 2)[1])
     tracks = []
     at = 1
-    phd = PoissonPhd.empty()
+    phd = None
     while at < len(lines):
         tag = lines[at].split(",")[0]
         if tag == "track":
             parts = _fields(lines, at, tag, 5)
-            label = Label(int(parts[1]), int(parts[2]))
-            existence = float(parts[3])
-            pdf, at = _read_particles(lines, at + 1, int(parts[4]))
-            tracks.append(BernoulliTrack(label, existence, pdf))
+            label = Label(_value(at, int, parts[1]), _value(at, int, parts[2]))
+            existence = _value(at, float, parts[3])
+            pdf, end = _read_particles(lines, at, parts[4])
+            try:
+                tracks.append(BernoulliTrack(label, existence, pdf))
+            except ValueError as err:
+                raise ValueError(f"snapshot line {at + 1}: {err}") from None
+            at = end
         elif tag == "phd":
-            pset, at = _read_particles(lines, at + 1, int(_fields(lines, at, tag, 2)[1]))
+            if phd is not None:
+                raise ValueError(f"snapshot line {at + 1}: second phd record")
+            pset, at = _read_particles(lines, at, _fields(lines, at, tag, 2)[1])
             phd = PoissonPhd(pset)
         else:
             raise ValueError(f"snapshot line {at + 1}: unknown record {tag!r}")
-    return FilterState(tuple(tracks), phd, time)
+    return FilterState(tuple(tracks), PoissonPhd.empty() if phd is None else phd, time)

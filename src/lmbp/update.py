@@ -13,15 +13,16 @@ from .association import (
     Cells,
     Cluster,
     Hypothesis,
-    bp_marginals,
+    TrackEvidence,
+    batch_bp_marginals,
     enumeration_size,
     exact_marginals,
     new_components,
     partition,
     track_evidence,
 )
-# perfbench's tracer wraps these two names here; they stay until ROADMAP item 5
-from .association import detection_hypotheses, miss_hypothesis  # noqa: F401
+# perfbench's tracer wraps these three names here; they stay until ROADMAP item 5
+from .association import bp_marginals, detection_hypotheses, miss_hypothesis  # noqa: F401
 from .models import Models
 from .rfs import (
     BernoulliTrack,
@@ -123,6 +124,8 @@ def _legacy(label: Label, terms: Sequence[tuple[float, np.ndarray]],
         r += p
     if r <= 0.0:
         return Pending(label, 0.0, None)
+    if len(terms) == 1:  # r is p, so p / r is exactly 1 and the term is the mixture
+        return Pending(label, min(r, 1.0), (terms[0][1], states))
     return Pending(label, min(r, 1.0), (sum((p / r) * w for p, w in terms), states))
 
 
@@ -222,12 +225,33 @@ def _rows_of(cells: Cells, keep: np.ndarray) -> Cells:
     return (np.cumsum(keep) - 1)[row[inside]], col[inside], value[inside]
 
 
-def _marginalize(cluster: Cluster, settings: FilterSettings):
+def _marginals(evidence: TrackEvidence, clusters: Sequence[tuple[np.ndarray, np.ndarray]],
+               new_beta: np.ndarray, transferred: np.ndarray,
+               settings: FilterSettings) -> tuple[list[list[float]], list[float]]:
+    """Every row's marginal pmf and every column's transfer claim, as lists
+    indexed like the step's tables (see `batch_bp_marginals`). Exact mode
+    enumerates each cluster below the limits; every other cluster goes
+    through one BP batch."""
+    row_of, col_of = evidence.row_of, evidence.col_of
+    exact = []
     if settings.marginals == "exact":
-        if (cluster.det_beta.size <= EXACT_DEGREE_LIMIT
-                and enumeration_size(cluster) <= EXACT_SIZE_LIMIT):
-            return exact_marginals(cluster)
-    return bp_marginals(cluster, settings.bp_iterations)
+        row_of, col_of = row_of.copy(), col_of.copy()
+        for rows, cols in clusters:
+            problem = Cluster(evidence.miss_beta[rows], evidence.betas[np.ix_(rows, cols)],
+                              new_beta[cols], transferred[cols])
+            if (problem.det_beta.size <= EXACT_DEGREE_LIMIT
+                    and enumeration_size(problem) <= EXACT_SIZE_LIMIT):
+                exact.append((rows, cols, exact_marginals(problem)))
+                row_of[rows], col_of[cols] = -1, -1
+    legacy, claim = batch_bp_marginals(evidence.miss_beta, evidence.betas, new_beta, transferred,
+                                       row_of, col_of, settings.bp_iterations)
+    pmfs, claims = legacy.tolist(), claim.tolist()
+    for rows, cols, marginal in exact:
+        for i, pmf in zip(rows.tolist(), marginal.legacy.tolist()):
+            pmfs[i] = pmf
+        for j, p in zip(cols.tolist(), marginal.claim.tolist()):
+            claims[j] = p
+    return pmfs, claims
 
 
 def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
@@ -242,9 +266,11 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
     association, and label indices count positions in the kept frame. Only
     the rows of residual measurements that are not transferred return to the
     intensity, and `update_phd` gets those rows alone. The predicted tracks
-    are one `TrackBlock`, and every track that is resampled, legacy then
-    transferred per cluster and then the residual transfers, goes through
-    one `resample_rows` pass; `BernoulliTrack`s are built for the output only.
+    are one `TrackBlock`, the marginals of every cluster come from one
+    `batch_bp_marginals` call (`_marginals`), and every track that is
+    resampled, legacy then transferred per cluster and then the residual
+    transfers, goes through one `resample_rows` pass; `BernoulliTrack`s are
+    built for the output only.
     Estimation is separate; see `lmbp.estimation`.
     """
     k = state.time + 1
@@ -272,21 +298,20 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
                                               predicted_phd.particles.states,
                                               thresholds.gamma_tr, k)
 
-    # the updated tracks in the order their uniforms are drawn
+    # the updated tracks in the order their uniforms are drawn: per cluster,
+    # its rows and then its transfers
+    pmfs, claims = _marginals(evidence, clusters, new_beta, transferred, settings)
     pending: list[Pending] = []
     for rows, cols in clusters:
-        problem = Cluster(evidence.miss_beta[rows], evidence.betas[np.ix_(rows, cols)],
-                          new_beta[cols], transferred[cols])
-        marginal = _marginalize(problem, settings)
         col_list = cols.tolist()
-        for i, pmf in zip(rows.tolist(), marginal.legacy.tolist()):
+        for i in rows.tolist():
             # a detection pdf is built only where the marginal puts mass
-            pending.append(_legacy(block.labels[i], evidence.terms(i, pmf, col_list),
+            pending.append(_legacy(block.labels[i], evidence.terms(i, pmfs[i], col_list),
                                    evidence.states[i]))
-        claim = marginal.claim.tolist()
-        for j in np.flatnonzero(problem.transferred).tolist():
-            transfer = transfers[col_list[j]]
-            pending.append(transfer._replace(existence=claim[j] * transfer.existence))
+        for j in col_list:
+            if j in transfers:
+                transfer = transfers[j]
+                pending.append(transfer._replace(existence=claims[j] * transfer.existence))
 
     # a residual measurement competes with no track, so its transfer claims it surely
     pending += [transfers[j] for j in residual[transferred[residual]].tolist()]

@@ -3,9 +3,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lmbp.association import (
     Cluster,
+    batch_bp_marginals,
     bp_marginals,
     detection_hypotheses,
     enumerate_admissible,
@@ -821,3 +825,74 @@ class TestBpMarginals:
             e2, c2, w2 = enumerate_admissible(scaled)
             assert np.array_equal(e1, e2) and np.array_equal(c1, c2)
             np.testing.assert_allclose(w1, w2, rtol=0.0, atol=1e-9)
+
+
+# a weight entry: 0 a fifth of the time, else spread over eight decades with
+# mantissas whose sums round, so a change of summation order shows
+weights = st.floats(-8.0, 2.0).map(lambda e: 0.0 if e < -6.0 else 10.0 ** e)
+
+
+@st.composite
+def cluster_batches(draw):
+    """Clusters for one batch, shuffled: small random ones next to a track with
+    no measurement, a lone transfer (no rows) and one cluster 8 or more
+    wide, in tracks or in measurements plus miss. Any weight may be 0,
+    including a miss weight (the forced-detection corner)."""
+    shapes = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 6)), max_size=6))
+    shapes += [(1, 0), (0, 1), draw(st.sampled_from([(8, 2), (3, 7), (9, 8)]))]
+    clusters = []
+    for L, M in draw(st.permutations(shapes)):
+        clusters.append(Cluster(draw(arrays(float, L, elements=weights)),
+                                draw(arrays(float, (L, M), elements=weights)),
+                                draw(arrays(float, M, elements=weights)),
+                                draw(arrays(bool, M)) | (L == 0)))
+    return clusters
+
+
+class TestBatchBpMarginals:
+    @settings(max_examples=100, deadline=None)
+    @given(cluster_batches(), st.randoms(use_true_random=False))
+    def test_equals_fixed_iterations_cluster_by_cluster(self, clusters, random):
+        # the clusters' rows and columns are interleaved across the tables, and
+        # one row and two columns lie in no cluster; every entry outside a
+        # cluster holds 3.0, which the batch must not read
+        L = sum(c.det_beta.shape[0] for c in clusters) + 1
+        M = sum(c.det_beta.shape[1] for c in clusters) + 2
+        row_order, col_order = random.sample(range(L), L), random.sample(range(M), M)
+        miss, betas = np.full(L, 3.0), np.full((L, M), 3.0)
+        new, transferred = np.full(M, 3.0), np.ones(M, dtype=bool)
+        row_of, col_of = np.full(L, -1), np.full(M, -1)
+        placed = []
+        for name, cluster in enumerate(clusters):
+            size, meas = cluster.det_beta.shape
+            rows = np.array(sorted(row_order[:size]), dtype=np.intp)
+            cols = np.array(sorted(col_order[:meas]), dtype=np.intp)
+            del row_order[:size], col_order[:meas]
+            row_of[rows], col_of[cols] = name, name
+            miss[rows], betas[np.ix_(rows, cols)] = cluster.miss_beta, cluster.det_beta
+            new[cols], transferred[cols] = cluster.new_beta, cluster.transferred
+            placed.append((rows, cols))
+
+        legacy, claim = batch_bp_marginals(miss, betas, new, transferred, row_of, col_of, 20)
+        assert legacy.shape == (L, 1 + max(c.det_beta.shape[1] for c in clusters))
+        for cluster, (rows, cols) in zip(clusters, placed):
+            want = fixed_iteration_bp(cluster, 20)
+            width = 1 + len(cols)
+            assert np.array_equal(legacy[rows, :width], want.legacy, equal_nan=True)
+            # the padding is 0, and NaN only in a row that is NaN already
+            assert not np.nan_to_num(legacy[rows, width:]).any()
+            assert np.array_equal(claim[cols], want.claim, equal_nan=True)
+        assert not legacy[row_of < 0].any() and not claim[col_of < 0].any()
+
+    def test_no_clusters(self):
+        legacy, claim = batch_bp_marginals(np.ones(2), np.ones((2, 3)), np.ones(3),
+                                           np.ones(3, dtype=bool), np.full(2, -1),
+                                           np.full(3, -1), 20)
+        assert legacy.tolist() == [[0.0], [0.0]] and claim.tolist() == [0.0, 0.0, 0.0]
+
+    def test_rejects_a_negative_marginal(self):
+        # a negative weight is no probability; the check reads the arrays
+        with pytest.raises(ValueError, match="not normalized"):
+            batch_bp_marginals(np.array([1.0, 0.5]), np.array([[-2.0], [1.0]]), np.ones(1),
+                               np.zeros(1, dtype=bool), np.zeros(2, dtype=np.intp),
+                               np.zeros(1, dtype=np.intp), 20)

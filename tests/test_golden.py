@@ -27,6 +27,7 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lmbp.update
@@ -75,7 +76,7 @@ def count_paths(monkeypatch) -> Counter:
     partition = lmbp.update.partition
     select_transfers = lmbp.update.select_transfers
     exact_marginals = lmbp.update.exact_marginals
-    bp_marginals = lmbp.update.bp_marginals
+    batch_bp_marginals = lmbp.update.batch_bp_marginals
 
     def partition_spy(*args, **kwargs):
         result = partition(*args, **kwargs)
@@ -94,14 +95,15 @@ def count_paths(monkeypatch) -> Counter:
         counts["exact"] += 1
         return exact_marginals(*args, **kwargs)
 
-    def bp_spy(*args, **kwargs):
-        counts["bp"] += 1
-        return bp_marginals(*args, **kwargs)
+    def bp_spy(miss_beta, betas, new_beta, transferred, row_of, col_of, *args):
+        # the clusters the batch marginalizes, by name
+        counts["bp"] += len(np.union1d(row_of[row_of >= 0], col_of[col_of >= 0]))
+        return batch_bp_marginals(miss_beta, betas, new_beta, transferred, row_of, col_of, *args)
 
     monkeypatch.setattr(lmbp.update, "partition", partition_spy)
     monkeypatch.setattr(lmbp.update, "select_transfers", select_transfers_spy)
     monkeypatch.setattr(lmbp.update, "exact_marginals", exact_spy)
-    monkeypatch.setattr(lmbp.update, "bp_marginals", bp_spy)
+    monkeypatch.setattr(lmbp.update, "batch_bp_marginals", bp_spy)
     count_joined_rows(monkeypatch, counts)
     return counts
 

@@ -264,3 +264,19 @@ class TestSnapshot:
     def test_truncated_record_names_its_line(self, body, line):
         with pytest.raises(ValueError, match=f"snapshot line {line}:"):
             read_snapshot(io.StringIO("time,1\n" + body))
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("time,x\n", 1, "bad int 'x'"),
+        ("time,1\ntrack,1,1,0.5,-1\n", 2, "negative particle count -1"),
+        ("time,1\ntrack,1,x,0.5,1\np,1.0,1,2,3,4\n", 2, "bad int 'x'"),
+        ("time,1\ntrack,1,1,y,1\np,1.0,1,2,3,4\n", 2, "bad float 'y'"),
+        ("time,1\ntrack,1,1,1.5,1\np,1.0,1,2,3,4\n", 2, "existence probability"),
+        ("time,1\nphd,x\n", 2, "bad int 'x'"),
+        ("time,1\nphd,2\np,0.5,1,2,3,4\np,nan,1,2,3,4\n", 4, "not finite and nonnegative"),
+        ("time,1\nphd,1\np,-1.0,1,2,3,4\n", 3, "not finite and nonnegative"),
+        ("time,1\nphd,1\np,1.0,1,z,3,4\n", 3, "bad float 'z'"),
+        ("time,1\nphd,1\np,1.0,1,2,3,4\nphd,1\np,2.0,1,2,3,4\n", 4, "second phd record"),
+    ])
+    def test_bad_value_names_its_line(self, text, line, message):
+        with pytest.raises(ValueError, match=f"snapshot line {line}: .*{message}"):
+            read_snapshot(io.StringIO(text))

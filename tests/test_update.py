@@ -664,6 +664,49 @@ class TestLmbpStep:
             assert calls == {"_components": 1, "partition": 1, "track_evidence": 1}
         assert sum(deferred) > 0 and joined["deferred evaluated"] > 0
 
+    @pytest.mark.parametrize("marginals", ["bp", "exact"])
+    def test_one_bp_batch_per_step(self, marginals, monkeypatch):
+        # BP marginalizes every cluster of a step in one batch; in BP mode the
+        # step builds no `Cluster` or `MarginalAssociation` and calls neither
+        # the one-cluster `bp_marginals` nor `np.ix_`
+        calls = Counter()
+
+        def spy(owner, name):
+            real = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for owner, name in ((lmbp.update, "batch_bp_marginals"), (lmbp.update, "Cluster"),
+                            (lmbp.update, "bp_marginals"), (lmbp.association, "bp_marginals"),
+                            (lmbp.association, "MarginalAssociation"), (np, "ix_")):
+            spy(owner, name)
+        config = build_run_config({"scenario.object_count": "3", "scenario.appear_min": "1",
+                                   "scenario.appear_max": "2", "scenario.total_steps": "8",
+                                   "sensor.sigma_range": "5", "sensor.sigma_bearing_deg": "5",
+                                   "clutter.mean_count": "12", "birth.particles": "256",
+                                   "filter.track_particles": "128",
+                                   "filter.phd_particles": "256", "filter.marginals": marginals,
+                                   "run.seed": "1"})
+        rng = np.random.default_rng(1)
+        truth = generate_truth(config.scenario, rng)
+        frames = generate_frames(truth, config.scenario.sensor, config.scenario.clutter, rng)
+        state, prev, clusters = initial_state(config, rng), (), 0
+        for frame in frames:
+            calls.clear()
+            state = lmbp_step(state, frame, config.models, config.thresholds, rng,
+                              prev_frame=prev, settings=config.settings)
+            prev = frame
+            assert calls["batch_bp_marginals"] == 1
+            if marginals == "bp":
+                assert set(calls) == {"batch_bp_marginals"}
+            clusters += calls["Cluster"]
+        assert state.tracks
+        assert (clusters > 0) == (marginals == "exact")
+
     def test_first_step_creates_tracks_only_via_transfers(self):
         rng = np.random.default_rng(3)
         phd = PoissonPhd(pdf_at(52.0, n=256, weight=5.0))  # strong unlabeled evidence
