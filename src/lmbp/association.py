@@ -8,17 +8,24 @@ reserved for the miss: a track transferred from `frame[j]` at step k gets
 label (k, j + 1), and `TrackEvidence.detection(i, j + 1)` pairs row i with
 `frame[j]`. A cluster's marginal row likewise holds the miss at entry 0 and
 the cluster's measurement j at entry 1 + j.
+
+A hypothesis (`Hypothesis`) is a weight row over its track's own particles,
+so no particle set is built before the track is resampled. `partition`
+groups the plausible pairs into clusters once, and every marginal path
+reads that list: `exact_marginals` one `Cluster` at a time and
+`batch_bp_marginals` all at once. `_check_marginals` checks every marginal
+either of them returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .models import EXP_FLOOR, ClutterModel, SensorModel
-from .rfs import BernoulliTrack, Measurement, ParticleSet, PoissonPhd, TrackBlock
+from .rfs import BernoulliTrack, Measurement, PoissonPhd, TrackBlock
 
 _TINY = 1e-300  # denominator floor; keeps degenerate messages finite
 # an intensity cell below this share of its row's clutter intensity is left out
@@ -29,22 +36,21 @@ _CLUTTER_SHARE = 2.0 ** -106
 Cells = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-@dataclass(frozen=True)
-class Hypothesis:
-    """One association hypothesis: its weight, the existence probability it
-    implies, and the spatial pdf given it.
+class Hypothesis(NamedTuple):
+    """One association hypothesis of a track: its weight, the existence
+    probability it implies, and the pdf weights given it, over the track's
+    own particles; empty when the hypothesis has no pdf.
 
     The same type serves a track's miss and its detection of one
-    measurement, as `TrackEvidence.miss` and `.detection` build them for the
-    per-track API; the step itself reads their weight rows (`terms`).
+    measurement, as `TrackEvidence.miss` and `.detection` return them.
     """
 
     beta: float
     existence: float
-    pdf: ParticleSet
+    weights: np.ndarray
 
 
-# the pdf weights of a hypothesis that builds no pdf
+# the pdf weights of a hypothesis that has no pdf
 _NO_PDF = np.empty(0)
 
 
@@ -60,8 +66,8 @@ class TrackEvidence:
     evaluated pair; a pair the likelihood gate left out has b = 0. A
     `deferred` pair weighs less than gamma_c, lies in no cluster and was
     never evaluated: betas holds 0 for it. `row_of` and `col_of` label each
-    row's and each column's cluster, as `partition` reads them. No pdf is
-    built until `miss`, `detection` or `terms` asks for one.
+    row's and each column's cluster, as `partition` reads them. No pdf
+    weights are normalized until `miss`, `detection` or `terms` asks for them.
     """
 
     existence: np.ndarray                          # (L,) r
@@ -75,54 +81,42 @@ class TrackEvidence:
     row_of: np.ndarray                             # (L,) cluster name
     col_of: np.ndarray                             # (M,) cluster name, -1 for none
 
-    def _miss(self, i: int) -> tuple[float, float, np.ndarray]:
-        """Track i's miss: beta, existence r c / beta and pdf weights
+    def miss(self, i: int) -> Hypothesis:
+        """Row i's miss: beta, existence r c / beta and pdf weights
         w (1 - pD) / c. beta can only vanish in the forced-detection corner
         (r = 1, pD = 1), which returns beta = 0 with existence 0."""
         beta, c = float(self.miss_beta[i]), float(self.miss_mass[i])
         if beta <= 0.0:
-            return 0.0, 0.0, _NO_PDF
+            return Hypothesis(0.0, 0.0, _NO_PDF)
         if c <= 0.0:
             # object, if present, was surely detected; pdf carries no mass
-            return beta, 0.0, _NO_PDF
-        return beta, float(self.existence[i]) * c / beta, self.miss_weights[i] / c
+            return Hypothesis(beta, 0.0, _NO_PDF)
+        return Hypothesis(beta, float(self.existence[i]) * c / beta, self.miss_weights[i] / c)
 
-    def _detection(self, i: int, m: int) -> tuple[float, float, np.ndarray]:
-        """Track i's detection of measurement m: beta = r b, existence 1 and
-        pdf weights w pD f(z_m|.) / b; b = 0 yields beta = 0 and no pdf. A
-        deferred pair raises ValueError."""
+    def detection(self, i: int, m: int) -> Hypothesis:
+        """Row i's detection of measurement m (counted from 1): beta = r b,
+        existence 1 and pdf weights w pD f(z_m|.) / b; b = 0 yields beta = 0
+        and no pdf. A deferred pair raises ValueError."""
         if self.deferred[i, m - 1]:
             raise ValueError(f"detection ({i}, {m}) was deferred and never evaluated")
         row = self.rows.get((i, m))
         if row is None or row[1] <= 0.0:
-            return 0.0, 0.0, _NO_PDF
+            return Hypothesis(0.0, 0.0, _NO_PDF)
         weights, b = row
-        return float(self.betas[i, m - 1]), 1.0, weights / b
-
-    def _hypothesis(self, i: int, beta: float, existence: float,
-                    weights: np.ndarray) -> Hypothesis:
-        pdf = ParticleSet(self.states[i], weights) if len(weights) else ParticleSet.empty()
-        return Hypothesis(beta, existence, pdf)
-
-    def miss(self, i: int) -> Hypothesis:
-        """Miss hypothesis of row i, over its own particles."""
-        return self._hypothesis(i, *self._miss(i))
-
-    def detection(self, i: int, m: int) -> Hypothesis:
-        """Detection hypothesis of row i with measurement m (counted from 1)."""
-        return self._hypothesis(i, *self._detection(i, m))
+        return Hypothesis(float(self.betas[i, m - 1]), 1.0, weights / b)
 
     def terms(self, i: int, pmf: Sequence[float],
               cols: Sequence[int]) -> list[tuple[float, np.ndarray]]:
         """The (p(a) r(i,a), pdf weights) terms of row i's marginalized update,
         for the marginal row `pmf` over the miss and the 0-based measurements
         `cols`: the miss first, then the detections in column order. A
-        detection pdf is built only where its marginal is positive."""
-        _, existence, weights = self._miss(i)
+        detection's pdf weights are normalized only where its marginal is
+        positive."""
+        _, existence, weights = self.miss(i)
         terms = [(pmf[0] * existence, weights)]
         for m, p in zip(cols, pmf[1:]):
             if p > 0.0:
-                _, existence, weights = self._detection(i, m + 1)
+                _, existence, weights = self.detection(i, m + 1)
                 terms.append((p * existence, weights))
         return terms
 
@@ -190,7 +184,7 @@ def track_evidence(block: TrackBlock, frame: Sequence[Measurement],
 def detection_hypotheses(track: BernoulliTrack, frame: Sequence[Measurement],
                          sensor: SensorModel) -> list[Hypothesis]:
     """Detection hypotheses of one predicted track against every measurement:
-    `track_evidence` over [track] with gamma_c = 0, so every pdf is built."""
+    `track_evidence` over [track] with gamma_c = 0, so every pair is evaluated."""
     evidence = track_evidence(TrackBlock.of([track]), frame, sensor, 0.0)
     return [evidence.detection(0, m) for m in range(1, len(frame) + 1)]
 
@@ -320,12 +314,17 @@ class MarginalAssociation:
     claim: np.ndarray                  # (M,)
 
     def __post_init__(self):
-        # checked on Python floats: a cluster's few entries cost less than numpy calls
-        for row in self.legacy.tolist():
-            if abs(sum(row) - 1.0) > 1e-9 or min(row) < 0:
-                raise ValueError("marginal pmf is not normalized")
-        if any(p < 0 or p > 1 for p in self.claim.tolist()):
-            raise ValueError("transfer claim is not a probability")
+        _check_marginals(self.legacy, self.claim)
+
+
+def _check_marginals(legacy: np.ndarray, claim: np.ndarray) -> None:
+    """Raise ValueError unless every row of `legacy` is a pmf, to 1e-9, and
+    every entry of `claim` a probability. Each bound is written so that NaN
+    fails it."""
+    if not ((np.abs(legacy.sum(axis=1) - 1.0) <= 1e-9).all() and (legacy >= 0.0).all()):
+        raise ValueError("marginal pmf is not normalized")
+    if not ((claim >= 0.0) & (claim <= 1.0)).all():
+        raise ValueError("transfer claim is not a probability")
 
 
 def enumerate_admissible(cluster: Cluster) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -406,8 +405,8 @@ def bp_marginals(cluster: Cluster, iterations: int = 20) -> MarginalAssociation:
     """Loopy BP marginals of one cluster: a one-cluster call of `batch_bp_marginals`."""
     L, M = cluster.det_beta.shape
     legacy, claim = batch_bp_marginals(cluster.miss_beta, cluster.det_beta, cluster.new_beta,
-                                       cluster.transferred, np.zeros(L, dtype=np.intp),
-                                       np.zeros(M, dtype=np.intp), iterations)
+                                       cluster.transferred, [(np.arange(L), np.arange(M))],
+                                       iterations)
     return MarginalAssociation(legacy, claim)
 
 
@@ -417,16 +416,15 @@ _PAIRWISE = 8
 
 
 def batch_bp_marginals(miss_beta: np.ndarray, betas: np.ndarray, new_beta: np.ndarray,
-                       transferred: np.ndarray, row_of: np.ndarray, col_of: np.ndarray,
+                       transferred: np.ndarray, clusters: Sequence[tuple[np.ndarray, np.ndarray]],
                        iterations: int = 20) -> tuple[np.ndarray, np.ndarray]:
     """Loopy belief propagation on the bipartite label-measurement graph of
-    every cluster of a labelling at once.
+    every cluster of a list at once.
 
-    Row i of `miss_beta` (L,) and `betas` (L, M) lies in cluster `row_of[i]`,
-    and column j of `betas`, `new_beta` (M,) and `transferred` (M,) in
-    `col_of[j]`; names are nonnegative ints, -1 for none, and a cluster
-    may have no rows or no columns. A cluster takes its rows and
-    columns in ascending order, as `partition` lists them, and reads no
+    The tables are `miss_beta` (L,), `betas` (L, M), `new_beta` (M,) and
+    `transferred` (M,). Each cluster is a `(rows, cols)` pair of ascending
+    index arrays into them, as `partition` lists them; clusters share no row
+    or column, a cluster may have no rows or no columns, and it reads no
     entry of `betas` outside itself.
 
     Detection weights are normalized per measurement (w = beta(l,m)/beta(m)),
@@ -437,12 +435,13 @@ def batch_bp_marginals(miss_beta: np.ndarray, betas: np.ndarray, new_beta: np.nd
 
     run from nu = 1 for at most `iterations` rounds. A round that returns nu
     bit for bit unchanged is a fixed point, which every later round would
-    repeat, so the loop stops when the whole batch repeats, with the result
-    each cluster alone would give. A transfer label's outgoing message is the
-    constant 1 because its claim weight equals beta(m). Beliefs: p(l->m)
-    proportional to w(l,m) nu(m->l), p(l->0) to beta(l,0); for a transfer
-    label p(1)/p(0) = nu(m->l). Exact whenever the cluster's plausibility
-    graph is acyclic.
+    repeat, so the loop stops when the whole batch repeats. Each cluster's
+    arithmetic runs in its own slot of the batch, so every order or subset
+    of the list gives a cluster the bits it alone would get. A transfer
+    label's outgoing message is the constant 1 because its claim weight
+    equals beta(m). Beliefs: p(l->m) proportional to w(l,m) nu(m->l), p(l->0)
+    to beta(l,0); for a transfer label p(1)/p(0) = nu(m->l). Exact whenever
+    the cluster's plausibility graph is acyclic.
 
     The clusters run as one batch of (C, L_max, M_max) arrays, padded with
     miss weight 1, detection weight 0 and no transfer; a padded row or column
@@ -452,21 +451,20 @@ def batch_bp_marginals(miss_beta: np.ndarray, betas: np.ndarray, new_beta: np.nd
 
     Returns `(legacy, claim)`: `legacy` (L, 1 + W), W the widest cluster's
     measurement count, holds row i's marginal over its miss and its
-    cluster's measurements in order, then padding (0, or NaN in a row that
-    is 0 / 0); `claim` (M,) holds column j's transfer claim, 0 where it has
-    no transfer. A row or column in no cluster gets zeros. The marginals are
-    checked as `MarginalAssociation` checks them.
+    cluster's measurements in order, then padding (0, or NaN in a NaN row);
+    `claim` (M,) holds column j's transfer claim, 0 where it has no
+    transfer. A row or column in no cluster of the list gets zeros.
+
+    Each batch's marginals pass `_check_marginals`, or ValueError is raised,
+    so a NaN that BP makes from numbers raises: the 0 / 0 of a row with no
+    weight at all, a track with r = 1 and pD = 1 and nothing to detect. A
+    cluster with a NaN weight (beta(l,m) = beta(m) = inf gives w = NaN) has
+    NaN marginals, which are returned unchecked; `lmbp_step` gives its
+    tracks r = 0.
     """
     L, M = betas.shape
-    # each cluster's rows and columns in ascending order; a row's or column's
-    # place in its list is its slot in the padded arrays
-    members: dict[int, tuple[list[int], list[int]]] = {}
-    for side, names in enumerate((row_of.tolist(), col_of.tolist())):
-        for index, name in enumerate(names):
-            if name >= 0:
-                members.setdefault(name, ([], []))[side].append(index)
-    batches: list[list[tuple[list[int], list[int]]]] = [[]]
-    for rows, cols in members.values():
+    batches: list[list[tuple[np.ndarray, np.ndarray]]] = [[]]
+    for rows, cols in clusters:
         if len(rows) >= _PAIRWISE or 1 + len(cols) >= _PAIRWISE:
             batches.append([(rows, cols)])
         else:
@@ -477,27 +475,22 @@ def batch_bp_marginals(miss_beta: np.ndarray, betas: np.ndarray, new_beta: np.nd
     np.divide(betas, np.maximum(new_beta, _TINY), out=w_all[:L, :M])
     miss_all = np.append(miss_beta, 1.0)
     transferred_all = np.append(transferred, False)
-    legacy = np.zeros((L, 1 + max((len(cols) for _, cols in members.values()), default=0)))
+    legacy = np.zeros((L, 1 + max((len(cols) for _, cols in clusters), default=0)))
     claim = np.zeros(M)
     for batch in filter(None, batches):
-        labels = max(len(rows) for rows, _ in batch)
-        meas = max(len(cols) for _, cols in batch)
-        row_at = np.array([rows + [L] * (labels - len(rows)) for rows, _ in batch],
-                          dtype=np.intp).reshape(len(batch), labels)
-        col_at = np.array([cols + [M] * (meas - len(cols)) for _, cols in batch],
-                          dtype=np.intp).reshape(len(batch), meas)
-        pmf, odds = _bp_rounds(miss_all[row_at], w_all[row_at[:, :, None], col_at[:, None, :]],
-                               transferred_all[col_at], iterations)
+        # a row's or column's place in its cluster is its slot in the padded arrays
+        row_at = np.full((len(batch), max(len(rows) for rows, _ in batch)), L, dtype=np.intp)
+        col_at = np.full((len(batch), max(len(cols) for _, cols in batch)), M, dtype=np.intp)
+        for slot, (rows, cols) in enumerate(batch):
+            row_at[slot, :len(rows)], col_at[slot, :len(cols)] = rows, cols
+        miss, w = miss_all[row_at], w_all[row_at[:, :, None], col_at[:, None, :]]
+        pmf, odds = _bp_rounds(miss, w, transferred_all[col_at], iterations)
+        # the clusters whose weights are all numbers; the rest pass NaN on unchecked
+        numbers = ~(np.isnan(miss).any(axis=1) | np.isnan(w).any(axis=(1, 2)))[:, None]
         real_rows, real_cols = row_at < L, col_at < M
-        legacy[row_at[real_rows], :1 + meas] = pmf[real_rows]
+        _check_marginals(pmf[real_rows & numbers], odds[real_cols & numbers])
+        legacy[row_at[real_rows], :pmf.shape[2]] = pmf[real_rows]
         claim[col_at[real_cols]] = odds[real_cols]
-
-    # NaN passes, as in `MarginalAssociation`: a forced-detection row (miss
-    # weight 0) with no weight on any measurement is 0 / 0
-    if (np.abs(legacy[row_of >= 0].sum(axis=1) - 1.0) > 1e-9).any() or (legacy < 0).any():
-        raise ValueError("marginal pmf is not normalized")
-    if ((claim < 0) | (claim > 1)).any():
-        raise ValueError("transfer claim is not a probability")
     return legacy, claim
 
 

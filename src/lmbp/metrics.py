@@ -15,9 +15,9 @@ class OspaParams:
     order: float = 2.0
 
     def __post_init__(self):
-        if self.cutoff <= 0:
+        if not self.cutoff > 0:
             raise ValueError("cutoff must be positive")
-        if self.order < 1:
+        if not self.order >= 1:
             raise ValueError("order must be >= 1")
 
 

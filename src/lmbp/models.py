@@ -81,7 +81,7 @@ class MotionModel:
     p_survival: float = 0.99
 
     def __post_init__(self):
-        if self.sigma_u < 0:
+        if not self.sigma_u >= 0:
             raise ValueError("sigma_u must be nonnegative")
         if not 0.0 <= self.p_survival <= 1.0:
             raise ValueError("p_survival must be in [0, 1]")
@@ -120,7 +120,7 @@ class SensorModel:
     def __post_init__(self):
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float).reshape(2))
         for name in ("max_range", "sigma_range", "sigma_bearing", "pd_scale"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 < self.pd_max <= 1.0:
             raise ValueError("pd_max must be in (0, 1]")
@@ -347,9 +347,9 @@ class ClutterModel:
     max_range: float = 300.0
 
     def __post_init__(self):
-        if self.mean_count < 0:
+        if not self.mean_count >= 0:
             raise ValueError("mean_count must be nonnegative")
-        if self.max_range <= 0:
+        if not self.max_range > 0:
             raise ValueError("max_range must be positive")
 
     @property
@@ -392,7 +392,7 @@ class BirthModel:
     particle_budget: int = 5000
 
     def __post_init__(self):
-        if self.mean_births < 0:
+        if not self.mean_births >= 0:
             raise ValueError("mean_births must be nonnegative")
         if self.particle_budget <= 0:
             raise ValueError("particle_budget must be positive")

@@ -52,7 +52,7 @@ class Thresholds:
     gamma_d: float = 0.5      # declare object detected (exclusive)
 
     def __post_init__(self):
-        if self.gamma_c < 0:
+        if not self.gamma_c >= 0:
             raise ValueError("gamma_c must be nonnegative")
         for name in ("gamma_tr", "gamma_leg", "gamma_d"):
             if not 0.0 < getattr(self, name) <= 1.0:
@@ -140,26 +140,24 @@ def _resampled(pending: Sequence[Pending], particle_budget: int,
 
 
 def update_legacy_track(label: Label, marginal: Mapping[int, float], miss: Hypothesis,
-                        detections: Mapping[int, Hypothesis], particle_budget: int,
-                        rng: np.random.Generator) -> BernoulliTrack:
+                        detections: Mapping[int, Hypothesis], states: np.ndarray,
+                        particle_budget: int, rng: np.random.Generator) -> BernoulliTrack:
     """Marginalized update of a legacy track, as `lmbp_step` makes it for one row.
 
     r = sum_a p(a) r(l,a); the pdf is the r(l,a)-weighted mixture of the
-    per-hypothesis pdfs. Precondition: every hypothesis pdf reweights the
-    same particles, those of the predicted track (as `TrackEvidence.miss`
-    and `TrackEvidence.detection` build them), so the mixture is one weight
-    vector over them, resampled to the track budget; a pdf on other
-    particles raises ValueError. A track whose mixture mass vanishes comes
-    back with r = 0 (the caller recycles it).
+    per-hypothesis pdfs. Every hypothesis weights the predicted track's
+    particles `states` (as `TrackEvidence.miss` and `TrackEvidence.detection`
+    return them), or is empty, so the mixture is one weight vector over
+    them, resampled to the track budget; a weight row of another length
+    raises ValueError. A track whose mixture mass vanishes comes back with
+    r = 0 (the caller recycles it).
     """
-    parts = [(marginal.get(0, 0.0) * miss.existence, miss.pdf)]
-    parts += [(marginal.get(m, 0.0) * hyp.existence, hyp.pdf) for m, hyp in detections.items()]
-    supports = [pdf.states for p, pdf in parts if p > 0.0 and len(pdf)]
-    if any(not np.array_equal(states, supports[0]) for states in supports[1:]):
-        raise ValueError("hypothesis pdfs do not share the predicted track's particles")
-    terms = [(p, pdf.weights) for p, pdf in parts]
-    pending = _legacy(label, terms, supports[0] if supports else None)
-    return _resampled([pending], particle_budget, rng)[0]
+    terms = [(marginal.get(0, 0.0) * miss.existence, miss.weights)]
+    terms += [(marginal.get(m, 0.0) * hyp.existence, hyp.weights)
+              for m, hyp in detections.items()]
+    if any(len(weights) not in (0, len(states)) for _, weights in terms):
+        raise ValueError("a hypothesis does not weight the predicted track's particles")
+    return _resampled([_legacy(label, terms, states)], particle_budget, rng)[0]
 
 
 def update_transferred_track(transfer: Pending, p_claim: float, particle_budget: int,
@@ -232,19 +230,19 @@ def _marginals(evidence: TrackEvidence, clusters: Sequence[tuple[np.ndarray, np.
     indexed like the step's tables (see `batch_bp_marginals`). Exact mode
     enumerates each cluster below the limits; every other cluster goes
     through one BP batch."""
-    row_of, col_of = evidence.row_of, evidence.col_of
-    exact = []
+    exact, batched = [], clusters
     if settings.marginals == "exact":
-        row_of, col_of = row_of.copy(), col_of.copy()
+        batched = []
         for rows, cols in clusters:
             problem = Cluster(evidence.miss_beta[rows], evidence.betas[np.ix_(rows, cols)],
                               new_beta[cols], transferred[cols])
             if (problem.det_beta.size <= EXACT_DEGREE_LIMIT
                     and enumeration_size(problem) <= EXACT_SIZE_LIMIT):
                 exact.append((rows, cols, exact_marginals(problem)))
-                row_of[rows], col_of[cols] = -1, -1
+            else:
+                batched.append((rows, cols))
     legacy, claim = batch_bp_marginals(evidence.miss_beta, evidence.betas, new_beta, transferred,
-                                       row_of, col_of, settings.bp_iterations)
+                                       batched, settings.bp_iterations)
     pmfs, claims = legacy.tolist(), claim.tolist()
     for rows, cols, marginal in exact:
         for i, pmf in zip(rows.tolist(), marginal.legacy.tolist()):
@@ -267,10 +265,10 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
     the rows of residual measurements that are not transferred return to the
     intensity, and `update_phd` gets those rows alone. The predicted tracks
     are one `TrackBlock`, the marginals of every cluster come from one
-    `batch_bp_marginals` call (`_marginals`), and every track that is
-    resampled, legacy then transferred per cluster and then the residual
-    transfers, goes through one `resample_rows` pass; `BernoulliTrack`s are
-    built for the output only.
+    `batch_bp_marginals` call over `partition`'s clusters (`_marginals`),
+    and every track that is resampled, legacy then transferred per cluster
+    and then the residual transfers, goes through one `resample_rows` pass;
+    `BernoulliTrack`s are built for the output only.
     Estimation is separate; see `lmbp.estimation`.
     """
     k = state.time + 1

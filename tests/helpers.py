@@ -1,5 +1,5 @@
 """Shared test utilities: controlled sensor doubles, random cluster generation,
-the closed-form and dense likelihood references and the dense intensity-update
+hypothesis pdfs, the closed-form and dense likelihood references and the dense intensity-update
 references."""
 
 from collections import Counter
@@ -10,6 +10,7 @@ import lmbp.association
 import lmbp.update
 from lmbp.association import Cluster
 from lmbp.models import SensorModel, wrap_angle
+from lmbp.rfs import ParticleSet
 
 
 class StubSensor:
@@ -116,6 +117,12 @@ def dense_polar_exponents(sensor, frame, rho, theta):
     quad += db * db
     quad *= -0.5
     return quad
+
+
+def pdf_of(states, hyp):
+    """The particle set of a hypothesis whose weights lie over `states`, or
+    the empty set; like any `ParticleSet`, it rejects non-finite weights."""
+    return ParticleSet(states, hyp.weights) if len(hyp.weights) else ParticleSet.empty()
 
 
 def cells_of(table, every=False):

@@ -50,7 +50,7 @@ from lmbp.update import (
     update_transferred_track,
 )
 
-from helpers import StubSensor, cells_of, max_label_tv, partition_of, random_cluster
+from helpers import StubSensor, cells_of, max_label_tv, partition_of, pdf_of, random_cluster
 from test_association import cc_oracle
 from test_update import ConstantPdSensor
 
@@ -192,7 +192,7 @@ def test_criterion_2_conservation():
         sensor = StubSensor(rng.random(n), rng.random((1, n)) * 0.1)
         det = detection_hypotheses(track, [Measurement(1.0, 0.0)], sensor)[0]
         miss = miss_hypothesis(track, sensor)
-        for pdf in (det.pdf, miss.pdf):
+        for pdf in (pdf_of(track.pdf.states, det), pdf_of(track.pdf.states, miss)):
             if len(pdf):
                 worst_pdf = max(worst_pdf, abs(pdf.total_weight - 1.0))
 
@@ -280,9 +280,9 @@ def test_criterion_4_micro_updates():
     support = np.zeros((2, 4))
     support[:, 0] = [1.0, 9.0]
     upd = update_legacy_track(Label(1, 1), {0: 0.5, 1: 0.5},
-                              Hypothesis(0.6, 0.2, ParticleSet(support, [1.0, 0.0])),
-                              {1: Hypothesis(0.3, 1.0, ParticleSet(support, [0.0, 1.0]))},
-                              64, np.random.default_rng(0))
+                              Hypothesis(0.6, 0.2, np.array([1.0, 0.0])),
+                              {1: Hypothesis(0.3, 1.0, np.array([0.0, 1.0]))},
+                              support, 64, np.random.default_rng(0))
     checks.append(abs(upd.existence - 0.6))
 
     pdf = pdf_at(2.0)

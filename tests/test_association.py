@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from helpers import (
     dense_likelihood_table,
     max_label_tv,
     partition_of,
+    pdf_of,
     random_cluster,
     row_sums,
     table_of,
@@ -60,19 +62,19 @@ class TestDetectionHypothesis:
         hyp = detection_hypotheses(track, [Z], StubSensor([0.7], [[0.05]]))[0]
         assert hyp.beta == pytest.approx(0.0175, abs=1e-15)
         assert hyp.existence == 1.0
-        np.testing.assert_allclose(hyp.pdf.weights, [1.0])
+        np.testing.assert_allclose(hyp.weights, [1.0])
 
     def test_two_particle_hand_values(self):
         # w = (.5, .5), pD = 1, f = (.2, .1): b = 0.15, pdf = (2/3, 1/3)
         track = track_of([0.5, 0.5], r=1.0)
         hyp = detection_hypotheses(track, [Z], StubSensor([1.0, 1.0], [[0.2, 0.1]]))[0]
         assert hyp.beta == pytest.approx(0.15, abs=1e-15)
-        np.testing.assert_allclose(hyp.pdf.weights, [2 / 3, 1 / 3], atol=1e-15)
+        np.testing.assert_allclose(hyp.weights, [2 / 3, 1 / 3], atol=1e-15)
 
     def test_zero_likelihood_yields_empty_hypothesis(self):
         track = track_of([1.0], r=0.5)
         hyp = detection_hypotheses(track, [Z], StubSensor([1.0], [[0.0]]))[0]
-        assert hyp.beta == 0.0 and len(hyp.pdf) == 0
+        assert hyp.beta == 0.0 and len(hyp.weights) == 0
 
     def test_whole_frame_matches_single_calls(self):
         track = track_of([0.3, 0.7], r=0.9)
@@ -97,7 +99,7 @@ class TestMissHypothesis:
         hyp = miss_hypothesis(track, StubSensor([0.0, 0.0]))
         assert hyp.beta == pytest.approx(1.0)
         assert hyp.existence == pytest.approx(0.3)
-        np.testing.assert_allclose(hyp.pdf.weights, [0.4, 0.6])
+        np.testing.assert_allclose(hyp.weights, [0.4, 0.6])
 
     def test_forced_detection_degenerate(self):
         track = track_of([1.0], r=1.0)
@@ -127,12 +129,12 @@ def parent_evidence(track, frame, sensor):
     return miss_beta, miss_pdf, betas, pdfs
 
 
-def assert_pdf(hyp, expected, states):
+def assert_pdf(pdf, expected, states):
     if expected is None:
-        assert len(hyp.pdf) == 0
+        assert len(pdf) == 0
     elif np.isfinite(expected).all():
-        assert np.array_equal(hyp.pdf.weights, expected)
-        assert np.array_equal(hyp.pdf.states, states)
+        assert np.array_equal(pdf.weights, expected)
+        assert np.array_equal(pdf.states, states)
     else:
         raise AssertionError("a non-finite pdf should not have been built")
 
@@ -147,20 +149,21 @@ def assert_evidence_exact(tracks, frame, sensor):
         miss_beta, miss_pdf, betas, pdfs = parent_evidence(track, frame, sensor)
         assert np.array_equal(evidence.miss_beta[i], miss_beta, equal_nan=True)
         assert np.array_equal(evidence.betas[i], betas, equal_nan=True)
+        states = evidence.states[i]
         if np.isnan(miss_beta):
             with pytest.raises(ValueError):
-                evidence.miss(i)
+                pdf_of(states, evidence.miss(i))
         else:
-            assert_pdf(evidence.miss(i), miss_pdf, track.pdf.states)
+            assert_pdf(pdf_of(states, evidence.miss(i)), miss_pdf, track.pdf.states)
         for m in range(1, len(frame) + 1):
             if m in pdfs and not np.isfinite(pdfs[m]).all():
                 with pytest.raises(ValueError):
-                    evidence.detection(i, m)
+                    pdf_of(states, evidence.detection(i, m))
                 continue
             hyp = evidence.detection(i, m)
             assert hyp.beta == betas[m - 1]
             assert hyp.existence == (1.0 if m in pdfs else 0.0)
-            assert_pdf(hyp, pdfs.get(m), track.pdf.states)
+            assert_pdf(pdf_of(states, hyp), pdfs.get(m), track.pdf.states)
     return evidence
 
 
@@ -224,7 +227,7 @@ class TestTrackEvidence:
         evidence = assert_evidence_exact([forced, absent], frame, sensor)
         assert evidence.miss_beta[0] == 0.0
         miss = evidence.miss(0)
-        assert miss.beta == 0.0 and miss.existence == 0.0 and len(miss.pdf) == 0
+        assert miss.beta == 0.0 and miss.existence == 0.0 and len(miss.weights) == 0
         assert evidence.miss_beta[1] == 1.0 and evidence.miss(1).existence == 0.0
         assert not evidence.betas[1].any() and evidence.betas[0, 0] > 0.0
 
@@ -298,8 +301,9 @@ def assert_gate_exact(tracks, frame, sensor, gamma_c):
                 ref = full.detection(i, m)
                 hyp = gated.detection(i, m)
                 assert hyp.beta == ref.beta and hyp.existence == ref.existence
-                assert np.array_equal(hyp.pdf.weights, ref.pdf.weights)
-                assert np.array_equal(hyp.pdf.states, ref.pdf.states)
+                assert np.array_equal(hyp.weights, ref.weights)
+                assert np.array_equal(pdf_of(gated.states[i], hyp).states,
+                                      pdf_of(full.states[i], ref).states)
     for i, j in zip(*np.nonzero(gated.deferred)):
         with pytest.raises(ValueError, match="deferred"):
             gated.detection(int(i), int(j) + 1)
@@ -350,7 +354,7 @@ class TestPlausibilityGate:
         assert not gated.deferred.any()
         assert gated.betas[1, 1] == full.betas[1, 1]
         assert 0.0 < gated.betas[1, 1] < 1e-10
-        assert np.array_equal(gated.detection(1, 2).pdf.weights, full.detection(1, 2).pdf.weights)
+        assert np.array_equal(gated.detection(1, 2).weights, full.detection(1, 2).weights)
         clusters, residual = partition(gated.row_of, gated.col_of)
         assert [(r.tolist(), c.tolist()) for r, c in clusters] == [([0, 1], [0, 1])]
         assert residual.tolist() == [2]
@@ -406,7 +410,7 @@ class TestPlausibilityGate:
         full = evidence_of([track], frame, sensor, 0.0)
         for m, hyp in enumerate(hyps, start=1):
             assert hyp.beta == full.betas[0, m - 1]
-            assert np.array_equal(hyp.pdf.weights, full.detection(0, m).pdf.weights)
+            assert np.array_equal(hyp.weights, full.detection(0, m).weights)
 
 
 class TestNewComponent:
@@ -610,6 +614,18 @@ class TestCluster:
             Cluster(np.ones(1), np.ones((1, 2)), np.ones(2), np.zeros(3, dtype=bool))
 
 
+class TestMarginalAssociation:
+    @pytest.mark.parametrize("legacy, claim", [
+        ([[np.nan, np.nan]], [0.5]),
+        ([[0.5, 0.5]], [np.nan]),
+        ([[1.5, -0.5]], [0.5]),
+        ([[0.5, 0.5]], [1.5]),
+    ])
+    def test_rejects_nan_and_out_of_range(self, legacy, claim):
+        with pytest.raises(ValueError):
+            MarginalAssociation(np.array(legacy), np.array(claim))
+
+
 class TestEnumerateAdmissible:
     def test_one_legacy_one_measurement(self):
         cluster = single_legacy_cluster(0.4, [2.0], [1.5])
@@ -720,9 +736,17 @@ class TestExactMarginals:
         assert with_transfers >= 50
 
 
+class Marginals(NamedTuple):
+    """Unchecked marginals, as `MarginalAssociation` holds them."""
+
+    legacy: np.ndarray
+    claim: np.ndarray
+
+
 def fixed_iteration_bp(cluster, iterations):
     """Reference for `bp_marginals`: every one of `iterations` rounds run,
-    with no exit at a fixed point, and every belief built label by label."""
+    with no exit at a fixed point, and every belief built label by label.
+    The marginals are returned unchecked, NaN included."""
     L, M = cluster.det_beta.shape
     w = cluster.det_beta / np.maximum(cluster.new_beta, 1e-300)[None, :]
     tmask = cluster.transferred.astype(float)
@@ -744,7 +768,7 @@ def fixed_iteration_bp(cluster, iterations):
         # the last round's column sum, the one its nu update read
         odds = 1.0 / (1.0 + tmask[j] - 1.0 + sum_x[j])
         claim[j] = odds / (1.0 + odds)
-    return MarginalAssociation(legacy, claim)
+    return Marginals(legacy, claim)
 
 
 def assert_same_marginals(got, want):
@@ -855,44 +879,61 @@ class TestBatchBpMarginals:
     def test_equals_fixed_iterations_cluster_by_cluster(self, clusters, random):
         # the clusters' rows and columns are interleaved across the tables, and
         # one row and two columns lie in no cluster; every entry outside a
-        # cluster holds 3.0, which the batch must not read
+        # cluster holds 3.0, which the batch must not read. The cluster list
+        # goes in as placed, shuffled, and as a random subset, as exact mode
+        # passes one. Every weight is a number, so a NaN marginal is one that
+        # BP made, and a list with one raises
         L = sum(c.det_beta.shape[0] for c in clusters) + 1
         M = sum(c.det_beta.shape[1] for c in clusters) + 2
         row_order, col_order = random.sample(range(L), L), random.sample(range(M), M)
         miss, betas = np.full(L, 3.0), np.full((L, M), 3.0)
         new, transferred = np.full(M, 3.0), np.ones(M, dtype=bool)
-        row_of, col_of = np.full(L, -1), np.full(M, -1)
         placed = []
-        for name, cluster in enumerate(clusters):
+        for cluster in clusters:
             size, meas = cluster.det_beta.shape
             rows = np.array(sorted(row_order[:size]), dtype=np.intp)
             cols = np.array(sorted(col_order[:meas]), dtype=np.intp)
             del row_order[:size], col_order[:meas]
-            row_of[rows], col_of[cols] = name, name
             miss[rows], betas[np.ix_(rows, cols)] = cluster.miss_beta, cluster.det_beta
             new[cols], transferred[cols] = cluster.new_beta, cluster.transferred
-            placed.append((rows, cols))
+            placed.append((fixed_iteration_bp(cluster, 20), rows, cols))
 
-        legacy, claim = batch_bp_marginals(miss, betas, new, transferred, row_of, col_of, 20)
-        assert legacy.shape == (L, 1 + max(c.det_beta.shape[1] for c in clusters))
-        for cluster, (rows, cols) in zip(clusters, placed):
-            want = fixed_iteration_bp(cluster, 20)
-            width = 1 + len(cols)
-            assert np.array_equal(legacy[rows, :width], want.legacy, equal_nan=True)
-            # the padding is 0, and NaN only in a row that is NaN already
-            assert not np.nan_to_num(legacy[rows, width:]).any()
-            assert np.array_equal(claim[cols], want.claim, equal_nan=True)
-        assert not legacy[row_of < 0].any() and not claim[col_of < 0].any()
+        shuffled = random.sample(placed, len(placed))
+        subset = random.sample(placed, random.randint(0, len(placed)))
+        for listed in (placed, shuffled, subset):
+            args = (miss, betas, new, transferred, [(rows, cols) for _, rows, cols in listed], 20)
+            if any(np.isnan(want.legacy).any() or np.isnan(want.claim).any()
+                   for want, _, _ in listed):
+                with pytest.raises(ValueError):
+                    batch_bp_marginals(*args)
+                continue
+            legacy, claim = batch_bp_marginals(*args)
+            assert legacy.shape == (L, 1 + max((len(cols) for _, _, cols in listed), default=0))
+            row_of, col_of = np.full(L, -1), np.full(M, -1)
+            for name, (want, rows, cols) in enumerate(listed):
+                row_of[rows], col_of[cols] = name, name
+                width = 1 + len(cols)
+                assert np.array_equal(legacy[rows, :width], want.legacy, equal_nan=True)
+                # the padding is 0, and NaN only in a row that is NaN already
+                assert not np.nan_to_num(legacy[rows, width:]).any()
+                assert np.array_equal(claim[cols], want.claim, equal_nan=True)
+            assert not legacy[row_of < 0].any() and not claim[col_of < 0].any()
 
     def test_no_clusters(self):
         legacy, claim = batch_bp_marginals(np.ones(2), np.ones((2, 3)), np.ones(3),
-                                           np.ones(3, dtype=bool), np.full(2, -1),
-                                           np.full(3, -1), 20)
+                                           np.ones(3, dtype=bool), [], 20)
         assert legacy.tolist() == [[0.0], [0.0]] and claim.tolist() == [0.0, 0.0, 0.0]
+
+    def test_nan_weights_pass_unchecked(self):
+        # inf / inf is no weight: the cluster's marginals are NaN, returned as they are
+        with np.errstate(invalid="ignore"):
+            legacy, claim = batch_bp_marginals(np.array([0.5]), np.array([[np.inf]]),
+                                               np.array([np.inf]), np.array([True]),
+                                               [(np.arange(1), np.arange(1))], 20)
+        assert np.isnan(legacy).all() and np.isnan(claim).all()
 
     def test_rejects_a_negative_marginal(self):
         # a negative weight is no probability; the check reads the arrays
         with pytest.raises(ValueError, match="not normalized"):
             batch_bp_marginals(np.array([1.0, 0.5]), np.array([[-2.0], [1.0]]), np.ones(1),
-                               np.zeros(1, dtype=bool), np.zeros(2, dtype=np.intp),
-                               np.zeros(1, dtype=np.intp), 20)
+                               np.zeros(1, dtype=bool), [(np.arange(2), np.arange(1))], 20)

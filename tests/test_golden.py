@@ -27,7 +27,6 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import lmbp.update
@@ -95,10 +94,9 @@ def count_paths(monkeypatch) -> Counter:
         counts["exact"] += 1
         return exact_marginals(*args, **kwargs)
 
-    def bp_spy(miss_beta, betas, new_beta, transferred, row_of, col_of, *args):
-        # the clusters the batch marginalizes, by name
-        counts["bp"] += len(np.union1d(row_of[row_of >= 0], col_of[col_of >= 0]))
-        return batch_bp_marginals(miss_beta, betas, new_beta, transferred, row_of, col_of, *args)
+    def bp_spy(miss_beta, betas, new_beta, transferred, clusters, *args):
+        counts["bp"] += len(clusters)   # the clusters the batch marginalizes
+        return batch_bp_marginals(miss_beta, betas, new_beta, transferred, clusters, *args)
 
     monkeypatch.setattr(lmbp.update, "partition", partition_spy)
     monkeypatch.setattr(lmbp.update, "select_transfers", select_transfers_spy)

@@ -9,6 +9,7 @@ from scipy.stats import chi2
 
 from lmbp.cli import initial_state
 from lmbp.config import build_run_config
+from lmbp.metrics import OspaParams
 from lmbp.models import (
     EXP_FLOOR,
     BirthModel,
@@ -19,7 +20,7 @@ from lmbp.models import (
 )
 from lmbp.rfs import Measurement, write_snapshot
 from lmbp.simulate import generate_frames, generate_truth
-from lmbp.update import lmbp_step
+from lmbp.update import Thresholds, lmbp_step
 
 from helpers import (
     cells_of,
@@ -68,6 +69,23 @@ class TestMotionModel:
             MotionModel(sigma_u=-1.0)
         with pytest.raises(ValueError):
             MotionModel(p_survival=1.2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Thresholds(gamma_c=np.nan),
+    lambda: MotionModel(sigma_u=np.nan),
+    lambda: SensorModel(sigma_range=np.nan),
+    lambda: SensorModel(pd_scale=np.nan),
+    lambda: ClutterModel(mean_count=np.nan),
+    lambda: BirthModel(mean_births=np.nan),
+    lambda: OspaParams(cutoff=np.nan),
+    lambda: OspaParams(order=np.nan),
+], ids=["gamma_c", "sigma_u", "sigma_range", "pd_scale", "mean_count", "mean_births",
+        "cutoff", "order"])
+def test_nan_parameters_are_rejected(make):
+    # a NaN gamma_c would cluster nothing: betas >= nan is False everywhere
+    with pytest.raises(ValueError):
+        make()
 
 
 def pd_of(sensor, states):

@@ -145,25 +145,25 @@ class TestUpdateLegacyTrack:
     label = Label(2, 3)
 
     def test_pure_miss(self):
-        miss = Hypothesis(0.6, 0.25, MISS_PDF)
-        out = update_legacy_track(self.label, {0: 1.0}, miss, {}, 50,
+        miss = Hypothesis(0.6, 0.25, MISS_PDF.weights)
+        out = update_legacy_track(self.label, {0: 1.0}, miss, {}, SUPPORT, 50,
                                   np.random.default_rng(0))
         assert out.existence == pytest.approx(0.25, abs=1e-15)
         assert np.all(np.isin(out.pdf.states[:, 0], [1.0, 2.0]))
 
     def test_pure_detection(self):
-        miss = Hypothesis(0.6, 0.25, MISS_PDF)
-        det = {1: Hypothesis(0.3, 1.0, DET_PDF)}
-        out = update_legacy_track(self.label, {0: 0.0, 1: 1.0}, miss, det, 50,
+        miss = Hypothesis(0.6, 0.25, MISS_PDF.weights)
+        det = {1: Hypothesis(0.3, 1.0, DET_PDF.weights)}
+        out = update_legacy_track(self.label, {0: 0.0, 1: 1.0}, miss, det, SUPPORT, 50,
                                   np.random.default_rng(0))
         assert out.existence == pytest.approx(1.0)
         assert np.all(np.isin(out.pdf.states[:, 0], [8.0, 9.0]))
 
     def test_even_mixture_hand_values(self):
         # p(0) = p(m1) = 0.5, miss existence 0.2: r = 0.6, mixture (1/6, 5/6)
-        miss = Hypothesis(0.6, 0.2, MISS_PDF)
-        det = {1: Hypothesis(0.3, 1.0, DET_PDF)}
-        out = update_legacy_track(self.label, {0: 0.5, 1: 0.5}, miss, det, 600,
+        miss = Hypothesis(0.6, 0.2, MISS_PDF.weights)
+        det = {1: Hypothesis(0.3, 1.0, DET_PDF.weights)}
+        out = update_legacy_track(self.label, {0: 0.5, 1: 0.5}, miss, det, SUPPORT, 600,
                                   np.random.default_rng(0))
         assert out.existence == pytest.approx(0.6, abs=1e-15)
         frac_miss = float(np.mean(out.pdf.states[:, 0] < 5.0))
@@ -174,24 +174,25 @@ class TestUpdateLegacyTrack:
     @pytest.mark.parametrize("seed", range(5))
     def test_resampled_counts_match_closed_form_weights(self, seed):
         # posterior weights (0.5 * 0.2 * miss + 0.5 * 1.0 * det) / 0.6
-        miss = Hypothesis(0.6, 0.2, MISS_PDF)
-        det = {1: Hypothesis(0.3, 1.0, DET_PDF)}
-        out = update_legacy_track(self.label, {0: 0.5, 1: 0.5}, miss, det, 600,
+        miss = Hypothesis(0.6, 0.2, MISS_PDF.weights)
+        det = {1: Hypothesis(0.3, 1.0, DET_PDF.weights)}
+        out = update_legacy_track(self.label, {0: 0.5, 1: 0.5}, miss, det, SUPPORT, 600,
                                   np.random.default_rng(seed))
         weights = (0.1 * MISS_PDF.weights + 0.5 * DET_PDF.weights) / 0.6
         np.testing.assert_allclose(weights, [1 / 12, 1 / 12, 5 / 24, 5 / 8])
         assert_systematic_counts(out.pdf, SUPPORT, weights, 600)
 
-    def test_mismatched_supports_raise(self):
-        miss = Hypothesis(0.6, 0.2, MISS_PDF)
-        det = {1: Hypothesis(0.3, 1.0, ParticleSet(SUPPORT + 1.0, DET_PDF.weights))}
-        with pytest.raises(ValueError, match="share"):
-            update_legacy_track(self.label, {0: 0.5, 1: 0.5}, miss, det, 600,
+    def test_mismatched_lengths_raise(self):
+        # a weight row one particle longer lies over other particles than the track's
+        miss = Hypothesis(0.6, 0.2, MISS_PDF.weights)
+        det = {1: Hypothesis(0.3, 1.0, np.append(DET_PDF.weights, 0.0))}
+        with pytest.raises(ValueError, match="particles"):
+            update_legacy_track(self.label, {0: 0.5, 1: 0.5}, miss, det, SUPPORT, 600,
                                 np.random.default_rng(0))
 
     def test_zero_mass_returns_dead_track(self):
-        miss = Hypothesis(0.6, 0.0, ParticleSet.empty())
-        out = update_legacy_track(self.label, {0: 1.0}, miss, {}, 50,
+        miss = Hypothesis(0.6, 0.0, np.empty(0))
+        out = update_legacy_track(self.label, {0: 1.0}, miss, {}, SUPPORT, 50,
                                   np.random.default_rng(0))
         assert out.existence == 0.0 and len(out.pdf) == 0
 
@@ -219,18 +220,18 @@ class TestOnePassUpdate:
         rng = np.random.default_rng(4)
         support = rng.normal(size=(40, 4))
         miss_w, det_w = rng.random(40), rng.random(40) * (rng.random(40) < 0.5)
-        miss = Hypothesis(0.5, 0.3, ParticleSet(support, miss_w / miss_w.sum()))
-        det = {2: Hypothesis(0.2, 1.0, ParticleSet(support, det_w / det_w.sum()))}
+        miss = Hypothesis(0.5, 0.3, miss_w / miss_w.sum())
+        det = {2: Hypothesis(0.2, 1.0, det_w / det_w.sum())}
         marginals = [{0: 0.4, 2: 0.6}, {0: 0.0, 2: 0.0}, {0: 1.0, 2: 0.0}]
         weights = rng.random(9)
         comp = Pending(Label(2, 1), 0.7, (weights / weights.sum(), support[:9]))
         a, b = np.random.default_rng(6), np.random.default_rng(6)
-        one_by_one = [update_legacy_track(Label(1, i + 1), marginal, miss, det, 64, a)
+        one_by_one = [update_legacy_track(Label(1, i + 1), marginal, miss, det, support, 64, a)
                       for i, marginal in enumerate(marginals)]
         one_by_one += [update_transferred_track(comp, 0.5, 64, a)]
         pending = [_legacy(Label(1, i + 1),
-                           [(m[0] * miss.existence, miss.pdf.weights),
-                            (m[2] * 1.0, det[2].pdf.weights)], support)
+                           [(m[0] * miss.existence, miss.weights),
+                            (m[2] * 1.0, det[2].weights)], support)
                    for i, m in enumerate(marginals)]
         pending.append(comp._replace(existence=0.5 * comp.existence))
         one_pass = _resampled(pending, 64, b)
@@ -456,6 +457,17 @@ class TestLmbpStep:
         assert out.tracks[0].label == Label(1, 1)
         assert out.tracks[0].existence == pytest.approx(2 / 3, abs=1e-12)
 
+    @pytest.mark.parametrize("marginals", ["bp", "exact"])
+    def test_forced_detection_with_nothing_to_detect_raises(self, marginals):
+        # r = 1 and pD = 1 with an empty frame: the miss weight is 0 and no
+        # measurement is left, so every association hypothesis weighs 0; BP's
+        # marginal is 0 / 0 and enumeration finds no weight, and both modes raise
+        track = BernoulliTrack(Label(1, 1), 1.0, pdf_at(10.0, n=8))
+        state = FilterState((track,), PoissonPhd.empty(), 1)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            lmbp_step(state, [], micro_models(pd_const=1.0, p_survival=1.0), Thresholds(),
+                      np.random.default_rng(0), settings=small_settings(marginals))
+
     def test_prediction_drops_dead_tracks_and_raises_on_faults(self):
         @dataclass(frozen=True)
         class NanSurvival(MotionModel):
@@ -512,7 +524,7 @@ class TestLmbpStep:
         # that pair (key 2 of track 0's marginal) is in the cluster with b = 0
         # and gets a zero marginal, and only the other pairs may have a pdf built
         built, updates = [], []
-        detection = TrackEvidence._detection
+        detection = TrackEvidence.detection
         terms = TrackEvidence.terms
 
         def detection_spy(evidence, i, m):
@@ -524,7 +536,7 @@ class TestLmbpStep:
             updates.append((i, dict(zip([0] + [m + 1 for m in cols], pmf)), result))
             return result
 
-        monkeypatch.setattr(TrackEvidence, "_detection", detection_spy)
+        monkeypatch.setattr(TrackEvidence, "detection", detection_spy)
         monkeypatch.setattr(TrackEvidence, "terms", terms_spy)
         models = micro_models(pd_const=0.7)
         tracks = tuple(BernoulliTrack(Label(1, i + 1), 0.6, pdf_at(x1, n=8))
