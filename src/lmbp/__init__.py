@@ -1,9 +1,8 @@
 """Particle-based labeled multi-Bernoulli / Poisson multi-object tracking filter."""
 
 from .association import (
-    Cluster,
     Hypothesis,
-    MarginalAssociation,
+    Marginals,
     TrackEvidence,
     batch_bp_marginals,
     bp_marginals,

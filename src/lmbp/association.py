@@ -11,10 +11,13 @@ the cluster's measurement j at entry 1 + j.
 
 A hypothesis (`Hypothesis`) is a weight row over its track's own particles,
 so no particle set is built before the track is resampled. `partition`
-groups the plausible pairs into clusters once, and every marginal path
-reads that list: `exact_marginals` one `Cluster` at a time and
-`batch_bp_marginals` all at once. `_check_marginals` checks every marginal
-either of them returns.
+groups the plausible pairs into clusters once, as `(rows, cols)` index
+arrays into the step's tables, and both marginal paths take those tables
+and that list and return one `Marginals` in one layout:
+`batch_bp_marginals` runs BP on every cluster at once, and
+`exact_marginals` enumerates the clusters within its limits and hands the
+rest to one batch. Each path runs `_check_marginals` once on what it
+computed.
 """
 
 from __future__ import annotations
@@ -279,42 +282,18 @@ def partition(row_of: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cluster:
-    """One independent association problem: the association-weight tables of
-    L legacy labels and M measurements.
+class Marginals(NamedTuple):
+    """Marginal association probabilities, indexed like the step's tables.
 
-    `det_beta[i, j]` pairs legacy label i with measurement j. A measurement
-    with `transferred[j]` set also has a transfer label, which carries the
-    implicit weights new_beta[j] for claim and 1 for no-claim.
+    `legacy[i, 0]` is row i's miss and `legacy[i, 1 + k]` its detection of
+    its cluster's k-th measurement, then padding; `claim[j]` is the
+    probability that the transfer on column j claims it, 0 where there is no
+    transfer. A row or column in no cluster holds zeros. Nothing is checked
+    here: each marginal path runs `_check_marginals` on what it computed.
     """
 
-    miss_beta: np.ndarray              # (L,)
-    det_beta: np.ndarray               # (L, M)
-    new_beta: np.ndarray               # (M,)
-    transferred: np.ndarray            # (M,) bool
-
-    def __post_init__(self):
-        L, M = self.det_beta.shape
-        shapes = (self.miss_beta.shape, self.new_beta.shape, self.transferred.shape)
-        if shapes != ((L,), (M,), (M,)):
-            raise ValueError("cluster tables disagree in shape")
-
-
-@dataclass(frozen=True)
-class MarginalAssociation:
-    """Marginal association probabilities of one cluster.
-
-    `legacy[i, 0]` is legacy label i's miss and `legacy[i, 1 + j]` its
-    detection of measurement j; `claim[j]` is the probability that the
-    transfer on measurement j claims it, 0 where there is no transfer.
-    """
-
-    legacy: np.ndarray                 # (L, 1 + M)
+    legacy: np.ndarray                 # (L, 1 + W), W the widest cluster's measurement count
     claim: np.ndarray                  # (M,)
-
-    def __post_init__(self):
-        _check_marginals(self.legacy, self.claim)
 
 
 def _check_marginals(legacy: np.ndarray, claim: np.ndarray) -> None:
@@ -327,22 +306,30 @@ def _check_marginals(legacy: np.ndarray, claim: np.ndarray) -> None:
         raise ValueError("transfer claim is not a probability")
 
 
-def enumerate_admissible(cluster: Cluster) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All admissible association vectors of a cluster with normalized weights.
+def enumerate_admissible(miss_beta: np.ndarray, det_beta: np.ndarray, new_beta: np.ndarray,
+                         transferred: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All admissible association vectors of one cluster with normalized weights.
+
+    The cluster's tables are `miss_beta` (L,), `det_beta` (L, M), where
+    entry (i, j) pairs legacy label i with measurement j, `new_beta` (M,) and
+    `transferred` (M,): a measurement with a transfer label, which carries
+    the implicit weights new_beta[j] for claim and 1 for no-claim.
 
     Returns `(legacy, claims, weights)` over the H vectors: `legacy` (H, L)
     holds each legacy label's entry, 0 for a miss and 1 + j for measurement
     j; `claims` (H, M) marks the measurements a transfer claims. No
     measurement is claimed twice, and every unclaimed measurement contributes
     its beta(m) factor. Weights are products of beta factors, computed in log
-    domain and normalized to sum to one.
+    domain and normalized to sum to one. A non-finite weight raises ValueError.
     """
-    L, M = cluster.det_beta.shape
+    if not all(np.isfinite(table).all() for table in (miss_beta, det_beta, new_beta)):
+        raise ValueError("an association weight is non-finite")
+    L, M = det_beta.shape
     with np.errstate(divide="ignore"):
-        log_miss = np.log(cluster.miss_beta)
-        log_det = np.log(cluster.det_beta)
-        log_new = np.log(cluster.new_beta)
-    tr_pos = np.flatnonzero(cluster.transferred).tolist()
+        log_miss = np.log(miss_beta)
+        log_det = np.log(det_beta)
+        log_new = np.log(new_beta)
+    tr_pos = np.flatnonzero(transferred).tolist()
 
     # (legacy entries, bit mask of the transfers' claims, log weight)
     vectors: list[tuple[tuple[int, ...], int, float]] = []
@@ -382,32 +369,56 @@ def enumerate_admissible(cluster: Cluster) -> tuple[np.ndarray, np.ndarray, np.n
     return legacy, claims, w
 
 
-def exact_marginals(cluster: Cluster) -> MarginalAssociation:
-    """Marginal association probabilities by direct summation over admissible
-    vectors, each accumulated in enumeration order."""
-    entries, claims, weights = enumerate_admissible(cluster)
-    L, M = cluster.det_beta.shape
-    legacy = np.zeros((L, 1 + M))
-    np.add.at(legacy, (np.arange(L), entries), weights[:, None])
-    claim = np.zeros(M)
-    vector, meas = np.nonzero(claims)
-    np.add.at(claim, meas, weights[vector])
-    return MarginalAssociation(legacy, claim)
+# exact enumeration is honored only within these bounds; bigger clusters use BP
+EXACT_DEGREE_LIMIT = 20
+EXACT_SIZE_LIMIT = 1e5
 
 
-def enumeration_size(cluster: Cluster) -> float:
-    """Upper bound on the admissible-vector count (guards exact mode)."""
-    L, M = cluster.det_beta.shape
-    return float((M + 1) ** L * 2 ** int(np.count_nonzero(cluster.transferred)))
+def exact_marginals(miss_beta: np.ndarray, betas: np.ndarray, new_beta: np.ndarray,
+                    transferred: np.ndarray, clusters: Sequence[tuple[np.ndarray, np.ndarray]],
+                    iterations: int = 20) -> Marginals:
+    """Marginal association probabilities of every cluster of a list, from the
+    same tables and `(rows, cols)` list as `batch_bp_marginals` and in the
+    same layout.
 
-
-def bp_marginals(cluster: Cluster, iterations: int = 20) -> MarginalAssociation:
-    """Loopy BP marginals of one cluster: a one-cluster call of `batch_bp_marginals`."""
-    L, M = cluster.det_beta.shape
-    legacy, claim = batch_bp_marginals(cluster.miss_beta, cluster.det_beta, cluster.new_beta,
-                                       cluster.transferred, [(np.arange(L), np.arange(M))],
+    A cluster of at most `EXACT_DEGREE_LIMIT` label-measurement pairs, at
+    most `EXACT_SIZE_LIMIT` vectors by the bound (M + 1)^L 2^T with T its
+    transfers, and finite weights is enumerated, each marginal accumulated
+    in enumeration order. Every other cluster goes through one
+    `batch_bp_marginals` call, so a cluster with a non-finite weight gets
+    the marginals BP mode gives it.
+    """
+    enumerated, batched = [], []
+    for rows, cols in clusters:
+        tables = (miss_beta[rows], betas[np.ix_(rows, cols)], new_beta[cols], transferred[cols])
+        if (len(rows) * len(cols) <= EXACT_DEGREE_LIMIT
+                and (len(cols) + 1) ** len(rows) * 2 ** int(tables[3].sum()) <= EXACT_SIZE_LIMIT
+                and all(np.isfinite(table).all() for table in tables[:3])):
+            enumerated.append((rows, cols, tables))
+        else:
+            batched.append((rows, cols))
+    legacy, claim = batch_bp_marginals(miss_beta, betas, new_beta, transferred, batched,
                                        iterations)
-    return MarginalAssociation(legacy, claim)
+    width = 1 + max((len(cols) for _, cols in clusters), default=0)
+    legacy = np.pad(legacy, ((0, 0), (0, width - legacy.shape[1])))
+    done_rows, done_cols = np.zeros(len(legacy), dtype=bool), np.zeros(len(claim), dtype=bool)
+    for rows, cols, tables in enumerated:
+        entries, claims, weights = enumerate_admissible(*tables)
+        np.add.at(legacy, (rows, entries), weights[:, None])
+        vector, meas = np.nonzero(claims)
+        np.add.at(claim, cols[meas], weights[vector])
+        done_rows[rows], done_cols[cols] = True, True
+    _check_marginals(legacy[done_rows], claim[done_cols])
+    return Marginals(legacy, claim)
+
+
+def bp_marginals(miss_beta: np.ndarray, det_beta: np.ndarray, new_beta: np.ndarray,
+                 transferred: np.ndarray, iterations: int = 20) -> Marginals:
+    """Loopy BP marginals of one cluster's tables, as `enumerate_admissible`
+    takes them: a one-cluster call of `batch_bp_marginals`."""
+    L, M = det_beta.shape
+    return batch_bp_marginals(miss_beta, det_beta, new_beta, transferred,
+                              [(np.arange(L), np.arange(M))], iterations)
 
 
 # numpy adds fewer than this many terms left to right and regroups more
@@ -417,7 +428,7 @@ _PAIRWISE = 8
 
 def batch_bp_marginals(miss_beta: np.ndarray, betas: np.ndarray, new_beta: np.ndarray,
                        transferred: np.ndarray, clusters: Sequence[tuple[np.ndarray, np.ndarray]],
-                       iterations: int = 20) -> tuple[np.ndarray, np.ndarray]:
+                       iterations: int = 20) -> Marginals:
     """Loopy belief propagation on the bipartite label-measurement graph of
     every cluster of a list at once.
 
@@ -449,11 +460,8 @@ def batch_bp_marginals(miss_beta: np.ndarray, betas: np.ndarray, new_beta: np.nd
     or measurements plus miss, would change its sums' grouping if padded,
     so it runs as a batch of its own.
 
-    Returns `(legacy, claim)`: `legacy` (L, 1 + W), W the widest cluster's
-    measurement count, holds row i's marginal over its miss and its
-    cluster's measurements in order, then padding (0, or NaN in a NaN row);
-    `claim` (M,) holds column j's transfer claim, 0 where it has no
-    transfer. A row or column in no cluster of the list gets zeros.
+    Returns the `Marginals` of the list; a row's padding is 0, or NaN in a
+    NaN row.
 
     Each batch's marginals pass `_check_marginals`, or ValueError is raised,
     so a NaN that BP makes from numbers raises: the 0 / 0 of a row with no
@@ -491,7 +499,7 @@ def batch_bp_marginals(miss_beta: np.ndarray, betas: np.ndarray, new_beta: np.nd
         _check_marginals(pmf[real_rows & numbers], odds[real_cols & numbers])
         legacy[row_at[real_rows], :pmf.shape[2]] = pmf[real_rows]
         claim[col_at[real_cols]] = odds[real_cols]
-    return legacy, claim
+    return Marginals(legacy, claim)
 
 
 def _bp_rounds(miss: np.ndarray, w: np.ndarray, transferred: np.ndarray,

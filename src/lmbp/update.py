@@ -11,11 +11,8 @@ import numpy as np
 
 from .association import (
     Cells,
-    Cluster,
     Hypothesis,
-    TrackEvidence,
     batch_bp_marginals,
-    enumeration_size,
     exact_marginals,
     new_components,
     partition,
@@ -36,11 +33,6 @@ from .rfs import (
 )
 # perfbench's tracer wraps `predict_track` here; it stays until ROADMAP item 5
 from .prediction import predict_phd, predict_track, predict_tracks  # noqa: F401
-
-# exact enumeration is honored only below these bounds; bigger clusters use BP
-EXACT_DEGREE_LIMIT = 20
-EXACT_SIZE_LIMIT = 1e5
-
 
 @dataclass(frozen=True)
 class Thresholds:
@@ -223,35 +215,6 @@ def _rows_of(cells: Cells, keep: np.ndarray) -> Cells:
     return (np.cumsum(keep) - 1)[row[inside]], col[inside], value[inside]
 
 
-def _marginals(evidence: TrackEvidence, clusters: Sequence[tuple[np.ndarray, np.ndarray]],
-               new_beta: np.ndarray, transferred: np.ndarray,
-               settings: FilterSettings) -> tuple[list[list[float]], list[float]]:
-    """Every row's marginal pmf and every column's transfer claim, as lists
-    indexed like the step's tables (see `batch_bp_marginals`). Exact mode
-    enumerates each cluster below the limits; every other cluster goes
-    through one BP batch."""
-    exact, batched = [], clusters
-    if settings.marginals == "exact":
-        batched = []
-        for rows, cols in clusters:
-            problem = Cluster(evidence.miss_beta[rows], evidence.betas[np.ix_(rows, cols)],
-                              new_beta[cols], transferred[cols])
-            if (problem.det_beta.size <= EXACT_DEGREE_LIMIT
-                    and enumeration_size(problem) <= EXACT_SIZE_LIMIT):
-                exact.append((rows, cols, exact_marginals(problem)))
-            else:
-                batched.append((rows, cols))
-    legacy, claim = batch_bp_marginals(evidence.miss_beta, evidence.betas, new_beta, transferred,
-                                       batched, settings.bp_iterations)
-    pmfs, claims = legacy.tolist(), claim.tolist()
-    for rows, cols, marginal in exact:
-        for i, pmf in zip(rows.tolist(), marginal.legacy.tolist()):
-            pmfs[i] = pmf
-        for j, p in zip(cols.tolist(), marginal.claim.tolist()):
-            claims[j] = p
-    return pmfs, claims
-
-
 def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
               thresholds: Thresholds, rng: np.random.Generator,
               prev_frame: Sequence[Measurement] = (),
@@ -264,10 +227,11 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
     association, and label indices count positions in the kept frame. Only
     the rows of residual measurements that are not transferred return to the
     intensity, and `update_phd` gets those rows alone. The predicted tracks
-    are one `TrackBlock`, the marginals of every cluster come from one
-    `batch_bp_marginals` call over `partition`'s clusters (`_marginals`),
-    and every track that is resampled, legacy then transferred per cluster
-    and then the residual transfers, goes through one `resample_rows` pass;
+    are one `TrackBlock`, the marginals of every cluster come from one call
+    over the step's tables and `partition`'s clusters (`batch_bp_marginals`,
+    or `exact_marginals` in exact mode, with the same arguments), and every
+    track that is resampled, legacy then transferred per cluster and then
+    the residual transfers, goes through one `resample_rows` pass;
     `BernoulliTrack`s are built for the output only.
     Estimation is separate; see `lmbp.estimation`.
     """
@@ -298,7 +262,10 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
 
     # the updated tracks in the order their uniforms are drawn: per cluster,
     # its rows and then its transfers
-    pmfs, claims = _marginals(evidence, clusters, new_beta, transferred, settings)
+    marginals = exact_marginals if settings.marginals == "exact" else batch_bp_marginals
+    legacy, claim = marginals(evidence.miss_beta, evidence.betas, new_beta, transferred,
+                              clusters, settings.bp_iterations)
+    pmfs, claims = legacy.tolist(), claim.tolist()
     pending: list[Pending] = []
     for rows, cols in clusters:
         col_list = cols.tolist()

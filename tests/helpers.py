@@ -3,12 +3,12 @@ hypothesis pdfs, the closed-form and dense likelihood references and the dense i
 references."""
 
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 
 import lmbp.association
 import lmbp.update
-from lmbp.association import Cluster
 from lmbp.models import SensorModel, wrap_angle
 from lmbp.rfs import ParticleSet
 
@@ -55,6 +55,25 @@ class StubSensor:
         return self.likelihood_table(frame, rho)[meas]
 
 
+class ClusterTables(NamedTuple):
+    """One cluster's association-weight tables, in the argument order of
+    `enumerate_admissible` and `bp_marginals`: `det_beta[i, j]` pairs legacy
+    label i with measurement j, and `transferred[j]` marks a measurement
+    with a transfer label."""
+
+    miss_beta: np.ndarray              # (L,)
+    det_beta: np.ndarray               # (L, M)
+    new_beta: np.ndarray               # (M,)
+    transferred: np.ndarray            # (M,) bool
+
+
+def whole(cluster):
+    """The one-cluster list that covers all of `cluster`'s tables, as
+    `exact_marginals` and `batch_bp_marginals` take it."""
+    L, M = cluster.det_beta.shape
+    return [(np.arange(L), np.arange(M))]
+
+
 def random_cluster(rng, max_legacy=4, max_transfer=2, max_meas=4,
                    log10_lo=-6.0, log10_hi=2.0):
     """Random association problem with log-uniform weight entries."""
@@ -68,7 +87,7 @@ def random_cluster(rng, max_legacy=4, max_transfer=2, max_meas=4,
     transferred = np.zeros(n_meas, dtype=bool)
     if n_transfer:
         transferred[rng.choice(n_meas, size=n_transfer, replace=False)] = True
-    return Cluster(draw(n_legacy), draw((n_legacy, n_meas)), draw(n_meas), transferred)
+    return ClusterTables(draw(n_legacy), draw((n_legacy, n_meas)), draw(n_meas), transferred)
 
 
 def max_label_tv(exact, approx):

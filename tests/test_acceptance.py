@@ -14,7 +14,6 @@ import time
 import numpy as np
 
 from lmbp.association import (
-    Cluster,
     Hypothesis,
     bp_marginals,
     detection_hypotheses,
@@ -50,7 +49,16 @@ from lmbp.update import (
     update_transferred_track,
 )
 
-from helpers import StubSensor, cells_of, max_label_tv, partition_of, pdf_of, random_cluster
+from helpers import (
+    ClusterTables,
+    StubSensor,
+    cells_of,
+    max_label_tv,
+    partition_of,
+    pdf_of,
+    random_cluster,
+    whole,
+)
 from test_association import cc_oracle
 from test_update import ConstantPdSensor
 
@@ -84,7 +92,7 @@ def test_criterion_1_bp_tvd_bound():
     started = time.perf_counter()
     for _ in range(instances):
         cluster = random_cluster(rng)
-        tv = max_label_tv(exact_marginals(cluster), bp_marginals(cluster, 20))
+        tv = max_label_tv(exact_marginals(*cluster, whole(cluster)), bp_marginals(*cluster, 20))
         if tv > 0.05:
             bad += 1
     elapsed = time.perf_counter() - started
@@ -109,7 +117,7 @@ def random_acyclic_cluster(rng):
     transferred = np.zeros(n_meas, dtype=bool)
     if n_tr:
         transferred[rng.choice(n_meas, size=n_tr, replace=False)] = True
-    return Cluster(miss, det, new, transferred)
+    return ClusterTables(miss, det, new, transferred)
 
 
 def test_criterion_1_acyclic_exactness():
@@ -117,8 +125,8 @@ def test_criterion_1_acyclic_exactness():
     worst = 0.0
     for _ in range(1000):
         cluster = random_acyclic_cluster(rng)
-        worst = max(worst, max_label_tv(exact_marginals(cluster),
-                                        bp_marginals(cluster, 20)))
+        worst = max(worst, max_label_tv(exact_marginals(*cluster, whole(cluster)),
+                                        bp_marginals(*cluster, 20)))
     ok = worst <= 1e-9
     verdict("1 (BP exact on acyclic clusters)", ok, f"worst TV {worst:.2e}")
     assert ok
@@ -129,8 +137,8 @@ def test_criterion_1_runtime():
     started = time.perf_counter()
     for _ in range(1000):
         cluster = random_cluster(rng)
-        exact_marginals(cluster)
-        bp_marginals(cluster, 20)
+        exact_marginals(*cluster, whole(cluster))
+        bp_marginals(*cluster, 20)
     elapsed = time.perf_counter() - started
     ok = elapsed < 10.0
     verdict("1 (oracle comparison runtime)", ok, f"{elapsed:.1f}s for 1000 clusters")
@@ -183,7 +191,7 @@ def test_criterion_2_conservation():
 
     for _ in range(500):
         cluster = random_cluster(rng)
-        for marg in (exact_marginals(cluster), bp_marginals(cluster, 20)):
+        for marg in (exact_marginals(*cluster, whole(cluster)), bp_marginals(*cluster, 20)):
             worst_pmf = max(worst_pmf, np.abs(marg.legacy.sum(axis=1) - 1.0).max(initial=0.0),
                             -marg.claim.min(initial=0.0), marg.claim.max(initial=1.0) - 1.0)
         n = int(rng.integers(1, 40))

@@ -1,6 +1,5 @@
 import itertools
 from collections import Counter
-from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -8,15 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import lmbp.association
 from lmbp.association import (
-    Cluster,
+    EXACT_DEGREE_LIMIT,
+    EXACT_SIZE_LIMIT,
+    Marginals,
+    _check_marginals,
     batch_bp_marginals,
     bp_marginals,
     detection_hypotheses,
     enumerate_admissible,
     exact_marginals,
     miss_hypothesis,
-    MarginalAssociation,
     new_components,
     partition,
     track_evidence,
@@ -25,6 +27,7 @@ from lmbp.models import ClutterModel, SensorModel
 from lmbp.rfs import BernoulliTrack, Label, Measurement, ParticleSet, PoissonPhd, TrackBlock
 
 from helpers import (
+    ClusterTables,
     StubSensor,
     count_joined_rows,
     dense_likelihood_table,
@@ -34,6 +37,7 @@ from helpers import (
     random_cluster,
     row_sums,
     table_of,
+    whole,
 )
 
 Z = Measurement(100.0, 0.0)
@@ -598,23 +602,17 @@ class TestPartition:
 
 
 def single_legacy_cluster(miss, det, new):
-    return Cluster(np.array([miss]), np.array([det]), np.array(new),
-                   np.zeros(len(new), dtype=bool))
+    return ClusterTables(np.array([miss]), np.array([det]), np.array(new),
+                         np.zeros(len(new), dtype=bool))
 
 
 def lone_transfer_cluster(new_beta):
-    return Cluster(np.empty(0), np.empty((0, 1)), np.array([new_beta]), np.array([True]))
-
-
-class TestCluster:
-    def test_tables_must_agree_in_shape(self):
-        with pytest.raises(ValueError, match="shape"):
-            Cluster(np.ones(2), np.ones((1, 2)), np.ones(2), np.zeros(2, dtype=bool))
-        with pytest.raises(ValueError, match="shape"):
-            Cluster(np.ones(1), np.ones((1, 2)), np.ones(2), np.zeros(3, dtype=bool))
+    return ClusterTables(np.empty(0), np.empty((0, 1)), np.array([new_beta]), np.array([True]))
 
 
 class TestMarginalAssociation:
+    """`_check_marginals`, the one check every marginal path runs."""
+
     @pytest.mark.parametrize("legacy, claim", [
         ([[np.nan, np.nan]], [0.5]),
         ([[0.5, 0.5]], [np.nan]),
@@ -623,55 +621,64 @@ class TestMarginalAssociation:
     ])
     def test_rejects_nan_and_out_of_range(self, legacy, claim):
         with pytest.raises(ValueError):
-            MarginalAssociation(np.array(legacy), np.array(claim))
+            _check_marginals(np.array(legacy), np.array(claim))
 
 
 class TestEnumerateAdmissible:
     def test_one_legacy_one_measurement(self):
         cluster = single_legacy_cluster(0.4, [2.0], [1.5])
-        legacy, _, weights = enumerate_admissible(cluster)
+        legacy, _, weights = enumerate_admissible(*cluster)
         hyps = dict(zip(legacy[:, 0].tolist(), weights))
         total = 0.4 * 1.5 + 2.0
         assert hyps[0] == pytest.approx(0.4 * 1.5 / total, abs=1e-12)
         assert hyps[1] == pytest.approx(2.0 / total, abs=1e-12)
 
     def test_isolated_transfer_label_is_fifty_fifty(self):
-        _, claims, weights = enumerate_admissible(lone_transfer_cluster(3.7))
+        _, claims, weights = enumerate_admissible(*lone_transfer_cluster(3.7))
         assert claims.tolist() == [[False], [True]]
         for weight in weights:
             assert weight == pytest.approx(0.5, abs=1e-12)
 
     def test_two_legacy_one_measurement_counts(self):
-        cluster = Cluster(np.array([0.5, 0.5]), np.array([[1.0], [2.0]]), np.array([0.3]),
-                          np.zeros(1, dtype=bool))
-        assert len(enumerate_admissible(cluster)[2]) == 3
+        cluster = ClusterTables(np.array([0.5, 0.5]), np.array([[1.0], [2.0]]), np.array([0.3]),
+                                np.zeros(1, dtype=bool))
+        assert len(enumerate_admissible(*cluster)[2]) == 3
 
     def test_weights_normalized(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             cluster = random_cluster(rng)
-            _, _, weights = enumerate_admissible(cluster)
+            _, _, weights = enumerate_admissible(*cluster)
             assert abs(sum(weights) - 1.0) <= 1e-12
 
     def test_no_measurement_claimed_twice(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             cluster = random_cluster(rng)
-            for entries, claims in zip(*enumerate_admissible(cluster)[:2]):
+            for entries, claims in zip(*enumerate_admissible(*cluster)[:2]):
                 used = [m - 1 for m in entries if m > 0] + np.flatnonzero(claims).tolist()
                 assert len(used) == len(set(used))
                 assert cluster.transferred[claims].all()
 
     def test_empty_cluster(self):
-        cluster = Cluster(np.empty(0), np.empty((0, 0)), np.empty(0), np.empty(0, dtype=bool))
-        legacy, claims, weights = enumerate_admissible(cluster)
+        cluster = ClusterTables(np.empty(0), np.empty((0, 0)), np.empty(0), np.empty(0, dtype=bool))
+        legacy, claims, weights = enumerate_admissible(*cluster)
         assert legacy.shape == (1, 0) and claims.shape == (1, 0)
         assert weights.tolist() == [1.0]
 
+    @pytest.mark.parametrize("weight", [np.inf, np.nan])
+    def test_non_finite_weight_raises(self, weight):
+        # the message names the weight, not an all-zero enumeration
+        for table in range(3):
+            tables = list(single_legacy_cluster(0.4, [2.0], [1.5]))
+            tables[table] = np.full_like(tables[table], weight)
+            with pytest.raises(ValueError, match="non-finite"):
+                enumerate_admissible(*tables)
+
     def test_log_domain_handles_tiny_weights(self):
-        cluster = Cluster(np.full(2, 1e-180), np.full((2, 2), 1e-180), np.full(2, 1e-180),
-                          np.zeros(2, dtype=bool))
-        _, _, weights = enumerate_admissible(cluster)
+        cluster = ClusterTables(np.full(2, 1e-180), np.full((2, 2), 1e-180), np.full(2, 1e-180),
+                                np.zeros(2, dtype=bool))
+        _, _, weights = enumerate_admissible(*cluster)
         assert abs(sum(weights) - 1.0) <= 1e-12
         assert all(np.isfinite(w) for w in weights)
 
@@ -705,20 +712,21 @@ class TestExactMarginals:
     def test_balanced_pair(self):
         # beta(l,0) beta(m1) == beta(l,m1) makes both hypotheses equal
         cluster = single_legacy_cluster(0.5, [1.0], [2.0])
-        marg = exact_marginals(cluster)
+        marg = exact_marginals(*cluster, whole(cluster))
         assert marg.legacy[0, 0] == pytest.approx(0.5, abs=1e-12)
         assert marg.legacy[0, 1] == pytest.approx(0.5, abs=1e-12)
 
     def test_no_measurements(self):
-        cluster = Cluster(np.array([0.7]), np.empty((1, 0)), np.empty(0),
-                          np.empty(0, dtype=bool))
-        marg = exact_marginals(cluster)
+        cluster = ClusterTables(np.array([0.7]), np.empty((1, 0)), np.empty(0),
+                                np.empty(0, dtype=bool))
+        marg = exact_marginals(*cluster, whole(cluster))
         assert marg.legacy.tolist() == [[1.0]] and marg.claim.shape == (0,)
 
     def test_pmfs_normalized_and_bounded(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            marg = exact_marginals(random_cluster(rng))
+            cluster = random_cluster(rng)
+            marg = exact_marginals(*cluster, whole(cluster))
             assert np.all(np.abs(marg.legacy.sum(axis=1) - 1.0) <= 1e-9)
             assert np.all((marg.legacy >= 0.0) & (marg.legacy <= 1.0))
             assert np.all((marg.claim >= 0.0) & (marg.claim <= 1.0))
@@ -729,18 +737,11 @@ class TestExactMarginals:
         for _ in range(200):
             cluster = random_cluster(rng)
             with_transfers += bool(cluster.transferred.any())
-            marg = exact_marginals(cluster)
+            marg = exact_marginals(*cluster, whole(cluster))
             legacy, claim = brute_force_marginals(cluster)
             np.testing.assert_allclose(marg.legacy, legacy, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(marg.claim, claim, rtol=0.0, atol=1e-12)
         assert with_transfers >= 50
-
-
-class Marginals(NamedTuple):
-    """Unchecked marginals, as `MarginalAssociation` holds them."""
-
-    legacy: np.ndarray
-    claim: np.ndarray
 
 
 def fixed_iteration_bp(cluster, iterations):
@@ -782,7 +783,7 @@ class TestBpMarginals:
         rng = np.random.default_rng(2024)
         for _ in range(1000):
             cluster = random_cluster(rng)
-            assert_same_marginals(bp_marginals(cluster, 20), fixed_iteration_bp(cluster, 20))
+            assert_same_marginals(bp_marginals(*cluster, 20), fixed_iteration_bp(cluster, 20))
 
     def test_wide_clusters_equal_fixed_iterations(self):
         # 8-12 legacy labels: columns long enough that their sums round
@@ -790,32 +791,35 @@ class TestBpMarginals:
         rng = np.random.default_rng(2027)
         for _ in range(200):
             L, M = int(rng.integers(8, 13)), int(rng.integers(1, 7))
-            cluster = Cluster(10.0 ** rng.uniform(-6, 2, L), 10.0 ** rng.uniform(-6, 2, (L, M)),
-                              10.0 ** rng.uniform(-6, 2, M), rng.random(M) < 0.5)
-            assert_same_marginals(bp_marginals(cluster, 20), fixed_iteration_bp(cluster, 20))
+            cluster = ClusterTables(10.0 ** rng.uniform(-6, 2, L),
+                                    10.0 ** rng.uniform(-6, 2, (L, M)),
+                                    10.0 ** rng.uniform(-6, 2, M), rng.random(M) < 0.5)
+            assert_same_marginals(bp_marginals(*cluster, 20), fixed_iteration_bp(cluster, 20))
 
     def test_single_label_cluster_is_exact(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
             cluster = random_cluster(rng, max_legacy=1, max_transfer=0)
-            assert max_label_tv(exact_marginals(cluster),
-                                bp_marginals(cluster, 20)) <= 1e-9
+            assert max_label_tv(exact_marginals(*cluster, whole(cluster)),
+                                bp_marginals(*cluster, 20)) <= 1e-9
 
     def test_single_transfer_cluster_is_exact(self):
-        marg = bp_marginals(lone_transfer_cluster(0.8), 20)
+        marg = bp_marginals(*lone_transfer_cluster(0.8), 20)
         assert marg.claim[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_disconnected_blocks_are_exact(self):
         # two labels with disjoint plausible sets: zero cross entries
-        cluster = Cluster(np.array([0.3, 0.9]), np.array([[2.0, 0.0], [0.0, 5.0]]),
-                          np.array([1.0, 0.4]), np.zeros(2, dtype=bool))
-        assert max_label_tv(exact_marginals(cluster), bp_marginals(cluster, 20)) <= 1e-9
+        cluster = ClusterTables(np.array([0.3, 0.9]), np.array([[2.0, 0.0], [0.0, 5.0]]),
+                                np.array([1.0, 0.4]), np.zeros(2, dtype=bool))
+        assert max_label_tv(exact_marginals(*cluster, whole(cluster)),
+                            bp_marginals(*cluster, 20)) <= 1e-9
 
     def test_star_with_transfer_is_exact(self):
         # one measurement shared by a legacy and a transfer label: still a tree
-        cluster = Cluster(np.array([0.4]), np.array([[3.0]]), np.array([0.7]),
-                          np.array([True]))
-        assert max_label_tv(exact_marginals(cluster), bp_marginals(cluster, 20)) <= 1e-9
+        cluster = ClusterTables(np.array([0.4]), np.array([[3.0]]), np.array([0.7]),
+                                np.array([True]))
+        assert max_label_tv(exact_marginals(*cluster, whole(cluster)),
+                            bp_marginals(*cluster, 20)) <= 1e-9
 
     def test_loopy_accuracy_sanity(self):
         # the acceptance suite checks the distributional bound; this is a floor
@@ -823,16 +827,33 @@ class TestBpMarginals:
         close = 0
         for _ in range(200):
             cluster = random_cluster(rng)
-            if max_label_tv(exact_marginals(cluster), bp_marginals(cluster, 20)) <= 0.05:
+            if max_label_tv(exact_marginals(*cluster, whole(cluster)),
+                            bp_marginals(*cluster, 20)) <= 0.05:
                 close += 1
         assert close >= 180
 
     def test_pmfs_normalized(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
-            marg = bp_marginals(random_cluster(rng), 20)
+            marg = bp_marginals(*random_cluster(rng), 20)
             assert np.all(np.abs(marg.legacy.sum(axis=1) - 1.0) <= 1e-9)
             assert np.all((marg.claim >= 0.0) & (marg.claim <= 1.0))
+
+    def test_checks_each_marginal_once(self, monkeypatch):
+        # the batch checks what it computed and the one-cluster call does not
+        # check it again; a cluster 8 or more wide runs as a batch of its own
+        calls = []
+        check = lmbp.association._check_marginals
+
+        def check_spy(legacy, claim):
+            calls.append(len(legacy))
+            return check(legacy, claim)
+
+        monkeypatch.setattr(lmbp.association, "_check_marginals", check_spy)
+        rng = np.random.default_rng(8)
+        for count in range(1, 51):
+            bp_marginals(*random_cluster(rng, max_legacy=10), 20)
+            assert len(calls) == count
 
     def test_measurement_scale_invariance(self):
         # scaling the likelihood-dimension entries (detection and new-object
@@ -841,12 +862,13 @@ class TestBpMarginals:
         for _ in range(40):
             cluster = random_cluster(rng)
             scale = 10.0 ** rng.uniform(-3, 3)
-            scaled = Cluster(cluster.miss_beta, cluster.det_beta * scale,
-                             cluster.new_beta * scale, cluster.transferred)
-            assert max_label_tv(exact_marginals(cluster), exact_marginals(scaled)) <= 1e-9
-            assert max_label_tv(bp_marginals(cluster, 20), bp_marginals(scaled, 20)) <= 1e-9
-            e1, c1, w1 = enumerate_admissible(cluster)
-            e2, c2, w2 = enumerate_admissible(scaled)
+            scaled = ClusterTables(cluster.miss_beta, cluster.det_beta * scale,
+                                   cluster.new_beta * scale, cluster.transferred)
+            assert max_label_tv(exact_marginals(*cluster, whole(cluster)),
+                                exact_marginals(*scaled, whole(scaled))) <= 1e-9
+            assert max_label_tv(bp_marginals(*cluster, 20), bp_marginals(*scaled, 20)) <= 1e-9
+            e1, c1, w1 = enumerate_admissible(*cluster)
+            e2, c2, w2 = enumerate_admissible(*scaled)
             assert np.array_equal(e1, e2) and np.array_equal(c1, c2)
             np.testing.assert_allclose(w1, w2, rtol=0.0, atol=1e-9)
 
@@ -859,49 +881,80 @@ weights = st.floats(-8.0, 2.0).map(lambda e: 0.0 if e < -6.0 else 10.0 ** e)
 @st.composite
 def cluster_batches(draw):
     """Clusters for one batch, shuffled: small random ones next to a track with
-    no measurement, a lone transfer (no rows) and one cluster 8 or more
-    wide, in tracks or in measurements plus miss. Any weight may be 0,
-    including a miss weight (the forced-detection corner)."""
+    no measurement, a lone transfer (no rows), one cluster beyond the
+    exact-enumeration limits in pairs and one 8 or more wide, in tracks or
+    in measurements plus miss, which may lie beyond them in pairs or in
+    vectors. Any weight may be 0, including a miss weight (the
+    forced-detection corner)."""
     shapes = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 6)), max_size=6))
-    shapes += [(1, 0), (0, 1), draw(st.sampled_from([(8, 2), (3, 7), (9, 8)]))]
+    shapes += [(1, 0), (0, 1), (4, 6),
+               draw(st.sampled_from([(8, 2), (3, 7), (9, 8), (17, 1)]))]
     clusters = []
     for L, M in draw(st.permutations(shapes)):
-        clusters.append(Cluster(draw(arrays(float, L, elements=weights)),
-                                draw(arrays(float, (L, M), elements=weights)),
-                                draw(arrays(float, M, elements=weights)),
-                                draw(arrays(bool, M)) | (L == 0)))
+        clusters.append(ClusterTables(draw(arrays(float, L, elements=weights)),
+                                      draw(arrays(float, (L, M), elements=weights)),
+                                      draw(arrays(float, M, elements=weights)),
+                                      draw(arrays(bool, M)) | (L == 0)))
     return clusters
+
+
+def placed_in_tables(clusters, random):
+    """The clusters' tables placed in the step's tables, their rows and
+    columns interleaved; one row and two columns lie in no cluster, and every
+    entry outside a cluster holds 3.0, which no marginal path may read.
+    Returns the tables (miss, betas, new, transferred) and each cluster's
+    (cluster, rows, cols)."""
+    L = sum(c.det_beta.shape[0] for c in clusters) + 1
+    M = sum(c.det_beta.shape[1] for c in clusters) + 2
+    row_order, col_order = random.sample(range(L), L), random.sample(range(M), M)
+    miss, betas = np.full(L, 3.0), np.full((L, M), 3.0)
+    new, transferred = np.full(M, 3.0), np.ones(M, dtype=bool)
+    placed = []
+    for cluster in clusters:
+        size, meas = cluster.det_beta.shape
+        rows = np.array(sorted(row_order[:size]), dtype=np.intp)
+        cols = np.array(sorted(col_order[:meas]), dtype=np.intp)
+        del row_order[:size], col_order[:meas]
+        miss[rows], betas[np.ix_(rows, cols)] = cluster.miss_beta, cluster.det_beta
+        new[cols], transferred[cols] = cluster.new_beta, cluster.transferred
+        placed.append((cluster, rows, cols))
+    return (miss, betas, new, transferred), placed
+
+
+def within_exact_limits(cluster):
+    """Whether `exact_marginals` enumerates a cluster of finite weights."""
+    L, M = cluster.det_beta.shape
+    return (L * M <= EXACT_DEGREE_LIMIT
+            and (M + 1) ** L * 2 ** int(cluster.transferred.sum()) <= EXACT_SIZE_LIMIT)
+
+
+def enumerated_marginals(cluster):
+    """Reference for an enumerated cluster's marginals: each vector's weight
+    added to its entries, vector by vector in enumeration order."""
+    entries, claims, weights = enumerate_admissible(*cluster)
+    L, M = cluster.det_beta.shape
+    legacy, claim = np.zeros((L, 1 + M)), np.zeros(M)
+    for entry, claimed, weight in zip(entries, claims, weights):
+        legacy[np.arange(L), entry] += weight
+        claim[claimed] += weight
+    return Marginals(legacy, claim)
 
 
 class TestBatchBpMarginals:
     @settings(max_examples=100, deadline=None)
     @given(cluster_batches(), st.randoms(use_true_random=False))
     def test_equals_fixed_iterations_cluster_by_cluster(self, clusters, random):
-        # the clusters' rows and columns are interleaved across the tables, and
-        # one row and two columns lie in no cluster; every entry outside a
-        # cluster holds 3.0, which the batch must not read. The cluster list
-        # goes in as placed, shuffled, and as a random subset, as exact mode
-        # passes one. Every weight is a number, so a NaN marginal is one that
-        # BP made, and a list with one raises
-        L = sum(c.det_beta.shape[0] for c in clusters) + 1
-        M = sum(c.det_beta.shape[1] for c in clusters) + 2
-        row_order, col_order = random.sample(range(L), L), random.sample(range(M), M)
-        miss, betas = np.full(L, 3.0), np.full((L, M), 3.0)
-        new, transferred = np.full(M, 3.0), np.ones(M, dtype=bool)
-        placed = []
-        for cluster in clusters:
-            size, meas = cluster.det_beta.shape
-            rows = np.array(sorted(row_order[:size]), dtype=np.intp)
-            cols = np.array(sorted(col_order[:meas]), dtype=np.intp)
-            del row_order[:size], col_order[:meas]
-            miss[rows], betas[np.ix_(rows, cols)] = cluster.miss_beta, cluster.det_beta
-            new[cols], transferred[cols] = cluster.new_beta, cluster.transferred
-            placed.append((fixed_iteration_bp(cluster, 20), rows, cols))
+        # the cluster list goes in as placed, shuffled, and as a random
+        # subset, as exact mode passes one. Every weight is a number, so a
+        # NaN marginal is one that BP made, and a list with one raises
+        tables, placed = placed_in_tables(clusters, random)
+        (L, M), placed = tables[1].shape, [(fixed_iteration_bp(cluster, 20), rows, cols)
+                                           for cluster, rows, cols in placed]
 
         shuffled = random.sample(placed, len(placed))
         subset = random.sample(placed, random.randint(0, len(placed)))
         for listed in (placed, shuffled, subset):
-            args = (miss, betas, new, transferred, [(rows, cols) for _, rows, cols in listed], 20)
+            args = (*tables, [(rows, cols) for _, rows, cols in listed], 20)
             if any(np.isnan(want.legacy).any() or np.isnan(want.claim).any()
                    for want, _, _ in listed):
                 with pytest.raises(ValueError):
@@ -918,6 +971,49 @@ class TestBatchBpMarginals:
                 assert not np.nan_to_num(legacy[rows, width:]).any()
                 assert np.array_equal(claim[cols], want.claim, equal_nan=True)
             assert not legacy[row_of < 0].any() and not claim[col_of < 0].any()
+
+    @settings(max_examples=100, deadline=None)
+    @given(cluster_batches(), st.randoms(use_true_random=False))
+    def test_exact_marginals_share_the_layout(self, clusters, random):
+        # exact mode on a shuffled list: the clusters within the limits are
+        # enumerated and the rest go through one batch, into the same arrays.
+        # A cluster whose enumeration has no weight, or whose BP marginals are
+        # NaN, makes the whole list raise, so the list is also run without them
+        tables, placed = placed_in_tables(clusters, random)
+        enumerated, batched, failing = [], [], []
+        for cluster, rows, cols in random.sample(placed, len(placed)):
+            if within_exact_limits(cluster):
+                try:
+                    enumerated.append((enumerated_marginals(cluster), rows, cols))
+                except ValueError:
+                    failing.append((rows, cols))
+            elif any(np.isnan(part).any() for part in fixed_iteration_bp(cluster, 20)):
+                failing.append((rows, cols))
+            else:
+                batched.append((rows, cols))
+        listed = [(rows, cols) for _, rows, cols in enumerated] + batched
+        if failing:
+            with pytest.raises(ValueError):
+                exact_marginals(*tables, random.sample(listed + failing, len(placed)), 20)
+        listed = random.sample(listed, len(listed))
+        legacy, claim = exact_marginals(*tables, listed, 20)
+        assert legacy.shape == (len(tables[0]),
+                                1 + max((len(cols) for _, cols in listed), default=0))
+        bp_legacy, bp_claim = batch_bp_marginals(*tables, batched, 20)
+        in_cluster_rows = np.zeros(len(tables[0]), dtype=bool)
+        in_cluster_cols = np.zeros(len(tables[2]), dtype=bool)
+        for want, rows, cols in enumerated:
+            assert np.array_equal(legacy[rows, :1 + len(cols)], want.legacy)
+            assert not legacy[rows, 1 + len(cols):].any()
+            assert np.array_equal(claim[cols], want.claim)
+            in_cluster_rows[rows], in_cluster_cols[cols] = True, True
+        for rows, cols in batched:
+            width = bp_legacy.shape[1]
+            assert np.array_equal(legacy[rows, :width], bp_legacy[rows])
+            assert not legacy[rows, width:].any()
+            assert np.array_equal(claim[cols], bp_claim[cols])
+            in_cluster_rows[rows], in_cluster_cols[cols] = True, True
+        assert not legacy[~in_cluster_rows].any() and not claim[~in_cluster_cols].any()
 
     def test_no_clusters(self):
         legacy, claim = batch_bp_marginals(np.ones(2), np.ones((2, 3)), np.ones(3),

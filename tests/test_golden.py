@@ -29,6 +29,7 @@ from pathlib import Path
 
 import pytest
 
+import lmbp.association
 import lmbp.update
 from lmbp.cli import run_experiment
 from lmbp.config import build_run_config, parse_config_text
@@ -69,13 +70,14 @@ def run_case(marginals: str, out_dir: Path) -> list[str]:
 
 
 def count_paths(monkeypatch) -> Counter:
-    """Count the association paths `lmbp_step` takes, from its module names."""
+    """Count the association paths `lmbp_step` takes, from the names it and
+    `exact_marginals` call."""
     counts: Counter = Counter()
     residual: set[int] = set()
     partition = lmbp.update.partition
     select_transfers = lmbp.update.select_transfers
-    exact_marginals = lmbp.update.exact_marginals
-    batch_bp_marginals = lmbp.update.batch_bp_marginals
+    enumerate_admissible = lmbp.association.enumerate_admissible
+    batch_bp_marginals = lmbp.association.batch_bp_marginals
 
     def partition_spy(*args, **kwargs):
         result = partition(*args, **kwargs)
@@ -90,9 +92,9 @@ def count_paths(monkeypatch) -> Counter:
                    else "cluster transfers"] += 1
         return result
 
-    def exact_spy(*args, **kwargs):
-        counts["exact"] += 1
-        return exact_marginals(*args, **kwargs)
+    def enumerate_spy(*args, **kwargs):
+        counts["exact"] += 1   # one enumerated cluster
+        return enumerate_admissible(*args, **kwargs)
 
     def bp_spy(miss_beta, betas, new_beta, transferred, clusters, *args):
         counts["bp"] += len(clusters)   # the clusters the batch marginalizes
@@ -100,8 +102,10 @@ def count_paths(monkeypatch) -> Counter:
 
     monkeypatch.setattr(lmbp.update, "partition", partition_spy)
     monkeypatch.setattr(lmbp.update, "select_transfers", select_transfers_spy)
-    monkeypatch.setattr(lmbp.update, "exact_marginals", exact_spy)
+    monkeypatch.setattr(lmbp.association, "enumerate_admissible", enumerate_spy)
+    # the step calls the batch in BP mode and `exact_marginals` in exact mode
     monkeypatch.setattr(lmbp.update, "batch_bp_marginals", bp_spy)
+    monkeypatch.setattr(lmbp.association, "batch_bp_marginals", bp_spy)
     count_joined_rows(monkeypatch, counts)
     return counts
 

@@ -379,10 +379,12 @@ class TestSparseIntensityArithmetic:
         assert np.array_equal(
             weights[0], dense_phd_weights(phd, pd, beta[unclaimed], table[unclaimed]))
 
-    def test_claimed_rows_with_infinite_cells_are_dropped(self, monkeypatch):
+    @pytest.mark.parametrize("marginals", ["bp", "exact"])
+    def test_claimed_rows_with_infinite_cells_are_dropped(self, marginals, monkeypatch):
         # an infinite normalizer makes every cell inf, and the track claims both
         # measurements: their rows must not reach the intensity, where an
-        # infinite cell would make the weights non-finite
+        # infinite cell would make the weights non-finite. Both modes give
+        # the cluster of non-finite weights BP's NaN marginals, so r = 0
         @dataclass(frozen=True)
         class InfiniteNorm(SensorModel):
             def _frame_terms(self, frame):
@@ -423,7 +425,7 @@ class TestSparseIntensityArithmetic:
         monkeypatch.setattr(lmbp.update, "update_phd", spy)
         with np.errstate(invalid="ignore", over="ignore"):
             out = lmbp_step(state, frame, models, Thresholds(), np.random.default_rng(0),
-                            settings=small_settings())
+                            settings=small_settings(marginals))
         [(beta, row)] = seen
         assert np.isinf(masses[0]).all()
         assert beta.size == 0 and row.size == 0
@@ -678,9 +680,9 @@ class TestLmbpStep:
 
     @pytest.mark.parametrize("marginals", ["bp", "exact"])
     def test_one_bp_batch_per_step(self, marginals, monkeypatch):
-        # BP marginalizes every cluster of a step in one batch; in BP mode the
-        # step builds no `Cluster` or `MarginalAssociation` and calls neither
-        # the one-cluster `bp_marginals` nor `np.ix_`
+        # BP marginalizes every cluster of a step in one batch, which exact
+        # mode calls from `lmbp.association`; only exact mode enumerates, and
+        # BP mode calls neither the one-cluster `bp_marginals` nor `np.ix_`
         calls = Counter()
 
         def spy(owner, name):
@@ -692,9 +694,10 @@ class TestLmbpStep:
 
             monkeypatch.setattr(owner, name, counted)
 
-        for owner, name in ((lmbp.update, "batch_bp_marginals"), (lmbp.update, "Cluster"),
+        for owner, name in ((lmbp.update, "batch_bp_marginals"),
+                            (lmbp.association, "batch_bp_marginals"),
                             (lmbp.update, "bp_marginals"), (lmbp.association, "bp_marginals"),
-                            (lmbp.association, "MarginalAssociation"), (np, "ix_")):
+                            (lmbp.association, "enumerate_admissible"), (np, "ix_")):
             spy(owner, name)
         config = build_run_config({"scenario.object_count": "3", "scenario.appear_min": "1",
                                    "scenario.appear_max": "2", "scenario.total_steps": "8",
@@ -706,7 +709,7 @@ class TestLmbpStep:
         rng = np.random.default_rng(1)
         truth = generate_truth(config.scenario, rng)
         frames = generate_frames(truth, config.scenario.sensor, config.scenario.clutter, rng)
-        state, prev, clusters = initial_state(config, rng), (), 0
+        state, prev, enumerated = initial_state(config, rng), (), 0
         for frame in frames:
             calls.clear()
             state = lmbp_step(state, frame, config.models, config.thresholds, rng,
@@ -715,9 +718,9 @@ class TestLmbpStep:
             assert calls["batch_bp_marginals"] == 1
             if marginals == "bp":
                 assert set(calls) == {"batch_bp_marginals"}
-            clusters += calls["Cluster"]
+            enumerated += calls["enumerate_admissible"]
         assert state.tracks
-        assert (clusters > 0) == (marginals == "exact")
+        assert (enumerated > 0) == (marginals == "exact")
 
     def test_first_step_creates_tracks_only_via_transfers(self):
         rng = np.random.default_rng(3)
