@@ -306,6 +306,17 @@ def _check_marginals(legacy: np.ndarray, claim: np.ndarray) -> None:
         raise ValueError("transfer claim is not a probability")
 
 
+def _check_cluster(miss_beta, det_beta, new_beta, transferred) -> tuple[int, int]:
+    """One cluster's (L, M); ValueError unless its tables agree in shape and every
+    weight is finite and nonnegative. The step's batch path skips this check."""
+    L, M = det_beta.shape
+    if (miss_beta.shape, new_beta.shape, transferred.shape) != ((L,), (M,), (M,)):
+        raise ValueError("cluster tables disagree in shape")
+    if not all((np.isfinite(t) & (t >= 0.0)).all() for t in (miss_beta, det_beta, new_beta)):
+        raise ValueError("an association weight is negative or non-finite")
+    return L, M
+
+
 def enumerate_admissible(miss_beta: np.ndarray, det_beta: np.ndarray, new_beta: np.ndarray,
                          transferred: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All admissible association vectors of one cluster with normalized weights.
@@ -320,11 +331,9 @@ def enumerate_admissible(miss_beta: np.ndarray, det_beta: np.ndarray, new_beta: 
     j; `claims` (H, M) marks the measurements a transfer claims. No
     measurement is claimed twice, and every unclaimed measurement contributes
     its beta(m) factor. Weights are products of beta factors, computed in log
-    domain and normalized to sum to one. A non-finite weight raises ValueError.
+    domain and normalized to sum to one. `_check_cluster` vets the tables first.
     """
-    if not all(np.isfinite(table).all() for table in (miss_beta, det_beta, new_beta)):
-        raise ValueError("an association weight is non-finite")
-    L, M = det_beta.shape
+    L, M = _check_cluster(miss_beta, det_beta, new_beta, transferred)
     with np.errstate(divide="ignore"):
         log_miss = np.log(miss_beta)
         log_det = np.log(det_beta)
@@ -415,8 +424,8 @@ def exact_marginals(miss_beta: np.ndarray, betas: np.ndarray, new_beta: np.ndarr
 def bp_marginals(miss_beta: np.ndarray, det_beta: np.ndarray, new_beta: np.ndarray,
                  transferred: np.ndarray, iterations: int = 20) -> Marginals:
     """Loopy BP marginals of one cluster's tables, as `enumerate_admissible`
-    takes them: a one-cluster call of `batch_bp_marginals`."""
-    L, M = det_beta.shape
+    takes and checks them: a one-cluster call of `batch_bp_marginals`."""
+    L, M = _check_cluster(miss_beta, det_beta, new_beta, transferred)
     return batch_bp_marginals(miss_beta, det_beta, new_beta, transferred,
                               [(np.arange(L), np.arange(M))], iterations)
 

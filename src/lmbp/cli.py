@@ -21,8 +21,7 @@ import numpy as np
 from .config import ConfigError, RunConfig, build_run_config, parse_config_text
 from .estimation import detect_and_estimate, write_estimates_csv
 from .metrics import mospa_curve, ospa
-from .models import uniform_disk_positions
-from .rfs import FilterState, ParticleSet, PoissonPhd, STATE_DIM
+from .rfs import FilterState
 from .simulate import generate_frames, generate_truth, write_truth_csv
 from .update import lmbp_step
 
@@ -37,14 +36,11 @@ class RunSummary:
 
 
 def initial_state(config: RunConfig, rng: np.random.Generator) -> FilterState:
-    """Empty label set plus a uniform intensity of the configured mass."""
-    n = config.settings.phd_particles
-    sensor = config.scenario.sensor
-    states = np.zeros((n, STATE_DIM))
-    states[:, :2] = uniform_disk_positions(sensor.position, sensor.max_range, n, rng)
-    states[:, 2:] = rng.normal(0.0, config.birth.velocity_sigma, (n, 2))
-    weights = np.full(n, config.initial_phd_mass / n)
-    return FilterState((), PoissonPhd(ParticleSet(states, weights)), 0)
+    """Empty label set plus the initial intensity: a birth draw with no previous frame."""
+    draw = dataclasses.replace(config.birth, mean_births=config.initial_phd_mass,
+                               particle_budget=config.settings.phd_particles)
+    scenario = config.scenario
+    return FilterState((), draw.sample_phd((), scenario.motion, scenario.sensor, rng), 0)
 
 
 def execute_run(config: RunConfig, master: np.random.SeedSequence):

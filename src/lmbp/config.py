@@ -11,7 +11,14 @@ Example::
     run.seed = 1
     run.out_dir = out
 
-Unknown keys and malformed values raise `ConfigError` naming the field.
+Key `section.name` sets field `name` of the section's dataclass (`filter`
+is `FilterSettings`, `run` is `RunConfig`), except: `sensor.x`/`sensor.y`
+make `position`, `sensor.sigma_bearing_deg` is `sigma_bearing` in radians,
+`scenario.appear_min`/`appear_max` make `appear_window`, `birth.particles` is
+`particle_budget`, `filter.initial_phd_mass` is RunConfig's, and the clutter
+disk copies `sensor.max_range`. Unknown keys and malformed values raise
+`ConfigError` naming the field, and a bad section, or a schema key that sets
+no field, raises it naming the section.
 """
 
 from __future__ import annotations
@@ -142,57 +149,39 @@ def build_run_config(values: dict[str, str]) -> RunConfig:
     unknown = sorted(set(values) - set(_SCHEMA))
     if unknown:
         raise ConfigError(f"unknown field '{unknown[0]}'")
-    parsed = {}
+    parsed, fields = {}, {}
     for key, (cast, default) in _SCHEMA.items():
         parsed[key] = cast(key, values[key]) if key in values else default
+        section_name, name = key.split(".")
+        fields.setdefault(section_name, {})[name] = parsed[key]
+    sensor, scenario = fields["sensor"], fields["scenario"]
+    sensor["position"] = np.array([sensor.pop("x"), sensor.pop("y")])
+    sensor["sigma_bearing"] = np.deg2rad(sensor.pop("sigma_bearing_deg"))
+    scenario["appear_window"] = (scenario.pop("appear_min"), scenario.pop("appear_max"))
+    fields["birth"]["particle_budget"] = fields["birth"].pop("particles")
+    fields["run"]["initial_phd_mass"] = fields["filter"].pop("initial_phd_mass")
+    fields["clutter"]["max_range"] = sensor["max_range"]
 
-    def section(name, builder, keys):
+    def section(name, builder, **built):
         try:
-            return builder(**keys)
+            return builder(**fields.pop(name), **built)
+        except ConfigError:
+            raise
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"invalid '{name}.*' settings: {exc}") from None
 
-    motion = section("motion", MotionModel, dict(
-        sigma_u=parsed["motion.sigma_u"], p_survival=parsed["motion.p_survival"]))
-    sensor = section("sensor", SensorModel, dict(
-        position=np.array([parsed["sensor.x"], parsed["sensor.y"]]),
-        max_range=parsed["sensor.max_range"],
-        sigma_range=parsed["sensor.sigma_range"],
-        sigma_bearing=np.deg2rad(parsed["sensor.sigma_bearing_deg"]),
-        pd_max=parsed["sensor.pd_max"], pd_scale=parsed["sensor.pd_scale"]))
-    clutter = section("clutter", ClutterModel, dict(
-        mean_count=parsed["clutter.mean_count"], max_range=parsed["sensor.max_range"]))
-    scenario = section("scenario", ScenarioConfig, dict(
-        style=parsed["scenario.style"],
-        object_count=parsed["scenario.object_count"],
-        appear_window=(parsed["scenario.appear_min"], parsed["scenario.appear_max"]),
-        disappear_after=parsed["scenario.disappear_after"],
-        total_steps=parsed["scenario.total_steps"],
-        rendezvous_step=parsed["scenario.rendezvous_step"],
-        max_speed=parsed["scenario.max_speed"],
-        velocity_sigma=parsed["scenario.velocity_sigma"],
-        motion=motion, sensor=sensor, clutter=clutter))
-    thresholds = section("thresholds", Thresholds, dict(
-        gamma_c=parsed["thresholds.gamma_c"], gamma_tr=parsed["thresholds.gamma_tr"],
-        gamma_leg=parsed["thresholds.gamma_leg"], gamma_d=parsed["thresholds.gamma_d"]))
-    settings = section("filter", FilterSettings, dict(
-        track_particles=parsed["filter.track_particles"],
-        phd_particles=parsed["filter.phd_particles"],
-        bp_iterations=parsed["filter.bp_iterations"],
-        marginals=parsed["filter.marginals"]))
-    birth = section("birth", BirthModel, dict(
-        mean_births=parsed["birth.mean_births"],
-        velocity_sigma=parsed["birth.velocity_sigma"],
-        particle_budget=parsed["birth.particles"]))
-    ospa_params = section("ospa", OspaParams, dict(
-        cutoff=parsed["ospa.cutoff"], order=parsed["ospa.order"]))
-
-    echo = {key: str(parsed[key]) for key in _SCHEMA}
-    return RunConfig(scenario=scenario, thresholds=thresholds, settings=settings,
-                     birth=birth, ospa=ospa_params,
-                     initial_phd_mass=parsed["filter.initial_phd_mass"],
-                     mc_runs=parsed["run.mc_runs"], seed=parsed["run.seed"],
-                     out_dir=parsed["run.out_dir"], raw=echo)
+    # sections are built in this order, so the first bad one names itself
+    config = section(
+        "run", RunConfig,
+        scenario=section("scenario", ScenarioConfig, motion=section("motion", MotionModel),
+                         sensor=section("sensor", SensorModel),
+                         clutter=section("clutter", ClutterModel)),
+        thresholds=section("thresholds", Thresholds), settings=section("filter", FilterSettings),
+        birth=section("birth", BirthModel), ospa=section("ospa", OspaParams),
+        raw={key: str(value) for key, value in parsed.items()})
+    if fields:
+        raise ConfigError(f"invalid '{min(fields)}.*' settings: no such section")
+    return config
 
 
 def load_run_config(path: str | Path) -> RunConfig:

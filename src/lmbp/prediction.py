@@ -10,6 +10,14 @@ from .models import MotionModel
 from .rfs import BernoulliTrack, ParticleSet, PoissonPhd, TrackBlock
 
 
+def _survival(motion: MotionModel, states: np.ndarray) -> np.ndarray:
+    """The survival probability of each state; ValueError outside [0, 1] or NaN."""
+    ps = motion.survival_prob(states)
+    if len(ps) and not (0.0 <= ps.min() and ps.max() <= 1.0):
+        raise ValueError("survival probability outside [0, 1]")
+    return ps
+
+
 def predict_tracks(tracks: Sequence[BernoulliTrack], motion: MotionModel,
                    rng: np.random.Generator) -> TrackBlock:
     """Predict labeled Bernoulli components as one block.
@@ -25,10 +33,7 @@ def predict_tracks(tracks: Sequence[BernoulliTrack], motion: MotionModel,
     """
     weights, totals = [], []
     for track in tracks:
-        ps = motion.survival_prob(track.pdf.states)
-        if len(ps) and not (0.0 <= ps.min() and ps.max() <= 1.0):
-            raise ValueError("survival probability outside [0, 1]")
-        weights.append(track.pdf.weights * ps)
+        weights.append(track.pdf.weights * _survival(motion, track.pdf.states))
         totals.append(float(weights[-1].sum()))
     survivors = [i for i, total in enumerate(totals) if total > 0.0]
     block = TrackBlock.empty([tracks[i].label for i in survivors],
@@ -56,12 +61,12 @@ def predict_phd(phd: PoissonPhd, birth: PoissonPhd, motion: MotionModel,
     """Predict the unlabeled intensity: survive + move, then append birth particles.
 
     Output mass equals birth mass + sum of survival-weighted input weights.
+    A survival probability outside [0, 1], or NaN, raises ValueError.
     Particle count grows; reduction happens once per step, after the update.
     """
     survived = phd.particles
-    ps = motion.survival_prob(survived.states)
+    weights = survived.weights * _survival(motion, survived.states)
     states = motion.transition_sample(survived.states, rng)
-    weights = survived.weights * ps
     states = np.concatenate([states, birth.particles.states])
     weights = np.concatenate([weights, birth.particles.weights])
     return PoissonPhd(ParticleSet(states, weights))

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -227,13 +228,19 @@ class TestTrackEvidence:
         at_sensor[:, :2] = sensor.position
         forced = BernoulliTrack(Label(1, 1), 1.0, ParticleSet(at_sensor, np.full(4, 0.25)))
         absent = cloud_track(rng, sensor.position + [0.0, 100.0], 20, 0.0, index=2)
+        unsure = BernoulliTrack(Label(1, 3), 0.6, ParticleSet(at_sensor, np.full(4, 0.25)))
         frame = [Measurement(0.5, 0.0)] + frame_near(rng, sensor, [absent], 5)
-        evidence = assert_evidence_exact([forced, absent], frame, sensor)
+        evidence = assert_evidence_exact([forced, absent, unsure], frame, sensor)
         assert evidence.miss_beta[0] == 0.0
         miss = evidence.miss(0)
         assert miss.beta == 0.0 and miss.existence == 0.0 and len(miss.weights) == 0
         assert evidence.miss_beta[1] == 1.0 and evidence.miss(1).existence == 0.0
         assert not evidence.betas[1].any() and evidence.betas[0, 0] > 0.0
+        # surely detected if present, but r < 1: c = 0 while beta = 1 - r > 0
+        assert evidence.miss_mass[2] == 0.0
+        miss = evidence.miss(2)
+        assert miss.beta == evidence.miss_beta[2] == 1.0 - 0.6
+        assert miss.existence == 0.0 and len(miss.weights) == 0
 
     def test_empty_frame_and_no_tracks(self):
         rng = np.random.default_rng(32)
@@ -666,14 +673,28 @@ class TestEnumerateAdmissible:
         assert legacy.shape == (1, 0) and claims.shape == (1, 0)
         assert weights.tolist() == [1.0]
 
-    @pytest.mark.parametrize("weight", [np.inf, np.nan])
+    @pytest.mark.parametrize("weight", [np.inf, np.nan, -1.0])
     def test_non_finite_weight_raises(self, weight):
-        # the message names the weight, not an all-zero enumeration
+        # the message names the weight, not an all-zero enumeration after
+        # numpy's log of a negative weight warns
         for table in range(3):
             tables = list(single_legacy_cluster(0.4, [2.0], [1.5]))
             tables[table] = np.full_like(tables[table], weight)
-            with pytest.raises(ValueError, match="non-finite"):
-                enumerate_admissible(*tables)
+            for entry_point in (enumerate_admissible, bp_marginals):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError, match="negative or non-finite"):
+                        entry_point(*tables)
+
+    def test_tables_must_agree_in_shape(self):
+        # a (2, 2) detection table against 3 miss weights must not give 2-row
+        # BP marginals or seven vectors of weight 1/7
+        for table in (0, 2, 3):
+            tables = [np.ones(2), np.ones((2, 2)), np.ones(2), np.zeros(2, dtype=bool)]
+            tables[table] = np.resize(tables[table], 3)
+            for entry_point in (enumerate_admissible, bp_marginals):
+                with pytest.raises(ValueError, match="shape"):
+                    entry_point(*tables)
 
     def test_log_domain_handles_tiny_weights(self):
         cluster = ClusterTables(np.full(2, 1e-180), np.full((2, 2), 1e-180), np.full(2, 1e-180),

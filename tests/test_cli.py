@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from lmbp.cli import main, run_experiment
-from lmbp.config import ConfigError, build_run_config, load_run_config, parse_config_text
+from lmbp.config import (
+    _SCHEMA,
+    ConfigError,
+    _to_float,
+    build_run_config,
+    load_run_config,
+    parse_config_text,
+)
 
 TINY = """
 # tiny smoke scenario
@@ -36,6 +43,50 @@ def write_config(tmp_path, text, **overrides):
     return path
 
 
+# a valid value other than the default for every schema key
+NON_DEFAULT = {
+    "scenario.style": "ts2", "scenario.object_count": "11", "scenario.appear_min": "2",
+    "scenario.appear_max": "41", "scenario.disappear_after": "151",
+    "scenario.total_steps": "201", "scenario.rendezvous_step": "121",
+    "scenario.max_speed": "1.25", "scenario.velocity_sigma": "0.75",
+    "motion.sigma_u": "0.02", "motion.p_survival": "0.95",
+    "sensor.x": "10.5", "sensor.y": "-40.5", "sensor.max_range": "250", "sensor.sigma_range": "3",
+    "sensor.sigma_bearing_deg": "2", "sensor.pd_max": "0.9", "sensor.pd_scale": "400",
+    "clutter.mean_count": "20",
+    "birth.mean_births": "0.2", "birth.velocity_sigma": "0.25", "birth.particles": "600",
+    "filter.track_particles": "300", "filter.phd_particles": "700", "filter.bp_iterations": "5",
+    "filter.marginals": "exact", "filter.initial_phd_mass": "0.5",
+    "thresholds.gamma_c": "1e-6", "thresholds.gamma_tr": "0.05", "thresholds.gamma_leg": "0.2",
+    "thresholds.gamma_d": "0.6",
+    "ospa.cutoff": "10", "ospa.order": "1",
+    "run.mc_runs": "3", "run.seed": "7", "run.out_dir": "elsewhere",
+}
+
+# the keys that do not set the field of their own name, and what they set,
+# in the key's units
+ROUTED = {
+    "sensor.x": lambda config: config.scenario.sensor.position[0],
+    "sensor.y": lambda config: config.scenario.sensor.position[1],
+    "sensor.sigma_bearing_deg": lambda config: np.rad2deg(config.scenario.sensor.sigma_bearing),
+    "scenario.appear_min": lambda config: config.scenario.appear_window[0],
+    "scenario.appear_max": lambda config: config.scenario.appear_window[1],
+    "birth.particles": lambda config: config.birth.particle_budget,
+    "filter.initial_phd_mass": lambda config: config.initial_phd_mass,
+}
+
+
+def field_set_by(config, key):
+    section, name = key.split(".")
+    if key in ROUTED:
+        return ROUTED[key](config)
+    scenario = config.scenario
+    owner = {"scenario": scenario, "motion": scenario.motion, "sensor": scenario.sensor,
+             "clutter": scenario.clutter, "thresholds": config.thresholds,
+             "filter": config.settings, "birth": config.birth, "ospa": config.ospa,
+             "run": config}[section]
+    return getattr(owner, name)
+
+
 class TestConfigParsing:
     def test_parse_values_and_comments(self):
         out = parse_config_text("a.b = 1  # trailing\n\n# full comment\nc.d = x\n")
@@ -60,6 +111,25 @@ class TestConfigParsing:
     def test_bad_model_value_names_section(self):
         with pytest.raises(ConfigError, match="sensor"):
             build_run_config({"sensor.pd_max": "1.5"})
+
+    @pytest.mark.parametrize("key", list(_SCHEMA))
+    def test_every_key_sets_its_field(self, key):
+        cast, default = _SCHEMA[key]
+        value = cast(key, NON_DEFAULT[key])
+        assert value != default
+        config = build_run_config({key: NON_DEFAULT[key]})
+        assert field_set_by(config, key) == (value if isinstance(value, str)
+                                             else pytest.approx(value, rel=1e-15))
+        assert config.raw[key] == str(value)
+        if key == "sensor.max_range":
+            assert config.scenario.clutter.max_range == value
+
+    @pytest.mark.parametrize("key", ["motion.drag", "run.drag", "radar.gain"])
+    def test_schema_key_without_a_field_names_its_section(self, key, monkeypatch):
+        # a key the schema parses but no field takes is refused, not ignored
+        monkeypatch.setitem(_SCHEMA, key, (_to_float, 1.0))
+        with pytest.raises(ConfigError, match=rf"'{key.split('.')[0]}\.\*'"):
+            build_run_config({})
 
     def test_shipped_configs_load(self):
         # every value a shipped config sets is the one its run echoes

@@ -121,14 +121,22 @@ class TestPredictTracks:
         assert sizes == {1000: [0, 2, 4], 3: [1, 3], 50: [5]}
 
     def test_survival_outside_unit_interval_raises(self):
+        # both predictions check survival; 1.5 would grow the intensity's mass by half
         @dataclass(frozen=True)
-        class NanSurvival(MotionModel):
-            def survival_prob(self, states):
-                return np.full(np.asarray(states).shape[:-1], np.nan)
+        class FixedSurvival(MotionModel):
+            survival: float = 0.0
 
-        with pytest.raises(ValueError, match="survival"):
-            predict_tracks([track_of([[0, 0, 0, 0]], [1.0])], NanSurvival(),
-                           np.random.default_rng(0))
+            def survival_prob(self, states):
+                return np.full(np.asarray(states).shape[:-1], self.survival)
+
+        for survival in (np.nan, 1.5, -0.1):
+            motion = FixedSurvival(survival=survival)
+            with pytest.raises(ValueError, match="survival"):
+                predict_tracks([track_of([[0, 0, 0, 0]], [1.0])], motion,
+                               np.random.default_rng(0))
+            with pytest.raises(ValueError, match="survival"):
+                predict_phd(phd_of([[0, 0, 0, 0]], [1.0]), PoissonPhd.empty(), motion,
+                            np.random.default_rng(0))
 
 
 def phd_of(states, weights):
