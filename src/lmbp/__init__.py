@@ -17,7 +17,7 @@ from .association import (
 from .config import ConfigError, RunConfig, build_run_config, load_run_config, parse_config_text
 from .estimation import TrackEstimate, detect_and_estimate
 from .metrics import OspaParams, mospa_curve, ospa
-from .models import BirthModel, ClutterModel, Models, MotionModel, SensorModel
+from .models import BirthModel, Models, MotionModel, SensorModel
 from .prediction import predict_phd, predict_track, predict_tracks
 from .rfs import (
     BernoulliTrack,

@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .models import EXP_FLOOR, ClutterModel, SensorModel
+from .models import EXP_FLOOR, SensorModel
 from .rfs import BernoulliTrack, Measurement, PoissonPhd, TrackBlock
 
 _TINY = 1e-300  # denominator floor; keeps degenerate messages finite
@@ -198,8 +198,8 @@ def miss_hypothesis(track: BernoulliTrack, sensor: SensorModel) -> Hypothesis:
 
 
 def new_components(phd: PoissonPhd, pd: np.ndarray, frame: Sequence[Measurement],
-                   sensor: SensorModel, clutter: ClutterModel,
-                   polar: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray, Cells]:
+                   sensor: SensorModel, polar: tuple[np.ndarray, np.ndarray]
+                   ) -> tuple[np.ndarray, np.ndarray, Cells]:
     """Unlabeled-or-clutter evidence of every measurement, as weights over the
     intensity particles.
 
@@ -207,11 +207,11 @@ def new_components(phd: PoissonPhd, pd: np.ndarray, frame: Sequence[Measurement]
     `beta` (M,), `mass` (M,) and `cells`, the sensor's likelihood cells
     scaled to w_i pD(x_i) f(z_m|x_i): row m-1, column i. Measurement m's
     component has intensity mass d = mass[m-1], the sum of its row's cells
-    added in column order, beta = clutter
-    intensity + d, existence d / beta, and pdf row / d over the intensity
-    particles; no particle set is built here. beta is 0 for a measurement
-    that neither clutter nor the intensity can explain, such as one beyond
-    the sensor disk.
+    added in column order, beta = c_m + d with c_m the sensor's clutter
+    intensity, existence d / beta, and pdf row / d over the intensity
+    particles; no particle set is built here. c_m is 0 beyond the sensor
+    disk, where the intensity's tail can still give d > 0; `lmbp_step`
+    drops such a measurement by the disk test itself, not by beta.
     `polar` is `sensor.range_bearing` of the intensity particles.
 
     A cell is left out when f(z_m|x_i) lies below 2^-106 c_m, with c_m the
@@ -223,7 +223,7 @@ def new_components(phd: PoissonPhd, pd: np.ndarray, frame: Sequence[Measurement]
     threshold, the one place the step reads its value. Where c_m = 0 the
     floor is `EXP_FLOOR`, which leaves out exact zeros only.
     """
-    clutter_c = clutter.intensity_at(np.array([z.range for z in frame], dtype=float))
+    clutter_c = sensor.clutter_intensity_at(np.array([z.range for z in frame], dtype=float))
     with np.errstate(divide="ignore", invalid="ignore"):
         floor = np.fmax(EXP_FLOOR, np.log(_CLUTTER_SHARE * clutter_c / sensor.normalizer))
     row, col, value = sensor.likelihood_cells(frame, *polar, floor)

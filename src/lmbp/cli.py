@@ -50,7 +50,7 @@ def execute_run(config: RunConfig, master: np.random.SeedSequence):
     rng_filter = np.random.default_rng(filter_seq)
     scenario = config.scenario
     truth = generate_truth(scenario, rng_truth)
-    frames = generate_frames(truth, scenario.sensor, scenario.clutter, rng_truth)
+    frames = generate_frames(truth, scenario.sensor, rng_truth)
 
     state = initial_state(config, rng_filter)
     models = config.models

@@ -15,10 +15,10 @@ Key `section.name` sets field `name` of the section's dataclass (`filter`
 is `FilterSettings`, `run` is `RunConfig`), except: `sensor.x`/`sensor.y`
 make `position`, `sensor.sigma_bearing_deg` is `sigma_bearing` in radians,
 `scenario.appear_min`/`appear_max` make `appear_window`, `birth.particles` is
-`particle_budget`, `filter.initial_phd_mass` is RunConfig's, and the clutter
-disk copies `sensor.max_range`. Unknown keys and malformed values raise
-`ConfigError` naming the field, and a bad section, or a schema key that sets
-no field, raises it naming the section.
+`particle_budget`, `filter.initial_phd_mass` is RunConfig's, and
+`clutter.mean_count` is the sensor's `clutter_mean`. Unknown keys and
+malformed values raise `ConfigError` naming the field, and a bad section, or
+a schema key that sets no field, raises it naming the section.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import OspaParams
-from .models import BirthModel, ClutterModel, Models, MotionModel, SensorModel
+from .models import BirthModel, Models, MotionModel, SensorModel
 from .simulate import ScenarioConfig
 from .update import FilterSettings, Thresholds
 
@@ -140,8 +140,7 @@ class RunConfig:
 
     @property
     def models(self) -> Models:
-        return Models(self.scenario.motion, self.scenario.sensor,
-                      self.scenario.clutter, self.birth)
+        return Models(self.scenario.motion, self.scenario.sensor, self.birth)
 
 
 def build_run_config(values: dict[str, str]) -> RunConfig:
@@ -160,7 +159,7 @@ def build_run_config(values: dict[str, str]) -> RunConfig:
     scenario["appear_window"] = (scenario.pop("appear_min"), scenario.pop("appear_max"))
     fields["birth"]["particle_budget"] = fields["birth"].pop("particles")
     fields["run"]["initial_phd_mass"] = fields["filter"].pop("initial_phd_mass")
-    fields["clutter"]["max_range"] = sensor["max_range"]
+    sensor["clutter_mean"] = fields["clutter"].pop("mean_count")
 
     def section(name, builder, **built):
         try:
@@ -174,13 +173,12 @@ def build_run_config(values: dict[str, str]) -> RunConfig:
     config = section(
         "run", RunConfig,
         scenario=section("scenario", ScenarioConfig, motion=section("motion", MotionModel),
-                         sensor=section("sensor", SensorModel),
-                         clutter=section("clutter", ClutterModel)),
+                         sensor=section("sensor", SensorModel)),
         thresholds=section("thresholds", Thresholds), settings=section("filter", FilterSettings),
         birth=section("birth", BirthModel), ospa=section("ospa", OspaParams),
         raw={key: str(value) for key, value in parsed.items()})
-    if fields:
-        raise ConfigError(f"invalid '{min(fields)}.*' settings: no such section")
+    if unbuilt := sorted(name for name, rest in fields.items() if rest):
+        raise ConfigError(f"invalid '{unbuilt[0]}.*' settings: no such section")
     return config
 
 

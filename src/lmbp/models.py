@@ -1,5 +1,5 @@
-"""Statistical models: nearly-constant-velocity motion, range-bearing sensor,
-polar-uniform clutter, and the measurement-driven birth proposal.
+"""Statistical models: nearly-constant-velocity motion, range-bearing sensor
+with its polar-uniform clutter, and the measurement-driven birth proposal.
 
 All models are read-only parameter bundles; every sampling method takes an
 explicit `numpy.random.Generator` so parallel callers own independent streams.
@@ -103,11 +103,14 @@ class MotionModel:
 
 @dataclass(frozen=True)
 class SensorModel:
-    """Range-bearing sensor with distance-dependent detection probability.
+    """Range-bearing sensor with distance-dependent detection probability
+    and Poisson clutter: the one measurement model.
 
     Detection probability is pd_max * exp(-d^2 / pd_scale^2) with d the
     distance from the sensor to the object position; the likelihood is the
-    product of independent range and (wrapped) bearing Gaussians.
+    product of independent range and (wrapped) bearing Gaussians. Clutter is
+    `clutter_mean` points per frame, uniform in (range, bearing) over the
+    disk; `covers` is the one disk test, for clutter, support and birth seeds.
     """
 
     position: np.ndarray = field(default_factory=lambda: np.array([0.0, -50.0]))
@@ -116,6 +119,7 @@ class SensorModel:
     sigma_bearing: float = np.deg2rad(1.0)
     pd_max: float = 0.7
     pd_scale: float = 450.0
+    clutter_mean: float = 100.0
 
     def __post_init__(self):
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float).reshape(2))
@@ -124,6 +128,24 @@ class SensorModel:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 < self.pd_max <= 1.0:
             raise ValueError("pd_max must be in (0, 1]")
+        if not self.clutter_mean >= 0:
+            raise ValueError("clutter_mean must be nonnegative")
+
+    def covers(self, ranges):
+        """Whether each range lies in the sensor disk [0, max_range]; False for nan."""
+        return (ranges >= 0.0) & (ranges <= self.max_range)
+
+    def clutter_intensity_at(self, ranges: np.ndarray) -> np.ndarray:
+        """Clutter intensity at measurement ranges; zero outside the sensor disk."""
+        density = 1.0 / (self.max_range * 2.0 * np.pi)
+        return np.where(self.covers(ranges), self.clutter_mean * density, 0.0)
+
+    def sample_clutter(self, rng: np.random.Generator) -> list[Measurement]:
+        """One frame of clutter: a Poisson count, uniform over the disk."""
+        count = rng.poisson(self.clutter_mean)
+        ranges = rng.uniform(0.0, self.max_range, count)
+        bearings = rng.uniform(-np.pi, np.pi, count)
+        return [Measurement(float(r), float(b)) for r, b in zip(ranges, bearings)]
 
     @property
     def normalizer(self) -> float:
@@ -339,35 +361,6 @@ class SensorModel:
         return Measurement(min(max(r, 0.0), self.max_range), b)
 
 
-@dataclass(frozen=True)
-class ClutterModel:
-    """Poisson clutter, uniform in (range, bearing) over the sensor disk."""
-
-    mean_count: float = 100.0
-    max_range: float = 300.0
-
-    def __post_init__(self):
-        if not self.mean_count >= 0:
-            raise ValueError("mean_count must be nonnegative")
-        if not self.max_range > 0:
-            raise ValueError("max_range must be positive")
-
-    @property
-    def density(self) -> float:
-        return 1.0 / (self.max_range * 2.0 * np.pi)
-
-    def intensity_at(self, ranges: np.ndarray) -> np.ndarray:
-        """Clutter intensity at measurement ranges; zero outside the sensor disk."""
-        inside = (ranges >= 0.0) & (ranges <= self.max_range)
-        return np.where(inside, self.mean_count * self.density, 0.0)
-
-    def sample(self, rng: np.random.Generator) -> list[Measurement]:
-        count = rng.poisson(self.mean_count)
-        ranges = rng.uniform(0.0, self.max_range, count)
-        bearings = rng.uniform(-np.pi, np.pi, count)
-        return [Measurement(float(r), float(b)) for r, b in zip(ranges, bearings)]
-
-
 def uniform_disk_positions(center: np.ndarray, radius: float, count: int,
                            rng: np.random.Generator) -> np.ndarray:
     """`count` positions uniform in area over a disk."""
@@ -380,11 +373,12 @@ def uniform_disk_positions(center: np.ndarray, radius: float, count: int,
 class BirthModel:
     """Measurement-driven birth intensity for newborn unlabeled objects.
 
-    Each birth particle picks one of the previous frame's finite
-    measurements, inverts the range-bearing map at a noise-perturbed copy of
-    it, draws a zero-mean Gaussian velocity, and advances one step through
-    the motion kernel. With no finite previous measurement the positions fall
-    back to uniform over the sensor disk. Total weight is always `mean_births`.
+    Each birth particle picks one of the previous frame's measurements that
+    lie in the sensor disk (`SensorModel.covers`) with a finite bearing,
+    inverts the range-bearing map at a noise-perturbed copy of it, draws a
+    zero-mean Gaussian velocity, and advances one step through the motion
+    kernel. With no such measurement the positions fall back to uniform over
+    the sensor disk. Total weight is always `mean_births`.
     """
 
     mean_births: float = 0.1
@@ -401,13 +395,13 @@ class BirthModel:
                    sensor: SensorModel, rng: np.random.Generator) -> PoissonPhd:
         n = self.particle_budget
         states = np.empty((n, STATE_DIM))
-        seeds = [z for z in prev_measurements if math.isfinite(z.range) and math.isfinite(z.bearing)]
-        if seeds:
-            pick = rng.integers(0, len(seeds), n)
-            zr = np.array([z.range for z in seeds])[pick]
-            zb = np.array([z.bearing for z in seeds])[pick]
-            r = zr + rng.normal(0.0, sensor.sigma_range, n)
-            b = zb + rng.normal(0.0, sensor.sigma_bearing, n)
+        zr = np.array([z.range for z in prev_measurements], dtype=float)
+        zb = np.array([z.bearing for z in prev_measurements], dtype=float)
+        seeds = sensor.covers(zr) & np.isfinite(zb)
+        if seeds.any():
+            pick = rng.integers(0, np.count_nonzero(seeds), n)
+            r = zr[seeds][pick] + rng.normal(0.0, sensor.sigma_range, n)
+            b = zb[seeds][pick] + rng.normal(0.0, sensor.sigma_bearing, n)
             states[:, 0] = sensor.position[0] + r * np.cos(b)
             states[:, 1] = sensor.position[1] + r * np.sin(b)
             states[:, 2:] = rng.normal(0.0, self.velocity_sigma, (n, 2))
@@ -421,9 +415,8 @@ class BirthModel:
 
 @dataclass(frozen=True)
 class Models:
-    """The four model ingredients the filter recursion needs."""
+    """The three model ingredients the filter recursion needs."""
 
     motion: MotionModel
     sensor: SensorModel
-    clutter: ClutterModel
     birth: BirthModel

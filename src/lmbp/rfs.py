@@ -89,8 +89,6 @@ def resample(pset: ParticleSet, target_count: int, rng: np.random.Generator) -> 
     """
     if target_count <= 0:
         raise ValueError("target_count must be positive")
-    if pset.total_weight <= 0.0:
-        raise ValueError("degenerate particle set")
     return resample_rows([(pset.weights, pset.states)], target_count, rng)[0]
 
 
@@ -100,9 +98,10 @@ def resample_rows(rows: Sequence[tuple[np.ndarray, np.ndarray]], count: int,
     `count` particles of weight total / count.
 
     Row k is `(weights, states)`: particle n is states[n] with weight
-    weights[n] >= 0, at least one positive. The row's total is the last
-    entry of its running sum, up to its last positive weight, so a
-    zero-weight particle anywhere leaves the total and the draws unchanged.
+    weights[n] >= 0, at least one positive, or a `ValueError` names k. The
+    row's total is the last entry of its running sum, up to its last
+    positive weight, so a zero-weight particle anywhere leaves the total and
+    the draws unchanged.
     One `rng.random(K)` gives the rows their uniforms in order, the same
     draws as K single ones. Every index is capped at the last positive
     weight, so no draw lands on a trailing particle of zero weight. Rows
@@ -111,10 +110,15 @@ def resample_rows(rows: Sequence[tuple[np.ndarray, np.ndarray]], count: int,
     """
     steps = np.arange(count)
     out = []
-    for (weights, states), u in zip(rows, rng.random(len(rows)).tolist()):
+    for k, ((weights, states), u) in enumerate(zip(rows, rng.random(len(rows)).tolist())):
         last = len(weights) - 1
-        if weights[last] <= 0.0:
-            last = int(np.flatnonzero(weights > 0.0)[-1])
+        if last >= 0 and weights[last] <= 0.0:
+            positive = np.flatnonzero(weights > 0.0)
+            last = int(positive[-1]) if positive.size else -1
+        # min is nan where any weight is
+        if last < 0 or not weights.min() >= 0.0:
+            raise ValueError(f"degenerate particle set: row {k} needs nonnegative weights, "
+                             "at least one positive")
         cum = np.cumsum(weights[:last + 1])
         total = cum[-1]
         idx = np.searchsorted(cum, (u + steps) * (total / count), side="right")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import ClutterModel, MotionModel, SensorModel, uniform_disk_positions
+from .models import MotionModel, SensorModel, uniform_disk_positions
 from .rfs import Measurement, STATE_DIM
 
 
@@ -33,7 +33,6 @@ class ScenarioConfig:
     velocity_sigma: float = 0.5             # newborn velocity prior (ts1)
     motion: MotionModel = field(default_factory=MotionModel)
     sensor: SensorModel = field(default_factory=SensorModel)
-    clutter: ClutterModel = field(default_factory=ClutterModel)
 
     def __post_init__(self):
         if self.style not in ("ts1", "ts2"):
@@ -113,9 +112,9 @@ def generate_truth(config: ScenarioConfig, rng: np.random.Generator) -> GroundTr
     return GroundTruth(tuple(objects), config.total_steps)
 
 
-def generate_frame(truth_states: np.ndarray, sensor: SensorModel, clutter: ClutterModel,
+def generate_frame(truth_states: np.ndarray, sensor: SensorModel,
                    rng: np.random.Generator) -> list[Measurement]:
-    """One measurement frame: detections of the given states plus clutter.
+    """One measurement frame: detections of the given states plus the sensor's clutter.
 
     Objects beyond the sensor range are never detected; detections are noisy
     range-bearing pairs with the range clamped to the sensor disk. The frame
@@ -129,15 +128,15 @@ def generate_frame(truth_states: np.ndarray, sensor: SensorModel, clutter: Clutt
             continue
         if rng.random() < sensor.detection_prob_at(rho):
             frame.append(sensor.sample_measurement(state, rng))
-    frame.extend(clutter.sample(rng))
+    frame.extend(sensor.sample_clutter(rng))
     order = rng.permutation(len(frame))
     return [frame[i] for i in order]
 
 
-def generate_frames(truth: GroundTruth, sensor: SensorModel, clutter: ClutterModel,
+def generate_frames(truth: GroundTruth, sensor: SensorModel,
                     rng: np.random.Generator) -> list[list[Measurement]]:
     """Frames for steps 1..total_steps (index 0 is step 1)."""
-    return [generate_frame(truth.alive_states(k), sensor, clutter, rng)
+    return [generate_frame(truth.alive_states(k), sensor, rng)
             for k in range(1, truth.total_steps + 1)]
 
 

@@ -19,14 +19,19 @@ class StubSensor:
     `pd` is aligned with the particle order of whatever set it is applied to;
     `lik` has one row per frame measurement, which every state set gets.
     Every state sits at range and bearing 0. A likelihood floor is accepted
-    and ignored, so `normalizer` only has to exist.
+    and ignored, so `normalizer` only has to exist. Clutter and its disk are
+    `SensorModel`'s own, with `clutter_mean` points per frame over a disk of
+    radius `max_range`.
     """
 
     normalizer = 1.0
+    covers = SensorModel.covers
+    clutter_intensity_at = SensorModel.clutter_intensity_at
 
-    def __init__(self, pd, lik=None):
+    def __init__(self, pd, lik=None, clutter_mean=0.0, max_range=300.0):
         self.pd = np.asarray(pd, dtype=float)
         self.lik = None if lik is None else np.asarray(lik, dtype=float)
+        self.clutter_mean, self.max_range = clutter_mean, max_range
 
     def range_bearing(self, states):
         shape = np.shape(states)[:-1]

@@ -25,7 +25,7 @@ from lmbp.cli import execute_run, initial_state, run_experiment
 from lmbp.config import build_run_config
 from lmbp.estimation import detect_and_estimate
 from lmbp.metrics import OspaParams, mospa_curve, ospa
-from lmbp.models import BirthModel, ClutterModel, Models, MotionModel
+from lmbp.models import BirthModel, Models, MotionModel
 from lmbp.prediction import predict_phd, predict_track
 from lmbp.rfs import (
     BernoulliTrack,
@@ -273,9 +273,8 @@ def test_criterion_4_micro_updates():
     checks.append(abs(miss.existence - 0.5 * 0.3 / 0.65))
 
     phd = PoissonPhd(ParticleSet(np.zeros((2, 4)), np.full(2, 0.0265)))
-    clutter = ClutterModel(mean_count=0.053 * 300 * 2 * np.pi, max_range=300.0)
-    sensor = StubSensor([1.0, 1.0], [[1.0, 1.0]])
-    beta, mass, _ = new_components(phd, np.ones(2), [Measurement(1.0, 0.0)], sensor, clutter,
+    sensor = StubSensor([1.0, 1.0], [[1.0, 1.0]], clutter_mean=0.053 * 300 * 2 * np.pi)
+    beta, mass, _ = new_components(phd, np.ones(2), [Measurement(1.0, 0.0)], sensor,
                                    sensor.range_bearing(phd.particles.states))
     checks.append(abs(mass[0] / beta[0] - 0.5))
 
@@ -301,8 +300,7 @@ def test_criterion_4_micro_updates():
     state = FilterState((BernoulliTrack(Label(1, 1), 0.8, pdf_at(10.0)),),
                         PoissonPhd.empty(), 1)
     models = Models(MotionModel(sigma_u=0.0, p_survival=1.0),
-                    ConstantPdSensor(pd_const=0.5),
-                    ClutterModel(mean_count=2.0),
+                    ConstantPdSensor(pd_const=0.5, clutter_mean=2.0),
                     BirthModel(mean_births=0.0, particle_budget=16))
     out = lmbp_step(state, [], models, Thresholds(), np.random.default_rng(0),
                     settings=FilterSettings(track_particles=16, phd_particles=16))
@@ -375,8 +373,7 @@ def test_criterion_6_desk_scale():
         rng_truth = np.random.default_rng(truth_seq)
         rng_filter = np.random.default_rng(filter_seq)
         truth = generate_truth(config.scenario, rng_truth)
-        frames = generate_frames(truth, config.scenario.sensor,
-                                 config.scenario.clutter, rng_truth)
+        frames = generate_frames(truth, config.scenario.sensor, rng_truth)
         state = initial_state(config, rng_filter)
         prev = ()
         seen_labels: set[Label] = set()
@@ -468,8 +465,7 @@ def test_criterion_8_threshold_semantics():
     # monotonicity of the kept-track count in gamma_leg, fixed random stream
     rng_master = np.random.default_rng(14)
     models = Models(MotionModel(sigma_u=0.0, p_survival=0.95),
-                    ConstantPdSensor(pd_const=0.6),
-                    ClutterModel(mean_count=2.0),
+                    ConstantPdSensor(pd_const=0.6, clutter_mean=2.0),
                     BirthModel(mean_births=0.05, particle_budget=32))
     settings = FilterSettings(track_particles=32, phd_particles=64)
     monotone = True

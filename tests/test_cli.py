@@ -72,6 +72,7 @@ ROUTED = {
     "scenario.appear_max": lambda config: config.scenario.appear_window[1],
     "birth.particles": lambda config: config.birth.particle_budget,
     "filter.initial_phd_mass": lambda config: config.initial_phd_mass,
+    "clutter.mean_count": lambda config: config.scenario.sensor.clutter_mean,
 }
 
 
@@ -81,9 +82,8 @@ def field_set_by(config, key):
         return ROUTED[key](config)
     scenario = config.scenario
     owner = {"scenario": scenario, "motion": scenario.motion, "sensor": scenario.sensor,
-             "clutter": scenario.clutter, "thresholds": config.thresholds,
-             "filter": config.settings, "birth": config.birth, "ospa": config.ospa,
-             "run": config}[section]
+             "thresholds": config.thresholds, "filter": config.settings, "birth": config.birth,
+             "ospa": config.ospa, "run": config}[section]
     return getattr(owner, name)
 
 
@@ -121,8 +121,6 @@ class TestConfigParsing:
         assert field_set_by(config, key) == (value if isinstance(value, str)
                                              else pytest.approx(value, rel=1e-15))
         assert config.raw[key] == str(value)
-        if key == "sensor.max_range":
-            assert config.scenario.clutter.max_range == value
 
     @pytest.mark.parametrize("key", ["motion.drag", "run.drag", "radar.gain"])
     def test_schema_key_without_a_field_names_its_section(self, key, monkeypatch):
@@ -153,7 +151,7 @@ class TestConfigParsing:
         assert config.birth.particle_budget == 5000
         assert config.settings.bp_iterations == 20
         assert config.ospa.cutoff == 20.0 and config.ospa.order == 2.0
-        assert config.scenario.clutter.mean_count == 100.0
+        assert config.scenario.sensor.clutter_mean == 100.0
         assert config.scenario.sensor.pd_max == 0.7
         np.testing.assert_allclose(config.scenario.sensor.position, [0.0, -50.0])
 
@@ -277,6 +275,17 @@ class TestMain:
         err = capsys.readouterr().err
         assert section in err and name in err
         assert not out.exists()
+
+    def test_negative_clutter_mean_exits_2_naming_clutter(self, tmp_path, capsys):
+        # `clutter.mean_count` routes to the sensor's `clutter_mean`, which the
+        # sensor model rejects below 0
+        values = {**parse_config_text(TINY), "run.out_dir": str(tmp_path / "out"),
+                  "clutter.mean_count": "-1"}
+        path = tmp_path / "bad.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        assert main(["run", str(path), "--quiet"]) == 2
+        assert "clutter_mean must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 2

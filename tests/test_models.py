@@ -13,7 +13,6 @@ from lmbp.metrics import OspaParams
 from lmbp.models import (
     EXP_FLOOR,
     BirthModel,
-    ClutterModel,
     MotionModel,
     SensorModel,
     wrap_angle,
@@ -76,11 +75,11 @@ class TestMotionModel:
     lambda: MotionModel(sigma_u=np.nan),
     lambda: SensorModel(sigma_range=np.nan),
     lambda: SensorModel(pd_scale=np.nan),
-    lambda: ClutterModel(mean_count=np.nan),
+    lambda: SensorModel(clutter_mean=np.nan),
     lambda: BirthModel(mean_births=np.nan),
     lambda: OspaParams(cutoff=np.nan),
     lambda: OspaParams(order=np.nan),
-], ids=["gamma_c", "sigma_u", "sigma_range", "pd_scale", "mean_count", "mean_births",
+], ids=["gamma_c", "sigma_u", "sigma_range", "pd_scale", "clutter_mean", "mean_births",
         "cutoff", "order"])
 def test_nan_parameters_are_rejected(make):
     # a NaN gamma_c would cluster nothing: betas >= nan is False everywhere
@@ -659,7 +658,7 @@ def test_filter_matches_dense_likelihood_reference(setting):
                                "clutter.mean_count": "100", "run.seed": "5", **setting})
     truth_rng = np.random.default_rng(11)
     truth = generate_truth(config.scenario, truth_rng)
-    frames = generate_frames(truth, config.scenario.sensor, config.scenario.clutter, truth_rng)
+    frames = generate_frames(truth, config.scenario.sensor, truth_rng)
     stock = config.models
     dense_sensor = DenseSensor(**{f.name: getattr(stock.sensor, f.name)
                                   for f in dataclasses.fields(SensorModel)})
@@ -683,33 +682,43 @@ def test_filter_matches_dense_likelihood_reference(setting):
 
 class TestClutter:
     def test_intensity_value(self):
-        clutter = ClutterModel(mean_count=100.0, max_range=300.0)
+        sensor = make_sensor(clutter_mean=100.0)
         z = Measurement(100.0, 0.3)
-        assert clutter.intensity_at(z.range) == pytest.approx(100.0 / (300.0 * 2 * np.pi))
-        assert clutter.intensity_at(z.range) == pytest.approx(0.05305, abs=2e-5)
+        assert sensor.clutter_intensity_at(z.range) == pytest.approx(100.0 / (300.0 * 2 * np.pi))
+        assert sensor.clutter_intensity_at(z.range) == pytest.approx(0.05305, abs=2e-5)
 
     def test_outside_support(self):
-        clutter = ClutterModel(mean_count=100.0, max_range=300.0)
-        assert clutter.intensity_at(301.0) == 0.0
+        sensor = make_sensor(clutter_mean=100.0)
+        assert sensor.clutter_intensity_at(301.0) == 0.0
 
     def test_zero_rate(self):
-        clutter = ClutterModel(mean_count=0.0, max_range=300.0)
-        assert clutter.intensity_at(10.0) == 0.0
+        sensor = make_sensor(clutter_mean=0.0)
+        assert sensor.clutter_intensity_at(10.0) == 0.0
 
     def test_intensity_at_ranges(self):
         # the array form is the constant inside the closed disk and 0.0
-        # elsewhere, bit for bit the value of one range at a time
-        clutter = ClutterModel(mean_count=100.0, max_range=300.0)
+        # elsewhere, bit for bit the value of one range at a time; `covers`
+        # is the disk test it reads
+        sensor = make_sensor(clutter_mean=100.0)
         ranges = np.array([0.0, 100.0, 300.0, np.nextafter(300.0, 400.0), -1e-9, np.nan])
-        out = clutter.intensity_at(ranges)
+        assert sensor.covers(ranges).tolist() == [True] * 3 + [False] * 3
+        out = sensor.clutter_intensity_at(ranges)
         assert out.shape == ranges.shape
-        assert out.tolist() == [clutter.mean_count * clutter.density] * 3 + [0.0] * 3
-        assert out.tolist() == [float(clutter.intensity_at(np.array(r))) for r in ranges]
-        assert clutter.intensity_at(np.empty(0)).shape == (0,)
+        assert out.tolist() == [100.0 * (1.0 / (300.0 * 2.0 * np.pi))] * 3 + [0.0] * 3
+        assert out.tolist() == [float(sensor.clutter_intensity_at(np.array(r))) for r in ranges]
+        assert sensor.clutter_intensity_at(np.empty(0)).shape == (0,)
 
     def test_density_integrates_to_one_over_roi(self):
-        clutter = ClutterModel(mean_count=1.0, max_range=300.0)
-        assert clutter.density * clutter.max_range * 2 * np.pi == pytest.approx(1.0)
+        sensor = make_sensor(clutter_mean=1.0)
+        density = sensor.clutter_intensity_at(0.0)
+        assert density * sensor.max_range * 2 * np.pi == pytest.approx(1.0)
+
+    def test_samples_lie_in_the_disk(self):
+        sensor = make_sensor(max_range=50.0, clutter_mean=40.0)
+        frame = sensor.sample_clutter(np.random.default_rng(3))
+        assert len(frame) > 0
+        assert sensor.covers(np.array([z.range for z in frame])).all()
+        assert all(-np.pi <= z.bearing < np.pi for z in frame)
 
 
 class TestBirthModel:

@@ -174,6 +174,16 @@ class TestResampleRows:
         assert np.array_equal(out.weights, plain.weights)
         assert np.array_equal(out.weights, np.full(count, np.cumsum(padded)[-1] / count))
 
+    @pytest.mark.parametrize("bad", [[0.0, 0.0], [-1.0, 2.0], [1.0, np.nan], []],
+                             ids=["all_zero", "negative", "nan", "empty"])
+    def test_bad_row_raises_naming_it(self, bad):
+        # as `resample` does, rather than an IndexError on a row with no
+        # positive weight, or four particles of weight 0.25 from [-1, 2]
+        good = (np.ones(2), np.zeros((2, 4)))
+        row = (np.array(bad), np.zeros((len(bad), 4)))
+        with pytest.raises(ValueError, match="degenerate particle set: row 1 "):
+            resample_rows([good, row, good], 4, np.random.default_rng(0))
+
 
 class TestWeightedMean:
     def test_single_particle_identity(self):

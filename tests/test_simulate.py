@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from lmbp.models import ClutterModel, MotionModel, SensorModel
+from lmbp.models import MotionModel, SensorModel
 from lmbp.rfs import Measurement
 from lmbp.simulate import (
     ScenarioConfig,
@@ -85,53 +85,50 @@ class TestGenerateTruth:
 
 
 class TestGenerateFrame:
-    sensor = SensorModel(pd_max=1.0, pd_scale=1e9)  # effectively pD = 1
+    # effectively pD = 1, and no clutter
+    sensor = SensorModel(pd_max=1.0, pd_scale=1e9, clutter_mean=0.0)
 
     def test_certain_detection_no_clutter(self):
-        clutter = ClutterModel(mean_count=0.0)
         state = np.array([[50.0, 0.0, 0.0, 0.0]])
-        frame = generate_frame(state, self.sensor, clutter, np.random.default_rng(0))
+        frame = generate_frame(state, self.sensor, np.random.default_rng(0))
         assert len(frame) == 1
         rho, theta = self.sensor.range_bearing(state[0])
         assert frame[0].range == pytest.approx(float(rho), abs=10 * self.sensor.sigma_range)
         assert frame[0].bearing == pytest.approx(float(theta), abs=0.1)
 
     def test_mean_clutter_count(self):
-        clutter = ClutterModel(mean_count=100.0)
+        sensor = SensorModel(clutter_mean=100.0)
         rng = np.random.default_rng(1)
-        counts = [len(generate_frame(np.empty((0, 4)), self.sensor, clutter, rng))
+        counts = [len(generate_frame(np.empty((0, 4)), sensor, rng))
                   for _ in range(10_000)]
         assert np.mean(counts) == pytest.approx(100.0, rel=0.01)
 
     def test_object_beyond_range_never_detected(self):
-        clutter = ClutterModel(mean_count=0.0)
         state = np.array([[400.0, -50.0, 0.0, 0.0]])  # 400 from sensor at (0,-50)
         rng = np.random.default_rng(2)
         for _ in range(200):
-            assert generate_frame(state, self.sensor, clutter, rng) == []
+            assert generate_frame(state, self.sensor, rng) == []
 
     def test_noisy_range_clamped_to_roi(self):
-        sensor = SensorModel(pd_max=1.0, pd_scale=1e9, sigma_range=50.0)
-        clutter = ClutterModel(mean_count=0.0)
+        sensor = SensorModel(pd_max=1.0, pd_scale=1e9, sigma_range=50.0, clutter_mean=0.0)
         state = np.array([[299.0, -50.0, 0.0, 0.0]])
         rng = np.random.default_rng(3)
         for _ in range(200):
-            frame = generate_frame(state, sensor, clutter, rng)
+            frame = generate_frame(state, sensor, rng)
             for z in frame:
                 assert 0.0 <= z.range <= sensor.max_range
 
     def test_same_seed_same_frames(self):
         config = ts1_config(object_count=3)
         truth = generate_truth(config, np.random.default_rng(5))
-        a = generate_frames(truth, config.sensor, config.clutter,
-                            np.random.default_rng(6))
-        b = generate_frames(truth, config.sensor, config.clutter,
-                            np.random.default_rng(6))
+        a = generate_frames(truth, config.sensor, np.random.default_rng(6))
+        b = generate_frames(truth, config.sensor, np.random.default_rng(6))
         assert a == b
 
     def test_frame_carries_no_identity(self):
-        frame = generate_frame(np.array([[50.0, 0, 0, 0]]), self.sensor,
-                               ClutterModel(mean_count=5.0), np.random.default_rng(7))
+        frame = generate_frame(np.array([[50.0, 0, 0, 0]]),
+                               SensorModel(pd_max=1.0, pd_scale=1e9, clutter_mean=5.0),
+                               np.random.default_rng(7))
         assert all(isinstance(z, Measurement) for z in frame)
         assert all(len(z) == 2 for z in frame)
 

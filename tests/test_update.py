@@ -1,16 +1,20 @@
+import dataclasses
 import io
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lmbp.association
 import lmbp.update
 from lmbp.association import Hypothesis, TrackEvidence, new_components
 from lmbp.cli import initial_state
 from lmbp.config import build_run_config
-from lmbp.models import BirthModel, ClutterModel, Models, MotionModel, SensorModel
+from lmbp.models import BirthModel, Models, MotionModel, SensorModel, wrap_angle
 from lmbp.rfs import (
     BernoulliTrack,
     FilterState,
@@ -343,12 +347,10 @@ class TestSparseIntensityArithmetic:
         phd = PoissonPhd(ParticleSet(states, rng.random(n) * 10.0 ** rng.uniform(-3, 0) / n))
         pd = rng.random(n)
         frame = [Measurement(float(rng.uniform(0.0, 300.0)), 0.0) for _ in range(m)]
-        clutter = ClutterModel(mean_count=20.0)
-        sensor = StubSensor(pd, lik)
-        beta, mass, cells = new_components(phd, pd, frame, sensor, clutter,
-                                           sensor.range_bearing(states))
+        sensor = StubSensor(pd, lik, clutter_mean=20.0)
+        beta, mass, cells = new_components(phd, pd, frame, sensor, sensor.range_bearing(states))
         ref_beta, ref_mass, table = dense_new_components(
-            phd, pd, lik, clutter.intensity_at(np.array([z.range for z in frame])))
+            phd, pd, lik, sensor.clutter_intensity_at(np.array([z.range for z in frame])))
         assert np.array_equal(beta, ref_beta) and np.array_equal(mass, ref_mass)
 
         transfers, transferred = select_transfers(beta, mass, cells, states, 0.1, time=3)
@@ -396,9 +398,8 @@ class TestSparseIntensityArithmetic:
             def sample_phd(self, prev_measurements, motion, sensor, rng):
                 return PoissonPhd.empty()
 
-        sensor = InfiniteNorm()
-        models = Models(MotionModel(sigma_u=0.0, p_survival=1.0), sensor,
-                        ClutterModel(mean_count=2.0, max_range=300.0), NoBirths())
+        sensor = InfiniteNorm(clutter_mean=2.0)
+        models = Models(MotionModel(sigma_u=0.0, p_survival=1.0), sensor, NoBirths())
         states = np.tile([10.0, 20.0, 0.0, 0.0], (8, 1))
         rho, theta = sensor.range_bearing(states[0])
         frame = [Measurement(float(rho), float(theta)),
@@ -436,10 +437,9 @@ class TestSparseIntensityArithmetic:
 def micro_models(pd_const=0.5, p_survival=1.0, mean_births=0.0, mean_clutter=2.0,
                  birth_budget=64):
     motion = MotionModel(sigma_u=0.0, p_survival=p_survival)
-    sensor = ConstantPdSensor(pd_const=pd_const)
-    clutter = ClutterModel(mean_count=mean_clutter, max_range=300.0)
+    sensor = ConstantPdSensor(pd_const=pd_const, clutter_mean=mean_clutter)
     birth = BirthModel(mean_births=mean_births, particle_budget=birth_budget)
-    return Models(motion, sensor, clutter, birth)
+    return Models(motion, sensor, birth)
 
 
 def small_settings(marginals="bp"):
@@ -482,7 +482,7 @@ class TestLmbpStep:
         out = lmbp_step(state, [], dead, Thresholds(), np.random.default_rng(0),
                         settings=small_settings())
         assert out.tracks == ()
-        faulty = Models(NanSurvival(sigma_u=0.0), dead.sensor, dead.clutter, dead.birth)
+        faulty = Models(NanSurvival(sigma_u=0.0), dead.sensor, dead.birth)
         with pytest.raises(ValueError):
             lmbp_step(state, [], faulty, Thresholds(), np.random.default_rng(0),
                       settings=small_settings())
@@ -574,21 +574,29 @@ class TestLmbpStep:
         assert out.phd.mean == pytest.approx(0.2, abs=1e-9)
 
     def test_out_of_disk_measurement_is_dropped(self):
-        # no clutter and no intensity beyond the sensor disk (beta = 0): the
-        # step runs as if the measurement were not in the frame, with an
-        # empty intensity and with one populated near the later measurements,
-        # whose cells move up a row: one is transferred and one unclaimed
-        models = Models(MotionModel(), SensorModel(), ClutterModel(), BirthModel())
+        # the step runs as if a measurement outside the sensor disk were not
+        # in the frame: with an empty intensity (beta = 0 beyond the disk),
+        # with one populated near the later measurements, whose cells move up
+        # a row, so one is transferred and one unclaimed, and with intensity
+        # mass near the out-of-disk measurements, where beta = d would give
+        # existence d / d = 1 and a certain track
+        models = Models(MotionModel(), SensorModel(), BirthModel())
         frame = [Measurement(100.0, 0.0), Measurement(150.0, 0.5), Measurement(200.0, -1.0)]
+        outside = [Measurement(400.0, 0.0), Measurement(310.1, 0.0)]
         rng = np.random.default_rng(1)
-        states, weights = [], []
-        for z, mass in zip(frame[1:], (0.5, 1e-5)):
-            centre = models.sensor.position + z.range * np.array([np.cos(z.bearing),
-                                                                  np.sin(z.bearing)])
-            states.append(np.hstack([centre + rng.normal(0.0, 1.0, (200, 2)),
-                                     np.zeros((200, 2))]))
-            weights.append(np.full(200, mass / 200))
-        populated = PoissonPhd(ParticleSet(np.concatenate(states), np.concatenate(weights)))
+
+        def cloud(zs, masses):
+            states, weights = [], []
+            for z, mass in zip(zs, masses):
+                centre = models.sensor.position + z.range * np.array([np.cos(z.bearing),
+                                                                      np.sin(z.bearing)])
+                states.append(np.hstack([centre + rng.normal(0.0, 1.0, (200, 2)),
+                                         np.zeros((200, 2))]))
+                weights.append(np.full(200, mass / 200))
+            return PoissonPhd(ParticleSet(np.concatenate(states), np.concatenate(weights)))
+
+        populated = cloud(frame[1:], (0.5, 1e-5))
+        near_outside = cloud(frame[1:] + outside, (0.5, 1e-5, 0.5, 0.5))
 
         def snapshot(phd, frame):
             out = io.StringIO()
@@ -596,16 +604,19 @@ class TestLmbpStep:
                                      np.random.default_rng(7)), out)
             return out.getvalue()
 
-        for phd in (PoissonPhd.empty(), populated):
+        for phd in (PoissonPhd.empty(), populated, near_outside):
             expected = snapshot(phd, frame)
-            assert snapshot(phd, frame[:1] + [Measurement(400.0, 0.0)] + frame[1:]) == expected
-        assert "track,1,2," in expected and "track,1,3," not in expected
+            assert snapshot(phd, frame[:1] + outside[:1] + frame[1:] + outside[1:]) == expected
+            # a populated intensity transfers the second kept measurement only
+            assert ("track,1,2," in expected) == (phd.mean > 0) and "track,1,3," not in expected
 
-    @pytest.mark.parametrize("bad", [(np.nan, 0.2), (np.inf, 0.2), (120.0, np.nan)])
+    @pytest.mark.parametrize("bad", [(np.nan, 0.2), (np.inf, 0.2), (120.0, np.nan),
+                                     (-40.0, 0.2), (1e9, 0.2)])
     def test_non_finite_measurement_is_dropped_and_seeds_no_birth(self, bad):
-        # the step drops the measurement (its beta is nan), and the next
-        # step's birth proposal draws from the finite measurements only
-        models = Models(MotionModel(), SensorModel(), ClutterModel(), BirthModel())
+        # the step drops a measurement that is not finite or lies outside the
+        # sensor disk, and the next step's birth proposal draws only from the
+        # measurements inside the disk with a finite bearing
+        models = Models(MotionModel(), SensorModel(), BirthModel())
         frames = [[Measurement(100.0, 0.5), Measurement(*bad)], [Measurement(100.5, 0.5)]]
         state, prev, rng = FilterState((), PoissonPhd.empty(), 0), (), np.random.default_rng(3)
         for frame in frames:
@@ -615,6 +626,12 @@ class TestLmbpStep:
             sets = [track.pdf for track in state.tracks] + [state.phd.particles]
             assert all(np.isfinite(pdf.states).all() for pdf in sets)
         assert state.tracks
+        # every birth particle is seeded from the one good measurement
+        birth = models.birth.sample_phd(frames[0], models.motion, models.sensor,
+                                        np.random.default_rng(4))
+        rho, theta = models.sensor.range_bearing(birth.particles.states)
+        assert np.abs(rho - 100.0).max() < 20.0
+        assert np.abs(wrap_angle(theta - 0.5)).max() < 0.2
 
     def test_step_builds_no_dense_likelihood_table(self, monkeypatch):
         # the intensity evidence stays in cells: a few steps of a small
@@ -630,7 +647,7 @@ class TestLmbpStep:
                                    "filter.phd_particles": "256", "run.seed": "99"})
         rng = np.random.default_rng(99)
         truth = generate_truth(config.scenario, rng)
-        frames = generate_frames(truth, config.scenario.sensor, config.scenario.clutter, rng)
+        frames = generate_frames(truth, config.scenario.sensor, rng)
         state, prev = initial_state(config, rng), ()
         for frame in frames:
             state = lmbp_step(state, frame, config.models, config.thresholds, rng,
@@ -668,7 +685,7 @@ class TestLmbpStep:
                                    "filter.phd_particles": "256", "run.seed": "1"})
         rng = np.random.default_rng(1)
         truth = generate_truth(config.scenario, rng)
-        frames = generate_frames(truth, config.scenario.sensor, config.scenario.clutter, rng)
+        frames = generate_frames(truth, config.scenario.sensor, rng)
         state, prev = initial_state(config, rng), ()
         for frame in frames:
             calls.clear()
@@ -708,7 +725,7 @@ class TestLmbpStep:
                                    "run.seed": "1"})
         rng = np.random.default_rng(1)
         truth = generate_truth(config.scenario, rng)
-        frames = generate_frames(truth, config.scenario.sensor, config.scenario.clutter, rng)
+        frames = generate_frames(truth, config.scenario.sensor, rng)
         state, prev, enumerated = initial_state(config, rng), (), 0
         for frame in frames:
             calls.clear()
@@ -815,7 +832,7 @@ class TestLmbpStep:
             ratio = 0.0
             for z in frame:
                 b = pd * float(np.mean(likelihood(models.sensor, z, states)))
-                ratio += b / float(models.clutter.intensity_at(z.range))
+                ratio += b / float(models.sensor.clutter_intensity_at(z.range))
             expected = (r_pred * (1 - pd + ratio)
                         / (1 - r_pred + r_pred * (1 - pd) + r_pred * ratio))
             assert len(out.tracks) == 1
@@ -855,3 +872,67 @@ class TestLmbpStep:
         assert out_exact.labels() == out_bp.labels()
         for a, b in zip(out_exact.tracks, out_bp.tracks):
             assert a.existence == pytest.approx(b.existence, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Adversarial frames
+# ---------------------------------------------------------------------------
+
+FUZZ_SENSOR = SensorModel(clutter_mean=5.0)
+# measurements the intensity is seeded from; the last sits next to the disk edge
+FUZZ_SEEDS = [Measurement(100.0, 0.3), Measurement(250.0, -2.0), Measurement(299.0, 1.0)]
+EDGE_RANGES = [0.0, 300.0, np.nextafter(300.0, 400.0), 310.1, 1e9, -40.0, np.nan, np.inf, -np.inf]
+fuzz_measurement = st.one_of(
+    # near a seed, so the step transfers and associates; near the edge seed
+    # this crosses out of the disk, next to intensity mass
+    st.builds(lambda z, dr, db: Measurement(z.range + dr, z.bearing + db),
+              st.sampled_from(FUZZ_SEEDS), st.floats(-3.0, 3.0), st.floats(-0.03, 0.03)),
+    st.builds(Measurement, st.floats(0.0, 300.0), st.floats(-np.pi, np.pi)),
+    st.builds(Measurement, st.sampled_from(EDGE_RANGES),
+              st.sampled_from([np.pi, -np.pi, 0.3, np.nan, np.inf])),
+)
+
+
+@st.composite
+def fuzz_frame(draw):
+    """A frame of mixed measurements, some repeated, in any order; may be empty."""
+    frame = draw(st.lists(fuzz_measurement, max_size=8))
+    if frame:
+        frame += draw(st.lists(st.sampled_from(frame), max_size=3))
+    return draw(st.permutations(frame))
+
+
+@settings(max_examples=25, deadline=None)
+@given(frames=st.lists(fuzz_frame(), min_size=1, max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_adversarial_frames_keep_the_state_invariants(frames, seed):
+    # every step's output passes the benchmark's outside checks, every new
+    # label indexes an in-disk measurement, and a run on the frames gives the
+    # same snapshots as a run on their in-disk parts with finite bearings
+    # (with clutter, such a measurement always has beta > 0 and is kept)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from checks import state_problems
+    birth = BirthModel(mean_births=0.5, particle_budget=64)
+    models = Models(MotionModel(), FUZZ_SENSOR, birth)
+    settings_ = FilterSettings(track_particles=32, phd_particles=64)
+    phd = dataclasses.replace(birth, mean_births=3.0).sample_phd(
+        FUZZ_SEEDS, models.motion, FUZZ_SENSOR, np.random.default_rng(seed))
+    kept_frames = [[z for z in frame if FUZZ_SENSOR.covers(z.range) and np.isfinite(z.bearing)]
+                   for frame in frames]
+    snapshots = []
+    for run in (frames, kept_frames):
+        state, prev, rng, out = FilterState((), phd, 0), (), np.random.default_rng(seed), []
+        for frame, kept in zip(run, kept_frames):
+            # an inf bearing warns in `wrap_angle` before its beta drops it
+            with np.errstate(invalid="ignore"):
+                new = lmbp_step(state, frame, models, Thresholds(), rng, prev_frame=prev,
+                                settings=settings_)
+            assert state_problems(state, frame, new) == []
+            born = [lab.index for lab in new.labels() if lab.birth_time == new.time]
+            assert all(index <= len(kept) for index in born)
+            state, prev = new, frame
+            write_snapshot(state, text := io.StringIO())
+            out.append(text.getvalue())
+        snapshots.append(out)
+    assert snapshots[0] == snapshots[1]
