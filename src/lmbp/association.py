@@ -2,12 +2,11 @@
 marginal association probabilities (exact enumeration and loopy BP).
 
 A step's tables are arrays indexed from 0: row i is the i-th predicted track
-and column j is `frame[j]`, and a cluster indexes its own rows and columns
-the same way. Labels and hypothesis keys count measurements from 1, with 0
-reserved for the miss: a track transferred from `frame[j]` at step k gets
-label (k, j + 1), and `TrackEvidence.detection(i, j + 1)` pairs row i with
-`frame[j]`. A cluster's marginal row likewise holds the miss at entry 0 and
-the cluster's measurement j at entry 1 + j.
+and column j is `frame[j]`. Labels, hypothesis keys and marginal rows count
+measurements from 1, with 0 reserved for the miss: a track transferred from
+`frame[j]` at step k gets label (k, j + 1), `TrackEvidence.detection(i, j + 1)`
+pairs row i with `frame[j]`, and row i of `Marginals.legacy` holds its miss at
+entry 0 and its detection of `frame[j]` at entry 1 + j, on every path.
 
 A hypothesis (`Hypothesis`) is a weight row over its track's own particles,
 so no particle set is built before the track is resampled. `partition`
@@ -111,15 +110,15 @@ class TrackEvidence:
     def terms(self, i: int, pmf: Sequence[float],
               cols: Sequence[int]) -> list[tuple[float, np.ndarray]]:
         """The (p(a) r(i,a), pdf weights) terms of row i's marginalized update,
-        for the marginal row `pmf` over the miss and the 0-based measurements
-        `cols`: the miss first, then the detections in column order. A
-        detection's pdf weights are normalized only where its marginal is
-        positive."""
+        for its `Marginals.legacy` row `pmf` (miss at 0, `frame[j]` at 1 + j)
+        and its cluster's 0-based columns `cols`: the miss first, then the
+        detections in column order. A detection's pdf weights are normalized
+        only where its marginal is positive."""
         _, existence, weights = self.miss(i)
         terms = [(pmf[0] * existence, weights)]
-        for m, p in zip(cols, pmf[1:]):
-            if p > 0.0:
-                _, existence, weights = self.detection(i, m + 1)
+        for j in cols:
+            if (p := pmf[1 + j]) > 0.0:
+                _, existence, weights = self.detection(i, 1 + j)
                 terms.append((p * existence, weights))
         return terms
 
@@ -211,7 +210,7 @@ def new_components(phd: PoissonPhd, pd: np.ndarray, frame: Sequence[Measurement]
     intensity, existence d / beta, and pdf row / d over the intensity
     particles; no particle set is built here. c_m is 0 beyond the sensor
     disk, where the intensity's tail can still give d > 0; `lmbp_step`
-    drops such a measurement by the disk test itself, not by beta.
+    screens such a measurement out (`SensorModel.screen`) before this call.
     `polar` is `sensor.range_bearing` of the intensity particles.
 
     A cell is left out when f(z_m|x_i) lies below 2^-106 c_m, with c_m the
@@ -285,14 +284,15 @@ def partition(row_of: np.ndarray,
 class Marginals(NamedTuple):
     """Marginal association probabilities, indexed like the step's tables.
 
-    `legacy[i, 0]` is row i's miss and `legacy[i, 1 + k]` its detection of
-    its cluster's k-th measurement, then padding; `claim[j]` is the
-    probability that the transfer on column j claims it, 0 where there is no
-    transfer. A row or column in no cluster holds zeros. Nothing is checked
-    here: each marginal path runs `_check_marginals` on what it computed.
+    `legacy[i, 0]` is row i's miss and `legacy[i, 1 + j]` its detection of
+    `frame[j]`, the association value a of the paper's p(a); `claim[j]` is
+    the probability that the transfer on column j claims it, 0 where there is
+    no transfer. An entry outside a row's cluster, and a row or column in no
+    cluster, holds 0. Nothing is checked here: each marginal path runs
+    `_check_marginals` on what it computed.
     """
 
-    legacy: np.ndarray                 # (L, 1 + W), W the widest cluster's measurement count
+    legacy: np.ndarray                 # (L, 1 + M)
     claim: np.ndarray                  # (M,)
 
 
@@ -332,50 +332,47 @@ def enumerate_admissible(miss_beta: np.ndarray, det_beta: np.ndarray, new_beta: 
     measurement is claimed twice, and every unclaimed measurement contributes
     its beta(m) factor. Weights are products of beta factors, computed in log
     domain and normalized to sum to one. `_check_cluster` vets the tables first.
+
+    One search runs over every label's options, the legacy labels first and
+    then the transfers in column order: a legacy label's are its miss and
+    then each measurement j, a transfer's are nothing (weight 1) and then its
+    own measurement (weight new_beta[j]). An option is a measurement, or -1
+    for none, with its log weight.
     """
     L, M = _check_cluster(miss_beta, det_beta, new_beta, transferred)
+    # Python floats add with the same bits as numpy's, and faster
     with np.errstate(divide="ignore"):
-        log_miss = np.log(miss_beta)
-        log_det = np.log(det_beta)
-        log_new = np.log(new_beta)
-    tr_pos = np.flatnonzero(transferred).tolist()
+        log_miss = np.log(miss_beta).tolist()
+        log_det = np.log(det_beta).tolist()
+        log_new = np.log(new_beta).tolist()
+    options = [[(-1, log_miss[i])] + list(enumerate(log_det[i])) for i in range(L)]
+    options += [[(-1, 0.0), (j, log_new[j])] for j in np.flatnonzero(transferred).tolist()]
 
-    # (legacy entries, bit mask of the transfers' claims, log weight)
-    vectors: list[tuple[tuple[int, ...], int, float]] = []
+    # (each label's measurement or -1, log weight)
+    vectors: list[tuple[tuple[int, ...], float]] = []
 
-    def recurse_legacy(i: int, used: int, acc: float, entries: list[int]):
-        if i == L:
-            recurse_transfer(0, used, acc, entries, 0)
-            return
-        recurse_legacy(i + 1, used, acc + log_miss[i], entries + [0])
-        for j in range(M):
-            if not used & (1 << j):
-                recurse_legacy(i + 1, used | (1 << j), acc + log_det[i, j], entries + [j + 1])
-
-    def recurse_transfer(t: int, used: int, acc: float, leg: list[int], claimed: int):
-        if t == len(tr_pos):
-            unclaimed = acc
+    def search(picks: tuple[int, ...], acc: float):
+        if len(picks) == len(options):
             for j in range(M):
-                if not used & (1 << j):
-                    unclaimed += log_new[j]
-            vectors.append((tuple(leg), claimed, unclaimed))
+                if j not in picks:
+                    acc += log_new[j]
+            vectors.append((picks, acc))
             return
-        recurse_transfer(t + 1, used, acc, leg, claimed)  # no-claim weight is 1
-        j = tr_pos[t]
-        if not used & (1 << j):
-            recurse_transfer(t + 1, used | (1 << j), acc + log_new[j], leg, claimed | (1 << j))
+        for j, log_weight in options[len(picks)]:
+            if j < 0 or j not in picks:
+                search(picks + (j,), acc + log_weight)
 
-    recurse_legacy(0, 0, 0.0, [])
+    search((), 0.0)
 
-    log_w = np.array([v[2] for v in vectors])
+    log_w = np.array([v[1] for v in vectors])
     peak = log_w.max()
     if not np.isfinite(peak):
         raise ValueError("all association hypotheses have zero weight")
     w = np.exp(log_w - peak)
     w /= w.sum()
-    legacy = np.array([v[0] for v in vectors], dtype=np.intp).reshape(len(vectors), L)
-    claims = ((np.array([v[1] for v in vectors])[:, None] >> np.arange(M)) & 1).astype(bool)
-    return legacy, claims, w
+    picks = np.array([v[0] for v in vectors], dtype=np.intp).reshape(len(vectors), len(options))
+    claims = (picks[:, L:, None] == np.arange(M)).any(axis=1)
+    return picks[:, :L] + 1, claims, w
 
 
 # exact enumeration is honored only within these bounds; bigger clusters use BP
@@ -388,7 +385,8 @@ def exact_marginals(miss_beta: np.ndarray, betas: np.ndarray, new_beta: np.ndarr
                     iterations: int = 20) -> Marginals:
     """Marginal association probabilities of every cluster of a list, from the
     same tables and `(rows, cols)` list as `batch_bp_marginals` and in the
-    same layout.
+    same (L, 1 + M) layout: an enumerated entry 1 + k lands in column
+    1 + cols[k].
 
     A cluster of at most `EXACT_DEGREE_LIMIT` label-measurement pairs, at
     most `EXACT_SIZE_LIMIT` vectors by the bound (M + 1)^L 2^T with T its
@@ -408,12 +406,10 @@ def exact_marginals(miss_beta: np.ndarray, betas: np.ndarray, new_beta: np.ndarr
             batched.append((rows, cols))
     legacy, claim = batch_bp_marginals(miss_beta, betas, new_beta, transferred, batched,
                                        iterations)
-    width = 1 + max((len(cols) for _, cols in clusters), default=0)
-    legacy = np.pad(legacy, ((0, 0), (0, width - legacy.shape[1])))
     done_rows, done_cols = np.zeros(len(legacy), dtype=bool), np.zeros(len(claim), dtype=bool)
     for rows, cols, tables in enumerated:
         entries, claims, weights = enumerate_admissible(*tables)
-        np.add.at(legacy, (rows, entries), weights[:, None])
+        np.add.at(legacy, (rows, np.append(0, 1 + cols)[entries]), weights[:, None])
         vector, meas = np.nonzero(claims)
         np.add.at(claim, cols[meas], weights[vector])
         done_rows[rows], done_cols[cols] = True, True
@@ -469,8 +465,9 @@ def batch_bp_marginals(miss_beta: np.ndarray, betas: np.ndarray, new_beta: np.nd
     or measurements plus miss, would change its sums' grouping if padded,
     so it runs as a batch of its own.
 
-    Returns the `Marginals` of the list; a row's padding is 0, or NaN in a
-    NaN row.
+    Returns the `Marginals` of the list: each slot's beliefs are scattered
+    straight into the step's (L, 1 + M) columns, and its padding into a
+    spare row and column that are cut off.
 
     Each batch's marginals pass `_check_marginals`, or ValueError is raised,
     so a NaN that BP makes from numbers raises: the 0 / 0 of a row with no
@@ -487,13 +484,12 @@ def batch_bp_marginals(miss_beta: np.ndarray, betas: np.ndarray, new_beta: np.nd
         else:
             batches[0].append((rows, cols))
 
-    # the tables with a zero row and column to pad with
+    # the tables and the marginals with a spare row and column, for the padding
     w_all = np.zeros((L + 1, M + 1))
     np.divide(betas, np.maximum(new_beta, _TINY), out=w_all[:L, :M])
     miss_all = np.append(miss_beta, 1.0)
     transferred_all = np.append(transferred, False)
-    legacy = np.zeros((L, 1 + max((len(cols) for _, cols in clusters), default=0)))
-    claim = np.zeros(M)
+    legacy, claim = np.zeros((L + 1, 1 + M + 1)), np.zeros(M + 1)
     for batch in filter(None, batches):
         # a row's or column's place in its cluster is its slot in the padded arrays
         row_at = np.full((len(batch), max(len(rows) for rows, _ in batch)), L, dtype=np.intp)
@@ -506,9 +502,10 @@ def batch_bp_marginals(miss_beta: np.ndarray, betas: np.ndarray, new_beta: np.nd
         numbers = ~(np.isnan(miss).any(axis=1) | np.isnan(w).any(axis=(1, 2)))[:, None]
         real_rows, real_cols = row_at < L, col_at < M
         _check_marginals(pmf[real_rows & numbers], odds[real_cols & numbers])
-        legacy[row_at[real_rows], :pmf.shape[2]] = pmf[real_rows]
-        claim[col_at[real_cols]] = odds[real_cols]
-    return Marginals(legacy, claim)
+        entry_at = np.concatenate([np.zeros((len(batch), 1), np.intp), 1 + col_at], axis=1)
+        legacy[row_at[:, :, None], entry_at[:, None, :]] = pmf
+        claim[col_at] = odds
+    return Marginals(legacy[:L, :1 + M], claim[:M])
 
 
 def _bp_rounds(miss: np.ndarray, w: np.ndarray, transferred: np.ndarray,

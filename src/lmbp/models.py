@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -50,33 +50,28 @@ def _grid_bin(x, x0, scale, count):
     return np.clip((x - x0) * scale, 0, count - 1).astype(np.intp)
 
 
-def _ncv_transition() -> np.ndarray:
-    return np.array([
+@dataclass(frozen=True)
+class MotionModel:
+    """Nearly-constant-velocity motion with white acceleration noise.
+
+    x_k = A x_{k-1} + W u_k,  u_k ~ N(0, sigma_u^2 I_2). A and W are
+    read-only class constants, so the fields are `sigma_u` and `p_survival`
+    and two models with equal fields compare equal and hash alike.
+    """
+
+    A: ClassVar[np.ndarray] = np.array([
         [1.0, 0.0, 1.0, 0.0],
         [0.0, 1.0, 0.0, 1.0],
         [0.0, 0.0, 1.0, 0.0],
         [0.0, 0.0, 0.0, 1.0],
     ])
-
-
-def _ncv_noise_input() -> np.ndarray:
-    return np.array([
+    W: ClassVar[np.ndarray] = np.array([
         [0.5, 0.0],
         [0.0, 0.5],
         [1.0, 0.0],
         [0.0, 1.0],
     ])
-
-
-@dataclass(frozen=True)
-class MotionModel:
-    """Nearly-constant-velocity motion with white acceleration noise.
-
-    x_k = A x_{k-1} + W u_k,  u_k ~ N(0, sigma_u^2 I_2).
-    """
-
-    A: np.ndarray = field(default_factory=_ncv_transition)
-    W: np.ndarray = field(default_factory=_ncv_noise_input)
+    A.flags.writeable = W.flags.writeable = False
     sigma_u: float = 0.01
     p_survival: float = 0.99
 
@@ -110,7 +105,8 @@ class SensorModel:
     distance from the sensor to the object position; the likelihood is the
     product of independent range and (wrapped) bearing Gaussians. Clutter is
     `clutter_mean` points per frame, uniform in (range, bearing) over the
-    disk; `covers` is the one disk test, for clutter, support and birth seeds.
+    disk. `covers` is the one disk test, and `screen` the one measurement
+    screen, which `lmbp_step` runs on its frame and the birth on its seeds.
     """
 
     position: np.ndarray = field(default_factory=lambda: np.array([0.0, -50.0]))
@@ -134,6 +130,11 @@ class SensorModel:
     def covers(self, ranges):
         """Whether each range lies in the sensor disk [0, max_range]; False for nan."""
         return (ranges >= 0.0) & (ranges <= self.max_range)
+
+    def screen(self, frame: Sequence[Measurement]) -> list[Measurement]:
+        """The measurements of `frame` this sensor can have made, in order:
+        those with a range in the disk (`covers`) and a finite bearing."""
+        return [z for z in frame if self.covers(z.range) and math.isfinite(z.bearing)]
 
     def clutter_intensity_at(self, ranges: np.ndarray) -> np.ndarray:
         """Clutter intensity at measurement ranges; zero outside the sensor disk."""
@@ -374,11 +375,11 @@ class BirthModel:
     """Measurement-driven birth intensity for newborn unlabeled objects.
 
     Each birth particle picks one of the previous frame's measurements that
-    lie in the sensor disk (`SensorModel.covers`) with a finite bearing,
-    inverts the range-bearing map at a noise-perturbed copy of it, draws a
-    zero-mean Gaussian velocity, and advances one step through the motion
-    kernel. With no such measurement the positions fall back to uniform over
-    the sensor disk. Total weight is always `mean_births`.
+    pass `SensorModel.screen` (in the disk, with a finite bearing), inverts
+    the range-bearing map at a noise-perturbed copy of it, draws a zero-mean
+    Gaussian velocity, and advances one step through the motion kernel.
+    With no such measurement the positions fall back to uniform over the
+    sensor disk. Total weight is always `mean_births`.
     """
 
     mean_births: float = 0.1
@@ -395,13 +396,12 @@ class BirthModel:
                    sensor: SensorModel, rng: np.random.Generator) -> PoissonPhd:
         n = self.particle_budget
         states = np.empty((n, STATE_DIM))
-        zr = np.array([z.range for z in prev_measurements], dtype=float)
-        zb = np.array([z.bearing for z in prev_measurements], dtype=float)
-        seeds = sensor.covers(zr) & np.isfinite(zb)
-        if seeds.any():
-            pick = rng.integers(0, np.count_nonzero(seeds), n)
-            r = zr[seeds][pick] + rng.normal(0.0, sensor.sigma_range, n)
-            b = zb[seeds][pick] + rng.normal(0.0, sensor.sigma_bearing, n)
+        seeds = sensor.screen(prev_measurements)
+        if seeds:
+            zr, zb = np.array(list(zip(*seeds)), dtype=float)
+            pick = rng.integers(0, len(seeds), n)
+            r = zr[pick] + rng.normal(0.0, sensor.sigma_range, n)
+            b = zb[pick] + rng.normal(0.0, sensor.sigma_bearing, n)
             states[:, 0] = sensor.position[0] + r * np.cos(b)
             states[:, 1] = sensor.position[1] + r * np.sin(b)
             states[:, 2:] = rng.normal(0.0, self.velocity_sigma, (n, 2))

@@ -124,7 +124,7 @@ def generate_frame(truth_states: np.ndarray, sensor: SensorModel,
     truth_states = np.asarray(truth_states, dtype=float).reshape(-1, STATE_DIM)
     for state in truth_states:
         rho, _ = sensor.range_bearing(state)
-        if rho > sensor.max_range:
+        if not sensor.covers(rho):
             continue
         if rng.random() < sensor.detection_prob_at(rho):
             frame.append(sensor.sample_measurement(state, rng))

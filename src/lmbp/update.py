@@ -222,18 +222,19 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
     """One full recursion step: predict, associate, update, transfer, recycle.
 
     `prev_frame` feeds the measurement-driven birth proposal (empty on the
-    first step). A measurement outside the sensor disk (`SensorModel.covers`)
-    or that neither clutter nor the intensity can explain (beta = 0 or nan)
-    is dropped before association, and label indices count positions in the
-    kept frame. Only the rows of residual measurements that are not
-    transferred return to the intensity, and `update_phd` gets those rows
-    alone. The predicted tracks are one `TrackBlock`, the marginals of every
-    cluster come from one call over the step's tables and `partition`'s
-    clusters (`batch_bp_marginals`, or `exact_marginals` in exact mode, with
-    the same arguments), and every track that is resampled, legacy then
-    transferred per cluster and then the residual transfers, goes through
-    one `resample_rows` pass; `BernoulliTrack`s are built for the output
-    only. Estimation is separate; see `lmbp.estimation`.
+    first step). `SensorModel.screen` drops a measurement outside the sensor
+    disk or with a non-finite bearing before any likelihood is evaluated, and
+    one that neither clutter nor the intensity can explain (beta = 0 or nan)
+    is dropped before association; label indices count positions in the kept
+    frame. Only the rows of residual measurements that are not transferred
+    return to the intensity, and `update_phd` gets those rows alone. The
+    predicted tracks are one `TrackBlock`, the marginals of every cluster, in
+    the tables' columns, come from one call (`batch_bp_marginals`, or
+    `exact_marginals` in exact mode, with the same arguments), and every
+    track that is resampled, legacy then transferred per cluster and then
+    the residual transfers, goes through one `resample_rows` pass;
+    `BernoulliTrack`s are built for the output only. Estimation is separate
+    (`lmbp.estimation`).
     """
     k = state.time + 1
 
@@ -244,11 +245,12 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
 
     # association weights for every track/measurement pairing; row i of the
     # tables is the block's row i, column j is frame[j]
+    frame = models.sensor.screen(frame)
     polar = models.sensor.range_bearing(predicted_phd.particles.states)
     phd_pd = models.sensor.detection_prob_at(polar[0])
     new_beta, new_mass, new_cells = new_components(predicted_phd, phd_pd, frame,
                                                    models.sensor, polar)
-    supported = (new_beta > 0.0) & models.sensor.covers(np.array([z.range for z in frame]))
+    supported = new_beta > 0.0
     if not supported.all():
         frame = [z for z, keep in zip(frame, supported) if keep]
         new_beta, new_mass = new_beta[supported], new_mass[supported]

@@ -958,6 +958,16 @@ def enumerated_marginals(cluster):
     return Marginals(legacy, claim)
 
 
+def in_step_columns(listed, L, M):
+    """Each listed cluster's (marginals, rows, cols) placed in the step's
+    (L, 1 + M) and (M,) layout, zeros elsewhere."""
+    legacy, claim = np.zeros((L, 1 + M)), np.zeros(M)
+    for want, rows, cols in listed:
+        legacy[np.ix_(rows, np.append(0, 1 + cols))] = want.legacy
+        claim[cols] = want.claim
+    return Marginals(legacy, claim)
+
+
 class TestBatchBpMarginals:
     @settings(max_examples=100, deadline=None)
     @given(cluster_batches(), st.randoms(use_true_random=False))
@@ -978,17 +988,11 @@ class TestBatchBpMarginals:
                 with pytest.raises(ValueError):
                     batch_bp_marginals(*args)
                 continue
+            # a row's entries outside its cluster's columns are 0, also in a NaN row
             legacy, claim = batch_bp_marginals(*args)
-            assert legacy.shape == (L, 1 + max((len(cols) for _, _, cols in listed), default=0))
-            row_of, col_of = np.full(L, -1), np.full(M, -1)
-            for name, (want, rows, cols) in enumerate(listed):
-                row_of[rows], col_of[cols] = name, name
-                width = 1 + len(cols)
-                assert np.array_equal(legacy[rows, :width], want.legacy, equal_nan=True)
-                # the padding is 0, and NaN only in a row that is NaN already
-                assert not np.nan_to_num(legacy[rows, width:]).any()
-                assert np.array_equal(claim[cols], want.claim, equal_nan=True)
-            assert not legacy[row_of < 0].any() and not claim[col_of < 0].any()
+            want = in_step_columns(listed, L, M)
+            assert np.array_equal(legacy, want.legacy, equal_nan=True)
+            assert np.array_equal(claim, want.claim, equal_nan=True)
 
     @settings(max_examples=100, deadline=None)
     @given(cluster_batches(), st.randoms(use_true_random=False))
@@ -1015,28 +1019,16 @@ class TestBatchBpMarginals:
                 exact_marginals(*tables, random.sample(listed + failing, len(placed)), 20)
         listed = random.sample(listed, len(listed))
         legacy, claim = exact_marginals(*tables, listed, 20)
-        assert legacy.shape == (len(tables[0]),
-                                1 + max((len(cols) for _, cols in listed), default=0))
+        # the two parts share no row or column, so their sum places each
         bp_legacy, bp_claim = batch_bp_marginals(*tables, batched, 20)
-        in_cluster_rows = np.zeros(len(tables[0]), dtype=bool)
-        in_cluster_cols = np.zeros(len(tables[2]), dtype=bool)
-        for want, rows, cols in enumerated:
-            assert np.array_equal(legacy[rows, :1 + len(cols)], want.legacy)
-            assert not legacy[rows, 1 + len(cols):].any()
-            assert np.array_equal(claim[cols], want.claim)
-            in_cluster_rows[rows], in_cluster_cols[cols] = True, True
-        for rows, cols in batched:
-            width = bp_legacy.shape[1]
-            assert np.array_equal(legacy[rows, :width], bp_legacy[rows])
-            assert not legacy[rows, width:].any()
-            assert np.array_equal(claim[cols], bp_claim[cols])
-            in_cluster_rows[rows], in_cluster_cols[cols] = True, True
-        assert not legacy[~in_cluster_rows].any() and not claim[~in_cluster_cols].any()
+        want = in_step_columns(enumerated, *tables[1].shape)
+        assert np.array_equal(legacy, want.legacy + bp_legacy)
+        assert np.array_equal(claim, want.claim + bp_claim)
 
     def test_no_clusters(self):
         legacy, claim = batch_bp_marginals(np.ones(2), np.ones((2, 3)), np.ones(3),
                                            np.ones(3, dtype=bool), [], 20)
-        assert legacy.tolist() == [[0.0], [0.0]] and claim.tolist() == [0.0, 0.0, 0.0]
+        assert legacy.tolist() == [[0.0] * 4] * 2 and claim.tolist() == [0.0, 0.0, 0.0]
 
     def test_nan_weights_pass_unchecked(self):
         # inf / inf is no weight: the cluster's marginals are NaN, returned as they are

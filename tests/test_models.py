@@ -63,6 +63,14 @@ class TestMotionModel:
         scale = sigma_u ** 2
         assert np.all(np.abs(sample_cov - expected) <= 0.1 * scale + 1e-12)
 
+    def test_equal_models_compare_equal_and_hash_alike(self):
+        # the matrices are read-only class constants, not fields, so a model
+        # is its two numbers
+        assert MotionModel() == MotionModel() != MotionModel(sigma_u=0.0)
+        assert hash(MotionModel()) == hash(MotionModel())
+        with pytest.raises(ValueError):
+            MotionModel.A[0, 0] = 2.0
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             MotionModel(sigma_u=-1.0)

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -633,6 +634,40 @@ class TestLmbpStep:
         assert np.abs(rho - 100.0).max() < 20.0
         assert np.abs(wrap_angle(theta - 0.5)).max() < 0.2
 
+    def test_non_finite_bearing_is_screened_before_any_likelihood(self, monkeypatch):
+        # a nan or inf bearing in the frame (and in the birth seeds) changes
+        # nothing: no warning, the intensity cells the step evaluates are the
+        # clean frame's, where an unscreened one makes all M x N of them
+        # evaluated and kept, and the output is the clean frame's
+        models = Models(MotionModel(), SensorModel(), BirthModel(particle_budget=256))
+        clean = [Measurement(100.0, 0.5), Measurement(150.0, -1.0), Measurement(250.0, 2.0)]
+        phd = dataclasses.replace(models.birth, mean_births=3.0).sample_phd(
+            clean, models.motion, models.sensor, np.random.default_rng(2))
+        state = FilterState((), phd, 0)
+        cells, evaluate = [], SensorModel.likelihood_cells
+
+        def spy(self, *args):
+            cells.append(evaluate(self, *args))
+            return cells[-1]
+
+        monkeypatch.setattr(SensorModel, "likelihood_cells", spy)
+
+        def run(frame):
+            cells.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                out = lmbp_step(state, frame, models, Thresholds(), np.random.default_rng(7),
+                                prev_frame=frame, settings=small_settings())
+            write_snapshot(out, text := io.StringIO())
+            return text.getvalue(), list(cells)
+
+        snapshot, [want] = run(clean)
+        assert 0 < want[0].size < len(clean) * len(phd.particles)
+        for bad in (np.nan, np.inf, -np.inf):
+            got_snapshot, [got] = run(clean[:1] + [Measurement(120.0, bad)] + clean[1:])
+            assert got_snapshot == snapshot
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
     def test_step_builds_no_dense_likelihood_table(self, monkeypatch):
         # the intensity evidence stays in cells: a few steps of a small
         # simulated scenario never ask for the dense (M, N) table
@@ -924,10 +959,8 @@ def test_adversarial_frames_keep_the_state_invariants(frames, seed):
     for run in (frames, kept_frames):
         state, prev, rng, out = FilterState((), phd, 0), (), np.random.default_rng(seed), []
         for frame, kept in zip(run, kept_frames):
-            # an inf bearing warns in `wrap_angle` before its beta drops it
-            with np.errstate(invalid="ignore"):
-                new = lmbp_step(state, frame, models, Thresholds(), rng, prev_frame=prev,
-                                settings=settings_)
+            new = lmbp_step(state, frame, models, Thresholds(), rng, prev_frame=prev,
+                            settings=settings_)
             assert state_problems(state, frame, new) == []
             born = [lab.index for lab in new.labels() if lab.birth_time == new.time]
             assert all(index <= len(kept) for index in born)
@@ -936,3 +969,30 @@ def test_adversarial_frames_keep_the_state_invariants(frames, seed):
             out.append(text.getvalue())
         snapshots.append(out)
     assert snapshots[0] == snapshots[1]
+
+
+@pytest.mark.parametrize("sensor", [
+    SensorModel(clutter_mean=20.0), SensorModel(clutter_mean=100.0),
+    SensorModel(clutter_mean=150.0),
+    # 2 pi sigma_range sigma_bearing is subnormal: the normalizer is inf
+    SensorModel(sigma_range=1e-160, sigma_bearing=1e-160),
+], ids=["clutter-20", "clutter-100", "clutter-150", "infinite-normalizer"])
+def test_all_clutter_frames_keep_the_state_invariants(sensor):
+    # frames of clutter alone at the shipped rates, and under a normalizer
+    # that overflows, keep every step's output within the benchmark's checks.
+    # Three steps at the heaviest rate come first, so the sensor under test
+    # meets tracks and an intensity born of clutter
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from checks import state_problems
+    birth = BirthModel(mean_births=0.5, particle_budget=64)
+    settings_ = FilterSettings(track_particles=32, phd_particles=64)
+    rng = np.random.default_rng(23)
+    state, prev = FilterState((), PoissonPhd.empty(), 0), ()
+    for step_sensor in [SensorModel(clutter_mean=150.0)] * 3 + [sensor] * 5:
+        frame = step_sensor.sample_clutter(rng)
+        new = lmbp_step(state, frame, Models(MotionModel(), step_sensor, birth), Thresholds(),
+                        rng, prev_frame=prev, settings=settings_)
+        assert state_problems(state, frame, new) == []
+        state, prev = new, frame
+    assert state.time == 8
