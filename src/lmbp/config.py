@@ -17,12 +17,14 @@ make `position`, `sensor.sigma_bearing_deg` is `sigma_bearing` in radians,
 `scenario.appear_min`/`appear_max` make `appear_window`, `birth.particles` is
 `particle_budget`, `filter.initial_phd_mass` is RunConfig's, and
 `clutter.mean_count` is the sensor's `clutter_mean`. Unknown keys and
-malformed values raise `ConfigError` naming the field, and a bad section, or
-a schema key that sets no field, raises it naming the section.
+malformed values raise `ConfigError` naming the key, and a bad section, or
+a schema key that sets no field, raises it naming the section. A section's
+error names a routed field by the key that sets it.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -117,6 +119,13 @@ _SCHEMA = {
 }
 
 
+# the routed fields a section's check can name, and the keys that set them
+_KEY_OF_FIELD = {"sigma_bearing": "sensor.sigma_bearing_deg", "clutter_mean": "clutter.mean_count",
+                 "appear_window": "scenario.appear_min and scenario.appear_max",
+                 "particle_budget": "birth.particles"}
+_ROUTED_FIELD = re.compile(r"\b(?:" + "|".join(_KEY_OF_FIELD) + r")\b")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     scenario: ScenarioConfig
@@ -167,7 +176,8 @@ def build_run_config(values: dict[str, str]) -> RunConfig:
         except ConfigError:
             raise
         except (ValueError, TypeError) as exc:
-            raise ConfigError(f"invalid '{name}.*' settings: {exc}") from None
+            message = _ROUTED_FIELD.sub(lambda match: _KEY_OF_FIELD[match[0]], str(exc))
+            raise ConfigError(f"invalid '{name}.*' settings: {message}") from None
 
     # sections are built in this order, so the first bad one names itself
     config = section(

@@ -126,6 +126,12 @@ class SensorModel:
             raise ValueError("pd_max must be in (0, 1]")
         if not self.clutter_mean >= 0:
             raise ValueError("clutter_mean must be nonnegative")
+        # an infinite normalizer makes every likelihood nan (0 x inf), and every
+        # measurement would be dropped; a zero product divides by zero
+        scale = 2.0 * math.pi * float(self.sigma_range) * float(self.sigma_bearing)
+        if scale == 0.0 or math.isinf(1.0 / scale):
+            raise ValueError("sigma_range * sigma_bearing is so small that the likelihood "
+                             "normalizer overflows")
 
     def covers(self, ranges):
         """Whether each range lies in the sensor disk [0, max_range]; False for nan."""
@@ -184,8 +190,8 @@ class SensorModel:
         for sorting the states on a bearing x range grid, each remaining
         measurement is evaluated only over the grid cells of its window.
         Every evaluated entry goes through `_exponent`; with a non-finite
-        state, measurement or normalizer every cell is evaluated and kept, so
-        nan and inf propagate.
+        state or measurement every cell is evaluated and kept, so nan and inf
+        propagate.
         """
         zr, zb, norm = self._frame_terms(frame)
         n = rho.size
@@ -193,7 +199,7 @@ class SensorModel:
         # bearing half-width beyond which every exponent is below the floor
         half = np.sqrt(np.maximum(-2.0 * floor, 0.0)) * self.sigma_bearing + _BEARING_SLACK
         bound = self._exponent_bounds(zr, zb, rho.reshape(1, n), theta.reshape(1, n))[0]
-        gated = bool(np.isfinite(norm) and (bound < np.inf).all())
+        gated = bool((bound < np.inf).all())
         rows = np.flatnonzero(bound >= floor) if gated else np.arange(len(frame))
         floor, half = floor[rows], half[rows]
         # sort only when the cells the windows skip outnumber the sort's comparisons
@@ -226,11 +232,9 @@ class SensorModel:
         pair's exponent, and the normalizer, so f(z_m | x) <= norm exp(bound)
         over the set. A pair bounded below `EXP_FLOOR` has an all-zero row.
         The bound is +inf for a set with a non-finite state, and everywhere
-        when a measurement or the normalizer is not finite."""
+        when a measurement is not finite."""
         zr, zb, norm = self._frame_terms(frame)
-        bound = self._exponent_bounds(zr, zb, rho, theta)
-        # with a non-finite normalizer an underflowed entry is nan, not 0.0
-        return (bound if np.isfinite(norm) else np.full_like(bound, np.inf)), norm
+        return self._exponent_bounds(zr, zb, rho, theta), norm
 
     def likelihood_rows(self, frame: Sequence[Measurement], meas: np.ndarray,
                         rho: np.ndarray, theta: np.ndarray) -> np.ndarray:

@@ -41,9 +41,9 @@ class ScenarioConfig:
             raise ValueError("object_count must be nonnegative")
         lo, hi = self.appear_window
         if not 1 <= lo <= hi <= self.total_steps:
-            raise ValueError("appear window must lie within [1, total_steps]")
+            raise ValueError("appear_window must lie within [1, total_steps]")
         if self.disappear_after < hi:
-            raise ValueError("disappear_after must not precede the appear window")
+            raise ValueError("disappear_after must not precede appear_window")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,7 @@
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +79,16 @@ ROUTED = {
     "clutter.mean_count": lambda config: config.scenario.sensor.clutter_mean,
 }
 
+# a value each routed key rejects, and the field it routes to
+BAD_ROUTED = {
+    "sensor.x": ("nan", "position"), "sensor.y": ("inf", "position"),
+    "sensor.sigma_bearing_deg": ("0", "sigma_bearing"),
+    "scenario.appear_min": ("0", "appear_window"), "scenario.appear_max": ("11", "appear_window"),
+    "birth.particles": ("0", "particle_budget"),
+    "filter.initial_phd_mass": ("-1", "initial_phd_mass"),
+    "clutter.mean_count": ("-1", "clutter_mean"),
+}
+
 
 def field_set_by(config, key):
     section, name = key.split(".")
@@ -111,6 +125,16 @@ class TestConfigParsing:
     def test_bad_model_value_names_section(self):
         with pytest.raises(ConfigError, match="sensor"):
             build_run_config({"sensor.pd_max": "1.5"})
+
+    @pytest.mark.parametrize("key", list(ROUTED))
+    def test_bad_routed_value_names_the_key(self, key):
+        # the error names the key that was written, not the field it sets
+        value, field = BAD_ROUTED[key]
+        with pytest.raises(ConfigError) as error:
+            build_run_config({**parse_config_text(TINY), key: value})
+        message = str(error.value)
+        assert key in message
+        assert not re.search(rf"(?<![.\w]){field}\b", message), message
 
     @pytest.mark.parametrize("key", list(_SCHEMA))
     def test_every_key_sets_its_field(self, key):
@@ -261,6 +285,8 @@ class TestMain:
         ("clutter.mean_count", "lots", None),
         ("run.mc_runs", "0", None),
         ("filter.initial_phd_mass", "-1", None),
+        # 1 / (2 pi sigma_range sigma_bearing) overflows
+        ("sensor.sigma_range", "1e-320", None),
     ])
     def test_bad_value_exits_2_naming_the_field(self, tmp_path, capsys, key, value, flag):
         out = tmp_path / "out"
@@ -284,8 +310,31 @@ class TestMain:
         path = tmp_path / "bad.cfg"
         path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
         assert main(["run", str(path), "--quiet"]) == 2
-        assert "clutter_mean must be nonnegative" in capsys.readouterr().err
+        assert "clutter.mean_count must be nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_runs_without_scipy(self, tmp_path):
+        # the package needs numpy alone: importing it loads no scipy module,
+        # and a run succeeds with scipy made unimportable
+        values = {**parse_config_text((CONFIGS / "desk_ts1.cfg").read_text()),
+                  "scenario.total_steps": "2", "scenario.appear_max": "2"}
+        path = tmp_path / "desk.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        out = tmp_path / "out"
+        script = "\n".join([
+            "import sys",
+            "import lmbp, lmbp.cli",
+            "loaded = [name for name in sys.modules if name.split('.')[0] == 'scipy']",
+            "assert not loaded, loaded",
+            "sys.modules['scipy'] = None",
+            f"sys.exit(lmbp.cli.main(['run', {str(path)!r}, '--runs', '1', '--quiet',"
+            f" '--out', {str(out)!r}]))",
+        ])
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert len((out / "mospa.csv").read_text().splitlines()) == 1 + 2
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 2

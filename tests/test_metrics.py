@@ -2,10 +2,99 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from lmbp.metrics import OspaParams, mospa_curve, ospa
+from lmbp.metrics import OspaParams, _linear_sum_assignment, mospa_curve, ospa
 
 P = OspaParams(cutoff=20.0, order=2.0)
+
+# 0 to 8 rows and columns, so empty matrices and both orientations appear
+SHAPES = st.tuples(st.integers(0, 8), st.integers(0, 8))
+
+
+@st.composite
+def cost_matrices(draw):
+    """Integer costs with many ties, random reals, or integer costs with
+    forbidden (+inf) cells, which can leave no finite assignment."""
+    elements = draw(st.sampled_from([
+        st.sampled_from([0.0, 1.0, 2.0]),
+        st.floats(0.0, 1e3),
+        st.sampled_from([0.0, 1.0, 2.0, np.inf]),
+    ]))
+    return draw(arrays(float, SHAPES, elements=elements))
+
+
+def point_sets(count=st.integers(0, 8)):
+    """2D point sets spread over twice the cutoff, so many OSPA costs are clipped."""
+    return count.flatmap(lambda n: arrays(float, (n, 2), elements=st.floats(-40.0, 40.0)))
+
+
+def ospa_cost(truth, estimates, params):
+    return np.minimum(np.linalg.norm(truth[:, None, :] - estimates[None, :, :], axis=-1),
+                      params.cutoff) ** params.order
+
+
+def reference_ospa(truth, estimates, params):
+    """`ospa`'s formula on scipy's assignment."""
+    if len(truth) == 0 or len(estimates) == 0:
+        return 0.0 if len(truth) == len(estimates) else float(params.cutoff)
+    c, p = params.cutoff, params.order
+    cost = ospa_cost(truth, estimates, params)
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    n = max(len(truth), len(estimates))
+    total = cost[rows, cols].sum() + c ** p * (n - len(rows))
+    return float((total / n) ** (1.0 / p))
+
+
+def assert_same_assignment(cost):
+    """The solver returns scipy's indices, or raises scipy's error."""
+    try:
+        expected = scipy.optimize.linear_sum_assignment(cost)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            _linear_sum_assignment(cost)
+        return
+    rows, cols = _linear_sum_assignment(cost)
+    assert np.array_equal(rows, expected[0]) and np.array_equal(cols, expected[1])
+
+
+class TestLinearSumAssignment:
+    @settings(max_examples=500, deadline=None)
+    @given(cost_matrices())
+    def test_equals_scipy(self, cost):
+        assert_same_assignment(cost)
+
+    @settings(max_examples=300, deadline=None)
+    @given(point_sets(), point_sets())
+    def test_equals_scipy_on_ospa_costs(self, truth, estimates):
+        # clipped costs tie at cutoff^order; when rows outnumber columns, the
+        # clipped rows chosen set the order of the sum, so ospa is compared
+        # with ==
+        assert_same_assignment(ospa_cost(truth, estimates, P))
+        assert ospa(truth, estimates, P) == reference_ospa(truth, estimates, P)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_nan_and_negative_inf_are_invalid(self, bad):
+        cost = np.ones((3, 2))
+        cost[1, 0] = bad
+        for solve in (_linear_sum_assignment, scipy.optimize.linear_sum_assignment):
+            with pytest.raises(ValueError, match="matrix contains invalid numeric entries"):
+                solve(cost)
+
+    def test_inf_is_allowed_unless_nothing_finite_remains(self):
+        rows, cols = _linear_sum_assignment(np.array([[np.inf, 1.0], [2.0, np.inf]]))
+        assert (rows, cols) == ([0, 1], [1, 0])
+        with pytest.raises(ValueError, match="cost matrix is infeasible"):
+            _linear_sum_assignment(np.array([[np.inf, 1.0], [np.inf, 2.0]]))
+
+    def test_ospa_raises_on_nan_and_on_an_infinite_cost(self):
+        with pytest.raises(ValueError, match="matrix contains invalid numeric entries"):
+            ospa([(np.nan, 0.0)], [(0.0, 0.0)], P)
+        with pytest.raises(ValueError, match="cost matrix is infeasible"):
+            ospa([(np.inf, 0.0)], [(0.0, 0.0)], OspaParams(cutoff=np.inf))
 
 
 class TestOspa:

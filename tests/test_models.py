@@ -234,7 +234,7 @@ def assert_table_exact(sensor, frame, states, floor=None):
     strictly ascending (row, col) order. The cells under the per-row `floor`
     (by default `row_floors`) are exactly those of these cells whose
     exponent clears their row's floor, in the same order, or every cell when
-    a state, measurement or the normalizer is not finite."""
+    a state or measurement is not finite."""
     dense = dense_likelihood_table(sensor, frame, states)
     rho, theta = sensor.range_bearing(states)
     cells = sensor.likelihood_cells(frame, rho, theta)
@@ -246,8 +246,8 @@ def assert_table_exact(sensor, frame, states, floor=None):
     floored = sensor.likelihood_cells(frame, rho, theta, floor)
     assert_cell_layout(floored, dense.shape)
     zr, zb = np.array([[z.range, z.bearing] for z in frame]).reshape(-1, 2).T
-    every = not (np.isfinite(sensor.normalizer) and np.isfinite(zr + zb).all()
-                 and np.isfinite(rho).all() and np.isfinite(theta).all())
+    every = not (np.isfinite(zr + zb).all() and np.isfinite(rho).all()
+                 and np.isfinite(theta).all())
     row, col, value = cells
     if every:
         assert row.size == dense.size
@@ -398,14 +398,11 @@ class TestGatedLikelihoodTable:
         assert_table_exact(sensor, random_frame(rng, self.LARGE), states_at(positions))
 
     def test_overflowing_normalizer(self):
-        # 1 / (2 pi sigma_r sigma_b) is inf, so an underflowed entry is nan
-        sensor = make_sensor(sigma_range=1e-160, sigma_bearing=1e-160)
-        rng = np.random.default_rng(9)
-        states = states_at(sensor.position + rng.uniform(-300.0, 300.0, (1000, 2)))
-        frame = random_frame(rng, self.LARGE)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert np.isnan(sensor.likelihood_table(frame, states)).all()
-            assert_table_exact(sensor, frame, states)
+        # 2 pi sigma_r sigma_b is subnormal (1 / it is inf) or 0: every table
+        # entry would be nan, so the sensor is refused
+        for sigma in (1e-160, 1e-200):
+            with pytest.raises(ValueError, match="normalizer overflows"):
+                make_sensor(sigma_range=sigma, sigma_bearing=sigma)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_real_budgets(self, seed, window_calls):
@@ -635,7 +632,7 @@ class TestLikelihoodRows:
         assert_rows_exact(sensor, frame, np.empty((0, 7, 4)))
         assert_rows_exact(sensor, frame, np.empty((2, 0, 4)))
 
-    def test_non_finite_states_measurements_and_normalizer(self):
+    def test_non_finite_states_and_measurements(self):
         rng = np.random.default_rng(13)
         sensor = make_sensor()
         states = states_at(sensor.position + rng.uniform(-300.0, 300.0, (3 * 300, 2)))
@@ -646,10 +643,6 @@ class TestLikelihoodRows:
         assert_rows_exact(sensor, frame, states)
         with np.errstate(invalid="ignore"):  # inf - inf against the inf state
             assert_rows_exact(sensor, frame[:-1] + [Measurement(np.inf, 0.0)], states)
-        tiny = make_sensor(sigma_range=1e-160, sigma_bearing=1e-160)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert_rows_exact(tiny, frame, states)
-            assert len(kept_pairs(tiny, frame, states)[0]) == 3 * len(frame)
 
 
 @pytest.mark.parametrize("setting", [
