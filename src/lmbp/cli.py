@@ -68,7 +68,7 @@ def execute_run(config: RunConfig, master: np.random.SeedSequence):
         step_seconds.append(time.perf_counter() - started)
         prev_frame = frame
         estimates_log.append((k, estimates))
-        track_counts.append(len(state.tracks))
+        track_counts.append(len(state.block.labels))
         positions = np.array([e.state[:2] for e in estimates]).reshape(-1, 2)
         ospa_values.append(ospa(truth.alive_positions(k), positions, config.ospa))
     return truth, estimates_log, ospa_values, track_counts, step_seconds

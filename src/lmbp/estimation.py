@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rfs import FilterState, Label, weighted_mean
+from .rfs import FilterState, Label, pdf_mean
 
 
 @dataclass(frozen=True)
@@ -20,13 +20,17 @@ class TrackEstimate:
 
 def detect_and_estimate(state: FilterState, gamma_d: float) -> list[TrackEstimate]:
     """Declare tracks with existence strictly above gamma_d and estimate their
-    states as the pdf mean. Output is ordered by label; purely deterministic.
+    states as the pdf mean (`pdf_mean`), row by row from the state's block.
+    Output is ordered by label; purely deterministic.
     """
+    block = state.block
+    rows = block.rows()
+    existence = block.existence.tolist()
     out = []
-    for track in sorted(state.tracks, key=lambda t: t.label):
-        if track.existence > gamma_d:
-            out.append(TrackEstimate(track.label, weighted_mean(track.pdf),
-                                     track.existence))
+    for i in sorted(range(len(block.labels)), key=block.labels.__getitem__):
+        if existence[i] > gamma_d:
+            states, weights = rows[i]
+            out.append(TrackEstimate(block.labels[i], pdf_mean(states, weights), existence[i]))
     return out
 
 

@@ -71,7 +71,12 @@ class MotionModel:
         [1.0, 0.0],
         [0.0, 1.0],
     ])
-    A.flags.writeable = W.flags.writeable = False
+    # C-contiguous copies of A.T and W.T: BLAS multiplies by them ~2.5x
+    # faster than by the transposed views, with the same bits (every product
+    # is exact and each output has at most two nonzero terms)
+    A_T: ClassVar[np.ndarray] = np.ascontiguousarray(A.T)
+    W_T: ClassVar[np.ndarray] = np.ascontiguousarray(W.T)
+    A.flags.writeable = W.flags.writeable = A_T.flags.writeable = W_T.flags.writeable = False
     sigma_u: float = 0.01
     p_survival: float = 0.99
 
@@ -87,13 +92,15 @@ class MotionModel:
         return np.full(states.shape[:-1], self.p_survival)
 
     def transition_sample(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Advance states one step through the noisy transition kernel."""
+        """Advance states (..., 4) one step through the noisy transition kernel.
+        The noise is one `rng.normal` draw over the states in C order, so a
+        stack of sets draws what one call per set, in order, would."""
         states = np.asarray(states, dtype=float)
-        out = states @ self.A.T
+        flat = states.reshape(-1, STATE_DIM)
+        out = flat @ self.A_T
         if self.sigma_u > 0:
-            noise = rng.normal(0.0, self.sigma_u, states.shape[:-1] + (2,))
-            out = out + noise @ self.W.T
-        return out
+            out += rng.normal(0.0, self.sigma_u, (len(flat), 2)) @ self.W_T
+        return out.reshape(states.shape)
 
 
 @dataclass(frozen=True)

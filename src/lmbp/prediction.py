@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+import itertools
+from operator import itemgetter
 
 import numpy as np
 
@@ -18,42 +19,55 @@ def _survival(motion: MotionModel, states: np.ndarray) -> np.ndarray:
     return ps
 
 
-def predict_tracks(tracks: Sequence[BernoulliTrack], motion: MotionModel,
+def predict_tracks(block: TrackBlock, motion: MotionModel,
                    rng: np.random.Generator) -> TrackBlock:
-    """Predict labeled Bernoulli components as one block.
+    """Predict a block of labeled Bernoulli components, group by group.
 
     Each existence probability is multiplied by the expected survival
     probability under its pdf; the pdf particles are reweighted by survival,
     renormalized, and advanced through the transition kernel. Labels never
-    change. A track whose survival mass vanishes is dropped and draws no
-    noise; the survivors draw theirs in track order, and their rows keep
-    that order. Each track is moved on its own, straight into its group's
-    rows: the temporaries stay the size of one track, which keeps them in
-    cache and off fresh pages.
+    change. A group takes one survival call, one product, one row sum and
+    one divide. A track whose survival mass vanishes is dropped and draws no
+    noise; the survivors keep their row order and draw theirs in it, one
+    transition per run of consecutive rows in one group: a block whose
+    survivors are one group draws all its noise in one `rng.normal` call.
     """
-    weights, totals = [], []
-    for track in tracks:
-        weights.append(track.pdf.weights * _survival(motion, track.pdf.states))
-        totals.append(float(weights[-1].sum()))
-    survivors = [i for i, total in enumerate(totals) if total > 0.0]
-    block = TrackBlock.empty([tracks[i].label for i in survivors],
-                             [min(tracks[i].existence * totals[i], 1.0) for i in survivors],
-                             [len(tracks[i].pdf) for i in survivors])
-    for (states, w), i in zip(block.rows(), survivors):
-        np.divide(weights[i], totals[i], out=w)
-        states[:] = motion.transition_sample(tracks[i].pdf.states, rng)
-    return block
+    totals = np.zeros(len(block.labels))
+    groups = []
+    for rows, states, weights in block.groups:
+        weights = weights * _survival(motion, states)
+        mass = weights.sum(axis=1)
+        keep = mass > 0.0
+        if not keep.all():
+            rows, states, weights, mass = rows[keep], states[keep], weights[keep], mass[keep]
+        if len(rows):
+            weights /= mass[:, None]
+            totals[rows] = mass
+            groups.append((rows, states, weights))
+    # the survivors in row order, as (row, group, position in the group)
+    order = sorted((row, g, at) for g, (rows, _, _) in enumerate(groups)
+                   for at, row in enumerate(rows.tolist()))
+    moved: list[list[np.ndarray]] = [[] for _ in groups]
+    for g, run in itertools.groupby(order, key=itemgetter(1)):
+        run = list(run)
+        at = run[0][2]
+        moved[g].append(motion.transition_sample(groups[g][1][at:at + len(run)], rng))
+    survivors = [row for row, _, _ in order]
+    renumber = np.cumsum(totals > 0.0) - 1
+    return TrackBlock(tuple(block.labels[i] for i in survivors),
+                      np.minimum(block.existence[survivors] * totals[survivors], 1.0),
+                      tuple((renumber[rows], parts[0] if len(parts) == 1 else np.concatenate(parts),
+                             weights) for (rows, _, weights), parts in zip(groups, moved)))
 
 
 def predict_track(track: BernoulliTrack, motion: MotionModel,
                   rng: np.random.Generator) -> BernoulliTrack:
     """Predict one labeled Bernoulli component: a one-row `predict_tracks`.
     Raises ValueError when no particle survives."""
-    block = predict_tracks([track], motion, rng)
+    block = predict_tracks(TrackBlock.of([track]), motion, rng)
     if not block.labels:
         raise ValueError("track annihilated")
-    [(states, weights)] = block.rows()
-    return BernoulliTrack(track.label, float(block.existence[0]), ParticleSet(states, weights))
+    return block.tracks()[0]
 
 
 def predict_phd(phd: PoissonPhd, birth: PoissonPhd, motion: MotionModel,

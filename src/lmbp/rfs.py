@@ -2,14 +2,15 @@
 
 All value types are immutable after construction (arrays are marked
 read-only), so they can be shared freely across threads. Mutation happens
-only by building new values. The exception is `TrackBlock`, the working
-layout of one step's tracks, whose arrays its builder fills in place.
+only by building new values. The exception is `TrackBlock`, the layout of
+the tracks, whose arrays its builder fills in place until a `FilterState`
+takes the block and marks them read-only.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -89,19 +90,22 @@ def resample(pset: ParticleSet, target_count: int, rng: np.random.Generator) -> 
     """
     if target_count <= 0:
         raise ValueError("target_count must be positive")
-    return resample_rows([(pset.weights, pset.states)], target_count, rng)[0]
+    [(idx, weight)] = resample_rows([(pset.weights, pset.states)], target_count, rng)
+    return ParticleSet(pset.states.take(idx, axis=0), np.full(target_count, weight))
 
 
 def resample_rows(rows: Sequence[tuple[np.ndarray, np.ndarray]], count: int,
-                  rng: np.random.Generator) -> list[ParticleSet]:
+                  rng: np.random.Generator) -> list[tuple[np.ndarray, float]]:
     """Systematic resampling of K weighted particle sets in one pass, each to
-    `count` particles of weight total / count.
+    `count` particles of weight total / count. Returns per row the (count,)
+    ascending indices of the particles drawn and that weight; the caller
+    gathers `states.take(idx, axis=0)` into wherever the set goes.
 
     Row k is `(weights, states)`: particle n is states[n] with weight
-    weights[n] >= 0, at least one positive, or a `ValueError` names k. The
-    row's total is the last entry of its running sum, up to its last
-    positive weight, so a zero-weight particle anywhere leaves the total and
-    the draws unchanged.
+    weights[n] >= 0, at least one positive, or a `ValueError` names k. Only
+    the weights are read. The row's total is the last entry of its running
+    sum, up to its last positive weight, so a zero-weight particle anywhere
+    leaves the total and the draws unchanged.
     One `rng.random(K)` gives the rows their uniforms in order, the same
     draws as K single ones. Every index is capped at the last positive
     weight, so no draw lands on a trailing particle of zero weight. Rows
@@ -110,7 +114,7 @@ def resample_rows(rows: Sequence[tuple[np.ndarray, np.ndarray]], count: int,
     """
     steps = np.arange(count)
     out = []
-    for k, ((weights, states), u) in enumerate(zip(rows, rng.random(len(rows)).tolist())):
+    for k, ((weights, _), u) in enumerate(zip(rows, rng.random(len(rows)).tolist())):
         last = len(weights) - 1
         if last >= 0 and weights[last] <= 0.0:
             positive = np.flatnonzero(weights > 0.0)
@@ -123,15 +127,21 @@ def resample_rows(rows: Sequence[tuple[np.ndarray, np.ndarray]], count: int,
         total = cum[-1]
         idx = np.searchsorted(cum, (u + steps) * (total / count), side="right")
         np.minimum(idx, last, out=idx)
-        out.append(ParticleSet(states.take(idx, axis=0), np.full(count, total / count)))
+        out.append((idx, total / count))
     return out
 
 
 def weighted_mean(pset: ParticleSet) -> np.ndarray:
     """First moment of a normalized particle pdf."""
-    if not pset.is_normalized():
+    return pdf_mean(pset.states, pset.weights)
+
+
+def pdf_mean(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """First moment of the particle pdf (states, weights); ValueError unless
+    the weights sum to 1 within `PDF_TOL`."""
+    if not abs(float(weights.sum()) - 1.0) <= PDF_TOL:
         raise ValueError("particle set is not a normalized pdf")
-    return pset.weights @ pset.states
+    return weights @ states
 
 
 @dataclass(frozen=True)
@@ -156,7 +166,8 @@ class TrackBlock(NamedTuple):
     """Labeled Bernoulli tracks as arrays: row i is the track `labels[i]` with
     existence `existence[i]`. Each group holds the tracks of one particle
     count N as `(rows, states, weights)`: their ascending rows (L_g,), states
-    (L_g, N, 4) and pdf weights (L_g, N). A step's tables index tracks by row."""
+    (L_g, N, 4) and pdf weights (L_g, N). A step's tables index tracks by row,
+    and `FilterState` carries its tracks as one block from step to step."""
 
     labels: tuple[Label, ...]
     existence: np.ndarray                                        # (L,)
@@ -189,6 +200,40 @@ class TrackBlock(NamedTuple):
                 out[i] = (s, w)
         return out
 
+    def tracks(self) -> tuple[BernoulliTrack, ...]:
+        """Every row as a `BernoulliTrack` over views of its arrays, in row order."""
+        return tuple(BernoulliTrack(label, r, ParticleSet(states, weights))
+                     for label, r, (states, weights)
+                     in zip(self.labels, self.existence.tolist(), self.rows()))
+
+    def checked(self) -> "TrackBlock":
+        """The block with its existence capped at 1, after the checks that
+        `BernoulliTrack` and `ParticleSet` make per track, made once per
+        group: existence in [0, 1 + 1e-12], finite and nonnegative weights, a
+        pdf normalized within `PDF_TOL`, and no positive existence on a row
+        without particles. Also every row is in exactly one group. A failed
+        check raises ValueError."""
+        r = self.existence
+        # min is nan where any entry is
+        if len(r) and not (r.min() >= 0.0 and r.max() <= 1.0 + 1e-12):
+            raise ValueError(f"existence probability out of [0,1]: {r.min()}..{r.max()}")
+        covered = np.concatenate([rows for rows, _, _ in self.groups] + [np.empty(0, np.intp)])
+        if r.shape != (len(self.labels),) or not np.array_equal(np.sort(covered),
+                                                                np.arange(len(r))):
+            raise ValueError("block rows do not match its labels")
+        for rows, states, weights in self.groups:
+            if states.shape != weights.shape + (STATE_DIM,) or weights.shape[0] != len(rows):
+                raise ValueError("states and weights length mismatch")
+            if not weights.shape[1]:
+                if (r[rows] > 0.0).any():
+                    raise ValueError("track with positive existence needs a nonempty pdf")
+            elif weights.size:
+                if not (weights.min() >= 0.0 and weights.max() < np.inf):
+                    raise ValueError("particle weights must be finite and nonnegative")
+                if not (np.abs(weights.sum(axis=1) - 1.0) <= PDF_TOL).all():
+                    raise ValueError("track pdf is not normalized")
+        return self._replace(existence=np.minimum(r, 1.0))
+
 
 @dataclass(frozen=True)
 class PoissonPhd:
@@ -206,25 +251,55 @@ class PoissonPhd:
         return PoissonPhd(ParticleSet.empty())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class FilterState:
-    """Posterior at one time step: labeled tracks plus unlabeled intensity."""
+    """Posterior at one time step: labeled tracks plus unlabeled intensity.
 
-    tracks: tuple[BernoulliTrack, ...]
+    The tracks are one `TrackBlock`, `block`, which `lmbp_step` reads and
+    writes. `tracks` is a read-only view of it as `BernoulliTrack`s, built on
+    first access and then kept. `FilterState(tracks, phd, time)` copies the
+    tracks into the block and keeps the very objects as the view;
+    `FilterState.from_block` checks the block (`TrackBlock.checked`). Either
+    way the labels are pairwise distinct and none is born after `time`, or
+    ValueError.
+    """
+
+    block: TrackBlock
     phd: PoissonPhd
     time: int
+    _tracks: tuple[BernoulliTrack, ...] | None = field(default=None, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "tracks", tuple(self.tracks))
-        labels = [t.label for t in self.tracks]
+    def __init__(self, tracks: Sequence[BernoulliTrack], phd: PoissonPhd, time: int):
+        tracks = tuple(tracks)
+        self._set(TrackBlock.of(tracks), phd, time, tracks)
+
+    @classmethod
+    def from_block(cls, block: TrackBlock, phd: PoissonPhd, time: int) -> "FilterState":
+        state = cls.__new__(cls)
+        state._set(block.checked(), phd, time, None)
+        return state
+
+    def _set(self, block: TrackBlock, phd: PoissonPhd, time: int,
+             tracks: tuple[BernoulliTrack, ...] | None) -> None:
+        labels = block.labels
         if len(set(labels)) != len(labels):
             raise ValueError("track labels are not pairwise distinct")
         for lab in labels:
-            if lab.birth_time > self.time:
-                raise ValueError(f"label {lab} born after state time {self.time}")
+            if lab.birth_time > time:
+                raise ValueError(f"label {lab} born after state time {time}")
+        for array in (block.existence, *(a for group in block.groups for a in group)):
+            array.flags.writeable = False
+        for name, value in (("block", block), ("phd", phd), ("time", time), ("_tracks", tracks)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def tracks(self) -> tuple[BernoulliTrack, ...]:
+        if self._tracks is None:
+            object.__setattr__(self, "_tracks", self.block.tracks())
+        return self._tracks
 
     def labels(self) -> tuple[Label, ...]:
-        return tuple(t.label for t in self.tracks)
+        return self.block.labels
 
 
 # ---------------------------------------------------------------------------

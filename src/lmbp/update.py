@@ -28,6 +28,7 @@ from .rfs import (
     Measurement,
     ParticleSet,
     PoissonPhd,
+    TrackBlock,
     resample,
     resample_rows,
 )
@@ -121,14 +122,29 @@ def _legacy(label: Label, terms: Sequence[tuple[float, np.ndarray]],
     return Pending(label, min(r, 1.0), (sum((p / r) * w for p, w in terms), states))
 
 
-def _resampled(pending: Sequence[Pending], particle_budget: int,
-               rng: np.random.Generator) -> list[BernoulliTrack]:
-    """The tracks, each row resampled to the budget in one `resample_rows`
-    pass, in order."""
-    pdfs = iter(resample_rows([row for _, _, row in pending if row is not None],
-                              particle_budget, rng))
-    return [BernoulliTrack(label, r, ParticleSet.empty() if row is None else next(pdfs))
-            for label, r, row in pending]
+def _resampled(pending: Sequence[Pending], kept: Sequence[Pending], particle_budget: int,
+               rng: np.random.Generator) -> tuple[TrackBlock, list[Pending]]:
+    """The pending rows resampled to the budget in one `resample_rows` pass,
+    in order. Each row of `kept` is drawn straight into its label-ordered
+    slot of the returned block; the other records come back, in order, with
+    their resampled rows."""
+    kept = sorted(kept, key=lambda p: p.label)
+    block = TrackBlock.empty([p.label for p in kept], [p.existence for p in kept],
+                             [0 if p.row is None else particle_budget for p in kept])
+    slots = dict(zip((p.label for p in kept), block.rows()))
+    drawn = [p for p in pending if p.row is not None]
+    others = []
+    for (label, r, (_, states)), (idx, weight) in zip(
+            drawn, resample_rows([p.row for p in drawn], particle_budget, rng)):
+        slot = slots.get(label)
+        if slot is None:
+            others.append(Pending(label, r, (np.full(particle_budget, weight),
+                                             states.take(idx, axis=0))))
+        else:
+            # the indices are in range, and "clip" writes into the slot unbuffered
+            states.take(idx, axis=0, out=slot[0], mode="clip")
+            slot[1].fill(weight)
+    return block, others
 
 
 def update_legacy_track(label: Label, marginal: Mapping[int, float], miss: Hypothesis,
@@ -149,7 +165,8 @@ def update_legacy_track(label: Label, marginal: Mapping[int, float], miss: Hypot
               for m, hyp in detections.items()]
     if any(len(weights) not in (0, len(states)) for _, weights in terms):
         raise ValueError("a hypothesis does not weight the predicted track's particles")
-    return _resampled([_legacy(label, terms, states)], particle_budget, rng)[0]
+    updated = _legacy(label, terms, states)
+    return _resampled([updated], [updated], particle_budget, rng)[0].tracks()[0]
 
 
 def update_transferred_track(transfer: Pending, p_claim: float, particle_budget: int,
@@ -157,15 +174,18 @@ def update_transferred_track(transfer: Pending, p_claim: float, particle_budget:
     """Update of a freshly transferred track, as `lmbp_step` makes it for one
     row: r = p(claim) * existence, and the component's pdf resampled."""
     claimed = transfer._replace(existence=p_claim * transfer.existence)
-    return _resampled([claimed], particle_budget, rng)[0]
+    return _resampled([claimed], [claimed], particle_budget, rng)[0].tracks()[0]
 
 
-def split_by_retention(tracks: Sequence[BernoulliTrack], gamma_leg: float,
-                       time: int) -> tuple[list[BernoulliTrack], list[BernoulliTrack]]:
+def split_by_retention(tracks: Sequence[Pending], gamma_leg: float,
+                       time: int) -> tuple[list[Pending], list[Pending]]:
     """Keep likely tracks; recycle unlikely legacy ones.
 
-    Tracks transferred this step (birth_time == time) are always kept;
-    legacy tracks are kept iff r >= gamma_leg (inclusive).
+    A track is any record with a `label` and an `existence`: a `Pending`
+    record in the step, whose label and existence decide its retention
+    before it is resampled, or a `BernoulliTrack`. Tracks transferred this
+    step (birth_time == time) are always kept; legacy tracks are kept iff
+    r >= gamma_leg (inclusive).
     """
     kept, recycled = [], []
     for track in tracks:
@@ -176,7 +196,7 @@ def split_by_retention(tracks: Sequence[BernoulliTrack], gamma_leg: float,
     return kept, recycled
 
 
-def update_phd(recycled: Sequence[BernoulliTrack], beta: np.ndarray, cells: Cells,
+def update_phd(recycled: Sequence[Pending], beta: np.ndarray, cells: Cells,
                predicted_phd: PoissonPhd, pd: np.ndarray, particle_budget: int,
                rng: np.random.Generator) -> PoissonPhd:
     """Posterior intensity: undetected predicted intensity + unclaimed
@@ -186,8 +206,9 @@ def update_phd(recycled: Sequence[BernoulliTrack], beta: np.ndarray, cells: Cell
     the K measurements whose components return to the intensity, and `pd` is
     the detection probability of each predicted intensity particle. The
     predicted particles are reweighted by (1 - pD) w + sum_k row_k / beta[k]
-    (the SMC-PHD update), the recycled tracks' particles are appended with
-    weights r * pdf, and the union is resampled once. Total mass is
+    (the SMC-PHD update), the particles of the recycled tracks' rows
+    (weights, states) are appended with weights r * weights, and the union
+    is resampled once. Total mass is
     sum((1 - pD) w) + sum_k d_k / beta_k + r-sum, preserved through the
     reduction.
     """
@@ -198,9 +219,9 @@ def update_phd(recycled: Sequence[BernoulliTrack], beta: np.ndarray, cells: Cell
     weights = [survivors.weights * (1.0 - pd)
                + np.bincount(col, (1.0 / beta)[row] * value, minlength=len(survivors))]
     states = [survivors.states]
-    for track in recycled:
-        weights.append(track.existence * track.pdf.weights)
-        states.append(track.pdf.states)
+    for _, r, (pdf_weights, pdf_states) in recycled:
+        weights.append(r * pdf_weights)
+        states.append(pdf_states)
     union = ParticleSet(np.concatenate(states), np.concatenate(weights))
     if union.total_weight <= 0.0:
         return PoissonPhd.empty()
@@ -228,18 +249,19 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
     is dropped before association; label indices count positions in the kept
     frame. Only the rows of residual measurements that are not transferred
     return to the intensity, and `update_phd` gets those rows alone. The
-    predicted tracks are one `TrackBlock`, the marginals of every cluster, in
-    the tables' columns, come from one call (`batch_bp_marginals`, or
+    tracks are one `TrackBlock` from step to step: `predict_tracks` moves the
+    state's block group by group, the marginals of every cluster, in the
+    tables' columns, come from one call (`batch_bp_marginals`, or
     `exact_marginals` in exact mode, with the same arguments), and every
     track that is resampled, legacy then transferred per cluster and then
-    the residual transfers, goes through one `resample_rows` pass;
-    `BernoulliTrack`s are built for the output only. Estimation is separate
-    (`lmbp.estimation`).
+    the residual transfers, goes through one `resample_rows` pass, each kept
+    row straight into its slot of the next block. No `BernoulliTrack` is
+    built. Estimation is separate (`lmbp.estimation`).
     """
     k = state.time + 1
 
     # prediction; tracks whose survival mass vanishes are dropped
-    block = predict_tracks(state.tracks, models.motion, rng)
+    block = predict_tracks(state.block, models.motion, rng)
     birth = models.birth.sample_phd(prev_frame, models.motion, models.sensor, rng)
     predicted_phd = predict_phd(state.phd, birth, models.motion, rng)
 
@@ -283,11 +305,12 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
     # a residual measurement competes with no track, so its transfer claims it surely
     pending += [transfers[j] for j in residual[transferred[residual]].tolist()]
 
-    tracks = _resampled(pending, settings.track_particles, rng)
-    kept, recycled = split_by_retention(tracks, thresholds.gamma_leg, k)
+    # retention needs only labels and existence; then the kept rows are
+    # resampled into the next block, and the recycled ones for the intensity
+    kept, _ = split_by_retention(pending, thresholds.gamma_leg, k)
+    updated, recycled = _resampled(pending, kept, settings.track_particles, rng)
     unclaimed = np.zeros(len(frame), dtype=bool)
     unclaimed[residual[~transferred[residual]]] = True
     phd = update_phd(recycled, new_beta[unclaimed], _rows_of(new_cells, unclaimed),
                      predicted_phd, phd_pd, settings.phd_particles, rng)
-    kept.sort(key=lambda t: t.label)
-    return FilterState(tuple(kept), phd, k)
+    return FilterState.from_block(updated, phd, k)

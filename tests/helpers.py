@@ -222,3 +222,17 @@ def count_joined_rows(monkeypatch, counts: Counter) -> None:
     monkeypatch.setattr(lmbp.update, "track_evidence", evidence_spy)
     monkeypatch.setattr(lmbp.association, "_components", components_spy)
     monkeypatch.setattr(SensorModel, "likelihood_rows", rows_spy)
+
+
+def per_track_prediction(tracks, motion, rng):
+    """The per-track prediction that `predict_tracks` batches, as the
+    reference: (label, existence, states, weights) of every surviving track,
+    each track's noise drawn by its own `transition_sample` call."""
+    out = []
+    for track in tracks:
+        weights = track.pdf.weights * motion.survival_prob(track.pdf.states)
+        total = float(weights.sum())
+        if total > 0.0:
+            out.append((track.label, min(track.existence * total, 1.0),
+                        motion.transition_sample(track.pdf.states, rng), weights / total))
+    return out

@@ -177,7 +177,8 @@ def test_criterion_2_conservation():
         for i in range(n_rec):
             m = int(rng.integers(1, 30))
             pdf = ParticleSet(rng.normal(size=(m, 4)), np.full(m, 1.0 / m))
-            recycled.append(BernoulliTrack(Label(1, i + 1), float(rng.random()), pdf))
+            recycled.append(Pending(Label(1, i + 1), float(rng.random()),
+                                    (pdf.weights, pdf.states)))
         phd = random_intensity(rng, max_n=60)
         pd = rng.random(len(phd.particles))
         # unclaimed components: rows w pD f over the intensity particles, beta >= d

@@ -63,6 +63,26 @@ class TestMotionModel:
         scale = sigma_u ** 2
         assert np.all(np.abs(sample_cov - expected) <= 0.1 * scale + 1e-12)
 
+    @pytest.mark.parametrize("special", [False, True], ids=["random", "signed_zero_inf_nan"])
+    def test_contiguous_constants_give_the_transposed_products_bits(self, special):
+        # the C-contiguous A_T and W_T change the BLAS kernel, not one bit of
+        # states @ A.T + noise @ W.T, NaNs included
+        rng = np.random.default_rng(12)
+        states = rng.normal(0.0, 100.0, (5000, 4))
+        if special:
+            picks = rng.integers(0, states.size, 400)
+            states.reshape(-1)[picks] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], 400)
+        model = MotionModel(sigma_u=0.3)
+        noise = np.random.default_rng(4).normal(0.0, 0.3, (5000, 2))
+        with np.errstate(invalid="ignore"):
+            out = model.transition_sample(states, np.random.default_rng(4))
+            old = states @ model.A.T + noise @ model.W.T
+        assert np.array_equal(out, old, equal_nan=True)
+        assert np.array_equal(np.isnan(out), np.isnan(old))
+        assert np.array_equal(np.signbit(out), np.signbit(old))
+        assert model.A_T.flags.c_contiguous and not model.A_T.flags.writeable
+        assert model.W_T.flags.c_contiguous and not model.W_T.flags.writeable
+
     def test_equal_models_compare_equal_and_hash_alike(self):
         # the matrices are read-only class constants, not fields, so a model
         # is its two numbers

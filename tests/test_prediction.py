@@ -4,7 +4,9 @@ from dataclasses import dataclass
 
 from lmbp.models import MotionModel
 from lmbp.prediction import predict_phd, predict_track, predict_tracks
-from lmbp.rfs import BernoulliTrack, Label, ParticleSet, PoissonPhd
+from lmbp.rfs import BernoulliTrack, Label, ParticleSet, PoissonPhd, TrackBlock
+
+from helpers import per_track_prediction
 
 
 @dataclass(frozen=True)
@@ -72,19 +74,6 @@ class TestPredictTrack:
             assert out.existence <= track.existence + 1e-15
 
 
-def per_track_prediction(tracks, motion, rng):
-    """The per-track prediction that `predict_tracks` batches, as the
-    reference: (label, existence, states, weights) of every surviving track."""
-    out = []
-    for track in tracks:
-        weights = track.pdf.weights * motion.survival_prob(track.pdf.states)
-        total = float(weights.sum())
-        if total > 0.0:
-            out.append((track.label, min(track.existence * total, 1.0),
-                        motion.transition_sample(track.pdf.states, rng), weights / total))
-    return out
-
-
 @dataclass(frozen=True)
 class FarOutDies(MotionModel):
     """Survival 0 beyond x1 = 1e4, 0.9 beyond x1 = 0 and 1 elsewhere."""
@@ -109,7 +98,7 @@ class TestPredictTracks:
                                    label=Label(1, i + 1)))
         model = FarOutDies(sigma_u=0.3)
         a, b = np.random.default_rng(8), np.random.default_rng(8)
-        block = predict_tracks(tracks, model, a)
+        block = predict_tracks(TrackBlock.of(tracks), model, a)
         expected = per_track_prediction(tracks, model, b)
         assert a.random() == b.random()
         assert block.labels == tuple(label for label, _, _, _ in expected)
@@ -119,6 +108,34 @@ class TestPredictTracks:
             assert np.array_equal(states, ref_states) and np.array_equal(weights, ref_weights)
         sizes = {w.shape[1]: rows.tolist() for rows, _, w in block.groups}
         assert sizes == {1000: [0, 2, 4], 3: [1, 3], 50: [5]}
+
+    def test_one_group_draws_its_noise_in_one_call(self):
+        # a dead row inside the one group: the survivors still draw in one
+        # `normal` call, the bits of one call per track
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng, self.calls = np.random.default_rng(seed), 0
+
+            def normal(self, *args):
+                self.calls += 1
+                return self.rng.normal(*args)
+
+        rng = np.random.default_rng(22)
+        tracks = []
+        for i in range(6):
+            states = rng.normal(0.0, 50.0, (64, 4))
+            if i == 2:
+                states[:, 0] += 2e4
+            tracks.append(track_of(states, np.full(64, 1 / 64), label=Label(1, i + 1)))
+        model = FarOutDies(sigma_u=0.3)
+        a, b = CountingRng(9), np.random.default_rng(9)
+        block = predict_tracks(TrackBlock.of(tracks), model, a)
+        expected = per_track_prediction(tracks, model, b)
+        assert a.calls == 1 and a.rng.random() == b.random()
+        assert block.labels == tuple(label for label, _, _, _ in expected)
+        assert [rows.tolist() for rows, _, _ in block.groups] == [[0, 1, 2, 3, 4]]
+        for (states, weights), (_, _, ref_states, ref_weights) in zip(block.rows(), expected):
+            assert np.array_equal(states, ref_states) and np.array_equal(weights, ref_weights)
 
     def test_survival_outside_unit_interval_raises(self):
         # both predictions check survival; 1.5 would grow the intensity's mass by half
@@ -132,7 +149,7 @@ class TestPredictTracks:
         for survival in (np.nan, 1.5, -0.1):
             motion = FixedSurvival(survival=survival)
             with pytest.raises(ValueError, match="survival"):
-                predict_tracks([track_of([[0, 0, 0, 0]], [1.0])], motion,
+                predict_tracks(TrackBlock.of([track_of([[0, 0, 0, 0]], [1.0])]), motion,
                                np.random.default_rng(0))
             with pytest.raises(ValueError, match="survival"):
                 predict_phd(phd_of([[0, 0, 0, 0]], [1.0]), PoissonPhd.empty(), motion,

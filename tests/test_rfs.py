@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lmbp.estimation import detect_and_estimate, write_estimates_csv
 from lmbp.rfs import (
+    PDF_TOL,
     BernoulliTrack,
     FilterState,
     Label,
     ParticleSet,
     PoissonPhd,
+    TrackBlock,
     read_snapshot,
     resample,
     resample_rows,
@@ -143,10 +146,10 @@ class TestResampleRows:
             rows.append((weights, rng.normal(size=(n, 4))))
         batched, single = np.random.default_rng(5), np.random.default_rng(5)
         out = resample_rows(rows, 300, batched)
-        for (weights, states), pset in zip(rows, out):
+        for (weights, states), (idx, weight) in zip(rows, out):
             ref = classic_resample(weights, states, 300, single.random())
-            assert np.array_equal(pset.states, ref)
-            assert np.array_equal(pset.weights, np.full(300, np.cumsum(weights)[-1] / 300))
+            assert np.array_equal(states[idx], ref)
+            assert weight == np.cumsum(weights)[-1] / 300
         # one draw per row, as one `random` call per set makes them
         assert batched.random() == single.random()
 
@@ -168,11 +171,12 @@ class TestResampleRows:
                                      np.full(trail, n)]).astype(int))
         padded = np.insert(weights, at, 0.0)
         padded_states = np.insert(states, at, np.inf, axis=0)
-        plain = resample_rows([(weights, states)], count, np.random.default_rng(seed))[0]
-        out = resample_rows([(padded, padded_states)], count, np.random.default_rng(seed))[0]
-        assert np.array_equal(out.states, plain.states)
-        assert np.array_equal(out.weights, plain.weights)
-        assert np.array_equal(out.weights, np.full(count, np.cumsum(padded)[-1] / count))
+        plain, plain_weight = resample_rows([(weights, states)], count,
+                                            np.random.default_rng(seed))[0]
+        out, weight = resample_rows([(padded, padded_states)], count,
+                                    np.random.default_rng(seed))[0]
+        assert np.array_equal(padded_states[out], states[plain])
+        assert weight == plain_weight == np.cumsum(padded)[-1] / count
 
     @pytest.mark.parametrize("bad", [[0.0, 0.0], [-1.0, 2.0], [1.0, np.nan], []],
                              ids=["all_zero", "negative", "nan", "empty"])
@@ -234,6 +238,102 @@ class TestTrackAndState:
         pdf = make_pset([[0, 0, 0, 0]], [1.0])
         with pytest.raises(ValueError):
             FilterState((BernoulliTrack(Label(5, 1), 0.5, pdf),), PoissonPhd.empty(), 3)
+
+
+def random_tracks(rng, sizes=(16, 3, 16, 3, 16)):
+    """Tracks of interleaved particle counts, their labels out of order."""
+    tracks = []
+    for i, n in enumerate(sizes):
+        weights = rng.random(n)
+        tracks.append(BernoulliTrack(Label(1 + i % 2, len(sizes) - i), float(rng.random()),
+                                     make_pset(rng.normal(scale=100, size=(n, 4)),
+                                               weights / weights.sum())))
+    return tracks
+
+
+def bad_block(case):
+    """A two-track block that breaks one check of `FilterState.from_block`."""
+    labels, existence, sizes = [Label(1, 1), Label(2, 1)], [0.5, 0.5], [4, 4]
+    if case == "empty_pdf":
+        sizes = [4, 0]
+    if case == "duplicate_labels":
+        labels = [Label(1, 1), Label(1, 1)]
+    if case == "born_after_time":
+        labels = [Label(1, 1), Label(4, 1)]
+    block = TrackBlock.empty(labels, existence, sizes)
+    for _, states, weights in block.groups:
+        states[:] = 0.0
+        weights[:] = 0.25
+    r = block.existence
+    weights = block.groups[0][2]
+    if case == "existence_above_one":
+        r[1] = 1.0 + 2e-12
+    if case == "existence_below_zero":
+        r[1] = -1e-300
+    if case == "existence_nan":
+        r[1] = np.nan
+    if case == "not_normalized":
+        weights[1, 0] += 10 * PDF_TOL
+    if case == "negative_weight":
+        weights[1] = [-0.25, 0.5, 0.5, 0.25]
+    if case in ("inf_weight", "nan_weight"):
+        weights[1, 0] = np.inf if case == "inf_weight" else np.nan
+    if case == "rows_mismatch":
+        block.groups[0][0][1] = 0
+    if case == "length_mismatch":
+        rows, states, _ = block.groups[0]
+        block = block._replace(groups=((rows, states, np.full((2, 3), 1 / 3)),))
+    return block
+
+
+class TestBlockState:
+    CASES = ["existence_above_one", "existence_below_zero", "existence_nan", "not_normalized",
+             "negative_weight", "inf_weight", "nan_weight", "empty_pdf", "duplicate_labels",
+             "born_after_time", "rows_mismatch", "length_mismatch"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_every_track_check_holds_for_a_block(self, case):
+        # the checks BernoulliTrack and ParticleSet make per track, and the label rules
+        FilterState.from_block(bad_block("sound"), PoissonPhd.empty(), 3)
+        with pytest.raises(ValueError):
+            FilterState.from_block(bad_block(case), PoissonPhd.empty(), 3)
+
+    def test_existence_within_rounding_of_one_is_capped(self):
+        block = bad_block("sound")
+        block.existence[0] = 1.0 + 1e-12
+        state = FilterState.from_block(block, PoissonPhd.empty(), 3)
+        assert state.block.existence.tolist() == [1.0, 0.5]
+        assert state.tracks[0].existence == 1.0
+        assert not state.block.groups[0][1].flags.writeable
+
+    def test_a_state_from_tracks_keeps_those_objects(self):
+        tracks = random_tracks(np.random.default_rng(3))
+        state = FilterState(tracks, PoissonPhd.empty(), 4)
+        assert len(state.tracks) == len(tracks)
+        assert all(a is b for a, b in zip(state.tracks, tracks))
+        assert state.labels() == tuple(t.label for t in tracks)
+
+    def test_block_state_writes_the_bytes_of_the_tracks_state(self):
+        # estimates and snapshot of a state built from a block and from its tracks
+        rng = np.random.default_rng(5)
+        tracks = random_tracks(rng)
+        phd = PoissonPhd(make_pset(rng.normal(size=(6, 4)), rng.random(6)))
+        from_tracks = FilterState(tracks, phd, 4)
+        from_block = FilterState.from_block(TrackBlock.of(tracks), phd, 4)
+        texts = []
+        for state in (from_tracks, from_block):
+            estimates, snapshot = io.StringIO(), io.StringIO()
+            write_estimates_csv(estimates, [(4, detect_and_estimate(state, 0.2))])
+            write_snapshot(state, snapshot)
+            texts.append((estimates.getvalue(), snapshot.getvalue()))
+        assert texts[0] == texts[1]
+        # and the per-track estimate: weighted_mean of each declared track, by label
+        declared = sorted((t for t in tracks if t.existence > 0.2), key=lambda t: t.label)
+        estimates = detect_and_estimate(from_block, 0.2)
+        assert [e.label for e in estimates] == [t.label for t in declared]
+        for est, track in zip(estimates, declared):
+            assert np.array_equal(est.state, weighted_mean(track.pdf))
+            assert est.existence == track.existence
 
 
 class TestSnapshot:

@@ -239,7 +239,7 @@ class TestOnePassUpdate:
                             (m[2] * 1.0, det[2].weights)], support)
                    for i, m in enumerate(marginals)]
         pending.append(comp._replace(existence=0.5 * comp.existence))
-        one_pass = _resampled(pending, 64, b)
+        one_pass = _resampled(pending, pending, 64, b)[0].tracks()
         assert a.random() == b.random()
         assert one_by_one[1].existence == 0.0 and len(one_by_one[1].pdf) == 0
         for x, y in zip(one_by_one, one_pass):
@@ -274,6 +274,12 @@ class TestSplitByRetention:
         assert not ({t.label for t in kept} & {t.label for t in recycled})
 
 
+def recycled_row(label, existence, pdf):
+    """A recycled track as `update_phd` takes it: its label, its existence and
+    its resampled row (weights, states)."""
+    return Pending(label, existence, (pdf.weights, pdf.states))
+
+
 def no_rows(n):
     """`new_components` output of no unclaimed measurement over n particles."""
     return np.empty(0), cells_of(np.empty((0, n)))
@@ -294,7 +300,7 @@ class TestUpdatePhd:
 
     def test_three_term_additivity(self):
         # recycled r 0.3 + unclaimed d / beta = 0.4 / 2 + undetected 0.2 * (1 - 0.5)
-        recycled = [BernoulliTrack(Label(1, 1), 0.3, pdf_at(1.0))]
+        recycled = [recycled_row(Label(1, 1), 0.3, pdf_at(1.0))]
         phd = PoissonPhd(pdf_at(3.0, n=10, weight=0.2))
         out = update_phd(recycled, np.array([2.0]), cells_of(np.full((1, 10), 0.04)), phd,
                          np.full(10, 0.5), 500, np.random.default_rng(0))
@@ -318,7 +324,7 @@ class TestUpdatePhd:
         table = np.array([[0.0, 0.05, 0.1, 0.0], [0.2, 0.0, 0.0, 0.1]])
         track_states = np.zeros((2, 4))
         track_states[:, 0] = [50.0, 60.0]
-        recycled = [BernoulliTrack(Label(1, 1), 0.25, ParticleSet(track_states, [0.4, 0.6]))]
+        recycled = [recycled_row(Label(1, 1), 0.25, ParticleSet(track_states, [0.4, 0.6]))]
         out = update_phd(recycled, beta, cells_of(table),
                          PoissonPhd(ParticleSet(phd_states, w)), pd, 1000,
                          np.random.default_rng(seed))
@@ -377,7 +383,7 @@ class TestSparseIntensityArithmetic:
         monkeypatch.setattr(lmbp.update, "resample", spy)
         unclaimed = np.zeros(m, dtype=bool)
         unclaimed[~transferred] = rng.random(m - transferred.sum()) < 0.8
-        recycled = [BernoulliTrack(Label(1, 1), 0.5, pdf_at(0.0))]
+        recycled = [recycled_row(Label(1, 1), 0.5, pdf_at(0.0))]
         update_phd(recycled, beta[unclaimed], _rows_of(cells, unclaimed), phd, pd, 64, rng)
         assert np.array_equal(
             weights[0], dense_phd_weights(phd, pd, beta[unclaimed], table[unclaimed]))
@@ -907,6 +913,43 @@ class TestLmbpStep:
         assert out_exact.labels() == out_bp.labels()
         for a, b in zip(out_exact.tracks, out_bp.tracks):
             assert a.existence == pytest.approx(b.existence, abs=1e-9)
+
+
+class TestBlockStep:
+    """The step carries the tracks as one block and builds no per-track object."""
+
+    @staticmethod
+    def state_of(count):
+        # tracks spread in range, measured by a frame of every other one
+        tracks = tuple(BernoulliTrack(Label(1, i + 1), 0.3 + 0.6 * (i % 2),
+                                      pdf_at(20.0 + 12 * i, n=8)) for i in range(count))
+        return FilterState(tracks, PoissonPhd(pdf_at(100.0, n=32, weight=0.3)), 1), tracks
+
+    def test_no_per_track_objects_inside_the_step(self, monkeypatch):
+        models = micro_models(pd_const=0.6, mean_births=0.1)
+        built = Counter()
+        for cls in (BernoulliTrack, ParticleSet):
+            def spy(obj, post_init=cls.__post_init__, name=cls.__name__):
+                built[name] += 1
+                post_init(obj)
+
+            monkeypatch.setattr(cls, "__post_init__", spy)
+        sets = {}
+        for count in (2, 20):
+            state, tracks = self.state_of(count)
+            assert all(a is b for a, b in zip(state.tracks, tracks))
+            frame = [Measurement(*map(float, models.sensor.range_bearing(
+                np.array([20.0 + 12 * i, 0.0, 0.0, 0.0])))) for i in range(0, count, 2)]
+            built.clear()
+            out = lmbp_step(state, frame, models, Thresholds(), np.random.default_rng(count),
+                            settings=small_settings())
+            assert built["BernoulliTrack"] == 0 and len(out.block.labels) >= count // 2
+            sets[count] = built["ParticleSet"]
+            first = out.tracks
+            assert built["BernoulliTrack"] == len(out.block.labels)
+            assert out.tracks is first
+            assert built["BernoulliTrack"] == len(out.block.labels)
+        assert sets[2] == sets[20]
 
 
 # ---------------------------------------------------------------------------
