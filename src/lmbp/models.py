@@ -24,6 +24,9 @@ EXP_FLOOR = -760.0
 _BEARING_SLACK = 1e-12
 # relative and absolute (in sigma_range) slack on range bounds; covers rounding
 _RANGE_SLACK = 1e-9
+# rows' worth of window, (pi - half-width) summed, below which the dense M x N
+# evaluation beats the bearing grid on intensity-sized sets (measured: ~3)
+_DENSE_ROWS = 3.0
 
 
 def wrap_angle(theta):
@@ -192,31 +195,28 @@ class SensorModel:
         that can clear the floor are evaluated. At the default `EXP_FLOOR`
         every cell left out is exactly 0.0, since float64 exp underflows to
         0.0 below about -745.13; a higher floor leaves out small values too.
-        A measurement that no state can reach has no cells (row gate, from
-        O(N) range and bearing bounds). When the frame is large enough to pay
-        for sorting the states on a bearing x range grid, each remaining
-        measurement is evaluated only over the grid cells of its window.
-        Every evaluated entry goes through `_exponent`; with a non-finite
-        state or measurement every cell is evaluated and kept, so nan and inf
-        propagate.
+        Every exponent is <= 0, so a row whose floor is above 0 has no cells.
+        Unless the frame is too small to pay for it, the states are sorted on
+        a bearing x range grid and each measurement is evaluated only over
+        the grid cells of its window. Every evaluated entry goes through
+        `_exponent`; with a non-finite state or measurement every cell is
+        evaluated and kept, so nan and inf propagate.
         """
         zr, zb, norm = self._frame_terms(frame)
-        n = rho.size
+        if zr.size == 0 or rho.size == 0:
+            return np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)
         floor = np.broadcast_to(np.asarray(floor, dtype=float), zr.shape)
+        finite = all(np.isfinite(a).all() for a in (zr, zb, rho, theta))
+        rows = np.flatnonzero(floor <= 0.0) if finite else np.arange(zr.size)
+        floor = floor[rows]
         # bearing half-width beyond which every exponent is below the floor
-        half = np.sqrt(np.maximum(-2.0 * floor, 0.0)) * self.sigma_bearing + _BEARING_SLACK
-        bound = self._exponent_bounds(zr, zb, rho.reshape(1, n), theta.reshape(1, n))[0]
-        gated = bool((bound < np.inf).all())
-        rows = np.flatnonzero(bound >= floor) if gated else np.arange(len(frame))
-        floor, half = floor[rows], half[rows]
-        # sort only when the cells the windows skip outnumber the sort's comparisons
-        if (gated and (half < np.pi).all()
-                and (np.pi - half).sum() > np.pi * np.log2(max(n, 2))):
+        half = np.sqrt(-2.0 * floor) * self.sigma_bearing + _BEARING_SLACK if finite else np.pi
+        if finite and (half < np.pi).all() and (np.pi - half).sum() > _DENSE_ROWS * np.pi:
             row, col, quad = self._windowed_exponents(zr[rows], zb[rows], rows, floor,
                                                       rho, theta, half)
         else:
             quad = self._exponent(zr[rows, None], zb[rows, None], rho, theta)
-            row, col = np.nonzero((quad >= floor[:, None]) | (not gated))
+            row, col = np.nonzero((quad >= floor[:, None]) | (not finite))
             row, quad = rows[row], quad[row, col]
         np.exp(quad, out=quad)
         quad *= norm
@@ -301,9 +301,9 @@ class SensorModel:
         return np.where(finite[:, None], -0.5 * (dr * dr + db * db), np.inf)
 
     def _windowed_exponents(self, zr, zb, rows, floor, rho, theta, half):
-        """Exponents of the cells that can clear their measurement's `floor`:
-        those inside its bearing window [zb - half, zb + half] (each half <
-        pi) whose range term alone clears the floor.
+        """Exponents of the cells that clear their measurement's `floor`,
+        among those inside its bearing window [zb - half, zb + half] (each
+        half < pi) and its range reach.
 
         The states are grouped once on a bearing x range grid, by one sort
         of small integer cell ids: bearing bin major, range bin minor. A
@@ -315,7 +315,7 @@ class SensorModel:
         """
         n = rho.size
         # the range offset beyond which the range term alone is below the
-        # floor, with slack for the rounding of the prefilter below
+        # floor, with slack for rounding
         reach = (np.sqrt(-2.0 * floor) * (1.0 + _RANGE_SLACK) + _RANGE_SLACK) * self.sigma_range
         # bins a quarter of the mean half-width and reach wide; at most N in
         # all, and few enough for int16 ids, which a stable sort orders by radix
@@ -347,21 +347,10 @@ class SensorModel:
         length = np.searchsorted(sorted_ids, base + r_hi, "right") - first
         count = np.add.reduceat(length, np.cumsum(runs) - runs)
         pos = np.arange(count.sum()) + np.repeat(first - (np.cumsum(length) - length), length)
-        zr_cells = np.repeat(zr, count)
-        floor_cells = np.repeat(floor, count)
         col = order[pos]
-        rho_cells = rho[col]
-        # range prefilter: the same dr as `_exponent`, so the bound is exact
-        dr = zr_cells - rho_cells
-        dr /= self.sigma_range
-        dr *= dr
-        dr *= -0.5
-        near = np.flatnonzero(dr >= floor_cells)
-        col = col[near]
-        quad = self._exponent(zr_cells[near], np.repeat(zb, count)[near], rho_cells[near],
-                              theta[col])
-        keep = np.flatnonzero(quad >= floor_cells[near])
-        row, col = np.repeat(rows, count)[near[keep]], col[keep]
+        quad = self._exponent(np.repeat(zr, count), np.repeat(zb, count), rho[col], theta[col])
+        keep = np.flatnonzero(quad >= np.repeat(floor, count))
+        row, col = np.repeat(rows, count)[keep], col[keep]
         cell = np.argsort(row * n + col)
         return row[cell], col[cell], quad[keep[cell]]
 

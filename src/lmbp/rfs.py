@@ -90,22 +90,21 @@ def resample(pset: ParticleSet, target_count: int, rng: np.random.Generator) -> 
     """
     if target_count <= 0:
         raise ValueError("target_count must be positive")
-    [(idx, weight)] = resample_rows([(pset.weights, pset.states)], target_count, rng)
+    [(idx, weight)] = resample_rows([pset.weights], target_count, rng)
     return ParticleSet(pset.states.take(idx, axis=0), np.full(target_count, weight))
 
 
-def resample_rows(rows: Sequence[tuple[np.ndarray, np.ndarray]], count: int,
+def resample_rows(rows: Sequence[np.ndarray], count: int,
                   rng: np.random.Generator) -> list[tuple[np.ndarray, float]]:
     """Systematic resampling of K weighted particle sets in one pass, each to
     `count` particles of weight total / count. Returns per row the (count,)
     ascending indices of the particles drawn and that weight; the caller
-    gathers `states.take(idx, axis=0)` into wherever the set goes.
+    gathers its states at those indices into wherever the set goes.
 
-    Row k is `(weights, states)`: particle n is states[n] with weight
-    weights[n] >= 0, at least one positive, or a `ValueError` names k. Only
-    the weights are read. The row's total is the last entry of its running
-    sum, up to its last positive weight, so a zero-weight particle anywhere
-    leaves the total and the draws unchanged.
+    Row k is the weights of set k: particle n has weight weights[n] >= 0,
+    at least one positive, or a `ValueError` names k. The row's total is
+    the last entry of its running sum, up to its last positive weight, so a
+    zero-weight particle anywhere leaves the total and the draws unchanged.
     One `rng.random(K)` gives the rows their uniforms in order, the same
     draws as K single ones. Every index is capped at the last positive
     weight, so no draw lands on a trailing particle of zero weight. Rows
@@ -114,7 +113,7 @@ def resample_rows(rows: Sequence[tuple[np.ndarray, np.ndarray]], count: int,
     """
     steps = np.arange(count)
     out = []
-    for k, ((weights, _), u) in enumerate(zip(rows, rng.random(len(rows)).tolist())):
+    for k, (weights, u) in enumerate(zip(rows, rng.random(len(rows)).tolist())):
         last = len(weights) - 1
         if last >= 0 and weights[last] <= 0.0:
             positive = np.flatnonzero(weights > 0.0)

@@ -28,8 +28,9 @@ from .rfs import (
     Measurement,
     ParticleSet,
     PoissonPhd,
+    STATE_DIM,
     TrackBlock,
-    resample,
+    resample,  # noqa: F401 - perfbench's tracer wraps it here, until ROADMAP item 5
     resample_rows,
 )
 # perfbench's tracer wraps `predict_track` here; it stays until ROADMAP item 5
@@ -135,7 +136,7 @@ def _resampled(pending: Sequence[Pending], kept: Sequence[Pending], particle_bud
     drawn = [p for p in pending if p.row is not None]
     others = []
     for (label, r, (_, states)), (idx, weight) in zip(
-            drawn, resample_rows([p.row for p in drawn], particle_budget, rng)):
+            drawn, resample_rows([p.row[0] for p in drawn], particle_budget, rng)):
         slot = slots.get(label)
         if slot is None:
             others.append(Pending(label, r, (np.full(particle_budget, weight),
@@ -210,7 +211,7 @@ def update_phd(recycled: Sequence[Pending], beta: np.ndarray, cells: Cells,
     (weights, states) are appended with weights r * weights, and the union
     is resampled once. Total mass is
     sum((1 - pD) w) + sum_k d_k / beta_k + r-sum, preserved through the
-    reduction.
+    reduction. Only the union's weights are concatenated, not its states.
     """
     survivors = predicted_phd.particles
     row, col, value = cells
@@ -222,10 +223,20 @@ def update_phd(recycled: Sequence[Pending], beta: np.ndarray, cells: Cells,
     for _, r, (pdf_weights, pdf_states) in recycled:
         weights.append(r * pdf_weights)
         states.append(pdf_states)
-    union = ParticleSet(np.concatenate(states), np.concatenate(weights))
-    if union.total_weight <= 0.0:
+    union = np.concatenate(weights)
+    # the check `ParticleSet` makes; min is nan where any weight is
+    if union.size and not (union.min() >= 0.0 and union.max() < np.inf):
+        raise ValueError("particle weights must be finite and nonnegative")
+    if union.sum() <= 0.0:
         return PoissonPhd.empty()
-    return PoissonPhd(resample(union, particle_budget, rng))
+    [(idx, weight)] = resample_rows([union], particle_budget, rng)
+    # the drawn indices ascend, so each piece's draws are one run of them
+    starts = np.cumsum([0] + [len(piece) for piece in states])
+    cuts = np.searchsorted(idx, starts).tolist()
+    drawn = np.empty((particle_budget, STATE_DIM))
+    for piece, start, a, b in zip(states, starts.tolist(), cuts, cuts[1:]):
+        piece.take(idx[a:b] - start, axis=0, out=drawn[a:b], mode="clip")
+    return PoissonPhd(ParticleSet(drawn, np.full(particle_budget, weight)))
 
 
 def _rows_of(cells: Cells, keep: np.ndarray) -> Cells:

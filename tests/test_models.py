@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -249,18 +250,24 @@ def assert_cell_layout(cells, shape):
 
 
 def assert_table_exact(sensor, frame, states, floor=None):
-    """The likelihood cells and their `likelihood_table` view are both
-    bit-identical to the dense reference; the cells are inside the table, in
-    strictly ascending (row, col) order. The cells under the per-row `floor`
-    (by default `row_floors`) are exactly those of these cells whose
-    exponent clears their row's floor, in the same order, or every cell when
-    a state or measurement is not finite."""
-    dense = dense_likelihood_table(sensor, frame, states)
-    rho, theta = sensor.range_bearing(states)
+    """`likelihood_table` is bit-identical to the dense reference, and so are
+    the likelihood cells of `states` (`assert_cells_exact`)."""
+    table = sensor.likelihood_table(frame, states)
+    assert np.array_equal(table, dense_likelihood_table(sensor, frame, states), equal_nan=True)
+    assert_cells_exact(sensor, frame, *sensor.range_bearing(states), floor)
+
+
+def assert_cells_exact(sensor, frame, rho, theta, floor=None):
+    """The likelihood cells of the states with `range_bearing` rho, theta
+    are bit-identical to the dense reference, inside the table, in strictly
+    ascending (row, col) order. The cells under the per-row `floor` (by
+    default `row_floors`) are exactly those of these cells whose exponent
+    clears their row's floor, in the same order, or every cell when a state
+    or measurement is not finite."""
+    dense = dense_polar_table(sensor, frame, rho, theta)
     cells = sensor.likelihood_cells(frame, rho, theta)
     assert_cell_layout(cells, dense.shape)
-    for table in (table_of(cells, dense.shape), sensor.likelihood_table(frame, states)):
-        assert np.array_equal(table, dense, equal_nan=True)
+    assert np.array_equal(table_of(cells, dense.shape), dense, equal_nan=True)
 
     floor = row_floors(len(frame)) if floor is None else floor
     floored = sensor.likelihood_cells(frame, rho, theta, floor)
@@ -314,7 +321,10 @@ def window_calls(monkeypatch):
 class TestGatedLikelihoodTable:
     """`likelihood_cells` and its `likelihood_table` view are bit-identical
     to the dense reference; edge cases run with a frame below and one above
-    the size that sorts the states on the bearing x range grid."""
+    the size that sorts the states on the bearing x range grid. A frame
+    takes the grid when its windows, all narrower than pi, leave out more
+    than three rows' worth of the circle: (pi - half-width) summed over its
+    rows exceeds 3 pi, so three rows never take it."""
 
     SMALL, LARGE = 3, 40
 
@@ -327,7 +337,7 @@ class TestGatedLikelihoodTable:
     def test_property(self, seed):
         assert_table_exact(*random_case(np.random.default_rng(seed)))
 
-    def test_empty_frame_and_empty_particle_set(self):
+    def test_empty_frame_and_empty_particle_set(self, window_calls):
         sensor = make_sensor()
         rng = np.random.default_rng(1)
         states = states_at(rng.uniform(-200.0, 200.0, (50, 2)))
@@ -337,6 +347,9 @@ class TestGatedLikelihoodTable:
             frame = random_frame(rng, count)
             assert sensor.likelihood_table(frame, states_at([])).shape == (count, 0)
             assert_table_exact(sensor, frame, states_at([]))
+            assert_table_exact(sensor, frame, states_at([]), np.full(count, 0.5))
+        # neither builds the grid
+        assert window_calls == []
 
     @pytest.mark.parametrize("count", [SMALL, LARGE])
     def test_single_particle_and_one_point(self, count, window_calls):
@@ -400,7 +413,10 @@ class TestGatedLikelihoodTable:
                  Measurement(1e6, -2.0)]
         frame = edges + random_frame(rng, max(count - len(edges), 0), max_range=500.0)
         assert_table_exact(sensor, frame, states_at(positions))
-        assert bool(window_calls) == (count == self.LARGE)
+        # the four edges alone pay for the grid; the floored call leaves out
+        # the rows whose floor is 1.0
+        kept = np.count_nonzero(row_floors(len(frame)) <= 0.0)
+        assert window_calls == [len(frame), len(frame), kept]
 
     @pytest.mark.parametrize("count", [SMALL, LARGE])
     def test_window_spans_whole_circle(self, count):
@@ -446,14 +462,20 @@ class TestGatedLikelihoodTable:
         assert window_calls  # the intensity is sorted on the grid
 
     def test_frame_size_decides_the_bearing_sort(self, window_calls):
+        # at EXP_FLOOR each row's window leaves out ~2.46 rad of the circle,
+        # so three rows stay dense and four take the grid, whatever N
         sensor = make_sensor()
         rng = np.random.default_rng(7)
         states = states_at(sensor.position + rng.uniform(-300.0, 300.0, (5000, 2)))
         assert_table_exact(sensor, random_frame(rng, self.SMALL), states)
         assert window_calls == []
+        assert_table_exact(sensor, random_frame(rng, 4), states)
+        # the table view, the cells, then the floored cells
+        assert window_calls == [4, 4, 4]
+        window_calls.clear()
         assert_table_exact(sensor, random_frame(rng, self.LARGE), states)
-        # the cells, the table view, then the floored cells
-        assert window_calls[:2] == [self.LARGE] * 2 and len(window_calls) == 3
+        # the floored call leaves out the six rows whose floor is 1.0
+        assert window_calls == [self.LARGE, self.LARGE, self.LARGE - 6]
 
     @pytest.mark.parametrize("count", [SMALL, LARGE])
     @pytest.mark.parametrize("pick", ["largest", "random"])
@@ -461,8 +483,8 @@ class TestGatedLikelihoodTable:
     def test_floor_on_a_cell_exponent(self, count, pick, spread, window_calls):
         # each row's floor is exactly the exponent of one of its cells, the
         # row's largest or a random one: that cell lies on the boundary of
-        # the range prefilter and the keep, and with every state on one
-        # point, of the row gate too
+        # the keep, and with every state on one point, so do all of the
+        # row's cells
         sensor = make_sensor()
         rng = np.random.default_rng(15)
         if spread == "cloud":
@@ -491,19 +513,20 @@ class TestGatedLikelihoodTable:
         assert bool(window_calls) == (count == self.LARGE)
 
     def test_floor_decides_the_bearing_sort(self, window_calls):
-        # a raised floor narrows every window: 14 rows against 5000 states
-        # sort only under it, and rows whose EXP_FLOOR window spans the whole
-        # circle keep the floored call unsorted
-        sensor = make_sensor()
+        # a raised floor narrows every window: with 0.05 rad bearing noise,
+        # six rows leave out ~1.19 rad each at EXP_FLOOR and stay dense, and
+        # ~2.52 rad each at -78, where they take the grid; rows whose
+        # EXP_FLOOR window spans the whole circle keep the floored call dense
+        sensor = make_sensor(sigma_bearing=0.05)
         rng = np.random.default_rng(14)
         states = states_at(sensor.position + rng.uniform(-300.0, 300.0, (5000, 2)))
-        frame = random_frame(rng, 14)
-        assert_table_exact(sensor, frame, states, np.full(14, EXP_FLOOR))
+        frame = random_frame(rng, 6)
+        assert_table_exact(sensor, frame, states, np.full(6, EXP_FLOOR))
         assert window_calls == []
-        assert_table_exact(sensor, frame, states, np.full(14, -78.0))
-        assert window_calls == [14]
+        assert_table_exact(sensor, frame, states, np.full(6, -78.0))
+        assert window_calls == [6]
         assert_table_exact(sensor, frame, states, -78.0)
-        assert window_calls == [14, 14]
+        assert window_calls == [6, 6]
         wide = make_sensor(sigma_bearing=0.2)
         window_calls.clear()
         floor = np.where(np.arange(self.LARGE) < 3, EXP_FLOOR, -3.0)
@@ -523,6 +546,59 @@ class TestGatedLikelihoodTable:
         rng.shuffle(floor)
         assert_table_exact(sensor, frame, states, floor)
         assert window_calls == [self.LARGE] * 3
+
+    @pytest.mark.parametrize("count", [SMALL, LARGE])
+    def test_floors_above_zero_leave_their_rows_empty(self, count, window_calls):
+        # every exponent is <= 0, so a row whose floor is above 0 has no
+        # cells, while the rows below 0 beside it keep theirs
+        sensor = make_sensor()
+        rng = np.random.default_rng(20)
+        frame = random_frame(rng, count, max_range=300.0)
+        states = birth_cloud(sensor, frame, rng, 3000, 2.0, 0.02)
+        floor = np.where(np.arange(count) % 3 == 1, np.resize([0.5, 1e-300, 700.0], count),
+                         np.resize([-78.0, EXP_FLOOR], count))
+        assert_table_exact(sensor, frame, states, floor)
+        rows = sensor.likelihood_cells(frame, *sensor.range_bearing(states), floor)[0]
+        assert np.array_equal(np.unique(rows), np.flatnonzero(floor <= 0.0))
+        # the floored call sorts the rows below 0 alone
+        below = np.count_nonzero(floor <= 0.0)
+        assert window_calls == ([] if count == self.SMALL else [count, count, below, below])
+
+    def test_frame_beyond_every_state_reach(self, window_calls):
+        # every state lies within 100 of the sensor and every measurement
+        # beyond 250: no row has a cell, and the grid still finds none
+        sensor = make_sensor()
+        rng = np.random.default_rng(21)
+        bearings = rng.uniform(-np.pi, np.pi, 4000)
+        ranges = rng.uniform(0.0, 100.0, 4000)
+        states = states_at(sensor.position + ranges[:, None] * np.column_stack(
+            [np.cos(bearings), np.sin(bearings)]))
+        frame = [Measurement(float(r), float(b)) for r, b in zip(
+            rng.uniform(250.0, 300.0, self.LARGE), rng.uniform(-np.pi, np.pi, self.LARGE))]
+        assert_table_exact(sensor, frame, states)
+        assert sensor.likelihood_cells(frame, *sensor.range_bearing(states))[0].size == 0
+        assert window_calls
+
+    def test_huge_finite_range_among_ordinary_states(self, window_calls):
+        # two states at ranges near the largest float are finite: they take
+        # no every-cell fallback, and the grid's range bins still cover the
+        # ordinary states. The dense reference squares their range offsets,
+        # which overflow to inf, an exponent of -inf; the grid never gathers
+        # them, so it evaluates no such offset
+        sensor = make_sensor()
+        rng = np.random.default_rng(22)
+        frame = random_frame(rng, self.LARGE, max_range=300.0)
+        rho, theta = sensor.range_bearing(birth_cloud(sensor, frame, rng, 3000, 2.0, 0.02))
+        rho[[5, 2000]] = 1e300, 1e308
+        theta[2000] = frame[0].bearing
+        with np.errstate(over="ignore"):
+            assert_cells_exact(sensor, frame, rho, theta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            row, col, _ = sensor.likelihood_cells(frame, rho, theta)
+        assert row.size < len(frame) * rho.size
+        assert not np.isin(col, [5, 2000]).any()
+        assert window_calls == [self.LARGE, self.LARGE - 6, self.LARGE]
 
     def test_many_states_at_one_range_in_one_bearing_bin(self, window_calls):
         # thousands of tied cell ids: every state of the tie sits at one

@@ -145,7 +145,7 @@ class TestResampleRows:
                 weights[0] = 1.0
             rows.append((weights, rng.normal(size=(n, 4))))
         batched, single = np.random.default_rng(5), np.random.default_rng(5)
-        out = resample_rows(rows, 300, batched)
+        out = resample_rows([weights for weights, _ in rows], 300, batched)
         for (weights, states), (idx, weight) in zip(rows, out):
             ref = classic_resample(weights, states, 300, single.random())
             assert np.array_equal(states[idx], ref)
@@ -171,10 +171,8 @@ class TestResampleRows:
                                      np.full(trail, n)]).astype(int))
         padded = np.insert(weights, at, 0.0)
         padded_states = np.insert(states, at, np.inf, axis=0)
-        plain, plain_weight = resample_rows([(weights, states)], count,
-                                            np.random.default_rng(seed))[0]
-        out, weight = resample_rows([(padded, padded_states)], count,
-                                    np.random.default_rng(seed))[0]
+        plain, plain_weight = resample_rows([weights], count, np.random.default_rng(seed))[0]
+        out, weight = resample_rows([padded], count, np.random.default_rng(seed))[0]
         assert np.array_equal(padded_states[out], states[plain])
         assert weight == plain_weight == np.cumsum(padded)[-1] / count
 
@@ -183,8 +181,7 @@ class TestResampleRows:
     def test_bad_row_raises_naming_it(self, bad):
         # as `resample` does, rather than an IndexError on a row with no
         # positive weight, or four particles of weight 0.25 from [-1, 2]
-        good = (np.ones(2), np.zeros((2, 4)))
-        row = (np.array(bad), np.zeros((len(bad), 4)))
+        good, row = np.ones(2), np.array(bad)
         with pytest.raises(ValueError, match="degenerate particle set: row 1 "):
             resample_rows([good, row, good], 4, np.random.default_rng(0))
 

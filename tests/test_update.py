@@ -23,6 +23,7 @@ from lmbp.rfs import (
     Measurement,
     ParticleSet,
     PoissonPhd,
+    resample,
     write_snapshot,
 )
 from lmbp.simulate import generate_frames, generate_truth
@@ -312,6 +313,37 @@ class TestUpdatePhd:
                          np.random.default_rng(0))
         assert out.mean == 0.0
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_draws_what_resampling_the_union_draws(self, seed):
+        # the states are gathered piece by piece, never concatenated: the
+        # result is `resample` of the concatenated union, bit for bit, with
+        # pieces of other sizes and zero weights at the seams
+        rng = np.random.default_rng(seed)
+        phd = PoissonPhd(ParticleSet(rng.normal(size=(50, 4)), rng.random(50) * 0.01))
+        pd = np.where(rng.random(50) < 0.2, 1.0, rng.random(50))
+        recycled = [recycled_row(Label(1, i + 1), r, ParticleSet(
+            rng.normal(size=(n, 4)), np.append(rng.random(n - 1), 0.0)))
+            for i, (r, n) in enumerate([(0.2, 7), (0.01, 1000), (0.5, 3)])]
+        out = update_phd(recycled, *no_rows(50), phd, pd, 300, np.random.default_rng(seed))
+        union = ParticleSet(
+            np.concatenate([phd.particles.states] + [p.row[1] for p in recycled]),
+            np.concatenate([phd.particles.weights * (1.0 - pd)]
+                           + [p.existence * p.row[0] for p in recycled]))
+        want = resample(union, 300, np.random.default_rng(seed))
+        assert np.array_equal(out.particles.states, want.states)
+        assert np.array_equal(out.particles.weights, want.weights)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_bad_union_weight_raises(self, bad):
+        # the check a `ParticleSet` of the union made: finite and nonnegative
+        phd = PoissonPhd(pdf_at(0.0, n=10, weight=0.5))
+        weights = np.full(4, 0.25)
+        weights[2] = bad
+        recycled = [Pending(Label(1, 1), 0.5, (weights, np.zeros((4, 4))))]
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            update_phd(recycled, *no_rows(10), phd, np.zeros(10), 100,
+                       np.random.default_rng(0))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_resampled_counts_match_closed_form_weights(self, seed):
         # one weight vector over the predicted particles, (1 - pD) w + sum_k table[k] / beta[k],
@@ -374,13 +406,13 @@ class TestSparseIntensityArithmetic:
             assert np.array_equal(track.pdf.weights, np.full(64, row_sums([dense])[0] / 64))
 
         weights = []
-        real = lmbp.update.resample
+        real = lmbp.update.resample_rows
 
-        def spy(pset, count, gen):
-            weights.append(pset.weights[:n])  # the predicted particles come first
-            return real(pset, count, gen)
+        def spy(rows, count, gen):
+            weights.append(rows[0][:n])  # the predicted particles come first
+            return real(rows, count, gen)
 
-        monkeypatch.setattr(lmbp.update, "resample", spy)
+        monkeypatch.setattr(lmbp.update, "resample_rows", spy)
         unclaimed = np.zeros(m, dtype=bool)
         unclaimed[~transferred] = rng.random(m - transferred.sum()) < 0.8
         recycled = [recycled_row(Label(1, 1), 0.5, pdf_at(0.0))]
@@ -498,22 +530,17 @@ class TestLmbpStep:
         # the legacy updates resample their own predicted particles, in one
         # batched call, and the intensity is resampled once, from its predicted
         # particles plus those of the recycled tracks (which come back at the
-        # track budget)
+        # track budget), in a second batched call
         import lmbp.update
 
-        batches, calls = [], []
-        real_rows, real = lmbp.update.resample_rows, lmbp.update.resample
+        batches = []
+        real_rows = lmbp.update.resample_rows
 
         def rows_spy(rows, count, rng):
-            batches.append([(len(weights), count) for weights, _ in rows])
+            batches.append([(len(weights), count) for weights in rows])
             return real_rows(rows, count, rng)
 
-        def spy(pset, target_count, rng):
-            calls.append((len(pset), target_count))
-            return real(pset, target_count, rng)
-
         monkeypatch.setattr(lmbp.update, "resample_rows", rows_spy)
-        monkeypatch.setattr(lmbp.update, "resample", spy)
         tracks = (BernoulliTrack(Label(1, 1), 0.8, pdf_at(50.0, n=8)),
                   BernoulliTrack(Label(1, 2), 0.02, pdf_at(200.0, n=8)))
         state = FilterState(tracks, PoissonPhd(pdf_at(100.0, n=32, weight=0.3)), 1)
@@ -523,9 +550,8 @@ class TestLmbpStep:
                         Thresholds(), np.random.default_rng(0), settings=small_settings())
         recycled = {Label(1, 1), Label(1, 2)} - set(out.labels())
         assert recycled == {Label(1, 2)}
-        assert batches == [[(8, 64), (8, 64)]]
         predicted_count = 32 + models.birth.particle_budget
-        assert calls == [(predicted_count + 64 * len(recycled), 128)]
+        assert batches == [[(8, 64), (8, 64)], [(predicted_count + 64 * len(recycled), 128)]]
 
     def test_detection_pdfs_only_where_the_marginal_is_nonzero(self, monkeypatch):
         # gamma_c = 0 clusters every pair with b > 0: track 1 joins track 0's
