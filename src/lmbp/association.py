@@ -8,20 +8,16 @@ measurements from 1, with 0 reserved for the miss: a track transferred from
 pairs row i with `frame[j]`, and row i of `Marginals.legacy` holds its miss at
 entry 0 and its detection of `frame[j]` at entry 1 + j, on every path.
 
-A hypothesis (`Hypothesis`) is a weight row over its track's own particles,
-so no particle set is built before the track is resampled. `partition`
-groups the plausible pairs into clusters once, as `(rows, cols)` index
-arrays into the step's tables, and both marginal paths take those tables
-and that list and return one `Marginals` in one layout:
-`batch_bp_marginals` runs BP on every cluster at once, and
-`exact_marginals` enumerates the clusters within its limits and hands the
-rest to one batch. Each path runs `_check_marginals` once on what it
-computed.
+`partition` groups the plausible pairs into clusters once, as `(rows, cols)`
+index arrays into the step's tables, and both marginal paths take those
+tables and that list and return one `Marginals` in one layout:
+`batch_bp_marginals` runs BP on every cluster at once, and `exact_marginals`
+enumerates the clusters within its limits and hands the rest to one batch.
+Each path runs `_check_marginals` once on what it computed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -39,61 +35,65 @@ Cells = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class Hypothesis(NamedTuple):
-    """One association hypothesis of a track: its weight, the existence
-    probability it implies, and the pdf weights given it, over the track's
-    own particles; empty when the hypothesis has no pdf.
-
-    The same type serves a track's miss and its detection of one
-    measurement, as `TrackEvidence.miss` and `.detection` return them.
-    """
+    """A track's miss or its detection of one measurement, as the one-row
+    readers `TrackEvidence.miss` and `.detection` return it: weight, implied
+    existence, and pdf weights over the track's particles (empty for no pdf)."""
 
     beta: float
     existence: float
     weights: np.ndarray
 
 
-# the pdf weights of a hypothesis that has no pdf
-_NO_PDF = np.empty(0)
+class TrackGroup(NamedTuple):
+    """The evidence of one `TrackBlock` group's L_g rows of N particles, row k
+    being the block's rows[k]: each row's miss weights w (1 - pD), their mass
+    c, and existence r c / beta, or 0 where beta <= 0 or c <= 0; and the
+    evaluated pairs as cells in strictly ascending (row, col) order, pair k
+    being row pair_row[k] with `frame[pair_col[k]]`, of w pD f(z|.) summing to b."""
+
+    rows: np.ndarray                               # (L_g,) ascending
+    miss: np.ndarray                               # (L_g, N)
+    miss_mass: np.ndarray                          # (L_g,) c
+    miss_existence: np.ndarray                     # (L_g,)
+    pair_row: np.ndarray                           # (K,)
+    pair_col: np.ndarray                           # (K,)
+    lik: np.ndarray                                # (K, N)
+    b: np.ndarray                                  # (K,)
 
 
-@dataclass(frozen=True)
-class TrackEvidence:
+class TrackEvidence(NamedTuple):
     """Miss and detection evidence of the L predicted tracks of a `TrackBlock`
     against one frame; row i is the block's row i.
 
     Per track: c = sum_n w_n (1 - pD(x_n)) and miss_beta = 1 - r + r c; per
     measurement m: b = sum_n w_n pD(x_n) f(z_m|x_n) and betas[i, m-1] = r b.
-    `states[i]` and `miss_weights[i]` hold row i's particles and w (1 - pD)
-    over them, and `rows[(i, m)]` holds (w pD f(z_m|.), b) for every
-    evaluated pair; a pair the likelihood gate left out has b = 0. A
-    `deferred` pair weighs less than gamma_c, lies in no cluster and was
-    never evaluated: betas holds 0 for it. `row_of` and `col_of` label each
-    row's and each column's cluster, as `partition` reads them. No pdf
-    weights are normalized until `miss`, `detection` or `terms` asks for them.
-    """
+    `groups` holds the unnormalized weight rows, a `TrackGroup` per block
+    group in the block's order; a pair the likelihood gate left out has no
+    cell and b = 0. A `deferred` pair weighs less than gamma_c, lies in no
+    cluster and was never evaluated: betas holds 0 for it. `row_of` and
+    `col_of` label each row's and each column's cluster, as `partition` reads
+    them."""
 
-    existence: np.ndarray                          # (L,) r
-    states: tuple[np.ndarray, ...]
     miss_beta: np.ndarray                          # (L,)
     betas: np.ndarray                              # (L, M)
-    miss_mass: np.ndarray                          # (L,) c
-    miss_weights: tuple[np.ndarray, ...]
-    rows: dict[tuple[int, int], tuple[np.ndarray, float]]
+    groups: tuple[TrackGroup, ...]
     deferred: np.ndarray                           # (L, M) bool
     row_of: np.ndarray                             # (L,) cluster name
     col_of: np.ndarray                             # (M,) cluster name, -1 for none
 
+    def slot(self, i: int) -> tuple[TrackGroup, int]:
+        """The group that holds row i, and row i's place in it."""
+        return next((g, int(k)) for g in self.groups for k in np.flatnonzero(g.rows == i))
+
     def miss(self, i: int) -> Hypothesis:
         """Row i's miss: beta, existence r c / beta and pdf weights
-        w (1 - pD) / c. beta can only vanish in the forced-detection corner
-        (r = 1, pD = 1), which returns beta = 0 with existence 0."""
-        beta, c = float(self.miss_beta[i]), float(self.miss_mass[i])
-        if beta <= 0.0:
-            return Hypothesis(0.0, 0.0, _NO_PDF)
-        if c <= 0.0:
-            # object, if present, was surely detected; pdf carries no mass
-            return Hypothesis(beta, 0.0, _NO_PDF)
-        return Hypothesis(beta, float(self.existence[i]) * c / beta, self.miss_weights[i] / c)
+        w (1 - pD) / c; existence 0 and no pdf where c = 0, the object surely
+        detected if present, or beta = 0 (only when r = 1 and pD = 1)."""
+        group, k = self.slot(i)
+        beta, c = float(self.miss_beta[i]), float(group.miss_mass[k])
+        if beta <= 0.0 or c <= 0.0:
+            return Hypothesis(max(beta, 0.0), 0.0, np.empty(0))
+        return Hypothesis(beta, float(group.miss_existence[k]), group.miss[k] / c)
 
     def detection(self, i: int, m: int) -> Hypothesis:
         """Row i's detection of measurement m (counted from 1): beta = r b,
@@ -101,26 +101,11 @@ class TrackEvidence:
         and no pdf. A deferred pair raises ValueError."""
         if self.deferred[i, m - 1]:
             raise ValueError(f"detection ({i}, {m}) was deferred and never evaluated")
-        row = self.rows.get((i, m))
-        if row is None or row[1] <= 0.0:
-            return Hypothesis(0.0, 0.0, _NO_PDF)
-        weights, b = row
-        return Hypothesis(float(self.betas[i, m - 1]), 1.0, weights / b)
-
-    def terms(self, i: int, pmf: Sequence[float],
-              cols: Sequence[int]) -> list[tuple[float, np.ndarray]]:
-        """The (p(a) r(i,a), pdf weights) terms of row i's marginalized update,
-        for its `Marginals.legacy` row `pmf` (miss at 0, `frame[j]` at 1 + j)
-        and its cluster's 0-based columns `cols`: the miss first, then the
-        detections in column order. A detection's pdf weights are normalized
-        only where its marginal is positive."""
-        _, existence, weights = self.miss(i)
-        terms = [(pmf[0] * existence, weights)]
-        for j in cols:
-            if (p := pmf[1 + j]) > 0.0:
-                _, existence, weights = self.detection(i, 1 + j)
-                terms.append((p * existence, weights))
-        return terms
+        group, k = self.slot(i)
+        pair = np.flatnonzero((group.pair_row == k) & (group.pair_col == m - 1))
+        if not pair.size or group.b[pair[0]] <= 0.0:
+            return Hypothesis(0.0, 0.0, np.empty(0))
+        return Hypothesis(float(self.betas[i, m - 1]), 1.0, group.lik[pair[0]] / group.b[pair[0]])
 
 
 def track_evidence(block: TrackBlock, frame: Sequence[Measurement],
@@ -136,35 +121,30 @@ def track_evidence(block: TrackBlock, frame: Sequence[Measurement],
     deferred pairs inside a cluster are evaluated, with the same bits.
     gamma_c = 0 defers nothing.
     """
-    count = len(block.labels)
     r = block.existence
-    miss_mass = np.zeros(count)
-    betas = np.zeros((count, len(frame)))
-    deferred = np.zeros((count, len(frame)), dtype=bool)
-    miss_weights: list = [None] * count
-    rows: dict[tuple[int, int], tuple[np.ndarray, float]] = {}
-    groups = []
+    miss_beta = np.zeros(len(r))
+    betas = np.zeros((len(r), len(frame)))
+    deferred = np.zeros((len(r), len(frame)), dtype=bool)
+    groups, polar = [], []
 
     def evaluate(idx, rho, theta, detect, at, meas):
-        """Pairs (idx[at], meas) of one group as one (K, N) block, scaled by w pD, summed by row."""
-        if not len(at):
-            return
-        owners = idx[at]
+        """Pairs (idx[at], meas) of one group as cells: at, meas, lik and b."""
         lik = sensor.likelihood_rows(frame, meas, rho[at], theta[at])
         lik *= detect[at]
         b = lik.sum(axis=1)
-        betas[owners, meas] = r[owners] * b
-        for i, m, row, row_b in zip(owners.tolist(), (meas + 1).tolist(), lik, b):
-            rows[(i, m)] = (row, row_b)
+        betas[idx[at], meas] = r[idx[at]] * b
+        return at, meas, lik, b
 
     for idx, group_states, weights in block.groups:
         rho, theta = sensor.range_bearing(group_states)
         pd = sensor.detection_prob_at(rho)
         miss = weights * (1.0 - pd)
         detect = weights * pd
-        miss_mass[idx] = miss.sum(axis=1)
-        for k, i in enumerate(idx.tolist()):
-            miss_weights[i] = miss[k]
+        c = miss.sum(axis=1)
+        miss_beta[idx] = beta = 1.0 - r[idx] + r[idx] * c
+        # r c / beta where the miss has a pdf; nan stays nan, as `miss` gives it
+        existence = np.divide(r[idx] * c, beta, out=np.zeros(len(idx)),
+                              where=~((beta <= 0.0) | (c <= 0.0)))
         bound, norm = sensor.row_bounds(frame, rho, theta)
         # exp, the products and the N-term sum can exceed this weight bound
         # by a few ulps only; halving gamma_c is the fixed margin for that.
@@ -172,15 +152,20 @@ def track_evidence(block: TrackBlock, frame: Sequence[Measurement],
         ceiling = (r[idx] * detect.sum(axis=1))[:, None] * norm * np.exp(bound)
         kept = bound >= EXP_FLOOR
         deferred[idx] = kept & (ceiling < 0.5 * gamma_c)
-        evaluate(idx, rho, theta, detect, *np.nonzero(kept & ~deferred[idx]))
-        groups.append((idx, rho, theta, detect))
+        cells = evaluate(idx, rho, theta, detect, *np.nonzero(kept & ~deferred[idx]))
+        groups.append(TrackGroup(idx, miss, c, existence, *cells))
+        polar.append((rho, theta, detect))
     row_of, col_of = _components(betas, gamma_c)
-    for idx, rho, theta, detect in groups:
-        joined = deferred[idx] & (row_of[idx, None] == col_of)
-        evaluate(idx, rho, theta, detect, *np.nonzero(joined))
-        deferred[idx] &= ~joined
-    return TrackEvidence(r, tuple(states for states, _ in block.rows()), 1.0 - r + r * miss_mass,
-                         betas, miss_mass, tuple(miss_weights), rows, deferred, row_of, col_of)
+    for g, (group, (rho, theta, detect)) in enumerate(zip(groups, polar)):
+        joined = deferred[group.rows] & (row_of[group.rows, None] == col_of)
+        if joined.any():
+            more = evaluate(group.rows, rho, theta, detect, *np.nonzero(joined))
+            deferred[group.rows] &= ~joined
+            at, meas, lik, b = (np.concatenate(parts) for parts in zip(group[4:], more))
+            order = np.lexsort((meas, at))
+            groups[g] = group._replace(pair_row=at[order], pair_col=meas[order],
+                                       lik=lik[order], b=b[order])
+    return TrackEvidence(miss_beta, betas, tuple(groups), deferred, row_of, col_of)
 
 
 def detection_hypotheses(track: BernoulliTrack, frame: Sequence[Measurement],

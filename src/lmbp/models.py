@@ -271,8 +271,9 @@ class SensorModel:
         dr /= self.sigma_range
         db = _wrap_residual(zb - theta)
         db /= self.sigma_bearing
-        dr *= dr
-        db *= db
+        with np.errstate(over="ignore"):  # an offset over ~1e154 sigma: exponent -inf
+            dr *= dr
+            db *= db
         dr += db
         dr *= -0.5
         return dr

@@ -12,6 +12,7 @@ import numpy as np
 from .association import (
     Cells,
     Hypothesis,
+    TrackGroup,
     batch_bp_marginals,
     exact_marginals,
     new_components,
@@ -106,21 +107,35 @@ def select_transfers(beta: np.ndarray, mass: np.ndarray, cells: Cells,
     return transfers, transferred
 
 
-def _legacy(label: Label, terms: Sequence[tuple[float, np.ndarray]],
-            states: np.ndarray) -> Pending:
-    """Marginalized update of a legacy track from its (p(a) r(l,a), pdf
-    weights) terms over the predicted particles `states`: r = sum p, and the
-    pdf is the mixture sum (p / r) w of the terms with p > 0 and a pdf, added
-    in order. A track whose mixture mass vanishes gets r = 0."""
-    terms = [(p, w) for p, w in terms if p > 0.0 and len(w)]
-    r = 0.0
-    for p, _ in terms:  # in order: from Python 3.12 on, sum() compensates floats
-        r += p
-    if r <= 0.0:
-        return Pending(label, 0.0, None)
-    if len(terms) == 1:  # r is p, so p / r is exactly 1 and the term is the mixture
-        return Pending(label, min(r, 1.0), (terms[0][1], states))
-    return Pending(label, min(r, 1.0), (sum((p / r) * w for p, w in terms), states))
+def legacy_mixture(group: TrackGroup, legacy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Marginalized update of one evidence group's rows from the step's
+    `Marginals.legacy`: each row's r = sum_a p(a) r(l,a), capped at 1 (L_g,),
+    and its pdf sum_a (p(a) r(l,a) / r) f(.|a) as an (L_g, N) weight array.
+
+    A row's terms are its miss, p = legacy[i, 0] r c / beta over w (1 - pD) / c,
+    then its detections by column, p = legacy[i, 1 + j] over w pD f / b. Only
+    a term with p > 0 and a mass that is not 0 enters and is normalized. r and
+    the mixture add a row's terms in that order, one term index at a time
+    over the rows that have one. A row with no term has r = 0 and a zero
+    mixture; with one, p / r is exactly 1.
+    """
+    p_miss = legacy[group.rows, 0] * group.miss_existence
+    p_det = legacy[group.rows[group.pair_row], 1 + group.pair_col]
+    # as in `TrackEvidence.detection`, only a mass <= 0 means no pdf: a nan one fails the resample
+    miss = np.flatnonzero((p_miss > 0.0) & ~(group.miss_mass <= 0.0))
+    det = np.flatnonzero((p_det > 0.0) & ~(group.b <= 0.0))
+    owner = group.pair_row[det]
+    # bincount adds each row's p in order from 0.0: its miss, then its detections by column
+    r = np.bincount(np.concatenate([miss, owner]), np.concatenate([p_miss[miss], p_det[det]]),
+                    minlength=len(group.rows))
+    mixture = np.zeros(group.miss.shape)
+    mixture[miss] += ((p_miss[miss] / r[miss])[:, None]
+                      * (group.miss[miss] / group.miss_mass[miss, None]))
+    rank = np.arange(len(det)) - np.searchsorted(owner, owner)
+    for t in range(rank.max(initial=-1) + 1):
+        at, rows = det[rank == t], owner[rank == t]
+        mixture[rows] += (p_det[at] / r[rows])[:, None] * (group.lik[at] / group.b[at, None])
+    return np.minimum(r, 1.0), mixture
 
 
 def _resampled(pending: Sequence[Pending], kept: Sequence[Pending], particle_budget: int,
@@ -151,22 +166,22 @@ def _resampled(pending: Sequence[Pending], kept: Sequence[Pending], particle_bud
 def update_legacy_track(label: Label, marginal: Mapping[int, float], miss: Hypothesis,
                         detections: Mapping[int, Hypothesis], states: np.ndarray,
                         particle_budget: int, rng: np.random.Generator) -> BernoulliTrack:
-    """Marginalized update of a legacy track, as `lmbp_step` makes it for one row.
-
-    r = sum_a p(a) r(l,a); the pdf is the r(l,a)-weighted mixture of the
-    per-hypothesis pdfs. Every hypothesis weights the predicted track's
-    particles `states` (as `TrackEvidence.miss` and `TrackEvidence.detection`
-    return them), or is empty, so the mixture is one weight vector over
-    them, resampled to the track budget; a weight row of another length
-    raises ValueError. A track whose mixture mass vanishes comes back with
-    r = 0 (the caller recycles it).
-    """
-    terms = [(marginal.get(0, 0.0) * miss.existence, miss.weights)]
-    terms += [(marginal.get(m, 0.0) * hyp.existence, hyp.weights)
-              for m, hyp in detections.items()]
-    if any(len(weights) not in (0, len(states)) for _, weights in terms):
+    """Marginalized update of a legacy track, as `lmbp_step` makes it for one
+    row: `legacy_mixture` of a one-row group of the hypotheses' pdf weights
+    over `states`, each of mass 1 or empty (a row of another length raises
+    ValueError), resampled; with no mixture mass the track has r = 0."""
+    found = sorted(detections)
+    hyps = [miss] + [detections[m] for m in found]
+    if any(len(hyp.weights) not in (0, len(states)) for hyp in hyps):
         raise ValueError("a hypothesis does not weight the predicted track's particles")
-    updated = _legacy(label, terms, states)
+    rows = np.array([h.weights if len(h.weights) else np.zeros(len(states)) for h in hyps])
+    mass = np.array([len(h.weights) > 0 for h in hyps], dtype=float)
+    # each term's p(a) r(l,a) in one legacy row, so the miss existence is 1
+    legacy = np.array([[marginal.get(m, 0.0) * h.existence for m, h in zip([0] + found, hyps)]])
+    group = TrackGroup(np.zeros(1, np.intp), rows[:1], mass[:1], np.ones(1),
+                       np.zeros(len(found), np.intp), np.arange(len(found)), rows[1:], mass[1:])
+    (r,), (weights,) = legacy_mixture(group, legacy)
+    updated = Pending(label, float(r), (weights, states) if r > 0.0 else None)
     return _resampled([updated], [updated], particle_budget, rng)[0].tracks()[0]
 
 
@@ -259,15 +274,14 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
     one that neither clutter nor the intensity can explain (beta = 0 or nan)
     is dropped before association; label indices count positions in the kept
     frame. Only the rows of residual measurements that are not transferred
-    return to the intensity, and `update_phd` gets those rows alone. The
-    tracks are one `TrackBlock` from step to step: `predict_tracks` moves the
-    state's block group by group, the marginals of every cluster, in the
-    tables' columns, come from one call (`batch_bp_marginals`, or
-    `exact_marginals` in exact mode, with the same arguments), and every
-    track that is resampled, legacy then transferred per cluster and then
-    the residual transfers, goes through one `resample_rows` pass, each kept
-    row straight into its slot of the next block. No `BernoulliTrack` is
-    built. Estimation is separate (`lmbp.estimation`).
+    return to the intensity. The tracks are one `TrackBlock` from step to
+    step, which `predict_tracks`, `track_evidence` and `legacy_mixture` take
+    group by group; one call (`batch_bp_marginals`, or `exact_marginals` in
+    exact mode) gives every cluster's marginals, and one `resample_rows`
+    pass draws every resampled track, per cluster its legacy rows then its
+    transfers and then the residual transfers, each kept row into its slot
+    of the next block; no `BernoulliTrack` is built. Estimation is separate
+    (`lmbp.estimation`).
     """
     k = state.time + 1
 
@@ -300,18 +314,17 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
     marginals = exact_marginals if settings.marginals == "exact" else batch_bp_marginals
     legacy, claim = marginals(evidence.miss_beta, evidence.betas, new_beta, transferred,
                               clusters, settings.bp_iterations)
-    pmfs, claims = legacy.tolist(), claim.tolist()
+    by_row: list = [None] * len(block.labels)
+    for (_, states, _), group in zip(block.groups, evidence.groups):
+        r, mixture = legacy_mixture(group, legacy)
+        for i, row_r, row in zip(group.rows.tolist(), r.tolist(), zip(mixture, states)):
+            by_row[i] = Pending(block.labels[i], row_r, row if row_r > 0.0 else None)
+    claims = claim.tolist()
     pending: list[Pending] = []
     for rows, cols in clusters:
-        col_list = cols.tolist()
-        for i in rows.tolist():
-            # a detection pdf is built only where the marginal puts mass
-            pending.append(_legacy(block.labels[i], evidence.terms(i, pmfs[i], col_list),
-                                   evidence.states[i]))
-        for j in col_list:
-            if j in transfers:
-                transfer = transfers[j]
-                pending.append(transfer._replace(existence=claims[j] * transfer.existence))
+        pending += [by_row[i] for i in rows.tolist()]
+        pending += [transfers[j]._replace(existence=claims[j] * transfers[j].existence)
+                    for j in cols.tolist() if j in transfers]
 
     # a residual measurement competes with no track, so its transfer claims it surely
     pending += [transfers[j] for j in residual[transferred[residual]].tolist()]

@@ -56,7 +56,9 @@ class StubSensor:
         return np.zeros((len(rho), len(frame))), float(top)
 
     def likelihood_rows(self, frame, meas, rho, theta):
-        """Row `meas[k]` of the stub's table for each pair k."""
+        """Row `meas[k]` of the stub's table for each pair k; no rows for no pairs."""
+        if not len(meas):
+            return np.empty((0, np.shape(rho)[-1]))
         return self.likelihood_table(frame, rho)[meas]
 
 

@@ -154,7 +154,7 @@ def assert_evidence_exact(tracks, frame, sensor):
         miss_beta, miss_pdf, betas, pdfs = parent_evidence(track, frame, sensor)
         assert np.array_equal(evidence.miss_beta[i], miss_beta, equal_nan=True)
         assert np.array_equal(evidence.betas[i], betas, equal_nan=True)
-        states = evidence.states[i]
+        states = track.pdf.states
         if np.isnan(miss_beta):
             with pytest.raises(ValueError):
                 pdf_of(states, evidence.miss(i))
@@ -216,9 +216,10 @@ class TestTrackEvidence:
         tracks = [cloud_track(rng, sensor.position + [40.0 * i - 80.0, 150.0], n, 0.7,
                               index=i + 1) for i, n in enumerate(sizes)]
         evidence = assert_evidence_exact(tracks, frame_near(rng, sensor, tracks, 20), sensor)
-        assert [len(w) for w in evidence.miss_weights] == sizes
+        assert [evidence.slot(i)[0].miss.shape[1] for i in range(len(sizes))] == sizes
         assert np.all(evidence.betas.max(axis=1) > 0.0)
-        assert len(evidence.rows) < evidence.betas.size  # the gate left pairs out
+        # the gate left pairs out
+        assert sum(len(group.b) for group in evidence.groups) < evidence.betas.size
 
     def test_nonexistent_track_and_forced_detection(self):
         # pD is exactly 1 at the sensor: with r = 1 the miss weight vanishes
@@ -237,7 +238,8 @@ class TestTrackEvidence:
         assert evidence.miss_beta[1] == 1.0 and evidence.miss(1).existence == 0.0
         assert not evidence.betas[1].any() and evidence.betas[0, 0] > 0.0
         # surely detected if present, but r < 1: c = 0 while beta = 1 - r > 0
-        assert evidence.miss_mass[2] == 0.0
+        group, k = evidence.slot(2)
+        assert group.miss_mass[k] == 0.0
         miss = evidence.miss(2)
         assert miss.beta == evidence.miss_beta[2] == 1.0 - 0.6
         assert miss.existence == 0.0 and len(miss.weights) == 0
@@ -248,7 +250,8 @@ class TestTrackEvidence:
         tracks = [cloud_track(rng, sensor.position + [0.0, 100.0], n, 0.5, index=i + 1)
                   for i, n in enumerate((10, 3))]
         evidence = assert_evidence_exact(tracks, [], sensor)
-        assert evidence.betas.shape == (2, 0) and not evidence.rows
+        assert evidence.betas.shape == (2, 0)
+        assert not any(len(group.b) for group in evidence.groups)
         none = assert_evidence_exact([], frame_near(rng, sensor, tracks, 4), sensor)
         assert none.betas.shape == (0, 6) and none.miss_beta.shape == (0,)
 
@@ -313,8 +316,11 @@ def assert_gate_exact(tracks, frame, sensor, gamma_c):
                 hyp = gated.detection(i, m)
                 assert hyp.beta == ref.beta and hyp.existence == ref.existence
                 assert np.array_equal(hyp.weights, ref.weights)
-                assert np.array_equal(pdf_of(gated.states[i], hyp).states,
-                                      pdf_of(full.states[i], ref).states)
+                assert np.array_equal(pdf_of(tracks[i].pdf.states, hyp).states,
+                                      pdf_of(tracks[i].pdf.states, ref).states)
+    for group in gated.groups:
+        # the cells joined after labelling are merged in (row, col) order
+        assert np.all(np.diff(group.pair_row * len(frame) + group.pair_col) > 0)
     for i, j in zip(*np.nonzero(gated.deferred)):
         with pytest.raises(ValueError, match="deferred"):
             gated.detection(int(i), int(j) + 1)

@@ -579,18 +579,25 @@ class TestGatedLikelihoodTable:
         assert sensor.likelihood_cells(frame, *sensor.range_bearing(states))[0].size == 0
         assert window_calls
 
+    @staticmethod
+    def huge_range_case():
+        """A grid-sized frame, and states of which two lie at ranges near
+        the largest float: the sensor, frame, ranges and bearings."""
+        sensor = make_sensor()
+        rng = np.random.default_rng(22)
+        frame = random_frame(rng, TestGatedLikelihoodTable.LARGE, max_range=300.0)
+        rho, theta = sensor.range_bearing(birth_cloud(sensor, frame, rng, 3000, 2.0, 0.02))
+        rho[[5, 2000]] = 1e300, 1e308
+        theta[2000] = frame[0].bearing
+        return sensor, frame, rho, theta
+
     def test_huge_finite_range_among_ordinary_states(self, window_calls):
         # two states at ranges near the largest float are finite: they take
         # no every-cell fallback, and the grid's range bins still cover the
         # ordinary states. The dense reference squares their range offsets,
         # which overflow to inf, an exponent of -inf; the grid never gathers
         # them, so it evaluates no such offset
-        sensor = make_sensor()
-        rng = np.random.default_rng(22)
-        frame = random_frame(rng, self.LARGE, max_range=300.0)
-        rho, theta = sensor.range_bearing(birth_cloud(sensor, frame, rng, 3000, 2.0, 0.02))
-        rho[[5, 2000]] = 1e300, 1e308
-        theta[2000] = frame[0].bearing
+        sensor, frame, rho, theta = self.huge_range_case()
         with np.errstate(over="ignore"):
             assert_cells_exact(sensor, frame, rho, theta)
         with warnings.catch_warnings():
@@ -599,6 +606,18 @@ class TestGatedLikelihoodTable:
         assert row.size < len(frame) * rho.size
         assert not np.isin(col, [5, 2000]).any()
         assert window_calls == [self.LARGE, self.LARGE - 6, self.LARGE]
+
+    def test_huge_finite_range_on_the_dense_path(self, window_calls):
+        # two rows of the same case take the dense path, which squares the
+        # huge range offsets to inf, an exponent of -inf, without a warning
+        sensor, frame, rho, theta = self.huge_range_case()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            row, col, _ = sensor.likelihood_cells(frame[:2], rho, theta)
+        assert row.size and not np.isin(col, [5, 2000]).any()
+        assert window_calls == []
+        with np.errstate(over="ignore"):
+            assert_cells_exact(sensor, frame[:2], rho, theta)
 
     def test_many_states_at_one_range_in_one_bearing_bin(self, window_calls):
         # thousands of tied cell ids: every state of the tie sits at one

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import io
 import warnings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import lmbp.association
 import lmbp.update
-from lmbp.association import Hypothesis, TrackEvidence, new_components
+from lmbp.association import Hypothesis, TrackGroup, new_components, partition
 from lmbp.cli import initial_state
 from lmbp.config import build_run_config
 from lmbp.models import BirthModel, Models, MotionModel, SensorModel, wrap_angle
@@ -31,9 +32,9 @@ from lmbp.update import (
     FilterSettings,
     Pending,
     Thresholds,
-    _legacy,
     _resampled,
     _rows_of,
+    legacy_mixture,
     lmbp_step,
     select_transfers,
     split_by_retention,
@@ -235,10 +236,15 @@ class TestOnePassUpdate:
         one_by_one = [update_legacy_track(Label(1, i + 1), marginal, miss, det, support, 64, a)
                       for i, marginal in enumerate(marginals)]
         one_by_one += [update_transferred_track(comp, 0.5, 64, a)]
-        pending = [_legacy(Label(1, i + 1),
-                           [(m[0] * miss.existence, miss.weights),
-                            (m[2] * 1.0, det[2].weights)], support)
-                   for i, m in enumerate(marginals)]
+        # the three rows as one group over the shared support: each row's
+        # miss and its detection of measurement 2 (column 1), mass 1
+        group = TrackGroup(np.arange(3), np.tile(miss.weights, (3, 1)), np.ones(3),
+                           np.full(3, miss.existence), np.arange(3), np.ones(3, np.intp),
+                           np.tile(det[2].weights, (3, 1)), np.ones(3))
+        legacy = np.array([[m[0], 0.0, m[2] * det[2].existence] for m in marginals])
+        r, mixture = legacy_mixture(group, legacy)
+        pending = [Pending(Label(1, i + 1), row_r, (weights, support) if row_r else None)
+                   for i, (row_r, weights) in enumerate(zip(r.tolist(), mixture))]
         pending.append(comp._replace(existence=0.5 * comp.existence))
         one_pass = _resampled(pending, pending, 64, b)[0].tracks()
         assert a.random() == b.random()
@@ -556,23 +562,25 @@ class TestLmbpStep:
     def test_detection_pdfs_only_where_the_marginal_is_nonzero(self, monkeypatch):
         # gamma_c = 0 clusters every pair with b > 0: track 1 joins track 0's
         # measurement 0 to measurement 1, which track 0 cannot explain, so
-        # that pair (key 2 of track 0's marginal) is in the cluster with b = 0
-        # and gets a zero marginal, and only the other pairs may have a pdf built
-        built, updates = [], []
-        detection = TrackEvidence.detection
-        terms = TrackEvidence.terms
+        # that pair (entry 2 of track 0's marginal) is in the cluster with
+        # b = 0 and gets a zero marginal, and only the other pairs' likelihood
+        # rows may be read, to be normalized and mixed
+        read, updates = [], []
+        mixture = lmbp.update.legacy_mixture
 
-        def detection_spy(evidence, i, m):
-            built.append((i, m))
-            return detection(evidence, i, m)
+        class Recorded(np.ndarray):
+            """Likelihood rows that record which of them are read."""
 
-        def terms_spy(evidence, i, pmf, cols):
-            result = terms(evidence, i, pmf, cols)
-            updates.append((i, dict(zip([0] + [m + 1 for m in cols], pmf)), result))
-            return result
+            def __getitem__(self, key):
+                read.extend(np.arange(len(self))[key].tolist())
+                return np.asarray(self)[key]
 
-        monkeypatch.setattr(TrackEvidence, "detection", detection_spy)
-        monkeypatch.setattr(TrackEvidence, "terms", terms_spy)
+        def mixture_spy(group, legacy):
+            group = group._replace(lik=group.lik.view(Recorded))
+            updates.append((group, legacy, mixture(group, legacy)))
+            return updates[-1][2]
+
+        monkeypatch.setattr(lmbp.update, "legacy_mixture", mixture_spy)
         models = micro_models(pd_const=0.7)
         tracks = tuple(BernoulliTrack(Label(1, i + 1), 0.6, pdf_at(x1, n=8))
                        for i, x1 in enumerate((100.0, 145.0, 250.0)))
@@ -580,19 +588,103 @@ class TestLmbpStep:
             *models.sensor.range_bearing(np.array([[100.0, 0.0, 0.0, 0.0],
                                                    [190.0, 0.0, 0.0, 0.0],
                                                    [0.0, 200.0, 0.0, 0.0]])))]
-        lmbp_step(FilterState(tracks, PoissonPhd.empty(), 1), frame, models,
-                  Thresholds(gamma_c=0.0), np.random.default_rng(0), settings=small_settings())
-        assert [i for i, _, _ in updates] == [0, 1, 2]
-        nonzero = [(i, m) for i, marginal, _ in updates
-                   for m, p in marginal.items() if m and p > 0.0]
-        zero = [(i, m) for i, marginal, _ in updates
-                for m, p in marginal.items() if m and p == 0.0]
+
+        def step(tracks, gamma_c):
+            """The step's one group and marginals, and its evaluated pairs:
+            only those with a nonzero marginal are read."""
+            read.clear()
+            updates.clear()
+            lmbp_step(FilterState(tracks, PoissonPhd.empty(), 1), frame, models,
+                      Thresholds(gamma_c=gamma_c), np.random.default_rng(0),
+                      settings=small_settings())
+            [(group, legacy, (r, mixed))] = updates
+            nonzero = [(i, m) for i in range(3) for m in range(1, 4) if legacy[i, m] > 0.0]
+            pairs = list(zip(group.pair_row.tolist(), (group.pair_col + 1).tolist()))
+            assert sorted(pairs[k] for k in read) == nonzero
+            return group, legacy, r, mixed, nonzero, pairs
+
+        group, legacy, r, mixed, nonzero, _ = step(tracks, 0.0)
+        assert group.rows.tolist() == [0, 1, 2]
+        zero = [(i, m) for i in range(3) for m in range(1, 4) if legacy[i, m] == 0.0]
         assert nonzero and (0, 2) in zero
-        assert built == nonzero
-        for i, marginal, result in updates:
+        for i in range(3):
             # detection terms have existence 1: p(a) r(i,a) is the marginal itself
-            assert [p for p, _ in result[1:]] == [marginal[m] for j, m in nonzero if j == i]
-            assert all(len(weights) == 8 for _, weights in result[1:])
+            expected = legacy[i, 0] * group.miss_existence[i]
+            for m in (m for j, m in nonzero if j == i):
+                expected += legacy[i, m]
+            assert r[i] == min(expected, 1.0)
+        assert mixed.shape == (3, 8)
+        # at gamma_c = 1e-10, a particle of weight 1e-12 next to measurement 0
+        # gives track 2 a pair with b > 0 that is evaluated but too light to
+        # be plausible: it lies outside track 2's cluster, with a zero marginal
+        states, weights = np.zeros((8, 4)), np.full(8, (1.0 - 1e-12) / 7)
+        states[:, 0], states[0, 0], weights[0] = 250.0, 101.0, 1e-12
+        light = BernoulliTrack(Label(1, 3), 0.6, ParticleSet(states, weights))
+        group, legacy, *_, pairs = step(tracks[:2] + (light,), 1e-10)
+        assert group.b[pairs.index((2, 1))] > 0.0 and legacy[2, 1] == 0.0
+
+    def test_rows_of_every_group_match_per_row_updates(self, monkeypatch):
+        # a block of three groups, of 8, 5 and 1 particles, each with a row
+        # of two or more terms: every row the step resamples is
+        # `update_legacy_track`'s on that row, bit for bit, and drawing the
+        # rows one by one leaves a generator where the step's one pass does
+        seen = {}
+        real_evidence, real_marginals = lmbp.update.track_evidence, lmbp.update.batch_bp_marginals
+        real_rows = lmbp.update.resample_rows
+
+        def evidence_spy(block, *args):
+            seen["block"], seen["evidence"] = block, real_evidence(block, *args)
+            return seen["evidence"]
+
+        def marginals_spy(*args):
+            seen["marginals"] = real_marginals(*args)
+            return seen["marginals"]
+
+        def rows_spy(rows, count, rng):
+            first = "before" not in seen
+            if first:
+                seen["before"] = copy.deepcopy(rng)
+            out = real_rows(rows, count, rng)
+            if first:
+                seen["after"] = rng.bit_generator.state
+            return out
+
+        monkeypatch.setattr(lmbp.update, "track_evidence", evidence_spy)
+        monkeypatch.setattr(lmbp.update, "batch_bp_marginals", marginals_spy)
+        monkeypatch.setattr(lmbp.update, "resample_rows", rows_spy)
+        models = micro_models(pd_const=0.7)
+        # two close tracks share two measurements; one track sees nothing
+        places = [(100.0, 8), (101.0, 8), (150.0, 5), (250.0, 5), (200.0, 1)]
+        tracks = tuple(BernoulliTrack(Label(1, i + 1), 0.6, pdf_at(x1, n=n))
+                       for i, (x1, n) in enumerate(places))
+        frame = [Measurement(float(rho), float(theta)) for rho, theta in zip(
+            *models.sensor.range_bearing(np.array([[x1, 0.0, 0.0, 0.0]
+                                                   for x1 in (100.0, 101.0, 150.0, 200.0)])))]
+        out = lmbp_step(FilterState(tracks, PoissonPhd.empty(), 1), frame, models,
+                        Thresholds(), np.random.default_rng(3), settings=small_settings())
+        block, evidence, legacy = seen["block"], seen["evidence"], seen["marginals"].legacy
+        assert [weights.shape[1] for _, _, weights in block.groups] == [8, 5, 1]
+        stepped = dict(zip(out.labels(), out.tracks))
+        replay, multi = seen["before"], set()
+        clusters, _ = partition(evidence.row_of, evidence.col_of)
+        for rows, cols in clusters:
+            for i in rows.tolist():
+                miss = evidence.miss(i)
+                marginal = {0: legacy[i, 0]} | {1 + j: legacy[i, 1 + j] for j in cols.tolist()}
+                detections = {m: evidence.detection(i, m) for m in marginal if m}
+                terms = (marginal[0] * miss.existence > 0.0) + sum(
+                    marginal[m] > 0.0 and len(hyp.weights) > 0 for m, hyp in detections.items())
+                if terms >= 2:
+                    multi.add(evidence.slot(i)[0].miss.shape[1])
+                one = update_legacy_track(block.labels[i], marginal, miss, detections,
+                                          block.rows()[i][0], 64, replay)
+                track = stepped[one.label]
+                assert (one.existence, len(one.pdf)) == (track.existence, len(track.pdf))
+                assert np.array_equal(one.pdf.states, track.pdf.states)
+                assert np.array_equal(one.pdf.weights, track.pdf.weights)
+        assert multi == {8, 5, 1}
+        assert len(stepped) == len(tracks)
+        assert replay.bit_generator.state == seen["after"]
 
     def test_unsupported_measurement_absorbed_with_zero_weight(self):
         # intensity far from the measurement: d = 0, no transfer, and the
