@@ -30,7 +30,6 @@ from .rfs import (
     read_snapshot,
     resample,
     resample_rows,
-    weighted_mean,
     write_snapshot,
 )
 from .simulate import GroundTruth, ScenarioConfig, generate_frame, generate_truth

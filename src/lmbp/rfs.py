@@ -10,7 +10,8 @@ takes the block and marks them read-only.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -41,6 +42,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def check_weights(weights: np.ndarray) -> None:
+    """ValueError unless every particle weight is finite and nonnegative."""
+    # min is nan where any weight is; two reductions test finite and nonnegative
+    if weights.size and not (weights.min() >= 0.0 and weights.max() < np.inf):
+        raise ValueError("particle weights must be finite and nonnegative")
+
+
 @dataclass(frozen=True)
 class ParticleSet:
     """Weighted particles over the 4D state space.
@@ -57,9 +65,7 @@ class ParticleSet:
         weights = np.asarray(self.weights, dtype=float).reshape(-1)
         if states.shape[0] != weights.shape[0]:
             raise ValueError("states and weights length mismatch")
-        # min is nan where any weight is; two reductions test finite and nonnegative
-        if weights.size and not (weights.min() >= 0.0 and weights.max() < np.inf):
-            raise ValueError("particle weights must be finite and nonnegative")
+        check_weights(weights)
         object.__setattr__(self, "states", _freeze(states))
         object.__setattr__(self, "weights", _freeze(weights))
 
@@ -69,9 +75,6 @@ class ParticleSet:
     @property
     def total_weight(self) -> float:
         return float(self.weights.sum())
-
-    def is_normalized(self, tol: float = PDF_TOL) -> bool:
-        return abs(self.total_weight - 1.0) <= tol
 
     @staticmethod
     def empty() -> "ParticleSet":
@@ -130,17 +133,28 @@ def resample_rows(rows: Sequence[np.ndarray], count: int,
     return out
 
 
-def weighted_mean(pset: ParticleSet) -> np.ndarray:
-    """First moment of a normalized particle pdf."""
-    return pdf_mean(pset.states, pset.weights)
-
-
 def pdf_mean(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """First moment of the particle pdf (states, weights); ValueError unless
     the weights sum to 1 within `PDF_TOL`."""
     if not abs(float(weights.sum()) - 1.0) <= PDF_TOL:
         raise ValueError("particle set is not a normalized pdf")
     return weights @ states
+
+
+def _checked_existence(existence: Sequence[float], totals: Sequence[float],
+                       count: int) -> list[float]:
+    """The existence of tracks of `count` particles each, capped at 1, after
+    the track rules: existence in [0, 1 + 1e-12], a pdf whose weights total
+    `totals` normalized within `PDF_TOL`, and no positive existence without
+    particles. The first track to break a rule raises ValueError."""
+    for r, total in zip(existence, totals):
+        if not 0.0 <= r <= 1.0 + 1e-12:
+            raise ValueError(f"existence probability out of [0,1]: {r}")
+        if count and not abs(total - 1.0) <= PDF_TOL:
+            raise ValueError("track pdf is not normalized")
+        if not count and r > 0.0:
+            raise ValueError("track with positive existence needs a nonempty pdf")
+    return [min(r, 1.0) for r in existence]
 
 
 @dataclass(frozen=True)
@@ -152,13 +166,8 @@ class BernoulliTrack:
     pdf: ParticleSet
 
     def __post_init__(self):
-        if not 0.0 <= self.existence <= 1.0 + 1e-12:
-            raise ValueError(f"existence probability out of [0,1]: {self.existence}")
-        object.__setattr__(self, "existence", min(float(self.existence), 1.0))
-        if len(self.pdf) and not self.pdf.is_normalized():
-            raise ValueError("track pdf is not normalized")
-        if len(self.pdf) == 0 and self.existence > 0.0:
-            raise ValueError("track with positive existence needs a nonempty pdf")
+        [r] = _checked_existence([float(self.existence)], [self.pdf.total_weight], len(self.pdf))
+        object.__setattr__(self, "existence", r)
 
 
 class TrackBlock(NamedTuple):
@@ -207,31 +216,23 @@ class TrackBlock(NamedTuple):
 
     def checked(self) -> "TrackBlock":
         """The block with its existence capped at 1, after the checks that
-        `BernoulliTrack` and `ParticleSet` make per track, made once per
-        group: existence in [0, 1 + 1e-12], finite and nonnegative weights, a
-        pdf normalized within `PDF_TOL`, and no positive existence on a row
-        without particles. Also every row is in exactly one group. A failed
-        check raises ValueError."""
+        `ParticleSet` and `BernoulliTrack` make per track, made once per
+        group and by the same functions: `check_weights` and the track rules.
+        Also every row is in exactly one group. A failed check raises
+        ValueError."""
         r = self.existence
-        # min is nan where any entry is
-        if len(r) and not (r.min() >= 0.0 and r.max() <= 1.0 + 1e-12):
-            raise ValueError(f"existence probability out of [0,1]: {r.min()}..{r.max()}")
         covered = np.concatenate([rows for rows, _, _ in self.groups] + [np.empty(0, np.intp)])
         if r.shape != (len(self.labels),) or not np.array_equal(np.sort(covered),
                                                                 np.arange(len(r))):
             raise ValueError("block rows do not match its labels")
+        capped = np.empty(len(r))
         for rows, states, weights in self.groups:
             if states.shape != weights.shape + (STATE_DIM,) or weights.shape[0] != len(rows):
                 raise ValueError("states and weights length mismatch")
-            if not weights.shape[1]:
-                if (r[rows] > 0.0).any():
-                    raise ValueError("track with positive existence needs a nonempty pdf")
-            elif weights.size:
-                if not (weights.min() >= 0.0 and weights.max() < np.inf):
-                    raise ValueError("particle weights must be finite and nonnegative")
-                if not (np.abs(weights.sum(axis=1) - 1.0) <= PDF_TOL).all():
-                    raise ValueError("track pdf is not normalized")
-        return self._replace(existence=np.minimum(r, 1.0))
+            check_weights(weights)
+            capped[rows] = _checked_existence(r[rows].tolist(), weights.sum(axis=1).tolist(),
+                                              weights.shape[1])
+        return self._replace(existence=capped)
 
 
 @dataclass(frozen=True)
@@ -256,8 +257,8 @@ class FilterState:
 
     The tracks are one `TrackBlock`, `block`, which `lmbp_step` reads and
     writes. `tracks` is a read-only view of it as `BernoulliTrack`s, built on
-    first access and then kept. `FilterState(tracks, phd, time)` copies the
-    tracks into the block and keeps the very objects as the view;
+    first access and then cached. `FilterState(tracks, phd, time)` copies the
+    tracks into the block and caches the very objects as the view;
     `FilterState.from_block` checks the block (`TrackBlock.checked`). Either
     way the labels are pairwise distinct and none is born after `time`, or
     ValueError.
@@ -266,20 +267,19 @@ class FilterState:
     block: TrackBlock
     phd: PoissonPhd
     time: int
-    _tracks: tuple[BernoulliTrack, ...] | None = field(default=None, repr=False)
 
     def __init__(self, tracks: Sequence[BernoulliTrack], phd: PoissonPhd, time: int):
         tracks = tuple(tracks)
-        self._set(TrackBlock.of(tracks), phd, time, tracks)
+        self._set(TrackBlock.of(tracks), phd, time)
+        object.__setattr__(self, "tracks", tracks)  # seeds the cache of the view
 
     @classmethod
     def from_block(cls, block: TrackBlock, phd: PoissonPhd, time: int) -> "FilterState":
         state = cls.__new__(cls)
-        state._set(block.checked(), phd, time, None)
+        state._set(block.checked(), phd, time)
         return state
 
-    def _set(self, block: TrackBlock, phd: PoissonPhd, time: int,
-             tracks: tuple[BernoulliTrack, ...] | None) -> None:
+    def _set(self, block: TrackBlock, phd: PoissonPhd, time: int) -> None:
         labels = block.labels
         if len(set(labels)) != len(labels):
             raise ValueError("track labels are not pairwise distinct")
@@ -288,17 +288,12 @@ class FilterState:
                 raise ValueError(f"label {lab} born after state time {time}")
         for array in (block.existence, *(a for group in block.groups for a in group)):
             array.flags.writeable = False
-        for name, value in (("block", block), ("phd", phd), ("time", time), ("_tracks", tracks)):
+        for name, value in (("block", block), ("phd", phd), ("time", time)):
             object.__setattr__(self, name, value)
 
-    @property
+    @cached_property
     def tracks(self) -> tuple[BernoulliTrack, ...]:
-        if self._tracks is None:
-            object.__setattr__(self, "_tracks", self.block.tracks())
-        return self._tracks
-
-    def labels(self) -> tuple[Label, ...]:
-        return self.block.labels
+        return self.block.tracks()
 
 
 # ---------------------------------------------------------------------------

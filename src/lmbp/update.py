@@ -31,6 +31,7 @@ from .rfs import (
     PoissonPhd,
     STATE_DIM,
     TrackBlock,
+    check_weights,
     resample,  # noqa: F401 - perfbench's tracer wraps it here, until ROADMAP item 5
     resample_rows,
 )
@@ -239,9 +240,7 @@ def update_phd(recycled: Sequence[Pending], beta: np.ndarray, cells: Cells,
         weights.append(r * pdf_weights)
         states.append(pdf_states)
     union = np.concatenate(weights)
-    # the check `ParticleSet` makes; min is nan where any weight is
-    if union.size and not (union.min() >= 0.0 and union.max() < np.inf):
-        raise ValueError("particle weights must be finite and nonnegative")
+    check_weights(union)
     if union.sum() <= 0.0:
         return PoissonPhd.empty()
     [(idx, weight)] = resample_rows([union], particle_budget, rng)

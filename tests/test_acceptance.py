@@ -380,13 +380,13 @@ def test_criterion_6_desk_scale():
         seen_labels: set[Label] = set()
         ospa_vals = []
         for k in range(1, config.scenario.total_steps + 1):
-            before = set(state.labels())
+            before = set(state.block.labels)
             t0 = time.perf_counter()
             state = lmbp_step(state, frames[k - 1], models, config.thresholds,
                               rng_filter, prev_frame=prev, settings=config.settings)
             step_seconds.append(time.perf_counter() - t0)
             prev = frames[k - 1]
-            labels = state.labels()
+            labels = state.block.labels
             # label continuity: kept labels persist, fresh ones are never reused
             assert len(set(labels)) == len(labels)
             for lab in labels:

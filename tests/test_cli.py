@@ -285,6 +285,9 @@ class TestMain:
         ("clutter.mean_count", "lots", None),
         ("run.mc_runs", "0", None),
         ("filter.initial_phd_mass", "-1", None),
+        ("filter.marginals", "x", None),
+        ("filter.bp_iterations", "0", None),
+        ("scenario.style", "ts3", None),
         # 1 / (2 pi sigma_range sigma_bearing) overflows
         ("sensor.sigma_range", "1e-320", None),
     ])

@@ -38,7 +38,7 @@ class TestDetectAndEstimate:
                          track_at(Label(1, 1), 0.2, 3.0))
         out = detect_and_estimate(state, 0.5)
         assert [e.label for e in out] == [Label(1, 2), Label(2, 1)]
-        assert {e.label for e in out} <= set(state.labels())
+        assert {e.label for e in out} <= set(state.block.labels)
 
     def test_deterministic(self):
         state = state_of(track_at(Label(1, 1), 0.7, 4.0))

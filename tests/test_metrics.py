@@ -167,6 +167,10 @@ class TestMospaCurve:
         with pytest.raises(ValueError):
             mospa_curve([[1.0, 2.0], [1.0]])
 
+    def test_no_runs_rejected(self):
+        with pytest.raises(ValueError, match="no runs"):
+            mospa_curve([])
+
     def test_monte_carlo_mean_within_clt_bound(self):
         rng = np.random.default_rng(2)
         runs = rng.exponential(scale=3.0, size=(1000, 5))

@@ -14,10 +14,10 @@ from lmbp.rfs import (
     ParticleSet,
     PoissonPhd,
     TrackBlock,
+    pdf_mean,
     read_snapshot,
     resample,
     resample_rows,
-    weighted_mean,
     write_snapshot,
 )
 
@@ -38,8 +38,8 @@ class TestParticleSet:
     def test_total_weight_and_normalization(self):
         pset = make_pset([[0, 0, 0, 0], [1, 1, 0, 0]], [0.2, 0.6])
         assert pset.total_weight == pytest.approx(0.8)
-        assert not pset.is_normalized()
-        assert make_pset(pset.states, pset.weights / 0.8).is_normalized(tol=1e-15)
+        assert not abs(pset.total_weight - 1.0) <= PDF_TOL
+        assert abs(make_pset(pset.states, pset.weights / 0.8).total_weight - 1.0) <= 1e-15
 
     def test_arrays_are_read_only(self):
         pset = make_pset([[0, 0, 0, 0]], [1.0])
@@ -81,6 +81,11 @@ class TestResample:
         pset = make_pset([[0, 0, 0, 0]], [0.0])
         with pytest.raises(ValueError, match="degenerate particle set"):
             resample(pset, 10, np.random.default_rng(0))
+
+    def test_nonpositive_count_errors(self):
+        pset = make_pset([[0, 0, 0, 0]], [1.0])
+        with pytest.raises(ValueError, match="target_count must be positive"):
+            resample(pset, 0, np.random.default_rng(0))
 
     @settings(max_examples=50, deadline=None)
     @given(total=st.floats(min_value=1e-6, max_value=1e3),
@@ -189,11 +194,11 @@ class TestResampleRows:
 class TestWeightedMean:
     def test_single_particle_identity(self):
         pset = make_pset([[1, 2, 0, 0]], [1.0])
-        np.testing.assert_array_equal(weighted_mean(pset), [1, 2, 0, 0])
+        np.testing.assert_array_equal(pdf_mean(pset.states, pset.weights), [1, 2, 0, 0])
 
     def test_symmetric_pair(self):
         pset = make_pset([[0, 0, 0, 0], [2, 2, 0, 0]], [0.5, 0.5])
-        np.testing.assert_allclose(weighted_mean(pset), [1, 1, 0, 0])
+        np.testing.assert_allclose(pdf_mean(pset.states, pset.weights), [1, 1, 0, 0])
 
     def test_monte_carlo_clt_bound(self):
         # oracle: CLT, 4 sigma / sqrt(n) per component
@@ -203,13 +208,13 @@ class TestWeightedMean:
         n = 1000
         samples = rng.normal(mean, sigma, size=(n, 4))
         pset = make_pset(samples, np.full(n, 1.0 / n))
-        err = np.abs(weighted_mean(pset) - mean)
+        err = np.abs(pdf_mean(pset.states, pset.weights) - mean)
         assert np.all(err <= 4.0 * sigma / np.sqrt(n))
 
     def test_rejects_unnormalized(self):
         pset = make_pset([[0, 0, 0, 0]], [0.5])
         with pytest.raises(ValueError):
-            weighted_mean(pset)
+            pdf_mean(pset.states, pset.weights)
 
 
 class TestTrackAndState:
@@ -308,7 +313,7 @@ class TestBlockState:
         state = FilterState(tracks, PoissonPhd.empty(), 4)
         assert len(state.tracks) == len(tracks)
         assert all(a is b for a, b in zip(state.tracks, tracks))
-        assert state.labels() == tuple(t.label for t in tracks)
+        assert state.block.labels == tuple(t.label for t in tracks)
 
     def test_block_state_writes_the_bytes_of_the_tracks_state(self):
         # estimates and snapshot of a state built from a block and from its tracks
@@ -324,13 +329,58 @@ class TestBlockState:
             write_snapshot(state, snapshot)
             texts.append((estimates.getvalue(), snapshot.getvalue()))
         assert texts[0] == texts[1]
-        # and the per-track estimate: weighted_mean of each declared track, by label
+        # and the per-track estimate: the pdf mean of each declared track, by label
         declared = sorted((t for t in tracks if t.existence > 0.2), key=lambda t: t.label)
         estimates = detect_and_estimate(from_block, 0.2)
         assert [e.label for e in estimates] == [t.label for t in declared]
         for est, track in zip(estimates, declared):
-            assert np.array_equal(est.state, weighted_mean(track.pdf))
+            assert np.array_equal(est.state, pdf_mean(track.pdf.states, track.pdf.weights))
             assert est.existence == track.existence
+
+
+# one track that breaks one track rule: (existence, pdf weights)
+BAD_TRACKS = {
+    "existence_negative": (-0.1, [0.25] * 4),
+    "existence_above_one": (1.0 + 2e-12, [0.25] * 4),
+    "existence_nan": (np.nan, [0.25] * 4),
+    "negative_weight": (0.5, [-0.25, 0.5, 0.5, 0.25]),
+    "nan_weight": (0.5, [np.nan, 0.25, 0.25, 0.5]),
+    "inf_weight": (0.5, [np.inf, 0.25, 0.25, 0.5]),
+    "not_normalized": (0.5, [0.25, 0.25, 0.25, 0.25 + 10 * PDF_TOL]),
+    "empty_pdf": (0.5, []),
+}
+
+
+def one_track_both_ways(existence, weights):
+    """The track (existence, weights) built as a `BernoulliTrack` and as the one
+    row of a block state; returns each path's existence, or its ValueError."""
+    weights = np.array(weights, dtype=float)
+    states = np.zeros((len(weights), 4))
+    block = TrackBlock.empty([Label(1, 1)], [existence], [len(weights)])
+    block.groups[0][1][:], block.groups[0][2][:] = states, weights
+    out = []
+    for build in (lambda: BernoulliTrack(Label(1, 1), existence,
+                                         ParticleSet(states, weights)).existence,
+                  lambda: FilterState.from_block(block, PoissonPhd.empty(), 3).block.existence[0]):
+        try:
+            out.append(build())
+        except ValueError as err:
+            out.append(err)
+    return out
+
+
+class TestOneSetOfTrackChecks:
+    @pytest.mark.parametrize("case", list(BAD_TRACKS))
+    def test_track_and_block_raise_the_same_message(self, case):
+        existence, weights = BAD_TRACKS[case]
+        track, block = one_track_both_ways(existence, weights)
+        assert isinstance(track, ValueError) and isinstance(block, ValueError)
+        assert str(track) == str(block)
+        if case.startswith("existence"):
+            assert str(track) == f"existence probability out of [0,1]: {existence}"
+
+    def test_existence_within_rounding_of_one_is_capped_on_both_paths(self):
+        assert one_track_both_ways(1.0 + 1e-13, [0.25] * 4) == [1.0, 1.0]
 
 
 class TestSnapshot:
@@ -350,7 +400,7 @@ class TestSnapshot:
         back = read_snapshot(io.StringIO(buf.getvalue()))
 
         assert back.time == state.time
-        assert back.labels() == state.labels()
+        assert back.block.labels == state.block.labels
         for a, b in zip(back.tracks, state.tracks):
             assert a.existence == b.existence
             np.testing.assert_array_equal(a.pdf.states, b.pdf.states)
@@ -383,6 +433,7 @@ class TestSnapshot:
         ("time,1\nphd,1\np,-1.0,1,2,3,4\n", 3, "not finite and nonnegative"),
         ("time,1\nphd,1\np,1.0,1,z,3,4\n", 3, "bad float 'z'"),
         ("time,1\nphd,1\np,1.0,1,2,3,4\nphd,1\np,2.0,1,2,3,4\n", 4, "second phd record"),
+        ("time,1\nphd,0\nlink,1,2\n", 3, "unknown record 'link'"),
     ])
     def test_bad_value_names_its_line(self, text, line, message):
         with pytest.raises(ValueError, match=f"snapshot line {line}: .*{message}"):

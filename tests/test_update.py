@@ -18,6 +18,7 @@ from lmbp.cli import initial_state
 from lmbp.config import build_run_config
 from lmbp.models import BirthModel, Models, MotionModel, SensorModel, wrap_angle
 from lmbp.rfs import (
+    PDF_TOL,
     BernoulliTrack,
     FilterState,
     Label,
@@ -175,7 +176,7 @@ class TestUpdateLegacyTrack:
         assert out.existence == pytest.approx(0.6, abs=1e-15)
         frac_miss = float(np.mean(out.pdf.states[:, 0] < 5.0))
         assert frac_miss == pytest.approx(1 / 6, abs=0.01)
-        assert out.pdf.is_normalized()
+        assert abs(out.pdf.total_weight - 1.0) <= PDF_TOL
         assert len(out.pdf) == 600
 
     @pytest.mark.parametrize("seed", range(5))
@@ -554,7 +555,7 @@ class TestLmbpStep:
         rho, theta = models.sensor.range_bearing(np.array([50.0, 0.0, 0.0, 0.0]))
         out = lmbp_step(state, [Measurement(float(rho), float(theta))], models,
                         Thresholds(), np.random.default_rng(0), settings=small_settings())
-        recycled = {Label(1, 1), Label(1, 2)} - set(out.labels())
+        recycled = {Label(1, 1), Label(1, 2)} - set(out.block.labels)
         assert recycled == {Label(1, 2)}
         predicted_count = 32 + models.birth.particle_budget
         assert batches == [[(8, 64), (8, 64)], [(predicted_count + 64 * len(recycled), 128)]]
@@ -664,7 +665,7 @@ class TestLmbpStep:
                         Thresholds(), np.random.default_rng(3), settings=small_settings())
         block, evidence, legacy = seen["block"], seen["evidence"], seen["marginals"].legacy
         assert [weights.shape[1] for _, _, weights in block.groups] == [8, 5, 1]
-        stepped = dict(zip(out.labels(), out.tracks))
+        stepped = dict(zip(out.block.labels, out.tracks))
         replay, multi = seen["before"], set()
         clusters, _ = partition(evidence.row_of, evidence.col_of)
         for rows, cols in clusters:
@@ -697,6 +698,36 @@ class TestLmbpStep:
                         settings=small_settings())
         assert out.tracks == ()
         assert out.phd.mean == pytest.approx(0.2, abs=1e-9)
+
+    def test_unexplained_measurement_is_dropped_before_association(self, monkeypatch):
+        # without clutter a measurement far from the intensity has beta = 0:
+        # the step drops it before association, and the transfer from the
+        # other takes its index in the kept frame
+        models = micro_models(pd_const=0.9, mean_clutter=0.0)
+        rho, theta = models.sensor.range_bearing(np.array([52.0, 0.0, 0.0, 0.0]))
+        far = models.sensor.range_bearing(np.array([-150.0, 0.0, 0.0, 0.0]))
+        frame = [Measurement(float(far[0]), float(far[1])), Measurement(float(rho), float(theta))]
+        assert models.sensor.screen(frame) == frame
+        seen = {}
+        real_components, real_evidence = lmbp.update.new_components, lmbp.update.track_evidence
+
+        def components_spy(*args):
+            out = real_components(*args)
+            seen["beta"] = out[0]
+            return out
+
+        def evidence_spy(block, frame, *args):
+            seen["frame"] = list(frame)
+            return real_evidence(block, frame, *args)
+
+        monkeypatch.setattr(lmbp.update, "new_components", components_spy)
+        monkeypatch.setattr(lmbp.update, "track_evidence", evidence_spy)
+        state = FilterState((), PoissonPhd(pdf_at(52.0, n=256, weight=5.0)), 0)
+        out = lmbp_step(state, frame, models, Thresholds(), np.random.default_rng(3),
+                        settings=small_settings())
+        assert (seen["beta"] > 0.0).tolist() == [False, True]
+        assert seen["frame"] == frame[1:]
+        assert out.block.labels == (Label(1, 1),)
 
     def test_out_of_disk_measurement_is_dropped(self):
         # the step runs as if a measurement outside the sensor disk were not
@@ -921,14 +952,14 @@ class TestLmbpStep:
             frame = [Measurement(float(rng.uniform(0, 300)),
                                  float(rng.uniform(-np.pi, np.pi)))
                      for _ in range(rng.integers(0, 5))]
-            before = set(state.labels())
+            before = set(state.block.labels)
             state = lmbp_step(state, frame, models, Thresholds(), rng,
                               prev_frame=prev_frame, settings=small_settings())
             prev_frame = frame
-            for label in state.labels():
+            for label in state.block.labels:
                 assert label in before or label.birth_time == k
                 assert 1 <= label.index
-            assert len(set(state.labels())) == len(state.labels())
+            assert len(set(state.block.labels)) == len(state.block.labels)
 
     def test_raising_gamma_leg_never_keeps_more(self):
         rng_master = np.random.default_rng(5)
@@ -1011,7 +1042,7 @@ class TestLmbpStep:
                               np.random.default_rng(5), settings=small_settings("exact"))
         out_bp = lmbp_step(state, frame, models, Thresholds(gamma_c=0.0),
                            np.random.default_rng(5), settings=small_settings("bp"))
-        assert out_exact.labels() == out_bp.labels()
+        assert out_exact.block.labels == out_bp.block.labels
         for a, b in zip(out_exact.tracks, out_bp.tracks):
             assert a.existence == pytest.approx(b.existence, abs=1e-12)
 
@@ -1028,7 +1059,7 @@ class TestLmbpStep:
                               settings=small_settings("exact"))
         out_bp = lmbp_step(state, frame, models, Thresholds(),
                            np.random.default_rng(42), settings=small_settings("bp"))
-        assert out_exact.labels() == out_bp.labels()
+        assert out_exact.block.labels == out_bp.block.labels
         for a, b in zip(out_exact.tracks, out_bp.tracks):
             assert a.existence == pytest.approx(b.existence, abs=1e-9)
 
@@ -1123,7 +1154,7 @@ def test_adversarial_frames_keep_the_state_invariants(frames, seed):
             new = lmbp_step(state, frame, models, Thresholds(), rng, prev_frame=prev,
                             settings=settings_)
             assert state_problems(state, frame, new) == []
-            born = [lab.index for lab in new.labels() if lab.birth_time == new.time]
+            born = [lab.index for lab in new.block.labels if lab.birth_time == new.time]
             assert all(index <= len(kept) for index in born)
             state, prev = new, frame
             write_snapshot(state, text := io.StringIO())
