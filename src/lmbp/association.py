@@ -493,6 +493,9 @@ def batch_bp_marginals(miss_beta: np.ndarray, betas: np.ndarray, new_beta: np.nd
     return Marginals(legacy[:L, :1 + M], claim[:M])
 
 
+# a row with no weight at all gives 0 / 0 and a huge ratio overflows; the
+# caller's `_check_marginals` reports the NaN of a cluster of numbers
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _bp_rounds(miss: np.ndarray, w: np.ndarray, transferred: np.ndarray,
                iterations: int) -> tuple[np.ndarray, np.ndarray]:
     """The rounds and beliefs of `batch_bp_marginals` over C padded clusters:

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rfs import FilterState, Label, pdf_mean
+from .rfs import FilterState, Label
 
 
 @dataclass(frozen=True)
@@ -20,8 +20,9 @@ class TrackEstimate:
 
 def detect_and_estimate(state: FilterState, gamma_d: float) -> list[TrackEstimate]:
     """Declare tracks with existence strictly above gamma_d and estimate their
-    states as the pdf mean (`pdf_mean`), row by row from the state's block.
-    Output is ordered by label; purely deterministic.
+    states as the pdf mean, `weights @ states`, row by row from the state's
+    block, whose pdfs the state's checks have found normalized. Output is
+    ordered by label; purely deterministic.
     """
     block = state.block
     rows = block.rows()
@@ -30,7 +31,7 @@ def detect_and_estimate(state: FilterState, gamma_d: float) -> list[TrackEstimat
     for i in sorted(range(len(block.labels)), key=block.labels.__getitem__):
         if existence[i] > gamma_d:
             states, weights = rows[i]
-            out.append(TrackEstimate(block.labels[i], pdf_mean(states, weights), existence[i]))
+            out.append(TrackEstimate(block.labels[i], weights @ states, existence[i]))
     return out
 
 

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-from operator import itemgetter
-
 import numpy as np
 
 from .models import MotionModel
@@ -26,11 +23,11 @@ def predict_tracks(block: TrackBlock, motion: MotionModel,
     Each existence probability is multiplied by the expected survival
     probability under its pdf; the pdf particles are reweighted by survival,
     renormalized, and advanced through the transition kernel. Labels never
-    change. A group takes one survival call, one product, one row sum and
-    one divide. A track whose survival mass vanishes is dropped and draws no
-    noise; the survivors keep their row order and draw theirs in it, one
-    transition per run of consecutive rows in one group: a block whose
-    survivors are one group draws all its noise in one `rng.normal` call.
+    change. A group takes one survival call, one product, one row sum, one
+    divide and one transition: its survivors draw their noise in one
+    `rng.normal` call, group after group in block order. A track whose
+    survival mass vanishes is dropped and draws no noise; the survivors
+    keep their row order.
     """
     totals = np.zeros(len(block.labels))
     groups = []
@@ -43,21 +40,12 @@ def predict_tracks(block: TrackBlock, motion: MotionModel,
         if len(rows):
             weights /= mass[:, None]
             totals[rows] = mass
-            groups.append((rows, states, weights))
-    # the survivors in row order, as (row, group, position in the group)
-    order = sorted((row, g, at) for g, (rows, _, _) in enumerate(groups)
-                   for at, row in enumerate(rows.tolist()))
-    moved: list[list[np.ndarray]] = [[] for _ in groups]
-    for g, run in itertools.groupby(order, key=itemgetter(1)):
-        run = list(run)
-        at = run[0][2]
-        moved[g].append(motion.transition_sample(groups[g][1][at:at + len(run)], rng))
-    survivors = [row for row, _, _ in order]
-    renumber = np.cumsum(totals > 0.0) - 1
-    return TrackBlock(tuple(block.labels[i] for i in survivors),
-                      np.minimum(block.existence[survivors] * totals[survivors], 1.0),
-                      tuple((renumber[rows], parts[0] if len(parts) == 1 else np.concatenate(parts),
-                             weights) for (rows, _, weights), parts in zip(groups, moved)))
+            groups.append((rows, motion.transition_sample(states, rng), weights))
+    alive = totals > 0.0
+    renumber = np.cumsum(alive) - 1
+    return TrackBlock(tuple(label for label, kept in zip(block.labels, alive) if kept),
+                      np.minimum(block.existence[alive] * totals[alive], 1.0),
+                      tuple((renumber[rows], states, weights) for rows, states, weights in groups))
 
 
 def predict_track(track: BernoulliTrack, motion: MotionModel,

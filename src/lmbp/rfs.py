@@ -133,14 +133,6 @@ def resample_rows(rows: Sequence[np.ndarray], count: int,
     return out
 
 
-def pdf_mean(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """First moment of the particle pdf (states, weights); ValueError unless
-    the weights sum to 1 within `PDF_TOL`."""
-    if not abs(float(weights.sum()) - 1.0) <= PDF_TOL:
-        raise ValueError("particle set is not a normalized pdf")
-    return weights @ states
-
-
 def _checked_existence(existence: Sequence[float], totals: Sequence[float],
                        count: int) -> list[float]:
     """The existence of tracks of `count` particles each, capped at 1, after

@@ -765,6 +765,7 @@ class TestExactMarginals:
         assert with_transfers >= 50
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # as `_bp_rounds` runs
 def fixed_iteration_bp(cluster, iterations):
     """Reference for `bp_marginals`: every one of `iterations` rounds run,
     with no exit at a fixed point, and every belief built label by label.

@@ -14,7 +14,6 @@ from lmbp.rfs import (
     ParticleSet,
     PoissonPhd,
     TrackBlock,
-    pdf_mean,
     read_snapshot,
     resample,
     resample_rows,
@@ -192,13 +191,19 @@ class TestResampleRows:
 
 
 class TestWeightedMean:
+    @staticmethod
+    def mean(states, weights):
+        # the estimate of a one-track state: its pdf's first moment
+        track = BernoulliTrack(Label(1, 1), 1.0, make_pset(states, weights))
+        [estimate] = detect_and_estimate(FilterState([track], PoissonPhd.empty(), 1), 0.5)
+        return estimate.state
+
     def test_single_particle_identity(self):
-        pset = make_pset([[1, 2, 0, 0]], [1.0])
-        np.testing.assert_array_equal(pdf_mean(pset.states, pset.weights), [1, 2, 0, 0])
+        np.testing.assert_array_equal(self.mean([[1, 2, 0, 0]], [1.0]), [1, 2, 0, 0])
 
     def test_symmetric_pair(self):
-        pset = make_pset([[0, 0, 0, 0], [2, 2, 0, 0]], [0.5, 0.5])
-        np.testing.assert_allclose(pdf_mean(pset.states, pset.weights), [1, 1, 0, 0])
+        np.testing.assert_allclose(self.mean([[0, 0, 0, 0], [2, 2, 0, 0]], [0.5, 0.5]),
+                                   [1, 1, 0, 0])
 
     def test_monte_carlo_clt_bound(self):
         # oracle: CLT, 4 sigma / sqrt(n) per component
@@ -207,14 +212,8 @@ class TestWeightedMean:
         sigma = 1.5
         n = 1000
         samples = rng.normal(mean, sigma, size=(n, 4))
-        pset = make_pset(samples, np.full(n, 1.0 / n))
-        err = np.abs(pdf_mean(pset.states, pset.weights) - mean)
+        err = np.abs(self.mean(samples, np.full(n, 1.0 / n)) - mean)
         assert np.all(err <= 4.0 * sigma / np.sqrt(n))
-
-    def test_rejects_unnormalized(self):
-        pset = make_pset([[0, 0, 0, 0]], [0.5])
-        with pytest.raises(ValueError):
-            pdf_mean(pset.states, pset.weights)
 
 
 class TestTrackAndState:
@@ -334,7 +333,7 @@ class TestBlockState:
         estimates = detect_and_estimate(from_block, 0.2)
         assert [e.label for e in estimates] == [t.label for t in declared]
         for est, track in zip(estimates, declared):
-            assert np.array_equal(est.state, pdf_mean(track.pdf.states, track.pdf.weights))
+            assert np.array_equal(est.state, track.pdf.weights @ track.pdf.states)
             assert est.existence == track.existence
 
 

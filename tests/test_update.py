@@ -512,7 +512,7 @@ class TestLmbpStep:
         # marginal is 0 / 0 and enumeration finds no weight, and both modes raise
         track = BernoulliTrack(Label(1, 1), 1.0, pdf_at(10.0, n=8))
         state = FilterState((track,), PoissonPhd.empty(), 1)
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        with pytest.raises(ValueError):
             lmbp_step(state, [], micro_models(pd_const=1.0, p_survival=1.0), Thresholds(),
                       np.random.default_rng(0), settings=small_settings(marginals))
 
