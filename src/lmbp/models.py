@@ -96,13 +96,13 @@ class MotionModel:
 
     def transition_sample(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Advance states (..., 4) one step through the noisy transition kernel.
-        The noise is one `rng.normal` draw over the states in C order, so a
-        stack of sets draws what one call per set, in order, would."""
+        The noise is one `rng.standard_normal` draw over the states in C order,
+        so a stack of sets draws what one call per set, in order, would."""
         states = np.asarray(states, dtype=float)
         flat = states.reshape(-1, STATE_DIM)
         out = flat @ self.A_T
         if self.sigma_u > 0:
-            out += rng.normal(0.0, self.sigma_u, (len(flat), 2)) @ self.W_T
+            out += self.sigma_u * rng.standard_normal((len(flat), 2)) @ self.W_T
         return out.reshape(states.shape)
 
 
@@ -401,15 +401,15 @@ class BirthModel:
         if seeds:
             zr, zb = np.array(list(zip(*seeds)), dtype=float)
             pick = rng.integers(0, len(seeds), n)
-            r = zr[pick] + rng.normal(0.0, sensor.sigma_range, n)
-            b = zb[pick] + rng.normal(0.0, sensor.sigma_bearing, n)
+            r = zr[pick] + sensor.sigma_range * rng.standard_normal(n)
+            b = zb[pick] + sensor.sigma_bearing * rng.standard_normal(n)
             states[:, 0] = sensor.position[0] + r * np.cos(b)
             states[:, 1] = sensor.position[1] + r * np.sin(b)
-            states[:, 2:] = rng.normal(0.0, self.velocity_sigma, (n, 2))
+            states[:, 2:] = self.velocity_sigma * rng.standard_normal((n, 2))
             states = motion.transition_sample(states, rng)
         else:
             states[:, :2] = uniform_disk_positions(sensor.position, sensor.max_range, n, rng)
-            states[:, 2:] = rng.normal(0.0, self.velocity_sigma, (n, 2))
+            states[:, 2:] = self.velocity_sigma * rng.standard_normal((n, 2))
         weights = np.full(n, self.mean_births / n)
         return PoissonPhd(ParticleSet(states, weights))
 

@@ -119,14 +119,14 @@ class TestPredictTracks:
 
     def test_one_group_draws_its_noise_in_one_call(self):
         # a dead row inside the one group: the survivors still draw in one
-        # `normal` call, the bits of one call per track
+        # `standard_normal` call, the bits of one call per track
         class CountingRng:
             def __init__(self, seed):
                 self.rng, self.calls = np.random.default_rng(seed), 0
 
-            def normal(self, *args):
+            def standard_normal(self, *args):
                 self.calls += 1
-                return self.rng.normal(*args)
+                return self.rng.standard_normal(*args)
 
         rng = np.random.default_rng(22)
         tracks = []
