@@ -9,11 +9,10 @@ pairs row i with `frame[j]`, and row i of `Marginals.legacy` holds its miss at
 entry 0 and its detection of `frame[j]` at entry 1 + j, on every path.
 
 `partition` groups the plausible pairs into clusters once, as `(rows, cols)`
-index arrays into the step's tables, and both marginal paths take those
-tables and that list and return one `Marginals` in one layout:
-`batch_bp_marginals` runs BP on every cluster at once, and `exact_marginals`
-enumerates the clusters within its limits and hands the rest to one batch.
-Each path runs `_check_marginals` once on what it computed.
+index arrays into the step's tables. `exact_marginals` takes those tables
+and that list and returns one `Marginals`: it enumerates the cyclic clusters
+within its limits and hands the rest to `batch_bp_marginals`, which runs BP
+on them at once. Each checks what it computed with `_check_marginals`.
 """
 
 from __future__ import annotations
@@ -368,37 +367,47 @@ EXACT_SIZE_LIMIT = 1e5
 def exact_marginals(miss_beta: np.ndarray, betas: np.ndarray, new_beta: np.ndarray,
                     transferred: np.ndarray, clusters: Sequence[tuple[np.ndarray, np.ndarray]],
                     iterations: int = 20) -> Marginals:
-    """Marginal association probabilities of every cluster of a list, from the
-    same tables and `(rows, cols)` list as `batch_bp_marginals` and in the
-    same (L, 1 + M) layout: an enumerated entry 1 + k lands in column
-    1 + cols[k].
+    """The step's one marginal call: `batch_bp_marginals`' tables, list and
+    layout, an enumerated entry 1 + k landing in column 1 + cols[k].
 
-    A cluster of at most `EXACT_DEGREE_LIMIT` label-measurement pairs, at
-    most `EXACT_SIZE_LIMIT` vectors by the bound (M + 1)^L 2^T with T its
-    transfers, and finite weights is enumerated, each marginal accumulated
-    in enumeration order. Every other cluster goes through one
-    `batch_bp_marginals` call, so a cluster with a non-finite weight gets
-    the marginals BP mode gives it.
+    BP is exact on an acyclic cluster, so a cluster is enumerated only if it
+    is connected with a cycle: its edges, the nonzero entries of `betas` in
+    it that BP reads (joined deferred pairs too; a transfer label closes no
+    cycle), number at least its rows plus its columns. It must also have at
+    most `EXACT_DEGREE_LIMIT` pairs, at most `EXACT_SIZE_LIMIT` vectors by the
+    bound (M + 1)^L 2^T with T its transfers, and finite weights; marginals
+    add up in enumeration order. The rest go through one `batch_bp_marginals`.
     """
+    # rows and columns named by their cluster's place in the list, the others
+    # by names no entry matches, give the edges of every cluster at once
+    shape = np.array([list(map(len, cluster)) for cluster in clusters], np.intp).reshape(-1, 2)
+    row_of, col_of = np.full(len(miss_beta), -1), np.full(len(new_beta), -2)
+    for part, name_of in enumerate((row_of, col_of)):
+        members = np.concatenate([np.empty(0, np.intp)] + [cluster[part] for cluster in clusters])
+        name_of[members] = np.repeat(np.arange(len(clusters)), shape[:, part])
+    at, to = np.nonzero(betas)
+    edges = np.bincount(row_of[at][row_of[at] == col_of[to]], minlength=len(clusters))
+    # an empty cluster has no cycle
+    cyclic = ((edges >= np.maximum(shape.sum(axis=1), 1))
+              & (shape.prod(axis=1) <= EXACT_DEGREE_LIMIT)).tolist()
     enumerated, batched = [], []
-    for rows, cols in clusters:
-        tables = (miss_beta[rows], betas[np.ix_(rows, cols)], new_beta[cols], transferred[cols])
-        if (len(rows) * len(cols) <= EXACT_DEGREE_LIMIT
-                and (len(cols) + 1) ** len(rows) * 2 ** int(tables[3].sum()) <= EXACT_SIZE_LIMIT
-                and all(np.isfinite(table).all() for table in tables[:3])):
+    for (rows, cols), enumerable in zip(clusters, cyclic):
+        if enumerable:
+            tables = (miss_beta[rows], betas[np.ix_(rows, cols)], new_beta[cols], transferred[cols])
+            size = (len(cols) + 1) ** len(rows) * 2 ** int(tables[3].sum())
+            enumerable = size <= EXACT_SIZE_LIMIT and all(np.isfinite(t).all() for t in tables[:3])
+        if enumerable:
             enumerated.append((rows, cols, tables))
         else:
             batched.append((rows, cols))
     legacy, claim = batch_bp_marginals(miss_beta, betas, new_beta, transferred, batched,
                                        iterations)
-    done_rows, done_cols = np.zeros(len(legacy), dtype=bool), np.zeros(len(claim), dtype=bool)
     for rows, cols, tables in enumerated:
         entries, claims, weights = enumerate_admissible(*tables)
         np.add.at(legacy, (rows, np.append(0, 1 + cols)[entries]), weights[:, None])
         vector, meas = np.nonzero(claims)
         np.add.at(claim, cols[meas], weights[vector])
-        done_rows[rows], done_cols[cols] = True, True
-    _check_marginals(legacy[done_rows], claim[done_cols])
+        _check_marginals(legacy[rows], claim[cols])
     return Marginals(legacy, claim)
 
 

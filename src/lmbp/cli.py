@@ -148,15 +148,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     runp.add_argument("--seed", type=int, help="override run.seed")
     runp.add_argument("--runs", type=int, help="override run.mc_runs")
     runp.add_argument("--out", help="override run.out_dir")
-    runp.add_argument("--marginals", choices=("exact", "bp"),
-                      help="override filter.marginals")
     runp.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = parser.parse_args(argv)
 
     try:
         values = parse_config_text(Path(args.config).read_text())
-        flags = {"run.seed": args.seed, "run.mc_runs": args.runs, "run.out_dir": args.out,
-                 "filter.marginals": args.marginals}
+        flags = {"run.seed": args.seed, "run.mc_runs": args.runs, "run.out_dir": args.out}
         values.update({key: str(value) for key, value in flags.items() if value is not None})
         config = build_run_config(values)
     except (ConfigError, OSError) as exc:

@@ -25,9 +25,9 @@ def predict_tracks(block: TrackBlock, motion: MotionModel,
     renormalized, and advanced through the transition kernel. Labels never
     change. A group takes one survival call, one product, one row sum, one
     divide and one transition: its survivors draw their noise in one
-    `rng.normal` call, group after group in block order. A track whose
-    survival mass vanishes is dropped and draws no noise; the survivors
-    keep their row order.
+    `rng.standard_normal` call, group after group in block order. A track
+    whose survival mass vanishes is dropped and draws no noise; the
+    survivors keep their row order.
     """
     totals = np.zeros(len(block.labels))
     groups = []

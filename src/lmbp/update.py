@@ -13,7 +13,6 @@ from .association import (
     Cells,
     Hypothesis,
     TrackGroup,
-    batch_bp_marginals,
     exact_marginals,
     new_components,
     partition,
@@ -57,16 +56,13 @@ class Thresholds:
 
 @dataclass(frozen=True)
 class FilterSettings:
-    """Particle budgets and marginalization configuration."""
+    """Particle budgets and the BP round limit of `exact_marginals`' batch."""
 
     track_particles: int = 1000
     phd_particles: int = 5000
     bp_iterations: int = 20
-    marginals: str = "bp"          # "bp" or "exact" (exact falls back on big clusters)
 
     def __post_init__(self):
-        if self.marginals not in ("bp", "exact"):
-            raise ValueError("marginals must be 'bp' or 'exact'")
         if self.bp_iterations < 1:
             raise ValueError("bp_iterations must be >= 1")
         for name in ("track_particles", "phd_particles"):
@@ -275,8 +271,8 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
     frame. Only the rows of residual measurements that are not transferred
     return to the intensity. The tracks are one `TrackBlock` from step to
     step, which `predict_tracks`, `track_evidence` and `legacy_mixture` take
-    group by group; one call (`batch_bp_marginals`, or `exact_marginals` in
-    exact mode) gives every cluster's marginals, and one `resample_rows`
+    group by group; one `exact_marginals` call gives every cluster's
+    marginals, BP's or, where BP is not exact, enumerated. One `resample_rows`
     pass draws every resampled track, per cluster its legacy rows then its
     transfers and then the residual transfers, each kept row into its slot
     of the next block; no `BernoulliTrack` is built. Estimation is separate
@@ -310,9 +306,8 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
 
     # the updated tracks in the order their uniforms are drawn: per cluster,
     # its rows and then its transfers
-    marginals = exact_marginals if settings.marginals == "exact" else batch_bp_marginals
-    legacy, claim = marginals(evidence.miss_beta, evidence.betas, new_beta, transferred,
-                              clusters, settings.bp_iterations)
+    legacy, claim = exact_marginals(evidence.miss_beta, evidence.betas, new_beta, transferred,
+                                    clusters, settings.bp_iterations)
     by_row: list = [None] * len(block.labels)
     for (_, states, _), group in zip(block.groups, evidence.groups):
         r, mixture = legacy_mixture(group, legacy)

@@ -2,6 +2,7 @@
 hypothesis pdfs, the closed-form and dense likelihood references and the dense intensity-update
 references."""
 
+import itertools
 from collections import Counter
 from typing import NamedTuple
 
@@ -9,6 +10,7 @@ import numpy as np
 
 import lmbp.association
 import lmbp.update
+from lmbp.association import Marginals
 from lmbp.models import SensorModel, wrap_angle
 from lmbp.rfs import ParticleSet
 
@@ -95,6 +97,31 @@ def random_cluster(rng, max_legacy=4, max_transfer=2, max_meas=4,
     if n_transfer:
         transferred[rng.choice(n_meas, size=n_transfer, replace=False)] = True
     return ClusterTables(draw(n_legacy), draw((n_legacy, n_meas)), draw(n_meas), transferred)
+
+
+def brute_force_marginals(cluster):
+    """Independent enumeration oracle for every marginal path: every vector of
+    legacy entries in {0..M} and transfer entries in {0, 1}, kept when its
+    measurements are distinct, weighted by plain products of the beta factors."""
+    L, M = cluster.det_beta.shape
+    transfers = np.flatnonzero(cluster.transferred).tolist()
+    legacy, claim, total = np.zeros((L, 1 + M)), np.zeros(M), 0.0
+    for entries in itertools.product(range(M + 1), repeat=L):
+        for bits in itertools.product((0, 1), repeat=len(transfers)):
+            by_legacy = [m - 1 for m in entries if m > 0]
+            by_transfer = [j for j, bit in zip(transfers, bits) if bit]
+            if len(set(by_legacy + by_transfer)) != len(by_legacy + by_transfer):
+                continue
+            weight = 1.0
+            for i, m in enumerate(entries):
+                weight *= cluster.miss_beta[i] if m == 0 else cluster.det_beta[i, m - 1]
+            for j in range(M):
+                if j not in by_legacy:   # claimed by its transfer or by nothing
+                    weight *= cluster.new_beta[j]
+            legacy[np.arange(L), entries] += weight
+            claim[by_transfer] += weight
+            total += weight
+    return Marginals(legacy / total, claim / total)
 
 
 def max_label_tv(exact, approx):

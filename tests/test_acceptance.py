@@ -17,7 +17,6 @@ from lmbp.association import (
     Hypothesis,
     bp_marginals,
     detection_hypotheses,
-    exact_marginals,
     miss_hypothesis,
     new_components,
 )
@@ -52,12 +51,12 @@ from lmbp.update import (
 from helpers import (
     ClusterTables,
     StubSensor,
+    brute_force_marginals,
     cells_of,
     max_label_tv,
     partition_of,
     pdf_of,
     random_cluster,
-    whole,
 )
 from test_association import cc_oracle
 from test_update import ConstantPdSensor
@@ -92,7 +91,7 @@ def test_criterion_1_bp_tvd_bound():
     started = time.perf_counter()
     for _ in range(instances):
         cluster = random_cluster(rng)
-        tv = max_label_tv(exact_marginals(*cluster, whole(cluster)), bp_marginals(*cluster, 20))
+        tv = max_label_tv(brute_force_marginals(cluster), bp_marginals(*cluster, 20))
         if tv > 0.05:
             bad += 1
     elapsed = time.perf_counter() - started
@@ -125,7 +124,7 @@ def test_criterion_1_acyclic_exactness():
     worst = 0.0
     for _ in range(1000):
         cluster = random_acyclic_cluster(rng)
-        worst = max(worst, max_label_tv(exact_marginals(*cluster, whole(cluster)),
+        worst = max(worst, max_label_tv(brute_force_marginals(cluster),
                                         bp_marginals(*cluster, 20)))
     ok = worst <= 1e-9
     verdict("1 (BP exact on acyclic clusters)", ok, f"worst TV {worst:.2e}")
@@ -137,7 +136,7 @@ def test_criterion_1_runtime():
     started = time.perf_counter()
     for _ in range(1000):
         cluster = random_cluster(rng)
-        exact_marginals(*cluster, whole(cluster))
+        brute_force_marginals(cluster)
         bp_marginals(*cluster, 20)
     elapsed = time.perf_counter() - started
     ok = elapsed < 10.0
@@ -192,7 +191,7 @@ def test_criterion_2_conservation():
 
     for _ in range(500):
         cluster = random_cluster(rng)
-        for marg in (exact_marginals(*cluster, whole(cluster)), bp_marginals(*cluster, 20)):
+        for marg in (brute_force_marginals(cluster), bp_marginals(*cluster, 20)):
             worst_pmf = max(worst_pmf, np.abs(marg.legacy.sum(axis=1) - 1.0).max(initial=0.0),
                             -marg.claim.min(initial=0.0), marg.claim.max(initial=1.0) - 1.0)
         n = int(rng.integers(1, 40))

@@ -1,4 +1,3 @@
-import itertools
 import warnings
 from collections import Counter
 
@@ -30,6 +29,7 @@ from lmbp.rfs import BernoulliTrack, Label, Measurement, ParticleSet, PoissonPhd
 from helpers import (
     ClusterTables,
     StubSensor,
+    brute_force_marginals,
     count_joined_rows,
     dense_likelihood_table,
     max_label_tv,
@@ -704,31 +704,6 @@ class TestEnumerateAdmissible:
         assert all(np.isfinite(w) for w in weights)
 
 
-def brute_force_marginals(cluster):
-    """Independent oracle for `exact_marginals`: every vector of legacy entries
-    in {0..M} and transfer entries in {0, 1}, kept when its measurements are
-    distinct, weighted by plain products of the beta factors."""
-    L, M = cluster.det_beta.shape
-    transfers = np.flatnonzero(cluster.transferred).tolist()
-    legacy, claim, total = np.zeros((L, 1 + M)), np.zeros(M), 0.0
-    for entries in itertools.product(range(M + 1), repeat=L):
-        for bits in itertools.product((0, 1), repeat=len(transfers)):
-            by_legacy = [m - 1 for m in entries if m > 0]
-            by_transfer = [j for j, bit in zip(transfers, bits) if bit]
-            if len(set(by_legacy + by_transfer)) != len(by_legacy + by_transfer):
-                continue
-            weight = 1.0
-            for i, m in enumerate(entries):
-                weight *= cluster.miss_beta[i] if m == 0 else cluster.det_beta[i, m - 1]
-            for j in range(M):
-                if j not in by_legacy:   # claimed by its transfer or by nothing
-                    weight *= cluster.new_beta[j]
-            legacy[np.arange(L), entries] += weight
-            claim[by_transfer] += weight
-            total += weight
-    return legacy / total, claim / total
-
-
 class TestExactMarginals:
     def test_balanced_pair(self):
         # beta(l,0) beta(m1) == beta(l,m1) makes both hypotheses equal
@@ -763,6 +738,42 @@ class TestExactMarginals:
             np.testing.assert_allclose(marg.legacy, legacy, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(marg.claim, claim, rtol=0.0, atol=1e-12)
         assert with_transfers >= 50
+
+    @pytest.mark.parametrize("cluster, enumerated", [
+        # 2 x 2, all four weights nonzero: the one cycle of two tracks and two measurements
+        (ClusterTables(np.array([0.4, 0.7]), np.array([[2.0, 0.5], [1.0, 3.0]]),
+                       np.array([0.3, 0.8]), np.array([True, False])), True),
+        # a tree: three measurements hang off one track, and a zero weight breaks
+        # the cycle the second track would close
+        (ClusterTables(np.array([0.4, 0.7]), np.array([[2.0, 0.5, 1.5], [0.0, 3.0, 0.0]]),
+                       np.array([0.3, 0.8, 0.2]), np.array([True, False, True])), False),
+        # cyclic, but 5 x 5 is over the pair limit and 10 x 2 with two
+        # transfers over the vector limit (3^10 2^2)
+        (ClusterTables(np.full(5, 0.5), np.full((5, 5), 2.0), np.full(5, 0.3),
+                       np.zeros(5, dtype=bool)), False),
+        (ClusterTables(np.full(10, 0.5), np.full((10, 2), 2.0), np.full(2, 0.3),
+                       np.ones(2, dtype=bool)), False),
+        # rows and no columns
+        (ClusterTables(np.array([0.4, 0.7]), np.empty((2, 0)), np.empty(0),
+                       np.empty(0, dtype=bool)), False),
+        # cyclic with an infinite weight: inf / inf gives BP NaN marginals,
+        # passed on unchecked as the batch gives them
+        (ClusterTables(np.array([0.4, 0.7]), np.array([[np.inf, 0.5], [1.0, 3.0]]),
+                       np.array([np.inf, 0.8]), np.zeros(2, dtype=bool)), False),
+    ])
+    def test_enumerates_only_cyclic_clusters_within_the_limits(self, cluster, enumerated,
+                                                               monkeypatch):
+        calls = []
+        real = lmbp.association.enumerate_admissible
+        monkeypatch.setattr(lmbp.association, "enumerate_admissible",
+                            lambda *tables: calls.append(1) or real(*tables))
+        with np.errstate(invalid="ignore"):
+            got = exact_marginals(*cluster, whole(cluster))
+            want = (enumerated_marginals(cluster) if enumerated
+                    else batch_bp_marginals(*cluster, whole(cluster), 20))
+        assert len(calls) == enumerated
+        assert np.array_equal(got.legacy, want.legacy, equal_nan=True)
+        assert np.array_equal(got.claim, want.claim, equal_nan=True)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # as `_bp_rounds` runs
@@ -822,7 +833,7 @@ class TestBpMarginals:
         rng = np.random.default_rng(6)
         for _ in range(100):
             cluster = random_cluster(rng, max_legacy=1, max_transfer=0)
-            assert max_label_tv(exact_marginals(*cluster, whole(cluster)),
+            assert max_label_tv(brute_force_marginals(cluster),
                                 bp_marginals(*cluster, 20)) <= 1e-9
 
     def test_single_transfer_cluster_is_exact(self):
@@ -833,14 +844,14 @@ class TestBpMarginals:
         # two labels with disjoint plausible sets: zero cross entries
         cluster = ClusterTables(np.array([0.3, 0.9]), np.array([[2.0, 0.0], [0.0, 5.0]]),
                                 np.array([1.0, 0.4]), np.zeros(2, dtype=bool))
-        assert max_label_tv(exact_marginals(*cluster, whole(cluster)),
+        assert max_label_tv(brute_force_marginals(cluster),
                             bp_marginals(*cluster, 20)) <= 1e-9
 
     def test_star_with_transfer_is_exact(self):
         # one measurement shared by a legacy and a transfer label: still a tree
         cluster = ClusterTables(np.array([0.4]), np.array([[3.0]]), np.array([0.7]),
                                 np.array([True]))
-        assert max_label_tv(exact_marginals(*cluster, whole(cluster)),
+        assert max_label_tv(brute_force_marginals(cluster),
                             bp_marginals(*cluster, 20)) <= 1e-9
 
     def test_loopy_accuracy_sanity(self):
@@ -849,7 +860,7 @@ class TestBpMarginals:
         close = 0
         for _ in range(200):
             cluster = random_cluster(rng)
-            if max_label_tv(exact_marginals(*cluster, whole(cluster)),
+            if max_label_tv(brute_force_marginals(cluster),
                             bp_marginals(*cluster, 20)) <= 0.05:
                 close += 1
         assert close >= 180
@@ -944,10 +955,18 @@ def placed_in_tables(clusters, random):
 
 
 def within_exact_limits(cluster):
-    """Whether `exact_marginals` enumerates a cluster of finite weights."""
+    """Whether a cluster lies within the enumeration limits of `exact_marginals`."""
     L, M = cluster.det_beta.shape
     return (L * M <= EXACT_DEGREE_LIMIT
             and (M + 1) ** L * 2 ** int(cluster.transferred.sum()) <= EXACT_SIZE_LIMIT)
+
+
+def enumerated_by_exact_marginals(cluster):
+    """Whether `exact_marginals` enumerates a cluster of finite weights: one
+    within the limits whose nonzero detection weights number at least one
+    and at least its rows plus its columns (a cycle, if it is connected)."""
+    L, M = cluster.det_beta.shape
+    return np.count_nonzero(cluster.det_beta) >= max(L + M, 1) and within_exact_limits(cluster)
 
 
 def enumerated_marginals(cluster):
@@ -977,7 +996,7 @@ class TestBatchBpMarginals:
     @given(cluster_batches(), st.randoms(use_true_random=False))
     def test_equals_fixed_iterations_cluster_by_cluster(self, clusters, random):
         # the cluster list goes in as placed, shuffled, and as a random
-        # subset, as exact mode passes one. Every weight is a number, so a
+        # subset, as `exact_marginals` passes one. Every weight is a number, so a
         # NaN marginal is one that BP made, and a list with one raises
         tables, placed = placed_in_tables(clusters, random)
         (L, M), placed = tables[1].shape, [(fixed_iteration_bp(cluster, 20), rows, cols)
@@ -1001,14 +1020,14 @@ class TestBatchBpMarginals:
     @settings(max_examples=100, deadline=None)
     @given(cluster_batches(), st.randoms(use_true_random=False))
     def test_exact_marginals_share_the_layout(self, clusters, random):
-        # exact mode on a shuffled list: the clusters within the limits are
+        # a shuffled list: the cyclic clusters within the limits are
         # enumerated and the rest go through one batch, into the same arrays.
         # A cluster whose enumeration has no weight, or whose BP marginals are
         # NaN, makes the whole list raise, so the list is also run without them
         tables, placed = placed_in_tables(clusters, random)
         enumerated, batched, failing = [], [], []
         for cluster, rows, cols in random.sample(placed, len(placed)):
-            if within_exact_limits(cluster):
+            if enumerated_by_exact_marginals(cluster):
                 try:
                     enumerated.append((enumerated_marginals(cluster), rows, cols))
                 except ValueError:

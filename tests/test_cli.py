@@ -59,7 +59,7 @@ NON_DEFAULT = {
     "clutter.mean_count": "20",
     "birth.mean_births": "0.2", "birth.velocity_sigma": "0.25", "birth.particles": "600",
     "filter.track_particles": "300", "filter.phd_particles": "700", "filter.bp_iterations": "5",
-    "filter.marginals": "exact", "filter.initial_phd_mass": "0.5",
+    "filter.initial_phd_mass": "0.5",
     "thresholds.gamma_c": "1e-6", "thresholds.gamma_tr": "0.05", "thresholds.gamma_leg": "0.2",
     "thresholds.gamma_d": "0.6",
     "ospa.cutoff": "10", "ospa.order": "1",
@@ -117,6 +117,9 @@ class TestConfigParsing:
     def test_unknown_field_named(self):
         with pytest.raises(ConfigError, match="scenario.objects"):
             build_run_config({"scenario.objects": "3"})
+        # the retired marginal mode: every step enumerates where BP is not exact
+        with pytest.raises(ConfigError, match="filter.marginals"):
+            build_run_config({"filter.marginals": "bp"})
 
     def test_bad_value_names_field(self):
         with pytest.raises(ConfigError, match="run.mc_runs"):
@@ -258,11 +261,10 @@ class TestMain:
         path = write_config(tmp_path, TINY)
         out = tmp_path / "flagged"
         assert main(["run", str(path), "--out", str(out), "--runs", "2",
-                     "--seed", "9", "--marginals", "exact", "--quiet"]) == 0
+                     "--seed", "9", "--quiet"]) == 0
         assert (out / "estimates_r001.csv").exists()
         summary = (out / "summary.txt").read_text()
         assert "run.seed = 9" in summary
-        assert "filter.marginals = exact" in summary
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

@@ -1,14 +1,13 @@
-"""Golden trace: two small Monte-Carlo runs reproduce committed CSVs byte for byte.
+"""Golden trace: a small Monte-Carlo run reproduces committed CSVs byte for byte.
 
 The fixture under `tests/golden/` holds `mospa.csv` and `estimates_r*.csv` of
-one scenario filtered with BP marginals and with exact marginals. The scenario
-is chosen so that every association path runs: transfers inside clusters,
-transfers of residual measurements, deferred track evidence evaluated inside
-a cluster, exact enumeration, and the exact mode's fallback to BP on
-clusters beyond its enumeration limits. The test checks that
-these paths ran, so a fixture that stops exercising them fails loudly. The
-bytes were produced with numpy 2.4 on x86-64; another numpy or platform may
-round differently.
+one scenario. The scenario is chosen so that every association path runs:
+transfers inside clusters, transfers of residual measurements, deferred
+track evidence evaluated inside a cluster, the enumeration of cyclic
+clusters and the BP batch of the rest. The test checks that these paths
+ran, so a fixture that stops exercising them fails loudly. The bytes were
+produced with numpy 2.4 on x86-64; another numpy or platform may round
+differently.
 
 The golden scenario's 5 degree bearing sigma never takes the sensor's
 windowed (grid) path, so `test_benchmark_workload_digests` also pins the
@@ -41,8 +40,8 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # leading hex digits of the estimates and mospa digests, per workload
 WORKLOAD_DIGESTS = {
-    "desk": ("1f4a091f21b0a0b5", "3c0253064a33d1ea"),
-    "dense": ("6d0b8897415471ab", "b37fd2b41e693936"),
+    "desk": ("2698aa637ff81182", "539ce12cef08f453"),
+    "dense": ("db90060059787ae3", "3c1acac0ad4d4726"),
 }
 
 SCENARIO = {
@@ -62,16 +61,15 @@ SCENARIO = {
 }
 
 
-def run_case(marginals: str, out_dir: Path) -> list[str]:
-    config = build_run_config({**SCENARIO, "filter.marginals": marginals,
-                               "run.out_dir": str(out_dir)})
+def run_case(out_dir: Path) -> list[str]:
+    config = build_run_config({**SCENARIO, "run.out_dir": str(out_dir)})
     run_experiment(config, quiet=True)
     return ["mospa.csv"] + [f"estimates_r{r:03d}.csv" for r in range(config.mc_runs)]
 
 
 def count_paths(monkeypatch) -> Counter:
     """Count the association paths `lmbp_step` takes, from the names it and
-    `exact_marginals` call."""
+    its `exact_marginals` call."""
     counts: Counter = Counter()
     residual: set[int] = set()
     partition = lmbp.update.partition
@@ -93,37 +91,30 @@ def count_paths(monkeypatch) -> Counter:
         return result
 
     def enumerate_spy(*args, **kwargs):
-        counts["exact"] += 1   # one enumerated cluster
+        counts["enumerated"] += 1   # one enumerated cluster
         return enumerate_admissible(*args, **kwargs)
 
     def bp_spy(miss_beta, betas, new_beta, transferred, clusters, *args):
-        counts["bp"] += len(clusters)   # the clusters the batch marginalizes
+        counts["batched"] += len(clusters)   # the clusters the batch marginalizes
         return batch_bp_marginals(miss_beta, betas, new_beta, transferred, clusters, *args)
 
     monkeypatch.setattr(lmbp.update, "partition", partition_spy)
     monkeypatch.setattr(lmbp.update, "select_transfers", select_transfers_spy)
     monkeypatch.setattr(lmbp.association, "enumerate_admissible", enumerate_spy)
-    # the step calls the batch in BP mode and `exact_marginals` in exact mode
-    monkeypatch.setattr(lmbp.update, "batch_bp_marginals", bp_spy)
     monkeypatch.setattr(lmbp.association, "batch_bp_marginals", bp_spy)
     count_joined_rows(monkeypatch, counts)
     return counts
 
 
-@pytest.mark.parametrize("marginals", ["bp", "exact"])
-def test_golden_trace(marginals, tmp_path, monkeypatch):
+def test_golden_trace(tmp_path, monkeypatch):
     counts = count_paths(monkeypatch)
-    names = run_case(marginals, tmp_path)
+    names = run_case(tmp_path)
     assert counts["cluster transfers"] > 0 and counts["residual transfers"] > 0
-    assert counts["bp"] > 0
+    assert counts["enumerated"] > 0 and counts["batched"] > 0
     assert counts["deferred evaluated"] > 0   # gated pairs that joined a cluster
-    if marginals == "exact":
-        assert counts["exact"] > 0   # enumeration below the limits, BP above
-    else:
-        assert counts["exact"] == 0
     for name in names:
-        expected = (GOLDEN / marginals / name).read_bytes()
-        assert (tmp_path / name).read_bytes() == expected, f"{marginals}/{name} differs"
+        expected = (GOLDEN / name).read_bytes()
+        assert (tmp_path / name).read_bytes() == expected, f"{name} differs"
 
 
 def workload_digests(workload: str, out_dir: Path) -> tuple[str, str]:
@@ -145,13 +136,11 @@ def test_benchmark_workload_digests(workload, tmp_path, monkeypatch):
 
 
 if __name__ == "__main__":
-    for case in ("bp", "exact"):
-        out = GOLDEN / case
-        written = run_case(case, out)
-        for path in out.iterdir():
-            if path.name not in written:
-                path.unlink()
-        print(f"wrote {len(written)} files to {out}", file=sys.stderr)
+    written = run_case(GOLDEN)
+    for path in GOLDEN.iterdir():
+        if path.name not in written:
+            path.unlink()
+    print(f"wrote {len(written)} files to {GOLDEN}", file=sys.stderr)
     sys.path.insert(0, str(PERFBENCH))
     print("WORKLOAD_DIGESTS = {")
     for workload in WORKLOAD_DIGESTS:

@@ -45,6 +45,7 @@ from lmbp.update import (
 )
 
 from helpers import (
+    ClusterTables,
     StubSensor,
     cells_of,
     count_joined_rows,
@@ -53,6 +54,7 @@ from helpers import (
     likelihood,
     row_sums,
 )
+from test_association import enumerated_marginals, within_exact_limits
 
 
 def pdf_at(x1, n=1, weight=None):
@@ -427,12 +429,11 @@ class TestSparseIntensityArithmetic:
         assert np.array_equal(
             weights[0], dense_phd_weights(phd, pd, beta[unclaimed], table[unclaimed]))
 
-    @pytest.mark.parametrize("marginals", ["bp", "exact"])
-    def test_claimed_rows_with_infinite_cells_are_dropped(self, marginals, monkeypatch):
+    def test_claimed_rows_with_infinite_cells_are_dropped(self, monkeypatch):
         # an infinite normalizer makes every cell inf, and the track claims both
         # measurements: their rows must not reach the intensity, where an
-        # infinite cell would make the weights non-finite. Both modes give
-        # the cluster of non-finite weights BP's NaN marginals, so r = 0
+        # infinite cell would make the weights non-finite. The cluster of
+        # non-finite weights gets BP's NaN marginals, so r = 0
         @dataclass(frozen=True)
         class InfiniteNorm(SensorModel):
             def _frame_terms(self, frame):
@@ -472,7 +473,7 @@ class TestSparseIntensityArithmetic:
         monkeypatch.setattr(lmbp.update, "update_phd", spy)
         with np.errstate(invalid="ignore", over="ignore"):
             out = lmbp_step(state, frame, models, Thresholds(), np.random.default_rng(0),
-                            settings=small_settings(marginals))
+                            settings=small_settings())
         [(beta, row)] = seen
         assert np.isinf(masses[0]).all()
         assert beta.size == 0 and row.size == 0
@@ -488,8 +489,8 @@ def micro_models(pd_const=0.5, p_survival=1.0, mean_births=0.0, mean_clutter=2.0
     return Models(motion, sensor, birth)
 
 
-def small_settings(marginals="bp"):
-    return FilterSettings(track_particles=64, phd_particles=128, marginals=marginals)
+def small_settings():
+    return FilterSettings(track_particles=64, phd_particles=128)
 
 
 class TestLmbpStep:
@@ -505,16 +506,15 @@ class TestLmbpStep:
         assert out.tracks[0].label == Label(1, 1)
         assert out.tracks[0].existence == pytest.approx(2 / 3, abs=1e-12)
 
-    @pytest.mark.parametrize("marginals", ["bp", "exact"])
-    def test_forced_detection_with_nothing_to_detect_raises(self, marginals):
+    def test_forced_detection_with_nothing_to_detect_raises(self):
         # r = 1 and pD = 1 with an empty frame: the miss weight is 0 and no
-        # measurement is left, so every association hypothesis weighs 0; BP's
-        # marginal is 0 / 0 and enumeration finds no weight, and both modes raise
+        # measurement is left, so every association hypothesis weighs 0; the
+        # cluster has no cycle, and BP's marginal is 0 / 0, which raises
         track = BernoulliTrack(Label(1, 1), 1.0, pdf_at(10.0, n=8))
         state = FilterState((track,), PoissonPhd.empty(), 1)
         with pytest.raises(ValueError):
             lmbp_step(state, [], micro_models(pd_const=1.0, p_survival=1.0), Thresholds(),
-                      np.random.default_rng(0), settings=small_settings(marginals))
+                      np.random.default_rng(0), settings=small_settings())
 
     def test_prediction_drops_dead_tracks_and_raises_on_faults(self):
         @dataclass(frozen=True)
@@ -630,7 +630,7 @@ class TestLmbpStep:
         # `update_legacy_track`'s on that row, bit for bit, and drawing the
         # rows one by one leaves a generator where the step's one pass does
         seen = {}
-        real_evidence, real_marginals = lmbp.update.track_evidence, lmbp.update.batch_bp_marginals
+        real_evidence, real_marginals = lmbp.update.track_evidence, lmbp.update.exact_marginals
         real_rows = lmbp.update.resample_rows
 
         def evidence_spy(block, *args):
@@ -651,7 +651,7 @@ class TestLmbpStep:
             return out
 
         monkeypatch.setattr(lmbp.update, "track_evidence", evidence_spy)
-        monkeypatch.setattr(lmbp.update, "batch_bp_marginals", marginals_spy)
+        monkeypatch.setattr(lmbp.update, "exact_marginals", marginals_spy)
         monkeypatch.setattr(lmbp.update, "resample_rows", rows_spy)
         models = micro_models(pd_const=0.7)
         # two close tracks share two measurements; one track sees nothing
@@ -885,11 +885,11 @@ class TestLmbpStep:
             assert calls == {"_components": 1, "partition": 1, "track_evidence": 1}
         assert sum(deferred) > 0 and joined["deferred evaluated"] > 0
 
-    @pytest.mark.parametrize("marginals", ["bp", "exact"])
-    def test_one_bp_batch_per_step(self, marginals, monkeypatch):
-        # BP marginalizes every cluster of a step in one batch, which exact
-        # mode calls from `lmbp.association`; only exact mode enumerates, and
-        # BP mode calls neither the one-cluster `bp_marginals` nor `np.ix_`
+    def test_one_bp_batch_per_step(self, monkeypatch):
+        # the step's one `exact_marginals` call marginalizes every cluster it
+        # does not enumerate in one BP batch, never through the one-cluster
+        # `bp_marginals`, and gathers the tables (`np.ix_`) of the clusters it
+        # enumerates only
         calls = Counter()
 
         def spy(owner, name):
@@ -901,7 +901,7 @@ class TestLmbpStep:
 
             monkeypatch.setattr(owner, name, counted)
 
-        for owner, name in ((lmbp.update, "batch_bp_marginals"),
+        for owner, name in ((lmbp.update, "exact_marginals"),
                             (lmbp.association, "batch_bp_marginals"),
                             (lmbp.update, "bp_marginals"), (lmbp.association, "bp_marginals"),
                             (lmbp.association, "enumerate_admissible"), (np, "ix_")):
@@ -911,23 +911,64 @@ class TestLmbpStep:
                                    "sensor.sigma_range": "5", "sensor.sigma_bearing_deg": "5",
                                    "clutter.mean_count": "12", "birth.particles": "256",
                                    "filter.track_particles": "128",
-                                   "filter.phd_particles": "256", "filter.marginals": marginals,
-                                   "run.seed": "1"})
+                                   "filter.phd_particles": "256", "run.seed": "1"})
         rng = np.random.default_rng(1)
         truth = generate_truth(config.scenario, rng)
         frames = generate_frames(truth, config.scenario.sensor, rng)
-        state, prev, enumerated = initial_state(config, rng), (), 0
+        state, prev = initial_state(config, rng), ()
         for frame in frames:
             calls.clear()
             state = lmbp_step(state, frame, config.models, config.thresholds, rng,
                               prev_frame=prev, settings=config.settings)
             prev = frame
-            assert calls["batch_bp_marginals"] == 1
-            if marginals == "bp":
-                assert set(calls) == {"batch_bp_marginals"}
-            enumerated += calls["enumerate_admissible"]
+            assert calls["exact_marginals"] == 1 and calls["batch_bp_marginals"] == 1
+            assert calls["ix_"] == calls["enumerate_admissible"]
+            assert set(calls) <= {"exact_marginals", "batch_bp_marginals", "ix_",
+                                  "enumerate_admissible"}
         assert state.tracks
-        assert (enumerated > 0) == (marginals == "exact")
+
+    def test_marginals_equal_enumeration_within_the_limits(self, monkeypatch):
+        # a short dense run (10 objects, clutter rate 100): the step's
+        # marginals of every cluster within the enumeration limits are
+        # enumeration's, to 1e-12; BP gives those of the acyclic ones, and
+        # at least one cyclic cluster is enumerated
+        seen, enumerated = [], []
+        marginals = lmbp.update.exact_marginals
+        enumerate_admissible = lmbp.association.enumerate_admissible
+
+        def marginals_spy(*args):
+            seen.append((args, marginals(*args)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(lmbp.update, "exact_marginals", marginals_spy)
+        monkeypatch.setattr(lmbp.association, "enumerate_admissible",
+                            lambda *tables: enumerated.append(1) or enumerate_admissible(*tables))
+        config = build_run_config({"scenario.object_count": "10", "scenario.appear_min": "1",
+                                   "scenario.appear_max": "5", "scenario.total_steps": "20",
+                                   "clutter.mean_count": "100", "birth.particles": "2000",
+                                   "filter.track_particles": "300",
+                                   "filter.phd_particles": "2000", "run.seed": "1"})
+        rng = np.random.default_rng(1)
+        truth = generate_truth(config.scenario, rng)
+        frames = generate_frames(truth, config.scenario.sensor, rng)
+        state, prev = initial_state(config, rng), ()
+        for frame in frames:
+            state = lmbp_step(state, frame, config.models, config.thresholds, rng,
+                              prev_frame=prev, settings=config.settings)
+            prev = frame
+        assert len(enumerated) > 0
+        within = 0
+        for (miss, betas, new, transferred, clusters, _), (legacy, claim) in seen:
+            for rows, cols in clusters:
+                cluster = ClusterTables(miss[rows], betas[np.ix_(rows, cols)], new[cols],
+                                        transferred[cols])
+                if within_exact_limits(cluster):
+                    within += 1
+                    want = enumerated_marginals(cluster)
+                    got = legacy[np.ix_(rows, np.append(0, 1 + cols))]
+                    np.testing.assert_allclose(got, want.legacy, rtol=0.0, atol=1e-12)
+                    np.testing.assert_allclose(claim[cols], want.claim, rtol=0.0, atol=1e-12)
+        assert within > len(enumerated)
 
     def test_first_step_creates_tracks_only_via_transfers(self):
         rng = np.random.default_rng(3)
@@ -1015,7 +1056,7 @@ class TestLmbpStep:
             out = lmbp_step(state, frame, models,
                             Thresholds(gamma_c=0.0, gamma_leg=1e-12),
                             np.random.default_rng(100 + trial),
-                            settings=small_settings("exact"))
+                            settings=small_settings())
 
             # closed form from model quantities only (motion is noiseless)
             r_pred = r0 * ps
@@ -1027,41 +1068,6 @@ class TestLmbpStep:
                         / (1 - r_pred + r_pred * (1 - pd) + r_pred * ratio))
             assert len(out.tracks) == 1
             assert out.tracks[0].existence == pytest.approx(expected, abs=1e-9)
-
-    def test_exact_mode_falls_back_to_bp_on_large_clusters(self):
-        # one track plausibly linked to many measurements exceeds the
-        # enumeration guard; exact mode must silently use BP and agree with it
-        rng = np.random.default_rng(22)
-        track = BernoulliTrack(Label(1, 1), 0.7, pdf_at(50.0, n=16))
-        state = FilterState((track,), PoissonPhd.empty(), 1)
-        models = micro_models(pd_const=0.6, mean_clutter=2.0)
-        rho, theta = models.sensor.range_bearing(np.array([50.0, 0.0, 0.0, 0.0]))
-        frame = [Measurement(float(rho + rng.normal(0, 3)),
-                             float(theta + rng.normal(0, 0.01))) for _ in range(25)]
-        out_exact = lmbp_step(state, frame, models, Thresholds(gamma_c=0.0),
-                              np.random.default_rng(5), settings=small_settings("exact"))
-        out_bp = lmbp_step(state, frame, models, Thresholds(gamma_c=0.0),
-                           np.random.default_rng(5), settings=small_settings("bp"))
-        assert out_exact.block.labels == out_bp.block.labels
-        for a, b in zip(out_exact.tracks, out_bp.tracks):
-            assert a.existence == pytest.approx(b.existence, abs=1e-12)
-
-    def test_exact_and_bp_marginals_agree_on_small_problems(self):
-        rng = np.random.default_rng(6)
-        track = BernoulliTrack(Label(1, 1), 0.7, pdf_at(50.0, n=32))
-        phd = PoissonPhd(pdf_at(50.0, n=64, weight=0.3))
-        state = FilterState((track,), phd, 1)
-        models = micro_models(pd_const=0.8, mean_clutter=1.0)
-        rho, theta = models.sensor.range_bearing(np.array([50.0, 0.0, 0.0, 0.0]))
-        frame = [Measurement(float(rho) + 1.0, float(theta))]
-        out_exact = lmbp_step(state, frame, models, Thresholds(),
-                              np.random.default_rng(42),
-                              settings=small_settings("exact"))
-        out_bp = lmbp_step(state, frame, models, Thresholds(),
-                           np.random.default_rng(42), settings=small_settings("bp"))
-        assert out_exact.block.labels == out_bp.block.labels
-        for a, b in zip(out_exact.tracks, out_bp.tracks):
-            assert a.existence == pytest.approx(b.existence, abs=1e-9)
 
 
 class TestBlockStep:
