@@ -135,28 +135,54 @@ def legacy_mixture(group: TrackGroup, legacy: np.ndarray) -> tuple[np.ndarray, n
     return np.minimum(r, 1.0), mixture
 
 
+# a kept row of the budget's length is carried as it is while its effective
+# sample size is at least this share of the budget (Kong, Liu & Wong 1994)
+_ESS_SHARE = 0.5
+
+
+def _carried(weights: np.ndarray, particle_budget: int) -> bool:
+    """Whether a kept row keeps its weights: it has `particle_budget`
+    particles and an effective sample size (sum w)^2 / sum w^2 of at least
+    `_ESS_SHARE` of them (inclusive). A NaN or inf weight fails the test."""
+    if len(weights) != particle_budget:
+        return False
+    squares = float(weights @ weights)
+    if not 0.0 < squares < np.inf:
+        return False
+    total = float(weights.sum())
+    return total * total / squares >= _ESS_SHARE * particle_budget
+
+
 def _resampled(pending: Sequence[Pending], kept: Sequence[Pending], particle_budget: int,
                rng: np.random.Generator) -> tuple[TrackBlock, list[Pending]]:
-    """The pending rows resampled to the budget in one `resample_rows` pass,
-    in order. Each row of `kept` is drawn straight into its label-ordered
-    slot of the returned block; the other records come back, in order, with
-    their resampled rows."""
+    """The next block, each row of `kept` in its label-ordered slot, and the
+    other pending records that have a row, in order and as they are.
+
+    A kept row that `_carried` passes is copied into its slot, states and
+    weights unchanged, and draws no uniform. Every other kept row with a
+    pdf is resampled to the budget in one `resample_rows` pass, in pending
+    order, and drawn straight into its slot. The other records are the
+    recycled tracks: `update_phd` resamples their rows with the intensity."""
     kept = sorted(kept, key=lambda p: p.label)
     block = TrackBlock.empty([p.label for p in kept], [p.existence for p in kept],
                              [0 if p.row is None else particle_budget for p in kept])
     slots = dict(zip((p.label for p in kept), block.rows()))
-    drawn = [p for p in pending if p.row is not None]
-    others = []
-    for (label, r, (_, states)), (idx, weight) in zip(
-            drawn, resample_rows([p.row[0] for p in drawn], particle_budget, rng)):
-        slot = slots.get(label)
+    drawn, others = [], []
+    for p in pending:
+        if p.row is None:
+            continue
+        slot = slots.get(p.label)
         if slot is None:
-            others.append(Pending(label, r, (np.full(particle_budget, weight),
-                                             states.take(idx, axis=0))))
+            others.append(p)
+        elif _carried(p.row[0], particle_budget):
+            slot[0][...], slot[1][...] = p.row[1], p.row[0]
         else:
-            # the indices are in range, and "clip" writes into the slot unbuffered
-            states.take(idx, axis=0, out=slot[0], mode="clip")
-            slot[1].fill(weight)
+            drawn.append((p.row, slot))
+    for ((_, states), slot), (idx, weight) in zip(
+            drawn, resample_rows([row[0] for row, _ in drawn], particle_budget, rng)):
+        # the indices are in range, and "clip" writes into the slot unbuffered
+        states.take(idx, axis=0, out=slot[0], mode="clip")
+        slot[1].fill(weight)
     return block, others
 
 
@@ -166,7 +192,8 @@ def update_legacy_track(label: Label, marginal: Mapping[int, float], miss: Hypot
     """Marginalized update of a legacy track, as `lmbp_step` makes it for one
     row: `legacy_mixture` of a one-row group of the hypotheses' pdf weights
     over `states`, each of mass 1 or empty (a row of another length raises
-    ValueError), resampled; with no mixture mass the track has r = 0."""
+    ValueError), through `_resampled`: carried as it is when `_carried`
+    passes it, else resampled; with no mixture mass the track has r = 0."""
     found = sorted(detections)
     hyps = [miss] + [detections[m] for m in found]
     if any(len(hyp.weights) not in (0, len(states)) for hyp in hyps):
@@ -185,7 +212,9 @@ def update_legacy_track(label: Label, marginal: Mapping[int, float], miss: Hypot
 def update_transferred_track(transfer: Pending, p_claim: float, particle_budget: int,
                              rng: np.random.Generator) -> BernoulliTrack:
     """Update of a freshly transferred track, as `lmbp_step` makes it for one
-    row: r = p(claim) * existence, and the component's pdf resampled."""
+    row: r = p(claim) * existence, and the component's pdf through
+    `_resampled`: carried as it is when `_carried` passes it, else
+    resampled."""
     claimed = transfer._replace(existence=p_claim * transfer.existence)
     return _resampled([claimed], [claimed], particle_budget, rng)[0].tracks()[0]
 
@@ -220,8 +249,9 @@ def update_phd(recycled: Sequence[Pending], beta: np.ndarray, cells: Cells,
     the detection probability of each predicted intensity particle. The
     predicted particles are reweighted by (1 - pD) w + sum_k row_k / beta[k]
     (the SMC-PHD update), the particles of the recycled tracks' rows
-    (weights, states) are appended with weights r * weights, and the union
-    is resampled once. Total mass is
+    (weights, states), which `_resampled` returns unresampled and of any
+    length, are appended with weights r * weights, and the union is
+    resampled once, so a recycled track is resampled only here. Total mass is
     sum((1 - pD) w) + sum_k d_k / beta_k + r-sum, preserved through the
     reduction. Only the union's weights are concatenated, not its states.
     """
@@ -272,11 +302,13 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
     return to the intensity. The tracks are one `TrackBlock` from step to
     step, which `predict_tracks`, `track_evidence` and `legacy_mixture` take
     group by group; one `exact_marginals` call gives every cluster's
-    marginals, BP's or, where BP is not exact, enumerated. One `resample_rows`
-    pass draws every resampled track, per cluster its legacy rows then its
-    transfers and then the residual transfers, each kept row into its slot
-    of the next block; no `BernoulliTrack` is built. Estimation is separate
-    (`lmbp.estimation`).
+    marginals, BP's or, where BP is not exact, enumerated. A kept row of
+    `track_particles` particles whose effective sample size is at least half
+    of them is copied into its slot of the next block as it is; one
+    `resample_rows` pass draws every other kept row, per cluster its legacy
+    rows then its transfers and then the residual transfers, into its slot.
+    The recycled rows go to `update_phd` unresampled, and no `BernoulliTrack`
+    is built. Estimation is separate (`lmbp.estimation`).
     """
     k = state.time + 1
 
@@ -323,8 +355,8 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
     # a residual measurement competes with no track, so its transfer claims it surely
     pending += [transfers[j] for j in residual[transferred[residual]].tolist()]
 
-    # retention needs only labels and existence; then the kept rows are
-    # resampled into the next block, and the recycled ones for the intensity
+    # retention needs only labels and existence; then the kept rows go into
+    # the next block, resampled where their weights have degenerated
     kept, _ = split_by_retention(pending, thresholds.gamma_leg, k)
     updated, recycled = _resampled(pending, kept, settings.track_particles, rng)
     unclaimed = np.zeros(len(frame), dtype=bool)

@@ -40,8 +40,8 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # leading hex digits of the estimates and mospa digests, per workload
 WORKLOAD_DIGESTS = {
-    "desk": ("2698aa637ff81182", "539ce12cef08f453"),
-    "dense": ("db90060059787ae3", "3c1acac0ad4d4726"),
+    "desk": ("890254b653989910", "5f17e082b8655f97"),
+    "dense": ("b7a3d0f4a52ef906", "bbea2b985dfc460b"),
 }
 
 SCENARIO = {

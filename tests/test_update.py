@@ -26,6 +26,7 @@ from lmbp.rfs import (
     ParticleSet,
     PoissonPhd,
     resample,
+    resample_rows,
     write_snapshot,
 )
 from lmbp.simulate import generate_frames, generate_truth
@@ -258,6 +259,78 @@ class TestOnePassUpdate:
             assert np.array_equal(x.pdf.weights, y.pdf.weights)
 
 
+class TestResampleGate:
+    """`_resampled` copies a kept row of the budget's length whose effective
+    sample size is at least half the budget, resamples every other kept row,
+    and returns the recycled rows as they are."""
+
+    budget = 64
+
+    def row(self, weights, label=Label(1, 1), existence=0.7):
+        states = np.random.default_rng(1).normal(size=(len(weights), 4))
+        return Pending(label, existence, (np.asarray(weights, dtype=float), states))
+
+    def gate(self, pending, kept, seed=5):
+        """The block's rows, the other records, and the generator after the call."""
+        rng = np.random.default_rng(seed)
+        block, others = _resampled(pending, kept, self.budget, rng)
+        return block.rows(), others, rng
+
+    def test_healthy_row_is_copied_and_draws_nothing(self):
+        weights = np.random.default_rng(2).random(self.budget) + 0.5
+        p = self.row(weights / weights.sum())
+        [(states, weights)], others, rng = self.gate([p], [p])
+        assert np.array_equal(states, p.row[1]) and np.array_equal(weights, p.row[0])
+        assert others == []
+        assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
+
+    def test_degenerate_row_is_resampled(self):
+        # 8 equal weights among 64: ESS 8 < 32
+        weights = np.append(np.full(8, 1 / 8), np.zeros(self.budget - 8))
+        p = self.row(weights)
+        [(states, out)], _, rng = self.gate([p], [p])
+        [(idx, weight)] = resample_rows([weights], self.budget, np.random.default_rng(5))
+        assert np.array_equal(states, p.row[1][idx]) and np.array_equal(out, np.full(64, weight))
+        assert idx.max() < 8
+        fresh = np.random.default_rng(5)
+        fresh.random(1)
+        assert rng.bit_generator.state == fresh.bit_generator.state
+
+    @pytest.mark.parametrize("count", [1, 63, 65, 1000])
+    def test_row_of_another_length_is_resampled(self, count):
+        # uniform weights: the ESS is the row's length, at least the budget's half from 63 on
+        p = self.row(np.full(count, 1.0 / count))
+        [(states, weights)], _, _ = self.gate([p], [p])
+        [(idx, weight)] = resample_rows([p.row[0]], self.budget, np.random.default_rng(5))
+        assert np.array_equal(states, p.row[1][idx])
+        assert np.array_equal(weights, np.full(self.budget, weight))
+
+    def test_ess_of_exactly_half_the_budget_is_kept(self):
+        weights = np.append(np.full(32, 1 / 32), np.zeros(32))
+        assert weights.sum() ** 2 / (weights @ weights) == self.budget / 2
+        p = self.row(weights)
+        [(states, out)], _, rng = self.gate([p], [p])
+        assert np.array_equal(states, p.row[1]) and np.array_equal(out, weights)
+        assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
+
+    def test_recycled_row_comes_back_with_its_own_arrays(self):
+        # a legacy row below gamma_leg: not kept, so it is neither copied nor resampled
+        weights = np.append(np.full(8, 1 / 8), np.zeros(3))
+        recycled = self.row(weights, Label(1, 2), 0.001)
+        dead = Pending(Label(1, 3), 0.0, None)
+        rows, others, rng = self.gate([recycled, dead], [])
+        assert rows == [] and others == [recycled]
+        assert others[0].row[0] is recycled.row[0] and others[0].row[1] is recycled.row[1]
+        assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
+
+    def test_nan_row_still_raises(self):
+        weights = np.full(self.budget, 1.0 / self.budget)
+        weights[3] = np.nan
+        p = self.row(weights)
+        with pytest.raises(ValueError, match="degenerate particle set: row 0"):
+            self.gate([p], [p])
+
+
 class TestSplitByRetention:
     def test_low_legacy_recycled(self):
         track = BernoulliTrack(Label(1, 1), 0.005, pdf_at(0.0))
@@ -341,6 +414,26 @@ class TestUpdatePhd:
         want = resample(union, 300, np.random.default_rng(seed))
         assert np.array_equal(out.particles.states, want.states)
         assert np.array_equal(out.particles.weights, want.weights)
+
+    def test_mass_with_unresampled_recycled_rows(self):
+        # recycled rows of unequal weights and of several lengths enter the
+        # union as they are: the mass is the README formula,
+        # sum((1 - pD) w) + sum_k d_k / beta_k + sum r
+        rng = np.random.default_rng(11)
+        phd = PoissonPhd(ParticleSet(rng.normal(size=(50, 4)), rng.random(50) * 0.02))
+        pd = rng.random(50)
+        table = rng.random((3, 50)) * 1e-3 * (rng.random((3, 50)) < 0.5)
+        beta = 0.5 + rng.random(3)
+        recycled = []
+        for i, (r, n) in enumerate([(0.004, 7), (0.009, 64), (0.002, 1), (0.006, 1000)]):
+            weights = rng.random(n) ** 4
+            recycled.append(Pending(Label(1, i + 1), r,
+                                    (weights / weights.sum(), rng.normal(size=(n, 4)))))
+        out = update_phd(recycled, beta, cells_of(table), phd, pd, 300,
+                         np.random.default_rng(0))
+        want = (((1.0 - pd) * phd.particles.weights).sum() + (table.sum(axis=1) / beta).sum()
+                + sum(p.existence for p in recycled))
+        assert out.mean == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
     def test_bad_union_weight_raises(self, bad):
@@ -534,10 +627,10 @@ class TestLmbpStep:
                       settings=small_settings())
 
     def test_resampling_stays_on_predicted_particles(self, monkeypatch):
-        # the legacy updates resample their own predicted particles, in one
+        # the kept legacy update resamples its own predicted particles, in one
         # batched call, and the intensity is resampled once, from its predicted
-        # particles plus those of the recycled tracks (which come back at the
-        # track budget), in a second batched call
+        # particles plus those of the recycled tracks (which come back
+        # unresampled, at their predicted count), in a second batched call
         import lmbp.update
 
         batches = []
@@ -558,7 +651,7 @@ class TestLmbpStep:
         recycled = {Label(1, 1), Label(1, 2)} - set(out.block.labels)
         assert recycled == {Label(1, 2)}
         predicted_count = 32 + models.birth.particle_budget
-        assert batches == [[(8, 64), (8, 64)], [(predicted_count + 64 * len(recycled), 128)]]
+        assert batches == [[(8, 64)], [(predicted_count + 8 * len(recycled), 128)]]
 
     def test_detection_pdfs_only_where_the_marginal_is_nonzero(self, monkeypatch):
         # gamma_c = 0 clusters every pair with b > 0: track 1 joins track 0's
@@ -872,8 +965,8 @@ class TestLmbpStep:
                                    "sensor.sigma_range": "5", "sensor.sigma_bearing_deg": "5",
                                    "clutter.mean_count": "12", "birth.particles": "256",
                                    "filter.track_particles": "128",
-                                   "filter.phd_particles": "256", "run.seed": "1"})
-        rng = np.random.default_rng(1)
+                                   "filter.phd_particles": "256", "run.seed": "3"})
+        rng = np.random.default_rng(3)
         truth = generate_truth(config.scenario, rng)
         frames = generate_frames(truth, config.scenario.sensor, rng)
         state, prev = initial_state(config, rng), ()
