@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .models import EXP_FLOOR, SensorModel
-from .rfs import BernoulliTrack, Measurement, PoissonPhd, TrackBlock
+from .rfs import BernoulliTrack, Measurement, PoissonPhd, TrackBlock, row_sums, take_rows
 
 _TINY = 1e-300  # denominator floor; keeps degenerate messages finite
 # an intensity cell below this share of its row's clutter intensity is left out
@@ -44,19 +44,21 @@ class Hypothesis(NamedTuple):
 
 
 class TrackGroup(NamedTuple):
-    """The evidence of one `TrackBlock` group's L_g rows of N particles, row k
-    being the block's rows[k]: each row's miss weights w (1 - pD), their mass
-    c, and existence r c / beta, or 0 where beta <= 0 or c <= 0; and the
-    evaluated pairs as cells in strictly ascending (row, col) order, pair k
-    being row pair_row[k] with `frame[pair_col[k]]`, of w pD f(z|.) summing to b."""
+    """The evidence of a `TrackBlock`'s rows, cut by its `offsets`: each row's
+    miss weights w (1 - pD), their mass c, and existence r c / beta, or 0
+    where beta <= 0 or c <= 0; and the evaluated pairs in strictly ascending
+    (row, col) order, pair k being row pair_row[k] with `frame[pair_col[k]]`,
+    whose w pD f(z|.) over the row's particles is `lik[cuts[k]:cuts[k + 1]]`,
+    summing to b[k]."""
 
-    rows: np.ndarray                               # (L_g,) ascending
-    miss: np.ndarray                               # (L_g, N)
-    miss_mass: np.ndarray                          # (L_g,) c
-    miss_existence: np.ndarray                     # (L_g,)
+    offsets: np.ndarray                            # (L + 1,)
+    miss: np.ndarray                               # (P,)
+    miss_mass: np.ndarray                          # (L,) c
+    miss_existence: np.ndarray                     # (L,)
     pair_row: np.ndarray                           # (K,)
     pair_col: np.ndarray                           # (K,)
-    lik: np.ndarray                                # (K, N)
+    cuts: np.ndarray                               # (K + 1,)
+    lik: np.ndarray                                # (cuts[-1],)
     b: np.ndarray                                  # (K,)
 
 
@@ -66,33 +68,29 @@ class TrackEvidence(NamedTuple):
 
     Per track: c = sum_n w_n (1 - pD(x_n)) and miss_beta = 1 - r + r c; per
     measurement m: b = sum_n w_n pD(x_n) f(z_m|x_n) and betas[i, m-1] = r b.
-    `groups` holds the unnormalized weight rows, a `TrackGroup` per block
-    group in the block's order; a pair the likelihood gate left out has no
-    cell and b = 0. A `deferred` pair weighs less than gamma_c, lies in no
-    cluster and was never evaluated: betas holds 0 for it. `row_of` and
-    `col_of` label each row's and each column's cluster, as `partition` reads
-    them."""
+    `group` holds the unnormalized weight runs; a pair the likelihood gate
+    left out has no run and b = 0. A `deferred` pair weighs less than
+    gamma_c, lies in no cluster and was never evaluated: betas holds 0 for
+    it. `row_of` and `col_of` label each row's and each column's cluster, as
+    `partition` reads them."""
 
     miss_beta: np.ndarray                          # (L,)
     betas: np.ndarray                              # (L, M)
-    groups: tuple[TrackGroup, ...]
+    group: TrackGroup
     deferred: np.ndarray                           # (L, M) bool
     row_of: np.ndarray                             # (L,) cluster name
     col_of: np.ndarray                             # (M,) cluster name, -1 for none
-
-    def slot(self, i: int) -> tuple[TrackGroup, int]:
-        """The group that holds row i, and row i's place in it."""
-        return next((g, int(k)) for g in self.groups for k in np.flatnonzero(g.rows == i))
 
     def miss(self, i: int) -> Hypothesis:
         """Row i's miss: beta, existence r c / beta and pdf weights
         w (1 - pD) / c; existence 0 and no pdf where c = 0, the object surely
         detected if present, or beta = 0 (only when r = 1 and pD = 1)."""
-        group, k = self.slot(i)
-        beta, c = float(self.miss_beta[i]), float(group.miss_mass[k])
+        group = self.group
+        beta, c = float(self.miss_beta[i]), float(group.miss_mass[i])
         if beta <= 0.0 or c <= 0.0:
             return Hypothesis(max(beta, 0.0), 0.0, np.empty(0))
-        return Hypothesis(beta, float(group.miss_existence[k]), group.miss[k] / c)
+        return Hypothesis(beta, float(group.miss_existence[i]),
+                          group.miss[group.offsets[i]:group.offsets[i + 1]] / c)
 
     def detection(self, i: int, m: int) -> Hypothesis:
         """Row i's detection of measurement m (counted from 1): beta = r b,
@@ -100,71 +98,71 @@ class TrackEvidence(NamedTuple):
         and no pdf. A deferred pair raises ValueError."""
         if self.deferred[i, m - 1]:
             raise ValueError(f"detection ({i}, {m}) was deferred and never evaluated")
-        group, k = self.slot(i)
-        pair = np.flatnonzero((group.pair_row == k) & (group.pair_col == m - 1))
+        group = self.group
+        pair = np.flatnonzero((group.pair_row == i) & (group.pair_col == m - 1))
         if not pair.size or group.b[pair[0]] <= 0.0:
             return Hypothesis(0.0, 0.0, np.empty(0))
-        return Hypothesis(float(self.betas[i, m - 1]), 1.0, group.lik[pair[0]] / group.b[pair[0]])
+        k = pair[0]
+        return Hypothesis(float(self.betas[i, m - 1]), 1.0,
+                          group.lik[group.cuts[k]:group.cuts[k + 1]] / group.b[k])
 
 
 def track_evidence(block: TrackBlock, frame: Sequence[Measurement],
                    sensor: SensorModel, gamma_c: float) -> TrackEvidence:
     """Evidence of every predicted track against every measurement, in one pass.
 
-    Each group of the block, the tracks of one particle count, has its
-    ranges, bearings and pD computed once. Of the pairs the sensor's row
-    gate keeps, one whose weight bound r sum(w pD) norm exp(bound) lies
-    below gamma_c / 2 has a weight below gamma_c, so it is deferred and
-    joins no cluster it would not join evaluated. The rest are evaluated at
-    once, the plausible pairs are labelled into clusters, and then the
-    deferred pairs inside a cluster are evaluated, with the same bits.
-    gamma_c = 0 defers nothing.
+    The block's ranges, bearings and pD are computed once. Of the pairs the
+    sensor's row gate keeps, one whose weight bound r sum(w pD) norm
+    exp(bound) lies below gamma_c / 2 has a weight below gamma_c, so it is
+    deferred and joins no cluster it would not join evaluated. The rest are
+    evaluated at once, the plausible pairs are labelled into clusters, and
+    then the deferred pairs inside a cluster are evaluated, with the same
+    bits. gamma_c = 0 defers nothing.
     """
-    r = block.existence
-    miss_beta = np.zeros(len(r))
+    r, offsets = block.existence, block.offsets
+    counts = np.diff(offsets)
     betas = np.zeros((len(r), len(frame)))
-    deferred = np.zeros((len(r), len(frame)), dtype=bool)
-    groups, polar = [], []
+    rho, theta = sensor.range_bearing(block.states)
+    pd = sensor.detection_prob_at(rho)
+    miss = block.weights * (1.0 - pd)
+    detect = block.weights * pd
+    c = row_sums(miss, offsets)
+    miss_beta = 1.0 - r + r * c
+    # r c / beta where the miss has a pdf; nan stays nan, as `miss` gives it
+    existence = np.divide(r * c, miss_beta, out=np.zeros(len(r)),
+                          where=~((miss_beta <= 0.0) | (c <= 0.0)))
 
-    def evaluate(idx, rho, theta, detect, at, meas):
-        """Pairs (idx[at], meas) of one group as cells: at, meas, lik and b."""
-        lik = sensor.likelihood_rows(frame, meas, rho[at], theta[at])
-        lik *= detect[at]
-        b = lik.sum(axis=1)
-        betas[idx[at], meas] = r[idx[at]] * b
-        return at, meas, lik, b
+    def evaluate(at, meas):
+        """Pairs (at, meas) as (at, meas, lik, b, cuts), into `betas` too."""
+        lengths = counts[at]
+        cuts = np.concatenate(([0], lengths.cumsum()))
+        lik = sensor.likelihood_rows(frame, meas, take_rows(rho, offsets, at),
+                                     take_rows(theta, offsets, at), lengths)
+        lik *= take_rows(detect, offsets, at)
+        b = row_sums(lik, cuts)
+        betas[at, meas] = r[at] * b
+        return at, meas, lik, b, cuts
 
-    for idx, group_states, weights in block.groups:
-        rho, theta = sensor.range_bearing(group_states)
-        pd = sensor.detection_prob_at(rho)
-        miss = weights * (1.0 - pd)
-        detect = weights * pd
-        c = miss.sum(axis=1)
-        miss_beta[idx] = beta = 1.0 - r[idx] + r[idx] * c
-        # r c / beta where the miss has a pdf; nan stays nan, as `miss` gives it
-        existence = np.divide(r[idx] * c, beta, out=np.zeros(len(idx)),
-                              where=~((beta <= 0.0) | (c <= 0.0)))
-        bound, norm = sensor.row_bounds(frame, rho, theta)
-        # exp, the products and the N-term sum can exceed this weight bound
-        # by a few ulps only; halving gamma_c is the fixed margin for that.
-        # A non-finite bound compares False and is evaluated now.
-        ceiling = (r[idx] * detect.sum(axis=1))[:, None] * norm * np.exp(bound)
-        kept = bound >= EXP_FLOOR
-        deferred[idx] = kept & (ceiling < 0.5 * gamma_c)
-        cells = evaluate(idx, rho, theta, detect, *np.nonzero(kept & ~deferred[idx]))
-        groups.append(TrackGroup(idx, miss, c, existence, *cells))
-        polar.append((rho, theta, detect))
+    bound, norm = sensor.row_bounds(frame, rho, theta, offsets)
+    # exp, the products and the N-term sum can exceed this weight bound
+    # by a few ulps only; halving gamma_c is the fixed margin for that.
+    # A non-finite bound compares False and is evaluated now.
+    ceiling = (r * row_sums(detect, offsets))[:, None] * norm * np.exp(bound)
+    kept = bound >= EXP_FLOOR
+    deferred = kept & (ceiling < 0.5 * gamma_c)
+    at, meas, lik, b, cuts = evaluate(*(kept & ~deferred).nonzero())
     row_of, col_of = _components(betas, gamma_c)
-    for g, (group, (rho, theta, detect)) in enumerate(zip(groups, polar)):
-        joined = deferred[group.rows] & (row_of[group.rows, None] == col_of)
-        if joined.any():
-            more = evaluate(group.rows, rho, theta, detect, *np.nonzero(joined))
-            deferred[group.rows] &= ~joined
-            at, meas, lik, b = (np.concatenate(parts) for parts in zip(group[4:], more))
-            order = np.lexsort((meas, at))
-            groups[g] = group._replace(pair_row=at[order], pair_col=meas[order],
-                                       lik=lik[order], b=b[order])
-    return TrackEvidence(miss_beta, betas, tuple(groups), deferred, row_of, col_of)
+    joined = deferred & (row_of[:, None] == col_of)
+    if joined.any():
+        more = evaluate(*joined.nonzero())
+        deferred &= ~joined
+        at, meas, lik, b = (np.concatenate(parts) for parts in zip((at, meas, lik, b), more))
+        order = np.lexsort((meas, at))
+        lik = take_rows(lik, np.concatenate(([0], counts[at].cumsum())), order)
+        at, meas, b = at[order], meas[order], b[order]
+        cuts = np.concatenate(([0], counts[at].cumsum()))
+    group = TrackGroup(offsets, miss, c, existence, at, meas, cuts, lik, b)
+    return TrackEvidence(miss_beta, betas, group, deferred, row_of, col_of)
 
 
 def detection_hypotheses(track: BernoulliTrack, frame: Sequence[Measurement],

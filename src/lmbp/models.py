@@ -14,7 +14,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .rfs import Measurement, ParticleSet, PoissonPhd, STATE_DIM
+from .rfs import Measurement, ParticleSet, PoissonPhd, STATE_DIM, row_reduce, run_indices
 
 
 # float64 exp(x) is exactly 0.0 below about -745.13; a likelihood entry whose
@@ -232,31 +232,50 @@ class SensorModel:
         table[row, col] = value
         return table
 
-    def row_bounds(self, frame: Sequence[Measurement], rho: np.ndarray,
-                   theta: np.ndarray) -> tuple[np.ndarray, float]:
-        """Row gate of L state sets, given as their `range_bearing` (L, N)
-        `rho` and `theta`, against a frame: an (L, M) upper bound on each
-        pair's exponent, and the normalizer, so f(z_m | x) <= norm exp(bound)
-        over the set. A pair bounded below `EXP_FLOOR` has an all-zero row.
-        The bound is +inf for a set with a non-finite state, and everywhere
-        when a measurement is not finite."""
+    def row_bounds(self, frame: Sequence[Measurement], rho: np.ndarray, theta: np.ndarray,
+                   offsets: np.ndarray) -> tuple[np.ndarray, float]:
+        """Row gate of L state sets, given as the `range_bearing` (P,) `rho`
+        and `theta` of their states, set i being `offsets[i]:offsets[i + 1]`,
+        against a frame: an (L, M) upper bound on each pair's exponent, and
+        the normalizer, so f(z_m | x) <= norm exp(bound) over the set. A pair
+        bounded below `EXP_FLOOR` has an all-zero row. The bound is -inf for
+        an empty set, else +inf for a set with a non-finite state, and
+        everywhere when a measurement is not finite. Each set's bearings are
+        bounded as offsets from its first one, so an arc across the +-pi seam
+        stays one interval."""
         zr, zb, norm = self._frame_terms(frame)
-        return self._exponent_bounds(zr, zb, rho, theta), norm
+        counts = np.diff(offsets)
+        empty = (counts == 0)[:, None]
+        if not theta.size or not np.isfinite(zr + zb).all():
+            return np.where(empty, -np.inf, np.full((len(counts), zr.size), np.inf)), norm
+        first = theta[np.minimum(offsets[:-1], theta.size - 1)]  # an empty set's is unused
+        offset = first.repeat(counts)
+        offset = _wrap_residual(np.subtract(theta, offset, out=offset))
+        lo, hi, rho_lo, rho_hi = (row_reduce(f, values, offsets, 0.0)[:, None]
+                                  for values in (offset, rho) for f in (np.minimum, np.maximum))
+        finite = np.isfinite(lo + hi + rho_lo + rho_hi)
+        # circular distance from each measurement to the arc first + [lo, hi]
+        centred = _wrap_residual(_wrap_residual(zb - first[:, None]) - 0.5 * (lo + hi))
+        gap = np.abs(centred) - 0.5 * (hi - lo) - _BEARING_SLACK
+        db = np.maximum(gap, 0.0) / self.sigma_bearing
+        dr = np.maximum(np.maximum(rho_lo - zr, zr - rho_hi), 0.0) / self.sigma_range
+        return np.where(empty, -np.inf, np.where(finite, -0.5 * (dr * dr + db * db), np.inf)), norm
 
     def likelihood_rows(self, frame: Sequence[Measurement], meas: np.ndarray,
-                        rho: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """(K, N) likelihood rows of K pairs: f(z | x) of `frame[meas[k]]`
-        against the N states whose `range_bearing` is `rho[k]`, `theta[k]`.
+                        rho: np.ndarray, theta: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """The likelihood runs of K pairs end to end: run k is f(z | x) of
+        `frame[meas[k]]` against the next `lengths[k]` states, whose
+        `range_bearing` is that run of `rho` and `theta`.
 
         Each entry is bit-identical to the same entry of `likelihood_table`:
         it goes through `_exponent` and `exp` with the same operations. The
-        rows are a fresh array, which the caller may scale in place.
+        runs are a fresh array, which the caller may scale in place.
         """
         zr, zb, norm = self._frame_terms([frame[m] for m in meas])
-        rows = self._exponent(zr[:, None], zb[:, None], rho, theta)
-        np.exp(rows, out=rows)
-        rows *= norm
-        return rows
+        runs = self._exponent(zr.repeat(lengths), zb.repeat(lengths), rho, theta)
+        np.exp(runs, out=runs)
+        runs *= norm
+        return runs
 
     def _frame_terms(self, frame: Sequence[Measurement]) -> tuple[np.ndarray, np.ndarray, float]:
         """Ranges and wrapped bearings of a frame, and the likelihood's normalizer."""
@@ -277,29 +296,6 @@ class SensorModel:
         dr += db
         dr *= -0.5
         return dr
-
-    def _exponent_bounds(self, zr, zb, rho, theta) -> np.ndarray:
-        """(L, M) exponent upper bounds of L state sets, `rho` and `theta`
-        (L, N), against M measurements: -inf for an empty set, +inf where a
-        state or measurement is not finite. Each set's bearings are bounded
-        as offsets from its first state's bearing, so an arc across the +-pi
-        seam stays one interval."""
-        count, n = rho.shape
-        if n == 0:
-            return np.full((count, zr.size), -np.inf)
-        if not np.isfinite(zr + zb).all():
-            return np.full((count, zr.size), np.inf)
-        ref = theta[:, :1]
-        offset = _wrap_residual(theta - ref)
-        lo, hi = offset.min(axis=1, keepdims=True), offset.max(axis=1, keepdims=True)
-        rho_lo, rho_hi = rho.min(axis=1, keepdims=True), rho.max(axis=1, keepdims=True)
-        finite = np.isfinite(lo + hi + rho_lo + rho_hi)[:, 0]
-        # circular distance from each measurement to the arc ref + [lo, hi]
-        centred = _wrap_residual(_wrap_residual(zb - ref) - 0.5 * (lo + hi))
-        gap = np.abs(centred) - 0.5 * (hi - lo) - _BEARING_SLACK
-        db = np.maximum(gap, 0.0) / self.sigma_bearing
-        dr = np.maximum(np.maximum(rho_lo - zr, zr - rho_hi), 0.0) / self.sigma_range
-        return np.where(finite[:, None], -0.5 * (dr * dr + db * db), np.inf)
 
     def _windowed_exponents(self, zr, zb, rows, floor, rho, theta, half):
         """Exponents of the cells that clear their measurement's `floor`,
@@ -340,15 +336,14 @@ class SensorModel:
         # one run of the sorted order per row and bearing bin: its range bins
         # from zr - reach to zr + reach
         run_row = np.repeat(np.arange(zr.size), runs)
-        b = np.arange(runs.sum()) + np.repeat(b_lo - (np.cumsum(runs) - runs), runs)
+        b = run_indices(b_lo, runs)
         base = np.where(b < nb, b, b - nb) * nr
         r_lo = _grid_bin(zr - reach, r0, r_scale, nr)[run_row]
         r_hi = _grid_bin(zr + reach, r0, r_scale, nr)[run_row]
         first = np.searchsorted(sorted_ids, base + r_lo)
         length = np.searchsorted(sorted_ids, base + r_hi, "right") - first
         count = np.add.reduceat(length, np.cumsum(runs) - runs)
-        pos = np.arange(count.sum()) + np.repeat(first - (np.cumsum(length) - length), length)
-        col = order[pos]
+        col = order[run_indices(first, length)]
         quad = self._exponent(np.repeat(zr, count), np.repeat(zb, count), rho[col], theta[col])
         keep = np.flatnonzero(quad >= np.repeat(floor, count))
         row, col = np.repeat(rows, count)[keep], col[keep]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .models import MotionModel
-from .rfs import BernoulliTrack, ParticleSet, PoissonPhd, TrackBlock
+from .rfs import BernoulliTrack, ParticleSet, PoissonPhd, TrackBlock, row_sums
 
 
 def _survival(motion: MotionModel, states: np.ndarray) -> np.ndarray:
@@ -18,34 +18,30 @@ def _survival(motion: MotionModel, states: np.ndarray) -> np.ndarray:
 
 def predict_tracks(block: TrackBlock, motion: MotionModel,
                    rng: np.random.Generator) -> TrackBlock:
-    """Predict a block of labeled Bernoulli components, group by group.
+    """Predict a block of labeled Bernoulli components in one pass.
 
     Each existence probability is multiplied by the expected survival
     probability under its pdf; the pdf particles are reweighted by survival,
     renormalized, and advanced through the transition kernel. Labels never
-    change. A group takes one survival call, one product, one row sum, one
-    divide and one transition: its survivors draw their noise in one
-    `rng.standard_normal` call, group after group in block order. A track
-    whose survival mass vanishes is dropped and draws no noise; the
-    survivors keep their row order.
+    change. The block takes one survival call, one product, one `row_sums`,
+    one divide and one transition: its survivors draw their noise in one
+    `rng.standard_normal` call, in row order, as `predict_track` would
+    draw it track by track. A track whose survival mass vanishes is dropped
+    and draws no noise; the survivors keep their row order.
     """
-    totals = np.zeros(len(block.labels))
-    groups = []
-    for rows, states, weights in block.groups:
-        weights = weights * _survival(motion, states)
-        mass = weights.sum(axis=1)
-        keep = mass > 0.0
-        if not keep.all():
-            rows, states, weights, mass = rows[keep], states[keep], weights[keep], mass[keep]
-        if len(rows):
-            weights /= mass[:, None]
-            totals[rows] = mass
-            groups.append((rows, motion.transition_sample(states, rng), weights))
-    alive = totals > 0.0
-    renumber = np.cumsum(alive) - 1
+    weights = block.weights * _survival(motion, block.states)
+    mass = row_sums(weights, block.offsets)
+    alive = mass > 0.0
+    offsets, states = block.offsets, block.states
+    if not alive.all():
+        counts = np.diff(offsets)
+        keep = alive.repeat(counts)
+        offsets = np.concatenate(([0], counts[alive].cumsum()))
+        states, weights, mass = states[keep], weights[keep], mass[alive]
+    weights /= mass.repeat(np.diff(offsets))
     return TrackBlock(tuple(label for label, kept in zip(block.labels, alive) if kept),
-                      np.minimum(block.existence[alive] * totals[alive], 1.0),
-                      tuple((renumber[rows], states, weights) for rows, states, weights in groups))
+                      np.minimum(block.existence[alive] * mass, 1.0), offsets,
+                      motion.transition_sample(states, rng), weights)
 
 
 def predict_track(track: BernoulliTrack, motion: MotionModel,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -133,13 +134,54 @@ def resample_rows(rows: Sequence[np.ndarray], count: int,
     return out
 
 
+def row_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each row a:b of `offsets` summed over `values` with the bits of
+    `values[a:b].sum()`, 0.0 for an empty row. Never `np.add.reduceat`, which
+    adds a row in order where numpy's own sum adds it pairwise."""
+    return row_reduce(np.add, values, offsets, 0.0)
+
+
+def row_reduce(ufunc: np.ufunc, values: np.ndarray, offsets: np.ndarray,
+               empty: float) -> np.ndarray:
+    """`ufunc.reduce(values[a:b])` of each row a:b of `offsets`, `empty` for an
+    empty row. Rows of one length are the rows of an (L, n) view, which the
+    ufunc reduces along axis 1 row by row, as it reduces each row alone."""
+    cuts = offsets.tolist()
+    n = _row_length(cuts)
+    if n:
+        return ufunc.reduce(values[cuts[0]:cuts[-1]].reshape(-1, n), axis=1)
+    return np.array([ufunc.reduce(values[a:b]) if b > a else empty
+                     for a, b in zip(cuts, cuts[1:])], dtype=float)
+
+
+def take_rows(values: np.ndarray, offsets: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The rows `rows` of `values` cut by `offsets`, end to end: a gather of
+    rows of an (L, n) view when the rows have one length, else slices."""
+    cuts = offsets.tolist()
+    n = _row_length(cuts)
+    if n:
+        return values[cuts[0]:cuts[-1]].reshape(-1, n)[rows].reshape(-1)
+    return np.concatenate([values[cuts[i]:cuts[i + 1]] for i in rows.tolist()] + [values[:0]])
+
+
+def _row_length(cuts: list[int]) -> int:
+    """The length n > 0 of every row of `cuts`, or 0 if they differ or are empty."""
+    n = (cuts[-1] - cuts[0]) // max(len(cuts) - 1, 1)
+    return n if n and cuts == list(range(cuts[0], cuts[-1] + 1, n)) else 0
+
+
+def run_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices of K runs end to end, run k being starts[k] + arange(lengths[k])."""
+    return np.arange(lengths.sum()) + (starts - (lengths.cumsum() - lengths)).repeat(lengths)
+
+
 def _checked_existence(existence: Sequence[float], totals: Sequence[float],
-                       count: int) -> list[float]:
-    """The existence of tracks of `count` particles each, capped at 1, after
+                       counts: Sequence[int]) -> list[float]:
+    """The existence of tracks of `counts` particles each, capped at 1, after
     the track rules: existence in [0, 1 + 1e-12], a pdf whose weights total
     `totals` normalized within `PDF_TOL`, and no positive existence without
     particles. The first track to break a rule raises ValueError."""
-    for r, total in zip(existence, totals):
+    for r, total, count in zip(existence, totals, counts):
         if not 0.0 <= r <= 1.0 + 1e-12:
             raise ValueError(f"existence probability out of [0,1]: {r}")
         if count and not abs(total - 1.0) <= PDF_TOL:
@@ -158,31 +200,29 @@ class BernoulliTrack:
     pdf: ParticleSet
 
     def __post_init__(self):
-        [r] = _checked_existence([float(self.existence)], [self.pdf.total_weight], len(self.pdf))
+        [r] = _checked_existence([float(self.existence)], [self.pdf.total_weight], [len(self.pdf)])
         object.__setattr__(self, "existence", r)
 
 
 class TrackBlock(NamedTuple):
     """Labeled Bernoulli tracks as arrays: row i is the track `labels[i]` with
-    existence `existence[i]`. Each group holds the tracks of one particle
-    count N as `(rows, states, weights)`: their ascending rows (L_g,), states
-    (L_g, N, 4) and pdf weights (L_g, N). A step's tables index tracks by row,
-    and `FilterState` carries its tracks as one block from step to step."""
+    existence `existence[i]` and the particles `offsets[i]:offsets[i + 1]`. A
+    step's tables index tracks by row, and `FilterState` carries its tracks
+    as one block from step to step."""
 
     labels: tuple[Label, ...]
-    existence: np.ndarray                                        # (L,)
-    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    existence: np.ndarray                        # (L,)
+    offsets: np.ndarray                          # (L + 1,) from 0 to P
+    states: np.ndarray                           # (P, 4)
+    weights: np.ndarray                          # (P,)
 
     @staticmethod
     def empty(labels: Sequence[Label], existence: Sequence[float],
               sizes: Sequence[int]) -> "TrackBlock":
         """A block whose row i has sizes[i] particles, states and weights unset."""
-        by_size: dict[int, list[int]] = {}
-        for i, n in enumerate(sizes):
-            by_size.setdefault(n, []).append(i)
-        groups = tuple((np.array(rows, dtype=np.intp), np.empty((len(rows), n, STATE_DIM)),
-                        np.empty((len(rows), n))) for n, rows in by_size.items())
-        return TrackBlock(tuple(labels), np.array(existence, dtype=float), groups)
+        offsets = np.fromiter(accumulate(sizes, initial=0), np.intp, len(sizes) + 1)
+        return TrackBlock(tuple(labels), np.array(existence, dtype=float), offsets,
+                          np.empty((offsets[-1], STATE_DIM)), np.empty(offsets[-1]))
 
     @staticmethod
     def of(tracks: Sequence[BernoulliTrack]) -> "TrackBlock":
@@ -194,11 +234,8 @@ class TrackBlock(NamedTuple):
 
     def rows(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """The (states, weights) views of every row, in row order."""
-        out: list = [None] * len(self.labels)
-        for rows, states, weights in self.groups:
-            for i, s, w in zip(rows.tolist(), states, weights):
-                out[i] = (s, w)
-        return out
+        cuts = self.offsets.tolist()
+        return [(self.states[a:b], self.weights[a:b]) for a, b in zip(cuts, cuts[1:])]
 
     def tracks(self) -> tuple[BernoulliTrack, ...]:
         """Every row as a `BernoulliTrack` over views of its arrays, in row order."""
@@ -208,23 +245,20 @@ class TrackBlock(NamedTuple):
 
     def checked(self) -> "TrackBlock":
         """The block with its existence capped at 1, after the checks that
-        `ParticleSet` and `BernoulliTrack` make per track, made once per
-        group and by the same functions: `check_weights` and the track rules.
-        Also every row is in exactly one group. A failed check raises
-        ValueError."""
-        r = self.existence
-        covered = np.concatenate([rows for rows, _, _ in self.groups] + [np.empty(0, np.intp)])
-        if r.shape != (len(self.labels),) or not np.array_equal(np.sort(covered),
-                                                                np.arange(len(r))):
-            raise ValueError("block rows do not match its labels")
-        capped = np.empty(len(r))
-        for rows, states, weights in self.groups:
-            if states.shape != weights.shape + (STATE_DIM,) or weights.shape[0] != len(rows):
-                raise ValueError("states and weights length mismatch")
-            check_weights(weights)
-            capped[rows] = _checked_existence(r[rows].tolist(), weights.sum(axis=1).tolist(),
-                                              weights.shape[1])
-        return self._replace(existence=capped)
+        `ParticleSet` and `BernoulliTrack` make per track, made once over the
+        block and by the same functions, and after checking that the offsets
+        start at 0, never decrease and end at the particle count. A failed
+        check raises ValueError."""
+        r, offsets, weights = self.existence, self.offsets, self.weights
+        counts = np.diff(offsets)
+        if (r.shape != (len(self.labels),) or offsets.shape != (len(r) + 1,) or offsets[0] != 0
+                or (counts < 0).any() or self.states.shape != (offsets[-1], STATE_DIM)
+                or weights.shape != (offsets[-1],)):
+            raise ValueError("block offsets do not cut its states and weights into its rows")
+        check_weights(weights)
+        capped = _checked_existence(r.tolist(), row_sums(weights, offsets).tolist(),
+                                    counts.tolist())
+        return self._replace(existence=np.array(capped, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -278,7 +312,7 @@ class FilterState:
         for lab in labels:
             if lab.birth_time > time:
                 raise ValueError(f"label {lab} born after state time {time}")
-        for array in (block.existence, *(a for group in block.groups for a in group)):
+        for array in (block.existence, block.offsets, block.states, block.weights):
             array.flags.writeable = False
         for name, value in (("block", block), ("phd", phd), ("time", time)):
             object.__setattr__(self, name, value)

@@ -33,6 +33,8 @@ from .rfs import (
     check_weights,
     resample,  # noqa: F401 - perfbench's tracer wraps it here, until ROADMAP item 5
     resample_rows,
+    run_indices,
+    take_rows,
 )
 # perfbench's tracer wraps `predict_track` here; it stays until ROADMAP item 5
 from .prediction import predict_phd, predict_track, predict_tracks  # noqa: F401
@@ -105,33 +107,37 @@ def select_transfers(beta: np.ndarray, mass: np.ndarray, cells: Cells,
 
 
 def legacy_mixture(group: TrackGroup, legacy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Marginalized update of one evidence group's rows from the step's
-    `Marginals.legacy`: each row's r = sum_a p(a) r(l,a), capped at 1 (L_g,),
-    and its pdf sum_a (p(a) r(l,a) / r) f(.|a) as an (L_g, N) weight array.
+    """Marginalized update of the evidence's L rows from the step's
+    `Marginals.legacy`: each row's r = sum_a p(a) r(l,a), capped at 1 (L,),
+    and its pdf sum_a (p(a) r(l,a) / r) f(.|a) as weights over the rows'
+    particles, cut by `group.offsets`.
 
     A row's terms are its miss, p = legacy[i, 0] r c / beta over w (1 - pD) / c,
     then its detections by column, p = legacy[i, 1 + j] over w pD f / b. Only
     a term with p > 0 and a mass that is not 0 enters and is normalized. r and
-    the mixture add a row's terms in that order, one term index at a time
-    over the rows that have one. A row with no term has r = 0 and a zero
-    mixture; with one, p / r is exactly 1.
+    the mixture add a row's terms in that order, from 0.0. A row with no term
+    has r = 0 and a zero mixture; with one, p / r is exactly 1.
     """
-    p_miss = legacy[group.rows, 0] * group.miss_existence
-    p_det = legacy[group.rows[group.pair_row], 1 + group.pair_col]
+    p_miss = legacy[:, 0] * group.miss_existence
+    p_det = legacy[group.pair_row, 1 + group.pair_col]
     # as in `TrackEvidence.detection`, only a mass <= 0 means no pdf: a nan one fails the resample
-    miss = np.flatnonzero((p_miss > 0.0) & ~(group.miss_mass <= 0.0))
+    miss = (p_miss > 0.0) & ~(group.miss_mass <= 0.0)
     det = np.flatnonzero((p_det > 0.0) & ~(group.b <= 0.0))
     owner = group.pair_row[det]
     # bincount adds each row's p in order from 0.0: its miss, then its detections by column
-    r = np.bincount(np.concatenate([miss, owner]), np.concatenate([p_miss[miss], p_det[det]]),
-                    minlength=len(group.rows))
-    mixture = np.zeros(group.miss.shape)
-    mixture[miss] += ((p_miss[miss] / r[miss])[:, None]
-                      * (group.miss[miss] / group.miss_mass[miss, None]))
-    rank = np.arange(len(det)) - np.searchsorted(owner, owner)
-    for t in range(rank.max(initial=-1) + 1):
-        at, rows = det[rank == t], owner[rank == t]
-        mixture[rows] += (p_det[at] / r[rows])[:, None] * (group.lik[at] / group.b[at, None])
+    r = np.bincount(np.concatenate([np.flatnonzero(miss), owner]),
+                    np.concatenate([p_miss[miss], p_det[det]]), minlength=len(miss))
+    counts, lengths = np.diff(group.offsets), np.diff(group.cuts)[det]
+    # every miss at once; a row whose miss does not enter scales a mass of 1
+    scale = np.divide(p_miss, r, out=np.zeros(len(r)), where=miss)
+    mass = np.where(miss, group.miss_mass, 1.0)
+    mixture = np.zeros(len(group.miss))
+    np.add(mixture, scale.repeat(counts) * (group.miss / mass.repeat(counts)),
+           out=mixture, where=miss.repeat(counts))
+    # then the detections: add.at adds in pair order, each particle's by column
+    np.add.at(mixture, run_indices(group.offsets[owner], lengths),
+              (p_det[det] / r[owner]).repeat(lengths)
+              * (take_rows(group.lik, group.cuts, det) / group.b[det].repeat(lengths)))
     return np.minimum(r, 1.0), mixture
 
 
@@ -202,9 +208,10 @@ def update_legacy_track(label: Label, marginal: Mapping[int, float], miss: Hypot
     mass = np.array([len(h.weights) > 0 for h in hyps], dtype=float)
     # each term's p(a) r(l,a) in one legacy row, so the miss existence is 1
     legacy = np.array([[marginal.get(m, 0.0) * h.existence for m, h in zip([0] + found, hyps)]])
-    group = TrackGroup(np.zeros(1, np.intp), rows[:1], mass[:1], np.ones(1),
-                       np.zeros(len(found), np.intp), np.arange(len(found)), rows[1:], mass[1:])
-    (r,), (weights,) = legacy_mixture(group, legacy)
+    group = TrackGroup(np.array([0, len(states)]), rows[0], mass[:1], np.ones(1),
+                       np.zeros(len(found), np.intp), np.arange(len(found)),
+                       np.arange(len(hyps)) * len(states), rows[1:].reshape(-1), mass[1:])
+    (r,), weights = legacy_mixture(group, legacy)
     updated = Pending(label, float(r), (weights, states) if r > 0.0 else None)
     return _resampled([updated], [updated], particle_budget, rng)[0].tracks()[0]
 
@@ -301,7 +308,7 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
     frame. Only the rows of residual measurements that are not transferred
     return to the intensity. The tracks are one `TrackBlock` from step to
     step, which `predict_tracks`, `track_evidence` and `legacy_mixture` take
-    group by group; one `exact_marginals` call gives every cluster's
+    in one pass each; one `exact_marginals` call gives every cluster's
     marginals, BP's or, where BP is not exact, enumerated. A kept row of
     `track_particles` particles whose effective sample size is at least half
     of them is copied into its slot of the next block as it is; one
@@ -340,11 +347,10 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
     # its rows and then its transfers
     legacy, claim = exact_marginals(evidence.miss_beta, evidence.betas, new_beta, transferred,
                                     clusters, settings.bp_iterations)
-    by_row: list = [None] * len(block.labels)
-    for (_, states, _), group in zip(block.groups, evidence.groups):
-        r, mixture = legacy_mixture(group, legacy)
-        for i, row_r, row in zip(group.rows.tolist(), r.tolist(), zip(mixture, states)):
-            by_row[i] = Pending(block.labels[i], row_r, row if row_r > 0.0 else None)
+    r, mixture = legacy_mixture(evidence.group, legacy)
+    cuts = block.offsets.tolist()
+    by_row = [Pending(label, row_r, (mixture[a:b], block.states[a:b]) if row_r > 0.0 else None)
+              for label, row_r, a, b in zip(block.labels, r.tolist(), cuts, cuts[1:])]
     claims = claim.tolist()
     pending: list[Pending] = []
     for rows, cols in clusters:

@@ -18,7 +18,8 @@ from lmbp.rfs import ParticleSet
 class StubSensor:
     """Sensor double returning prescribed detection probabilities and likelihoods.
 
-    `pd` is aligned with the particle order of whatever set it is applied to;
+    `pd` is aligned with the particle order of whatever set it is applied to,
+    and repeated along a block whose tracks have `len(pd)` particles each;
     `lik` has one row per frame measurement, which every state set gets.
     Every state sits at range and bearing 0. A likelihood floor is accepted
     and ignored, so `normalizer` only has to exist. Clutter and its disk are
@@ -40,7 +41,7 @@ class StubSensor:
         return np.zeros(shape), np.zeros(shape)
 
     def detection_prob_at(self, rho):
-        return np.broadcast_to(self.pd[: np.shape(rho)[-1]], np.shape(rho))
+        return np.resize(self.pd, np.shape(rho))
 
     def likelihood_table(self, frame, states):
         if self.lik is None:
@@ -51,17 +52,19 @@ class StubSensor:
         """The nonzero entries of the stub's likelihood table, as cells."""
         return cells_of(self.likelihood_table(frame, rho))
 
-    def row_bounds(self, frame, rho, theta):
+    def row_bounds(self, frame, rho, theta, offsets):
         """Exponent bound 0 under the table's largest entry as the
         normalizer: a true bound, and no pair bounded below the floor."""
         top = self.likelihood_table(frame, rho).max(initial=0.0) if len(frame) else 0.0
-        return np.zeros((len(rho), len(frame))), float(top)
+        return np.zeros((len(offsets) - 1, len(frame))), float(top)
 
-    def likelihood_rows(self, frame, meas, rho, theta):
-        """Row `meas[k]` of the stub's table for each pair k; no rows for no pairs."""
+    def likelihood_rows(self, frame, meas, rho, theta, lengths):
+        """The first `lengths[k]` entries of row `meas[k]` of the stub's
+        table for each pair k, end to end; nothing for no pairs."""
         if not len(meas):
-            return np.empty((0, np.shape(rho)[-1]))
-        return self.likelihood_table(frame, rho)[meas]
+            return np.empty(0)
+        table = self.likelihood_table(frame, rho)
+        return np.concatenate([table[m, :n] for m, n in zip(meas, lengths)])
 
 
 class ClusterTables(NamedTuple):
@@ -243,10 +246,10 @@ def count_joined_rows(monkeypatch, counts: Counter) -> None:
         labelled[0] = True
         return components(*args)
 
-    def rows_spy(sensor, frame, meas, rho, theta):
+    def rows_spy(sensor, frame, meas, rho, theta, lengths):
         if labelled[0]:
             counts["deferred evaluated"] += len(meas)
-        return likelihood_rows(sensor, frame, meas, rho, theta)
+        return likelihood_rows(sensor, frame, meas, rho, theta, lengths)
 
     monkeypatch.setattr(lmbp.update, "track_evidence", evidence_spy)
     monkeypatch.setattr(lmbp.association, "_components", components_spy)

@@ -23,8 +23,18 @@ from lmbp.association import (
     partition,
     track_evidence,
 )
-from lmbp.models import SensorModel
-from lmbp.rfs import BernoulliTrack, Label, Measurement, ParticleSet, PoissonPhd, TrackBlock
+from lmbp.models import MotionModel, SensorModel
+from lmbp.prediction import predict_tracks
+from lmbp.rfs import (
+    BernoulliTrack,
+    Label,
+    Measurement,
+    ParticleSet,
+    PoissonPhd,
+    TrackBlock,
+    take_rows,
+)
+from lmbp.update import legacy_mixture
 
 from helpers import (
     ClusterTables,
@@ -216,10 +226,10 @@ class TestTrackEvidence:
         tracks = [cloud_track(rng, sensor.position + [40.0 * i - 80.0, 150.0], n, 0.7,
                               index=i + 1) for i, n in enumerate(sizes)]
         evidence = assert_evidence_exact(tracks, frame_near(rng, sensor, tracks, 20), sensor)
-        assert [evidence.slot(i)[0].miss.shape[1] for i in range(len(sizes))] == sizes
+        assert np.diff(evidence.group.offsets).tolist() == sizes
         assert np.all(evidence.betas.max(axis=1) > 0.0)
         # the gate left pairs out
-        assert sum(len(group.b) for group in evidence.groups) < evidence.betas.size
+        assert len(evidence.group.b) < evidence.betas.size
 
     def test_nonexistent_track_and_forced_detection(self):
         # pD is exactly 1 at the sensor: with r = 1 the miss weight vanishes
@@ -238,8 +248,7 @@ class TestTrackEvidence:
         assert evidence.miss_beta[1] == 1.0 and evidence.miss(1).existence == 0.0
         assert not evidence.betas[1].any() and evidence.betas[0, 0] > 0.0
         # surely detected if present, but r < 1: c = 0 while beta = 1 - r > 0
-        group, k = evidence.slot(2)
-        assert group.miss_mass[k] == 0.0
+        assert evidence.group.miss_mass[2] == 0.0
         miss = evidence.miss(2)
         assert miss.beta == evidence.miss_beta[2] == 1.0 - 0.6
         assert miss.existence == 0.0 and len(miss.weights) == 0
@@ -251,7 +260,7 @@ class TestTrackEvidence:
                   for i, n in enumerate((10, 3))]
         evidence = assert_evidence_exact(tracks, [], sensor)
         assert evidence.betas.shape == (2, 0)
-        assert not any(len(group.b) for group in evidence.groups)
+        assert not len(evidence.group.b)
         none = assert_evidence_exact([], frame_near(rng, sensor, tracks, 4), sensor)
         assert none.betas.shape == (0, 6) and none.miss_beta.shape == (0,)
 
@@ -318,9 +327,9 @@ def assert_gate_exact(tracks, frame, sensor, gamma_c):
                 assert np.array_equal(hyp.weights, ref.weights)
                 assert np.array_equal(pdf_of(tracks[i].pdf.states, hyp).states,
                                       pdf_of(tracks[i].pdf.states, ref).states)
-    for group in gated.groups:
-        # the cells joined after labelling are merged in (row, col) order
-        assert np.all(np.diff(group.pair_row * len(frame) + group.pair_col) > 0)
+    # the pairs joined after labelling are merged in (row, col) order
+    group = gated.group
+    assert np.all(np.diff(group.pair_row * len(frame) + group.pair_col) > 0)
     for i, j in zip(*np.nonzero(gated.deferred)):
         with pytest.raises(ValueError, match="deferred"):
             gated.detection(int(i), int(j) + 1)
@@ -1066,3 +1075,82 @@ class TestBatchBpMarginals:
         with pytest.raises(ValueError, match="not normalized"):
             batch_bp_marginals(np.array([1.0, 0.5]), np.array([[-2.0], [1.0]]), np.ones(1),
                                np.zeros(1, dtype=bool), [(np.arange(2), np.arange(1))], 20)
+
+
+# ---------------------------------------------------------------------------
+# Block rows: each stage gives every row the bits of its own one-row block
+# ---------------------------------------------------------------------------
+
+
+class CountingRng:
+    """A generator that counts its `standard_normal` calls."""
+
+    def __init__(self, seed):
+        self.rng, self.normal_calls = np.random.default_rng(seed), 0
+
+    def standard_normal(self, *args):
+        self.normal_calls += 1
+        return self.rng.standard_normal(*args)
+
+
+@st.composite
+def random_blocks(draw):
+    """Tracks of 0 to 1000 particles each, some of one length and none at
+    all in an empty block, an empty row having r = 0; a frame near the
+    nonempty tracks and in clutter; and a seed for the rest."""
+    lengths = draw(st.lists(st.one_of(st.sampled_from([0, 1, 64, 1000]), st.integers(0, 1000)),
+                            max_size=6))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    sensor = SensorModel()
+    tracks = []
+    for i, n in enumerate(lengths):
+        rho, theta = rng.uniform(20.0, 280.0), rng.uniform(-np.pi, np.pi)
+        centre = sensor.position + rho * np.array([np.cos(theta), np.sin(theta)])
+        r = float(rng.choice([1.0, rng.random()])) if n else 0.0
+        tracks.append(cloud_track(rng, centre, n, r, spread=float(rng.uniform(0.5, 20.0)),
+                                  index=i + 1))
+    frame = frame_near(rng, sensor, [t for t in tracks if len(t.pdf)], 10)
+    return tracks, frame, sensor, seed
+
+
+class TestBlockRows:
+    @settings(max_examples=40, deadline=None)
+    @given(random_blocks())
+    def test_every_row_gets_the_bits_of_its_own_block(self, case):
+        tracks, frame, sensor, seed = case
+        block = TrackBlock.of(tracks)
+        # prediction: one noise draw for the block, the bits of one block per
+        # row drawn in row order from one generator
+        motion = MotionModel(sigma_u=0.3)
+        counting, reference = CountingRng(seed), np.random.default_rng(seed)
+        predicted = predict_tracks(block, motion, counting)
+        alone = [predict_tracks(TrackBlock.of([track]), motion, reference) for track in tracks]
+        alone = [one for one in alone if one.labels]
+        assert counting.normal_calls == 1
+        assert counting.rng.random() == reference.random()
+        assert predicted.labels == tuple(one.labels[0] for one in alone)
+        for (states, weights), r, one in zip(predicted.rows(), predicted.existence, alone):
+            assert states.tobytes() == one.states.tobytes()
+            assert weights.tobytes() == one.weights.tobytes()
+            assert r == one.existence[0]
+        # evidence, every pair evaluated, and the mixture of random marginals
+        evidence = track_evidence(block, frame, sensor, 0.0)
+        group, cuts = evidence.group, block.offsets.tolist()
+        legacy = np.random.default_rng(seed).random((len(tracks), 1 + len(frame)))
+        legacy[legacy < 0.3] = 0.0
+        r, mixture = legacy_mixture(group, legacy)
+        for i, track in enumerate(tracks):
+            one = track_evidence(TrackBlock.of([track]), frame, sensor, 0.0)
+            row = slice(cuts[i], cuts[i + 1])
+            assert evidence.miss_beta[i] == one.miss_beta[0]
+            assert evidence.betas[i].tobytes() == one.betas[0].tobytes()
+            assert group.miss[row].tobytes() == one.group.miss.tobytes()
+            assert group.miss_mass[i] == one.group.miss_mass[0]
+            assert group.miss_existence[i] == one.group.miss_existence[0]
+            pairs = np.flatnonzero(group.pair_row == i)
+            assert np.array_equal(group.pair_col[pairs], one.group.pair_col)
+            assert group.b[pairs].tobytes() == one.group.b.tobytes()
+            assert take_rows(group.lik, group.cuts, pairs).tobytes() == one.group.lik.tobytes()
+            r_one, mixture_one = legacy_mixture(one.group, legacy[i:i + 1])
+            assert r[i] == r_one[0] and mixture[row].tobytes() == mixture_one.tobytes()

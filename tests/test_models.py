@@ -18,7 +18,7 @@ from lmbp.models import (
     SensorModel,
     wrap_angle,
 )
-from lmbp.rfs import Measurement, write_snapshot
+from lmbp.rfs import Measurement, run_indices, write_snapshot
 from lmbp.simulate import generate_frames, generate_truth
 from lmbp.update import Thresholds, lmbp_step
 
@@ -296,12 +296,15 @@ class DenseSensor(SensorModel):
     def likelihood_cells(self, frame, rho, theta, floor=None):
         return cells_of(dense_polar_table(self, frame, rho, theta), every=True)
 
-    def row_bounds(self, frame, rho, theta):
-        return np.full((len(rho), len(frame)), np.inf), super().row_bounds(frame, rho, theta)[1]
+    def row_bounds(self, frame, rho, theta, offsets):
+        return (np.full((len(offsets) - 1, len(frame)), np.inf),
+                super().row_bounds(frame, rho, theta, offsets)[1])
 
-    def likelihood_rows(self, frame, meas, rho, theta):
-        rows = [dense_polar_table(self, [frame[m]], r, t) for m, r, t in zip(meas, rho, theta)]
-        return np.array(rows).reshape(np.shape(rho))
+    def likelihood_rows(self, frame, meas, rho, theta, lengths):
+        cuts = np.append(0, np.cumsum(lengths)).tolist()
+        runs = [dense_polar_table(self, [frame[m]], rho[a:b], theta[a:b])[0]
+                for m, a, b in zip(meas, cuts, cuts[1:])]
+        return np.concatenate(runs + [np.empty(0)])
 
 
 @pytest.fixture
@@ -683,28 +686,37 @@ class TestGatedLikelihoodTable:
         assert_table_exact(sensor, frame, states, max(floor, EXP_FLOOR) if clutter_floor else None)
 
 
-def kept_pairs(sensor, frame, states):
+def polar_sets(sensor, sets):
+    """The `range_bearing` of state sets end to end, and their offsets."""
+    offsets = np.append(0, np.cumsum([len(s) for s in sets], dtype=np.intp))
+    states = np.concatenate([np.reshape(s, (-1, 4)) for s in sets] + [np.empty((0, 4))])
+    return *sensor.range_bearing(states), offsets
+
+
+def kept_pairs(sensor, frame, sets):
     """The (set, measurement) pairs whose `row_bounds` clear `EXP_FLOOR`."""
-    rho, theta = sensor.range_bearing(states)
-    return np.nonzero(sensor.row_bounds(frame, rho, theta)[0] >= EXP_FLOOR)
+    return np.nonzero(sensor.row_bounds(frame, *polar_sets(sensor, sets))[0] >= EXP_FLOOR)
 
 
-def assert_rows_exact(sensor, frame, states):
+def assert_rows_exact(sensor, frame, sets):
     """`likelihood_rows` of the pairs the row bounds keep equal the dense
     reference, every pair left out has an all-zero dense row, and every
     finite dense entry lies under norm exp(bound), up to rounding."""
-    rho, theta = sensor.range_bearing(states)
-    bound, norm = sensor.row_bounds(frame, rho, theta)
-    assert bound.shape == (len(states), len(frame))
-    sets, meas = np.nonzero(bound >= EXP_FLOOR)
-    rows = sensor.likelihood_rows(frame, meas, rho[sets], theta[sets])
-    dense = np.array([dense_likelihood_table(sensor, frame, s) for s in states])
-    dense = dense.reshape(len(states), len(frame), np.shape(states)[1])
-    assert np.array_equal(rows, dense[sets, meas], equal_nan=True)
-    assert not dense[bound < EXP_FLOOR].any()
-    with np.errstate(over="ignore", invalid="ignore"):
-        ceiling = norm * np.exp(bound)[:, :, None] * (1.0 + 1e-12)
-        assert np.all((dense <= ceiling) | ~np.isfinite(dense))
+    rho, theta, offsets = polar_sets(sensor, sets)
+    bound, norm = sensor.row_bounds(frame, rho, theta, offsets)
+    assert bound.shape == (len(sets), len(frame))
+    at, meas = np.nonzero(bound >= EXP_FLOOR)
+    lengths = np.diff(offsets)[at]
+    particles = run_indices(offsets[at], lengths)
+    runs = sensor.likelihood_rows(frame, meas, rho[particles], theta[particles], lengths)
+    dense = [dense_likelihood_table(sensor, frame, np.reshape(s, (-1, 4))) for s in sets]
+    expected = [dense[i][m] for i, m in zip(at.tolist(), meas.tolist())]
+    assert np.array_equal(runs, np.concatenate(expected + [np.empty(0)]), equal_nan=True)
+    for table, set_bound in zip(dense, bound):
+        assert not table[set_bound < EXP_FLOOR].any()
+        with np.errstate(over="ignore", invalid="ignore"):
+            ceiling = norm * np.exp(set_bound)[:, None] * (1.0 + 1e-12)
+            assert np.all((table <= ceiling) | ~np.isfinite(table))
 
 
 class TestLikelihoodRows:
@@ -746,6 +758,15 @@ class TestLikelihoodRows:
         assert_rows_exact(sensor, [], states)
         assert_rows_exact(sensor, frame, np.empty((0, 7, 4)))
         assert_rows_exact(sensor, frame, np.empty((2, 0, 4)))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_sets_of_mixed_lengths(self, seed):
+        # sets of random lengths, runs of equal ones and empty ones among them
+        rng = np.random.default_rng(200 + seed)
+        sensor, frame, states = random_case(rng)
+        lengths = rng.choice([0, 1, 3, 3, 40], size=int(rng.integers(1, 12)))
+        starts = rng.integers(0, max(len(states) - 40, 1), len(lengths))
+        assert_rows_exact(sensor, frame, [states[a:a + n] for a, n in zip(starts, lengths)])
 
     def test_non_finite_states_and_measurements(self):
         rng = np.random.default_rng(13)

@@ -86,8 +86,9 @@ class FarOutDies(MotionModel):
 class TestPredictTracks:
     def test_block_matches_per_track_prediction(self):
         # interleaved particle counts and one annihilated track: the block has
-        # the survivors' per-track existence and weights, the states of one
-        # transition per group, and the generator ends where those calls leave it
+        # the survivors' per-track existence and weights, the states that
+        # `predict_track` draws track by track in row order from one
+        # generator, and the generator ends where those calls leave it
         rng = np.random.default_rng(21)
         tracks = []
         for i, n in enumerate((1000, 3, 1000, 50, 3, 1000, 50)):
@@ -99,27 +100,20 @@ class TestPredictTracks:
                                    label=Label(1, i + 1)))
         model = FarOutDies(sigma_u=0.3)
         a, b = np.random.default_rng(8), np.random.default_rng(8)
-        source = TrackBlock.of(tracks)
-        block = predict_tracks(source, model, a)
+        block = predict_tracks(TrackBlock.of(tracks), model, a)
         expected = per_track_prediction(tracks, model, np.random.default_rng(0))
-        # the states: one transition per group's survivors, in group order
-        moved = {}
-        for rows, states, weights in source.groups:
-            alive = (weights * model.survival_prob(states)).sum(axis=1) > 0.0
-            moved.update(zip(rows[alive].tolist(), model.transition_sample(states[alive], b)))
+        moved = [predict_track(track, model, b) for track in tracks if track.label != Label(1, 4)]
         assert a.random() == b.random()
         assert block.labels == tuple(label for label, _, _, _ in expected)
         assert Label(1, 4) not in block.labels
         assert block.existence.tolist() == [r for _, r, _, _ in expected]
-        for (states, weights), row, (_, _, _, ref_weights) in zip(block.rows(), sorted(moved),
-                                                                  expected):
-            assert np.array_equal(states, moved[row]) and np.array_equal(weights, ref_weights)
-        sizes = {w.shape[1]: rows.tolist() for rows, _, w in block.groups}
-        assert sizes == {1000: [0, 2, 4], 3: [1, 3], 50: [5]}
+        for (states, weights), one, (_, _, _, ref_weights) in zip(block.rows(), moved, expected):
+            assert np.array_equal(states, one.pdf.states) and np.array_equal(weights, ref_weights)
+        assert np.diff(block.offsets).tolist() == [1000, 3, 1000, 3, 1000, 50]
 
     def test_one_group_draws_its_noise_in_one_call(self):
-        # a dead row inside the one group: the survivors still draw in one
-        # `standard_normal` call, the bits of one call per track
+        # a dead row inside a block of one length: the survivors still draw
+        # in one `standard_normal` call, the bits of one call per track
         class CountingRng:
             def __init__(self, seed):
                 self.rng, self.calls = np.random.default_rng(seed), 0
@@ -141,21 +135,23 @@ class TestPredictTracks:
         expected = per_track_prediction(tracks, model, b)
         assert a.calls == 1 and a.rng.random() == b.random()
         assert block.labels == tuple(label for label, _, _, _ in expected)
-        assert [rows.tolist() for rows, _, _ in block.groups] == [[0, 1, 2, 3, 4]]
+        assert np.diff(block.offsets).tolist() == [64] * 5
         for (states, weights), (_, _, ref_states, ref_weights) in zip(block.rows(), expected):
             assert np.array_equal(states, ref_states) and np.array_equal(weights, ref_weights)
-        # three groups, the 16-particle one wholly dead: one call per surviving group
+        # three lengths, every 16-particle row dead: still one call, in row order
         tracks = []
         for i, n in enumerate((64, 8, 16, 64, 16, 8)):
             states = rng.normal(0.0, 50.0, (n, 4))
             if n == 16:
                 states[:, 0] += 2e4
             tracks.append(track_of(states, np.full(n, 1 / n), label=Label(2, i + 1)))
-        a = CountingRng(10)
+        a, b = CountingRng(10), np.random.default_rng(10)
         block = predict_tracks(TrackBlock.of(tracks), model, a)
-        assert a.calls == 2
-        assert [(rows.tolist(), w.shape[1]) for rows, _, w in block.groups] == [([0, 2], 64),
-                                                                                ([1, 3], 8)]
+        expected = per_track_prediction(tracks, model, b)
+        assert a.calls == 1 and a.rng.random() == b.random()
+        assert np.diff(block.offsets).tolist() == [64, 8, 64, 8]
+        for (states, weights), (_, _, ref_states, ref_weights) in zip(block.rows(), expected):
+            assert np.array_equal(states, ref_states) and np.array_equal(weights, ref_weights)
 
     def test_survival_outside_unit_interval_raises(self):
         # both predictions check survival; 1.5 would grow the intensity's mass by half

@@ -17,6 +17,10 @@ from lmbp.rfs import (
     read_snapshot,
     resample,
     resample_rows,
+    row_reduce,
+    row_sums,
+    run_indices,
+    take_rows,
     write_snapshot,
 )
 
@@ -216,6 +220,66 @@ class TestWeightedMean:
         assert np.all(err <= 4.0 * sigma / np.sqrt(n))
 
 
+def per_row_sums(values, offsets):
+    """Each row's own `values[a:b].sum()`: the bits `row_sums` must give."""
+    cuts = offsets.tolist()
+    return np.array([values[a:b].sum() for a, b in zip(cuts, cuts[1:])], dtype=float)
+
+
+ROW_LENGTHS = [
+    [1000] * 5, [1] * 9, [7, 7, 7], [8, 8], [9] * 4, [1001, 1001],      # one length
+    [1000, 3, 1000, 3, 1000, 50], [5, 9, 2, 700, 1],                 # mixed
+    [0, 4, 0, 0, 4, 0], [0, 0], [1000, 0, 1000], [3, 3, 0],          # empty rows
+    [],                                                              # no rows
+]
+
+
+class TestRowHelpers:
+    """`row_sums`, `row_reduce`, `take_rows` and `run_indices` against one
+    slice per row."""
+
+    @pytest.mark.parametrize("lengths", ROW_LENGTHS)
+    def test_row_sums_have_each_rows_own_bits(self, lengths):
+        rng = np.random.default_rng(len(lengths) + sum(lengths))
+        offsets = np.append(0, np.cumsum(lengths, dtype=np.intp))
+        for values in (rng.random(offsets[-1]),
+                       rng.random(offsets[-1]) * 10.0 ** rng.uniform(-8, 8, offsets[-1])):
+            assert row_sums(values, offsets).tobytes() == per_row_sums(values, offsets).tobytes()
+
+    @pytest.mark.parametrize("lengths", ROW_LENGTHS)
+    def test_row_reduce_takes_each_row_alone(self, lengths):
+        rng = np.random.default_rng(len(lengths))
+        offsets = np.append(0, np.cumsum(lengths, dtype=np.intp))
+        values = rng.normal(size=offsets[-1])
+        cuts = offsets.tolist()
+        for ufunc in (np.minimum, np.maximum):
+            expected = [ufunc.reduce(values[a:b]) if b > a else -7.0
+                        for a, b in zip(cuts, cuts[1:])]
+            assert row_reduce(ufunc, values, offsets, -7.0).tolist() == expected
+
+    def test_row_sums_are_not_reduceat(self):
+        # reduceat adds each row left to right, the row's own sum pairwise:
+        # on this block they differ in the last bits, and row_sums may not
+        values = np.random.default_rng(1).random(3000)
+        offsets = np.array([0, 1000, 1000, 3000])
+        expected = per_row_sums(values, offsets)
+        assert row_sums(values, offsets).tobytes() == expected.tobytes()
+        reduceat = np.add.reduceat(values, [0, 1000])
+        assert reduceat.tobytes() != expected[[0, 2]].tobytes()
+
+    @pytest.mark.parametrize("lengths", [[64] * 6, [64, 8, 16, 64, 0, 8], [0, 0], []])
+    def test_take_rows_and_run_indices_follow_the_slices(self, lengths):
+        rng = np.random.default_rng(7)
+        offsets = np.append(0, np.cumsum(lengths, dtype=np.intp))
+        values = rng.random(offsets[-1])
+        rows = rng.integers(0, len(lengths), 2 * len(lengths)) if lengths else np.empty(0, int)
+        runs = [values[offsets[i]:offsets[i + 1]] for i in rows]
+        expected = np.concatenate(runs + [np.empty(0)])
+        assert np.array_equal(take_rows(values, offsets, rows), expected)
+        assert np.array_equal(values[run_indices(offsets[rows], np.diff(offsets)[rows])],
+                              expected)
+
+
 class TestTrackAndState:
     def test_track_validation(self):
         pdf = make_pset([[0, 0, 0, 0]], [1.0])
@@ -262,11 +326,10 @@ def bad_block(case):
     if case == "born_after_time":
         labels = [Label(1, 1), Label(4, 1)]
     block = TrackBlock.empty(labels, existence, sizes)
-    for _, states, weights in block.groups:
-        states[:] = 0.0
-        weights[:] = 0.25
+    block.states[:] = 0.0
+    block.weights[:] = 0.25
     r = block.existence
-    weights = block.groups[0][2]
+    weights = [w for _, w in block.rows()]
     if case == "existence_above_one":
         r[1] = 1.0 + 2e-12
     if case == "existence_below_zero":
@@ -274,23 +337,24 @@ def bad_block(case):
     if case == "existence_nan":
         r[1] = np.nan
     if case == "not_normalized":
-        weights[1, 0] += 10 * PDF_TOL
+        weights[1][0] += 10 * PDF_TOL
     if case == "negative_weight":
-        weights[1] = [-0.25, 0.5, 0.5, 0.25]
+        weights[1][:] = [-0.25, 0.5, 0.5, 0.25]
     if case in ("inf_weight", "nan_weight"):
-        weights[1, 0] = np.inf if case == "inf_weight" else np.nan
+        weights[1][0] = np.inf if case == "inf_weight" else np.nan
     if case == "rows_mismatch":
-        block.groups[0][0][1] = 0
+        block = block._replace(offsets=np.array([1, 4, 8]))
+    if case == "offsets_decrease":
+        block = block._replace(offsets=np.array([0, 9, 8]))
     if case == "length_mismatch":
-        rows, states, _ = block.groups[0]
-        block = block._replace(groups=((rows, states, np.full((2, 3), 1 / 3)),))
+        block = block._replace(offsets=np.array([0, 4, 7]))
     return block
 
 
 class TestBlockState:
     CASES = ["existence_above_one", "existence_below_zero", "existence_nan", "not_normalized",
              "negative_weight", "inf_weight", "nan_weight", "empty_pdf", "duplicate_labels",
-             "born_after_time", "rows_mismatch", "length_mismatch"]
+             "born_after_time", "rows_mismatch", "offsets_decrease", "length_mismatch"]
 
     @pytest.mark.parametrize("case", CASES)
     def test_every_track_check_holds_for_a_block(self, case):
@@ -305,7 +369,7 @@ class TestBlockState:
         state = FilterState.from_block(block, PoissonPhd.empty(), 3)
         assert state.block.existence.tolist() == [1.0, 0.5]
         assert state.tracks[0].existence == 1.0
-        assert not state.block.groups[0][1].flags.writeable
+        assert not state.block.states.flags.writeable
 
     def test_a_state_from_tracks_keeps_those_objects(self):
         tracks = random_tracks(np.random.default_rng(3))
@@ -356,7 +420,7 @@ def one_track_both_ways(existence, weights):
     weights = np.array(weights, dtype=float)
     states = np.zeros((len(weights), 4))
     block = TrackBlock.empty([Label(1, 1)], [existence], [len(weights)])
-    block.groups[0][1][:], block.groups[0][2][:] = states, weights
+    block.states[:], block.weights[:] = states, weights
     out = []
     for build in (lambda: BernoulliTrack(Label(1, 1), existence,
                                          ParticleSet(states, weights)).existence,

@@ -240,15 +240,16 @@ class TestOnePassUpdate:
         one_by_one = [update_legacy_track(Label(1, i + 1), marginal, miss, det, support, 64, a)
                       for i, marginal in enumerate(marginals)]
         one_by_one += [update_transferred_track(comp, 0.5, 64, a)]
-        # the three rows as one group over the shared support: each row's
-        # miss and its detection of measurement 2 (column 1), mass 1
-        group = TrackGroup(np.arange(3), np.tile(miss.weights, (3, 1)), np.ones(3),
+        # the three rows as one block's evidence over the shared support: each
+        # row's miss and its detection of measurement 2 (column 1), mass 1
+        cuts = np.arange(4) * 40
+        group = TrackGroup(cuts, np.tile(miss.weights, 3), np.ones(3),
                            np.full(3, miss.existence), np.arange(3), np.ones(3, np.intp),
-                           np.tile(det[2].weights, (3, 1)), np.ones(3))
+                           cuts, np.tile(det[2].weights, 3), np.ones(3))
         legacy = np.array([[m[0], 0.0, m[2] * det[2].existence] for m in marginals])
         r, mixture = legacy_mixture(group, legacy)
         pending = [Pending(Label(1, i + 1), row_r, (weights, support) if row_r else None)
-                   for i, (row_r, weights) in enumerate(zip(r.tolist(), mixture))]
+                   for i, (row_r, weights) in enumerate(zip(r.tolist(), mixture.reshape(3, 40)))]
         pending.append(comp._replace(existence=0.5 * comp.existence))
         one_pass = _resampled(pending, pending, 64, b)[0].tracks()
         assert a.random() == b.random()
@@ -658,19 +659,18 @@ class TestLmbpStep:
         # measurement 0 to measurement 1, which track 0 cannot explain, so
         # that pair (entry 2 of track 0's marginal) is in the cluster with
         # b = 0 and gets a zero marginal, and only the other pairs' likelihood
-        # rows may be read, to be normalized and mixed
+        # runs may be read, to be normalized and mixed
         read, updates = [], []
         mixture = lmbp.update.legacy_mixture
 
-        class Recorded(np.ndarray):
-            """Likelihood rows that record which of them are read."""
-
-            def __getitem__(self, key):
-                read.extend(np.arange(len(self))[key].tolist())
-                return np.asarray(self)[key]
-
         def mixture_spy(group, legacy):
-            group = group._replace(lik=group.lik.view(Recorded))
+            # the pairs whose run the mixture reads: a NaN run shows in it
+            cuts = group.cuts.tolist()
+            for k in range(len(group.b)):
+                lik = group.lik.copy()
+                lik[cuts[k]:cuts[k + 1]] = np.nan
+                if np.isnan(mixture(group._replace(lik=lik), legacy)[1]).any():
+                    read.append(k)
             updates.append((group, legacy, mixture(group, legacy)))
             return updates[-1][2]
 
@@ -698,7 +698,7 @@ class TestLmbpStep:
             return group, legacy, r, mixed, nonzero, pairs
 
         group, legacy, r, mixed, nonzero, _ = step(tracks, 0.0)
-        assert group.rows.tolist() == [0, 1, 2]
+        assert group.offsets.tolist() == [0, 8, 16, 24]
         zero = [(i, m) for i in range(3) for m in range(1, 4) if legacy[i, m] == 0.0]
         assert nonzero and (0, 2) in zero
         for i in range(3):
@@ -707,7 +707,7 @@ class TestLmbpStep:
             for m in (m for j, m in nonzero if j == i):
                 expected += legacy[i, m]
             assert r[i] == min(expected, 1.0)
-        assert mixed.shape == (3, 8)
+        assert mixed.shape == (24,)
         # at gamma_c = 1e-10, a particle of weight 1e-12 next to measurement 0
         # gives track 2 a pair with b > 0 that is evaluated but too light to
         # be plausible: it lies outside track 2's cluster, with a zero marginal
@@ -718,7 +718,7 @@ class TestLmbpStep:
         assert group.b[pairs.index((2, 1))] > 0.0 and legacy[2, 1] == 0.0
 
     def test_rows_of_every_group_match_per_row_updates(self, monkeypatch):
-        # a block of three groups, of 8, 5 and 1 particles, each with a row
+        # a block of rows of 8, 5 and 1 particles, each length with a row
         # of two or more terms: every row the step resamples is
         # `update_legacy_track`'s on that row, bit for bit, and drawing the
         # rows one by one leaves a generator where the step's one pass does
@@ -757,7 +757,7 @@ class TestLmbpStep:
         out = lmbp_step(FilterState(tracks, PoissonPhd.empty(), 1), frame, models,
                         Thresholds(), np.random.default_rng(3), settings=small_settings())
         block, evidence, legacy = seen["block"], seen["evidence"], seen["marginals"].legacy
-        assert [weights.shape[1] for _, _, weights in block.groups] == [8, 5, 1]
+        assert np.diff(block.offsets).tolist() == [8, 8, 5, 5, 1]
         stepped = dict(zip(out.block.labels, out.tracks))
         replay, multi = seen["before"], set()
         clusters, _ = partition(evidence.row_of, evidence.col_of)
@@ -769,7 +769,7 @@ class TestLmbpStep:
                 terms = (marginal[0] * miss.existence > 0.0) + sum(
                     marginal[m] > 0.0 and len(hyp.weights) > 0 for m, hyp in detections.items())
                 if terms >= 2:
-                    multi.add(evidence.slot(i)[0].miss.shape[1])
+                    multi.add(len(block.rows()[i][1]))
                 one = update_legacy_track(block.labels[i], marginal, miss, detections,
                                           block.rows()[i][0], 64, replay)
                 track = stepped[one.label]
