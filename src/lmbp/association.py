@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .models import EXP_FLOOR, SensorModel
-from .rfs import BernoulliTrack, Measurement, PoissonPhd, TrackBlock, row_sums, take_rows
+from .rfs import BernoulliTrack, Measurement, PoissonPhd, TrackBlock, row_reduce, take_rows
 
 _TINY = 1e-300  # denominator floor; keeps degenerate messages finite
 # an intensity cell below this share of its row's clutter intensity is left out
@@ -102,9 +102,8 @@ class TrackEvidence(NamedTuple):
         pair = np.flatnonzero((group.pair_row == i) & (group.pair_col == m - 1))
         if not pair.size or group.b[pair[0]] <= 0.0:
             return Hypothesis(0.0, 0.0, np.empty(0))
-        k = pair[0]
-        return Hypothesis(float(self.betas[i, m - 1]), 1.0,
-                          group.lik[group.cuts[k]:group.cuts[k + 1]] / group.b[k])
+        [lik] = take_rows([group.lik], group.cuts, pair)
+        return Hypothesis(float(self.betas[i, m - 1]), 1.0, lik / group.b[pair[0]])
 
 
 def track_evidence(block: TrackBlock, frame: Sequence[Measurement],
@@ -126,7 +125,7 @@ def track_evidence(block: TrackBlock, frame: Sequence[Measurement],
     pd = sensor.detection_prob_at(rho)
     miss = block.weights * (1.0 - pd)
     detect = block.weights * pd
-    c = row_sums(miss, offsets)
+    c = row_reduce(np.add, miss, offsets)
     miss_beta = 1.0 - r + r * c
     # r c / beta where the miss has a pdf; nan stays nan, as `miss` gives it
     existence = np.divide(r * c, miss_beta, out=np.zeros(len(r)),
@@ -136,10 +135,10 @@ def track_evidence(block: TrackBlock, frame: Sequence[Measurement],
         """Pairs (at, meas) as (at, meas, lik, b, cuts), into `betas` too."""
         lengths = counts[at]
         cuts = np.concatenate(([0], lengths.cumsum()))
-        lik = sensor.likelihood_rows(frame, meas, take_rows(rho, offsets, at),
-                                     take_rows(theta, offsets, at), lengths)
-        lik *= take_rows(detect, offsets, at)
-        b = row_sums(lik, cuts)
+        rho_at, theta_at, detect_at = take_rows((rho, theta, detect), offsets, at)
+        lik = sensor.likelihood_rows(frame, meas, rho_at, theta_at, lengths)
+        lik *= detect_at
+        b = row_reduce(np.add, lik, cuts)
         betas[at, meas] = r[at] * b
         return at, meas, lik, b, cuts
 
@@ -147,7 +146,7 @@ def track_evidence(block: TrackBlock, frame: Sequence[Measurement],
     # exp, the products and the N-term sum can exceed this weight bound
     # by a few ulps only; halving gamma_c is the fixed margin for that.
     # A non-finite bound compares False and is evaluated now.
-    ceiling = (r * row_sums(detect, offsets))[:, None] * norm * np.exp(bound)
+    ceiling = (r * row_reduce(np.add, detect, offsets))[:, None] * norm * np.exp(bound)
     kept = bound >= EXP_FLOOR
     deferred = kept & (ceiling < 0.5 * gamma_c)
     at, meas, lik, b, cuts = evaluate(*(kept & ~deferred).nonzero())
@@ -158,7 +157,7 @@ def track_evidence(block: TrackBlock, frame: Sequence[Measurement],
         deferred &= ~joined
         at, meas, lik, b = (np.concatenate(parts) for parts in zip((at, meas, lik, b), more))
         order = np.lexsort((meas, at))
-        lik = take_rows(lik, np.concatenate(([0], counts[at].cumsum())), order)
+        [lik] = take_rows([lik], np.concatenate(([0], counts[at].cumsum())), order)
         at, meas, b = at[order], meas[order], b[order]
         cuts = np.concatenate(([0], counts[at].cumsum()))
     group = TrackGroup(offsets, miss, c, existence, at, meas, cuts, lik, b)

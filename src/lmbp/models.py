@@ -251,7 +251,7 @@ class SensorModel:
         first = theta[np.minimum(offsets[:-1], theta.size - 1)]  # an empty set's is unused
         offset = first.repeat(counts)
         offset = _wrap_residual(np.subtract(theta, offset, out=offset))
-        lo, hi, rho_lo, rho_hi = (row_reduce(f, values, offsets, 0.0)[:, None]
+        lo, hi, rho_lo, rho_hi = (row_reduce(f, values, offsets)[:, None]
                                   for values in (offset, rho) for f in (np.minimum, np.maximum))
         finite = np.isfinite(lo + hi + rho_lo + rho_hi)
         # circular distance from each measurement to the arc first + [lo, hi]
@@ -272,7 +272,7 @@ class SensorModel:
         runs are a fresh array, which the caller may scale in place.
         """
         zr, zb, norm = self._frame_terms([frame[m] for m in meas])
-        runs = self._exponent(zr.repeat(lengths), zb.repeat(lengths), rho, theta)
+        runs = self._exponent(zr.repeat(lengths), zb.repeat(lengths), rho, theta, reuse=True)
         np.exp(runs, out=runs)
         runs *= norm
         return runs
@@ -283,12 +283,14 @@ class SensorModel:
         zb = wrap_angle(np.array([z.bearing for z in frame], dtype=float))
         return zr, zb, self.normalizer
 
-    def _exponent(self, zr, zb, rho, theta) -> np.ndarray:
+    def _exponent(self, zr, zb, rho, theta, reuse: bool = False) -> np.ndarray:
         """-0.5 (dr^2 + db^2), elementwise over broadcast measurement and
-        state arrays: the one place the likelihood exponent is computed."""
-        dr = zr - rho
+        state arrays: the one place the likelihood exponent is computed.
+        With `reuse`, `zr` and `zb` are fresh arrays of the full shape, and
+        the exponent is computed in them rather than in new ones."""
+        dr = np.subtract(zr, rho, out=zr if reuse else None)
         dr /= self.sigma_range
-        db = _wrap_residual(zb - theta)
+        db = _wrap_residual(np.subtract(zb, theta, out=zb if reuse else None))
         db /= self.sigma_bearing
         with np.errstate(over="ignore"):  # an offset over ~1e154 sigma: exponent -inf
             dr *= dr
@@ -344,7 +346,8 @@ class SensorModel:
         length = np.searchsorted(sorted_ids, base + r_hi, "right") - first
         count = np.add.reduceat(length, np.cumsum(runs) - runs)
         col = order[run_indices(first, length)]
-        quad = self._exponent(np.repeat(zr, count), np.repeat(zb, count), rho[col], theta[col])
+        quad = self._exponent(np.repeat(zr, count), np.repeat(zb, count), rho[col], theta[col],
+                              reuse=True)
         keep = np.flatnonzero(quad >= np.repeat(floor, count))
         row, col = np.repeat(rows, count)[keep], col[keep]
         cell = np.argsort(row * n + col)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .models import MotionModel
-from .rfs import BernoulliTrack, ParticleSet, PoissonPhd, TrackBlock, row_sums
+from .rfs import BernoulliTrack, ParticleSet, PoissonPhd, TrackBlock, row_reduce
 
 
 def _survival(motion: MotionModel, states: np.ndarray) -> np.ndarray:
@@ -23,14 +23,14 @@ def predict_tracks(block: TrackBlock, motion: MotionModel,
     Each existence probability is multiplied by the expected survival
     probability under its pdf; the pdf particles are reweighted by survival,
     renormalized, and advanced through the transition kernel. Labels never
-    change. The block takes one survival call, one product, one `row_sums`,
+    change. The block takes one survival call, one product, one `row_reduce`,
     one divide and one transition: its survivors draw their noise in one
     `rng.standard_normal` call, in row order, as `predict_track` would
     draw it track by track. A track whose survival mass vanishes is dropped
     and draws no noise; the survivors keep their row order.
     """
     weights = block.weights * _survival(motion, block.states)
-    mass = row_sums(weights, block.offsets)
+    mass = row_reduce(np.add, weights, block.offsets)
     alive = mass > 0.0
     offsets, states = block.offsets, block.states
     if not alive.all():

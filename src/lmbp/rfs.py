@@ -134,38 +134,38 @@ def resample_rows(rows: Sequence[np.ndarray], count: int,
     return out
 
 
-def row_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Each row a:b of `offsets` summed over `values` with the bits of
-    `values[a:b].sum()`, 0.0 for an empty row. Never `np.add.reduceat`, which
-    adds a row in order where numpy's own sum adds it pairwise."""
-    return row_reduce(np.add, values, offsets, 0.0)
-
-
-def row_reduce(ufunc: np.ufunc, values: np.ndarray, offsets: np.ndarray,
-               empty: float) -> np.ndarray:
-    """`ufunc.reduce(values[a:b])` of each row a:b of `offsets`, `empty` for an
-    empty row. Rows of one length are the rows of an (L, n) view, which the
-    ufunc reduces along axis 1 row by row, as it reduces each row alone."""
-    cuts = offsets.tolist()
-    n = _row_length(cuts)
+def row_reduce(ufunc: np.ufunc, values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """`ufunc.reduce(values[a:b])` of each row a:b of `offsets`, 0.0 for an
+    empty row; with np.add, the bits of `values[a:b].sum()`, never those of
+    `np.add.reduceat`, which adds a row in order where numpy's sum adds it
+    pairwise. The rows of each length n are reduced as one (L_n, n) array
+    along axis 1, which reduces each row as it reduces the row alone: a view
+    when every row has length n, else one gather per length."""
+    n = _row_length(offsets)
     if n:
-        return ufunc.reduce(values[cuts[0]:cuts[-1]].reshape(-1, n), axis=1)
-    return np.array([ufunc.reduce(values[a:b]) if b > a else empty
-                     for a, b in zip(cuts, cuts[1:])], dtype=float)
+        return ufunc.reduce(values[offsets[0]:offsets[-1]].reshape(-1, n), axis=1)
+    counts, out = np.diff(offsets), np.zeros(len(offsets) - 1)
+    for n in np.unique(counts[counts > 0]).tolist():
+        rows = np.flatnonzero(counts == n)
+        out[rows] = ufunc.reduce(values[offsets[rows, None] + np.arange(n)], axis=1)
+    return out
 
 
-def take_rows(values: np.ndarray, offsets: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The rows `rows` of `values` cut by `offsets`, end to end: a gather of
-    rows of an (L, n) view when the rows have one length, else slices."""
-    cuts = offsets.tolist()
-    n = _row_length(cuts)
+def take_rows(arrays: Sequence[np.ndarray], offsets: np.ndarray,
+              rows: np.ndarray) -> list[np.ndarray]:
+    """The rows `rows` of each of `arrays`, cut by `offsets`, end to end: a
+    gather of rows of an (L, n) view when every row has length n, else of
+    the `run_indices` of the rows."""
+    n = _row_length(offsets)
     if n:
-        return values[cuts[0]:cuts[-1]].reshape(-1, n)[rows].reshape(-1)
-    return np.concatenate([values[cuts[i]:cuts[i + 1]] for i in rows.tolist()] + [values[:0]])
+        return [a[offsets[0]:offsets[-1]].reshape(-1, n)[rows].reshape(-1) for a in arrays]
+    index = run_indices(offsets[rows], np.diff(offsets)[rows])
+    return [a[index] for a in arrays]
 
 
-def _row_length(cuts: list[int]) -> int:
-    """The length n > 0 of every row of `cuts`, or 0 if they differ or are empty."""
+def _row_length(offsets: np.ndarray) -> int:
+    """The length n > 0 of every row of `offsets`, or 0 if they differ or are empty."""
+    cuts = offsets.tolist()  # a list compares faster than arrays do at block sizes
     n = (cuts[-1] - cuts[0]) // max(len(cuts) - 1, 1)
     return n if n and cuts == list(range(cuts[0], cuts[-1] + 1, n)) else 0
 
@@ -256,7 +256,7 @@ class TrackBlock(NamedTuple):
                 or weights.shape != (offsets[-1],)):
             raise ValueError("block offsets do not cut its states and weights into its rows")
         check_weights(weights)
-        capped = _checked_existence(r.tolist(), row_sums(weights, offsets).tolist(),
+        capped = _checked_existence(r.tolist(), row_reduce(np.add, weights, offsets).tolist(),
                                     counts.tolist())
         return self._replace(existence=np.array(capped, dtype=float))
 

@@ -128,16 +128,17 @@ def legacy_mixture(group: TrackGroup, legacy: np.ndarray) -> tuple[np.ndarray, n
     r = np.bincount(np.concatenate([np.flatnonzero(miss), owner]),
                     np.concatenate([p_miss[miss], p_det[det]]), minlength=len(miss))
     counts, lengths = np.diff(group.offsets), np.diff(group.cuts)[det]
-    # every miss at once; a row whose miss does not enter scales a mass of 1
+    # every row's miss term at once, masked out where it does not enter, with
+    # a mass of 1 there: cheaper than gathering the rows that do enter
     scale = np.divide(p_miss, r, out=np.zeros(len(r)), where=miss)
     mass = np.where(miss, group.miss_mass, 1.0)
     mixture = np.zeros(len(group.miss))
     np.add(mixture, scale.repeat(counts) * (group.miss / mass.repeat(counts)),
            out=mixture, where=miss.repeat(counts))
     # then the detections: add.at adds in pair order, each particle's by column
+    [lik] = take_rows([group.lik], group.cuts, det)
     np.add.at(mixture, run_indices(group.offsets[owner], lengths),
-              (p_det[det] / r[owner]).repeat(lengths)
-              * (take_rows(group.lik, group.cuts, det) / group.b[det].repeat(lengths)))
+              (p_det[det] / r[owner]).repeat(lengths) * (lik / group.b[det].repeat(lengths)))
     return np.minimum(r, 1.0), mixture
 
 
@@ -348,9 +349,9 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
     legacy, claim = exact_marginals(evidence.miss_beta, evidence.betas, new_beta, transferred,
                                     clusters, settings.bp_iterations)
     r, mixture = legacy_mixture(evidence.group, legacy)
-    cuts = block.offsets.tolist()
-    by_row = [Pending(label, row_r, (mixture[a:b], block.states[a:b]) if row_r > 0.0 else None)
-              for label, row_r, a, b in zip(block.labels, r.tolist(), cuts, cuts[1:])]
+    by_row = [Pending(label, row_r, (weights, states) if row_r > 0.0 else None)
+              for label, row_r, (states, weights)
+              in zip(block.labels, r.tolist(), block._replace(weights=mixture).rows())]
     claims = claim.tolist()
     pending: list[Pending] = []
     for rows, cols in clusters:

@@ -1151,6 +1151,7 @@ class TestBlockRows:
             pairs = np.flatnonzero(group.pair_row == i)
             assert np.array_equal(group.pair_col[pairs], one.group.pair_col)
             assert group.b[pairs].tobytes() == one.group.b.tobytes()
-            assert take_rows(group.lik, group.cuts, pairs).tobytes() == one.group.lik.tobytes()
+            [lik] = take_rows([group.lik], group.cuts, pairs)
+            assert lik.tobytes() == one.group.lik.tobytes()
             r_one, mixture_one = legacy_mixture(one.group, legacy[i:i + 1])
             assert r[i] == r_one[0] and mixture[row].tobytes() == mixture_one.tobytes()

@@ -18,7 +18,6 @@ from lmbp.rfs import (
     resample,
     resample_rows,
     row_reduce,
-    row_sums,
     run_indices,
     take_rows,
     write_snapshot,
@@ -221,7 +220,7 @@ class TestWeightedMean:
 
 
 def per_row_sums(values, offsets):
-    """Each row's own `values[a:b].sum()`: the bits `row_sums` must give."""
+    """Each row's own `values[a:b].sum()`: the bits `row_reduce` must give."""
     cuts = offsets.tolist()
     return np.array([values[a:b].sum() for a, b in zip(cuts, cuts[1:])], dtype=float)
 
@@ -235,8 +234,7 @@ ROW_LENGTHS = [
 
 
 class TestRowHelpers:
-    """`row_sums`, `row_reduce`, `take_rows` and `run_indices` against one
-    slice per row."""
+    """`row_reduce`, `take_rows` and `run_indices` against one slice per row."""
 
     @pytest.mark.parametrize("lengths", ROW_LENGTHS)
     def test_row_sums_have_each_rows_own_bits(self, lengths):
@@ -244,7 +242,8 @@ class TestRowHelpers:
         offsets = np.append(0, np.cumsum(lengths, dtype=np.intp))
         for values in (rng.random(offsets[-1]),
                        rng.random(offsets[-1]) * 10.0 ** rng.uniform(-8, 8, offsets[-1])):
-            assert row_sums(values, offsets).tobytes() == per_row_sums(values, offsets).tobytes()
+            expected = per_row_sums(values, offsets)
+            assert row_reduce(np.add, values, offsets).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("lengths", ROW_LENGTHS)
     def test_row_reduce_takes_each_row_alone(self, lengths):
@@ -253,17 +252,40 @@ class TestRowHelpers:
         values = rng.normal(size=offsets[-1])
         cuts = offsets.tolist()
         for ufunc in (np.minimum, np.maximum):
-            expected = [ufunc.reduce(values[a:b]) if b > a else -7.0
+            expected = [ufunc.reduce(values[a:b]) if b > a else 0.0
                         for a, b in zip(cuts, cuts[1:])]
-            assert row_reduce(ufunc, values, offsets, -7.0).tolist() == expected
+            assert row_reduce(ufunc, values, offsets).tolist() == expected
+
+    def test_each_row_length_is_reduced_at_once(self):
+        # a block of 400 rows of three lengths in mixed order, empty rows
+        # among them, takes one reduction per length, none per row
+        class Counted:
+            def __init__(self):
+                self.shapes = []
+
+            def reduce(self, values, axis):
+                self.shapes.append(values.shape)
+                return np.add.reduce(values, axis=axis)
+
+        lengths = np.random.default_rng(3).choice([0, 64, 143, 1000], 400)
+        offsets = np.append(0, np.cumsum(lengths, dtype=np.intp))
+        values = np.random.default_rng(4).random(offsets[-1])
+        counted = Counted()
+        sums = row_reduce(counted, values, offsets)
+        assert sums.tobytes() == per_row_sums(values, offsets).tobytes()
+        expected = [((lengths == n).sum(), n) for n in (64, 143, 1000)]
+        assert sorted(counted.shapes, key=lambda shape: shape[1]) == expected
+        counted.shapes.clear()
+        row_reduce(counted, values[:64 * 400], np.arange(401) * 64)
+        assert counted.shapes == [(400, 64)]
 
     def test_row_sums_are_not_reduceat(self):
         # reduceat adds each row left to right, the row's own sum pairwise:
-        # on this block they differ in the last bits, and row_sums may not
+        # on this block they differ in the last bits, and row_reduce may not
         values = np.random.default_rng(1).random(3000)
         offsets = np.array([0, 1000, 1000, 3000])
         expected = per_row_sums(values, offsets)
-        assert row_sums(values, offsets).tobytes() == expected.tobytes()
+        assert row_reduce(np.add, values, offsets).tobytes() == expected.tobytes()
         reduceat = np.add.reduceat(values, [0, 1000])
         assert reduceat.tobytes() != expected[[0, 2]].tobytes()
 
@@ -275,7 +297,8 @@ class TestRowHelpers:
         rows = rng.integers(0, len(lengths), 2 * len(lengths)) if lengths else np.empty(0, int)
         runs = [values[offsets[i]:offsets[i + 1]] for i in rows]
         expected = np.concatenate(runs + [np.empty(0)])
-        assert np.array_equal(take_rows(values, offsets, rows), expected)
+        taken = take_rows((values, -values), offsets, rows)
+        assert np.array_equal(taken[0], expected) and np.array_equal(taken[1], -expected)
         assert np.array_equal(values[run_indices(offsets[rows], np.diff(offsets)[rows])],
                               expected)
 

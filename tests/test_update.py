@@ -660,20 +660,21 @@ class TestLmbpStep:
         # that pair (entry 2 of track 0's marginal) is in the cluster with
         # b = 0 and gets a zero marginal, and only the other pairs' likelihood
         # runs may be read, to be normalized and mixed
-        read, updates = [], []
-        mixture = lmbp.update.legacy_mixture
+        read, updates, lik = [], [], []
+        mixture, take_rows = lmbp.update.legacy_mixture, lmbp.update.take_rows
+
+        def take_spy(arrays, offsets, rows):
+            # the pairs whose likelihood runs the mixture gathers
+            if any(a is b for a in arrays for b in lik):
+                read.extend(rows.tolist())
+            return take_rows(arrays, offsets, rows)
 
         def mixture_spy(group, legacy):
-            # the pairs whose run the mixture reads: a NaN run shows in it
-            cuts = group.cuts.tolist()
-            for k in range(len(group.b)):
-                lik = group.lik.copy()
-                lik[cuts[k]:cuts[k + 1]] = np.nan
-                if np.isnan(mixture(group._replace(lik=lik), legacy)[1]).any():
-                    read.append(k)
+            lik[:] = [group.lik]
             updates.append((group, legacy, mixture(group, legacy)))
             return updates[-1][2]
 
+        monkeypatch.setattr(lmbp.update, "take_rows", take_spy)
         monkeypatch.setattr(lmbp.update, "legacy_mixture", mixture_spy)
         models = micro_models(pd_const=0.7)
         tracks = tuple(BernoulliTrack(Label(1, i + 1), 0.6, pdf_at(x1, n=8))
