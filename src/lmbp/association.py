@@ -375,28 +375,18 @@ def exact_marginals(miss_beta: np.ndarray, betas: np.ndarray, new_beta: np.ndarr
     bound (M + 1)^L 2^T with T its transfers, and finite weights; marginals
     add up in enumeration order. The rest go through one `batch_bp_marginals`.
     """
-    # rows and columns named by their cluster's place in the list, the others
-    # by names no entry matches, give the edges of every cluster at once
-    shape = np.array([list(map(len, cluster)) for cluster in clusters], np.intp).reshape(-1, 2)
-    row_of, col_of = np.full(len(miss_beta), -1), np.full(len(new_beta), -2)
-    for part, name_of in enumerate((row_of, col_of)):
-        members = np.concatenate([np.empty(0, np.intp)] + [cluster[part] for cluster in clusters])
-        name_of[members] = np.repeat(np.arange(len(clusters)), shape[:, part])
-    at, to = np.nonzero(betas)
-    edges = np.bincount(row_of[at][row_of[at] == col_of[to]], minlength=len(clusters))
-    # an empty cluster has no cycle
-    cyclic = ((edges >= np.maximum(shape.sum(axis=1), 1))
-              & (shape.prod(axis=1) <= EXACT_DEGREE_LIMIT)).tolist()
+    row_of, _, at, _ = _cluster_edges(betas, clusters)
+    edges = np.bincount(row_of[at], minlength=len(clusters)).tolist()
     enumerated, batched = [], []
-    for (rows, cols), enumerable in zip(clusters, cyclic):
-        if enumerable:
+    for (rows, cols), count in zip(clusters, edges):
+        # an empty cluster has no cycle
+        if count >= max(len(rows) + len(cols), 1) and len(rows) * len(cols) <= EXACT_DEGREE_LIMIT:
             tables = (miss_beta[rows], betas[np.ix_(rows, cols)], new_beta[cols], transferred[cols])
-            size = (len(cols) + 1) ** len(rows) * 2 ** int(tables[3].sum())
-            enumerable = size <= EXACT_SIZE_LIMIT and all(np.isfinite(t).all() for t in tables[:3])
-        if enumerable:
-            enumerated.append((rows, cols, tables))
-        else:
-            batched.append((rows, cols))
+            if ((len(cols) + 1) ** len(rows) * 2 ** int(tables[3].sum()) <= EXACT_SIZE_LIMIT
+                    and all(np.isfinite(t).all() for t in tables[:3])):
+                enumerated.append((rows, cols, tables))
+                continue
+        batched.append((rows, cols))
     legacy, claim = batch_bp_marginals(miss_beta, betas, new_beta, transferred, batched,
                                        iterations)
     for rows, cols, tables in enumerated:
@@ -417,11 +407,24 @@ def bp_marginals(miss_beta: np.ndarray, det_beta: np.ndarray, new_beta: np.ndarr
                               [(np.arange(L), np.arange(M))], iterations)
 
 
-# numpy adds fewer than this many terms left to right and regroups more
-# pairwise, so zeros padded onto a shorter axis leave its sums bit for bit
-_PAIRWISE = 8
+def _cluster_edges(betas: np.ndarray, clusters: Sequence[tuple[np.ndarray, np.ndarray]]
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's and each column's place in `clusters`, -1 for a row and -2
+    for a column in none, and the listed clusters' edges: the nonzero entries
+    of `betas` whose row and column share a cluster, as (row, col) index
+    arrays in `np.nonzero`'s order."""
+    row_of, col_of = np.full(betas.shape[0], -1), np.full(betas.shape[1], -2)
+    for part, name_of in enumerate((row_of, col_of)):
+        members = [cluster[part] for cluster in clusters]
+        name_of[np.concatenate([np.empty(0, np.intp)] + members)] = np.repeat(
+            np.arange(len(clusters)), list(map(len, members)))
+    at, to = np.nonzero(betas)
+    inside = row_of[at] == col_of[to]
+    return row_of, col_of, at[inside], to[inside]
 
 
+# 0 / 0 and overflow are left to `_check_marginals`, as the docstring says
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def batch_bp_marginals(miss_beta: np.ndarray, betas: np.ndarray, new_beta: np.ndarray,
                        transferred: np.ndarray, clusters: Sequence[tuple[np.ndarray, np.ndarray]],
                        iterations: int = 20) -> Marginals:
@@ -432,98 +435,54 @@ def batch_bp_marginals(miss_beta: np.ndarray, betas: np.ndarray, new_beta: np.nd
     `transferred` (M,). Each cluster is a `(rows, cols)` pair of ascending
     index arrays into them, as `partition` lists them; clusters share no row
     or column, a cluster may have no rows or no columns, and it reads no
-    entry of `betas` outside itself.
-
-    Detection weights are normalized per measurement (w = beta(l,m)/beta(m)),
-    which makes the scheme invariant to measurement-unit scaling. Messages
+    entry of `betas` outside itself. With w = beta(l,m)/beta(m), which makes
+    the scheme invariant to measurement-unit scaling, the messages
 
         x(l->m) = w(l,m) / (beta(l,0) + sum_{m' != m} w(l,m') nu(m'->l))
         nu(m->l) = 1 / (1 + [transfer on m] + sum_{l' != l} x(l'->m))
 
-    run from nu = 1 for at most `iterations` rounds. A round that returns nu
-    bit for bit unchanged is a fixed point, which every later round would
-    repeat, so the loop stops when the whole batch repeats. Each cluster's
-    arithmetic runs in its own slot of the batch, so every order or subset
-    of the list gives a cluster the bits it alone would get. A transfer
-    label's outgoing message is the constant 1 because its claim weight
-    equals beta(m). Beliefs: p(l->m) proportional to w(l,m) nu(m->l), p(l->0)
-    to beta(l,0); for a transfer label p(1)/p(0) = nu(m->l). Exact whenever
-    the cluster's plausibility graph is acyclic.
+    run from nu = 1 for at most `iterations` rounds, and stop once every
+    message repeats bit for bit, a fixed point. A transfer label's outgoing
+    message is the constant 1 because its claim weight equals beta(m).
+    Beliefs: p(l->m) proportional to w(l,m) nu(m->l), p(l->0) to beta(l,0);
+    for a transfer label p(1)/p(0) = nu(m->l). Exact whenever the cluster's
+    plausibility graph is acyclic.
 
-    The clusters run as one batch of (C, L_max, M_max) arrays, padded with
-    miss weight 1, detection weight 0 and no transfer; a padded row or column
-    adds exact zeros to every sum. A cluster with `_PAIRWISE` or more rows,
-    or measurements plus miss, would change its sums' grouping if padded,
-    so it runs as a batch of its own.
+    Messages live on the edges (`_cluster_edges`), and each sum is one
+    `np.bincount`, which adds a bin's terms from 0.0 in edge order: a row's
+    over its columns, a column's over its rows, a belief row's from its
+    miss. So a cluster gets the same bits alone or in any list.
 
-    Returns the `Marginals` of the list: each slot's beliefs are scattered
-    straight into the step's (L, 1 + M) columns, and its padding into a
-    spare row and column that are cut off.
-
-    Each batch's marginals pass `_check_marginals`, or ValueError is raised,
-    so a NaN that BP makes from numbers raises: the 0 / 0 of a row with no
-    weight at all, a track with r = 1 and pD = 1 and nothing to detect. A
-    cluster with a NaN weight (beta(l,m) = beta(m) = inf gives w = NaN) has
-    NaN marginals, which are returned unchecked; `lmbp_step` gives its
+    The marginals pass `_check_marginals`, or ValueError is raised, so a NaN
+    that BP makes from numbers raises: the 0 / 0 of a row with no weight at
+    all, a track with r = 1 and pD = 1 and nothing to detect. A cluster with
+    a NaN miss or edge weight (beta(l,m) = beta(m) = inf gives w = NaN) has
+    NaN marginals on its rows, returned unchecked; `lmbp_step` gives its
     tracks r = 0.
     """
     L, M = betas.shape
-    batches: list[list[tuple[np.ndarray, np.ndarray]]] = [[]]
-    for rows, cols in clusters:
-        if len(rows) >= _PAIRWISE or 1 + len(cols) >= _PAIRWISE:
-            batches.append([(rows, cols)])
-        else:
-            batches[0].append((rows, cols))
-
-    # the tables and the marginals with a spare row and column, for the padding
-    w_all = np.zeros((L + 1, M + 1))
-    np.divide(betas, np.maximum(new_beta, _TINY), out=w_all[:L, :M])
-    miss_all = np.append(miss_beta, 1.0)
-    transferred_all = np.append(transferred, False)
-    legacy, claim = np.zeros((L + 1, 1 + M + 1)), np.zeros(M + 1)
-    for batch in filter(None, batches):
-        # a row's or column's place in its cluster is its slot in the padded arrays
-        row_at = np.full((len(batch), max(len(rows) for rows, _ in batch)), L, dtype=np.intp)
-        col_at = np.full((len(batch), max(len(cols) for _, cols in batch)), M, dtype=np.intp)
-        for slot, (rows, cols) in enumerate(batch):
-            row_at[slot, :len(rows)], col_at[slot, :len(cols)] = rows, cols
-        miss, w = miss_all[row_at], w_all[row_at[:, :, None], col_at[:, None, :]]
-        pmf, odds = _bp_rounds(miss, w, transferred_all[col_at], iterations)
-        # the clusters whose weights are all numbers; the rest pass NaN on unchecked
-        numbers = ~(np.isnan(miss).any(axis=1) | np.isnan(w).any(axis=(1, 2)))[:, None]
-        real_rows, real_cols = row_at < L, col_at < M
-        _check_marginals(pmf[real_rows & numbers], odds[real_cols & numbers])
-        entry_at = np.concatenate([np.zeros((len(batch), 1), np.intp), 1 + col_at], axis=1)
-        legacy[row_at[:, :, None], entry_at[:, None, :]] = pmf
-        claim[col_at] = odds
-    return Marginals(legacy[:L, :1 + M], claim[:M])
-
-
-# a row with no weight at all gives 0 / 0 and a huge ratio overflows; the
-# caller's `_check_marginals` reports the NaN of a cluster of numbers
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _bp_rounds(miss: np.ndarray, w: np.ndarray, transferred: np.ndarray,
-               iterations: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rounds and beliefs of `batch_bp_marginals` over C padded clusters:
-    miss (C, L), w (C, L, M) and transferred (C, M); returns the marginals
-    (C, L, 1 + M) and the claims (C, M). nu is kept (C, M, L), as one
-    cluster's (M, L), so a batch of one sums in the same order."""
-    count, labels, meas = w.shape
-    miss = miss[:, :, None]
-    base = 1.0 + transferred                                 # 1 + [transfer on m]
-    nu = np.ones((count, meas, labels))
-    sum_x = np.zeros((count, meas))
+    row_of, col_of, at, to = _cluster_edges(betas, clusters)
+    rows, cols = np.flatnonzero(row_of >= 0), np.flatnonzero(col_of >= 0)
+    w = betas[at, to] / np.maximum(new_beta[to], _TINY)
+    miss, base = miss_beta[at], 1.0 + transferred[to]
+    nu, sum_x = np.ones(len(at)), np.zeros(M)
     for _ in range(iterations):
-        weighted = w * nu.swapaxes(1, 2)                     # (C, L, M)
-        denom = miss + weighted.sum(axis=2, keepdims=True) - weighted
-        x = w / np.maximum(denom, _TINY)
-        sum_x = x.sum(axis=1)
-        prev = nu
-        nu = 1.0 / np.maximum((base + sum_x)[:, :, None] - x.swapaxes(1, 2), _TINY)
+        weighted = w * nu
+        x = w / np.maximum(miss + np.bincount(at, weighted, L)[at] - weighted, _TINY)
+        sum_x = np.bincount(to, x, M)
+        prev, nu = nu, 1.0 / np.maximum(base + sum_x[to] - x, _TINY)
         if (nu == prev).all():
             break
 
-    legacy = np.concatenate([miss, w * nu.swapaxes(1, 2)], axis=2)
-    legacy /= legacy.sum(axis=2, keepdims=True)
-    odds = 1.0 / (1.0 + sum_x)
-    return legacy, np.where(transferred, odds / (1.0 + odds), 0.0)
+    # each row's belief terms: its miss, then its detections in column order
+    put, terms = np.append(rows, at), np.append(miss_beta[rows], w * nu)
+    legacy, claim = np.zeros((L, 1 + M)), np.zeros(M)
+    legacy[put, np.append(np.zeros_like(rows), 1 + to)] = terms / np.bincount(put, terms, L)[put]
+    odds = 1.0 / (1.0 + sum_x[cols])
+    claim[cols] = np.where(transferred[cols], odds / (1.0 + odds), 0.0)
+    # the clusters whose weights are all numbers; the rest pass NaN on unchecked
+    numbers = np.ones(len(clusters), bool)
+    numbers[row_of[rows[np.isnan(miss_beta[rows])]]] = False
+    numbers[row_of[at[np.isnan(w)]]] = False
+    _check_marginals(legacy[rows[numbers[row_of[rows]]]], claim[cols[numbers[col_of[cols]]]])
+    return Marginals(legacy, claim)

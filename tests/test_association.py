@@ -785,11 +785,14 @@ class TestExactMarginals:
         assert np.array_equal(got.claim, want.claim, equal_nan=True)
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # as `_bp_rounds` runs
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # as `batch_bp_marginals` runs
 def fixed_iteration_bp(cluster, iterations):
     """Reference for `bp_marginals`: every one of `iterations` rounds run,
     with no exit at a fixed point, and every belief built label by label.
-    The marginals are returned unchecked, NaN included."""
+    Each sum adds its terms left to right in an explicit loop, the order the
+    edge BP defines: a row's over its columns, a column's over its rows, and
+    a belief row's from its miss. The marginals are returned unchecked, NaN
+    included."""
     L, M = cluster.det_beta.shape
     w = cluster.det_beta / np.maximum(cluster.new_beta, 1e-300)[None, :]
     tmask = cluster.transferred.astype(float)
@@ -797,15 +800,22 @@ def fixed_iteration_bp(cluster, iterations):
     sum_x = np.zeros(M)
     for _ in range(iterations):
         weighted = w * nu.T
-        denom = cluster.miss_beta[:, None] + weighted.sum(axis=1, keepdims=True) - weighted
+        row_sum = np.zeros(L)
+        for j in range(M):
+            row_sum = row_sum + weighted[:, j]
+        denom = cluster.miss_beta[:, None] + row_sum[:, None] - weighted
         x = w / np.maximum(denom, 1e-300)
-        sum_x = x.sum(axis=0)
+        sum_x = np.zeros(M)
+        for i in range(L):
+            sum_x = sum_x + x[i]
         nu = 1.0 / np.maximum(1.0 + tmask[:, None] + sum_x[:, None] - x.T, 1e-300)
     legacy = np.zeros((L, 1 + M))
     for i in range(L):
         raw = np.concatenate([[cluster.miss_beta[i]], w[i] * nu[:, i]])
-        raw /= raw.sum()
-        legacy[i] = raw
+        total = 0.0
+        for term in raw:
+            total = total + term
+        legacy[i] = raw / total
     claim = np.zeros(M)
     for j in np.flatnonzero(cluster.transferred):
         # the last round's column sum, the one its nu update read
@@ -828,11 +838,12 @@ class TestBpMarginals:
             assert_same_marginals(bp_marginals(*cluster, 20), fixed_iteration_bp(cluster, 20))
 
     def test_wide_clusters_equal_fixed_iterations(self):
-        # 8-12 legacy labels: columns long enough that their sums round
-        # differently in another order
+        # 8-12 legacy labels or 7-12 measurements: sums long enough that
+        # numpy's own reductions would group them pairwise
         rng = np.random.default_rng(2027)
-        for _ in range(200):
-            L, M = int(rng.integers(8, 13)), int(rng.integers(1, 7))
+        for k in range(200):
+            L, M = ((int(rng.integers(8, 13)), int(rng.integers(1, 7))) if k % 2
+                    else (int(rng.integers(1, 8)), int(rng.integers(7, 13))))
             cluster = ClusterTables(10.0 ** rng.uniform(-6, 2, L),
                                     10.0 ** rng.uniform(-6, 2, (L, M)),
                                     10.0 ** rng.uniform(-6, 2, M), rng.random(M) < 0.5)
@@ -882,8 +893,8 @@ class TestBpMarginals:
             assert np.all((marg.claim >= 0.0) & (marg.claim <= 1.0))
 
     def test_checks_each_marginal_once(self, monkeypatch):
-        # the batch checks what it computed and the one-cluster call does not
-        # check it again; a cluster 8 or more wide runs as a batch of its own
+        # the batch checks what it computed, once at any width, and the
+        # one-cluster call does not check it again
         calls = []
         check = lmbp.association._check_marginals
 
@@ -1063,12 +1074,14 @@ class TestBatchBpMarginals:
         assert legacy.tolist() == [[0.0] * 4] * 2 and claim.tolist() == [0.0, 0.0, 0.0]
 
     def test_nan_weights_pass_unchecked(self):
-        # inf / inf is no weight: the cluster's marginals are NaN, returned as they are
+        # inf / inf is no weight: the cluster's marginals are NaN, returned as
+        # they are, but an entry off its edges is never computed and reads 0
         with np.errstate(invalid="ignore"):
-            legacy, claim = batch_bp_marginals(np.array([0.5]), np.array([[np.inf]]),
-                                               np.array([np.inf]), np.array([True]),
-                                               [(np.arange(1), np.arange(1))], 20)
-        assert np.isnan(legacy).all() and np.isnan(claim).all()
+            legacy, claim = batch_bp_marginals(np.array([0.5]), np.array([[np.inf, 0.0]]),
+                                               np.array([np.inf, 1.0]), np.array([True, False]),
+                                               [(np.arange(1), np.arange(2))], 20)
+        assert np.isnan(legacy[0, :2]).all() and legacy[0, 2] == 0.0
+        assert np.isnan(claim[0]) and claim[1] == 0.0
 
     def test_rejects_a_negative_marginal(self):
         # a negative weight is no probability; the check reads the arrays

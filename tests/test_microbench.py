@@ -66,6 +66,15 @@ def test_resample_rows_replays_the_steps_calls(tmp_path):
     assert len(record["sha256"]) == 64
 
 
+def test_exact_marginals_replays_the_steps_calls(tmp_path):
+    record = run_stage(tmp_path, "exact_marginals.py")
+    # the step's one marginal call per step, over every cluster of the step
+    assert record["calls"] == 5 and record["clusters"] > 0
+    assert len(record["per_call_ms_passes"]) == record["passes"] >= 5
+    assert record["per_call_ms_q1"] <= record["per_call_ms_p50"] <= record["per_call_ms_q3"]
+    assert len(record["sha256"]) == 64
+
+
 def draw(scale, rng):
     return scale * rng.random(3), float(rng.random())
 
