@@ -359,36 +359,37 @@ def enumerate_admissible(miss_beta: np.ndarray, det_beta: np.ndarray, new_beta: 
 # exact enumeration is honored only within these bounds; bigger clusters use BP
 EXACT_DEGREE_LIMIT = 20
 EXACT_SIZE_LIMIT = 1e5
+# BP stops after this many rounds if no fixed point comes first
+BP_ROUNDS = 20
 
 
 def exact_marginals(miss_beta: np.ndarray, betas: np.ndarray, new_beta: np.ndarray,
-                    transferred: np.ndarray, clusters: Sequence[tuple[np.ndarray, np.ndarray]],
-                    iterations: int = 20) -> Marginals:
+                    transferred: np.ndarray,
+                    clusters: Sequence[tuple[np.ndarray, np.ndarray]]) -> Marginals:
     """The step's one marginal call: `batch_bp_marginals`' tables, list and
     layout, an enumerated entry 1 + k landing in column 1 + cols[k].
 
     BP is exact on an acyclic cluster, so a cluster is enumerated only if it
-    is connected with a cycle: its edges, the nonzero entries of `betas` in
-    it that BP reads (joined deferred pairs too; a transfer label closes no
-    cycle), number at least its rows plus its columns. It must also have at
-    most `EXACT_DEGREE_LIMIT` pairs, at most `EXACT_SIZE_LIMIT` vectors by the
-    bound (M + 1)^L 2^T with T its transfers, and finite weights; marginals
-    add up in enumeration order. The rest go through one `batch_bp_marginals`.
+    is connected with a cycle: at least two rows and two columns, and edges,
+    the nonzero entries of its table that BP reads (joined deferred pairs
+    too; a transfer label closes no cycle), numbering at least its rows plus
+    its columns. It must also have at most `EXACT_DEGREE_LIMIT` pairs, at
+    most `EXACT_SIZE_LIMIT` vectors by the bound (M + 1)^L 2^T with T its
+    transfers, and finite weights; marginals add up in enumeration order.
+    The rest go through one `batch_bp_marginals`.
     """
-    row_of, _, at, _ = _cluster_edges(betas, clusters)
-    edges = np.bincount(row_of[at], minlength=len(clusters)).tolist()
     enumerated, batched = [], []
-    for (rows, cols), count in zip(clusters, edges):
-        # an empty cluster has no cycle
-        if count >= max(len(rows) + len(cols), 1) and len(rows) * len(cols) <= EXACT_DEGREE_LIMIT:
+    for rows, cols in clusters:
+        L, M = len(rows), len(cols)
+        if L >= 2 and M >= 2 and L * M <= EXACT_DEGREE_LIMIT:
             tables = (miss_beta[rows], betas[np.ix_(rows, cols)], new_beta[cols], transferred[cols])
-            if ((len(cols) + 1) ** len(rows) * 2 ** int(tables[3].sum()) <= EXACT_SIZE_LIMIT
+            if (np.count_nonzero(tables[1]) >= L + M
+                    and (M + 1) ** L * 2 ** int(tables[3].sum()) <= EXACT_SIZE_LIMIT
                     and all(np.isfinite(t).all() for t in tables[:3])):
                 enumerated.append((rows, cols, tables))
                 continue
         batched.append((rows, cols))
-    legacy, claim = batch_bp_marginals(miss_beta, betas, new_beta, transferred, batched,
-                                       iterations)
+    legacy, claim = batch_bp_marginals(miss_beta, betas, new_beta, transferred, batched)
     for rows, cols, tables in enumerated:
         entries, claims, weights = enumerate_admissible(*tables)
         np.add.at(legacy, (rows, np.append(0, 1 + cols)[entries]), weights[:, None])
@@ -399,35 +400,19 @@ def exact_marginals(miss_beta: np.ndarray, betas: np.ndarray, new_beta: np.ndarr
 
 
 def bp_marginals(miss_beta: np.ndarray, det_beta: np.ndarray, new_beta: np.ndarray,
-                 transferred: np.ndarray, iterations: int = 20) -> Marginals:
+                 transferred: np.ndarray) -> Marginals:
     """Loopy BP marginals of one cluster's tables, as `enumerate_admissible`
     takes and checks them: a one-cluster call of `batch_bp_marginals`."""
     L, M = _check_cluster(miss_beta, det_beta, new_beta, transferred)
     return batch_bp_marginals(miss_beta, det_beta, new_beta, transferred,
-                              [(np.arange(L), np.arange(M))], iterations)
-
-
-def _cluster_edges(betas: np.ndarray, clusters: Sequence[tuple[np.ndarray, np.ndarray]]
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Each row's and each column's place in `clusters`, -1 for a row and -2
-    for a column in none, and the listed clusters' edges: the nonzero entries
-    of `betas` whose row and column share a cluster, as (row, col) index
-    arrays in `np.nonzero`'s order."""
-    row_of, col_of = np.full(betas.shape[0], -1), np.full(betas.shape[1], -2)
-    for part, name_of in enumerate((row_of, col_of)):
-        members = [cluster[part] for cluster in clusters]
-        name_of[np.concatenate([np.empty(0, np.intp)] + members)] = np.repeat(
-            np.arange(len(clusters)), list(map(len, members)))
-    at, to = np.nonzero(betas)
-    inside = row_of[at] == col_of[to]
-    return row_of, col_of, at[inside], to[inside]
+                              [(np.arange(L), np.arange(M))])
 
 
 # 0 / 0 and overflow are left to `_check_marginals`, as the docstring says
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def batch_bp_marginals(miss_beta: np.ndarray, betas: np.ndarray, new_beta: np.ndarray,
-                       transferred: np.ndarray, clusters: Sequence[tuple[np.ndarray, np.ndarray]],
-                       iterations: int = 20) -> Marginals:
+                       transferred: np.ndarray,
+                       clusters: Sequence[tuple[np.ndarray, np.ndarray]]) -> Marginals:
     """Loopy belief propagation on the bipartite label-measurement graph of
     every cluster of a list at once.
 
@@ -441,17 +426,18 @@ def batch_bp_marginals(miss_beta: np.ndarray, betas: np.ndarray, new_beta: np.nd
         x(l->m) = w(l,m) / (beta(l,0) + sum_{m' != m} w(l,m') nu(m'->l))
         nu(m->l) = 1 / (1 + [transfer on m] + sum_{l' != l} x(l'->m))
 
-    run from nu = 1 for at most `iterations` rounds, and stop once every
+    run from nu = 1 for at most `BP_ROUNDS` rounds, and stop once every
     message repeats bit for bit, a fixed point. A transfer label's outgoing
     message is the constant 1 because its claim weight equals beta(m).
     Beliefs: p(l->m) proportional to w(l,m) nu(m->l), p(l->0) to beta(l,0);
     for a transfer label p(1)/p(0) = nu(m->l). Exact whenever the cluster's
     plausibility graph is acyclic.
 
-    Messages live on the edges (`_cluster_edges`), and each sum is one
-    `np.bincount`, which adds a bin's terms from 0.0 in edge order: a row's
-    over its columns, a column's over its rows, a belief row's from its
-    miss. So a cluster gets the same bits alone or in any list.
+    Messages live on the edges, the nonzero entries of `betas` whose row and
+    column share a listed cluster, in `np.nonzero`'s order, and each sum is
+    one `np.bincount`, which adds a bin's terms from 0.0 in edge order: a
+    row's over its columns, a column's over its rows, a belief row's from
+    its miss. So a cluster gets the same bits alone or in any list.
 
     The marginals pass `_check_marginals`, or ValueError is raised, so a NaN
     that BP makes from numbers raises: the 0 / 0 of a row with no weight at
@@ -461,12 +447,20 @@ def batch_bp_marginals(miss_beta: np.ndarray, betas: np.ndarray, new_beta: np.nd
     tracks r = 0.
     """
     L, M = betas.shape
-    row_of, col_of, at, to = _cluster_edges(betas, clusters)
+    # each row's and column's place in the list: -1 for a row, -2 for a column in none
+    row_of, col_of = np.full(L, -1), np.full(M, -2)
+    for part, name_of in enumerate((row_of, col_of)):
+        members = [cluster[part] for cluster in clusters]
+        name_of[np.concatenate([np.empty(0, np.intp)] + members)] = np.repeat(
+            np.arange(len(clusters)), list(map(len, members)))
+    at, to = np.nonzero(betas)
+    inside = row_of[at] == col_of[to]
+    at, to = at[inside], to[inside]
     rows, cols = np.flatnonzero(row_of >= 0), np.flatnonzero(col_of >= 0)
     w = betas[at, to] / np.maximum(new_beta[to], _TINY)
     miss, base = miss_beta[at], 1.0 + transferred[to]
     nu, sum_x = np.ones(len(at)), np.zeros(M)
-    for _ in range(iterations):
+    for _ in range(BP_ROUNDS):
         weighted = w * nu
         x = w / np.maximum(miss + np.bincount(at, weighted, L)[at] - weighted, _TINY)
         sum_x = np.bincount(to, x, M)

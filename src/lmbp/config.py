@@ -104,7 +104,6 @@ _SCHEMA = {
     "birth.particles": (_to_int, 5000),
     "filter.track_particles": (_to_int, 1000),
     "filter.phd_particles": (_to_int, 5000),
-    "filter.bp_iterations": (_to_int, 20),
     "filter.initial_phd_mass": (_to_float, 0.01),
     "thresholds.gamma_c": (_to_float, 1e-10),
     "thresholds.gamma_tr": (_to_float, 1e-2),

@@ -58,15 +58,12 @@ class Thresholds:
 
 @dataclass(frozen=True)
 class FilterSettings:
-    """Particle budgets and the BP round limit of `exact_marginals`' batch."""
+    """Particle budgets of the tracks and of the intensity."""
 
     track_particles: int = 1000
     phd_particles: int = 5000
-    bp_iterations: int = 20
 
     def __post_init__(self):
-        if self.bp_iterations < 1:
-            raise ValueError("bp_iterations must be >= 1")
         for name in ("track_particles", "phd_particles"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -160,28 +157,24 @@ def _carried(weights: np.ndarray, particle_budget: int) -> bool:
     return total * total / squares >= _ESS_SHARE * particle_budget
 
 
-def _resampled(pending: Sequence[Pending], kept: Sequence[Pending], particle_budget: int,
-               rng: np.random.Generator) -> tuple[TrackBlock, list[Pending]]:
-    """The next block, each row of `kept` in its label-ordered slot, and the
-    other pending records that have a row, in order and as they are.
+def _resampled(kept: Sequence[Pending], particle_budget: int,
+               rng: np.random.Generator) -> TrackBlock:
+    """The next block, each row of `kept` in its label-ordered slot.
 
     A kept row that `_carried` passes is copied into its slot, states and
     weights unchanged, and draws no uniform. Every other kept row with a
-    pdf is resampled to the budget in one `resample_rows` pass, in pending
-    order, and drawn straight into its slot. The other records are the
-    recycled tracks: `update_phd` resamples their rows with the intensity."""
-    kept = sorted(kept, key=lambda p: p.label)
-    block = TrackBlock.empty([p.label for p in kept], [p.existence for p in kept],
-                             [0 if p.row is None else particle_budget for p in kept])
-    slots = dict(zip((p.label for p in kept), block.rows()))
-    drawn, others = [], []
-    for p in pending:
+    pdf is resampled to the budget in one `resample_rows` pass, in the order
+    of `kept`, and drawn straight into its slot."""
+    ordered = sorted(kept, key=lambda p: p.label)
+    block = TrackBlock.empty([p.label for p in ordered], [p.existence for p in ordered],
+                             [0 if p.row is None else particle_budget for p in ordered])
+    slots = dict(zip((p.label for p in ordered), block.rows()))
+    drawn = []
+    for p in kept:
         if p.row is None:
             continue
-        slot = slots.get(p.label)
-        if slot is None:
-            others.append(p)
-        elif _carried(p.row[0], particle_budget):
+        slot = slots[p.label]
+        if _carried(p.row[0], particle_budget):
             slot[0][...], slot[1][...] = p.row[1], p.row[0]
         else:
             drawn.append((p.row, slot))
@@ -190,7 +183,7 @@ def _resampled(pending: Sequence[Pending], kept: Sequence[Pending], particle_bud
         # the indices are in range, and "clip" writes into the slot unbuffered
         states.take(idx, axis=0, out=slot[0], mode="clip")
         slot[1].fill(weight)
-    return block, others
+    return block
 
 
 def update_legacy_track(label: Label, marginal: Mapping[int, float], miss: Hypothesis,
@@ -214,7 +207,7 @@ def update_legacy_track(label: Label, marginal: Mapping[int, float], miss: Hypot
                        np.arange(len(hyps)) * len(states), rows[1:].reshape(-1), mass[1:])
     (r,), weights = legacy_mixture(group, legacy)
     updated = Pending(label, float(r), (weights, states) if r > 0.0 else None)
-    return _resampled([updated], [updated], particle_budget, rng)[0].tracks()[0]
+    return _resampled([updated], particle_budget, rng).tracks()[0]
 
 
 def update_transferred_track(transfer: Pending, p_claim: float, particle_budget: int,
@@ -224,7 +217,7 @@ def update_transferred_track(transfer: Pending, p_claim: float, particle_budget:
     `_resampled`: carried as it is when `_carried` passes it, else
     resampled."""
     claimed = transfer._replace(existence=p_claim * transfer.existence)
-    return _resampled([claimed], [claimed], particle_budget, rng)[0].tracks()[0]
+    return _resampled([claimed], particle_budget, rng).tracks()[0]
 
 
 def split_by_retention(tracks: Sequence[Pending], gamma_leg: float,
@@ -257,9 +250,9 @@ def update_phd(recycled: Sequence[Pending], beta: np.ndarray, cells: Cells,
     the detection probability of each predicted intensity particle. The
     predicted particles are reweighted by (1 - pD) w + sum_k row_k / beta[k]
     (the SMC-PHD update), the particles of the recycled tracks' rows
-    (weights, states), which `_resampled` returns unresampled and of any
-    length, are appended with weights r * weights, and the union is
-    resampled once, so a recycled track is resampled only here. Total mass is
+    (weights, states), unresampled and of any length, are appended with
+    weights r * weights, and the union is resampled once, so a recycled
+    track is resampled only here. Total mass is
     sum((1 - pD) w) + sum_k d_k / beta_k + r-sum, preserved through the
     reduction. Only the union's weights are concatenated, not its states.
     """
@@ -347,7 +340,7 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
     # the updated tracks in the order their uniforms are drawn: per cluster,
     # its rows and then its transfers
     legacy, claim = exact_marginals(evidence.miss_beta, evidence.betas, new_beta, transferred,
-                                    clusters, settings.bp_iterations)
+                                    clusters)
     r, mixture = legacy_mixture(evidence.group, legacy)
     by_row = [Pending(label, row_r, (weights, states) if row_r > 0.0 else None)
               for label, row_r, (states, weights)
@@ -364,10 +357,11 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
 
     # retention needs only labels and existence; then the kept rows go into
     # the next block, resampled where their weights have degenerated
-    kept, _ = split_by_retention(pending, thresholds.gamma_leg, k)
-    updated, recycled = _resampled(pending, kept, settings.track_particles, rng)
+    kept, recycled = split_by_retention(pending, thresholds.gamma_leg, k)
+    updated = _resampled(kept, settings.track_particles, rng)
     unclaimed = np.zeros(len(frame), dtype=bool)
     unclaimed[residual[~transferred[residual]]] = True
-    phd = update_phd(recycled, new_beta[unclaimed], _rows_of(new_cells, unclaimed),
-                     predicted_phd, phd_pd, settings.phd_particles, rng)
+    phd = update_phd([p for p in recycled if p.row is not None], new_beta[unclaimed],
+                     _rows_of(new_cells, unclaimed), predicted_phd, phd_pd,
+                     settings.phd_particles, rng)
     return FilterState.from_block(updated, phd, k)

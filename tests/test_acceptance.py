@@ -3,9 +3,9 @@ one verdict line (visible with `pytest -s` or in failure reports).
 
 Known red: `test_criterion_1_bp_tvd_bound` — converged loopy BP on dense
 log-uniform association tables exceeds the 0.05 per-label TV bound on ~5%
-of instances (not an iteration-count issue: identical failures at 20 and
-2000 iterations; the enumeration oracle is cross-checked by two independent
-formulations). The acyclic-exactness and runtime clauses of the same
+of instances (not a round-count issue: identical failures at `BP_ROUNDS` =
+20 and at 2000 rounds; the enumeration oracle is cross-checked by two
+independent formulations). The acyclic-exactness and runtime clauses of the same
 criterion pass. See that test's docstring for the measured numbers.
 """
 
@@ -80,8 +80,8 @@ def test_criterion_1_bp_tvd_bound():
     Expected to fail: the requirement exceeds what converged belief
     propagation delivers on this instance distribution. Measured across
     seeds: 54-61 of 1000 instances have some label above 0.05 (p99 of the
-    per-instance worst TV is ~0.25), unchanged when iterations are raised
-    from 20 to 2000, so this is fixed-point accuracy rather than a
+    per-instance worst TV is ~0.25), unchanged when the round cap
+    `BP_ROUNDS` is raised from 20 to 2000, so this is fixed-point accuracy rather than a
     convergence artifact. The acyclic and runtime clauses are covered by
     the two companion tests and pass.
     """
@@ -91,7 +91,7 @@ def test_criterion_1_bp_tvd_bound():
     started = time.perf_counter()
     for _ in range(instances):
         cluster = random_cluster(rng)
-        tv = max_label_tv(brute_force_marginals(cluster), bp_marginals(*cluster, 20))
+        tv = max_label_tv(brute_force_marginals(cluster), bp_marginals(*cluster))
         if tv > 0.05:
             bad += 1
     elapsed = time.perf_counter() - started
@@ -125,7 +125,7 @@ def test_criterion_1_acyclic_exactness():
     for _ in range(1000):
         cluster = random_acyclic_cluster(rng)
         worst = max(worst, max_label_tv(brute_force_marginals(cluster),
-                                        bp_marginals(*cluster, 20)))
+                                        bp_marginals(*cluster)))
     ok = worst <= 1e-9
     verdict("1 (BP exact on acyclic clusters)", ok, f"worst TV {worst:.2e}")
     assert ok
@@ -137,7 +137,7 @@ def test_criterion_1_runtime():
     for _ in range(1000):
         cluster = random_cluster(rng)
         brute_force_marginals(cluster)
-        bp_marginals(*cluster, 20)
+        bp_marginals(*cluster)
     elapsed = time.perf_counter() - started
     ok = elapsed < 10.0
     verdict("1 (oracle comparison runtime)", ok, f"{elapsed:.1f}s for 1000 clusters")
@@ -191,7 +191,7 @@ def test_criterion_2_conservation():
 
     for _ in range(500):
         cluster = random_cluster(rng)
-        for marg in (brute_force_marginals(cluster), bp_marginals(*cluster, 20)):
+        for marg in (brute_force_marginals(cluster), bp_marginals(*cluster)):
             worst_pmf = max(worst_pmf, np.abs(marg.legacy.sum(axis=1) - 1.0).max(initial=0.0),
                             -marg.claim.min(initial=0.0), marg.claim.max(initial=1.0) - 1.0)
         n = int(rng.integers(1, 40))

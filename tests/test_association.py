@@ -1,5 +1,7 @@
+import re
 import warnings
 from collections import Counter
+from random import Random
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 import lmbp.association
 from lmbp.association import (
+    BP_ROUNDS,
     EXACT_DEGREE_LIMIT,
     EXACT_SIZE_LIMIT,
     Marginals,
@@ -769,6 +772,21 @@ class TestExactMarginals:
         # passed on unchecked as the batch gives them
         (ClusterTables(np.array([0.4, 0.7]), np.array([[np.inf, 0.5], [1.0, 3.0]]),
                        np.array([np.inf, 0.8]), np.zeros(2, dtype=bool)), False),
+        # one row or one column, every weight nonzero: L M edges, fewer than L + M
+        (ClusterTables(np.array([0.4]), np.array([[2.0, 0.5, 1.0, 3.0]]),
+                       np.array([0.3, 0.8, 0.2, 0.5]), np.array([True, False, False, True])),
+         False),
+        (ClusterTables(np.array([0.4, 0.7, 0.2, 0.9]), np.array([[2.0], [0.5], [1.0], [3.0]]),
+                       np.array([0.3]), np.array([True])), False),
+        # 2 x 2 with three nonzero weights: a path, no cycle
+        (ClusterTables(np.array([0.4, 0.7]), np.array([[2.0, 0.5], [0.0, 3.0]]),
+                       np.array([0.3, 0.8]), np.array([True, False])), False),
+        # cyclic with a NaN weight: its NaN marginals are BP's, unchecked
+        (ClusterTables(np.array([0.4, 0.7]), np.array([[np.nan, 0.5], [1.0, 3.0]]),
+                       np.array([0.3, 0.8]), np.zeros(2, dtype=bool)), False),
+        # no rows and two columns
+        (ClusterTables(np.empty(0), np.empty((0, 2)), np.array([0.3, 0.8]),
+                       np.array([True, False])), False),
     ])
     def test_enumerates_only_cyclic_clusters_within_the_limits(self, cluster, enumerated,
                                                                monkeypatch):
@@ -779,10 +797,105 @@ class TestExactMarginals:
         with np.errstate(invalid="ignore"):
             got = exact_marginals(*cluster, whole(cluster))
             want = (enumerated_marginals(cluster) if enumerated
-                    else batch_bp_marginals(*cluster, whole(cluster), 20))
+                    else batch_bp_marginals(*cluster, whole(cluster)))
         assert len(calls) == enumerated
         assert np.array_equal(got.legacy, want.legacy, equal_nan=True)
         assert np.array_equal(got.claim, want.claim, equal_nan=True)
+
+
+    def test_cycle_rule_equals_the_census_over_the_steps_tables(self, monkeypatch):
+        # the reference counts each listed cluster's edges in one pass over
+        # the whole `betas`, as the census that read every cluster at once
+        # did; `exact_marginals` reads each cluster's own table. Both must
+        # enumerate the same clusters and give the same bits, or raise alike
+        calls = []
+        monkeypatch.setattr(lmbp.association, "enumerate_admissible",
+                            lambda *tables: calls.append(tables) or enumerate_admissible(*tables))
+        rng, random = np.random.default_rng(39), Random(39)
+        enumerations = raised = 0
+        for _ in range(500):
+            tables, placed = placed_in_tables(random_cluster_list(rng), random)
+            clusters = [(rows, cols) for _, rows, cols in placed]
+            picks = census_picks(*tables, clusters)
+            calls.clear()
+            with np.errstate(invalid="ignore", over="ignore"):
+                try:
+                    want = census_marginals(*tables, clusters, picks)
+                except ValueError as error:
+                    with pytest.raises(ValueError, match=re.escape(str(error))):
+                        exact_marginals(*tables, clusters)
+                    raised += 1
+                    assert len(calls) <= len(picks)
+                else:
+                    got = exact_marginals(*tables, clusters)
+                    assert np.array_equal(got.legacy, want.legacy, equal_nan=True)
+                    assert np.array_equal(got.claim, want.claim, equal_nan=True)
+                    assert len(calls) == len(picks)
+            for got_tables, k in zip(calls, picks):
+                rows, cols = clusters[k]
+                gathered = (tables[0][rows], tables[1][np.ix_(rows, cols)], tables[2][cols],
+                            tables[3][cols])
+                assert all(np.array_equal(a, b) for a, b in zip(got_tables, gathered))
+            enumerations += len(picks)
+        assert enumerations >= 100 and 0 < raised < 100
+
+
+def random_cluster_list(rng):
+    """One to six clusters of 0-5 rows and 0-5 columns. A detection weight
+    is 0 a fifth of the time and a miss weight a twentieth, else spread over
+    eight decades, as a new weight always is (the step drops a measurement
+    with none); in a quarter of the lists one weight of one cluster is NaN
+    or inf instead."""
+    clusters = []
+    for _ in range(int(rng.integers(1, 7))):
+        L, M = rng.integers(0, 6, 2).tolist()
+        tables = [10.0 ** rng.uniform(-6, 2, shape) for shape in (L, (L, M), M)]
+        for table, zero in zip(tables, (0.05, 0.2, 0.0)):
+            table[rng.random(table.shape) < zero] = 0.0
+        clusters.append(ClusterTables(*tables, rng.random(M) < 0.3))
+    if rng.random() < 0.25:
+        table = clusters[int(rng.integers(len(clusters)))][int(rng.integers(3))]
+        if table.size:
+            table.flat[int(rng.integers(table.size))] = rng.choice([np.nan, np.inf])
+    return clusters
+
+
+def census_picks(miss_beta, betas, new_beta, transferred, clusters):
+    """The listed clusters that the census rule enumerates: the nonzero
+    entries of the whole `betas` whose row and column lie in the same
+    cluster, counted per cluster in one pass, number at least its rows plus
+    its columns and at least one, and the cluster lies within the limits
+    with finite weights."""
+    row_of, col_of = np.full(betas.shape[0], -1), np.full(betas.shape[1], -2)
+    for k, (rows, cols) in enumerate(clusters):
+        row_of[rows], col_of[cols] = k, k
+    at, to = np.nonzero(betas)
+    edges = np.bincount(row_of[at][row_of[at] == col_of[to]], minlength=len(clusters))
+    picks = []
+    for k, (rows, cols) in enumerate(clusters):
+        cluster = ClusterTables(miss_beta[rows], betas[np.ix_(rows, cols)], new_beta[cols],
+                                transferred[cols])
+        if (edges[k] >= max(len(rows) + len(cols), 1) and within_exact_limits(cluster)
+                and all(np.isfinite(t).all() for t in cluster[:3])):
+            picks.append(k)
+    return picks
+
+
+def census_marginals(miss_beta, betas, new_beta, transferred, clusters, picks):
+    """The marginals of `exact_marginals` with the census's `picks`
+    enumerated: the rest in one BP batch, then each pick's vectors added in
+    enumeration order and checked."""
+    rest = [cluster for k, cluster in enumerate(clusters) if k not in picks]
+    legacy, claim = batch_bp_marginals(miss_beta, betas, new_beta, transferred, rest)
+    for k in picks:
+        rows, cols = clusters[k]
+        entries, claims, weights = enumerate_admissible(
+            miss_beta[rows], betas[np.ix_(rows, cols)], new_beta[cols], transferred[cols])
+        np.add.at(legacy, (rows, np.append(0, 1 + cols)[entries]), weights[:, None])
+        vector, meas = np.nonzero(claims)
+        np.add.at(claim, cols[meas], weights[vector])
+        _check_marginals(legacy[rows], claim[cols])
+    return Marginals(legacy, claim)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # as `batch_bp_marginals` runs
@@ -835,7 +948,7 @@ class TestBpMarginals:
         rng = np.random.default_rng(2024)
         for _ in range(1000):
             cluster = random_cluster(rng)
-            assert_same_marginals(bp_marginals(*cluster, 20), fixed_iteration_bp(cluster, 20))
+            assert_same_marginals(bp_marginals(*cluster), fixed_iteration_bp(cluster, BP_ROUNDS))
 
     def test_wide_clusters_equal_fixed_iterations(self):
         # 8-12 legacy labels or 7-12 measurements: sums long enough that
@@ -847,17 +960,17 @@ class TestBpMarginals:
             cluster = ClusterTables(10.0 ** rng.uniform(-6, 2, L),
                                     10.0 ** rng.uniform(-6, 2, (L, M)),
                                     10.0 ** rng.uniform(-6, 2, M), rng.random(M) < 0.5)
-            assert_same_marginals(bp_marginals(*cluster, 20), fixed_iteration_bp(cluster, 20))
+            assert_same_marginals(bp_marginals(*cluster), fixed_iteration_bp(cluster, BP_ROUNDS))
 
     def test_single_label_cluster_is_exact(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
             cluster = random_cluster(rng, max_legacy=1, max_transfer=0)
             assert max_label_tv(brute_force_marginals(cluster),
-                                bp_marginals(*cluster, 20)) <= 1e-9
+                                bp_marginals(*cluster)) <= 1e-9
 
     def test_single_transfer_cluster_is_exact(self):
-        marg = bp_marginals(*lone_transfer_cluster(0.8), 20)
+        marg = bp_marginals(*lone_transfer_cluster(0.8))
         assert marg.claim[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_disconnected_blocks_are_exact(self):
@@ -865,14 +978,14 @@ class TestBpMarginals:
         cluster = ClusterTables(np.array([0.3, 0.9]), np.array([[2.0, 0.0], [0.0, 5.0]]),
                                 np.array([1.0, 0.4]), np.zeros(2, dtype=bool))
         assert max_label_tv(brute_force_marginals(cluster),
-                            bp_marginals(*cluster, 20)) <= 1e-9
+                            bp_marginals(*cluster)) <= 1e-9
 
     def test_star_with_transfer_is_exact(self):
         # one measurement shared by a legacy and a transfer label: still a tree
         cluster = ClusterTables(np.array([0.4]), np.array([[3.0]]), np.array([0.7]),
                                 np.array([True]))
         assert max_label_tv(brute_force_marginals(cluster),
-                            bp_marginals(*cluster, 20)) <= 1e-9
+                            bp_marginals(*cluster)) <= 1e-9
 
     def test_loopy_accuracy_sanity(self):
         # the acceptance suite checks the distributional bound; this is a floor
@@ -881,14 +994,14 @@ class TestBpMarginals:
         for _ in range(200):
             cluster = random_cluster(rng)
             if max_label_tv(brute_force_marginals(cluster),
-                            bp_marginals(*cluster, 20)) <= 0.05:
+                            bp_marginals(*cluster)) <= 0.05:
                 close += 1
         assert close >= 180
 
     def test_pmfs_normalized(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
-            marg = bp_marginals(*random_cluster(rng), 20)
+            marg = bp_marginals(*random_cluster(rng))
             assert np.all(np.abs(marg.legacy.sum(axis=1) - 1.0) <= 1e-9)
             assert np.all((marg.claim >= 0.0) & (marg.claim <= 1.0))
 
@@ -905,7 +1018,7 @@ class TestBpMarginals:
         monkeypatch.setattr(lmbp.association, "_check_marginals", check_spy)
         rng = np.random.default_rng(8)
         for count in range(1, 51):
-            bp_marginals(*random_cluster(rng, max_legacy=10), 20)
+            bp_marginals(*random_cluster(rng, max_legacy=10))
             assert len(calls) == count
 
     def test_measurement_scale_invariance(self):
@@ -919,7 +1032,7 @@ class TestBpMarginals:
                                    cluster.new_beta * scale, cluster.transferred)
             assert max_label_tv(exact_marginals(*cluster, whole(cluster)),
                                 exact_marginals(*scaled, whole(scaled))) <= 1e-9
-            assert max_label_tv(bp_marginals(*cluster, 20), bp_marginals(*scaled, 20)) <= 1e-9
+            assert max_label_tv(bp_marginals(*cluster), bp_marginals(*scaled)) <= 1e-9
             e1, c1, w1 = enumerate_admissible(*cluster)
             e2, c2, w2 = enumerate_admissible(*scaled)
             assert np.array_equal(e1, e2) and np.array_equal(c1, c2)
@@ -1019,13 +1132,13 @@ class TestBatchBpMarginals:
         # subset, as `exact_marginals` passes one. Every weight is a number, so a
         # NaN marginal is one that BP made, and a list with one raises
         tables, placed = placed_in_tables(clusters, random)
-        (L, M), placed = tables[1].shape, [(fixed_iteration_bp(cluster, 20), rows, cols)
+        (L, M), placed = tables[1].shape, [(fixed_iteration_bp(cluster, BP_ROUNDS), rows, cols)
                                            for cluster, rows, cols in placed]
 
         shuffled = random.sample(placed, len(placed))
         subset = random.sample(placed, random.randint(0, len(placed)))
         for listed in (placed, shuffled, subset):
-            args = (*tables, [(rows, cols) for _, rows, cols in listed], 20)
+            args = (*tables, [(rows, cols) for _, rows, cols in listed])
             if any(np.isnan(want.legacy).any() or np.isnan(want.claim).any()
                    for want, _, _ in listed):
                 with pytest.raises(ValueError):
@@ -1052,25 +1165,25 @@ class TestBatchBpMarginals:
                     enumerated.append((enumerated_marginals(cluster), rows, cols))
                 except ValueError:
                     failing.append((rows, cols))
-            elif any(np.isnan(part).any() for part in fixed_iteration_bp(cluster, 20)):
+            elif any(np.isnan(part).any() for part in fixed_iteration_bp(cluster, BP_ROUNDS)):
                 failing.append((rows, cols))
             else:
                 batched.append((rows, cols))
         listed = [(rows, cols) for _, rows, cols in enumerated] + batched
         if failing:
             with pytest.raises(ValueError):
-                exact_marginals(*tables, random.sample(listed + failing, len(placed)), 20)
+                exact_marginals(*tables, random.sample(listed + failing, len(placed)))
         listed = random.sample(listed, len(listed))
-        legacy, claim = exact_marginals(*tables, listed, 20)
+        legacy, claim = exact_marginals(*tables, listed)
         # the two parts share no row or column, so their sum places each
-        bp_legacy, bp_claim = batch_bp_marginals(*tables, batched, 20)
+        bp_legacy, bp_claim = batch_bp_marginals(*tables, batched)
         want = in_step_columns(enumerated, *tables[1].shape)
         assert np.array_equal(legacy, want.legacy + bp_legacy)
         assert np.array_equal(claim, want.claim + bp_claim)
 
     def test_no_clusters(self):
         legacy, claim = batch_bp_marginals(np.ones(2), np.ones((2, 3)), np.ones(3),
-                                           np.ones(3, dtype=bool), [], 20)
+                                           np.ones(3, dtype=bool), [])
         assert legacy.tolist() == [[0.0] * 4] * 2 and claim.tolist() == [0.0, 0.0, 0.0]
 
     def test_nan_weights_pass_unchecked(self):
@@ -1079,7 +1192,7 @@ class TestBatchBpMarginals:
         with np.errstate(invalid="ignore"):
             legacy, claim = batch_bp_marginals(np.array([0.5]), np.array([[np.inf, 0.0]]),
                                                np.array([np.inf, 1.0]), np.array([True, False]),
-                                               [(np.arange(1), np.arange(2))], 20)
+                                               [(np.arange(1), np.arange(2))])
         assert np.isnan(legacy[0, :2]).all() and legacy[0, 2] == 0.0
         assert np.isnan(claim[0]) and claim[1] == 0.0
 
@@ -1087,7 +1200,7 @@ class TestBatchBpMarginals:
         # a negative weight is no probability; the check reads the arrays
         with pytest.raises(ValueError, match="not normalized"):
             batch_bp_marginals(np.array([1.0, 0.5]), np.array([[-2.0], [1.0]]), np.ones(1),
-                               np.zeros(1, dtype=bool), [(np.arange(2), np.arange(1))], 20)
+                               np.zeros(1, dtype=bool), [(np.arange(2), np.arange(1))])
 
 
 # ---------------------------------------------------------------------------

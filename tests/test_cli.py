@@ -58,7 +58,7 @@ NON_DEFAULT = {
     "sensor.sigma_bearing_deg": "2", "sensor.pd_max": "0.9", "sensor.pd_scale": "400",
     "clutter.mean_count": "20",
     "birth.mean_births": "0.2", "birth.velocity_sigma": "0.25", "birth.particles": "600",
-    "filter.track_particles": "300", "filter.phd_particles": "700", "filter.bp_iterations": "5",
+    "filter.track_particles": "300", "filter.phd_particles": "700",
     "filter.initial_phd_mass": "0.5",
     "thresholds.gamma_c": "1e-6", "thresholds.gamma_tr": "0.05", "thresholds.gamma_leg": "0.2",
     "thresholds.gamma_d": "0.6",
@@ -159,7 +159,8 @@ class TestConfigParsing:
     def test_shipped_configs_load(self):
         # every value a shipped config sets is the one its run echoes
         paths = sorted(CONFIGS.glob("*.cfg"))
-        assert [p.name for p in paths] == ["desk_ts1.cfg", "full_ts1.cfg", "full_ts2.cfg"]
+        assert [p.name for p in paths] == ["desk_ts1.cfg", "full_ts1.cfg", "full_ts2.cfg",
+                                              "short_ts2.cfg"]
         for path in paths:
             config = load_run_config(path)
             for key, value in parse_config_text(path.read_text()).items():
@@ -176,7 +177,6 @@ class TestConfigParsing:
         assert config.settings.track_particles == 1000
         assert config.settings.phd_particles == 5000
         assert config.birth.particle_budget == 5000
-        assert config.settings.bp_iterations == 20
         assert config.ospa.cutoff == 20.0 and config.ospa.order == 2.0
         assert config.scenario.sensor.clutter_mean == 100.0
         assert config.scenario.sensor.pd_max == 0.7

@@ -94,9 +94,9 @@ def count_paths(monkeypatch) -> Counter:
         counts["enumerated"] += 1   # one enumerated cluster
         return enumerate_admissible(*args, **kwargs)
 
-    def bp_spy(miss_beta, betas, new_beta, transferred, clusters, *args):
+    def bp_spy(miss_beta, betas, new_beta, transferred, clusters):
         counts["batched"] += len(clusters)   # the clusters the batch marginalizes
-        return batch_bp_marginals(miss_beta, betas, new_beta, transferred, clusters, *args)
+        return batch_bp_marginals(miss_beta, betas, new_beta, transferred, clusters)
 
     monkeypatch.setattr(lmbp.update, "partition", partition_spy)
     monkeypatch.setattr(lmbp.update, "select_transfers", select_transfers_spy)

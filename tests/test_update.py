@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 
 import lmbp.association
 import lmbp.update
-from lmbp.association import Hypothesis, TrackGroup, new_components, partition
+from lmbp.association import (
+    EXACT_DEGREE_LIMIT,
+    Hypothesis,
+    TrackGroup,
+    new_components,
+    partition,
+)
 from lmbp.cli import initial_state
 from lmbp.config import build_run_config
 from lmbp.models import BirthModel, Models, MotionModel, SensorModel, wrap_angle
@@ -251,7 +257,7 @@ class TestOnePassUpdate:
         pending = [Pending(Label(1, i + 1), row_r, (weights, support) if row_r else None)
                    for i, (row_r, weights) in enumerate(zip(r.tolist(), mixture.reshape(3, 40)))]
         pending.append(comp._replace(existence=0.5 * comp.existence))
-        one_pass = _resampled(pending, pending, 64, b)[0].tracks()
+        one_pass = _resampled(pending, 64, b).tracks()
         assert a.random() == b.random()
         assert one_by_one[1].existence == 0.0 and len(one_by_one[1].pdf) == 0
         for x, y in zip(one_by_one, one_pass):
@@ -262,8 +268,8 @@ class TestOnePassUpdate:
 
 class TestResampleGate:
     """`_resampled` copies a kept row of the budget's length whose effective
-    sample size is at least half the budget, resamples every other kept row,
-    and returns the recycled rows as they are."""
+    sample size is at least half the budget and resamples every other kept
+    row; a recycled row reaches `update_phd` as it is."""
 
     budget = 64
 
@@ -271,25 +277,23 @@ class TestResampleGate:
         states = np.random.default_rng(1).normal(size=(len(weights), 4))
         return Pending(label, existence, (np.asarray(weights, dtype=float), states))
 
-    def gate(self, pending, kept, seed=5):
-        """The block's rows, the other records, and the generator after the call."""
+    def gate(self, kept, seed=5):
+        """The block's rows and the generator after the call."""
         rng = np.random.default_rng(seed)
-        block, others = _resampled(pending, kept, self.budget, rng)
-        return block.rows(), others, rng
+        return _resampled(kept, self.budget, rng).rows(), rng
 
     def test_healthy_row_is_copied_and_draws_nothing(self):
         weights = np.random.default_rng(2).random(self.budget) + 0.5
         p = self.row(weights / weights.sum())
-        [(states, weights)], others, rng = self.gate([p], [p])
+        [(states, weights)], rng = self.gate([p])
         assert np.array_equal(states, p.row[1]) and np.array_equal(weights, p.row[0])
-        assert others == []
         assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
 
     def test_degenerate_row_is_resampled(self):
         # 8 equal weights among 64: ESS 8 < 32
         weights = np.append(np.full(8, 1 / 8), np.zeros(self.budget - 8))
         p = self.row(weights)
-        [(states, out)], _, rng = self.gate([p], [p])
+        [(states, out)], rng = self.gate([p])
         [(idx, weight)] = resample_rows([weights], self.budget, np.random.default_rng(5))
         assert np.array_equal(states, p.row[1][idx]) and np.array_equal(out, np.full(64, weight))
         assert idx.max() < 8
@@ -301,7 +305,7 @@ class TestResampleGate:
     def test_row_of_another_length_is_resampled(self, count):
         # uniform weights: the ESS is the row's length, at least the budget's half from 63 on
         p = self.row(np.full(count, 1.0 / count))
-        [(states, weights)], _, _ = self.gate([p], [p])
+        [(states, weights)], _ = self.gate([p])
         [(idx, weight)] = resample_rows([p.row[0]], self.budget, np.random.default_rng(5))
         assert np.array_equal(states, p.row[1][idx])
         assert np.array_equal(weights, np.full(self.budget, weight))
@@ -310,26 +314,64 @@ class TestResampleGate:
         weights = np.append(np.full(32, 1 / 32), np.zeros(32))
         assert weights.sum() ** 2 / (weights @ weights) == self.budget / 2
         p = self.row(weights)
-        [(states, out)], _, rng = self.gate([p], [p])
+        [(states, out)], rng = self.gate([p])
         assert np.array_equal(states, p.row[1]) and np.array_equal(out, weights)
         assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
 
-    def test_recycled_row_comes_back_with_its_own_arrays(self):
-        # a legacy row below gamma_leg: not kept, so it is neither copied nor resampled
+    def test_recycled_row_comes_back_with_its_own_arrays(self, monkeypatch):
+        # one step of a legacy row below gamma_leg and a track with no pdf
+        # left (pD = 1 beyond range 250 and nothing detected, so r = 0): both
+        # are recycled and neither is copied nor resampled into the block; the
+        # row reaches `update_phd` with its own arrays, the dead track not at all
+        seen = {}
+        split, resampled, phd_update = (lmbp.update.split_by_retention, lmbp.update._resampled,
+                                        lmbp.update.update_phd)
+
+        def split_spy(*args):
+            seen["kept"], seen["recycled"] = split(*args)
+            return seen["kept"], seen["recycled"]
+
+        def resampled_spy(kept, budget, rng):
+            seen["before"] = rng.bit_generator.state
+            block = resampled(kept, budget, rng)
+            seen["rows"], seen["after"] = block.rows(), rng.bit_generator.state
+            return block
+
+        def phd_spy(recycled, *args):
+            seen["to_phd"] = recycled
+            return phd_update(recycled, *args)
+
+        @dataclass(frozen=True)
+        class SureBeyond250(ConstantPdSensor):
+            def detection_prob_at(self, rho):
+                return np.where(np.asarray(rho) > 250.0, 1.0, self.pd_const)
+
+        monkeypatch.setattr(lmbp.update, "split_by_retention", split_spy)
+        monkeypatch.setattr(lmbp.update, "_resampled", resampled_spy)
+        monkeypatch.setattr(lmbp.update, "update_phd", phd_spy)
         weights = np.append(np.full(8, 1 / 8), np.zeros(3))
-        recycled = self.row(weights, Label(1, 2), 0.001)
-        dead = Pending(Label(1, 3), 0.0, None)
-        rows, others, rng = self.gate([recycled, dead], [])
-        assert rows == [] and others == [recycled]
-        assert others[0].row[0] is recycled.row[0] and others[0].row[1] is recycled.row[1]
-        assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
+        tracks = (BernoulliTrack(Label(1, 2), 0.02, ParticleSet(pdf_at(200.0, n=11).states,
+                                                                weights)),
+                  BernoulliTrack(Label(1, 3), 0.5, pdf_at(280.0, n=8)))
+        models = micro_models()
+        models = Models(models.motion, SureBeyond250(pd_const=0.6, clutter_mean=2.0),
+                        models.birth)
+        lmbp_step(FilterState(tracks, PoissonPhd.empty(), 1), [], models, Thresholds(),
+                  np.random.default_rng(5), settings=small_settings())
+        recycled, dead = seen["recycled"]
+        assert (recycled.label, dead) == (Label(1, 2), Pending(Label(1, 3), 0.0, None))
+        assert seen["kept"] == [] and seen["rows"] == []
+        assert seen["to_phd"] == [recycled]
+        assert seen["to_phd"][0].row[0] is recycled.row[0]
+        assert seen["to_phd"][0].row[1] is recycled.row[1]
+        assert seen["after"] == seen["before"]
 
     def test_nan_row_still_raises(self):
         weights = np.full(self.budget, 1.0 / self.budget)
         weights[3] = np.nan
         p = self.row(weights)
         with pytest.raises(ValueError, match="degenerate particle set: row 0"):
-            self.gate([p], [p])
+            self.gate([p])
 
 
 class TestSplitByRetention:
@@ -982,15 +1024,18 @@ class TestLmbpStep:
     def test_one_bp_batch_per_step(self, monkeypatch):
         # the step's one `exact_marginals` call marginalizes every cluster it
         # does not enumerate in one BP batch, never through the one-cluster
-        # `bp_marginals`, and gathers the tables (`np.ix_`) of the clusters it
-        # enumerates only
-        calls = Counter()
+        # `bp_marginals`. It gathers the tables (`np.ix_`) of the clusters of
+        # two or more rows and columns within the pair limit only, and
+        # enumerates those that are cyclic, within the vector limit and finite
+        calls, listed, seen = Counter(), [], np.zeros(2, int)
 
         def spy(owner, name):
             real = getattr(owner, name)
 
             def counted(*args, **kwargs):
                 calls[name] += 1
+                if name == "exact_marginals":
+                    listed.append(args)
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, counted)
@@ -1012,14 +1057,26 @@ class TestLmbpStep:
         state, prev = initial_state(config, rng), ()
         for frame in frames:
             calls.clear()
+            listed.clear()
             state = lmbp_step(state, frame, config.models, config.thresholds, rng,
                               prev_frame=prev, settings=config.settings)
             prev = frame
-            assert calls["exact_marginals"] == 1 and calls["batch_bp_marginals"] == 1
-            assert calls["ix_"] == calls["enumerate_admissible"]
-            assert set(calls) <= {"exact_marginals", "batch_bp_marginals", "ix_",
-                                  "enumerate_admissible"}
-        assert state.tracks
+            counts = dict(calls)
+            assert counts["exact_marginals"] == 1 and counts["batch_bp_marginals"] == 1
+            [(miss_beta, betas, new_beta, transferred, clusters)] = listed
+            gathered = [ClusterTables(miss_beta[rows], betas[np.ix_(rows, cols)],
+                                      new_beta[cols], transferred[cols])
+                        for rows, cols in clusters
+                        if len(rows) >= 2 and len(cols) >= 2
+                        and len(rows) * len(cols) <= EXACT_DEGREE_LIMIT]
+            cyclic = [c for c in gathered if np.count_nonzero(c.det_beta) >= sum(c.det_beta.shape)
+                      and within_exact_limits(c) and all(np.isfinite(t).all() for t in c[:3])]
+            assert counts.get("ix_", 0) == len(gathered)
+            assert counts.get("enumerate_admissible", 0) == len(cyclic)
+            assert set(counts) <= {"exact_marginals", "batch_bp_marginals", "ix_",
+                                   "enumerate_admissible"}
+            seen += len(gathered), len(cyclic)
+        assert state.tracks and seen.all()
 
     def test_marginals_equal_enumeration_within_the_limits(self, monkeypatch):
         # a short dense run (10 objects, clutter rate 100): the step's
@@ -1052,7 +1109,7 @@ class TestLmbpStep:
             prev = frame
         assert len(enumerated) > 0
         within = 0
-        for (miss, betas, new, transferred, clusters, _), (legacy, claim) in seen:
+        for (miss, betas, new, transferred, clusters), (legacy, claim) in seen:
             for rows, cols in clusters:
                 cluster = ClusterTables(miss[rows], betas[np.ix_(rows, cols)], new[cols],
                                         transferred[cols])
