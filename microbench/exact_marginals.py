@@ -1,9 +1,10 @@
 """Replayable microbenchmark of `exact_marginals`, the step's one marginal
-call: enumeration of the cyclic clusters within the limits and loopy BP of
-the rest.
+call: the exact pass over the cyclic clusters within its cost limit and
+loopy BP of the rest.
 
     python3 microbench/exact_marginals.py --workload dense
     python3 microbench/exact_marginals.py --workload desk --src ../other/src
+    python3 microbench/exact_marginals.py --config configs/short_ts2.cfg
 
 `replay.py` captures every `exact_marginals` call that `lmbp.update` makes
 in one benchmark instance's steps, checks that a replay returns the same

@@ -7,7 +7,6 @@ from .association import (
     batch_bp_marginals,
     bp_marginals,
     detection_hypotheses,
-    enumerate_admissible,
     exact_marginals,
     miss_hypothesis,
     new_components,

@@ -1,5 +1,5 @@
 """Data association: hypothesis weights, plausibility partitioning, and
-marginal association probabilities (exact enumeration and loopy BP).
+marginal association probabilities (an exact subset pass and loopy BP).
 
 A step's tables are arrays indexed from 0: row i is the i-th predicted track
 and column j is `frame[j]`. Labels, hypothesis keys and marginal rows count
@@ -10,13 +10,14 @@ entry 0 and its detection of `frame[j]` at entry 1 + j, on every path.
 
 `partition` groups the plausible pairs into clusters once, as `(rows, cols)`
 index arrays into the step's tables. `exact_marginals` takes those tables
-and that list and returns one `Marginals`: it enumerates the cyclic clusters
-within its limits and hands the rest to `batch_bp_marginals`, which runs BP
-on them at once. Each checks what it computed with `_check_marginals`.
+and that list and returns one `Marginals`: it solves the cyclic clusters
+within its cost limit exactly and hands the rest to `batch_bp_marginals`,
+which runs BP on them at once. Each checks what it computed with `_check_marginals`.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -298,67 +299,66 @@ def _check_cluster(miss_beta, det_beta, new_beta, transferred) -> tuple[int, int
     return L, M
 
 
-def enumerate_admissible(miss_beta: np.ndarray, det_beta: np.ndarray, new_beta: np.ndarray,
-                         transferred: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All admissible association vectors of one cluster with normalized weights.
+@functools.cache
+def _subsets(E: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_pass_marginals`' index tables over the subsets S < 2^E plus a slot 2^E
+    holding 0: row e of `remove` gives S less e if e is in S, row e of `add` S
+    plus e if it is not, else the slot, and row E of each S; `out[e, S]`, e not in S."""
+    n = 1 << E
+    subsets, bits = np.arange(n + 1), 1 << np.arange(E)[:, None]
+    has, pad = (subsets & bits) > 0, subsets == n
+    remove, add = np.where(has, subsets ^ bits, n), np.where(has | pad, n, subsets | bits)
+    return np.vstack((remove, subsets)), np.vstack((add, subsets)), ~(has | pad)
 
-    The cluster's tables are `miss_beta` (L,), `det_beta` (L, M), where
-    entry (i, j) pairs legacy label i with measurement j, `new_beta` (M,) and
-    `transferred` (M,): a measurement with a transfer label, which carries
-    the implicit weights new_beta[j] for claim and 1 for no-claim.
 
-    Returns `(legacy, claims, weights)` over the H vectors: `legacy` (H, L)
-    holds each legacy label's entry, 0 for a miss and 1 + j for measurement
-    j; `claims` (H, M) marks the measurements a transfer claims. No
-    measurement is claimed twice, and every unclaimed measurement contributes
-    its beta(m) factor. Weights are products of beta factors, computed in log
-    domain and normalized to sum to one. `_check_cluster` vets the tables first.
-
-    One search runs over every label's options, the legacy labels first and
-    then the transfers in column order: a legacy label's are its miss and
-    then each measurement j, a transfer's are nothing (weight 1) and then its
-    own measurement (weight new_beta[j]). An option is a measurement, or -1
-    for none, with its log weight.
-    """
-    L, M = _check_cluster(miss_beta, det_beta, new_beta, transferred)
-    # Python floats add with the same bits as numpy's, and faster
-    with np.errstate(divide="ignore"):
-        log_miss = np.log(miss_beta).tolist()
-        log_det = np.log(det_beta).tolist()
-        log_new = np.log(new_beta).tolist()
-    options = [[(-1, log_miss[i])] + list(enumerate(log_det[i])) for i in range(L)]
-    options += [[(-1, 0.0), (j, log_new[j])] for j in np.flatnonzero(transferred).tolist()]
-
-    # (each label's measurement or -1, log weight)
-    vectors: list[tuple[tuple[int, ...], float]] = []
-
-    def search(picks: tuple[int, ...], acc: float):
-        if len(picks) == len(options):
-            for j in range(M):
-                if j not in picks:
-                    acc += log_new[j]
-            vectors.append((picks, acc))
-            return
-        for j, log_weight in options[len(picks)]:
-            if j < 0 or j not in picks:
-                search(picks + (j,), acc + log_weight)
-
-    search((), 0.0)
-
-    log_w = np.array([v[1] for v in vectors])
-    peak = log_w.max()
-    if not np.isfinite(peak):
+def _pass_marginals(miss_beta: np.ndarray, det_beta: np.ndarray, new_beta: np.ndarray,
+                    transferred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One cluster's exact (legacy, claim), laid out as `Marginals`, by one
+    forward-backward pass over the subsets of its smaller side: its K items
+    are the rows when M <= L, else the columns, and its E elements the other
+    side. An item skips (a row with its miss weight, a column with its free
+    weight) or takes an element no item took, and an element none takes adds
+    its own such weight. A free column weighs new_beta (1 + transferred), as a
+    transfer's claim and no-claim weigh new_beta each: it claims half of that.
+    Forward sums F_k over the sets S the first k items take, a backward pass
+    B_k over the items from k on, ending in the free weights outside S, and k
+    takes e with F_k[S] weight B_{k+1}[S + e] summed over S. A vector has one
+    factor per item and one per element, so each item's weights and then each
+    element's are scaled by their largest; each F_k and B_k is scaled to a
+    largest entry of 1, and item k's terms are normalized by their sum.
+    Costs K E 2^E; a zero total raises ValueError."""
+    L, M = det_beta.shape
+    unclaimed = new_beta * (1.0 + transferred)
+    weight, skip, free = ((det_beta, miss_beta, unclaimed) if M <= L
+                          else (det_beta.T, unclaimed, miss_beta))
+    (K, E), n = weight.shape, 1 << min(L, M)
+    remove, add, out = _subsets(E)
+    W = np.concatenate((weight, skip[:, None]), axis=1)    # item k's weights, skip last
+    W /= W.max(axis=1, initial=_TINY, keepdims=True)
+    top = np.maximum(W[:, :E].max(axis=0, initial=_TINY), free)
+    W[:, :E] /= top
+    F, B = np.zeros((2, K + 1, n + 1))
+    F[0, 0] = 1.0
+    B[K, :n] = np.where(out[:, :n], (free / top)[:, None], 1.0).prod(axis=0)
+    for k in range(K):
+        step = W[k] @ F[k][remove]
+        F[k + 1] = step / (step.max() or 1.0)
+    total = F[K] @ B[K]
+    if not total > 0.0:
         raise ValueError("all association hypotheses have zero weight")
-    w = np.exp(log_w - peak)
-    w /= w.sum()
-    picks = np.array([v[0] for v in vectors], dtype=np.intp).reshape(len(vectors), len(options))
-    claims = (picks[:, L:, None] == np.arange(M)).any(axis=1)
-    return picks[:, :L] + 1, claims, w
+    for k in reversed(range(K)):
+        step = W[k] @ B[k + 1][add]
+        B[k] = step / (step.max() or 1.0)
+    terms = W * np.matmul(B[1:][:, add], F[:-1, :, None])[..., 0]
+    terms /= terms.sum(axis=1, keepdims=True)
+    take, none, unused = terms[:, :E], terms[:, E], out @ (F[K] * B[K]) / total
+    detect, miss, unused = (take, none, unused) if M <= L else (take.T, unused, none)
+    return np.concatenate((miss[:, None], detect), axis=1), np.where(transferred, unused / 2, 0.0)
 
 
-# exact enumeration is honored only within these bounds; bigger clusters use BP
-EXACT_DEGREE_LIMIT = 20
-EXACT_SIZE_LIMIT = 1e5
+# a cluster is solved exactly when K E 2^E, with E its smaller side and K its
+# larger, is at most this; bigger clusters use BP
+EXACT_COST_LIMIT = 2 ** 14
 # BP stops after this many rounds if no fixed point comes first
 BP_ROUNDS = 20
 
@@ -367,42 +367,35 @@ def exact_marginals(miss_beta: np.ndarray, betas: np.ndarray, new_beta: np.ndarr
                     transferred: np.ndarray,
                     clusters: Sequence[tuple[np.ndarray, np.ndarray]]) -> Marginals:
     """The step's one marginal call: `batch_bp_marginals`' tables, list and
-    layout, an enumerated entry 1 + k landing in column 1 + cols[k].
-
-    BP is exact on an acyclic cluster, so a cluster is enumerated only if it
-    is connected with a cycle: at least two rows and two columns, and edges,
-    the nonzero entries of its table that BP reads (joined deferred pairs
-    too; a transfer label closes no cycle), numbering at least its rows plus
-    its columns. It must also have at most `EXACT_DEGREE_LIMIT` pairs, at
-    most `EXACT_SIZE_LIMIT` vectors by the bound (M + 1)^L 2^T with T its
-    transfers, and finite weights; marginals add up in enumeration order.
-    The rest go through one `batch_bp_marginals`.
-    """
-    enumerated, batched = [], []
+    layout. BP is exact on an acyclic cluster, so `_pass_marginals` solves a
+    cluster only if it is connected with a cycle: at least two rows and two
+    columns, and edges, the nonzero entries of its table that BP reads
+    (joined deferred pairs too; a transfer label closes no cycle), numbering
+    at least its rows plus its columns. Its pass must also cost at most
+    `EXACT_COST_LIMIT`, and its weights must be finite. The rest go through
+    one `batch_bp_marginals`."""
+    solved, batched = [], []
     for rows, cols in clusters:
-        L, M = len(rows), len(cols)
-        if L >= 2 and M >= 2 and L * M <= EXACT_DEGREE_LIMIT:
+        E, K = sorted((len(rows), len(cols)))
+        if E >= 2 and K * E * 2 ** E <= EXACT_COST_LIMIT:
             tables = (miss_beta[rows], betas[np.ix_(rows, cols)], new_beta[cols], transferred[cols])
-            if (np.count_nonzero(tables[1]) >= L + M
-                    and (M + 1) ** L * 2 ** int(tables[3].sum()) <= EXACT_SIZE_LIMIT
+            if (np.count_nonzero(tables[1]) >= K + E
                     and all(np.isfinite(t).all() for t in tables[:3])):
-                enumerated.append((rows, cols, tables))
+                solved.append((rows, cols, tables))
                 continue
         batched.append((rows, cols))
     legacy, claim = batch_bp_marginals(miss_beta, betas, new_beta, transferred, batched)
-    for rows, cols, tables in enumerated:
-        entries, claims, weights = enumerate_admissible(*tables)
-        np.add.at(legacy, (rows, np.append(0, 1 + cols)[entries]), weights[:, None])
-        vector, meas = np.nonzero(claims)
-        np.add.at(claim, cols[meas], weights[vector])
+    for rows, cols, tables in solved:
+        legacy[np.ix_(rows, np.append(0, 1 + cols))], claim[cols] = _pass_marginals(*tables)
         _check_marginals(legacy[rows], claim[cols])
     return Marginals(legacy, claim)
 
 
 def bp_marginals(miss_beta: np.ndarray, det_beta: np.ndarray, new_beta: np.ndarray,
                  transferred: np.ndarray) -> Marginals:
-    """Loopy BP marginals of one cluster's tables, as `enumerate_admissible`
-    takes and checks them: a one-cluster call of `batch_bp_marginals`."""
+    """Loopy BP marginals of one cluster's four tables (miss, detection and
+    new weights, a transfer mask), checked by `_check_cluster` first: a
+    one-cluster call of `batch_bp_marginals`."""
     L, M = _check_cluster(miss_beta, det_beta, new_beta, transferred)
     return batch_bp_marginals(miss_beta, det_beta, new_beta, transferred,
                               [(np.arange(L), np.arange(M))])

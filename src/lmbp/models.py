@@ -24,9 +24,6 @@ EXP_FLOOR = -760.0
 _BEARING_SLACK = 1e-12
 # relative and absolute (in sigma_range) slack on range bounds; covers rounding
 _RANGE_SLACK = 1e-9
-# rows' worth of window, (pi - half-width) summed, below which the dense M x N
-# evaluation beats the bearing grid on intensity-sized sets (measured: ~3)
-_DENSE_ROWS = 3.0
 
 
 def wrap_angle(theta):
@@ -196,9 +193,9 @@ class SensorModel:
         every cell left out is exactly 0.0, since float64 exp underflows to
         0.0 below about -745.13; a higher floor leaves out small values too.
         Every exponent is <= 0, so a row whose floor is above 0 has no cells.
-        Unless the frame is too small to pay for it, the states are sorted on
-        a bearing x range grid and each measurement is evaluated only over
-        the grid cells of its window. Every evaluated entry goes through
+        Unless a window spans the whole circle, the states are sorted on a
+        bearing x range grid and each measurement is evaluated only over the
+        grid cells of its window. Every evaluated entry goes through
         `_exponent`; with a non-finite state or measurement every cell is
         evaluated and kept, so nan and inf propagate.
         """
@@ -211,7 +208,7 @@ class SensorModel:
         floor = floor[rows]
         # bearing half-width beyond which every exponent is below the floor
         half = np.sqrt(-2.0 * floor) * self.sigma_bearing + _BEARING_SLACK if finite else np.pi
-        if finite and (half < np.pi).all() and (np.pi - half).sum() > _DENSE_ROWS * np.pi:
+        if finite and rows.size and (half < np.pi).all():
             row, col, quad = self._windowed_exponents(zr[rows], zb[rows], rows, floor,
                                                       rho, theta, half)
         else:

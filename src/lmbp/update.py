@@ -303,7 +303,7 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
     return to the intensity. The tracks are one `TrackBlock` from step to
     step, which `predict_tracks`, `track_evidence` and `legacy_mixture` take
     in one pass each; one `exact_marginals` call gives every cluster's
-    marginals, BP's or, where BP is not exact, enumerated. A kept row of
+    marginals, BP's or, where BP is not exact, the exact pass's. A kept row of
     `track_particles` particles whose effective sample size is at least half
     of them is copied into its slot of the next block as it is; one
     `resample_rows` pass draws every other kept row, per cluster its legacy

@@ -69,9 +69,9 @@ class StubSensor:
 
 class ClusterTables(NamedTuple):
     """One cluster's association-weight tables, in the argument order of
-    `enumerate_admissible` and `bp_marginals`: `det_beta[i, j]` pairs legacy
-    label i with measurement j, and `transferred[j]` marks a measurement
-    with a transfer label."""
+    `lmbp.association._pass_marginals` and `bp_marginals`: `det_beta[i, j]`
+    pairs legacy label i with measurement j, and `transferred[j]` marks a
+    measurement with a transfer label."""
 
     miss_beta: np.ndarray              # (L,)
     det_beta: np.ndarray               # (L, M)

@@ -4,8 +4,8 @@ one verdict line (visible with `pytest -s` or in failure reports).
 Known red: `test_criterion_1_bp_tvd_bound` — converged loopy BP on dense
 log-uniform association tables exceeds the 0.05 per-label TV bound on ~5%
 of instances (not a round-count issue: identical failures at `BP_ROUNDS` =
-20 and at 2000 rounds; the enumeration oracle is cross-checked by two
-independent formulations). The acyclic-exactness and runtime clauses of the same
+20 and at 2000 rounds; the brute-force enumeration oracle is cross-checked
+by an independent formulation, the exact subset pass). The acyclic-exactness and runtime clauses of the same
 criterion pass. See that test's docstring for the measured numbers.
 """
 

@@ -5,21 +5,20 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lmbp.association
 from lmbp.association import (
     BP_ROUNDS,
-    EXACT_DEGREE_LIMIT,
-    EXACT_SIZE_LIMIT,
+    EXACT_COST_LIMIT,
     Marginals,
     _check_marginals,
+    _pass_marginals,
     batch_bp_marginals,
     bp_marginals,
     detection_hypotheses,
-    enumerate_admissible,
     exact_marginals,
     miss_hypothesis,
     new_components,
@@ -616,7 +615,7 @@ class TestPartition:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration and marginalization
+# Exact and BP marginalization
 # ---------------------------------------------------------------------------
 
 
@@ -643,77 +642,125 @@ class TestMarginalAssociation:
             _check_marginals(np.array(legacy), np.array(claim))
 
 
+# a weight entry: 0 a sixth of the time, else log-uniform over [1e-30, 1e30]
+wide_weights = st.floats(-36.0, 30.0).map(lambda e: 0.0 if e < -30.0 else 10.0 ** e)
+
+
+@st.composite
+def small_clusters(draw):
+    """A cluster of 0-4 rows and 0-5 columns, either side the smaller, with
+    `wide_weights` and any columns transfers; half the time one detection row
+    is all zero."""
+    L, M = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    det_beta = draw(arrays(float, (L, M), elements=wide_weights))
+    if L and draw(st.booleans()):
+        det_beta[draw(st.integers(0, L - 1))] = 0.0
+    return ClusterTables(draw(arrays(float, L, elements=wide_weights)), det_beta,
+                         draw(arrays(float, M, elements=wide_weights)), draw(arrays(bool, M)))
+
+
 class TestEnumerateAdmissible:
+    """Exact marginals over a cluster's admissible association vectors, as
+    `_pass_marginals` sums them, against the brute-force oracle and on
+    clusters small enough to list by hand."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_clusters())
+    @example(ClusterTables(np.array([0.7]), np.empty((1, 0)), np.empty(0), np.empty(0, bool)))
+    @example(ClusterTables(np.empty(0), np.empty((0, 2)), np.array([2.0, 1e-30]),
+                           np.array([True, False])))
+    @example(ClusterTables(np.array([1e30, 0.5, 1e-30]), np.array([[2.0], [0.0], [1e-12]]),
+                           np.array([3.0]), np.array([True])))
+    @example(ClusterTables(np.array([0.4, 2.0]), np.array([[1.0, 1e20, 0.0, 1e-30], [0.0] * 4]),
+                           np.array([1e-5, 1.0, 7.0, 1e30]), np.array([True, False, True, False])))
+    def test_property_equals_brute_force(self, cluster):
+        with np.errstate(invalid="ignore"):
+            want = brute_force_marginals(cluster)
+        if np.isnan(want.legacy).any() or np.isnan(want.claim).any():
+            with pytest.raises(ValueError, match="all association hypotheses have zero weight"):
+                _pass_marginals(*cluster)
+            return
+        legacy, claim = _pass_marginals(*cluster)
+        np.testing.assert_allclose(legacy, want.legacy, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(claim, want.claim, rtol=0.0, atol=1e-12)
+
     def test_one_legacy_one_measurement(self):
-        cluster = single_legacy_cluster(0.4, [2.0], [1.5])
-        legacy, _, weights = enumerate_admissible(*cluster)
-        hyps = dict(zip(legacy[:, 0].tolist(), weights))
+        legacy, claim = _pass_marginals(*single_legacy_cluster(0.4, [2.0], [1.5]))
         total = 0.4 * 1.5 + 2.0
-        assert hyps[0] == pytest.approx(0.4 * 1.5 / total, abs=1e-12)
-        assert hyps[1] == pytest.approx(2.0 / total, abs=1e-12)
+        np.testing.assert_allclose(legacy, [[0.4 * 1.5 / total, 2.0 / total]], rtol=0.0, atol=1e-12)
+        assert claim.tolist() == [0.0]
 
     def test_isolated_transfer_label_is_fifty_fifty(self):
-        _, claims, weights = enumerate_admissible(*lone_transfer_cluster(3.7))
-        assert claims.tolist() == [[False], [True]]
-        for weight in weights:
-            assert weight == pytest.approx(0.5, abs=1e-12)
+        legacy, claim = _pass_marginals(*lone_transfer_cluster(3.7))
+        assert legacy.shape == (0, 2)
+        assert claim[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_two_legacy_one_measurement_counts(self):
+        # three admissible vectors: both miss (0.5 0.5 0.3), the first
+        # detects (1.0 0.5), the second detects (0.5 2.0)
         cluster = ClusterTables(np.array([0.5, 0.5]), np.array([[1.0], [2.0]]), np.array([0.3]),
                                 np.zeros(1, dtype=bool))
-        assert len(enumerate_admissible(*cluster)[2]) == 3
+        vectors = np.array([0.5 * 0.5 * 0.3, 1.0 * 0.5, 0.5 * 2.0]) / (0.075 + 0.5 + 1.0)
+        legacy, _ = _pass_marginals(*cluster)
+        np.testing.assert_allclose(legacy, [[vectors[0] + vectors[2], vectors[1]],
+                                            [vectors[0] + vectors[1], vectors[2]]],
+                                   rtol=0.0, atol=1e-12)
 
     def test_weights_normalized(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            cluster = random_cluster(rng)
-            _, _, weights = enumerate_admissible(*cluster)
-            assert abs(sum(weights) - 1.0) <= 1e-12
+            legacy, claim = _pass_marginals(*random_cluster(rng))
+            assert np.all(np.abs(legacy.sum(axis=1) - 1.0) <= 1e-12)
+            assert np.all((claim >= 0.0) & (claim <= 1.0))
 
     def test_no_measurement_claimed_twice(self):
+        # a measurement's detections and its claim are disjoint events, and
+        # only a transfer claims
         rng = np.random.default_rng(4)
         for _ in range(50):
             cluster = random_cluster(rng)
-            for entries, claims in zip(*enumerate_admissible(*cluster)[:2]):
-                used = [m - 1 for m in entries if m > 0] + np.flatnonzero(claims).tolist()
-                assert len(used) == len(set(used))
-                assert cluster.transferred[claims].all()
+            legacy, claim = _pass_marginals(*cluster)
+            assert np.all(legacy[:, 1:].sum(axis=0) + claim <= 1.0 + 1e-12)
+            assert np.all(claim[~cluster.transferred] == 0.0)
 
     def test_empty_cluster(self):
         cluster = ClusterTables(np.empty(0), np.empty((0, 0)), np.empty(0), np.empty(0, dtype=bool))
-        legacy, claims, weights = enumerate_admissible(*cluster)
-        assert legacy.shape == (1, 0) and claims.shape == (1, 0)
-        assert weights.tolist() == [1.0]
+        legacy, claim = _pass_marginals(*cluster)
+        assert legacy.shape == (0, 1) and claim.shape == (0,)
 
     @pytest.mark.parametrize("weight", [np.inf, np.nan, -1.0])
     def test_non_finite_weight_raises(self, weight):
-        # the message names the weight, not an all-zero enumeration after
-        # numpy's log of a negative weight warns
+        # the message names the weight; `exact_marginals` never passes such a
+        # cluster to the pass, so the one-cluster BP call is the entry point
         for table in range(3):
             tables = list(single_legacy_cluster(0.4, [2.0], [1.5]))
             tables[table] = np.full_like(tables[table], weight)
-            for entry_point in (enumerate_admissible, bp_marginals):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    with pytest.raises(ValueError, match="negative or non-finite"):
-                        entry_point(*tables)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="negative or non-finite"):
+                    bp_marginals(*tables)
 
     def test_tables_must_agree_in_shape(self):
         # a (2, 2) detection table against 3 miss weights must not give 2-row
-        # BP marginals or seven vectors of weight 1/7
+        # BP marginals
         for table in (0, 2, 3):
             tables = [np.ones(2), np.ones((2, 2)), np.ones(2), np.zeros(2, dtype=bool)]
             tables[table] = np.resize(tables[table], 3)
-            for entry_point in (enumerate_admissible, bp_marginals):
-                with pytest.raises(ValueError, match="shape"):
-                    entry_point(*tables)
+            with pytest.raises(ValueError, match="shape"):
+                bp_marginals(*tables)
 
     def test_log_domain_handles_tiny_weights(self):
+        # a vector weighs 1e-360 or less, which underflows; the pass scales
+        # each row and column first. Scaling both rows by 1e180 leaves the
+        # marginals as they are, and the brute force of those weights is finite
         cluster = ClusterTables(np.full(2, 1e-180), np.full((2, 2), 1e-180), np.full(2, 1e-180),
                                 np.zeros(2, dtype=bool))
-        _, _, weights = enumerate_admissible(*cluster)
-        assert abs(sum(weights) - 1.0) <= 1e-12
-        assert all(np.isfinite(w) for w in weights)
+        legacy, _ = _pass_marginals(*cluster)
+        rows_scaled = ClusterTables(np.ones(2), np.ones((2, 2)), cluster.new_beta,
+                                    cluster.transferred)
+        assert np.isfinite(legacy).all()
+        np.testing.assert_allclose(legacy, brute_force_marginals(rows_scaled).legacy,
+                                   rtol=0.0, atol=1e-12)
 
 
 class TestExactMarginals:
@@ -751,7 +798,23 @@ class TestExactMarginals:
             np.testing.assert_allclose(marg.claim, claim, rtol=0.0, atol=1e-12)
         assert with_transfers >= 50
 
-    @pytest.mark.parametrize("cluster, enumerated", [
+    def test_cyclic_cluster_beyond_the_old_pair_limit(self):
+        # 3 x 8 with two transfers: 24 pairs, more than enumeration took
+        rng = np.random.default_rng(40)
+        cluster = ClusterTables(10.0 ** rng.uniform(-3, 1, 3), 10.0 ** rng.uniform(-3, 1, (3, 8)),
+                                10.0 ** rng.uniform(-3, 1, 8), np.arange(8) % 4 == 1)
+        got, want = exact_marginals(*cluster, whole(cluster)), brute_force_marginals(cluster)
+        np.testing.assert_allclose(got.legacy, want.legacy, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(got.claim, want.claim, rtol=0.0, atol=1e-12)
+
+    def test_zero_total_raises(self):
+        # three cyclic rows with no miss weight against two columns that must
+        # be taken (new weight 0): every vector leaves a row with nothing
+        cluster = ClusterTables(np.zeros(3), np.ones((3, 2)), np.zeros(2), np.array([True, False]))
+        with pytest.raises(ValueError, match="all association hypotheses have zero weight"):
+            exact_marginals(*cluster, whole(cluster))
+
+    @pytest.mark.parametrize("cluster, solved", [
         # 2 x 2, all four weights nonzero: the one cycle of two tracks and two measurements
         (ClusterTables(np.array([0.4, 0.7]), np.array([[2.0, 0.5], [1.0, 3.0]]),
                        np.array([0.3, 0.8]), np.array([True, False])), True),
@@ -759,11 +822,15 @@ class TestExactMarginals:
         # the cycle the second track would close
         (ClusterTables(np.array([0.4, 0.7]), np.array([[2.0, 0.5, 1.5], [0.0, 3.0, 0.0]]),
                        np.array([0.3, 0.8, 0.2]), np.array([True, False, True])), False),
-        # cyclic, but 5 x 5 is over the pair limit and 10 x 2 with two
-        # transfers over the vector limit (3^10 2^2)
-        (ClusterTables(np.full(5, 0.5), np.full((5, 5), 2.0), np.full(5, 0.3),
-                       np.zeros(5, dtype=bool)), False),
-        (ClusterTables(np.full(10, 0.5), np.full((10, 2), 2.0), np.full(2, 0.3),
+        # cyclic, 8 x 8 and 2 x 2048 at the cost limit (K E 2^E = 2^14), and
+        # 9 x 8 and 2049 x 2 just over it
+        (ClusterTables(np.full(8, 0.5), np.full((8, 8), 2.0), np.full(8, 0.3),
+                       np.zeros(8, dtype=bool)), True),
+        (ClusterTables(np.full(2, 0.5), np.full((2, 2048), 2.0), np.full(2048, 0.3),
+                       np.arange(2048) % 2 == 0), True),
+        (ClusterTables(np.full(9, 0.5), np.full((9, 8), 2.0), np.full(8, 0.3),
+                       np.zeros(8, dtype=bool)), False),
+        (ClusterTables(np.full(2049, 0.5), np.full((2049, 2), 2.0), np.full(2, 0.3),
                        np.ones(2, dtype=bool)), False),
         # rows and no columns
         (ClusterTables(np.array([0.4, 0.7]), np.empty((2, 0)), np.empty(0),
@@ -788,17 +855,16 @@ class TestExactMarginals:
         (ClusterTables(np.empty(0), np.empty((0, 2)), np.array([0.3, 0.8]),
                        np.array([True, False])), False),
     ])
-    def test_enumerates_only_cyclic_clusters_within_the_limits(self, cluster, enumerated,
+    def test_solves_only_cyclic_clusters_within_the_cost_limit(self, cluster, solved,
                                                                monkeypatch):
         calls = []
-        real = lmbp.association.enumerate_admissible
-        monkeypatch.setattr(lmbp.association, "enumerate_admissible",
-                            lambda *tables: calls.append(1) or real(*tables))
+        monkeypatch.setattr(lmbp.association, "_pass_marginals",
+                            lambda *tables: calls.append(1) or _pass_marginals(*tables))
         with np.errstate(invalid="ignore"):
             got = exact_marginals(*cluster, whole(cluster))
-            want = (enumerated_marginals(cluster) if enumerated
+            want = (pass_marginals(cluster) if solved
                     else batch_bp_marginals(*cluster, whole(cluster)))
-        assert len(calls) == enumerated
+        assert len(calls) == solved
         assert np.array_equal(got.legacy, want.legacy, equal_nan=True)
         assert np.array_equal(got.claim, want.claim, equal_nan=True)
 
@@ -807,12 +873,12 @@ class TestExactMarginals:
         # the reference counts each listed cluster's edges in one pass over
         # the whole `betas`, as the census that read every cluster at once
         # did; `exact_marginals` reads each cluster's own table. Both must
-        # enumerate the same clusters and give the same bits, or raise alike
+        # solve the same clusters and give the same bits, or raise alike
         calls = []
-        monkeypatch.setattr(lmbp.association, "enumerate_admissible",
-                            lambda *tables: calls.append(tables) or enumerate_admissible(*tables))
+        monkeypatch.setattr(lmbp.association, "_pass_marginals",
+                            lambda *tables: calls.append(tables) or _pass_marginals(*tables))
         rng, random = np.random.default_rng(39), Random(39)
-        enumerations = raised = 0
+        solved = raised = 0
         for _ in range(500):
             tables, placed = placed_in_tables(random_cluster_list(rng), random)
             clusters = [(rows, cols) for _, rows, cols in placed]
@@ -836,8 +902,8 @@ class TestExactMarginals:
                 gathered = (tables[0][rows], tables[1][np.ix_(rows, cols)], tables[2][cols],
                             tables[3][cols])
                 assert all(np.array_equal(a, b) for a, b in zip(got_tables, gathered))
-            enumerations += len(picks)
-        assert enumerations >= 100 and 0 < raised < 100
+            solved += len(picks)
+        assert solved >= 100 and 0 < raised < 100
 
 
 def random_cluster_list(rng):
@@ -861,11 +927,11 @@ def random_cluster_list(rng):
 
 
 def census_picks(miss_beta, betas, new_beta, transferred, clusters):
-    """The listed clusters that the census rule enumerates: the nonzero
-    entries of the whole `betas` whose row and column lie in the same
-    cluster, counted per cluster in one pass, number at least its rows plus
-    its columns and at least one, and the cluster lies within the limits
-    with finite weights."""
+    """The listed clusters that the census rule solves by the pass: the
+    nonzero entries of the whole `betas` whose row and column lie in the
+    same cluster, counted per cluster in one pass, number at least its rows
+    plus its columns and at least one, and the cluster lies within the cost
+    limit with finite weights."""
     row_of, col_of = np.full(betas.shape[0], -1), np.full(betas.shape[1], -2)
     for k, (rows, cols) in enumerate(clusters):
         row_of[rows], col_of[cols] = k, k
@@ -875,25 +941,22 @@ def census_picks(miss_beta, betas, new_beta, transferred, clusters):
     for k, (rows, cols) in enumerate(clusters):
         cluster = ClusterTables(miss_beta[rows], betas[np.ix_(rows, cols)], new_beta[cols],
                                 transferred[cols])
-        if (edges[k] >= max(len(rows) + len(cols), 1) and within_exact_limits(cluster)
+        if (edges[k] >= max(len(rows) + len(cols), 1) and within_cost_limit(cluster)
                 and all(np.isfinite(t).all() for t in cluster[:3])):
             picks.append(k)
     return picks
 
 
 def census_marginals(miss_beta, betas, new_beta, transferred, clusters, picks):
-    """The marginals of `exact_marginals` with the census's `picks`
-    enumerated: the rest in one BP batch, then each pick's vectors added in
-    enumeration order and checked."""
+    """The marginals of `exact_marginals` with the census's `picks` solved
+    by the pass: the rest in one BP batch, then each pick's marginals placed
+    and checked."""
     rest = [cluster for k, cluster in enumerate(clusters) if k not in picks]
     legacy, claim = batch_bp_marginals(miss_beta, betas, new_beta, transferred, rest)
     for k in picks:
         rows, cols = clusters[k]
-        entries, claims, weights = enumerate_admissible(
+        legacy[np.ix_(rows, np.append(0, 1 + cols))], claim[cols] = _pass_marginals(
             miss_beta[rows], betas[np.ix_(rows, cols)], new_beta[cols], transferred[cols])
-        np.add.at(legacy, (rows, np.append(0, 1 + cols)[entries]), weights[:, None])
-        vector, meas = np.nonzero(claims)
-        np.add.at(claim, cols[meas], weights[vector])
         _check_marginals(legacy[rows], claim[cols])
     return Marginals(legacy, claim)
 
@@ -1033,10 +1096,8 @@ class TestBpMarginals:
             assert max_label_tv(exact_marginals(*cluster, whole(cluster)),
                                 exact_marginals(*scaled, whole(scaled))) <= 1e-9
             assert max_label_tv(bp_marginals(*cluster), bp_marginals(*scaled)) <= 1e-9
-            e1, c1, w1 = enumerate_admissible(*cluster)
-            e2, c2, w2 = enumerate_admissible(*scaled)
-            assert np.array_equal(e1, e2) and np.array_equal(c1, c2)
-            np.testing.assert_allclose(w1, w2, rtol=0.0, atol=1e-9)
+            for got, want in zip(_pass_marginals(*scaled), _pass_marginals(*cluster)):
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
 
 
 # a weight entry: 0 a fifth of the time, else spread over eight decades with
@@ -1047,11 +1108,10 @@ weights = st.floats(-8.0, 2.0).map(lambda e: 0.0 if e < -6.0 else 10.0 ** e)
 @st.composite
 def cluster_batches(draw):
     """Clusters for one batch, shuffled: small random ones next to a track with
-    no measurement, a lone transfer (no rows), one cluster beyond the
-    exact-enumeration limits in pairs and one 8 or more wide, in tracks or
-    in measurements plus miss, which may lie beyond them in pairs or in
-    vectors. Any weight may be 0, including a miss weight (the
-    forced-detection corner)."""
+    no measurement, a lone transfer (no rows), a 4 x 6 cluster and one 8 or
+    more wide, in tracks or in measurements plus miss, which may lie beyond
+    the pass's cost limit (9 x 8). Any weight may be 0, including a miss
+    weight (the forced-detection corner)."""
     shapes = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 6)), max_size=6))
     shapes += [(1, 0), (0, 1), (4, 6),
                draw(st.sampled_from([(8, 2), (3, 7), (9, 8), (17, 1)]))]
@@ -1087,31 +1147,25 @@ def placed_in_tables(clusters, random):
     return (miss, betas, new, transferred), placed
 
 
-def within_exact_limits(cluster):
-    """Whether a cluster lies within the enumeration limits of `exact_marginals`."""
-    L, M = cluster.det_beta.shape
-    return (L * M <= EXACT_DEGREE_LIMIT
-            and (M + 1) ** L * 2 ** int(cluster.transferred.sum()) <= EXACT_SIZE_LIMIT)
+def within_cost_limit(cluster):
+    """Whether the pass of `exact_marginals` may solve a cluster: two or more
+    rows and columns, and K E 2^E at most `EXACT_COST_LIMIT`, with E its
+    smaller side and K its larger."""
+    E, K = sorted(cluster.det_beta.shape)
+    return E >= 2 and K * E * 2 ** E <= EXACT_COST_LIMIT
 
 
-def enumerated_by_exact_marginals(cluster):
-    """Whether `exact_marginals` enumerates a cluster of finite weights: one
-    within the limits whose nonzero detection weights number at least one
-    and at least its rows plus its columns (a cycle, if it is connected)."""
-    L, M = cluster.det_beta.shape
-    return np.count_nonzero(cluster.det_beta) >= max(L + M, 1) and within_exact_limits(cluster)
+def solved_by_exact_marginals(cluster):
+    """Whether `exact_marginals` solves a cluster of finite weights by the
+    pass: one within the cost limit whose nonzero detection weights number
+    at least its rows plus its columns (a cycle, if it is connected)."""
+    return within_cost_limit(cluster) and np.count_nonzero(cluster.det_beta) >= sum(
+        cluster.det_beta.shape)
 
 
-def enumerated_marginals(cluster):
-    """Reference for an enumerated cluster's marginals: each vector's weight
-    added to its entries, vector by vector in enumeration order."""
-    entries, claims, weights = enumerate_admissible(*cluster)
-    L, M = cluster.det_beta.shape
-    legacy, claim = np.zeros((L, 1 + M)), np.zeros(M)
-    for entry, claimed, weight in zip(entries, claims, weights):
-        legacy[np.arange(L), entry] += weight
-        claim[claimed] += weight
-    return Marginals(legacy, claim)
+def pass_marginals(cluster):
+    """The pass's marginals of one cluster, as `Marginals`."""
+    return Marginals(*_pass_marginals(*cluster))
 
 
 def in_step_columns(listed, L, M):
@@ -1153,23 +1207,23 @@ class TestBatchBpMarginals:
     @settings(max_examples=100, deadline=None)
     @given(cluster_batches(), st.randoms(use_true_random=False))
     def test_exact_marginals_share_the_layout(self, clusters, random):
-        # a shuffled list: the cyclic clusters within the limits are
-        # enumerated and the rest go through one batch, into the same arrays.
-        # A cluster whose enumeration has no weight, or whose BP marginals are
-        # NaN, makes the whole list raise, so the list is also run without them
+        # a shuffled list: the cyclic clusters within the cost limit are
+        # solved by the pass and the rest go through one batch, into the same
+        # arrays. A cluster whose vectors have no weight, or whose BP marginals
+        # are NaN, makes the whole list raise, so the list is also run without them
         tables, placed = placed_in_tables(clusters, random)
-        enumerated, batched, failing = [], [], []
+        solved, batched, failing = [], [], []
         for cluster, rows, cols in random.sample(placed, len(placed)):
-            if enumerated_by_exact_marginals(cluster):
+            if solved_by_exact_marginals(cluster):
                 try:
-                    enumerated.append((enumerated_marginals(cluster), rows, cols))
+                    solved.append((pass_marginals(cluster), rows, cols))
                 except ValueError:
                     failing.append((rows, cols))
             elif any(np.isnan(part).any() for part in fixed_iteration_bp(cluster, BP_ROUNDS)):
                 failing.append((rows, cols))
             else:
                 batched.append((rows, cols))
-        listed = [(rows, cols) for _, rows, cols in enumerated] + batched
+        listed = [(rows, cols) for _, rows, cols in solved] + batched
         if failing:
             with pytest.raises(ValueError):
                 exact_marginals(*tables, random.sample(listed + failing, len(placed)))
@@ -1177,7 +1231,7 @@ class TestBatchBpMarginals:
         legacy, claim = exact_marginals(*tables, listed)
         # the two parts share no row or column, so their sum places each
         bp_legacy, bp_claim = batch_bp_marginals(*tables, batched)
-        want = in_step_columns(enumerated, *tables[1].shape)
+        want = in_step_columns(solved, *tables[1].shape)
         assert np.array_equal(legacy, want.legacy + bp_legacy)
         assert np.array_equal(claim, want.claim + bp_claim)
 

@@ -117,7 +117,7 @@ class TestConfigParsing:
     def test_unknown_field_named(self):
         with pytest.raises(ConfigError, match="scenario.objects"):
             build_run_config({"scenario.objects": "3"})
-        # no key chooses the marginals: every step enumerates where BP is not exact
+        # no key chooses the marginals: every step solves exactly where BP is not exact
         with pytest.raises(ConfigError, match="filter.marginals"):
             build_run_config({"filter.marginals": "bp"})
 

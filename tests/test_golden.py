@@ -3,7 +3,7 @@
 The fixture under `tests/golden/` holds `mospa.csv` and `estimates_r*.csv` of
 one scenario. The scenario is chosen so that every association path runs:
 transfers inside clusters, transfers of residual measurements, deferred
-track evidence evaluated inside a cluster, the enumeration of cyclic
+track evidence evaluated inside a cluster, the exact pass over cyclic
 clusters and the BP batch of the rest. The test checks that these paths
 ran, so a fixture that stops exercising them fails loudly. The bytes were
 produced with numpy 2.4 on x86-64; another numpy or platform may round
@@ -40,8 +40,8 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # leading hex digits of the estimates and mospa digests, per workload
 WORKLOAD_DIGESTS = {
-    "desk": ("890254b653989910", "5f17e082b8655f97"),
-    "dense": ("b7a3d0f4a52ef906", "bbea2b985dfc460b"),
+    "desk": ("34083f761c974045", "e9b16851dfa4401b"),
+    "dense": ("81cfd9b1c5e57757", "0fb5dcb7ef10bd1c"),
 }
 
 SCENARIO = {
@@ -74,7 +74,7 @@ def count_paths(monkeypatch) -> Counter:
     residual: set[int] = set()
     partition = lmbp.update.partition
     select_transfers = lmbp.update.select_transfers
-    enumerate_admissible = lmbp.association.enumerate_admissible
+    pass_marginals = lmbp.association._pass_marginals
     batch_bp_marginals = lmbp.association.batch_bp_marginals
 
     def partition_spy(*args, **kwargs):
@@ -90,9 +90,9 @@ def count_paths(monkeypatch) -> Counter:
                    else "cluster transfers"] += 1
         return result
 
-    def enumerate_spy(*args, **kwargs):
-        counts["enumerated"] += 1   # one enumerated cluster
-        return enumerate_admissible(*args, **kwargs)
+    def pass_spy(*args, **kwargs):
+        counts["solved"] += 1   # one cluster solved by the exact pass
+        return pass_marginals(*args, **kwargs)
 
     def bp_spy(miss_beta, betas, new_beta, transferred, clusters):
         counts["batched"] += len(clusters)   # the clusters the batch marginalizes
@@ -100,7 +100,7 @@ def count_paths(monkeypatch) -> Counter:
 
     monkeypatch.setattr(lmbp.update, "partition", partition_spy)
     monkeypatch.setattr(lmbp.update, "select_transfers", select_transfers_spy)
-    monkeypatch.setattr(lmbp.association, "enumerate_admissible", enumerate_spy)
+    monkeypatch.setattr(lmbp.association, "_pass_marginals", pass_spy)
     monkeypatch.setattr(lmbp.association, "batch_bp_marginals", bp_spy)
     count_joined_rows(monkeypatch, counts)
     return counts
@@ -110,7 +110,8 @@ def test_golden_trace(tmp_path, monkeypatch):
     counts = count_paths(monkeypatch)
     names = run_case(tmp_path)
     assert counts["cluster transfers"] > 0 and counts["residual transfers"] > 0
-    assert counts["enumerated"] > 0 and counts["batched"] > 0
+    # the clusters the exact pass solves and those left to the BP batch
+    assert counts["solved"] == 50 and counts["batched"] == 408
     assert counts["deferred evaluated"] > 0   # gated pairs that joined a cluster
     for name in names:
         expected = (GOLDEN / name).read_bytes()

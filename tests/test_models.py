@@ -323,11 +323,11 @@ def window_calls(monkeypatch):
 
 class TestGatedLikelihoodTable:
     """`likelihood_cells` and its `likelihood_table` view are bit-identical
-    to the dense reference; edge cases run with a frame below and one above
-    the size that sorts the states on the bearing x range grid. A frame
-    takes the grid when its windows, all narrower than pi, leave out more
-    than three rows' worth of the circle: (pi - half-width) summed over its
-    rows exceeds 3 pi, so three rows never take it."""
+    to the dense reference; edge cases run with a small frame and a large
+    one. Every finite frame sorts the states on the bearing x range grid,
+    whatever its size, unless the bearing window of a row it evaluates spans
+    the whole circle (half-width >= pi); such a frame, and one with a
+    non-finite state or measurement, takes the dense path."""
 
     SMALL, LARGE = 3, 40
 
@@ -367,7 +367,7 @@ class TestGatedLikelihoodTable:
         assert sensor.likelihood_table(frame, states_at(target))[-1, 0] > 0.0
         window_calls.clear()
         assert_table_exact(sensor, frame, states_at(np.tile(target, (500, 1))))
-        assert bool(window_calls) == (count == self.LARGE)
+        assert window_calls
 
     @pytest.mark.parametrize("count", [SMALL, LARGE])
     def test_bearing_seam(self, count, window_calls):
@@ -387,7 +387,7 @@ class TestGatedLikelihoodTable:
         frame = near_seam[:count - len(seam)] + seam if count > len(seam) else seam
         assert_table_exact(sensor, frame, states)
         assert np.all(sensor.likelihood_table(frame, states)[-4:].any(axis=1))
-        assert bool(window_calls) == (count == self.LARGE)
+        assert window_calls
 
     @pytest.mark.parametrize("count", [SMALL, LARGE])
     def test_wide_arc_from_the_first_particle(self, count, window_calls):
@@ -403,7 +403,7 @@ class TestGatedLikelihoodTable:
         frame.append(Measurement(100.0, -3.1))
         assert_table_exact(sensor, frame, states)
         assert sensor.likelihood_table(frame, states)[-1].any()
-        assert bool(window_calls) == (count == self.LARGE)
+        assert window_calls
 
     @pytest.mark.parametrize("count", [SMALL, LARGE])
     def test_ranges_zero_and_beyond_max_range(self, count, window_calls):
@@ -416,8 +416,7 @@ class TestGatedLikelihoodTable:
                  Measurement(1e6, -2.0)]
         frame = edges + random_frame(rng, max(count - len(edges), 0), max_range=500.0)
         assert_table_exact(sensor, frame, states_at(positions))
-        # the four edges alone pay for the grid; the floored call leaves out
-        # the rows whose floor is 1.0
+        # the floored call leaves out the rows whose floor is 1.0
         kept = np.count_nonzero(row_floors(len(frame)) <= 0.0)
         assert window_calls == [len(frame), len(frame), kept]
 
@@ -464,14 +463,18 @@ class TestGatedLikelihoodTable:
         assert table[0].any() and not table.all()
         assert window_calls  # the intensity is sorted on the grid
 
-    def test_frame_size_decides_the_bearing_sort(self, window_calls):
+    def test_frame_size_does_not_decide_the_bearing_sort(self, window_calls):
         # at EXP_FLOOR each row's window leaves out ~2.46 rad of the circle,
-        # so three rows stay dense and four take the grid, whatever N
+        # and one row takes the grid as three, four and forty do
         sensor = make_sensor()
         rng = np.random.default_rng(7)
         states = states_at(sensor.position + rng.uniform(-300.0, 300.0, (5000, 2)))
+        assert_table_exact(sensor, random_frame(rng, 1), states, np.full(1, EXP_FLOOR))
+        assert window_calls == [1, 1, 1]
+        window_calls.clear()
         assert_table_exact(sensor, random_frame(rng, self.SMALL), states)
-        assert window_calls == []
+        assert window_calls == [self.SMALL] * 3
+        window_calls.clear()
         assert_table_exact(sensor, random_frame(rng, 4), states)
         # the table view, the cells, then the floored cells
         assert window_calls == [4, 4, 4]
@@ -513,23 +516,23 @@ class TestGatedLikelihoodTable:
         assert_table_exact(sensor, frame, states, floor)
         rows = sensor.likelihood_cells(frame, *sensor.range_bearing(states), floor)[0]
         assert np.array_equal(np.unique(rows), np.arange(count))
-        assert bool(window_calls) == (count == self.LARGE)
+        assert window_calls
 
     def test_floor_decides_the_bearing_sort(self, window_calls):
         # a raised floor narrows every window: with 0.05 rad bearing noise,
-        # six rows leave out ~1.19 rad each at EXP_FLOOR and stay dense, and
-        # ~2.52 rad each at -78, where they take the grid; rows whose
-        # EXP_FLOOR window spans the whole circle keep the floored call dense
+        # a window's half-width is ~1.95 rad at EXP_FLOOR and ~0.62 at -78,
+        # both narrower than pi, so six rows take the grid at either; rows
+        # whose EXP_FLOOR window spans the whole circle keep the floored call
+        # dense
         sensor = make_sensor(sigma_bearing=0.05)
         rng = np.random.default_rng(14)
         states = states_at(sensor.position + rng.uniform(-300.0, 300.0, (5000, 2)))
         frame = random_frame(rng, 6)
         assert_table_exact(sensor, frame, states, np.full(6, EXP_FLOOR))
-        assert window_calls == []
+        assert window_calls == [6, 6, 6]
+        window_calls.clear()
         assert_table_exact(sensor, frame, states, np.full(6, -78.0))
-        assert window_calls == [6]
-        assert_table_exact(sensor, frame, states, -78.0)
-        assert window_calls == [6, 6]
+        assert window_calls == [6, 6, 6]
         wide = make_sensor(sigma_bearing=0.2)
         window_calls.clear()
         floor = np.where(np.arange(self.LARGE) < 3, EXP_FLOOR, -3.0)
@@ -565,7 +568,7 @@ class TestGatedLikelihoodTable:
         assert np.array_equal(np.unique(rows), np.flatnonzero(floor <= 0.0))
         # the floored call sorts the rows below 0 alone
         below = np.count_nonzero(floor <= 0.0)
-        assert window_calls == ([] if count == self.SMALL else [count, count, below, below])
+        assert window_calls == [count, count, below, below]
 
     def test_frame_beyond_every_state_reach(self, window_calls):
         # every state lies within 100 of the sensor and every measurement
@@ -611,16 +614,21 @@ class TestGatedLikelihoodTable:
         assert window_calls == [self.LARGE, self.LARGE - 6, self.LARGE]
 
     def test_huge_finite_range_on_the_dense_path(self, window_calls):
-        # two rows of the same case take the dense path, which squares the
-        # huge range offsets to inf, an exponent of -inf, without a warning
+        # two rows of the same case under a floor whose bearing window spans
+        # the whole circle take the dense path, which squares the huge range
+        # offsets to inf, an exponent of -inf, without a warning
         sensor, frame, rho, theta = self.huge_range_case()
+        floor = np.full(2, -2e4)
+        assert np.sqrt(-2.0 * floor[0]) * sensor.sigma_bearing >= np.pi
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            row, col, _ = sensor.likelihood_cells(frame[:2], rho, theta)
-        assert row.size and not np.isin(col, [5, 2000]).any()
+            cells = sensor.likelihood_cells(frame[:2], rho, theta, floor)
+        assert cells[0].size and not np.isin(cells[1], [5, 2000]).any()
         assert window_calls == []
         with np.errstate(over="ignore"):
+            dense = dense_polar_table(sensor, frame[:2], rho, theta)
             assert_cells_exact(sensor, frame[:2], rho, theta)
+        assert np.array_equal(table_of(cells, dense.shape), dense)
 
     def test_many_states_at_one_range_in_one_bearing_bin(self, window_calls):
         # thousands of tied cell ids: every state of the tie sits at one

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 import lmbp.association
 import lmbp.update
 from lmbp.association import (
-    EXACT_DEGREE_LIMIT,
+    EXACT_COST_LIMIT,
     Hypothesis,
+    Marginals,
     TrackGroup,
     new_components,
     partition,
@@ -61,7 +62,7 @@ from helpers import (
     likelihood,
     row_sums,
 )
-from test_association import enumerated_marginals, within_exact_limits
+from test_association import pass_marginals, within_cost_limit
 
 
 def pdf_at(x1, n=1, weight=None):
@@ -1023,10 +1024,11 @@ class TestLmbpStep:
 
     def test_one_bp_batch_per_step(self, monkeypatch):
         # the step's one `exact_marginals` call marginalizes every cluster it
-        # does not enumerate in one BP batch, never through the one-cluster
-        # `bp_marginals`. It gathers the tables (`np.ix_`) of the clusters of
-        # two or more rows and columns within the pair limit only, and
-        # enumerates those that are cyclic, within the vector limit and finite
+        # does not solve by the pass in one BP batch, never through the
+        # one-cluster `bp_marginals`. It gathers the tables (`np.ix_`) of the
+        # clusters of two or more rows and columns within the cost limit only,
+        # solves those that are cyclic and finite, and writes each solved
+        # cluster's marginals with one more `np.ix_`
         calls, listed, seen = Counter(), [], np.zeros(2, int)
 
         def spy(owner, name):
@@ -1043,7 +1045,7 @@ class TestLmbpStep:
         for owner, name in ((lmbp.update, "exact_marginals"),
                             (lmbp.association, "batch_bp_marginals"),
                             (lmbp.update, "bp_marginals"), (lmbp.association, "bp_marginals"),
-                            (lmbp.association, "enumerate_admissible"), (np, "ix_")):
+                            (lmbp.association, "_pass_marginals"), (np, "ix_")):
             spy(owner, name)
         config = build_run_config({"scenario.object_count": "3", "scenario.appear_min": "1",
                                    "scenario.appear_max": "2", "scenario.total_steps": "8",
@@ -1064,39 +1066,45 @@ class TestLmbpStep:
             counts = dict(calls)
             assert counts["exact_marginals"] == 1 and counts["batch_bp_marginals"] == 1
             [(miss_beta, betas, new_beta, transferred, clusters)] = listed
-            gathered = [ClusterTables(miss_beta[rows], betas[np.ix_(rows, cols)],
-                                      new_beta[cols], transferred[cols])
-                        for rows, cols in clusters
-                        if len(rows) >= 2 and len(cols) >= 2
-                        and len(rows) * len(cols) <= EXACT_DEGREE_LIMIT]
+            gathered = [c for c in (ClusterTables(miss_beta[rows], betas[np.ix_(rows, cols)],
+                                                  new_beta[cols], transferred[cols])
+                                    for rows, cols in clusters) if within_cost_limit(c)]
             cyclic = [c for c in gathered if np.count_nonzero(c.det_beta) >= sum(c.det_beta.shape)
-                      and within_exact_limits(c) and all(np.isfinite(t).all() for t in c[:3])]
-            assert counts.get("ix_", 0) == len(gathered)
-            assert counts.get("enumerate_admissible", 0) == len(cyclic)
+                      and all(np.isfinite(t).all() for t in c[:3])]
+            assert counts.get("ix_", 0) == len(gathered) + len(cyclic)
+            assert counts.get("_pass_marginals", 0) == len(cyclic)
             assert set(counts) <= {"exact_marginals", "batch_bp_marginals", "ix_",
-                                   "enumerate_admissible"}
+                                   "_pass_marginals"}
             seen += len(gathered), len(cyclic)
         assert state.tracks and seen.all()
 
-    def test_marginals_equal_enumeration_within_the_limits(self, monkeypatch):
-        # a short dense run (10 objects, clutter rate 100): the step's
-        # marginals of every cluster within the enumeration limits are
-        # enumeration's, to 1e-12; BP gives those of the acyclic ones, and
-        # at least one cyclic cluster is enumerated
-        seen, enumerated = [], []
+    def test_marginals_equal_the_pass_within_the_cost_limit(self, monkeypatch):
+        # a short rendezvous run (ts2: 10 objects meet at step 15, clutter
+        # rate 150, pD 0.5): the step's marginals of every cluster within the
+        # pass's cost limit are the pass's, to 1e-12, and bit for bit on the
+        # cyclic ones it solves; BP gives those of the acyclic ones. Some
+        # solved clusters lie beyond the old enumeration's 20 pairs, and some
+        # clusters beyond the cost limit are left to BP
+        seen, solved = [], []
         marginals = lmbp.update.exact_marginals
-        enumerate_admissible = lmbp.association.enumerate_admissible
+        real_pass = lmbp.association._pass_marginals
 
         def marginals_spy(*args):
             seen.append((args, marginals(*args)))
             return seen[-1][1]
 
+        def pass_spy(*tables):
+            solved.append(tables[1].size)
+            return real_pass(*tables)
+
         monkeypatch.setattr(lmbp.update, "exact_marginals", marginals_spy)
-        monkeypatch.setattr(lmbp.association, "enumerate_admissible",
-                            lambda *tables: enumerated.append(1) or enumerate_admissible(*tables))
-        config = build_run_config({"scenario.object_count": "10", "scenario.appear_min": "1",
-                                   "scenario.appear_max": "5", "scenario.total_steps": "20",
-                                   "clutter.mean_count": "100", "birth.particles": "2000",
+        monkeypatch.setattr(lmbp.association, "_pass_marginals", pass_spy)
+        config = build_run_config({"scenario.style": "ts2", "scenario.object_count": "10",
+                                   "scenario.appear_min": "1", "scenario.appear_max": "5",
+                                   "scenario.disappear_after": "40", "scenario.total_steps": "25",
+                                   "scenario.rendezvous_step": "15", "sensor.pd_max": "0.5",
+                                   "clutter.mean_count": "150", "thresholds.gamma_tr": "1e-3",
+                                   "thresholds.gamma_leg": "1e-3", "birth.particles": "2000",
                                    "filter.track_particles": "300",
                                    "filter.phd_particles": "2000", "run.seed": "1"})
         rng = np.random.default_rng(1)
@@ -1107,19 +1115,25 @@ class TestLmbpStep:
             state = lmbp_step(state, frame, config.models, config.thresholds, rng,
                               prev_frame=prev, settings=config.settings)
             prev = frame
-        assert len(enumerated) > 0
-        within = 0
+        assert max(solved) > 20
+        within = beyond = 0
         for (miss, betas, new, transferred, clusters), (legacy, claim) in seen:
             for rows, cols in clusters:
                 cluster = ClusterTables(miss[rows], betas[np.ix_(rows, cols)], new[cols],
                                         transferred[cols])
-                if within_exact_limits(cluster):
-                    within += 1
-                    want = enumerated_marginals(cluster)
-                    got = legacy[np.ix_(rows, np.append(0, 1 + cols))]
-                    np.testing.assert_allclose(got, want.legacy, rtol=0.0, atol=1e-12)
-                    np.testing.assert_allclose(claim[cols], want.claim, rtol=0.0, atol=1e-12)
-        assert within > len(enumerated)
+                E, K = sorted((len(rows), len(cols)))
+                if K * E * 2 ** E > EXACT_COST_LIMIT:
+                    beyond += 1
+                    continue
+                within += 1
+                want = pass_marginals(cluster)
+                got = Marginals(legacy[np.ix_(rows, np.append(0, 1 + cols))], claim[cols])
+                if np.count_nonzero(cluster.det_beta) >= len(rows) + len(cols):
+                    assert np.array_equal(got.legacy, want.legacy)
+                    assert np.array_equal(got.claim, want.claim)
+                np.testing.assert_allclose(got.legacy, want.legacy, rtol=0.0, atol=1e-12)
+                np.testing.assert_allclose(got.claim, want.claim, rtol=0.0, atol=1e-12)
+        assert within > len(solved) > 0 and beyond > 0
 
     def test_first_step_creates_tracks_only_via_transfers(self):
         rng = np.random.default_rng(3)
