@@ -347,7 +347,11 @@ class SensorModel:
                               reuse=True)
         keep = np.flatnonzero(quad >= np.repeat(floor, count))
         row, col = np.repeat(rows, count)[keep], col[keep]
-        cell = np.argsort(row * n + col)
+        # distinct keys sorted with each cell's position in the low bits give
+        # their argsort in half its time, while the packed keys fit in int64
+        key, bits = row * n + col, keep.size.bit_length()
+        cell = (np.sort(key << bits | np.arange(keep.size)) & ((1 << bits) - 1)
+                if (int(rows[-1]) + 1) * n < 1 << (63 - bits) else np.argsort(key))
         return row[cell], col[cell], quad[keep[cell]]
 
     def sample_measurement(self, state: np.ndarray, rng: np.random.Generator) -> Measurement:
