@@ -138,16 +138,23 @@ def row_reduce(ufunc: np.ufunc, values: np.ndarray, offsets: np.ndarray) -> np.n
     """`ufunc.reduce(values[a:b])` of each row a:b of `offsets`, 0.0 for an
     empty row; with np.add, the bits of `values[a:b].sum()`, never those of
     `np.add.reduceat`, which adds a row in order where numpy's sum adds it
-    pairwise. The rows of each length n are reduced as one (L_n, n) array
-    along axis 1, which reduces each row as it reduces the row alone: a view
-    when every row has length n, else one gather per length."""
+    pairwise. Each run of consecutive nonempty rows of one length n is one
+    (rows, n) view reduced along axis 1, which reduces each row as it reduces
+    the row alone; np.minimum and np.maximum, whose result does not depend on
+    the order, take one `reduceat` over the nonempty rows."""
     n = _row_length(offsets)
     if n:
         return ufunc.reduce(values[offsets[0]:offsets[-1]].reshape(-1, n), axis=1)
-    counts, out = np.diff(offsets), np.zeros(len(offsets) - 1)
-    for n in np.unique(counts[counts > 0]).tolist():
-        rows = np.flatnonzero(counts == n)
-        out[rows] = ufunc.reduce(values[offsets[rows, None] + np.arange(n)], axis=1)
+    counts = np.diff(offsets)
+    rows, out = np.flatnonzero(counts), np.zeros(len(counts))
+    if ufunc is np.minimum or ufunc is np.maximum:
+        out[rows] = ufunc.reduceat(values[:offsets[-1]], offsets[rows])
+        return out
+    lengths, starts = counts[rows].tolist(), offsets[rows].tolist()
+    runs = [a for a in range(len(lengths)) if not a or lengths[a] != lengths[a - 1]]
+    for a, b in zip(runs, runs[1:] + [len(rows)]):
+        view = values[starts[a]:starts[a] + lengths[a] * (b - a)].reshape(b - a, lengths[a])
+        out[rows[a:b]] = ufunc.reduce(view, axis=1)
     return out
 
 

@@ -70,12 +70,18 @@ class FilterSettings:
 
 
 class Pending(NamedTuple):
-    """A track before resampling: its label, its existence, and its resample
-    row (weights, states), or None for a track with no pdf."""
+    """A track before resampling: its label, its existence, its row (weights,
+    states) or None for no pdf, and whether it is a transfer born this step."""
 
     label: Label
     existence: float
     row: tuple[np.ndarray, np.ndarray] | None
+    fresh: bool = False
+
+
+# a transfer's row keeps the cells of at least this share of its mass d, far above
+# the intensity's floor of 2^-106 c_m as d >= ~0.01 c_m; the rest weigh < PDF_TOL
+TRANSFER_CUT = 2.0 ** -53
 
 
 def select_transfers(beta: np.ndarray, mass: np.ndarray, cells: Cells,
@@ -86,10 +92,11 @@ def select_transfers(beta: np.ndarray, mass: np.ndarray, cells: Cells,
     `beta`, `mass` and `cells` come from `new_components` over the intensity
     particles `states`. Returns `(transfers, transferred)`: the (M,) mask
     `transferred` marks every measurement whose component has existence
-    mass / beta >= gamma_tr (inclusive), and `transfers[j]` is the pending
-    track of each such column j: label (time, j + 1), that existence, and
-    pdf weights the cells of row j over d, over their particles in column
-    order. The caller absorbs or prunes the rest.
+    mass / beta >= gamma_tr (inclusive), and `transfers[j]` is the fresh
+    pending track of each such column j: label (time, j + 1), that
+    existence, and pdf weights the cells of row j of at least `TRANSFER_CUT`
+    d, over d, over their particles in column order. The caller absorbs or
+    prunes the rest.
     """
     row, col, value = cells
     existence = mass / beta
@@ -97,9 +104,10 @@ def select_transfers(beta: np.ndarray, mass: np.ndarray, cells: Cells,
     bounds = np.searchsorted(row, np.arange(len(beta) + 1))
     transfers = {}
     for j in np.flatnonzero(transferred).tolist():
-        run = slice(bounds[j], bounds[j + 1])
+        run = np.arange(bounds[j], bounds[j + 1])
+        run = run[value[run] >= TRANSFER_CUT * mass[j]]
         transfers[j] = Pending(Label(time, j + 1), float(existence[j]),
-                               (value[run] / mass[j], states.take(col[run], axis=0)))
+                               (value[run] / mass[j], states.take(col[run], axis=0)), True)
     return transfers, transferred
 
 
@@ -148,10 +156,8 @@ def _carried(weights: np.ndarray, particle_budget: int) -> bool:
     """Whether a kept row keeps its weights: it has `particle_budget`
     particles and an effective sample size (sum w)^2 / sum w^2 of at least
     `_ESS_SHARE` of them (inclusive). A NaN or inf weight fails the test."""
-    if len(weights) != particle_budget:
-        return False
     squares = float(weights @ weights)
-    if not 0.0 < squares < np.inf:
+    if len(weights) != particle_budget or not 0.0 < squares < np.inf:
         return False
     total = float(weights.sum())
     return total * total / squares >= _ESS_SHARE * particle_budget
@@ -161,20 +167,20 @@ def _resampled(kept: Sequence[Pending], particle_budget: int,
                rng: np.random.Generator) -> TrackBlock:
     """The next block, each row of `kept` in its label-ordered slot.
 
-    A kept row that `_carried` passes is copied into its slot, states and
-    weights unchanged, and draws no uniform. Every other kept row with a
-    pdf is resampled to the budget in one `resample_rows` pass, in the order
-    of `kept`, and drawn straight into its slot."""
+    A fresh transfer's row, and a kept row that `_carried` passes, is copied
+    into its slot, states and weights unchanged, and draws no uniform. Every
+    other kept row with a pdf is resampled to the budget in one
+    `resample_rows` pass, in the order of `kept`, and drawn straight into
+    its slot."""
     ordered = sorted(kept, key=lambda p: p.label)
     block = TrackBlock.empty([p.label for p in ordered], [p.existence for p in ordered],
-                             [0 if p.row is None else particle_budget for p in ordered])
+                             [0 if p.row is None else len(p.row[0]) if p.fresh
+                              else particle_budget for p in ordered])
     slots = dict(zip((p.label for p in ordered), block.rows()))
     drawn = []
-    for p in kept:
-        if p.row is None:
-            continue
+    for p in (p for p in kept if p.row is not None):
         slot = slots[p.label]
-        if _carried(p.row[0], particle_budget):
+        if p.fresh or _carried(p.row[0], particle_budget):
             slot[0][...], slot[1][...] = p.row[1], p.row[0]
         else:
             drawn.append((p.row, slot))
@@ -213,10 +219,9 @@ def update_legacy_track(label: Label, marginal: Mapping[int, float], miss: Hypot
 def update_transferred_track(transfer: Pending, p_claim: float, particle_budget: int,
                              rng: np.random.Generator) -> BernoulliTrack:
     """Update of a freshly transferred track, as `lmbp_step` makes it for one
-    row: r = p(claim) * existence, and the component's pdf through
-    `_resampled`: carried as it is when `_carried` passes it, else
-    resampled."""
-    claimed = transfer._replace(existence=p_claim * transfer.existence)
+    row: r = p(claim) * existence, and the component's pdf carried as it is
+    through `_resampled`, drawing no uniform."""
+    claimed = transfer._replace(existence=p_claim * transfer.existence, fresh=True)
     return _resampled([claimed], particle_budget, rng).tracks()[0]
 
 
@@ -262,10 +267,8 @@ def update_phd(recycled: Sequence[Pending], beta: np.ndarray, cells: Cells,
     # dense sum over k does
     weights = [survivors.weights * (1.0 - pd)
                + np.bincount(col, (1.0 / beta)[row] * value, minlength=len(survivors))]
-    states = [survivors.states]
-    for _, r, (pdf_weights, pdf_states) in recycled:
-        weights.append(r * pdf_weights)
-        states.append(pdf_states)
+    weights += [p.existence * p.row[0] for p in recycled]
+    states = [survivors.states] + [p.row[1] for p in recycled]
     union = np.concatenate(weights)
     check_weights(union)
     if union.sum() <= 0.0:
@@ -303,13 +306,13 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
     return to the intensity. The tracks are one `TrackBlock` from step to
     step, which `predict_tracks`, `track_evidence` and `legacy_mixture` take
     in one pass each; one `exact_marginals` call gives every cluster's
-    marginals, BP's or, where BP is not exact, the exact pass's. A kept row of
-    `track_particles` particles whose effective sample size is at least half
-    of them is copied into its slot of the next block as it is; one
-    `resample_rows` pass draws every other kept row, per cluster its legacy
-    rows then its transfers and then the residual transfers, into its slot.
-    The recycled rows go to `update_phd` unresampled, and no `BernoulliTrack`
-    is built. Estimation is separate (`lmbp.estimation`).
+    marginals, BP's or, where BP is not exact, the exact pass's. A fresh
+    transfer's cell row, and a kept row of `track_particles` particles whose
+    effective sample size is at least half of them, is copied into its slot
+    of the next block; one `resample_rows` pass draws every other kept row
+    into its slot. Fresh labels sort last: the block is a run of rows of the
+    budget's length, then a tail of short ones. The recycled rows go to
+    `update_phd` unresampled. Estimation is separate (`lmbp.estimation`).
     """
     k = state.time + 1
 
@@ -337,26 +340,22 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
                                               predicted_phd.particles.states,
                                               thresholds.gamma_tr, k)
 
-    # the updated tracks in the order their uniforms are drawn: per cluster,
-    # its rows and then its transfers
+    # the updated rows in cluster order, the order in which those that are
+    # drawn draw their uniforms, then the transfers, which draw none
     legacy, claim = exact_marginals(evidence.miss_beta, evidence.betas, new_beta, transferred,
                                     clusters)
     r, mixture = legacy_mixture(evidence.group, legacy)
     by_row = [Pending(label, row_r, (weights, states) if row_r > 0.0 else None)
               for label, row_r, (states, weights)
               in zip(block.labels, r.tolist(), block._replace(weights=mixture).rows())]
-    claims = claim.tolist()
-    pending: list[Pending] = []
-    for rows, cols in clusters:
-        pending += [by_row[i] for i in rows.tolist()]
-        pending += [transfers[j]._replace(existence=claims[j] * transfers[j].existence)
-                    for j in cols.tolist() if j in transfers]
-
     # a residual measurement competes with no track, so its transfer claims it surely
-    pending += [transfers[j] for j in residual[transferred[residual]].tolist()]
+    claim[residual] = 1.0
+    claims = claim.tolist()
+    pending = [by_row[i] for rows, _ in clusters for i in rows.tolist()]
+    pending += [p._replace(existence=claims[j] * p.existence) for j, p in transfers.items()]
 
-    # retention needs only labels and existence; then the kept rows go into
-    # the next block, resampled where their weights have degenerated
+    # retention needs only labels and existence; then a kept row is resampled
+    # where its weights have degenerated or its length is not the budget's
     kept, recycled = split_by_retention(pending, thresholds.gamma_leg, k)
     updated = _resampled(kept, settings.track_particles, rng)
     unclaimed = np.zeros(len(frame), dtype=bool)

@@ -40,8 +40,8 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # leading hex digits of the estimates and mospa digests, per workload
 WORKLOAD_DIGESTS = {
-    "desk": ("34083f761c974045", "e9b16851dfa4401b"),
-    "dense": ("81cfd9b1c5e57757", "0fb5dcb7ef10bd1c"),
+    "desk": ("755ac9f86149d869", "f2a29e3e920b47dd"),
+    "dense": ("1ca97e62c086ed8c", "2e545f5a0c78a840"),
 }
 
 SCENARIO = {
@@ -111,7 +111,7 @@ def test_golden_trace(tmp_path, monkeypatch):
     names = run_case(tmp_path)
     assert counts["cluster transfers"] > 0 and counts["residual transfers"] > 0
     # the clusters the exact pass solves and those left to the BP batch
-    assert counts["solved"] == 50 and counts["batched"] == 408
+    assert counts["solved"] == 49 and counts["batched"] == 398
     assert counts["deferred evaluated"] > 0   # gated pairs that joined a cluster
     for name in names:
         expected = (GOLDEN / name).read_bytes()

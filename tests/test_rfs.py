@@ -256,9 +256,10 @@ class TestRowHelpers:
                         for a, b in zip(cuts, cuts[1:])]
             assert row_reduce(ufunc, values, offsets).tolist() == expected
 
-    def test_each_row_length_is_reduced_at_once(self):
-        # a block of 400 rows of three lengths in mixed order, empty rows
-        # among them, takes one reduction per length, none per row
+    def test_each_run_of_one_length_is_reduced_at_once(self):
+        # a step's block: K rows of the budget's length, then a tail of T
+        # short rows, with empty rows among them, takes at most 1 + T
+        # reductions, none per budget row
         class Counted:
             def __init__(self):
                 self.shapes = []
@@ -267,17 +268,48 @@ class TestRowHelpers:
                 self.shapes.append(values.shape)
                 return np.add.reduce(values, axis=axis)
 
-        lengths = np.random.default_rng(3).choice([0, 64, 143, 1000], 400)
+        rng = np.random.default_rng(3)
+        tail = [64, 143, 143, 0, 7, 64]
+        lengths = np.array([0, 1000, 1000, 0] + [1000] * 396 + tail)
         offsets = np.append(0, np.cumsum(lengths, dtype=np.intp))
-        values = np.random.default_rng(4).random(offsets[-1])
+        values = rng.random(offsets[-1])
         counted = Counted()
         sums = row_reduce(counted, values, offsets)
         assert sums.tobytes() == per_row_sums(values, offsets).tobytes()
-        expected = [((lengths == n).sum(), n) for n in (64, 143, 1000)]
-        assert sorted(counted.shapes, key=lambda shape: shape[1]) == expected
+        assert len(counted.shapes) <= 1 + len(tail)
+        assert counted.shapes == [(398, 1000), (1, 64), (2, 143), (1, 7), (1, 64)]
         counted.shapes.clear()
         row_reduce(counted, values[:64 * 400], np.arange(401) * 64)
         assert counted.shapes == [(400, 64)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(budget=st.integers(min_value=1, max_value=1100),
+           head=st.integers(min_value=0, max_value=30),
+           tail=st.lists(st.integers(min_value=1, max_value=300), max_size=12),
+           empty=st.lists(st.integers(min_value=0, max_value=45), max_size=5),
+           special=st.lists(st.sampled_from([np.nan, -0.0, 0.0, np.inf, -np.inf]),
+                            max_size=4),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_step_shaped_blocks_reduce_each_row_alone(self, budget, head, tail, empty,
+                                                      special, seed):
+        # `head` rows of the budget's length, then a tail of short rows, with
+        # empty rows inserted anywhere: every row's sum, min and max has the
+        # bits of the row's own reduction, NaN, infinities and signed zeros
+        # included
+        lengths = [budget] * head + tail
+        for at in empty:
+            lengths.insert(at % (len(lengths) + 1), 0)
+        rng = np.random.default_rng(seed)
+        offsets = np.append(0, np.cumsum(lengths, dtype=np.intp))
+        values = rng.random(offsets[-1]) * 10.0 ** rng.uniform(-8, 8, offsets[-1])
+        if values.size:
+            values[rng.integers(0, values.size, len(special))] = special
+        cuts = offsets.tolist()
+        with np.errstate(invalid="ignore"):
+            for ufunc in (np.add, np.minimum, np.maximum):
+                expected = np.array([ufunc.reduce(values[a:b]) if b > a else 0.0
+                                     for a, b in zip(cuts, cuts[1:])], dtype=float)
+                assert row_reduce(ufunc, values, offsets).tobytes() == expected.tobytes()
 
     def test_row_sums_are_not_reduceat(self):
         # reduceat adds each row left to right, the row's own sum pairwise:

@@ -38,6 +38,7 @@ from lmbp.rfs import (
 )
 from lmbp.simulate import generate_frames, generate_truth
 from lmbp.update import (
+    TRANSFER_CUT,
     FilterSettings,
     Pending,
     Thresholds,
@@ -60,7 +61,6 @@ from helpers import (
     dense_new_components,
     dense_phd_weights,
     likelihood,
-    row_sums,
 )
 from test_association import pass_marginals, within_cost_limit
 
@@ -143,10 +143,27 @@ class TestSelectTransfers:
         assert comp.existence == pytest.approx(0.5, abs=1e-15)
         np.testing.assert_array_equal(support, states)
         np.testing.assert_allclose(weights, [0.5, 0.5], atol=1e-15)
-        # its resample takes the weights' running sum as the total
-        track = update_transferred_track(comp, 1.0, 4, np.random.default_rng(0))
-        assert track.label == Label(7, 1)
-        assert np.array_equal(track.pdf.weights, np.full(4, np.cumsum(weights)[-1] / 4))
+        # the fresh transfer enters the block as its row, not drawn to the
+        # budget, and draws no uniform
+        rng = np.random.default_rng(0)
+        track = update_transferred_track(comp, 1.0, 4, rng)
+        assert comp.fresh and track.label == Label(7, 1)
+        assert np.array_equal(track.pdf.weights, weights)
+        assert np.array_equal(track.pdf.states, support)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    def test_cells_below_the_cut_are_left_out(self):
+        # d = 1.5: the cell of exactly TRANSFER_CUT d stays (inclusive), the
+        # cell of 2^-60 d and the zero cell go; the weights stay value / d
+        table = np.array([[1.0, TRANSFER_CUT * 1.5, 2.0 ** -60 * 1.5, 0.0, 0.5]])
+        states = np.arange(20.0).reshape(5, 4)
+        transfers, _ = select_transfers(np.full(1, 2.0), np.full(1, 1.5),
+                                        cells_of(table, every=True), states,
+                                        gamma_tr=0.01, time=7)
+        weights, support = transfers[0].row
+        assert TRANSFER_CUT == 2.0 ** -53
+        assert np.array_equal(weights, table[0, [0, 1, 4]] / 1.5)
+        assert np.array_equal(support, states[[0, 1, 4]])
 
     def test_nothing_above_threshold(self):
         transfers, transferred = select_transfers(*new_component_rows(0.005, 0.001),
@@ -225,9 +242,10 @@ class TestUpdateTransferredTrack:
         assert out.existence == 0.0
 
     def test_half_claim(self):
+        # the one-particle row is carried at its own length, not drawn to 50
         out = update_transferred_track(component(0.8), 0.5, 50, np.random.default_rng(0))
         assert out.existence == pytest.approx(0.4, abs=1e-15)
-        assert len(out.pdf) == 50
+        assert len(out.pdf) == 1
 
 
 class TestOnePassUpdate:
@@ -242,7 +260,7 @@ class TestOnePassUpdate:
         det = {2: Hypothesis(0.2, 1.0, det_w / det_w.sum())}
         marginals = [{0: 0.4, 2: 0.6}, {0: 0.0, 2: 0.0}, {0: 1.0, 2: 0.0}]
         weights = rng.random(9)
-        comp = Pending(Label(2, 1), 0.7, (weights / weights.sum(), support[:9]))
+        comp = Pending(Label(2, 1), 0.7, (weights / weights.sum(), support[:9]), fresh=True)
         a, b = np.random.default_rng(6), np.random.default_rng(6)
         one_by_one = [update_legacy_track(Label(1, i + 1), marginal, miss, det, support, 64, a)
                       for i, marginal in enumerate(marginals)]
@@ -310,6 +328,15 @@ class TestResampleGate:
         [(idx, weight)] = resample_rows([p.row[0]], self.budget, np.random.default_rng(5))
         assert np.array_equal(states, p.row[1][idx])
         assert np.array_equal(weights, np.full(self.budget, weight))
+
+    @pytest.mark.parametrize("count", [1, 63, 64, 1000])
+    def test_fresh_row_is_copied_at_its_length_and_draws_nothing(self, count):
+        # a degenerate fresh row is carried too: a transfer is never resampled
+        weights = np.append(np.full(count - count // 2, 1.0), np.zeros(count // 2))
+        p = self.row(weights / weights.sum())._replace(fresh=True)
+        [(states, out)], rng = self.gate([p])
+        assert np.array_equal(states, p.row[1]) and np.array_equal(out, p.row[0])
+        assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
 
     def test_ess_of_exactly_half_the_budget_is_kept(self):
         weights = np.append(np.full(32, 1 / 32), np.zeros(32))
@@ -541,15 +568,17 @@ class TestSparseIntensityArithmetic:
         transfers, transferred = select_transfers(beta, mass, cells, states, 0.1, time=3)
         assert list(transfers) == np.flatnonzero(transferred).tolist()
         for row, component in transfers.items():
-            # the cells of the row in particle order; its resample's total is
-            # the dense row added left to right
+            # the cells of the row of at least TRANSFER_CUT d in particle
+            # order, over d; the track carries that row, not drawn to 64
             assert component.label == Label(3, row + 1)
+            kept = table[row] >= TRANSFER_CUT * mass[row]
             dense = table[row] / mass[row]
             weights, support = component.row
-            assert np.array_equal(support, states[dense > 0.0])
-            assert np.array_equal(weights, dense[dense > 0.0])
+            assert np.array_equal(support, states[kept])
+            assert np.array_equal(weights, dense[kept])
             track = update_transferred_track(component, 1.0, 64, np.random.default_rng(0))
-            assert np.array_equal(track.pdf.weights, np.full(64, row_sums([dense])[0] / 64))
+            assert np.array_equal(track.pdf.weights, dense[kept])
+            assert np.array_equal(track.pdf.states, states[kept])
 
         weights = []
         real = lmbp.update.resample_rows
@@ -696,6 +725,45 @@ class TestLmbpStep:
         assert recycled == {Label(1, 2)}
         predicted_count = 32 + models.birth.particle_budget
         assert batches == [[(8, 64)], [(predicted_count + 8 * len(recycled), 128)]]
+
+    def test_fresh_transfer_enters_the_block_at_its_cell_row(self, monkeypatch):
+        # a kept legacy row of 8 particles is drawn to the budget of 64; the
+        # measurement at the intensity transfers, and its cell row (cut at
+        # TRANSFER_CUT d) enters the block last, unresampled: the block's
+        # one resampling pass draws the legacy row's uniform only
+        seen = {}
+        select, resampled = lmbp.update.select_transfers, lmbp.update._resampled
+
+        def select_spy(*args):
+            seen["transfers"], transferred = select(*args)
+            return seen["transfers"], transferred
+
+        def resampled_spy(kept, budget, rng):
+            seen["before"] = copy.deepcopy(rng.bit_generator.state)
+            block = resampled(kept, budget, rng)
+            seen["after"] = rng.bit_generator.state
+            return block
+
+        monkeypatch.setattr(lmbp.update, "select_transfers", select_spy)
+        monkeypatch.setattr(lmbp.update, "_resampled", resampled_spy)
+        spread = np.random.default_rng(2).normal(0.0, 3.0, (40, 4)) * [1.0, 1.0, 0.0, 0.0]
+        phd = PoissonPhd(ParticleSet(spread + [150.0, 0.0, 0.0, 0.0], np.full(40, 0.02)))
+        state = FilterState((BernoulliTrack(Label(1, 1), 0.9, pdf_at(50.0, n=8)),), phd, 1)
+        models = micro_models(pd_const=0.9)
+        frame = [Measurement(*map(float, models.sensor.range_bearing(np.array(at))))
+                 for at in ([150.0, 0.0, 0.0, 0.0], [50.0, 0.0, 0.0, 0.0])]
+        out = lmbp_step(state, frame, models, Thresholds(), np.random.default_rng(0),
+                        settings=small_settings())
+        [fresh] = seen["transfers"].values()
+        assert fresh.fresh and fresh.label == Label(2, 1)
+        assert out.block.labels == (Label(1, 1), Label(2, 1))
+        (_, legacy_weights), (states, weights) = out.block.rows()
+        assert len(legacy_weights) == 64 and 0 < len(weights) != 64
+        assert np.array_equal(weights, fresh.row[0]) and np.array_equal(states, fresh.row[1])
+        drawn = np.random.default_rng(0)
+        drawn.bit_generator.state = seen["before"]
+        drawn.random(1)
+        assert seen["after"] == drawn.bit_generator.state
 
     def test_detection_pdfs_only_where_the_marginal_is_nonzero(self, monkeypatch):
         # gamma_c = 0 clusters every pair with b > 0: track 1 joins track 0's
