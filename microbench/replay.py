@@ -136,12 +136,15 @@ def replay(function, arglists: list) -> list:
 
 def leaves(value):
     """The bytes that identify `value`, through nested tuples and lists: a
-    float's `float.hex()`, an array's `dtype.str` and its bytes."""
+    float's `float.hex()`, an int's decimal digits, an array's `dtype.str`
+    and its bytes."""
     if isinstance(value, (tuple, list)):
         for item in value:
             yield from leaves(item)
     elif isinstance(value, float):   # before tobytes: np.float64 has it too
         yield float(value).hex().encode()
+    elif isinstance(value, int):     # a label's birth time and index
+        yield str(value).encode()
     else:
         yield value.dtype.str.encode()
         yield value.tobytes()

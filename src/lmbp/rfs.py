@@ -138,23 +138,23 @@ def row_reduce(ufunc: np.ufunc, values: np.ndarray, offsets: np.ndarray) -> np.n
     """`ufunc.reduce(values[a:b])` of each row a:b of `offsets`, 0.0 for an
     empty row; with np.add, the bits of `values[a:b].sum()`, never those of
     `np.add.reduceat`, which adds a row in order where numpy's sum adds it
-    pairwise. Each run of consecutive nonempty rows of one length n is one
+    pairwise. Each run of consecutive rows of one length n > 0 is one
     (rows, n) view reduced along axis 1, which reduces each row as it reduces
     the row alone; np.minimum and np.maximum, whose result does not depend on
     the order, take one `reduceat` over the nonempty rows."""
     n = _row_length(offsets)
     if n:
         return ufunc.reduce(values[offsets[0]:offsets[-1]].reshape(-1, n), axis=1)
-    counts = np.diff(offsets)
-    rows, out = np.flatnonzero(counts), np.zeros(len(counts))
+    cuts, out = offsets.tolist(), np.zeros(len(offsets) - 1)
     if ufunc is np.minimum or ufunc is np.maximum:
-        out[rows] = ufunc.reduceat(values[:offsets[-1]], offsets[rows])
+        rows = np.flatnonzero(np.diff(offsets))
+        out[rows] = ufunc.reduceat(values[:cuts[-1]], offsets[rows])
         return out
-    lengths, starts = counts[rows].tolist(), offsets[rows].tolist()
+    lengths = [b - a for a, b in zip(cuts, cuts[1:])]
     runs = [a for a in range(len(lengths)) if not a or lengths[a] != lengths[a - 1]]
-    for a, b in zip(runs, runs[1:] + [len(rows)]):
-        view = values[starts[a]:starts[a] + lengths[a] * (b - a)].reshape(b - a, lengths[a])
-        out[rows[a:b]] = ufunc.reduce(view, axis=1)
+    for a, b in zip(runs, runs[1:] + [len(lengths)]):
+        if lengths[a]:
+            ufunc.reduce(values[cuts[a]:cuts[b]].reshape(b - a, lengths[a]), axis=1, out=out[a:b])
     return out
 
 

@@ -75,6 +75,21 @@ def test_exact_marginals_replays_the_steps_calls(tmp_path):
     assert len(record["sha256"]) == 64
 
 
+def test_predict_tracks_replays_the_steps_calls(tmp_path):
+    record = run_stage(tmp_path, "predict_tracks.py")
+    # one block prediction per step, each from its captured generator state
+    assert record["steps"] == record["calls"] == 5
+    assert 0 < record["rows"] <= record["particles"]
+    assert len(record["per_step_ms_passes"]) == record["passes"] >= 5
+    assert record["per_step_ms_q1"] <= record["per_step_ms_p50"] <= record["per_step_ms_q3"]
+    assert len(record["sha256"]) == 64
+
+
+def test_digest_reads_a_label_by_its_digits():
+    runner = load_runner()
+    assert list(runner.leaves([(3, 12)])) == [b"3", b"12"]
+
+
 def draw(scale, rng):
     return scale * rng.random(3), float(rng.random())
 

@@ -258,19 +258,19 @@ class TestRowHelpers:
 
     def test_each_run_of_one_length_is_reduced_at_once(self):
         # a step's block: K rows of the budget's length, then a tail of T
-        # short rows, with empty rows among them, takes at most 1 + T
+        # short rows, an empty one among them, takes at most 1 + T
         # reductions, none per budget row
         class Counted:
             def __init__(self):
                 self.shapes = []
 
-            def reduce(self, values, axis):
+            def reduce(self, values, axis, out=None):
                 self.shapes.append(values.shape)
-                return np.add.reduce(values, axis=axis)
+                return np.add.reduce(values, axis=axis, out=out)
 
         rng = np.random.default_rng(3)
         tail = [64, 143, 143, 0, 7, 64]
-        lengths = np.array([0, 1000, 1000, 0] + [1000] * 396 + tail)
+        lengths = np.array([1000] * 398 + tail)
         offsets = np.append(0, np.cumsum(lengths, dtype=np.intp))
         values = rng.random(offsets[-1])
         counted = Counted()
