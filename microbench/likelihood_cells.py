@@ -17,7 +17,8 @@ import replay
 
 def record(run):
     """The call and cell counts and the time per call."""
-    fields = {"calls": len(run.calls), "cells": int(sum(cells[0].size for cells in run.outputs)),
+    fields = {"calls": len(run.calls),
+              "cells": int(sum(cells[0].size for _, _, cells in run.calls)),
               **run.timed({"per_call_ms": (run.calls, len(run.calls))})}
     return fields, [f"{run.workload}: {fields['calls']} calls, {fields['cells']} cells, "
                     + replay.summary(fields, "per_call_ms", "call")]

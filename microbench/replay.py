@@ -12,8 +12,9 @@ rest, for every stage the same way:
   copy of the result. Nothing is written but the run's own CSVs, into a
   temporary directory.
 - **Check.** A first replay must return what the steps got, bit for bit.
-  The sha256 of its outputs must match between checkouts whose outputs are
-  meant to be identical.
+  Each output is compared and fed to a sha256 as it is replayed, and then
+  dropped. The digest must match between checkouts whose outputs are meant
+  to be identical.
 - **Timed passes.** Each of `PASSES` passes replays every call once, each
   from a fresh copy of its generator arguments, with its other arguments
   reused and its output kept until the pass ends. Each pass's time is
@@ -150,30 +151,37 @@ def leaves(value):
         yield value.tobytes()
 
 
-def digest(outputs: list) -> str:
-    """sha256 of every output's leaves, in call order."""
+def digest(outputs) -> str:
+    """sha256 of every output's leaves, in call order; `outputs` may be a
+    generator, which is read one output at a time."""
     h = hashlib.sha256()
-    for chunk in leaves(outputs):
-        h.update(chunk)
+    for output in outputs:
+        for chunk in leaves(output):
+            h.update(chunk)
     return h.hexdigest()
 
 
-def check_replay(function, calls: list) -> list:
-    """Replay once; raise unless every call returns what the step got."""
-    got = replay(function, [fresh(args) for _, args, _ in calls])
-    for k, ((caller, _, want), output) in enumerate(zip(calls, got)):
-        if list(leaves(output)) != list(leaves(want)):
-            raise AssertionError(f"call {k} (from {caller}): the replay's output "
-                                 "differs from the step's")
-    return got
+def check_replay(function, calls: list) -> str:
+    """Replay once and return the digest of the outputs; raise unless every
+    call returns what the step got. No output is kept past its check."""
+    def checked():
+        for k, (caller, args, want) in enumerate(calls):
+            output = function(*fresh(args))
+            if list(leaves(output)) != list(leaves(want)):
+                raise AssertionError(f"call {k} (from {caller}): the replay's output "
+                                     "differs from the step's")
+            yield output
+
+    return digest(checked())
 
 
 def main(doc: str, stage: str, owner: str, attr: str, record, argv=None) -> int:
     """Capture, check and time the calls of `attr` of `owner` (a name that
     `pkgutil.resolve_name` takes) and print the record. `record(run)` gives
     the stage's record fields and printed lines; `run` has the `workload`
-    name, the `steps`, the `calls` and their replayed `outputs`, and
-    `timed(groups)`, which is `time_passes` on the target."""
+    name, the `steps`, the `calls` (each with the step's output, which the
+    replay matched) and `timed(groups)`, which is `time_passes` on the
+    target."""
     parser = argparse.ArgumentParser(description=doc.split("\n\n")[0])
     which = parser.add_mutually_exclusive_group(required=True)
     which.add_argument("--workload", choices=["desk", "dense"])
@@ -192,11 +200,11 @@ def main(doc: str, stage: str, owner: str, attr: str, record, argv=None) -> int:
         values.update({"run.seed": str(SEED), "run.out_dir": out_dir})
         steps, calls = capture(build_run_config(values), owner, attr)
     function = vars(owner)[attr]
+    sha256 = check_replay(function, calls)
     run = SimpleNamespace(workload=args.workload or str(args.config), steps=steps, calls=calls,
-                          outputs=check_replay(function, calls),
                           timed=lambda groups: time_passes(function, groups))
     fields, lines = record(run)
     out = {"stage": stage, "workload": run.workload, "seed": SEED, "src": str(src),
-           **fields, "sha256": digest(run.outputs)}
+           **fields, "sha256": sha256}
     print(*lines, f"sha256 {out['sha256']}", json.dumps(out), sep="\n")
     return 0

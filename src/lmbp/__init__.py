@@ -34,7 +34,6 @@ from .rfs import (
 from .simulate import GroundTruth, ScenarioConfig, generate_frame, generate_truth
 from .update import (
     FilterSettings,
-    Pending,
     Thresholds,
     lmbp_step,
     select_transfers,

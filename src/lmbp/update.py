@@ -5,7 +5,7 @@ recycling, intensity update, and the full per-step recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -69,16 +69,6 @@ class FilterSettings:
                 raise ValueError(f"{name} must be >= 1")
 
 
-class Pending(NamedTuple):
-    """A track before resampling: its label, its existence, its row (weights,
-    states) or None for no pdf, and whether it is a transfer born this step."""
-
-    label: Label
-    existence: float
-    row: tuple[np.ndarray, np.ndarray] | None
-    fresh: bool = False
-
-
 # a transfer's row keeps the cells of at least this share of its mass d, far above
 # the intensity's floor of 2^-106 c_m as d >= ~0.01 c_m; the rest weigh < PDF_TOL
 TRANSFER_CUT = 2.0 ** -53
@@ -86,29 +76,30 @@ TRANSFER_CUT = 2.0 ** -53
 
 def select_transfers(beta: np.ndarray, mass: np.ndarray, cells: Cells,
                      states: np.ndarray, gamma_tr: float,
-                     time: int) -> tuple[dict[int, Pending], np.ndarray]:
+                     time: int) -> tuple[np.ndarray, np.ndarray, TrackBlock]:
     """Split the measurements' new components into transferred labels and the rest.
 
     `beta`, `mass` and `cells` come from `new_components` over the intensity
-    particles `states`. Returns `(transfers, transferred)`: the (M,) mask
-    `transferred` marks every measurement whose component has existence
-    mass / beta >= gamma_tr (inclusive), and `transfers[j]` is the fresh
-    pending track of each such column j: label (time, j + 1), that
-    existence, and pdf weights the cells of row j of at least `TRANSFER_CUT`
-    d, over d, over their particles in column order. The caller absorbs or
-    prunes the rest.
+    particles `states`. Returns `(columns, transferred, fresh)`: the (M,)
+    mask `transferred` marks every measurement whose component has existence
+    mass / beta >= gamma_tr (inclusive), `columns` lists those measurements
+    in ascending order, and row t of the block `fresh` is the track of
+    column j = columns[t]: label (time, j + 1), that existence, and pdf
+    weights the cells of row j of at least `TRANSFER_CUT` d, over d, over
+    their particles in column order. The caller absorbs or prunes the rest.
     """
     row, col, value = cells
     existence = mass / beta
     transferred = existence >= gamma_tr
-    bounds = np.searchsorted(row, np.arange(len(beta) + 1))
-    transfers = {}
-    for j in np.flatnonzero(transferred).tolist():
-        run = np.arange(bounds[j], bounds[j + 1])
-        run = run[value[run] >= TRANSFER_CUT * mass[j]]
-        transfers[j] = Pending(Label(time, j + 1), float(existence[j]),
-                               (value[run] / mass[j], states.take(col[run], axis=0)), True)
-    return transfers, transferred
+    columns = np.flatnonzero(transferred)
+    # one mask over the cells, which are in row order: a transferred row's at or above its cut
+    cut = transferred[row]
+    cut[cut] = value[cut] >= TRANSFER_CUT * mass[row[cut]]
+    offsets = np.append(0, np.bincount(row[cut], minlength=len(beta))[columns].cumsum())
+    fresh = TrackBlock(tuple(map(Label, [time] * len(columns), (columns + 1).tolist())),
+                       existence[columns], offsets, states.take(col[cut], axis=0),
+                       value[cut] / mass[row[cut]])
+    return columns, transferred, fresh
 
 
 def legacy_mixture(group: TrackGroup, legacy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,54 +143,65 @@ def legacy_mixture(group: TrackGroup, legacy: np.ndarray) -> tuple[np.ndarray, n
 _ESS_SHARE = 0.5
 
 
-def _carried(weights: np.ndarray, particle_budget: int) -> bool:
-    """Whether a kept row keeps its weights: it has `particle_budget`
-    particles and an effective sample size (sum w)^2 / sum w^2 of at least
-    `_ESS_SHARE` of them (inclusive). A NaN or inf weight fails the test."""
-    squares = float(weights @ weights)
-    if len(weights) != particle_budget or not 0.0 < squares < np.inf:
-        return False
-    total = float(weights.sum())
-    return total * total / squares >= _ESS_SHARE * particle_budget
+def _carried_rows(heads: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """(K,) mask of the kept rows that keep their weights, from each row's
+    first N weights, (K, N), and its length: a row of N = the budget's
+    particles whose effective sample size (sum w)^2 / sum w^2 is at least
+    `_ESS_SHARE` of them (inclusive), which a NaN or inf weight fails. The
+    heads' `np.vecdot` and sum give each row the bits of its own `w @ w` and
+    `w.sum()`; the heads of a row of another length are not its weights."""
+    budget = heads.shape[1]
+    squares, total = np.vecdot(heads, heads), heads.sum(axis=1)
+    with np.errstate(all="ignore"):   # the rows that fail the other tests
+        ess = total * total / squares
+    return (lengths == budget) & (0.0 < squares) & (squares < np.inf) & (ess >= _ESS_SHARE * budget)
 
 
-def _resampled(kept: Sequence[Pending], particle_budget: int,
-               rng: np.random.Generator) -> TrackBlock:
-    """The next block, each row of `kept` in its label-ordered slot.
+def _next_block(pending: TrackBlock, kept: np.ndarray, fresh: TrackBlock,
+                particle_budget: int, rng: np.random.Generator) -> TrackBlock:
+    """The next block: the rows `kept` of `pending` in label order, then
+    every row of `fresh`, whose labels sort last.
 
-    A fresh transfer's row, and a kept row that `_carried` passes, is copied
-    into its slot, states and weights unchanged, and draws no uniform. Every
-    other kept row with a pdf is resampled to the budget in one
-    `resample_rows` pass, in the order of `kept`, and drawn straight into
-    its slot."""
-    ordered = sorted(kept, key=lambda p: p.label)
-    block = TrackBlock.empty([p.label for p in ordered], [p.existence for p in ordered],
-                             [0 if p.row is None else len(p.row[0]) if p.fresh
-                              else particle_budget for p in ordered])
-    slots = dict(zip((p.label for p in ordered), block.rows()))
-    drawn = []
-    for p in (p for p in kept if p.row is not None):
-        slot = slots[p.label]
-        if p.fresh or _carried(p.row[0], particle_budget):
-            slot[0][...], slot[1][...] = p.row[1], p.row[0]
-        else:
-            drawn.append((p.row, slot))
-    for ((_, states), slot), (idx, weight) in zip(
-            drawn, resample_rows([row[0] for row, _ in drawn], particle_budget, rng)):
-        # the indices are in range, and "clip" writes into the slot unbuffered
-        states.take(idx, axis=0, out=slot[0], mode="clip")
-        slot[1].fill(weight)
+    A kept row that `_carried_rows` passes keeps its states and weights;
+    every other kept row is drawn to the budget by one `resample_rows` pass,
+    in the order of `kept`. A fresh row is carried at its own length and
+    draws no uniform."""
+    offsets, cuts = pending.offsets, pending.offsets.tolist()
+    rows = np.array(sorted(kept.tolist(), key=pending.labels.__getitem__), dtype=np.intp)
+    slot = np.empty(len(cuts), dtype=np.intp)
+    slot[rows] = np.arange(len(rows))
+    # each kept row's first `particle_budget` particles, which a drawn row replaces by its draws
+    index = offsets[rows, None] + np.arange(particle_budget)
+    weights = pending.weights.take(index, mode="clip")
+    carried = _carried_rows(weights, np.diff(offsets)[rows])
+    drawn = kept[~carried[slot[kept]]]
+    draws = resample_rows([pending.weights[cuts[i]:cuts[i + 1]] for i in drawn.tolist()],
+                          particle_budget, rng)
+    index[slot[drawn]] = offsets[drawn, None] + np.array(
+        [idx for idx, _ in draws], dtype=np.intp).reshape(-1, particle_budget)
+    weights[slot[drawn]] = np.array([weight for _, weight in draws])[:, None]
+    block = TrackBlock.empty([pending.labels[i] for i in rows.tolist()] + list(fresh.labels),
+                             np.concatenate([pending.existence[rows], fresh.existence]),
+                             [particle_budget] * len(rows) + np.diff(fresh.offsets).tolist())
+    # the indices are in range, and "clip" writes into the block unbuffered
+    pending.states.take(index.reshape(-1), axis=0, out=block.states[:index.size], mode="clip")
+    block.states[index.size:], block.weights[index.size:] = fresh.states, fresh.weights
+    block.weights[:index.size] = weights.reshape(-1)
     return block
+
+
+_NO_TRACKS = TrackBlock.empty([], [], [])
 
 
 def update_legacy_track(label: Label, marginal: Mapping[int, float], miss: Hypothesis,
                         detections: Mapping[int, Hypothesis], states: np.ndarray,
                         particle_budget: int, rng: np.random.Generator) -> BernoulliTrack:
     """Marginalized update of a legacy track, as `lmbp_step` makes it for one
-    row: `legacy_mixture` of a one-row group of the hypotheses' pdf weights
-    over `states`, each of mass 1 or empty (a row of another length raises
-    ValueError), through `_resampled`: carried as it is when `_carried`
-    passes it, else resampled; with no mixture mass the track has r = 0."""
+    kept row: `legacy_mixture` of a one-row group of the hypotheses' pdf
+    weights over `states`, each of mass 1 or empty (a row of another length
+    raises ValueError), through `_next_block`: carried as it is when
+    `_carried_rows` passes it, else resampled; with no mixture mass the track
+    has r = 0 and no particles."""
     found = sorted(detections)
     hyps = [miss] + [detections[m] for m in found]
     if any(len(hyp.weights) not in (0, len(states)) for hyp in hyps):
@@ -211,40 +213,39 @@ def update_legacy_track(label: Label, marginal: Mapping[int, float], miss: Hypot
     group = TrackGroup(np.array([0, len(states)]), rows[0], mass[:1], np.ones(1),
                        np.zeros(len(found), np.intp), np.arange(len(found)),
                        np.arange(len(hyps)) * len(states), rows[1:].reshape(-1), mass[1:])
-    (r,), weights = legacy_mixture(group, legacy)
-    updated = Pending(label, float(r), (weights, states) if r > 0.0 else None)
-    return _resampled([updated], particle_budget, rng).tracks()[0]
+    r, weights = legacy_mixture(group, legacy)
+    if not r[0] > 0.0:
+        return BernoulliTrack(label, float(r[0]), ParticleSet.empty())
+    pending = TrackBlock((label,), r, group.offsets, states, weights)
+    return _next_block(pending, np.zeros(1, np.intp), _NO_TRACKS, particle_budget,
+                       rng).tracks()[0]
 
 
-def update_transferred_track(transfer: Pending, p_claim: float, particle_budget: int,
+def update_transferred_track(transfer: TrackBlock, p_claim: float, particle_budget: int,
                              rng: np.random.Generator) -> BernoulliTrack:
-    """Update of a freshly transferred track, as `lmbp_step` makes it for one
-    row: r = p(claim) * existence, and the component's pdf carried as it is
-    through `_resampled`, drawing no uniform."""
-    claimed = transfer._replace(existence=p_claim * transfer.existence, fresh=True)
-    return _resampled([claimed], particle_budget, rng).tracks()[0]
+    """Update of a freshly transferred track, the one row of `transfer` (a
+    row of `select_transfers`' block), as `lmbp_step` makes it:
+    r = p(claim) * existence, and the component's pdf carried as it is
+    through `_next_block`, drawing no uniform."""
+    claimed = transfer._replace(existence=p_claim * transfer.existence)
+    return _next_block(_NO_TRACKS, np.empty(0, np.intp), claimed, particle_budget,
+                       rng).tracks()[0]
 
 
-def split_by_retention(tracks: Sequence[Pending], gamma_leg: float,
-                       time: int) -> tuple[list[Pending], list[Pending]]:
-    """Keep likely tracks; recycle unlikely legacy ones.
+def split_by_retention(existence: np.ndarray, rows: np.ndarray,
+                       gamma_leg: float) -> tuple[np.ndarray, np.ndarray]:
+    """Keep likely legacy tracks; recycle unlikely ones.
 
-    A track is any record with a `label` and an `existence`: a `Pending`
-    record in the step, whose label and existence decide its retention
-    before it is resampled, or a `BernoulliTrack`. Tracks transferred this
-    step (birth_time == time) are always kept; legacy tracks are kept iff
-    r >= gamma_leg (inclusive).
+    Splits the legacy `rows`, indices into `existence`, into those kept,
+    r >= gamma_leg (inclusive), and those recycled, each in the order of
+    `rows`; a NaN existence is recycled. A track transferred this step is
+    always kept, so the step passes only its legacy rows.
     """
-    kept, recycled = [], []
-    for track in tracks:
-        if track.label.birth_time == time or track.existence >= gamma_leg:
-            kept.append(track)
-        else:
-            recycled.append(track)
-    return kept, recycled
+    keep = existence[rows] >= gamma_leg
+    return rows[keep], rows[~keep]
 
 
-def update_phd(recycled: Sequence[Pending], beta: np.ndarray, cells: Cells,
+def update_phd(tracks: TrackBlock, recycled: np.ndarray, beta: np.ndarray, cells: Cells,
                predicted_phd: PoissonPhd, pd: np.ndarray, particle_budget: int,
                rng: np.random.Generator) -> PoissonPhd:
     """Posterior intensity: undetected predicted intensity + unclaimed
@@ -254,32 +255,34 @@ def update_phd(recycled: Sequence[Pending], beta: np.ndarray, cells: Cells,
     the K measurements whose components return to the intensity, and `pd` is
     the detection probability of each predicted intensity particle. The
     predicted particles are reweighted by (1 - pD) w + sum_k row_k / beta[k]
-    (the SMC-PHD update), the particles of the recycled tracks' rows
-    (weights, states), unresampled and of any length, are appended with
-    weights r * weights, and the union is resampled once, so a recycled
-    track is resampled only here. Total mass is
-    sum((1 - pD) w) + sum_k d_k / beta_k + r-sum, preserved through the
-    reduction. Only the union's weights are concatenated, not its states.
+    (the SMC-PHD update), the particles of the rows `recycled` of the block
+    `tracks` (the step's recycled rows with r > 0, in cluster order),
+    unresampled and of any length, are appended in that order with weights
+    r * weights, and the union is resampled once, so a recycled track is
+    resampled only here. Total mass is sum((1 - pD) w) + sum_k d_k / beta_k
+    + r-sum, preserved through the reduction. Only the union's weights are
+    concatenated; the drawn states are gathered from the two sources.
     """
     survivors = predicted_phd.particles
     row, col, value = cells
+    lengths = np.diff(tracks.offsets)[recycled]
+    particles = run_indices(tracks.offsets[recycled], lengths)
     # bincount adds each particle's terms in cell order, ascending k, as the
     # dense sum over k does
-    weights = [survivors.weights * (1.0 - pd)
-               + np.bincount(col, (1.0 / beta)[row] * value, minlength=len(survivors))]
-    weights += [p.existence * p.row[0] for p in recycled]
-    states = [survivors.states] + [p.row[1] for p in recycled]
-    union = np.concatenate(weights)
+    union = np.concatenate([
+        survivors.weights * (1.0 - pd)
+        + np.bincount(col, (1.0 / beta)[row] * value, minlength=len(survivors)),
+        tracks.existence[recycled].repeat(lengths) * tracks.weights[particles]])
     check_weights(union)
     if union.sum() <= 0.0:
         return PoissonPhd.empty()
     [(idx, weight)] = resample_rows([union], particle_budget, rng)
-    # the drawn indices ascend, so each piece's draws are one run of them
-    starts = np.cumsum([0] + [len(piece) for piece in states])
-    cuts = np.searchsorted(idx, starts).tolist()
+    # the drawn indices ascend: those of the predicted particles come first
+    cut = int(np.searchsorted(idx, len(survivors)))
     drawn = np.empty((particle_budget, STATE_DIM))
-    for piece, start, a, b in zip(states, starts.tolist(), cuts, cuts[1:]):
-        piece.take(idx[a:b] - start, axis=0, out=drawn[a:b], mode="clip")
+    survivors.states.take(idx[:cut], axis=0, out=drawn[:cut], mode="clip")
+    tracks.states.take(particles[idx[cut:] - len(survivors)], axis=0, out=drawn[cut:],
+                       mode="clip")
     return PoissonPhd(ParticleSet(drawn, np.full(particle_budget, weight)))
 
 
@@ -306,13 +309,13 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
     return to the intensity. The tracks are one `TrackBlock` from step to
     step, which `predict_tracks`, `track_evidence` and `legacy_mixture` take
     in one pass each; one `exact_marginals` call gives every cluster's
-    marginals, BP's or, where BP is not exact, the exact pass's. A fresh
-    transfer's cell row, and a kept row of `track_particles` particles whose
-    effective sample size is at least half of them, is copied into its slot
-    of the next block; one `resample_rows` pass draws every other kept row
-    into its slot. Fresh labels sort last: the block is a run of rows of the
-    budget's length, then a tail of short ones. The recycled rows go to
-    `update_phd` unresampled. Estimation is separate (`lmbp.estimation`).
+    marginals, BP's or, where BP is not exact, the exact pass's. The updated
+    rows are the predicted block with the mixture's r and weights, the
+    transfers `select_transfers`' block of cell rows, and retention splits
+    the rows, in cluster order, into index arrays. `_next_block` takes the
+    kept rows in label order, then the transfers, whose fresh labels sort
+    last, and `update_phd` the recycled rows with r > 0, unresampled.
+    Estimation is separate (`lmbp.estimation`).
     """
     k = state.time + 1
 
@@ -336,31 +339,25 @@ def lmbp_step(state: FilterState, frame: Sequence[Measurement], models: Models,
     evidence = track_evidence(block, frame, models.sensor, thresholds.gamma_c)
 
     clusters, residual = partition(evidence.row_of, evidence.col_of)
-    transfers, transferred = select_transfers(new_beta, new_mass, new_cells,
-                                              predicted_phd.particles.states,
-                                              thresholds.gamma_tr, k)
-
-    # the updated rows in cluster order, the order in which those that are
-    # drawn draw their uniforms, then the transfers, which draw none
+    columns, transferred, fresh = select_transfers(new_beta, new_mass, new_cells,
+                                                   predicted_phd.particles.states,
+                                                   thresholds.gamma_tr, k)
     legacy, claim = exact_marginals(evidence.miss_beta, evidence.betas, new_beta, transferred,
                                     clusters)
     r, mixture = legacy_mixture(evidence.group, legacy)
-    by_row = [Pending(label, row_r, (weights, states) if row_r > 0.0 else None)
-              for label, row_r, (states, weights)
-              in zip(block.labels, r.tolist(), block._replace(weights=mixture).rows())]
+    pending = block._replace(existence=r, weights=mixture)
     # a residual measurement competes with no track, so its transfer claims it surely
     claim[residual] = 1.0
-    claims = claim.tolist()
-    pending = [by_row[i] for rows, _ in clusters for i in rows.tolist()]
-    pending += [p._replace(existence=claims[j] * p.existence) for j, p in transfers.items()]
+    fresh = fresh._replace(existence=claim[columns] * fresh.existence)
 
-    # retention needs only labels and existence; then a kept row is resampled
-    # where its weights have degenerated or its length is not the budget's
-    kept, recycled = split_by_retention(pending, thresholds.gamma_leg, k)
-    updated = _resampled(kept, settings.track_particles, rng)
+    # retention needs only existence; the rows in cluster order, the order in
+    # which those drawn draw their uniforms and the recycled reach the intensity
+    order = np.concatenate([np.empty(0, np.intp)] + [rows for rows, _ in clusters])
+    kept, recycled = split_by_retention(r, order, thresholds.gamma_leg)
+    updated = _next_block(pending, kept, fresh, settings.track_particles, rng)
     unclaimed = np.zeros(len(frame), dtype=bool)
     unclaimed[residual[~transferred[residual]]] = True
-    phd = update_phd([p for p in recycled if p.row is not None], new_beta[unclaimed],
+    phd = update_phd(pending, recycled[r[recycled] > 0.0], new_beta[unclaimed],
                      _rows_of(new_cells, unclaimed), predicted_phd, phd_pd,
                      settings.phd_particles, rng)
     return FilterState.from_block(updated, phd, k)

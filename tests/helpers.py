@@ -12,7 +12,7 @@ import lmbp.association
 import lmbp.update
 from lmbp.association import Marginals
 from lmbp.models import SensorModel, wrap_angle
-from lmbp.rfs import ParticleSet
+from lmbp.rfs import Label, ParticleSet, TrackBlock
 
 
 class StubSensor:
@@ -268,3 +268,32 @@ def per_track_prediction(tracks, motion, rng):
             out.append((track.label, min(track.existence * total, 1.0),
                         motion.transition_sample(track.pdf.states, rng), weights / total))
     return out
+
+
+def carried(weights, particle_budget):
+    """Reference for the resample gate: whether a kept row keeps its weights.
+    It has `particle_budget` particles and an effective sample size
+    (sum w)^2 / sum w^2 of at least half of them (inclusive); a NaN or inf
+    weight fails the test. One row at a time, by its own `w @ w` and sum."""
+    squares = float(weights @ weights)
+    if len(weights) != particle_budget or not 0.0 < squares < np.inf:
+        return False
+    total = float(weights.sum())
+    return total * total / squares >= 0.5 * particle_budget
+
+
+def block_of(rows, birth_time=1):
+    """An unchecked `TrackBlock` of `(existence, weights, states)` rows,
+    labelled (birth_time, 1), (birth_time, 2), ... in order."""
+    block = TrackBlock.empty([Label(birth_time, i + 1) for i in range(len(rows))],
+                             [r for r, _, _ in rows], [len(w) for _, w, _ in rows])
+    for (states, weights), (_, w, s) in zip(block.rows(), rows):
+        states[:], weights[:] = s, w
+    return block
+
+
+def block_row(block, i):
+    """Row i of `block` as a block of its own, over views of its arrays."""
+    a, b = block.offsets[i:i + 2].tolist()
+    return TrackBlock(block.labels[i:i + 1], block.existence[i:i + 1], np.array([0, b - a]),
+                      block.states[a:b], block.weights[a:b])

@@ -38,7 +38,6 @@ from lmbp.rfs import (
 from lmbp.simulate import generate_frames, generate_truth
 from lmbp.update import (
     FilterSettings,
-    Pending,
     Thresholds,
     lmbp_step,
     select_transfers,
@@ -51,6 +50,7 @@ from lmbp.update import (
 from helpers import (
     ClusterTables,
     StubSensor,
+    block_of,
     brute_force_marginals,
     cells_of,
     max_label_tv,
@@ -176,16 +176,16 @@ def test_criterion_2_conservation():
         for i in range(n_rec):
             m = int(rng.integers(1, 30))
             pdf = ParticleSet(rng.normal(size=(m, 4)), np.full(m, 1.0 / m))
-            recycled.append(Pending(Label(1, i + 1), float(rng.random()),
-                                    (pdf.weights, pdf.states)))
+            recycled.append((float(rng.random()), pdf.weights, pdf.states))
         phd = random_intensity(rng, max_n=60)
         pd = rng.random(len(phd.particles))
         # unclaimed components: rows w pD f over the intensity particles, beta >= d
         k = int(rng.integers(0, 4))
         table = phd.particles.weights * pd * rng.random((k, len(phd.particles)))
         beta = table.sum(axis=1) + rng.random(k)
-        out = update_phd(recycled, beta, cells_of(table), phd, pd, 256, rng)
-        expected = (sum(t.existence for t in recycled) + float(np.sum(table.sum(axis=1) / beta))
+        out = update_phd(block_of(recycled), np.arange(n_rec), beta, cells_of(table), phd, pd,
+                         256, rng)
+        expected = (sum(r for r, _, _ in recycled) + float(np.sum(table.sum(axis=1) / beta))
                     + float(np.sum(phd.particles.weights * (1.0 - pd))))
         worst_upd = max(worst_upd, abs(out.mean - expected))
 
@@ -293,7 +293,7 @@ def test_criterion_4_micro_updates():
     checks.append(abs(upd.existence - 0.6))
 
     pdf = pdf_at(2.0)
-    tr = update_transferred_track(Pending(Label(7, 1), 0.8, (pdf.weights, pdf.states)), 0.5,
+    tr = update_transferred_track(block_of([(0.8, pdf.weights, pdf.states)], birth_time=7), 0.5,
                                   64, np.random.default_rng(0))
     checks.append(abs(tr.existence - 0.4))
 
@@ -446,14 +446,15 @@ def test_criterion_8_threshold_semantics():
     gamma = 1e-2
     # one new component of existence gamma: beta 1, mass gamma over 4 particles
     table = np.full((1, 4), gamma / 4)
-    transfers, transferred = select_transfers(np.ones(1), table.sum(axis=1), cells_of(table),
-                                              np.zeros((4, 4)), gamma, time=3)
-    tr_inclusive = ([t.label for t in transfers.values()] == [Label(3, 1)]
+    columns, transferred, fresh = select_transfers(np.ones(1), table.sum(axis=1),
+                                                   cells_of(table), np.zeros((4, 4)), gamma,
+                                                   time=3)
+    tr_inclusive = (fresh.labels == (Label(3, 1),) and columns.tolist() == [0]
                     and transferred.tolist() == [True])
 
-    kept, recycled = split_by_retention(
-        [BernoulliTrack(Label(1, 1), gamma, pdf_at(0.0))], gamma, time=3)
-    leg_inclusive = len(kept) == 1 and recycled == []
+    # a legacy track of r = gamma is kept
+    kept, recycled = split_by_retention(np.array([gamma]), np.array([0]), gamma)
+    leg_inclusive = kept.tolist() == [0] and recycled.size == 0
 
     state = FilterState((BernoulliTrack(Label(1, 1), 0.5, pdf_at(0.0)),),
                         PoissonPhd.empty(), 3)

@@ -80,14 +80,13 @@ def count_paths(monkeypatch) -> Counter:
     def partition_spy(*args, **kwargs):
         result = partition(*args, **kwargs)
         residual.clear()
-        residual.update((result[1] + 1).tolist())  # label indices count from 1
+        residual.update(result[1].tolist())
         return result
 
     def select_transfers_spy(*args, **kwargs):
         result = select_transfers(*args, **kwargs)
-        for transfer in result[0].values():
-            counts["residual transfers" if transfer.label.index in residual
-                   else "cluster transfers"] += 1
+        for column in result[0].tolist():   # the transferred columns
+            counts["residual transfers" if column in residual else "cluster transfers"] += 1
         return result
 
     def pass_spy(*args, **kwargs):

@@ -42,9 +42,16 @@ def test_tracer_pins_resolve(monkeypatch):
     # the transfer counter reads `select_transfers`' result: 2 of 3 rows transfer
     table = np.array([[0.5, 0.0], [0.0, 1e-3], [0.2, 0.3]])
     counted = tracer._count_wrapper(lmbp.update.select_transfers, "select_transfers")
-    transfers, transferred = counted(np.ones(3), table.sum(axis=1), cells_of(table),
-                                     np.zeros((2, 4)), 1e-2, 5)
-    assert tracer.counts["update.transfers"] == transferred.sum() == len(transfers) == 2
+    columns, transferred, fresh = counted(np.ones(3), table.sum(axis=1), cells_of(table),
+                                          np.zeros((2, 4)), 1e-2, 5)
+    assert tracer.counts["update.transfers"] == transferred.sum() == len(columns) == 2
+    assert len(fresh.labels) == 2
+    # the recycle counter reads `split_by_retention`'s result: of four legacy
+    # rows, one below gamma_leg and one dead (r = 0) are recycled
+    counted = tracer._count_wrapper(lmbp.update.split_by_retention, "split_by_retention")
+    kept, recycled = counted(np.array([0.5, 0.005, 0.0, 0.01]), np.array([3, 2, 1, 0]), 1e-2)
+    assert tracer.counts["update.recycles"] == len(recycled) == 2
+    assert recycled.tolist() == [2, 1] and kept.tolist() == [3, 0]
 
 
 def test_perfbench_selftest_passes():

@@ -40,9 +40,9 @@ from lmbp.simulate import generate_frames, generate_truth
 from lmbp.update import (
     TRANSFER_CUT,
     FilterSettings,
-    Pending,
     Thresholds,
-    _resampled,
+    _carried_rows,
+    _next_block,
     _rows_of,
     legacy_mixture,
     lmbp_step,
@@ -56,6 +56,9 @@ from lmbp.update import (
 from helpers import (
     ClusterTables,
     StubSensor,
+    block_of,
+    block_row,
+    carried,
     cells_of,
     count_joined_rows,
     dense_new_components,
@@ -73,8 +76,9 @@ def pdf_at(x1, n=1, weight=None):
 
 
 def component(existence, x1=0.0):
+    """A one-row block of `select_transfers`: the transfer (7, 1) of one particle."""
     pdf = pdf_at(x1)
-    return Pending(Label(7, 1), existence, (pdf.weights, pdf.states))
+    return block_of([(existence, pdf.weights, pdf.states)], birth_time=7)
 
 
 def new_component_rows(*existences, n=2):
@@ -133,21 +137,21 @@ class TestThresholds:
 class TestSelectTransfers:
     def test_threshold_split(self):
         beta, mass, table, states = new_component_rows(0.5, 0.001, 0.9)
-        transfers, transferred = select_transfers(beta, mass, table, states, gamma_tr=0.01,
-                                                  time=7)
+        columns, transferred, fresh = select_transfers(beta, mass, table, states,
+                                                       gamma_tr=0.01, time=7)
         assert transferred.tolist() == [True, False, True]
-        assert list(transfers) == [0, 2]
-        assert [t.label for t in transfers.values()] == [Label(7, 1), Label(7, 3)]
-        comp = transfers[0]
-        weights, support = comp.row
-        assert comp.existence == pytest.approx(0.5, abs=1e-15)
+        assert columns.tolist() == [0, 2]
+        assert fresh.labels == (Label(7, 1), Label(7, 3))
+        comp = block_row(fresh, 0)
+        [(support, weights)] = comp.rows()
+        assert comp.existence[0] == pytest.approx(0.5, abs=1e-15)
         np.testing.assert_array_equal(support, states)
         np.testing.assert_allclose(weights, [0.5, 0.5], atol=1e-15)
         # the fresh transfer enters the block as its row, not drawn to the
         # budget, and draws no uniform
         rng = np.random.default_rng(0)
         track = update_transferred_track(comp, 1.0, 4, rng)
-        assert comp.fresh and track.label == Label(7, 1)
+        assert comp.labels[0].birth_time == 7 and track.label == Label(7, 1)
         assert np.array_equal(track.pdf.weights, weights)
         assert np.array_equal(track.pdf.states, support)
         assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
@@ -157,23 +161,25 @@ class TestSelectTransfers:
         # cell of 2^-60 d and the zero cell go; the weights stay value / d
         table = np.array([[1.0, TRANSFER_CUT * 1.5, 2.0 ** -60 * 1.5, 0.0, 0.5]])
         states = np.arange(20.0).reshape(5, 4)
-        transfers, _ = select_transfers(np.full(1, 2.0), np.full(1, 1.5),
-                                        cells_of(table, every=True), states,
-                                        gamma_tr=0.01, time=7)
-        weights, support = transfers[0].row
+        *_, fresh = select_transfers(np.full(1, 2.0), np.full(1, 1.5),
+                                     cells_of(table, every=True), states,
+                                     gamma_tr=0.01, time=7)
+        [(support, weights)] = fresh.rows()
         assert TRANSFER_CUT == 2.0 ** -53
         assert np.array_equal(weights, table[0, [0, 1, 4]] / 1.5)
         assert np.array_equal(support, states[[0, 1, 4]])
 
     def test_nothing_above_threshold(self):
-        transfers, transferred = select_transfers(*new_component_rows(0.005, 0.001),
-                                                  gamma_tr=0.01, time=7)
-        assert transfers == {} and transferred.tolist() == [False, False]
+        columns, transferred, fresh = select_transfers(*new_component_rows(0.005, 0.001),
+                                                       gamma_tr=0.01, time=7)
+        assert columns.size == 0 and transferred.tolist() == [False, False]
+        assert fresh.labels == () and fresh.offsets.tolist() == [0] and fresh.weights.size == 0
 
     def test_boundary_is_inclusive(self):
-        transfers, transferred = select_transfers(
+        columns, transferred, fresh = select_transfers(
             *new_component_rows(1e-2, np.nextafter(1e-2, 0.0)), gamma_tr=1e-2, time=7)
-        assert list(transfers) == [0] and transferred.tolist() == [True, False]
+        assert columns.tolist() == [0] and transferred.tolist() == [True, False]
+        assert fresh.labels == (Label(7, 1),)
 
 
 class TestUpdateLegacyTrack:
@@ -260,7 +266,7 @@ class TestOnePassUpdate:
         det = {2: Hypothesis(0.2, 1.0, det_w / det_w.sum())}
         marginals = [{0: 0.4, 2: 0.6}, {0: 0.0, 2: 0.0}, {0: 1.0, 2: 0.0}]
         weights = rng.random(9)
-        comp = Pending(Label(2, 1), 0.7, (weights / weights.sum(), support[:9]), fresh=True)
+        comp = block_of([(0.7, weights / weights.sum(), support[:9])], birth_time=2)
         a, b = np.random.default_rng(6), np.random.default_rng(6)
         one_by_one = [update_legacy_track(Label(1, i + 1), marginal, miss, det, support, 64, a)
                       for i, marginal in enumerate(marginals)]
@@ -273,48 +279,54 @@ class TestOnePassUpdate:
                            cuts, np.tile(det[2].weights, 3), np.ones(3))
         legacy = np.array([[m[0], 0.0, m[2] * det[2].existence] for m in marginals])
         r, mixture = legacy_mixture(group, legacy)
-        pending = [Pending(Label(1, i + 1), row_r, (weights, support) if row_r else None)
-                   for i, (row_r, weights) in enumerate(zip(r.tolist(), mixture.reshape(3, 40)))]
-        pending.append(comp._replace(existence=0.5 * comp.existence))
-        one_pass = _resampled(pending, 64, b).tracks()
+        pending = block_of([(row_r, weights, support)
+                            for row_r, weights in zip(r.tolist(), mixture.reshape(3, 40))])
+        # the step keeps the rows with a pdf only: the dead row is recycled
+        one_pass = _next_block(pending, np.array([0, 2]), comp._replace(
+            existence=0.5 * comp.existence), 64, b).tracks()
         assert a.random() == b.random()
         assert one_by_one[1].existence == 0.0 and len(one_by_one[1].pdf) == 0
-        for x, y in zip(one_by_one, one_pass):
+        for x, y in zip(one_by_one[:1] + one_by_one[2:], one_pass, strict=True):
             assert (x.label, x.existence) == (y.label, y.existence)
             assert np.array_equal(x.pdf.states, y.pdf.states)
             assert np.array_equal(x.pdf.weights, y.pdf.weights)
 
 
 class TestResampleGate:
-    """`_resampled` copies a kept row of the budget's length whose effective
+    """`_next_block` copies a kept row of the budget's length whose effective
     sample size is at least half the budget and resamples every other kept
     row; a recycled row reaches `update_phd` as it is."""
 
     budget = 64
 
-    def row(self, weights, label=Label(1, 1), existence=0.7):
+    def row(self, weights, existence=0.7, birth_time=1):
+        """A one-row block of `weights` over random states."""
         states = np.random.default_rng(1).normal(size=(len(weights), 4))
-        return Pending(label, existence, (np.asarray(weights, dtype=float), states))
+        return block_of([(existence, np.asarray(weights, dtype=float), states)], birth_time)
 
-    def gate(self, kept, seed=5):
-        """The block's rows and the generator after the call."""
+    def gate(self, p, fresh=False, seed=5):
+        """The next block's rows and the generator after the call, with `p`
+        the one kept legacy row, or with `p` the one fresh transfer."""
         rng = np.random.default_rng(seed)
-        return _resampled(kept, self.budget, rng).rows(), rng
+        if fresh:
+            return _next_block(block_of([]), np.empty(0, np.intp), p, self.budget,
+                               rng).rows(), rng
+        return _next_block(p, np.zeros(1, np.intp), block_of([]), self.budget, rng).rows(), rng
 
     def test_healthy_row_is_copied_and_draws_nothing(self):
         weights = np.random.default_rng(2).random(self.budget) + 0.5
         p = self.row(weights / weights.sum())
-        [(states, weights)], rng = self.gate([p])
-        assert np.array_equal(states, p.row[1]) and np.array_equal(weights, p.row[0])
+        [(states, weights)], rng = self.gate(p)
+        assert np.array_equal(states, p.states) and np.array_equal(weights, p.weights)
         assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
 
     def test_degenerate_row_is_resampled(self):
         # 8 equal weights among 64: ESS 8 < 32
         weights = np.append(np.full(8, 1 / 8), np.zeros(self.budget - 8))
         p = self.row(weights)
-        [(states, out)], rng = self.gate([p])
+        [(states, out)], rng = self.gate(p)
         [(idx, weight)] = resample_rows([weights], self.budget, np.random.default_rng(5))
-        assert np.array_equal(states, p.row[1][idx]) and np.array_equal(out, np.full(64, weight))
+        assert np.array_equal(states, p.states[idx]) and np.array_equal(out, np.full(64, weight))
         assert idx.max() < 8
         fresh = np.random.default_rng(5)
         fresh.random(1)
@@ -324,26 +336,26 @@ class TestResampleGate:
     def test_row_of_another_length_is_resampled(self, count):
         # uniform weights: the ESS is the row's length, at least the budget's half from 63 on
         p = self.row(np.full(count, 1.0 / count))
-        [(states, weights)], _ = self.gate([p])
-        [(idx, weight)] = resample_rows([p.row[0]], self.budget, np.random.default_rng(5))
-        assert np.array_equal(states, p.row[1][idx])
+        [(states, weights)], _ = self.gate(p)
+        [(idx, weight)] = resample_rows([p.weights], self.budget, np.random.default_rng(5))
+        assert np.array_equal(states, p.states[idx])
         assert np.array_equal(weights, np.full(self.budget, weight))
 
     @pytest.mark.parametrize("count", [1, 63, 64, 1000])
     def test_fresh_row_is_copied_at_its_length_and_draws_nothing(self, count):
         # a degenerate fresh row is carried too: a transfer is never resampled
         weights = np.append(np.full(count - count // 2, 1.0), np.zeros(count // 2))
-        p = self.row(weights / weights.sum())._replace(fresh=True)
-        [(states, out)], rng = self.gate([p])
-        assert np.array_equal(states, p.row[1]) and np.array_equal(out, p.row[0])
+        p = self.row(weights / weights.sum(), birth_time=2)
+        [(states, out)], rng = self.gate(p, fresh=True)
+        assert np.array_equal(states, p.states) and np.array_equal(out, p.weights)
         assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
 
     def test_ess_of_exactly_half_the_budget_is_kept(self):
         weights = np.append(np.full(32, 1 / 32), np.zeros(32))
         assert weights.sum() ** 2 / (weights @ weights) == self.budget / 2
         p = self.row(weights)
-        [(states, out)], rng = self.gate([p])
-        assert np.array_equal(states, p.row[1]) and np.array_equal(out, weights)
+        [(states, out)], rng = self.gate(p)
+        assert np.array_equal(states, p.states) and np.array_equal(out, weights)
         assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
 
     def test_recycled_row_comes_back_with_its_own_arrays(self, monkeypatch):
@@ -352,30 +364,36 @@ class TestResampleGate:
         # are recycled and neither is copied nor resampled into the block; the
         # row reaches `update_phd` with its own arrays, the dead track not at all
         seen = {}
-        split, resampled, phd_update = (lmbp.update.split_by_retention, lmbp.update._resampled,
-                                        lmbp.update.update_phd)
+        evidence, split = lmbp.update.track_evidence, lmbp.update.split_by_retention
+        next_block, phd_update = lmbp.update._next_block, lmbp.update.update_phd
 
-        def split_spy(*args):
-            seen["kept"], seen["recycled"] = split(*args)
+        def evidence_spy(block, *args):
+            seen["predicted"] = block
+            return evidence(block, *args)
+
+        def split_spy(existence, rows, gamma_leg):
+            seen["r"] = existence
+            seen["kept"], seen["recycled"] = split(existence, rows, gamma_leg)
             return seen["kept"], seen["recycled"]
 
-        def resampled_spy(kept, budget, rng):
-            seen["before"] = rng.bit_generator.state
-            block = resampled(kept, budget, rng)
+        def next_block_spy(pending, kept, fresh, budget, rng):
+            seen["before"], seen["pending"] = rng.bit_generator.state, pending
+            block = next_block(pending, kept, fresh, budget, rng)
             seen["rows"], seen["after"] = block.rows(), rng.bit_generator.state
             return block
 
-        def phd_spy(recycled, *args):
-            seen["to_phd"] = recycled
-            return phd_update(recycled, *args)
+        def phd_spy(tracks, recycled, *args):
+            seen["tracks"], seen["to_phd"] = tracks, recycled
+            return phd_update(tracks, recycled, *args)
 
         @dataclass(frozen=True)
         class SureBeyond250(ConstantPdSensor):
             def detection_prob_at(self, rho):
                 return np.where(np.asarray(rho) > 250.0, 1.0, self.pd_const)
 
+        monkeypatch.setattr(lmbp.update, "track_evidence", evidence_spy)
         monkeypatch.setattr(lmbp.update, "split_by_retention", split_spy)
-        monkeypatch.setattr(lmbp.update, "_resampled", resampled_spy)
+        monkeypatch.setattr(lmbp.update, "_next_block", next_block_spy)
         monkeypatch.setattr(lmbp.update, "update_phd", phd_spy)
         weights = np.append(np.full(8, 1 / 8), np.zeros(3))
         tracks = (BernoulliTrack(Label(1, 2), 0.02, ParticleSet(pdf_at(200.0, n=11).states,
@@ -386,12 +404,15 @@ class TestResampleGate:
                         models.birth)
         lmbp_step(FilterState(tracks, PoissonPhd.empty(), 1), [], models, Thresholds(),
                   np.random.default_rng(5), settings=small_settings())
-        recycled, dead = seen["recycled"]
-        assert (recycled.label, dead) == (Label(1, 2), Pending(Label(1, 3), 0.0, None))
-        assert seen["kept"] == [] and seen["rows"] == []
-        assert seen["to_phd"] == [recycled]
-        assert seen["to_phd"][0].row[0] is recycled.row[0]
-        assert seen["to_phd"][0].row[1] is recycled.row[1]
+        pending = seen["pending"]
+        recycled, dead = seen["recycled"].tolist()
+        assert (pending.labels[recycled], pending.labels[dead]) == (Label(1, 2), Label(1, 3))
+        assert seen["r"][dead] == 0.0 < seen["r"][recycled]
+        assert seen["kept"].size == 0 and seen["rows"] == []
+        assert seen["to_phd"].tolist() == [recycled]
+        # the step's pending block: the predicted states, the mixture's weights
+        assert seen["tracks"] is pending and pending.states is seen["predicted"].states
+        assert len(pending.rows()[recycled][1]) == 11
         assert seen["after"] == seen["before"]
 
     def test_nan_row_still_raises(self):
@@ -399,39 +420,79 @@ class TestResampleGate:
         weights[3] = np.nan
         p = self.row(weights)
         with pytest.raises(ValueError, match="degenerate particle set: row 0"):
-            self.gate([p])
+            self.gate(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(budget=st.integers(min_value=1, max_value=1100),
+           lengths=st.lists(st.sampled_from(["budget", "other", "empty"]), max_size=24),
+           special=st.lists(st.sampled_from([np.nan, np.inf, -np.inf, 0.0]), max_size=4),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_block_gate_decides_every_row_as_the_row_alone(self, budget, lengths, special,
+                                                            seed):
+        # rows of the budget's length, of other lengths and empty, in any
+        # order, some degenerate, some of an ESS of exactly half the budget,
+        # some with NaN or infinite weights: the block's one pass keeps each
+        # row that the one-row reference keeps, and no other
+        rng = np.random.default_rng(seed)
+        sizes = [budget if kind == "budget" else 0 if kind == "empty"
+                 else int(rng.integers(1, 2 * budget + 2)) for kind in lengths]
+        rows = []
+        for size in sizes:
+            w = rng.random(size) ** float(rng.choice([1.0, 8.0, 64.0]))
+            if size and size % 2 == 0 and rng.random() < 0.3:   # an ESS of half the length
+                w = np.append(np.full(size // 2, 2.0 / size), np.zeros(size // 2))
+            rows.append(w)
+        weights = np.concatenate(rows + [np.empty(0)])
+        if weights.size:
+            weights[rng.integers(0, weights.size, len(special))] = special
+        offsets = np.append(0, np.cumsum(sizes, dtype=np.intp))
+        cuts = offsets.tolist()
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = [carried(weights[a:b], budget) for a, b in zip(cuts, cuts[1:])]
+        # each row's first `budget` weights, as `_next_block` gathers them; a
+        # read past the last particle finds NaN
+        heads = np.append(weights, np.nan).take(offsets[:-1, None] + np.arange(budget),
+                                                mode="clip")
+        assert _carried_rows(heads, np.diff(offsets)).tolist() == expected
 
 
 class TestSplitByRetention:
     def test_low_legacy_recycled(self):
-        track = BernoulliTrack(Label(1, 1), 0.005, pdf_at(0.0))
-        kept, recycled = split_by_retention([track], gamma_leg=0.01, time=5)
-        assert kept == [] and recycled == [track]
+        kept, recycled = split_by_retention(np.array([0.005]), np.array([0]), gamma_leg=0.01)
+        assert kept.tolist() == [] and recycled.tolist() == [0]
 
     def test_fresh_transfer_exempt(self):
-        track = BernoulliTrack(Label(5, 2), 0.005, pdf_at(0.0))
-        kept, recycled = split_by_retention([track], gamma_leg=0.01, time=5)
-        assert kept == [track] and recycled == []
+        # the step splits its legacy rows only: a transfer of r < gamma_leg,
+        # born this step, enters the next block all the same
+        kept, recycled = split_by_retention(np.empty(0), np.empty(0, np.intp), gamma_leg=0.01)
+        assert kept.size == recycled.size == 0
+        fresh = component(0.005)
+        block = _next_block(block_of([]), kept, fresh, 4, np.random.default_rng(0))
+        assert block.labels == fresh.labels and block.existence.tolist() == [0.005]
 
     def test_boundary_is_inclusive(self):
-        track = BernoulliTrack(Label(1, 1), 0.01, pdf_at(0.0))
-        kept, recycled = split_by_retention([track], gamma_leg=0.01, time=5)
-        assert kept == [track] and recycled == []
+        kept, recycled = split_by_retention(np.array([0.01]), np.array([0]), gamma_leg=0.01)
+        assert kept.tolist() == [0] and recycled.tolist() == []
 
     def test_no_track_in_both(self):
         rng = np.random.default_rng(0)
-        tracks = [BernoulliTrack(Label(int(rng.integers(1, 6)), i + 1),
-                                 float(rng.random()), pdf_at(0.0))
-                  for i in range(30)]
-        kept, recycled = split_by_retention(tracks, gamma_leg=0.3, time=5)
+        existence = rng.random(30)
+        existence[[3, 7]] = 0.0, np.nan   # a dead track and a NaN one are recycled
+        rows = rng.permutation(30)
+        kept, recycled = split_by_retention(existence, rows, gamma_leg=0.3)
         assert len(kept) + len(recycled) == 30
-        assert not ({t.label for t in kept} & {t.label for t in recycled})
+        assert not (set(kept.tolist()) & set(recycled.tolist()))
+        assert {3, 7} <= set(recycled.tolist())
+        # each keeps the order of `rows`
+        where = np.argsort(rows)
+        assert (np.diff(where[kept]) > 0).all() and (np.diff(where[recycled]) > 0).all()
 
 
-def recycled_row(label, existence, pdf):
-    """A recycled track as `update_phd` takes it: its label, its existence and
-    its resampled row (weights, states)."""
-    return Pending(label, existence, (pdf.weights, pdf.states))
+def recycled_rows(*rows):
+    """Recycled tracks as `update_phd` takes them: a block of
+    `(existence, pdf)` rows, unchecked, and every row's index."""
+    return (block_of([(r, pdf.weights, pdf.states) for r, pdf in rows]),
+            np.arange(len(rows)))
 
 
 def no_rows(n):
@@ -442,27 +503,27 @@ def no_rows(n):
 class TestUpdatePhd:
     def test_blind_sensor_preserves_mass(self):
         phd = PoissonPhd(pdf_at(0.0, n=40, weight=0.7))
-        out = update_phd([], *no_rows(40), phd, np.zeros(40), 100,
+        out = update_phd(*recycled_rows(), *no_rows(40), phd, np.zeros(40), 100,
                          np.random.default_rng(0))
         assert out.mean == pytest.approx(0.7, abs=1e-12)
 
     def test_perfect_sensor_empties_intensity(self):
         phd = PoissonPhd(pdf_at(0.0, n=40, weight=0.7))
-        out = update_phd([], *no_rows(40), phd, np.ones(40), 100,
+        out = update_phd(*recycled_rows(), *no_rows(40), phd, np.ones(40), 100,
                          np.random.default_rng(0))
         assert out.mean == 0.0 and len(out.particles) == 0
 
     def test_three_term_additivity(self):
         # recycled r 0.3 + unclaimed d / beta = 0.4 / 2 + undetected 0.2 * (1 - 0.5)
-        recycled = [recycled_row(Label(1, 1), 0.3, pdf_at(1.0))]
+        recycled = recycled_rows((0.3, pdf_at(1.0)))
         phd = PoissonPhd(pdf_at(3.0, n=10, weight=0.2))
-        out = update_phd(recycled, np.array([2.0]), cells_of(np.full((1, 10), 0.04)), phd,
+        out = update_phd(*recycled, np.array([2.0]), cells_of(np.full((1, 10), 0.04)), phd,
                          np.full(10, 0.5), 500, np.random.default_rng(0))
         assert out.mean == pytest.approx(0.3 + 0.2 + 0.1, abs=1e-9)
         assert len(out.particles) == 500
 
     def test_zero_mass_gives_empty(self):
-        out = update_phd([], *no_rows(0), PoissonPhd.empty(), np.empty(0), 100,
+        out = update_phd(*recycled_rows(), *no_rows(0), PoissonPhd.empty(), np.empty(0), 100,
                          np.random.default_rng(0))
         assert out.mean == 0.0
 
@@ -474,14 +535,17 @@ class TestUpdatePhd:
         rng = np.random.default_rng(seed)
         phd = PoissonPhd(ParticleSet(rng.normal(size=(50, 4)), rng.random(50) * 0.01))
         pd = np.where(rng.random(50) < 0.2, 1.0, rng.random(50))
-        recycled = [recycled_row(Label(1, i + 1), r, ParticleSet(
-            rng.normal(size=(n, 4)), np.append(rng.random(n - 1), 0.0)))
-            for i, (r, n) in enumerate([(0.2, 7), (0.01, 1000), (0.5, 3)])]
-        out = update_phd(recycled, *no_rows(50), phd, pd, 300, np.random.default_rng(seed))
+        rows = [(r, ParticleSet(rng.normal(size=(n, 4)), np.append(rng.random(n - 1), 0.0)))
+                for r, n in [(0.2, 7), (0.01, 1000), (0.5, 3)]]
+        # the block holds the three rows and two more, which stay out of the union
+        block = block_of([(r, pdf.weights, pdf.states) for r, pdf in rows + rows[:2]])
+        out = update_phd(block, np.array([2, 0, 1]), *no_rows(50), phd, pd, 300,
+                         np.random.default_rng(seed))
+        rows = rows[2:] + rows[:2]
         union = ParticleSet(
-            np.concatenate([phd.particles.states] + [p.row[1] for p in recycled]),
+            np.concatenate([phd.particles.states] + [pdf.states for _, pdf in rows]),
             np.concatenate([phd.particles.weights * (1.0 - pd)]
-                           + [p.existence * p.row[0] for p in recycled]))
+                           + [r * pdf.weights for r, pdf in rows]))
         want = resample(union, 300, np.random.default_rng(seed))
         assert np.array_equal(out.particles.states, want.states)
         assert np.array_equal(out.particles.weights, want.weights)
@@ -495,15 +559,14 @@ class TestUpdatePhd:
         pd = rng.random(50)
         table = rng.random((3, 50)) * 1e-3 * (rng.random((3, 50)) < 0.5)
         beta = 0.5 + rng.random(3)
-        recycled = []
-        for i, (r, n) in enumerate([(0.004, 7), (0.009, 64), (0.002, 1), (0.006, 1000)]):
+        rows = []
+        for r, n in [(0.004, 7), (0.009, 64), (0.002, 1), (0.006, 1000)]:
             weights = rng.random(n) ** 4
-            recycled.append(Pending(Label(1, i + 1), r,
-                                    (weights / weights.sum(), rng.normal(size=(n, 4)))))
-        out = update_phd(recycled, beta, cells_of(table), phd, pd, 300,
+            rows.append((r, weights / weights.sum(), rng.normal(size=(n, 4))))
+        out = update_phd(block_of(rows), np.arange(4), beta, cells_of(table), phd, pd, 300,
                          np.random.default_rng(0))
         want = (((1.0 - pd) * phd.particles.weights).sum() + (table.sum(axis=1) / beta).sum()
-                + sum(p.existence for p in recycled))
+                + sum(r for r, _, _ in rows))
         assert out.mean == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
@@ -512,9 +575,9 @@ class TestUpdatePhd:
         phd = PoissonPhd(pdf_at(0.0, n=10, weight=0.5))
         weights = np.full(4, 0.25)
         weights[2] = bad
-        recycled = [Pending(Label(1, 1), 0.5, (weights, np.zeros((4, 4))))]
+        recycled = block_of([(0.5, weights, np.zeros((4, 4)))]), np.zeros(1, np.intp)
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            update_phd(recycled, *no_rows(10), phd, np.zeros(10), 100,
+            update_phd(*recycled, *no_rows(10), phd, np.zeros(10), 100,
                        np.random.default_rng(0))
 
     @pytest.mark.parametrize("seed", range(5))
@@ -529,8 +592,8 @@ class TestUpdatePhd:
         table = np.array([[0.0, 0.05, 0.1, 0.0], [0.2, 0.0, 0.0, 0.1]])
         track_states = np.zeros((2, 4))
         track_states[:, 0] = [50.0, 60.0]
-        recycled = [recycled_row(Label(1, 1), 0.25, ParticleSet(track_states, [0.4, 0.6]))]
-        out = update_phd(recycled, beta, cells_of(table),
+        recycled = recycled_rows((0.25, ParticleSet(track_states, [0.4, 0.6])))
+        out = update_phd(*recycled, beta, cells_of(table),
                          PoissonPhd(ParticleSet(phd_states, w)), pd, 1000,
                          np.random.default_rng(seed))
         weights = np.concatenate([w * (1 - pd) + table[0] / 0.5 + table[1] / 2.0,
@@ -565,15 +628,17 @@ class TestSparseIntensityArithmetic:
             phd, pd, lik, sensor.clutter_intensity_at(np.array([z.range for z in frame])))
         assert np.array_equal(beta, ref_beta) and np.array_equal(mass, ref_mass)
 
-        transfers, transferred = select_transfers(beta, mass, cells, states, 0.1, time=3)
-        assert list(transfers) == np.flatnonzero(transferred).tolist()
-        for row, component in transfers.items():
+        columns, transferred, fresh = select_transfers(beta, mass, cells, states, 0.1, time=3)
+        assert columns.tolist() == np.flatnonzero(transferred).tolist()
+        assert len(fresh.labels) == len(columns)
+        for t, row in enumerate(columns.tolist()):
             # the cells of the row of at least TRANSFER_CUT d in particle
             # order, over d; the track carries that row, not drawn to 64
-            assert component.label == Label(3, row + 1)
+            component = block_row(fresh, t)
+            assert component.labels == (Label(3, row + 1),)
             kept = table[row] >= TRANSFER_CUT * mass[row]
             dense = table[row] / mass[row]
-            weights, support = component.row
+            [(support, weights)] = component.rows()
             assert np.array_equal(support, states[kept])
             assert np.array_equal(weights, dense[kept])
             track = update_transferred_track(component, 1.0, 64, np.random.default_rng(0))
@@ -590,8 +655,8 @@ class TestSparseIntensityArithmetic:
         monkeypatch.setattr(lmbp.update, "resample_rows", spy)
         unclaimed = np.zeros(m, dtype=bool)
         unclaimed[~transferred] = rng.random(m - transferred.sum()) < 0.8
-        recycled = [recycled_row(Label(1, 1), 0.5, pdf_at(0.0))]
-        update_phd(recycled, beta[unclaimed], _rows_of(cells, unclaimed), phd, pd, 64, rng)
+        recycled = recycled_rows((0.5, pdf_at(0.0)))
+        update_phd(*recycled, beta[unclaimed], _rows_of(cells, unclaimed), phd, pd, 64, rng)
         assert np.array_equal(
             weights[0], dense_phd_weights(phd, pd, beta[unclaimed], table[unclaimed]))
 
@@ -632,9 +697,9 @@ class TestSparseIntensityArithmetic:
         seen = []
         real = lmbp.update.update_phd
 
-        def spy(recycled, beta, cells, *args):
+        def spy(tracks, recycled, beta, cells, *args):
             seen.append((beta.copy(), cells[0].copy()))
-            return real(recycled, beta, cells, *args)
+            return real(tracks, recycled, beta, cells, *args)
 
         monkeypatch.setattr(lmbp.update, "update_phd", spy)
         with np.errstate(invalid="ignore", over="ignore"):
@@ -732,20 +797,20 @@ class TestLmbpStep:
         # TRANSFER_CUT d) enters the block last, unresampled: the block's
         # one resampling pass draws the legacy row's uniform only
         seen = {}
-        select, resampled = lmbp.update.select_transfers, lmbp.update._resampled
+        select, next_block = lmbp.update.select_transfers, lmbp.update._next_block
 
         def select_spy(*args):
-            seen["transfers"], transferred = select(*args)
-            return seen["transfers"], transferred
+            columns, transferred, seen["transfers"] = select(*args)
+            return columns, transferred, seen["transfers"]
 
-        def resampled_spy(kept, budget, rng):
+        def next_block_spy(pending, kept, fresh, budget, rng):
             seen["before"] = copy.deepcopy(rng.bit_generator.state)
-            block = resampled(kept, budget, rng)
+            block = next_block(pending, kept, fresh, budget, rng)
             seen["after"] = rng.bit_generator.state
             return block
 
         monkeypatch.setattr(lmbp.update, "select_transfers", select_spy)
-        monkeypatch.setattr(lmbp.update, "_resampled", resampled_spy)
+        monkeypatch.setattr(lmbp.update, "_next_block", next_block_spy)
         spread = np.random.default_rng(2).normal(0.0, 3.0, (40, 4)) * [1.0, 1.0, 0.0, 0.0]
         phd = PoissonPhd(ParticleSet(spread + [150.0, 0.0, 0.0, 0.0], np.full(40, 0.02)))
         state = FilterState((BernoulliTrack(Label(1, 1), 0.9, pdf_at(50.0, n=8)),), phd, 1)
@@ -754,12 +819,12 @@ class TestLmbpStep:
                  for at in ([150.0, 0.0, 0.0, 0.0], [50.0, 0.0, 0.0, 0.0])]
         out = lmbp_step(state, frame, models, Thresholds(), np.random.default_rng(0),
                         settings=small_settings())
-        [fresh] = seen["transfers"].values()
-        assert fresh.fresh and fresh.label == Label(2, 1)
+        fresh = seen["transfers"]
+        assert fresh.labels == (Label(2, 1),) and out.time == 2   # born this step
         assert out.block.labels == (Label(1, 1), Label(2, 1))
         (_, legacy_weights), (states, weights) = out.block.rows()
         assert len(legacy_weights) == 64 and 0 < len(weights) != 64
-        assert np.array_equal(weights, fresh.row[0]) and np.array_equal(states, fresh.row[1])
+        assert np.array_equal(weights, fresh.weights) and np.array_equal(states, fresh.states)
         drawn = np.random.default_rng(0)
         drawn.bit_generator.state = seen["before"]
         drawn.random(1)
