@@ -151,8 +151,8 @@ def _carried_rows(heads: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     heads' `np.vecdot` and sum give each row the bits of its own `w @ w` and
     `w.sum()`; the heads of a row of another length are not its weights."""
     budget = heads.shape[1]
-    squares, total = np.vecdot(heads, heads), heads.sum(axis=1)
     with np.errstate(all="ignore"):   # the rows that fail the other tests
+        squares, total = np.vecdot(heads, heads), heads.sum(axis=1)
         ess = total * total / squares
     return (lengths == budget) & (0.0 < squares) & (squares < np.inf) & (ess >= _ESS_SHARE * budget)
 
