@@ -50,7 +50,8 @@ class TrackGroup(NamedTuple):
     where beta <= 0 or c <= 0; and the evaluated pairs in strictly ascending
     (row, col) order, pair k being row pair_row[k] with `frame[pair_col[k]]`,
     whose w pD f(z|.) over the row's particles is `lik[cuts[k]:cuts[k + 1]]`,
-    summing to b[k]."""
+    summing to b[k], or b[k] = 0 where r b < gamma_c: such a pair weighs
+    nothing."""
 
     offsets: np.ndarray                            # (L + 1,)
     miss: np.ndarray                               # (P,)
@@ -68,17 +69,17 @@ class TrackEvidence(NamedTuple):
     against one frame; row i is the block's row i.
 
     Per track: c = sum_n w_n (1 - pD(x_n)) and miss_beta = 1 - r + r c; per
-    measurement m: b = sum_n w_n pD(x_n) f(z_m|x_n) and betas[i, m-1] = r b.
-    `group` holds the unnormalized weight runs; a pair the likelihood gate
-    left out has no run and b = 0. A `deferred` pair weighs less than
-    gamma_c, lies in no cluster and was never evaluated: betas holds 0 for
-    it. `row_of` and `col_of` label each row's and each column's cluster, as
+    measurement m: b = sum_n w_n pD(x_n) f(z_m|x_n) and betas[i, m-1] = r b
+    where the pair is plausible, r b >= gamma_c and r b > 0, or NaN; every
+    other pair weighs nothing and betas holds 0. So the nonzero entries are
+    the association's edges. `group` holds the unnormalized weight runs; a
+    pair the likelihood gate or the weight bound left out has no run.
+    `row_of` and `col_of` label each row's and each column's cluster, as
     `partition` reads them."""
 
     miss_beta: np.ndarray                          # (L,)
     betas: np.ndarray                              # (L, M)
     group: TrackGroup
-    deferred: np.ndarray                           # (L, M) bool
     row_of: np.ndarray                             # (L,) cluster name
     col_of: np.ndarray                             # (M,) cluster name, -1 for none
 
@@ -95,10 +96,8 @@ class TrackEvidence(NamedTuple):
 
     def detection(self, i: int, m: int) -> Hypothesis:
         """Row i's detection of measurement m (counted from 1): beta = r b,
-        existence 1 and pdf weights w pD f(z_m|.) / b; b = 0 yields beta = 0
-        and no pdf. A deferred pair raises ValueError."""
-        if self.deferred[i, m - 1]:
-            raise ValueError(f"detection ({i}, {m}) was deferred and never evaluated")
+        existence 1 and pdf weights w pD f(z_m|.) / b; b = 0, as a pair below
+        gamma_c has, yields beta = 0 and no pdf."""
         group = self.group
         pair = np.flatnonzero((group.pair_row == i) & (group.pair_col == m - 1))
         if not pair.size or group.b[pair[0]] <= 0.0:
@@ -114,10 +113,10 @@ def track_evidence(block: TrackBlock, frame: Sequence[Measurement],
     The block's ranges, bearings and pD are computed once. Of the pairs the
     sensor's row gate keeps, one whose weight bound r sum(w pD) norm
     exp(bound) lies below gamma_c / 2 has a weight below gamma_c, so it is
-    deferred and joins no cluster it would not join evaluated. The rest are
-    evaluated at once, the plausible pairs are labelled into clusters, and
-    then the deferred pairs inside a cluster are evaluated, with the same
-    bits. gamma_c = 0 defers nothing.
+    never evaluated. The rest are evaluated at once, and an evaluated pair
+    with r b < gamma_c is given b = 0, so it weighs nothing: the plausible
+    pairs are the pairs of weight > 0, and they are labelled into clusters.
+    gamma_c = 0 leaves every pair as it is.
     """
     r, offsets = block.existence, block.offsets
     counts = np.diff(offsets)
@@ -132,37 +131,24 @@ def track_evidence(block: TrackBlock, frame: Sequence[Measurement],
     existence = np.divide(r * c, miss_beta, out=np.zeros(len(r)),
                           where=~((miss_beta <= 0.0) | (c <= 0.0)))
 
-    def evaluate(at, meas):
-        """Pairs (at, meas) as (at, meas, lik, b, cuts), into `betas` too."""
-        lengths = counts[at]
-        cuts = np.concatenate(([0], lengths.cumsum()))
-        rho_at, theta_at, detect_at = take_rows((rho, theta, detect), offsets, at)
-        lik = sensor.likelihood_rows(frame, meas, rho_at, theta_at, lengths)
-        lik *= detect_at
-        b = row_reduce(np.add, lik, cuts)
-        betas[at, meas] = r[at] * b
-        return at, meas, lik, b, cuts
-
     bound, norm = sensor.row_bounds(frame, rho, theta, offsets)
     # exp, the products and the N-term sum can exceed this weight bound
     # by a few ulps only; halving gamma_c is the fixed margin for that.
-    # A non-finite bound compares False and is evaluated now.
+    # A non-finite bound compares False and is evaluated.
     ceiling = (r * row_reduce(np.add, detect, offsets))[:, None] * norm * np.exp(bound)
-    kept = bound >= EXP_FLOOR
-    deferred = kept & (ceiling < 0.5 * gamma_c)
-    at, meas, lik, b, cuts = evaluate(*(kept & ~deferred).nonzero())
-    row_of, col_of = _components(betas, gamma_c)
-    joined = deferred & (row_of[:, None] == col_of)
-    if joined.any():
-        more = evaluate(*joined.nonzero())
-        deferred &= ~joined
-        at, meas, lik, b = (np.concatenate(parts) for parts in zip((at, meas, lik, b), more))
-        order = np.lexsort((meas, at))
-        [lik] = take_rows([lik], np.concatenate(([0], counts[at].cumsum())), order)
-        at, meas, b = at[order], meas[order], b[order]
-        cuts = np.concatenate(([0], counts[at].cumsum()))
+    at, meas = ((bound >= EXP_FLOOR) & ~(ceiling < 0.5 * gamma_c)).nonzero()
+    lengths = counts[at]
+    cuts = np.concatenate(([0], lengths.cumsum()))
+    rho_at, theta_at, detect_at = take_rows((rho, theta, detect), offsets, at)
+    lik = sensor.likelihood_rows(frame, meas, rho_at, theta_at, lengths)
+    lik *= detect_at
+    b = row_reduce(np.add, lik, cuts)
+    # the plausibility rule: a pair below gamma_c weighs nothing; NaN compares False
+    b[r[at] * b < gamma_c] = 0.0
+    betas[at, meas] = r[at] * b
+    row_of, col_of = _components(betas)
     group = TrackGroup(offsets, miss, c, existence, at, meas, cuts, lik, b)
-    return TrackEvidence(miss_beta, betas, group, deferred, row_of, col_of)
+    return TrackEvidence(miss_beta, betas, group, row_of, col_of)
 
 
 def detection_hypotheses(track: BernoulliTrack, frame: Sequence[Measurement],
@@ -219,15 +205,16 @@ def new_components(phd: PoissonPhd, pd: np.ndarray, frame: Sequence[Measurement]
 # ---------------------------------------------------------------------------
 
 
-def _components(betas: np.ndarray, gamma_c: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's and each column's connected component of the plausible pairs
-    of `betas` (L, M), named by its smallest row; -1 for a column in no pair.
+def _components(betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's and each column's connected component of the pairs of
+    `betas` (L, M) that weigh more than 0, named by its smallest row; -1 for
+    a column in no pair. In `track_evidence`'s table these are the plausible
+    pairs; a zero or NaN weight joins nothing.
 
-    A pair is plausible when its weight is >= gamma_c and > 0, so a zero
-    weight never is. Rounds pass the smallest name from rows to columns and
-    back until none changes."""
+    Rounds pass the smallest name from rows to columns and back until none
+    changes."""
     count, cols = betas.shape
-    edge_row, edge_col = np.nonzero((betas >= gamma_c) & (betas > 0.0))
+    edge_row, edge_col = np.nonzero(betas > 0.0)
     row_of, named = None, np.arange(count)
     while not np.array_equal(named, row_of):
         row_of, col_of = named, np.full(cols, count)
@@ -369,11 +356,11 @@ def exact_marginals(miss_beta: np.ndarray, betas: np.ndarray, new_beta: np.ndarr
     """The step's one marginal call: `batch_bp_marginals`' tables, list and
     layout. BP is exact on an acyclic cluster, so `_pass_marginals` solves a
     cluster only if it is connected with a cycle: at least two rows and two
-    columns, and edges, the nonzero entries of its table that BP reads
-    (joined deferred pairs too; a transfer label closes no cycle), numbering
-    at least its rows plus its columns. Its pass must also cost at most
-    `EXACT_COST_LIMIT`, and its weights must be finite. The rest go through
-    one `batch_bp_marginals`."""
+    columns, and edges, the nonzero entries of its table that BP reads (the
+    plausible pairs of `track_evidence`'s table; a transfer label closes no
+    cycle), numbering at least its rows plus its columns. Its pass must also
+    cost at most `EXACT_COST_LIMIT`, and its weights must be finite. The
+    rest go through one `batch_bp_marginals`."""
     solved, batched = [], []
     for rows, cols in clusters:
         E, K = sorted((len(rows), len(cols)))

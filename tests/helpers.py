@@ -3,16 +3,14 @@ hypothesis pdfs, the closed-form and dense likelihood references and the dense i
 references."""
 
 import itertools
-from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
 
 import lmbp.association
-import lmbp.update
 from lmbp.association import Marginals
 from lmbp.models import SensorModel, wrap_angle
-from lmbp.rfs import Label, ParticleSet, TrackBlock
+from lmbp.rfs import Label, ParticleSet, TrackBlock, row_reduce
 
 
 class StubSensor:
@@ -223,37 +221,19 @@ def dense_phd_weights(phd, pd, beta, table):
 
 def partition_of(betas, gamma_c):
     """`partition` of the labelling that `track_evidence` gives the weights
-    `betas` (L, M) at the plausibility threshold `gamma_c`."""
-    return lmbp.association.partition(*lmbp.association._components(betas, gamma_c))
+    `betas` (L, M) at the plausibility threshold `gamma_c`: the clusters of
+    the pairs >= gamma_c and > 0, with every weight below gamma_c set to 0."""
+    plausible = np.where(np.asarray(betas) < gamma_c, 0.0, betas)
+    return lmbp.association.partition(*lmbp.association._components(plausible))
 
 
-def count_joined_rows(monkeypatch, counts: Counter) -> None:
-    """Add to counts["deferred evaluated"] every track row that
-    `track_evidence` evaluates after it labels the clusters: the pairs its
-    gate deferred that joined a cluster. The window closes at the next call
-    through `lmbp.update`, the step's next `track_evidence`; a direct call
-    counts alone in a fresh `monkeypatch`."""
-    labelled = [False]
-    track_evidence = lmbp.update.track_evidence
-    components = lmbp.association._components
-    likelihood_rows = SensorModel.likelihood_rows
-
-    def evidence_spy(*args, **kwargs):
-        labelled[0] = False
-        return track_evidence(*args, **kwargs)
-
-    def components_spy(*args):
-        labelled[0] = True
-        return components(*args)
-
-    def rows_spy(sensor, frame, meas, rho, theta, lengths):
-        if labelled[0]:
-            counts["deferred evaluated"] += len(meas)
-        return likelihood_rows(sensor, frame, meas, rho, theta, lengths)
-
-    monkeypatch.setattr(lmbp.update, "track_evidence", evidence_spy)
-    monkeypatch.setattr(lmbp.association, "_components", components_spy)
-    monkeypatch.setattr(SensorModel, "likelihood_rows", rows_spy)
+def light_pairs(evidence) -> int:
+    """The pairs `track_evidence` evaluated inside a cluster whose weight run
+    has mass but which weigh nothing, r b < gamma_c having set b to 0."""
+    group = evidence.group
+    inside = evidence.row_of[group.pair_row] == evidence.col_of[group.pair_col]
+    mass = row_reduce(np.add, group.lik, group.cuts)
+    return int(np.count_nonzero(inside & (group.b == 0.0) & (mass > 0.0)))
 
 
 def per_track_prediction(tracks, motion, rng):

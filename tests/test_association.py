@@ -1,6 +1,5 @@
 import re
 import warnings
-from collections import Counter
 from random import Random
 
 import numpy as np
@@ -13,6 +12,7 @@ import lmbp.association
 from lmbp.association import (
     BP_ROUNDS,
     EXACT_COST_LIMIT,
+    Hypothesis,
     Marginals,
     _check_marginals,
     _pass_marginals,
@@ -42,7 +42,6 @@ from helpers import (
     ClusterTables,
     StubSensor,
     brute_force_marginals,
-    count_joined_rows,
     dense_likelihood_table,
     max_label_tv,
     partition_of,
@@ -295,48 +294,48 @@ class TestTrackEvidence:
 
 
 def assert_gate_exact(tracks, frame, sensor, gamma_c):
-    """`track_evidence` with gamma_c against full evaluation (gamma_c = 0):
-    the evidence's labelling gives the same clusters and residual as the
-    labelling of the full weights at gamma_c; every evaluated betas entry,
-    and every in-cluster one and pdf, is bit-identical; a pair left
-    deferred holds 0, lies in no cluster and raises in `detection`. Returns
-    the counts of pairs the gate deferred and of those evaluated inside a
-    cluster."""
+    """`track_evidence` with gamma_c against full evaluation (gamma_c = 0)
+    with every weight below gamma_c set to 0: each betas entry is that
+    masked table's, bit for bit; the labelling gives the clusters and
+    residual of `partition_of(full.betas, gamma_c)`; a pair below gamma_c
+    reads as a pair with no weight and every other detection as the full
+    one; and `exact_marginals` of the evidence equals that of the masked
+    full tables. Returns the counts of pairs the weight bound left
+    unevaluated and of evaluated pairs below gamma_c."""
     full = evidence_of(tracks, frame, sensor, 0.0)
-    joined: Counter = Counter()
-    with pytest.MonkeyPatch.context() as mp:
-        count_joined_rows(mp, joined)
-        gated = evidence_of(tracks, frame, sensor, gamma_c)
-    assert not full.deferred.any()
-    deferred = int(gated.deferred.sum())
-    assert not gated.betas[gated.deferred].any()
-    assert np.array_equal(gated.betas[~gated.deferred], full.betas[~gated.deferred],
-                          equal_nan=True)
+    gated = evidence_of(tracks, frame, sensor, gamma_c)
+    below = full.betas < gamma_c
+    masked = np.where(below, 0.0, full.betas)
+    assert np.array_equal(gated.betas, masked, equal_nan=True)
+    assert np.array_equal(gated.miss_beta, full.miss_beta, equal_nan=True)
     clusters, residual = partition(gated.row_of, gated.col_of)
     expected, expected_residual = partition_of(full.betas, gamma_c)
     assert np.array_equal(residual, expected_residual)
     assert len(clusters) == len(expected)
     for (rows, cols), (rows_ref, cols_ref) in zip(clusters, expected):
         assert np.array_equal(rows, rows_ref) and np.array_equal(cols, cols_ref)
-        block = np.ix_(rows, cols)
-        assert not gated.deferred[block].any()
-        assert np.array_equal(gated.betas[block], full.betas[block], equal_nan=True)
-        for i in rows.tolist():
-            for m in (cols + 1).tolist():
-                ref = full.detection(i, m)
-                hyp = gated.detection(i, m)
-                assert hyp.beta == ref.beta and hyp.existence == ref.existence
-                assert np.array_equal(hyp.weights, ref.weights)
-                assert np.array_equal(pdf_of(tracks[i].pdf.states, hyp).states,
-                                      pdf_of(tracks[i].pdf.states, ref).states)
-    # the pairs joined after labelling are merged in (row, col) order
+    for i, j in np.ndindex(*below.shape):
+        hyp = gated.detection(i, j + 1)
+        ref = Hypothesis(0.0, 0.0, np.empty(0)) if below[i, j] else full.detection(i, j + 1)
+        assert np.array_equal(hyp.beta, ref.beta, equal_nan=True)
+        assert hyp.existence == ref.existence
+        assert np.array_equal(hyp.weights, ref.weights, equal_nan=True)
     group = gated.group
     assert np.all(np.diff(group.pair_row * len(frame) + group.pair_col) > 0)
-    for i, j in zip(*np.nonzero(gated.deferred)):
-        with pytest.raises(ValueError, match="deferred"):
-            gated.detection(int(i), int(j) + 1)
-    completed = joined["deferred evaluated"]
-    return deferred + completed, completed
+    new_beta = 1e-6 * (1.0 + np.arange(len(frame)) % 3)
+    transferred = np.arange(len(frame)) % 2 == 0
+    marginals = exact_marginals(gated.miss_beta, gated.betas, new_beta, transferred, clusters)
+    reference = exact_marginals(full.miss_beta, masked, new_beta, transferred, expected)
+    for got, want in zip(marginals, reference):
+        assert np.array_equal(got, want, equal_nan=True)
+    return len(full.group.b) - len(group.b), int(below[group.pair_row, group.pair_col].sum())
+
+
+def evaluated(evidence):
+    """(L, M) mask of the pairs `track_evidence` evaluated."""
+    mask = np.zeros(evidence.betas.shape, bool)
+    mask[evidence.group.pair_row, evidence.group.pair_col] = True
+    return mask
 
 
 def track_at(sensor, rho, theta, n, r, index, rng, spread=0.0):
@@ -346,9 +345,10 @@ def track_at(sensor, rho, theta, n, r, index, rng, spread=0.0):
 
 
 class TestPlausibilityGate:
-    """Pairs whose weight bound lies below gamma_c / 2 are deferred, and the
-    step reads the same clusters and the same bits as with every pair
-    evaluated."""
+    """Pairs whose weight bound lies below gamma_c / 2 are never evaluated,
+    and every pair below gamma_c weighs nothing: the step reads the same
+    clusters, weights and marginals as with every pair evaluated and the
+    weights below gamma_c set to 0."""
 
     @pytest.mark.parametrize("gamma_c", [0.0, 1e-10, 1e-3])
     @pytest.mark.parametrize("seed", range(12))
@@ -365,13 +365,14 @@ class TestPlausibilityGate:
                               spread=float(rng.uniform(0.5, 6.0)), index=i + 1)
                   for i in range(int(rng.integers(2, 7)))]
         frame = frame_near(rng, sensor, tracks, 20)
-        deferred, _ = assert_gate_exact(tracks, frame, sensor, gamma_c)
-        assert (deferred > 0) == (gamma_c > 0.0)
+        skipped, _ = assert_gate_exact(tracks, frame, sensor, gamma_c)
+        assert (skipped > 0) == (gamma_c > 0.0)
 
-    def test_deferred_pair_joins_a_cluster(self):
+    def test_light_pair_inside_a_cluster_weighs_nothing(self):
         # A and B on one bearing at ranges 100 and 110; z1 at 105 is plausible
-        # for both, z2 at 92 only for A: B's weight on z2 is ~1e-18, which the
-        # gate defers, yet (B, z2) is inside the cluster {A, B} x {z1, z2}
+        # for both, z2 at 92 only for A: B's weight on z2 is ~1e-18, below
+        # gamma_c, and (B, z2) lies inside the cluster {A, B} x {z1, z2}, yet
+        # it is never evaluated and weighs nothing in the cluster's marginals
         rng = np.random.default_rng(40)
         sensor = SensorModel()
         tracks = [track_at(sensor, 100.0, 0.3, 200, 0.8, 1, rng, spread=0.05),
@@ -379,14 +380,15 @@ class TestPlausibilityGate:
         frame = [Measurement(105.0, 0.3), Measurement(92.0, 0.3), Measurement(200.0, -2.0)]
         gated = evidence_of(tracks, frame, sensor, 1e-10)
         full = evidence_of(tracks, frame, sensor, 0.0)
-        assert not gated.deferred.any()
-        assert gated.betas[1, 1] == full.betas[1, 1]
-        assert 0.0 < gated.betas[1, 1] < 1e-10
-        assert np.array_equal(gated.detection(1, 2).weights, full.detection(1, 2).weights)
+        assert 0.0 < full.betas[1, 1] < 1e-10 and gated.betas[1, 1] == 0.0
+        assert len(gated.detection(1, 2).weights) == 0 < len(full.detection(1, 2).weights)
         clusters, residual = partition(gated.row_of, gated.col_of)
         assert [(r.tolist(), c.tolist()) for r, c in clusters] == [([0, 1], [0, 1])]
         assert residual.tolist() == [2]
-        assert assert_gate_exact(tracks, frame, sensor, 1e-10) == (1, 1)
+        legacy, _ = exact_marginals(gated.miss_beta, gated.betas, np.full(3, 1e-6),
+                                    np.zeros(3, bool), clusters)
+        assert legacy[1, 2] == 0.0 and legacy[0, 2] > 0.0
+        assert assert_gate_exact(tracks, frame, sensor, 1e-10) == (1, 0)
 
     def test_tight_bounds_need_the_margin(self):
         # every particle of a track at one point and a measurement exactly
@@ -417,22 +419,26 @@ class TestPlausibilityGate:
         states[2, 0] = np.inf
         tracks[1] = BernoulliTrack(Label(1, 2), 1e-9, ParticleSet(states, tracks[1].pdf.weights))
         with np.errstate(over="ignore", invalid="ignore"):
-            gated = evidence_of(tracks, frame, sensor, 1e-3)
-            assert not gated.deferred[:2].any() and gated.deferred[2:].any()
+            gated, full = (evidence_of(tracks, frame, sensor, g) for g in (1e-3, 0.0))
+            # the rows with a non-finite bound are evaluated as without the
+            # bound; some pair of the others is left unevaluated
+            skipped = evaluated(full) & ~evaluated(gated)
+            assert not skipped[:2].any() and skipped[2:].any()
             assert np.isnan(gated.betas[0]).all()
             assert_gate_exact(tracks, frame, sensor, 1e-3)
             # a non-finite measurement: every pair at once
             bad = frame[:-1] + [Measurement(np.inf, 0.0)]
-            assert not evidence_of(tracks[2:], bad, sensor, 1e-3).deferred.any()
+            assert np.array_equal(*(evaluated(evidence_of(tracks[2:], bad, sensor, g))
+                                    for g in (1e-3, 0.0)))
 
     def test_single_track_views_defer_nothing(self):
         rng = np.random.default_rng(43)
         sensor = SensorModel()
         track = cloud_track(rng, sensor.position + [0.0, 150.0], 100, 1e-12)
         frame = frame_near(rng, sensor, [track], 15)
-        assert evidence_of([track], frame, sensor, 1e-10).deferred.any()
-        hyps = detection_hypotheses(track, frame, sensor)
         full = evidence_of([track], frame, sensor, 0.0)
+        assert (evaluated(full) & ~evaluated(evidence_of([track], frame, sensor, 1e-10))).any()
+        hyps = detection_hypotheses(track, frame, sensor)
         for m, hyp in enumerate(hyps, start=1):
             assert hyp.beta == full.betas[0, m - 1]
             assert np.array_equal(hyp.weights, full.detection(0, m).weights)

@@ -2,9 +2,9 @@
 
 The fixture under `tests/golden/` holds `mospa.csv` and `estimates_r*.csv` of
 one scenario. The scenario is chosen so that every association path runs:
-transfers inside clusters, transfers of residual measurements, deferred
-track evidence evaluated inside a cluster, the exact pass over cyclic
-clusters and the BP batch of the rest. The test checks that these paths
+transfers inside clusters, transfers of residual measurements, track
+pairs evaluated inside a cluster but below gamma_c, which weigh nothing,
+the exact pass over cyclic clusters and the BP batch of the rest. The test checks that these paths
 ran, so a fixture that stops exercising them fails loudly. The bytes were
 produced with numpy 2.4 on x86-64; another numpy or platform may round
 differently.
@@ -33,15 +33,15 @@ import lmbp.update
 from lmbp.cli import run_experiment
 from lmbp.config import build_run_config, parse_config_text
 
-from helpers import count_joined_rows
+from helpers import light_pairs
 
 GOLDEN = Path(__file__).parent / "golden"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # leading hex digits of the estimates and mospa digests, per workload
 WORKLOAD_DIGESTS = {
-    "desk": ("755ac9f86149d869", "f2a29e3e920b47dd"),
-    "dense": ("1ca97e62c086ed8c", "2e545f5a0c78a840"),
+    "desk": ("996b39ec4a164410", "2c42e393089f7ddf"),
+    "dense": ("a725bcfab9aa3fbd", "aa750d0b91df380a"),
 }
 
 SCENARIO = {
@@ -74,6 +74,7 @@ def count_paths(monkeypatch) -> Counter:
     residual: set[int] = set()
     partition = lmbp.update.partition
     select_transfers = lmbp.update.select_transfers
+    track_evidence = lmbp.update.track_evidence
     pass_marginals = lmbp.association._pass_marginals
     batch_bp_marginals = lmbp.association.batch_bp_marginals
 
@@ -89,6 +90,11 @@ def count_paths(monkeypatch) -> Counter:
             counts["residual transfers" if column in residual else "cluster transfers"] += 1
         return result
 
+    def evidence_spy(*args, **kwargs):
+        result = track_evidence(*args, **kwargs)
+        counts["light pairs"] += light_pairs(result)
+        return result
+
     def pass_spy(*args, **kwargs):
         counts["solved"] += 1   # one cluster solved by the exact pass
         return pass_marginals(*args, **kwargs)
@@ -101,7 +107,7 @@ def count_paths(monkeypatch) -> Counter:
     monkeypatch.setattr(lmbp.update, "select_transfers", select_transfers_spy)
     monkeypatch.setattr(lmbp.association, "_pass_marginals", pass_spy)
     monkeypatch.setattr(lmbp.association, "batch_bp_marginals", bp_spy)
-    count_joined_rows(monkeypatch, counts)
+    monkeypatch.setattr(lmbp.update, "track_evidence", evidence_spy)
     return counts
 
 
@@ -110,8 +116,8 @@ def test_golden_trace(tmp_path, monkeypatch):
     names = run_case(tmp_path)
     assert counts["cluster transfers"] > 0 and counts["residual transfers"] > 0
     # the clusters the exact pass solves and those left to the BP batch
-    assert counts["solved"] == 49 and counts["batched"] == 398
-    assert counts["deferred evaluated"] > 0   # gated pairs that joined a cluster
+    assert counts["solved"] == 43 and counts["batched"] == 404
+    assert counts["light pairs"] > 0   # evaluated in-cluster pairs below gamma_c
     for name in names:
         expected = (GOLDEN / name).read_bytes()
         assert (tmp_path / name).read_bytes() == expected, f"{name} differs"

@@ -60,9 +60,9 @@ from helpers import (
     block_row,
     carried,
     cells_of,
-    count_joined_rows,
     dense_new_components,
     dense_phd_weights,
+    light_pairs,
     likelihood,
 )
 from test_association import pass_marginals, within_cost_limit
@@ -886,13 +886,16 @@ class TestLmbpStep:
             assert r[i] == min(expected, 1.0)
         assert mixed.shape == (24,)
         # at gamma_c = 1e-10, a particle of weight 1e-12 next to measurement 0
-        # gives track 2 a pair with b > 0 that is evaluated but too light to
-        # be plausible: it lies outside track 2's cluster, with a zero marginal
+        # gives track 2 a pair that is evaluated but too light to be
+        # plausible: it weighs nothing (b = 0) and lies outside track 2's
+        # cluster, with a zero marginal
         states, weights = np.zeros((8, 4)), np.full(8, (1.0 - 1e-12) / 7)
         states[:, 0], states[0, 0], weights[0] = 250.0, 101.0, 1e-12
         light = BernoulliTrack(Label(1, 3), 0.6, ParticleSet(states, weights))
         group, legacy, *_, pairs = step(tracks[:2] + (light,), 1e-10)
-        assert group.b[pairs.index((2, 1))] > 0.0 and legacy[2, 1] == 0.0
+        k = pairs.index((2, 1))
+        assert group.lik[group.cuts[k]:group.cuts[k + 1]].sum() > 0.0
+        assert group.b[k] == 0.0 and legacy[2, 1] == 0.0
 
     def test_rows_of_every_group_match_per_row_updates(self, monkeypatch):
         # a block of rows of 8, 5 and 1 particles, each length with a row
@@ -1117,10 +1120,9 @@ class TestLmbpStep:
 
     def test_one_labelling_per_step(self, monkeypatch):
         # `track_evidence` labels the plausible pairs once and `partition`
-        # only reads that labelling, also on steps whose gate defers pairs
-        # and evaluates some of them inside a cluster
-        joined, calls, deferred = Counter(), Counter(), []
-        count_joined_rows(monkeypatch, joined)
+        # only reads that labelling, also on steps whose evidence holds
+        # evaluated pairs below gamma_c inside a cluster, which weigh nothing
+        calls, light = Counter(), []
 
         def spy(owner, name):
             real = getattr(owner, name)
@@ -1129,7 +1131,7 @@ class TestLmbpStep:
                 calls[name] += 1
                 result = real(*args)
                 if name == "track_evidence":
-                    deferred.append(int(result.deferred.sum()))
+                    light.append(light_pairs(result))
                 return result
 
             monkeypatch.setattr(owner, name, counted)
@@ -1153,7 +1155,7 @@ class TestLmbpStep:
                               prev_frame=prev, settings=config.settings)
             prev = frame
             assert calls == {"_components": 1, "partition": 1, "track_evidence": 1}
-        assert sum(deferred) > 0 and joined["deferred evaluated"] > 0
+        assert sum(light) > 0
 
     def test_one_bp_batch_per_step(self, monkeypatch):
         # the step's one `exact_marginals` call marginalizes every cluster it
