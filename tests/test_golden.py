@@ -4,10 +4,10 @@ The fixture under `tests/golden/` holds `mospa.csv` and `estimates_r*.csv` of
 one scenario. The scenario is chosen so that every association path runs:
 transfers inside clusters, transfers of residual measurements, track
 pairs evaluated inside a cluster but below gamma_c, which weigh nothing,
-the exact pass over cyclic clusters and the BP batch of the rest. The test checks that these paths
-ran, so a fixture that stops exercising them fails loudly. The bytes were
-produced with numpy 2.4 on x86-64; another numpy or platform may round
-differently.
+the exact pass over cyclic clusters and the BP batch of the rest. The test
+checks that these paths ran, so a fixture that stops exercising them fails
+loudly. The bytes were produced with numpy 2.4 on x86-64; another numpy or
+platform may round differently.
 
 The golden scenario's 5 degree bearing sigma never takes the sensor's
 windowed (grid) path, so `test_benchmark_workload_digests` also pins the
