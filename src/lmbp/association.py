@@ -119,7 +119,6 @@ def track_evidence(block: TrackBlock, frame: Sequence[Measurement],
     gamma_c = 0 leaves every pair as it is.
     """
     r, offsets = block.existence, block.offsets
-    counts = np.diff(offsets)
     betas = np.zeros((len(r), len(frame)))
     rho, theta = sensor.range_bearing(block.states)
     pd = sensor.detection_prob_at(rho)
@@ -137,7 +136,7 @@ def track_evidence(block: TrackBlock, frame: Sequence[Measurement],
     # A non-finite bound compares False and is evaluated.
     ceiling = (r * row_reduce(np.add, detect, offsets))[:, None] * norm * np.exp(bound)
     at, meas = ((bound >= EXP_FLOOR) & ~(ceiling < 0.5 * gamma_c)).nonzero()
-    lengths = counts[at]
+    lengths = np.diff(offsets)[at]
     cuts = np.concatenate(([0], lengths.cumsum()))
     rho_at, theta_at, detect_at = take_rows((rho, theta, detect), offsets, at)
     lik = sensor.likelihood_rows(frame, meas, rho_at, theta_at, lengths)
